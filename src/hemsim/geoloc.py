@@ -265,18 +265,26 @@ class GridSpec:
         """Worst-case distance from a cell center to its corner."""
         return self.resolution_deg * KM_PER_DEGREE * math.sqrt(2.0) / 2.0
 
-    def distances_km(self, landmark_position: GeoPoint) -> np.ndarray:
-        """Haversine distance from every cell center to one landmark."""
-        lats = np.radians(self.lat_centers())[:, None]
-        lons = np.radians(self.lon_centers())[None, :]
-        p2 = math.radians(landmark_position.latitude)
-        l2 = math.radians(landmark_position.longitude)
-        h = (
-            np.sin((p2 - lats) / 2.0) ** 2
-            + np.cos(lats) * math.cos(p2) * np.sin((l2 - lons) / 2.0) ** 2
-        )
-        np.clip(h, 0.0, 1.0, out=h)
-        return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(h))
+    def distances_km(
+        self, landmark_position: GeoPoint, rows: slice = slice(None), cols: slice = slice(None)
+    ) -> np.ndarray:
+        """Haversine distance from the cell centers in a row/column window (by
+        default the whole grid) to one landmark."""
+        lats = np.radians(self.lat_centers()[rows])[:, None]
+        lons = np.radians(self.lon_centers()[cols])[None, :]
+        return _haversine_km(lats, lons, landmark_position)
+
+
+def _haversine_km(lats_rad: np.ndarray, lons_rad: np.ndarray, position: GeoPoint) -> np.ndarray:
+    """Haversine distance from broadcast (lat, lon) radians to one position."""
+    p2 = math.radians(position.latitude)
+    l2 = math.radians(position.longitude)
+    h = (
+        np.sin((p2 - lats_rad) / 2.0) ** 2
+        + np.cos(lats_rad) * math.cos(p2) * np.sin((l2 - lons_rad) / 2.0) ** 2
+    )
+    np.clip(h, 0.0, 1.0, out=h)
+    return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(h))
 
 
 @dataclass
@@ -299,25 +307,6 @@ class GeoEstimate:
     def inconsistent(self) -> bool:
         """The assume-the-worst alarm: empty region or impossible timing."""
         return self.empty or bool(self.floor_violations)
-
-    def region_rle(self) -> list[dict]:
-        """Run-length encoding of member cells, one record per grid row."""
-        rows = []
-        for i in range(self.grid.n_lat):
-            runs = []
-            j = 0
-            row = self.mask[i]
-            while j < self.grid.n_lon:
-                if row[j]:
-                    start = j
-                    while j < self.grid.n_lon and row[j]:
-                        j += 1
-                    runs.append([start, j - start])
-                else:
-                    j += 1
-            if runs:
-                rows.append({"row": i, "runs": runs})
-        return rows
 
 
 def _usable(measurements: Iterable[Measurement]) -> list[Measurement]:
@@ -349,6 +338,12 @@ def estimate_cbg(
 
     An empty intersection is an explicit inconsistency signal, not an
     answer; callers treat it as an alarm.
+
+    Disks are applied smallest bound first, each one evaluated only on the
+    bounding box of cells still in the region, and evaluation stops once
+    that box is empty. Cells outside the box are already excluded and AND
+    does not depend on order, so the mask equals the full-grid intersection
+    of every disk, bit for bit.
     """
     usable_bounds, violations = _bounds_for(measurements, landmarks)
     if not usable_bounds:
@@ -356,8 +351,17 @@ def estimate_cbg(
         return GeoEstimate(grid, mask, None, empty=True, floor_violations=violations)
     slack = grid.half_diagonal_km()
     mask = np.ones((grid.n_lat, grid.n_lon), dtype=bool)
-    for lm, bound in usable_bounds:
-        mask &= grid.distances_km(lm.position) <= bound.bound_km + slack
+    i0, i1, j0, j1 = 0, grid.n_lat, 0, grid.n_lon
+    for lm, bound in sorted(usable_bounds, key=lambda item: item[1].bound_km):
+        window = (slice(i0, i1), slice(j0, j1))
+        live = mask[window]
+        live &= grid.distances_km(lm.position, *window) <= bound.bound_km + slack
+        rows = np.flatnonzero(live.any(axis=1))
+        if rows.size == 0:
+            break
+        cols = np.flatnonzero(live.any(axis=0))
+        i0, i1 = i0 + int(rows[0]), i0 + int(rows[-1]) + 1
+        j0, j1 = j0 + int(cols[0]), j0 + int(cols[-1]) + 1
     empty = not bool(mask.any())
     return GeoEstimate(grid, mask, None, empty=empty, floor_violations=violations)
 
@@ -658,20 +662,35 @@ def _descend_from(
 
 
 def _coarse_scan_start(targets: Sequence[tuple[GeoPoint, float]], cells: int = 24) -> GeoPoint:
-    """Cheapest cell of a coarse objective scan over the landmark extent."""
+    """Cheapest cell of a coarse objective scan over the landmark extent.
+
+    The objective is scored on all cells at once through `_haversine_km`.
+    Numpy's sin and arcsin may differ from libm's in the last bit, so every
+    near-tie cell (objective within a relative 1e-9 plus 1e-9 km^2 of the
+    least) is re-scored in row-major order with the scalar
+    `descent_objective_and_gradient`, keeping the first strict minimum: the
+    same cell, at the same coordinates, as a scalar scan of every cell.
+    """
     lats = [pos.latitude for pos, _ in targets]
     lons = [pos.longitude for pos, _ in targets]
     pad = 5.0
     lat_lo, lat_hi = max(min(lats) - pad, -90.0), min(max(lats) + pad, 90.0)
     lon_lo, lon_hi = min(lons) - pad, max(lons) + pad
+    k = np.arange(cells) + 0.5
+    lat_c = lat_lo + k * (lat_hi - lat_lo) / cells
+    lon_c = lon_lo + k * (lon_hi - lon_lo) / cells
+    lats_rad = np.radians(lat_c)[:, None]
+    lons_rad = np.radians(lon_c)[None, :]
+    f = np.zeros((cells, cells))
+    for position, target_km in targets:
+        residual = _haversine_km(lats_rad, lons_rad, position) - target_km
+        f += residual * residual
     best = None
-    for i in range(cells):
-        for j in range(cells):
-            lat = lat_lo + (i + 0.5) * (lat_hi - lat_lo) / cells
-            lon = lon_lo + (j + 0.5) * (lon_hi - lon_lo) / cells
-            f, _, _ = descent_objective_and_gradient(lat, lon, targets)
-            if best is None or f < best[0]:
-                best = (f, lat, lon)
+    for i, j in np.argwhere(f <= f.min() * (1.0 + 1e-9) + 1e-9):
+        lat, lon = float(lat_c[i]), float(lon_c[j])
+        value, _, _ = descent_objective_and_gradient(lat, lon, targets)
+        if best is None or value < best[0]:
+            best = (value, lat, lon)
     return GeoPoint(best[1], best[2])
 
 

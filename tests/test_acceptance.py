@@ -90,7 +90,7 @@ class TestAcceptance:
         resource = MeterResource.FLOAT_OPS
         for kind, policy in policies.items():
             for trial in range(trials_per_policy):
-                rng = random.Random(hash((kind.value, trial)) & 0x7FFFFFFF)
+                rng = random.Random(f"{kind.value}:{trial}")
                 chip = provision_chip(rng, frozenset({issuer_key.public_bytes}),
                                       policy=policy)
                 chip.throttle = Throttle.full()

@@ -1,5 +1,6 @@
 """Config schema and CLI behavior tests, including golden reports."""
 
+import functools
 import json
 from pathlib import Path
 
@@ -122,8 +123,13 @@ class TestCli:
         assert code == 0
 
 
+@functools.lru_cache(maxsize=None)
+def _bundled_reports(name: str) -> dict:
+    return execute_scenario(validate_config(BUNDLED_SCENARIOS[name], strict=True)).reports
+
+
 class TestGoldenReports:
-    """Report schema stability: frozen bytes for the licensing scenario."""
+    """Report stability: frozen bytes for bundled scenarios."""
 
     @pytest.mark.parametrize("report", ["licensing.jsonl", "summary.txt", "summary.json"])
     def test_licensing_basic_matches_golden(self, report):
@@ -131,3 +137,16 @@ class TestGoldenReports:
         outcome = execute_scenario(config)
         golden = (GOLDEN_DIR / f"licensing_basic.{report}").read_text(encoding="utf-8")
         assert outcome.reports[report] == golden
+
+    @pytest.mark.parametrize("scenario, report", [
+        ("geoloc_cbg", "geoloc.jsonl"),
+        ("geoloc_cbg", "summary.txt"),
+        ("geoloc_cbg", "summary.json"),
+        ("attack_matrix", "attacks.jsonl"),
+        ("attack_matrix", "attack_matrix.txt"),
+        ("attack_matrix", "summary.txt"),
+        ("attack_matrix", "summary.json"),
+    ])
+    def test_bundled_scenario_matches_golden(self, scenario, report):
+        golden = (GOLDEN_DIR / f"{scenario}.{report}").read_text(encoding="utf-8")
+        assert _bundled_reports(scenario)[report] == golden

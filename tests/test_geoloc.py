@@ -27,6 +27,7 @@ from hemsim.geoloc import (
     spherical_excess_sr,
     synthesize_round,
     verify_triangle,
+    _coarse_scan_start,
 )
 from hemsim.netsim import GeoPoint, LatencyModel, Network, Node, Simulator, geodesic_distance
 
@@ -217,22 +218,68 @@ class TestCBG:
         est = estimate_cbg(ms, lms, GRID)
         assert est.empty and est.inconsistent
 
-    def test_region_rle_round_trips_mask(self):
-        rng = random.Random(5)
-        lms = honest_landmarks([GeoPoint(10.0, 10.0)])
-        ms = synthesize_round(rng, list(lms.values()), GeoPoint(11.0, 10.0), 0.1, 0.5)
-        est = estimate_cbg(ms, lms, GRID)
-        rebuilt = np.zeros_like(est.mask)
-        for row in est.region_rle():
-            for start, length in row["runs"]:
-                rebuilt[row["row"], start:start + length] = True
-        assert np.array_equal(rebuilt, est.mask)
-
     def test_measurement_record_fields(self):
         m = Measurement("lm0", 12.3456789, b"n", b"s", verified=True)
         record = m.to_record()
         assert record == {"landmark_id": "lm0", "rtt_ms": 12.3456789,
                           "verified": True, "missing": False}
+
+
+class TestCBGWindowExactness:
+    """The live-window CBG mask equals the full-grid intersection of every disk."""
+
+    @staticmethod
+    def _reference(measurements, lms, grid):
+        slack = grid.half_diagonal_km()
+        disks = []
+        violations = []
+        for m in measurements:
+            if not m.verified or m.missing:
+                continue
+            bound = delay_to_distance(m, lms[m.landmark_id].calibration)
+            if bound.floor_violation:
+                violations.append(m.landmark_id)
+            else:
+                disks.append(grid.distances_km(lms[m.landmark_id].position)
+                             <= bound.bound_km + slack)
+        if not disks:
+            return np.zeros((grid.n_lat, grid.n_lon), dtype=bool), tuple(violations)
+        return np.logical_and.reduce(disks), tuple(violations)
+
+    def test_mask_equals_full_grid_intersection(self):
+        rng = random.Random(2024)
+        seen = {"empty": 0, "nonempty": 0, "violation": 0}
+        for resolution in (0.2, 0.5, 1.0):
+            for _ in range(120):
+                lat_min = rng.uniform(-60.0, 40.0)
+                lon_min = rng.uniform(-170.0, 140.0)
+                grid = GridSpec(lat_min, lat_min + rng.uniform(4.0, 30.0),
+                                lon_min, lon_min + rng.uniform(4.0, 30.0), resolution)
+                truth = GeoPoint(rng.uniform(grid.lat_min, grid.lat_max),
+                                 rng.uniform(grid.lon_min, grid.lon_max))
+                lms = honest_landmarks([
+                    GeoPoint(rng.uniform(grid.lat_min - 15.0, grid.lat_max + 15.0),
+                             rng.uniform(grid.lon_min - 15.0, grid.lon_max + 15.0))
+                    for _ in range(rng.randint(1, 8))
+                ], overhead=1.0)
+                measurements = []
+                for lm_id, lm in lms.items():
+                    distance = geodesic_distance(truth, lm.position)
+                    # Scale the truthful bound so some disks miss the truth.
+                    scaled = distance * rng.choice((0.3, 0.9, 1.0, 1.2, 3.0))
+                    rtt = 2.0 * (scaled / lm.calibration.speed_km_per_ms() + 1.0)
+                    if rng.random() < 0.1:
+                        rtt = rng.uniform(0.0, 1.9)  # below the propagation floor
+                    measurements.append(Measurement(lm_id, rtt, b"", b"",
+                                                    verified=rng.random() > 0.1))
+                expected_mask, expected_violations = self._reference(measurements, lms, grid)
+                est = estimate_cbg(measurements, lms, grid)
+                assert np.array_equal(est.mask, expected_mask)
+                assert est.empty == (not expected_mask.any())
+                assert est.floor_violations == expected_violations
+                seen["empty" if est.empty else "nonempty"] += 1
+                seen["violation"] += bool(expected_violations)
+        assert all(count > 10 for count in seen.values()), seen
 
 
 class TestLikelihood:
@@ -484,3 +531,56 @@ class TestDescent:
         f_init, _, _ = descent_objective_and_gradient(init.latitude, init.longitude, targets)
         result = estimate_descent(ms, lms, init)
         assert result.objective_km2 <= f_init + 1e-9
+
+
+def _reference_coarse_scan(targets, cells=24):
+    """The scan as a scalar loop: first strict minimum over row-major cells."""
+    lats = [pos.latitude for pos, _ in targets]
+    lons = [pos.longitude for pos, _ in targets]
+    lat_lo, lat_hi = max(min(lats) - 5.0, -90.0), min(max(lats) + 5.0, 90.0)
+    lon_lo, lon_hi = min(lons) - 5.0, max(lons) + 5.0
+    best = None
+    for i in range(cells):
+        for j in range(cells):
+            lat = lat_lo + (i + 0.5) * (lat_hi - lat_lo) / cells
+            lon = lon_lo + (j + 0.5) * (lon_hi - lon_lo) / cells
+            f, _, _ = descent_objective_and_gradient(lat, lon, targets)
+            if best is None or f < best[0]:
+                best = (f, lat, lon)
+    return best[1], best[2]
+
+
+class TestCoarseScanExactness:
+    def _positions(self, rng, n, layout):
+        if layout == "local":
+            lat0, lon0 = rng.uniform(-60, 60), rng.uniform(-150, 150)
+            return [GeoPoint(lat0 + rng.uniform(-12, 12), lon0 + rng.uniform(-12, 12))
+                    for _ in range(n)]
+        if layout == "wide":
+            return [GeoPoint(rng.uniform(-80, 80), rng.uniform(-170, 170)) for _ in range(n)]
+        # Mirror pairs about the equator and the prime meridian make
+        # objectives tie exactly or to the last bit across mirrored cells.
+        half = [GeoPoint(rng.choice((0.0, rng.uniform(5, 40))), rng.uniform(5, 40))
+                for _ in range((n + 1) // 2)]
+        mirrored = [GeoPoint(-p.latitude, -p.longitude) for p in half]
+        return (half + mirrored)[:n]
+
+    def test_matches_scalar_reference_scan(self):
+        rng = random.Random(31337)
+        for trial in range(510):
+            layout = ("local", "wide", "mirror")[trial % 3]
+            positions = self._positions(rng, rng.randint(3, 12), layout)
+            truth = GeoPoint(rng.uniform(-60, 60), rng.uniform(-170, 170))
+            mode = rng.choice(("exact", "noisy", "equal", "random"))
+            if mode == "equal":
+                value = rng.uniform(0.0, 3000.0)
+                targets = [(pos, value) for pos in positions]
+            elif mode == "random":
+                targets = [(pos, rng.uniform(0.0, 20000.0)) for pos in positions]
+            else:
+                noise = 0.0 if mode == "exact" else 200.0
+                targets = [(pos, geodesic_distance(truth, pos) + rng.uniform(0.0, noise))
+                           for pos in positions]
+            start = _coarse_scan_start(targets)
+            assert (start.latitude, start.longitude) == _reference_coarse_scan(targets), \
+                f"trial {trial} ({layout}, {mode})"
