@@ -7,6 +7,9 @@ flagged the attempt. The registry also records the expected outcome either
 way, because the claims are falsifiable in both directions: defenses must
 hold where they are designed to hold, and attacks the design concedes
 (key-extraction relay, workload shaping) must actually succeed.
+
+Each attack is declared once, by the `@attack` decorator on its body; the
+mechanism comes from its row in `ATTACK_INVENTORY`.
 """
 
 from __future__ import annotations
@@ -124,10 +127,6 @@ class AdversaryProfile:
     capabilities: frozenset[Capability]
     latency_factor: float = 0.5          # for delay_speedup
     compromised_landmarks: int = 2       # for compromise_landmarks
-    landmark_positions_known: bool = False
-
-    def has(self, capability: Capability) -> bool:
-        return capability in self.capabilities
 
 
 def profile_for_tier(tier: Tier, **overrides) -> AdversaryProfile:
@@ -147,9 +146,6 @@ class AttackOutcome:
     evidence: dict
 
 
-AttackFn = Callable[[AdversaryProfile, random.Random, dict], AttackOutcome]
-
-
 @dataclass(frozen=True)
 class AttackSpec:
     name: str
@@ -157,7 +153,9 @@ class AttackSpec:
     required: frozenset[Capability]
     expected_succeeded: bool
     expected_detected: bool
-    run_fn: AttackFn = field(repr=False, compare=False, default=None)
+    # (profile, rng, params) -> {"succeeded", "detected", "evidence"}
+    run_fn: Callable[[AdversaryProfile, random.Random, dict], dict] = field(
+        repr=False, compare=False)
 
 
 # The named-attack inventory, grouped by the mechanism each attack targets.
@@ -190,6 +188,26 @@ ATTACK_INVENTORY: dict[str, tuple[str, ...]] = {
         "licensing_throttle_bypass",
     ),
 }
+_MECHANISM_OF = {name: mechanism
+                 for mechanism, names in ATTACK_INVENTORY.items() for name in names}
+
+ATTACKS: dict[str, AttackSpec] = {}
+
+
+def attack(name: str, *, expect: tuple[bool, bool], required=frozenset()):
+    """Register the decorated body as the scenario for an inventory row.
+
+    `expect` is (succeeded, detected) as the design claims it; `required`
+    are the capabilities `run_attack` demands of the profile.
+    """
+    def register(fn):
+        if name in ATTACKS:
+            raise ValueError(f"attack registered twice: {name}")
+        if name not in _MECHANISM_OF:
+            raise ValueError(f"attack not in ATTACK_INVENTORY: {name}")
+        ATTACKS[name] = AttackSpec(name, _MECHANISM_OF[name], frozenset(required), *expect, fn)
+        return fn
+    return register
 
 
 # -- world helpers ---------------------------------------------------------------
@@ -224,7 +242,8 @@ _GRID = GridSpec(lat_min=-5.0, lat_max=25.0, lon_min=-5.0, lon_max=25.0, resolut
 # -- licensing attacks -------------------------------------------------------------
 
 
-def _attack_counterfeit(profile, rng, params) -> AttackOutcome:
+@attack("licensing_counterfeit", required={Capability.COUNTERFEIT_LICENSE}, expect=(False, True))
+def _attack_counterfeit(profile, rng, params) -> dict:
     trials = params.get("trials", 2000)
     issuer, chip, genuine = _licensed_chip(rng, quota=10**6)
     rogue = make_issuer(rng)
@@ -249,45 +268,43 @@ def _attack_counterfeit(profile, rng, params) -> AttackOutcome:
             )
         if install(chip, forged, now_ms=1.0).accepted:
             acceptances += 1
-    return AttackOutcome(
-        "licensing_counterfeit", "licensing",
+    return dict(
         succeeded=acceptances > 0,
         detected=acceptances < trials,  # rejections are visible events
         evidence={"trials": trials, "acceptances": acceptances},
     )
 
 
-def _attack_replay(profile, rng, params) -> AttackOutcome:
+@attack("licensing_replay", required={Capability.REPLAY_LICENSE}, expect=(False, True))
+def _attack_replay(profile, rng, params) -> dict:
     issuer, chip, lic = _licensed_chip(rng, quota=1000)
     metered_consume(chip, MeterResource.CLOCK_CYCLES, 1000)  # exhaust the grant
     rejections = []
     for _ in range(50):
         rejections.append(install(chip, lic, now_ms=chip.clock_ms).reason)
-    return AttackOutcome(
-        "licensing_replay", "licensing",
+    return dict(
         succeeded=any(r is None for r in rejections),
         detected=all(r is RejectReason.STALE_ID for r in rejections),
         evidence={"attempts": len(rejections)},
     )
 
 
-def _attack_cross_device(profile, rng, params) -> AttackOutcome:
+@attack("licensing_cross_device", required={Capability.CROSS_DEVICE_LICENSE}, expect=(False, True))
+def _attack_cross_device(profile, rng, params) -> dict:
     issuer = make_issuer(rng)
     chip_a = provision_chip(rng, frozenset({issuer.public_key}))
     chip_b = provision_chip(rng, frozenset({issuer.public_key}))
     lic_a = issuer.issue(chip_a.identity.device_id, {MeterResource.CLOCK_CYCLES: 10**6})
     result = install(chip_b, lic_a, now_ms=0.0)
-    return AttackOutcome(
-        "licensing_cross_device", "licensing",
+    return dict(
         succeeded=result.accepted,
         detected=result.reason is RejectReason.WRONG_DEVICE,
         evidence={"reason": result.reason.value if result.reason else None},
     )
 
 
-def _attack_meter_rollback_licensing(profile, rng, params) -> AttackOutcome:
-    if not profile.has(Capability.COVERT_TAMPER):
-        raise ScenarioConfigError("licensing_meter_rollback needs covert_tamper")
+@attack("licensing_meter_rollback", required={Capability.COVERT_TAMPER}, expect=(True, True))
+def _attack_meter_rollback_licensing(profile, rng, params) -> dict:
     quota = 10_000
     issuer, chip, lic = _licensed_chip(rng, quota=quota)
     registry = Registry()
@@ -312,8 +329,7 @@ def _attack_meter_rollback_licensing(profile, rng, params) -> AttackOutcome:
         snapshots.append(emit_snapshot(chip, seq))
     report = verify_chain({chip.identity.device_id: snapshots}, registry)
     status = report.device_results[0].status
-    return AttackOutcome(
-        "licensing_meter_rollback", "licensing",
+    return dict(
         succeeded=overdraft > 0,  # used beyond licensed capacity
         detected=status is DeviceStatus.METER_ROLLBACK,
         evidence={
@@ -326,9 +342,9 @@ def _attack_meter_rollback_licensing(profile, rng, params) -> AttackOutcome:
     )
 
 
-def _attack_power_cut_rollback(profile, rng, params) -> AttackOutcome:
-    if not profile.has(Capability.POWER_CUT_TIMING):
-        raise ScenarioConfigError("licensing_power_cut_rollback needs power_cut_timing")
+@attack("licensing_power_cut_rollback", required={Capability.POWER_CUT_TIMING},
+        expect=(False, True))
+def _attack_power_cut_rollback(profile, rng, params) -> dict:
     issuer, chip, lic = _licensed_chip(rng, quota=500)
     metered_consume(chip, MeterResource.CLOCK_CYCLES, 500)
     reuse_accepted = 0
@@ -339,8 +355,7 @@ def _attack_power_cut_rollback(profile, rng, params) -> AttackOutcome:
         chip.power_on(at_ms=at + rng.uniform(0.01, 5.0))
         if install(chip, lic, now_ms=chip.clock_ms).accepted:
             reuse_accepted += 1
-    return AttackOutcome(
-        "licensing_power_cut_rollback", "licensing",
+    return dict(
         succeeded=reuse_accepted > 0,
         detected=reuse_accepted == 0,
         evidence={"attempts": attempts, "reuse_accepted": reuse_accepted,
@@ -348,9 +363,8 @@ def _attack_power_cut_rollback(profile, rng, params) -> AttackOutcome:
     )
 
 
-def _attack_throttle_bypass(profile, rng, params) -> AttackOutcome:
-    if not profile.has(Capability.FIRMWARE_MOD):
-        raise ScenarioConfigError("licensing_throttle_bypass needs firmware_mod")
+@attack("licensing_throttle_bypass", required={Capability.FIRMWARE_MOD}, expect=(True, True))
+def _attack_throttle_bypass(profile, rng, params) -> dict:
     regulator = canon.generate_keypair(rng.randbytes(32))
     registry = Registry()
     chip = provision_chip(rng, frozenset({regulator.public_bytes}))  # never licensed
@@ -375,8 +389,7 @@ def _attack_throttle_bypass(profile, rng, params) -> AttackOutcome:
     node_peer = ClusterNode(chip=peer)
     result = handshake(0.0, node_peer, node_chip, PodRegime(manifest), registry, rng,
                        SessionAllocator())
-    return AttackOutcome(
-        "licensing_throttle_bypass", "licensing",
+    return dict(
         succeeded=unlicensed_use > 0,
         detected=result.reason is HandshakeReject.FIRMWARE_MISMATCH
         and node_chip.self_disabled,
@@ -401,9 +414,8 @@ def _cluster_world(rng, n_chips):
     return regulator, registry, nodes
 
 
-def _attack_pod_firmware(profile, rng, params) -> AttackOutcome:
-    if not profile.has(Capability.FIRMWARE_MOD):
-        raise ScenarioConfigError("cluster_pod_firmware_mod needs firmware_mod")
+@attack("cluster_pod_firmware_mod", required={Capability.FIRMWARE_MOD}, expect=(False, True))
+def _attack_pod_firmware(profile, rng, params) -> dict:
     regulator, registry, nodes = _cluster_world(rng, 2)
     a, b = nodes
     manifest = issue_manifest(
@@ -413,8 +425,7 @@ def _attack_pod_firmware(profile, rng, params) -> AttackOutcome:
     )
     b.chip.tamper_event("firmware_mod", covert=True)
     result = handshake(0.0, a, b, PodRegime(manifest), registry, rng, SessionAllocator())
-    return AttackOutcome(
-        "cluster_pod_firmware_mod", "cluster",
+    return dict(
         succeeded=result.accepted,
         detected=result.reason is HandshakeReject.FIRMWARE_MISMATCH and b.self_disabled,
         evidence={"reason": result.reason.value if result.reason else None,
@@ -422,7 +433,8 @@ def _attack_pod_firmware(profile, rng, params) -> AttackOutcome:
     )
 
 
-def _attack_cap_forge(profile, rng, params) -> AttackOutcome:
+@attack("cluster_cap_forge", expect=(False, True))
+def _attack_cap_forge(profile, rng, params) -> dict:
     regulator, registry, nodes = _cluster_world(rng, 1)
     node = nodes[0]
     genuine = issue_cap_policy(regulator, cap=4, cap_epoch=1)
@@ -432,17 +444,15 @@ def _attack_cap_forge(profile, rng, params) -> AttackOutcome:
     replayed = issue_cap_policy(regulator, cap=64, cap_epoch=0)
     adopted_forged = apply_cap_update(node, forged_raise, now_ms=1.0)
     adopted_replay = apply_cap_update(node, replayed, now_ms=2.0)
-    return AttackOutcome(
-        "cluster_cap_forge", "cluster",
+    return dict(
         succeeded=adopted_forged or adopted_replay,
         detected=not adopted_forged and not adopted_replay,
         evidence={"cap_after": node.adopted_cap(), "cap_epoch_after": node.cap_policy.cap_epoch},
     )
 
 
-def _attack_pcie_bridge(profile, rng, params) -> AttackOutcome:
-    if not profile.has(Capability.PCIE_BRIDGE):
-        raise ScenarioConfigError("cluster_pcie_bridge needs pcie_bridge")
+@attack("cluster_pcie_bridge", required={Capability.PCIE_BRIDGE}, expect=(True, True))
+def _attack_pcie_bridge(profile, rng, params) -> dict:
     regulator, registry, nodes = _cluster_world(rng, 2)
     a, b = nodes
     moved = 0
@@ -453,8 +463,7 @@ def _attack_pcie_bridge(profile, rng, params) -> AttackOutcome:
         events.append(event)
         moved += event.n_bytes
     direct_ms = 10**9 / 1e8
-    return AttackOutcome(
-        "cluster_pcie_bridge", "cluster",
+    return dict(
         succeeded=moved == 5 * 10**9,
         detected=a.chip.meter_value(MeterResource.PCIE_TRANSFER_BYTES) == moved,
         evidence={
@@ -466,9 +475,9 @@ def _attack_pcie_bridge(profile, rng, params) -> AttackOutcome:
     )
 
 
-def _attack_gradient_smuggle(profile, rng, params) -> AttackOutcome:
-    if not profile.has(Capability.GRADIENT_SMUGGLE):
-        raise ScenarioConfigError("cluster_gradient_smuggle needs gradient_smuggle")
+@attack("cluster_gradient_smuggle",
+        required={Capability.GRADIENT_SMUGGLE, Capability.PCIE_BRIDGE}, expect=(True, True))
+def _attack_gradient_smuggle(profile, rng, params) -> dict:
     regulator, registry, nodes = _cluster_world(rng, 8)
     pod_of = {}
     for i, node in enumerate(nodes):
@@ -484,8 +493,7 @@ def _attack_gradient_smuggle(profile, rng, params) -> AttackOutcome:
         )
     flags = detect_cross_pod_coupling(events, pod_of, window_ms=step_ms,
                                       threshold_bytes_per_step=gradient_bytes // 2)
-    return AttackOutcome(
-        "cluster_gradient_smuggle", "cluster",
+    return dict(
         succeeded=len(events) == 12,
         detected=any(f.pod_pair == ("pod-a", "pod-b") for f in flags),
         evidence={
@@ -498,9 +506,8 @@ def _attack_gradient_smuggle(profile, rng, params) -> AttackOutcome:
 # -- geoloc attacks ----------------------------------------------------------------
 
 
-def _attack_slowdown(profile, rng, params) -> AttackOutcome:
-    if not profile.has(Capability.DELAY_SLOWDOWN):
-        raise ScenarioConfigError("geoloc_delay_slowdown needs delay_slowdown")
+@attack("geoloc_delay_slowdown", required={Capability.DELAY_SLOWDOWN}, expect=(False, False))
+def _attack_slowdown(profile, rng, params) -> dict:
     landmarks = _landmark_ring(6)
     lms = {lm.id: lm for lm in landmarks}
     truth = GeoPoint(11.0, 9.0)
@@ -512,8 +519,7 @@ def _attack_slowdown(profile, rng, params) -> AttackOutcome:
         for m in honest
     ]
     attacked = estimate_cbg(slowed, lms, _GRID)
-    return AttackOutcome(
-        "geoloc_delay_slowdown", "geoloc",
+    return dict(
         succeeded=not attacked.contains(truth),  # goal: evict the truth
         detected=attacked.inconsistent,
         evidence={
@@ -524,9 +530,8 @@ def _attack_slowdown(profile, rng, params) -> AttackOutcome:
     )
 
 
-def _attack_speedup(profile, rng, params) -> AttackOutcome:
-    if not profile.has(Capability.DELAY_SPEEDUP):
-        raise ScenarioConfigError("geoloc_delay_speedup needs delay_speedup")
+@attack("geoloc_delay_speedup", required={Capability.DELAY_SPEEDUP}, expect=(False, True))
+def _attack_speedup(profile, rng, params) -> dict:
     landmarks = _landmark_ring(5)
     lms = {lm.id: lm for lm in landmarks}
     truth = GeoPoint(11.0, 9.0)
@@ -536,8 +541,7 @@ def _attack_speedup(profile, rng, params) -> AttackOutcome:
     # Success would be a clean (non-empty, unflagged) region that the chip
     # appears inside while the truth is pushed out.
     clean_spoof = (not est.inconsistent) and not est.contains(truth)
-    return AttackOutcome(
-        "geoloc_delay_speedup", "geoloc",
+    return dict(
         succeeded=clean_spoof,
         detected=est.inconsistent,
         evidence={"empty_region": est.empty,
@@ -546,9 +550,9 @@ def _attack_speedup(profile, rng, params) -> AttackOutcome:
     )
 
 
-def _attack_landmark_compromise(profile, rng, params) -> AttackOutcome:
-    if not profile.has(Capability.COMPROMISE_LANDMARKS):
-        raise ScenarioConfigError("geoloc_landmark_compromise needs compromise_landmarks")
+@attack("geoloc_landmark_compromise", required={Capability.COMPROMISE_LANDMARKS},
+        expect=(False, True))
+def _attack_landmark_compromise(profile, rng, params) -> dict:
     f = 2
     landmarks = _landmark_ring(7)
     truth = GeoPoint(11.0, 9.0)
@@ -579,8 +583,7 @@ def _attack_landmark_compromise(profile, rng, params) -> AttackOutcome:
             (distances[est.mask] <= bound.bound_km + slack).any()
         ):
             outliers.append(m.landmark_id)
-    return AttackOutcome(
-        "geoloc_landmark_compromise", "geoloc",
+    return dict(
         succeeded=not est.contains(truth),
         detected=len(outliers) > 0,
         evidence={"compromised": [landmarks[i].id for i in compromised],
@@ -589,9 +592,8 @@ def _attack_landmark_compromise(profile, rng, params) -> AttackOutcome:
     )
 
 
-def _attack_ddos(profile, rng, params) -> AttackOutcome:
-    if not profile.has(Capability.DDOS_LANDMARKS):
-        raise ScenarioConfigError("geoloc_landmark_ddos needs ddos_landmarks")
+@attack("geoloc_landmark_ddos", required={Capability.DDOS_LANDMARKS}, expect=(False, True))
+def _attack_ddos(profile, rng, params) -> dict:
     issuer = canon.generate_keypair(rng.randbytes(32))
     chip = provision_chip(rng, frozenset({issuer.public_bytes}))
     registry = Registry()
@@ -610,17 +612,15 @@ def _attack_ddos(profile, rng, params) -> AttackOutcome:
     lms = {lm.id: lm for lm in landmarks}
     est = estimate_cbg(ms, lms, _GRID)
     missing = [m.landmark_id for m in ms if m.missing]
-    return AttackOutcome(
-        "geoloc_landmark_ddos", "geoloc",
+    return dict(
         succeeded=not est.contains(truth),
         detected=len(missing) > 0,
         evidence={"missing": missing, "usable": sum(1 for m in ms if m.verified)},
     )
 
 
-def _attack_relay(profile, rng, params) -> AttackOutcome:
-    if not profile.has(Capability.KEY_EXTRACTION):
-        raise ScenarioConfigError("geoloc_key_extraction_relay needs key_extraction")
+@attack("geoloc_key_extraction_relay", required={Capability.KEY_EXTRACTION}, expect=(True, False))
+def _attack_relay(profile, rng, params) -> dict:
     issuer = canon.generate_keypair(rng.randbytes(32))
     chip = provision_chip(rng, frozenset({issuer.public_bytes}))
     registry = Registry()
@@ -648,8 +648,7 @@ def _attack_relay(profile, rng, params) -> AttackOutcome:
         and est.contains(relay_site)
         and not est.contains(truth)
     )
-    return AttackOutcome(
-        "geoloc_key_extraction_relay", "geoloc",
+    return dict(
         succeeded=spoofed,
         detected=est.inconsistent or any(not m.verified for m in ms),
         evidence={"relay_site_in_region": est.contains(relay_site),
@@ -661,9 +660,8 @@ def _attack_relay(profile, rng, params) -> AttackOutcome:
 # -- accounting attacks -------------------------------------------------------------
 
 
-def _attack_accounting_meter_tamper(profile, rng, params) -> AttackOutcome:
-    if not profile.has(Capability.COVERT_TAMPER):
-        raise ScenarioConfigError("accounting_meter_tamper needs covert_tamper")
+@attack("accounting_meter_tamper", required={Capability.COVERT_TAMPER}, expect=(False, True))
+def _attack_accounting_meter_tamper(profile, rng, params) -> dict:
     issuer = canon.generate_keypair(rng.randbytes(32))
     chip = provision_chip(rng, frozenset({issuer.public_bytes}))
     chip.throttle = Throttle.full()
@@ -682,8 +680,7 @@ def _attack_accounting_meter_tamper(profile, rng, params) -> AttackOutcome:
     result = report.device_results[0]
     # The falsified chain is rejected outright, so no undercounted total is
     # ever reported as verified.
-    return AttackOutcome(
-        "accounting_meter_tamper", "accounting",
+    return dict(
         succeeded=result.status is DeviceStatus.VERIFIED
         and report.totals[MeterResource.FLOAT_OPS] < true_total,
         detected=result.status is DeviceStatus.METER_ROLLBACK,
@@ -693,7 +690,8 @@ def _attack_accounting_meter_tamper(profile, rng, params) -> AttackOutcome:
     )
 
 
-def _attack_noise_injection(profile, rng, params) -> AttackOutcome:
+@attack("accounting_noise_injection", expect=(True, False))
+def _attack_noise_injection(profile, rng, params) -> dict:
     np_rng = np.random.default_rng(rng.randrange(2**31))
     trace = generate_trace(WorkloadLabel.FRONTIER_TRAINING, np_rng, devices=128)
     base_label = classify(trace).label
@@ -704,8 +702,7 @@ def _attack_noise_injection(profile, rng, params) -> AttackOutcome:
     if evaded:
         noisy = classify(inject_noise(trace, flip, np.random.default_rng(1)))
         noisy_label = noisy.label.value
-    return AttackOutcome(
-        "accounting_noise_injection", "accounting",
+    return dict(
         succeeded=evaded,
         detected=False,  # the classifier raises no alarm; it is simply wrong
         evidence={"base_label": base_label.value, "flip_magnitude": flip,
@@ -714,7 +711,8 @@ def _attack_noise_injection(profile, rng, params) -> AttackOutcome:
     )
 
 
-def _attack_fragmentation(profile, rng, params) -> AttackOutcome:
+@attack("accounting_fragmentation", expect=(True, False))
+def _attack_fragmentation(profile, rng, params) -> dict:
     np_rng = np.random.default_rng(rng.randrange(2**31))
     trace = generate_trace(WorkloadLabel.FRONTIER_TRAINING, np_rng, devices=240)
     fragments = fragment(trace, 4)
@@ -742,8 +740,7 @@ def _attack_fragmentation(profile, rng, params) -> AttackOutcome:
         per_fragment_totals.append(frag_total)
     threshold = 10**9
     union_report = verify_chain(union_snapshots, registry, threshold=threshold)
-    return AttackOutcome(
-        "accounting_fragmentation", "accounting",
+    return dict(
         succeeded=evaded,
         detected=False,
         evidence={
@@ -755,55 +752,7 @@ def _attack_fragmentation(profile, rng, params) -> AttackOutcome:
     )
 
 
-# -- registry -----------------------------------------------------------------------
-
-
-def _spec(name, mechanism, required, expected_succeeded, expected_detected, fn) -> AttackSpec:
-    return AttackSpec(name, mechanism, frozenset(required), expected_succeeded,
-                      expected_detected, fn)
-
-
-ATTACKS: dict[str, AttackSpec] = {
-    spec.name: spec
-    for spec in (
-        _spec("licensing_counterfeit", "licensing",
-              {Capability.COUNTERFEIT_LICENSE}, False, True, _attack_counterfeit),
-        _spec("licensing_replay", "licensing",
-              {Capability.REPLAY_LICENSE}, False, True, _attack_replay),
-        _spec("licensing_cross_device", "licensing",
-              {Capability.CROSS_DEVICE_LICENSE}, False, True, _attack_cross_device),
-        _spec("licensing_meter_rollback", "licensing",
-              {Capability.COVERT_TAMPER}, True, True, _attack_meter_rollback_licensing),
-        _spec("licensing_power_cut_rollback", "licensing",
-              {Capability.POWER_CUT_TIMING}, False, True, _attack_power_cut_rollback),
-        _spec("licensing_throttle_bypass", "licensing",
-              {Capability.FIRMWARE_MOD}, True, True, _attack_throttle_bypass),
-        _spec("cluster_pod_firmware_mod", "cluster",
-              {Capability.FIRMWARE_MOD}, False, True, _attack_pod_firmware),
-        _spec("cluster_cap_forge", "cluster", set(), False, True, _attack_cap_forge),
-        _spec("cluster_pcie_bridge", "cluster",
-              {Capability.PCIE_BRIDGE}, True, True, _attack_pcie_bridge),
-        _spec("cluster_gradient_smuggle", "cluster",
-              {Capability.GRADIENT_SMUGGLE, Capability.PCIE_BRIDGE}, True, True,
-              _attack_gradient_smuggle),
-        _spec("geoloc_delay_slowdown", "geoloc",
-              {Capability.DELAY_SLOWDOWN}, False, False, _attack_slowdown),
-        _spec("geoloc_delay_speedup", "geoloc",
-              {Capability.DELAY_SPEEDUP}, False, True, _attack_speedup),
-        _spec("geoloc_landmark_compromise", "geoloc",
-              {Capability.COMPROMISE_LANDMARKS}, False, True, _attack_landmark_compromise),
-        _spec("geoloc_landmark_ddos", "geoloc",
-              {Capability.DDOS_LANDMARKS}, False, True, _attack_ddos),
-        _spec("geoloc_key_extraction_relay", "geoloc",
-              {Capability.KEY_EXTRACTION}, True, False, _attack_relay),
-        _spec("accounting_meter_tamper", "accounting",
-              {Capability.COVERT_TAMPER}, False, True, _attack_accounting_meter_tamper),
-        _spec("accounting_noise_injection", "accounting", set(), True, False,
-              _attack_noise_injection),
-        _spec("accounting_fragmentation", "accounting", set(), True, False,
-              _attack_fragmentation),
-    )
-}
+# -- running -----------------------------------------------------------------------
 
 
 def run_attack(
@@ -821,7 +770,8 @@ def run_attack(
         raise ScenarioConfigError(
             f"{name} requires capabilities not granted: {sorted(c.value for c in missing)}"
         )
-    return spec.run_fn(profile, random.Random(seed), params or {})
+    return AttackOutcome(name, spec.mechanism,
+                         **spec.run_fn(profile, random.Random(seed), params or {}))
 
 
 def run_matrix(
@@ -847,11 +797,5 @@ def matrix_report(outcomes: list[AttackOutcome]) -> str:
 
 
 def unexercised_rows() -> list[str]:
-    """Inventory rows without a registered, runnable scenario."""
-    missing = []
-    for mechanism, names in ATTACK_INVENTORY.items():
-        for name in names:
-            spec = ATTACKS.get(name)
-            if spec is None or spec.run_fn is None or spec.mechanism != mechanism:
-                missing.append(name)
-    return missing
+    """Inventory rows without a registered scenario."""
+    return [name for name in _MECHANISM_OF if name not in ATTACKS]

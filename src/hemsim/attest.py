@@ -401,21 +401,6 @@ def fragment(trace: WorkloadTrace, k: int) -> list[WorkloadTrace]:
     ]
 
 
-def evasion_scenarios(
-    trace: WorkloadTrace,
-    kind: str,
-    rng: Optional[np.random.Generator] = None,
-    magnitude: float = 0.2,
-    k: int = 4,
-) -> list[WorkloadTrace]:
-    """Perturbed variants of a trace for the named evasion family."""
-    if kind == "noise_injection":
-        return [inject_noise(trace, magnitude, rng or np.random.default_rng(0))]
-    if kind == "fragmentation":
-        return fragment(trace, k)
-    raise ValueError(f"unknown evasion kind: {kind}")
-
-
 def classification_flip_point(
     trace: WorkloadTrace,
     magnitudes: Sequence[float],

@@ -11,7 +11,6 @@ modeled is exactly the externally observable contract of each component.
 from __future__ import annotations
 
 import hashlib
-import json
 import random
 from dataclasses import dataclass, field
 from enum import Enum
@@ -367,33 +366,16 @@ def extract_signing_oracle(chip: ChipState, capability_granted: bool) -> Callabl
 
 
 class Registry:
-    """Verifier-side record of provisioned devices (public halves only)."""
+    """Verifier-side record of provisioned devices (public keys only)."""
 
     def __init__(self):
-        self._records: dict[int, dict] = {}
+        self._public_keys: dict[int, bytes] = {}
 
     def enroll(self, chip: ChipState) -> None:
-        self._records[chip.identity.device_id] = {
-            "device_id": f"{chip.identity.device_id:032x}",
-            "scheme": chip.identity.keypair.scheme,
-            "public_key": chip.public_key.hex(),
-            "issuer_keys": sorted(k.hex() for k in chip.identity.issuer_keys),
-        }
+        self._public_keys[chip.identity.device_id] = chip.public_key
 
     def public_key(self, device_id: int) -> Optional[bytes]:
-        record = self._records.get(device_id)
-        return bytes.fromhex(record["public_key"]) if record else None
+        return self._public_keys.get(device_id)
 
     def __contains__(self, device_id: int) -> bool:
-        return device_id in self._records
-
-    def export_text(self) -> str:
-        records = [self._records[k] for k in sorted(self._records)]
-        return json.dumps(records, indent=2, sort_keys=True) + "\n"
-
-    @staticmethod
-    def import_text(text: str) -> "Registry":
-        registry = Registry()
-        for record in json.loads(text):
-            registry._records[int(record["device_id"], 16)] = record
-        return registry
+        return device_id in self._public_keys

@@ -313,18 +313,6 @@ def _enforce_cap(node: ClusterNode, peers: dict[int, "ClusterNode"]) -> list[Ses
     return closed
 
 
-def periodic_check(
-    node: ClusterNode, now_ms: float, peers: dict[int, "ClusterNode"]
-) -> list[Session]:
-    """Run the cap check if due; tears down newest-first excess sessions."""
-    if node.cap_policy is None:
-        return []
-    if now_ms - node.last_check_ms < node.cap_policy.check_period_ms:
-        return []
-    node.last_check_ms = now_ms
-    return _enforce_cap(node, peers)
-
-
 def run_due_checks(
     node: ClusterNode, now_ms: float, peers: dict[int, "ClusterNode"]
 ) -> list[Session]:

@@ -10,11 +10,12 @@ from __future__ import annotations
 import json
 from typing import Any, Optional
 
+from .adversary import ATTACKS, TIER_CAPABILITIES, Tier
 from .chipmodel import MeterResource
 
 RESOURCE_NAMES = tuple(r.value for r in MeterResource)
 POLICY_KINDS = ("capacitor_flush", "periodic_flush", "boot_roundup")
-TIERS = ("minimal", "covert", "open")
+TIERS = tuple(t.value for t in Tier)
 
 
 class SchemaError(ValueError):
@@ -265,6 +266,15 @@ def _validate_adversary(obj: Any, path: str, strict: bool) -> dict:
     }
 
 
+def _check_tier_runs_matrix(tier: str) -> None:
+    """The attack matrix runs every attack, so the tier must grant them all."""
+    needed = frozenset().union(*(spec.required for spec in ATTACKS.values()))
+    missing = needed - TIER_CAPABILITIES[Tier(tier)]
+    if missing:
+        _fail("config.adversary.tier", "does not grant capabilities the attack matrix "
+                                       f"needs: {sorted(c.value for c in missing)}")
+
+
 def _validate_attack_matrix(obj: Any, path: str, strict: bool) -> dict:
     obj = _require_dict(obj, path)
     _check_keys(obj, path, {"enabled", "counterfeit_trials"}, strict)
@@ -294,8 +304,8 @@ def validate_config(raw: Any, strict: bool = True) -> dict:
     }
     if "network" in raw:
         resolved["network"] = _validate_network(raw["network"], "config.network", strict)
-    if "fleet" in raw:
-        resolved["fleet"] = _validate_fleet(raw["fleet"], "config.fleet", strict)
+    if "fleet" in raw or "licensing" in raw:
+        resolved["fleet"] = _validate_fleet(raw.get("fleet", {}), "config.fleet", strict)
     if "licensing" in raw:
         resolved["licensing"] = _validate_licensing(raw["licensing"], "config.licensing",
                                                     strict)
@@ -305,12 +315,14 @@ def validate_config(raw: Any, strict: bool = True) -> dict:
         resolved["geoloc"] = _validate_geoloc(raw["geoloc"], "config.geoloc", strict)
     if "attest" in raw:
         resolved["attest"] = _validate_attest(raw["attest"], "config.attest", strict)
-    if "adversary" in raw:
-        resolved["adversary"] = _validate_adversary(raw["adversary"], "config.adversary",
-                                                    strict)
+    if "adversary" in raw or "attack_matrix" in raw:
+        resolved["adversary"] = _validate_adversary(raw.get("adversary", {}),
+                                                    "config.adversary", strict)
     if "attack_matrix" in raw:
         resolved["attack_matrix"] = _validate_attack_matrix(
             raw["attack_matrix"], "config.attack_matrix", strict)
+        if resolved["attack_matrix"]["enabled"]:
+            _check_tier_runs_matrix(resolved["adversary"]["tier"])
     if "expect" in raw:
         expect = _require_dict(raw["expect"], "config.expect")
         for key, value in expect.items():

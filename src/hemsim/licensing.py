@@ -151,13 +151,6 @@ def make_issuer(rng: random.Random) -> IssuerState:
     return IssuerState(keypair=canon.generate_keypair(rng.randbytes(32)))
 
 
-@dataclass(frozen=True)
-class EnforcementConfig:
-    """What the throttle drops to when no valid quota remains."""
-
-    on_violation: Throttle = Throttle.disabled()
-
-
 def install(chip: ChipState, lic: License, now_ms: float) -> InstallResult:
     """Device-side license verification; hostile inputs expected.
 
@@ -184,19 +177,18 @@ def install(chip: ChipState, lic: License, now_ms: float) -> InstallResult:
     return InstallResult(True)
 
 
-def enforce(chip: ChipState, config: EnforcementConfig | None = None) -> Throttle:
-    """Recompute the throttle from license state; call after consume/install."""
-    config = config or EnforcementConfig()
+def enforce(chip: ChipState) -> Throttle:
+    """Recompute the throttle from license state; call after consume/install.
+
+    With no valid quota left the chip is disabled.
+    """
     lic: Optional[License] = chip.active_license  # type: ignore[assignment]
-    if chip.zeroized:
+    if chip.zeroized or lic is None:
         chip.throttle = Throttle.disabled()
-        return chip.throttle
-    if lic is None:
-        chip.throttle = config.on_violation
         return chip.throttle
     for resource, quota in lic.quotas:
         if chip.consumed_since_install(resource) >= quota:
-            chip.throttle = config.on_violation
+            chip.throttle = Throttle.disabled()
             return chip.throttle
     chip.throttle = Throttle.full()
     return chip.throttle
@@ -213,7 +205,6 @@ def metered_consume(
     chip: ChipState,
     resource: MeterResource,
     amount: int,
-    config: EnforcementConfig | None = None,
 ) -> ConsumeOutcome:
     """Consume under license enforcement.
 
@@ -221,17 +212,16 @@ def metered_consume(
     meter does not move and the caller sees the reason. Requests landing
     exactly on the boundary apply, after which enforcement throttles.
     """
-    config = config or EnforcementConfig()
     if chip.throttle.level is ThrottleLevel.DISABLED:
         return ConsumeOutcome(False, "throttled", chip.throttle)
     lic: Optional[License] = chip.active_license  # type: ignore[assignment]
     if lic is not None:
         quota = lic.quota_for(resource)
         if quota is not None and chip.consumed_since_install(resource) + amount > quota:
-            throttle = enforce(chip, config)
+            throttle = enforce(chip)
             return ConsumeOutcome(False, "quota_exceeded", throttle)
     result = chip.consume(resource, amount)
     if result is ConsumeResult.THROTTLED:
         return ConsumeOutcome(False, "throttled", chip.throttle)
-    throttle = enforce(chip, config)
+    throttle = enforce(chip)
     return ConsumeOutcome(True, None, throttle)

@@ -116,7 +116,7 @@ class Node:
 
 
 class Network:
-    """Topology: nodes plus per-link latency models with a default."""
+    """Topology: nodes whose links all share one latency model."""
 
     def __init__(self, nodes: Iterable[Node], default_latency: LatencyModel | None = None):
         self.nodes: dict[str, Node] = {}
@@ -125,7 +125,6 @@ class Network:
                 raise ValueError(f"duplicate node id: {node.id}")
             self.nodes[node.id] = node
         self.default_latency = default_latency or LatencyModel()
-        self._link_models: dict[tuple[str, str], LatencyModel] = {}
         self.delay_hooks: list[DelayHook] = []
         # Drop hooks model denial of service: any hook returning True for a
         # (src, dst) pair silently discards the message (seen as a timeout).
@@ -134,20 +133,12 @@ class Network:
     def dropped(self, src: str, dst: str) -> bool:
         return any(hook(src, dst) for hook in self.drop_hooks)
 
-    def set_link(self, src: str, dst: str, model: LatencyModel) -> None:
-        """Install a latency model for both directions of a link."""
-        self._link_models[(src, dst)] = model
-        self._link_models[(dst, src)] = model
-
-    def link_model(self, src: str, dst: str) -> LatencyModel:
-        return self._link_models.get((src, dst), self.default_latency)
-
     def distance_km(self, src: str, dst: str) -> float:
         return geodesic_distance(self.nodes[src].position, self.nodes[dst].position)
 
     def sample_transit(self, src: str, dst: str, rng: random.Random) -> tuple[float, bool]:
         """One-way delay and whether a hook pushed it below the physical floor."""
-        model = self.link_model(src, dst)
+        model = self.default_latency
         distance = self.distance_km(src, dst)
         delay = model.sample_one_way_delay(distance, rng)
         floor = model.propagation_floor_ms(distance)
@@ -258,8 +249,3 @@ class Simulator:
                 f"{ev.time:.9f}\t{ev.delivery_id}\t{ev.source}\t{ev.destination}\t{marks}\t{payload}"
             )
         return "\n".join(lines) + ("\n" if lines else "")
-
-
-def sample_one_way_delay(model: LatencyModel, distance_km: float, rng: random.Random) -> float:
-    """Module-level convenience wrapper around LatencyModel.sample_one_way_delay."""
-    return model.sample_one_way_delay(distance_km, rng)

@@ -654,10 +654,7 @@ def execute_scenario(config: dict) -> ScenarioOutcome:
     if "network" in config:
         add("network", run_network_section(config["network"], seed))
     if "licensing" in config:
-        fleet = config.get("fleet", {"count": 4, "persistence": {
-            "kind": "capacitor_flush", "flush_interval_ms": 3_600_000.0,
-            "roundup_increment": 0}})
-        add("licensing", run_licensing_section(config["licensing"], fleet, seed))
+        add("licensing", run_licensing_section(config["licensing"], config["fleet"], seed))
     if "cluster" in config:
         add("cluster", run_cluster_section(config["cluster"], seed))
     if "geoloc" in config:
@@ -665,10 +662,8 @@ def execute_scenario(config: dict) -> ScenarioOutcome:
     if "attest" in config:
         add("attest", run_attest_section(config["attest"], seed))
     if config.get("attack_matrix", {}).get("enabled"):
-        adversary_cfg = config.get("adversary", {
-            "tier": "open", "latency_factor": 0.5, "compromised_landmarks": 2})
         section_result, matrix_text = run_attack_matrix_section(
-            config["attack_matrix"], adversary_cfg, seed)
+            config["attack_matrix"], config["adversary"], seed)
         add("attacks", section_result)
         reports["attack_matrix.txt"] = matrix_text
 

@@ -9,6 +9,7 @@ from hemsim.adversary import (
     ScenarioConfigError,
     TIER_CAPABILITIES,
     Tier,
+    attack,
     matrix_report,
     profile_for_tier,
     run_attack,
@@ -44,6 +45,16 @@ class TestMatrixCompleteness:
     def test_registry_matches_inventory_exactly(self):
         inventory_names = {name for names in ATTACK_INVENTORY.values() for name in names}
         assert inventory_names == set(ATTACKS)
+
+    @pytest.mark.parametrize("name, message", [
+        ("licensing_counterfeit", "registered twice"),
+        ("licensing_wormhole", "not in ATTACK_INVENTORY"),
+    ])
+    def test_decorator_rejects_duplicate_and_uninventoried_names(self, name, message):
+        before = dict(ATTACKS)
+        with pytest.raises(ValueError, match=message):
+            attack(name, expect=(False, True))(lambda profile, rng, params: {})
+        assert ATTACKS == before
 
     def test_matrix_report_has_one_row_per_attack(self):
         outcomes = run_matrix(OPEN, seed=7)

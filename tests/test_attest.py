@@ -14,7 +14,6 @@ from hemsim.attest import (
     classification_flip_point,
     classify,
     emit_snapshot,
-    evasion_scenarios,
     fragment,
     generate_trace,
     inject_noise,
@@ -212,17 +211,9 @@ class TestEvasion:
         trace = generate_trace(WorkloadLabel.FRONTIER_TRAINING, rng)
         flip = classification_flip_point(trace, [0.0, 0.05, 0.1, 0.2, 0.4, 0.8], rng_seed=10)
         assert flip is not None and flip > 0.0
-
-    def test_evasion_scenarios_dispatcher(self):
-        rng = np.random.default_rng(13)
-        trace = generate_trace(WorkloadLabel.FRONTIER_TRAINING, rng, devices=120)
-        noisy = evasion_scenarios(trace, "noise_injection", rng=rng, magnitude=0.3)
-        assert len(noisy) == 1 and noisy[0].device_count == 120
-        frags = evasion_scenarios(trace, "fragmentation", k=4)
-        assert len(frags) == 4
-        assert sum(f.device_count for f in frags) == 120
-        with pytest.raises(ValueError):
-            evasion_scenarios(trace, "wormhole")
+        noisy = inject_noise(trace, flip, np.random.default_rng(10))
+        assert noisy.device_count == trace.device_count
+        assert classify(noisy).label is not classify(trace).label
 
     def test_fragmentation_defeats_classifier_not_accounting(self):
         rng = np.random.default_rng(11)

@@ -44,6 +44,15 @@ class TestSchema:
             validate_config({"name": "x", "seed": 1,
                              "geoloc": {"region": {"lat_min": 10.0, "lat_max": 5.0}}})
 
+    def test_sections_resolve_the_defaults_they_run_with(self):
+        resolved = validate_config({"name": "x", "seed": 1, "licensing": {},
+                                    "attack_matrix": {}})
+        assert resolved["fleet"] == validate_config(
+            {"name": "x", "seed": 1, "fleet": {}})["fleet"]
+        assert resolved["fleet"]["count"] == 4
+        assert resolved["adversary"] == {"tier": "open", "latency_factor": 0.5,
+                                         "compromised_landmarks": 2}
+
     def test_bundled_scenarios_round_trip_strict(self):
         for name, raw in BUNDLED_SCENARIOS.items():
             resolved = validate_config(raw, strict=True)
@@ -96,6 +105,16 @@ class TestCli:
         assert code == 1
         assert "FAIL licensing_soundness" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("tier, code", [("minimal", 2), ("covert", 2), ("open", 0)])
+    def test_attack_matrix_tier_must_grant_every_attack(self, tmp_path, capsys, tier, code):
+        config = tmp_path / "tier.json"
+        config.write_text(json.dumps({
+            "name": "tier", "seed": 3, "adversary": {"tier": tier},
+            "attack_matrix": {"enabled": True, "counterfeit_trials": 10},
+        }))
+        assert main(["run", str(config), "--out", str(tmp_path / "out")]) == code
+        assert ("config.adversary.tier" in capsys.readouterr().err) == (code == 2)
+
     def test_run_twice_same_seed_byte_identical(self, tmp_path):
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
@@ -146,6 +165,12 @@ class TestGoldenReports:
         ("attack_matrix", "attack_matrix.txt"),
         ("attack_matrix", "summary.txt"),
         ("attack_matrix", "summary.json"),
+        ("cluster_caps", "cluster.jsonl"),
+        ("cluster_caps", "summary.txt"),
+        ("cluster_caps", "summary.json"),
+        ("attest_accounting", "attest.jsonl"),
+        ("attest_accounting", "summary.txt"),
+        ("attest_accounting", "summary.json"),
     ])
     def test_bundled_scenario_matches_golden(self, scenario, report):
         golden = (GOLDEN_DIR / f"{scenario}.{report}").read_text(encoding="utf-8")

@@ -29,7 +29,6 @@ from hemsim.cluster import (
     handshake,
     issue_cap_policy,
     issue_manifest,
-    periodic_check,
     run_due_checks,
     transfer,
 )
@@ -221,7 +220,7 @@ class TestCapRegime:
         assert apply_cap_update(hub, lowered, now_ms=10.0)
         assert hub.open_session_count() == 5  # grace until the next check
 
-        closed = periodic_check(hub, 110.0, {n.device_id: n for n in nodes.values()})
+        closed = run_due_checks(hub, 110.0, {n.device_id: n for n in nodes.values()})
         assert hub.open_session_count() == 2
         assert len(closed) == 3
         closed_ids = {s.session_id for s in closed}

@@ -9,11 +9,9 @@ from hypothesis import strategies as st
 from hemsim import canon
 from hemsim.chipmodel import MeterResource, ThrottleLevel, provision_chip
 from hemsim.licensing import (
-    EnforcementConfig,
     InstallResult,
     License,
     RejectReason,
-    Throttle,
     decode_license,
     enforce,
     install,
@@ -150,14 +148,6 @@ class TestEnforce:
         install(chip, issuer.issue(chip.identity.device_id, QUOTA), now_ms=10.0)
         assert chip.throttle.level is ThrottleLevel.FULL
         assert chip.consumed_since_install(MeterResource.CLOCK_CYCLES) == 0
-
-    def test_reduced_throttle_configurable(self, world):
-        _, issuer, chip = world
-        config = EnforcementConfig(on_violation=Throttle.reduced(0.1))
-        install(chip, issuer.issue(chip.identity.device_id, QUOTA), now_ms=0.0)
-        metered_consume(chip, MeterResource.CLOCK_CYCLES, 1000, config)
-        assert chip.throttle.level is ThrottleLevel.REDUCED
-        assert chip.throttle.fraction == 0.1
 
     def test_unquoted_resource_not_limited(self, world):
         _, issuer, chip = world

@@ -16,7 +16,6 @@ from hemsim.netsim import (
     Node,
     Simulator,
     geodesic_distance,
-    sample_one_way_delay,
 )
 
 # Pinned with an independent haversine oracle before the build (R = 6371.0).
@@ -73,11 +72,11 @@ class TestGeodesicDistance:
 class TestLatencyModel:
     def test_zero_distance_zero_jitter_is_zero(self):
         model = LatencyModel(kappa=0.67, rho=1.0, jitter_median_ms=0.0, fixed_overhead_ms=0.0)
-        assert sample_one_way_delay(model, 0.0, random.Random(1)) == 0.0
+        assert model.sample_one_way_delay(0.0, random.Random(1)) == 0.0
 
     def test_thousand_km_fiber_delay(self):
         model = LatencyModel(kappa=0.67, rho=1.0, jitter_median_ms=0.0, fixed_overhead_ms=0.0)
-        d = sample_one_way_delay(model, 1000.0, random.Random(1))
+        d = model.sample_one_way_delay(1000.0, random.Random(1))
         assert math.isclose(d, 4.978568585047046, rel_tol=1e-12)
 
     def test_samples_never_beat_physical_floor(self):
