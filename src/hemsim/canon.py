@@ -3,8 +3,8 @@
 Every signed payload in the fleet model (licenses, meter snapshots, pod
 manifests, cap policies, session auth, location challenge responses) is
 serialized through these helpers so that signatures are bit-reproducible:
-fixed field order, little-endian fixed-width integers, length-prefixed
-byte strings, and a domain-separation tag per payload kind.
+fixed field order, little-endian fixed-width integers and floats,
+length-prefixed byte strings, and a domain-separation tag per payload kind.
 """
 
 from __future__ import annotations
@@ -52,6 +52,11 @@ def u128(value: int) -> bytes:
     if not 0 <= value <= U128_MAX:
         raise EncodingError(f"u128 out of range: {value}")
     return value.to_bytes(16, "little")
+
+
+def f64(value: float) -> bytes:
+    """IEEE-754 binary64, little-endian: every bit of the float is bound."""
+    return struct.pack("<d", value)
 
 
 def blob(data: bytes) -> bytes:

@@ -56,11 +56,11 @@ def _cmd_describe(args) -> int:
 def _cmd_run(args) -> int:
     try:
         config = _resolve_config(args.config, strict=args.strict)
+        if args.seed is not None:
+            config = validate_config({**config, "seed": args.seed}, strict=args.strict)
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    if args.seed is not None:
-        config["seed"] = args.seed
 
     outcome = execute_scenario(config)
     if args.verify_determinism:

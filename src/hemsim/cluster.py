@@ -21,7 +21,7 @@ from . import canon
 from .chipmodel import ChipState, MeterResource, Registry, Throttle, ZeroizedError
 
 MANIFEST_TAG = "pod-manifest.v1"
-CAP_POLICY_TAG = "cap-policy.v1"
+CAP_POLICY_TAG = "cap-policy.v2"
 SESSION_AUTH_TAG = "session-auth.v1"
 
 DEFAULT_CHECK_PERIOD_MS = 60_000.0
@@ -75,8 +75,9 @@ class CapPolicy:
 
 
 def cap_policy_signed_bytes(cap: int, cap_epoch: int, check_period_ms: float) -> bytes:
+    # The exact float the chips enforce is signed, not a rounded copy of it.
     return canon.tagged(
-        CAP_POLICY_TAG, canon.u32(cap), canon.u64(cap_epoch), canon.u64(int(check_period_ms))
+        CAP_POLICY_TAG, canon.u32(cap), canon.u64(cap_epoch), canon.f64(check_period_ms)
     )
 
 
@@ -217,11 +218,26 @@ def handshake(
     rng: random.Random,
     allocator: SessionAllocator,
 ) -> HandshakeResult:
-    """Mutual challenge-response, then regime admission."""
+    """Mutual challenge-response with regime admission.
+
+    Check order: a disabled endpoint refuses first. Both nonces are then
+    drawn, so the rng stream does not depend on which check rejects. Under
+    the cap regime each endpoint next compares its open sessions with the
+    cap it has already verified and adopted; that is local state, so a full
+    chip refuses before paying for signatures it would discard. Pod
+    membership and firmware are checked only after both sides have
+    authenticated, because a firmware mismatch self-disables the member and
+    an unauthenticated peer must not be able to trigger that. Every
+    accepted session is mutually authenticated.
+    """
     if a.self_disabled or b.self_disabled:
         return HandshakeResult(None, HandshakeReject.BAD_AUTH)
     nonce_a = rng.randbytes(16)
     nonce_b = rng.randbytes(16)
+    if isinstance(regime, CapRegime):
+        for node in (a, b):
+            if node.open_session_count() >= node.adopted_cap():
+                return HandshakeResult(None, HandshakeReject.CAP_EXCEEDED)
     if not _auth_ok(a, nonce_b, b.device_id, registry):
         return HandshakeResult(None, HandshakeReject.BAD_AUTH)
     if not _auth_ok(b, nonce_a, a.device_id, registry):
@@ -238,10 +254,6 @@ def handshake(
             if expected != node.chip.firmware_hash:
                 node.disable()  # integrity check tripped: member self-disables
                 return HandshakeResult(None, HandshakeReject.FIRMWARE_MISMATCH)
-    else:
-        for node in (a, b):
-            if node.open_session_count() >= node.adopted_cap():
-                return HandshakeResult(None, HandshakeReject.CAP_EXCEEDED)
 
     session = Session(
         session_id=allocator.next_id(),
@@ -280,15 +292,19 @@ def adopt_manifest(node: ClusterNode, manifest: PodManifest) -> bool:
 
 
 def apply_cap_update(node: ClusterNode, policy: CapPolicy, now_ms: float) -> bool:
-    """Adopt iff regulator-signed and the epoch strictly increases."""
+    """Adopt iff the epoch strictly increases and the policy is regulator-signed.
+
+    A stale epoch is refused before the signature is checked: the answer is
+    no whether or not the signature holds.
+    """
+    current_epoch = node.cap_policy.cap_epoch if node.cap_policy is not None else -1
+    if policy.cap_epoch <= current_epoch:
+        return False
     signed = cap_policy_signed_bytes(policy.cap, policy.cap_epoch, policy.check_period_ms)
     if not any(
         canon.verify(key, signed, policy.regulator_signature)
         for key in node.chip.identity.issuer_keys
     ):
-        return False
-    current_epoch = node.cap_policy.cap_epoch if node.cap_policy is not None else -1
-    if policy.cap_epoch <= current_epoch:
         return False
     node.cap_policy = policy
     node.cap_adopted_at_ms = now_ms

@@ -8,6 +8,7 @@ error names the offending path so a bad config is a one-line fix.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any, Optional
 
 from .adversary import ATTACKS, TIER_CAPABILITIES, Tier
@@ -62,6 +63,8 @@ def _get_num(obj: dict, path: str, key: str, default: Optional[float],
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(f"{path}.{key}", "must be a number")
     value = float(value)
+    if not math.isfinite(value):  # Python's json reads Infinity and NaN
+        _fail(f"{path}.{key}", "must be finite")
     if minimum is not None:
         if exclusive_min and value <= minimum:
             _fail(f"{path}.{key}", f"must be > {minimum}")
@@ -200,8 +203,10 @@ def _validate_cluster(obj: Any, path: str, strict: bool) -> dict:
     return {
         "chips": _get_int(obj, path, "chips", 12, minimum=2),
         "cap": _get_int(obj, path, "cap", 4, minimum=0),
+        # Longer periods never come due, and the churn clock, which steps up
+        # to a tenth of a period per event, could overflow to inf.
         "check_period_ms": _get_num(obj, path, "check_period_ms", 60_000.0,
-                                    minimum=0.0, exclusive_min=True),
+                                    minimum=0.0, maximum=1e12, exclusive_min=True),
         "churn_events": _get_int(obj, path, "churn_events", 500, minimum=1),
         "cap_lowerings": _get_int(obj, path, "cap_lowerings", 2, minimum=0),
         "bridge_multiplier_sweep": [float(v) for v in sweep],
@@ -236,6 +241,8 @@ def _validate_geoloc(obj: Any, path: str, strict: bool) -> dict:
     }
     if out["landmarks_max"] < out["landmarks_min"]:
         _fail(f"{path}.landmarks_max", "must be >= landmarks_min")
+    if out["bft"]["n"] < 3 * out["bft"]["f"] + 1:
+        _fail(f"{path}.bft.n", "must be >= 3*f + 1 (Byzantine landmark bound)")
     return out
 
 

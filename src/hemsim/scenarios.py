@@ -49,6 +49,7 @@ from .chipmodel import (
 from .cluster import (
     CapRegime,
     ClusterNode,
+    Session,
     SessionAllocator,
     apply_cap_update,
     bridge_transfer,
@@ -239,10 +240,9 @@ def run_cluster_section(section: dict, seed: int) -> SectionResult:
     epoch = 0
     cap = section["cap"]
     policy = issue_cap_policy(regulator, cap, epoch, check_period)
-    adopted_at: dict[int, float] = {}
     for node in nodes:
         apply_cap_update(node, policy, now_ms=0.0)
-        adopted_at[node.device_id] = 0.0
+    adopted_at = 0.0  # every node adopts each policy at the same instant
 
     churn = section["churn_events"]
     lowering_at = {
@@ -254,25 +254,53 @@ def run_cluster_section(section: dict, seed: int) -> SectionResult:
     stats = {"handshakes": 0, "accepted": 0, "cap_rejected": 0, "teardowns": 0,
              "lowerings": 0, "replays_rejected": 0}
     violations = 0
+    # Work per event is proportional to what changed, not to the fleet size.
+    # Session ids grow in establishment order, so `open_sessions` iterates in
+    # id order.
+    open_sessions: dict[int, Session] = {}
+    over_cap: set[int] = set()
+
+    def recount(node: ClusterNode) -> None:
+        if node.open_session_count() > node.adopted_cap():
+            over_cap.add(node.device_id)
+        else:
+            over_cap.discard(node.device_id)
+
+    def close(session: Session) -> None:
+        del open_sessions[session.session_id]
+        for device_id in session.peers:
+            recount(peers[device_id])
+
+    def next_check_ms() -> float:
+        return min(n.last_check_ms + n.cap_policy.check_period_ms for n in nodes)
+
+    next_check = next_check_ms()
     for i in range(churn):
         now += rng.uniform(0.5, check_period / 10.0)
-        for node in nodes:
-            run_due_checks(node, now, peers)
+        if next_check <= now:
+            # Every node, in list order, once any is due. Popping nodes off a
+            # heap would reorder enforcement, and so which sessions close.
+            for node in nodes:
+                for session in run_due_checks(node, now, peers):
+                    close(session)
+            next_check = next_check_ms()
         if i in lowering_at and cap > 0:
             epoch += 1
             cap = rng.randrange(0, cap)
             lowered = issue_cap_policy(regulator, cap, epoch, check_period)
             for node in nodes:
                 apply_cap_update(node, lowered, now_ms=now)
-                adopted_at[node.device_id] = now
+                recount(node)
+            adopted_at = now
             replay = issue_cap_policy(regulator, cap + 8, epoch - 1, check_period)
             if not any(apply_cap_update(node, replay, now_ms=now) for node in nodes):
                 stats["replays_rejected"] += 1
             stats["lowerings"] += 1
-        open_sessions = {s.session_id: s for n in nodes for s in n.sessions.values() if s.open}
+            next_check = next_check_ms()
         if open_sessions and rng.random() < 0.35:
-            session = open_sessions[rng.choice(sorted(open_sessions))]
+            session = rng.choice(list(open_sessions.values()))
             teardown(session, peers[session.peers[0]], peers[session.peers[1]])
+            close(session)
             stats["teardowns"] += 1
         else:
             a, b = rng.sample(nodes, 2)
@@ -280,13 +308,13 @@ def run_cluster_section(section: dict, seed: int) -> SectionResult:
             stats["handshakes"] += 1
             if outcome.accepted:
                 stats["accepted"] += 1
+                open_sessions[outcome.session.session_id] = outcome.session
+                recount(a)
+                recount(b)
             else:
                 stats["cap_rejected"] += 1
-        for node in nodes:
-            count = node.open_session_count()
-            if count > node.adopted_cap() and now > adopted_at[node.device_id] \
-                    + check_period + 1e-9:
-                violations += 1
+        if now > adopted_at + check_period + 1e-9:
+            violations += len(over_cap)
     result.records.append({"event": "churn_summary", **stats, "violations": violations,
                            "final_cap": cap, "final_epoch": epoch})
     result.predicates.append(Predicate(

@@ -2,10 +2,14 @@
 
 import functools
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import hemsim
 from hemsim.cli import main
 from hemsim.config import SchemaError, validate_config
 from hemsim.scenarios import BUNDLED_SCENARIOS, execute_scenario
@@ -115,6 +119,33 @@ class TestCli:
         assert main(["run", str(config), "--out", str(tmp_path / "out")]) == code
         assert ("config.adversary.tier" in capsys.readouterr().err) == (code == 2)
 
+    def test_bft_without_byzantine_quorum_is_a_schema_error(self, tmp_path, capsys):
+        config = tmp_path / "bft.json"
+        config.write_text(json.dumps({
+            "name": "bft", "seed": 1,
+            "geoloc": {"trials": 2, "speedup_trials": 0, "descent_trials": 0,
+                       "bft": {"n": 4, "f": 2, "trials": 1}},
+        }))
+        assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 2
+        assert "config.geoloc.bft.n" in capsys.readouterr().err
+        validate_config({"name": "x", "seed": 1, "geoloc": {"bft": {"n": 7, "f": 2}}})
+
+    @pytest.mark.parametrize("period", ["inf", "nan", "1e308"])
+    def test_unbounded_check_period_is_a_schema_error(self, tmp_path, capsys, period):
+        config = tmp_path / "period.json"
+        config.write_text(json.dumps({  # json writes inf and nan as Infinity, NaN
+            "name": "p", "seed": 1,
+            "cluster": {"chips": 4, "churn_events": 50, "check_period_ms": float(period)},
+        }))
+        assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 2
+        assert "config.cluster.check_period_ms" in capsys.readouterr().err
+
+    def test_negative_seed_override_is_a_schema_error(self, tmp_path, capsys):
+        code = main(["run", "attest_accounting", "--out", str(tmp_path), "--seed", "-5"])
+        assert code == 2
+        assert "config.seed" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_run_twice_same_seed_byte_identical(self, tmp_path):
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
@@ -140,6 +171,21 @@ class TestCli:
         code = main(["run", "attest_accounting", "--out", str(tmp_path),
                      "--verify-determinism"])
         assert code == 0
+
+    def test_reports_identical_across_hash_seeds(self, tmp_path):
+        src = str(Path(hemsim.__file__).resolve().parents[1])
+        outputs = []
+        for hash_seed in ("0", "123"):
+            out = tmp_path / hash_seed
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+                   "PYTHONPATH": os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            subprocess.run([sys.executable, "-m", "hemsim.cli", "run", "cluster_caps",
+                            "--out", str(out)], env=env, check=True, timeout=120,
+                           capture_output=True)
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert outputs[0] == outputs[1]
+        assert "cluster.jsonl" in outputs[0]
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,11 +1,14 @@
 """Cluster interconnect tests: handshakes, caps, pods, bridges, detector."""
 
 import hashlib
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hemsim import canon
+from hemsim import canon, cluster
 from hemsim.chipmodel import (
     DeviceIdentity,
     ChipState,
@@ -15,6 +18,7 @@ from hemsim.chipmodel import (
     provision_chip,
 )
 from hemsim.cluster import (
+    CapPolicy,
     CapRegime,
     ClusterNode,
     DataEvent,
@@ -32,6 +36,8 @@ from hemsim.cluster import (
     run_due_checks,
     transfer,
 )
+from hemsim.config import validate_config
+from hemsim.scenarios import run_cluster_section
 
 
 @pytest.fixture
@@ -54,6 +60,25 @@ def adopt_caps(regulator, nodes, cap, epoch=0, check_period_ms=60_000.0, now=0.0
     for node in nodes.values():
         assert apply_cap_update(node, policy, now_ms=now)
     return policy
+
+
+@pytest.fixture
+def crypto_calls(monkeypatch):
+    """Count every signature verified and every chip signature made."""
+    calls = {"verify": 0, "sign": 0}
+    real_verify, real_sign = canon.verify, ChipState.sign
+
+    def verify(*args):
+        calls["verify"] += 1
+        return real_verify(*args)
+
+    def sign(self, message):
+        calls["sign"] += 1
+        return real_sign(self, message)
+
+    monkeypatch.setattr(canon, "verify", verify)
+    monkeypatch.setattr(ChipState, "sign", sign)
+    return calls
 
 
 class TestPodRegime:
@@ -145,6 +170,32 @@ class TestPodRegime:
                            SessionAllocator())
         assert result.reason is HandshakeReject.BAD_AUTH
 
+    @pytest.mark.parametrize("imposter_first", [False, True])
+    def test_imposter_with_wrong_firmware_cannot_disable_members(self, world,
+                                                                 imposter_first):
+        rng, regulator, registry, nodes = world
+        ids = sorted(nodes)
+        a, victim = ids[:2]
+        manifest = issue_manifest(
+            regulator, "pod-1",
+            {a: nodes[a].chip.firmware_hash, victim: nodes[victim].chip.firmware_hash},
+            manifest_epoch=0,
+        )
+        imposter = ClusterNode(chip=ChipState(DeviceIdentity(
+            device_id=victim,
+            keypair=canon.generate_keypair(rng.randbytes(32)),
+            issuer_keys=frozenset({regulator.public_bytes}),
+        )))
+        imposter.chip.firmware_hash = hashlib.sha256(b"patched").digest()
+        pair = (imposter, nodes[a]) if imposter_first else (nodes[a], imposter)
+        result = handshake(0.0, *pair, PodRegime(manifest), registry, rng,
+                           SessionAllocator())
+        # Authentication fails before the firmware check can run.
+        assert result.reason is HandshakeReject.BAD_AUTH
+        assert not nodes[a].self_disabled
+        assert not nodes[victim].self_disabled
+        assert not imposter.self_disabled
+
     def test_forged_handshake_fuzz_zero_successes(self, world):
         rng, regulator, registry, nodes = world
         ids = sorted(nodes)
@@ -184,6 +235,48 @@ class TestCapRegime:
         result = handshake(0.0, nodes[ids[0]], nodes[ids[1]], CapRegime(), registry, rng,
                            SessionAllocator())
         assert result.reason is HandshakeReject.CAP_EXCEEDED
+
+    @pytest.mark.parametrize("cap", [0, 1])
+    def test_full_endpoint_refuses_before_any_signature(self, world, crypto_calls, cap):
+        rng, regulator, registry, nodes = world
+        adopt_caps(regulator, nodes, cap=cap)
+        ids = sorted(nodes)
+        hub = nodes[ids[0]]
+        alloc = SessionAllocator()
+        if cap:
+            assert handshake(0.0, hub, nodes[ids[1]], CapRegime(), registry, rng,
+                             alloc).accepted
+        crypto_calls.update(verify=0, sign=0)
+        expected_rng = random.Random()
+        expected_rng.setstate(rng.getstate())
+        expected_rng.randbytes(32)  # both nonces are drawn whichever check rejects
+        for a, b in ((hub, nodes[ids[2]]), (nodes[ids[2]], hub)):
+            result = handshake(1.0, a, b, CapRegime(), registry, rng, alloc)
+            assert result.reason is HandshakeReject.CAP_EXCEEDED
+            assert rng.getstate() == expected_rng.getstate()
+            expected_rng.randbytes(32)
+        assert crypto_calls == {"verify": 0, "sign": 0}
+        if cap:  # an admitted handshake still authenticates both ways
+            assert handshake(2.0, nodes[ids[2]], nodes[ids[3]], CapRegime(), registry,
+                             rng, alloc).accepted
+            assert crypto_calls == {"verify": 2, "sign": 2}
+
+    def test_stale_epoch_refused_without_verify(self, world, crypto_calls):
+        rng, regulator, _, nodes = world
+        node = nodes[sorted(nodes)[0]]
+        assert apply_cap_update(node, issue_cap_policy(regulator, cap=4, cap_epoch=3),
+                                now_ms=0.0)
+        crypto_calls.update(verify=0)
+        for stale_epoch in (0, 3):
+            stale = issue_cap_policy(regulator, cap=64, cap_epoch=stale_epoch)
+            assert not apply_cap_update(node, stale, now_ms=1.0)
+        assert crypto_calls["verify"] == 0
+        rogue = canon.generate_keypair(rng.randbytes(32))
+        forged = issue_cap_policy(rogue, cap=64, cap_epoch=4)
+        assert not apply_cap_update(node, forged, now_ms=2.0)
+        assert crypto_calls["verify"] == len(node.chip.identity.issuer_keys)
+        assert node.adopted_cap() == 4
+        assert node.cap_policy.cap_epoch == 3
 
     def test_unsigned_cap_raise_rejected(self, world):
         rng, regulator, registry, nodes = world
@@ -246,6 +339,74 @@ class TestCapRegime:
         assert hub.open_session_count() == 1
         assert len(closed) == 3
         assert hub.last_check_ms == 1000.0
+
+
+class TestCapPolicySignature:
+    """The regulator's signature binds every field a chip enforces."""
+
+    _rng = random.Random(5)
+    REGULATOR = canon.generate_keypair(_rng.randbytes(32))
+    CHIP = provision_chip(_rng, frozenset({REGULATOR.public_bytes}))
+
+    def _adopts(self, policy: CapPolicy) -> bool:
+        return apply_cap_update(ClusterNode(chip=self.CHIP), policy, now_ms=0.0)
+
+    @pytest.mark.parametrize("signed_period, enforced_period", [
+        (60_000.2, 60_000.9),  # the same whole milliseconds
+        (0.5, 0.0),
+        (0.5, 0.25),
+        (2.0**70, 2.0**70 + 2.0**18),  # beyond u64 milliseconds
+    ])
+    def test_period_change_breaks_signature(self, signed_period, enforced_period):
+        policy = issue_cap_policy(self.REGULATOR, cap=4, cap_epoch=1,
+                                  check_period_ms=signed_period)
+        assert self._adopts(policy)
+        changed = CapPolicy(policy.cap, policy.cap_epoch, enforced_period,
+                            policy.regulator_signature)
+        assert not self._adopts(changed)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        cap=st.integers(0, canon.U32_MAX),
+        epoch=st.integers(0, canon.U64_MAX),
+        period=st.floats(min_value=1e-3, max_value=1e30),
+        field=st.sampled_from(["cap", "cap_epoch", "check_period_ms"]),
+        data=st.data(),
+    )
+    def test_any_field_mutation_breaks_signature(self, cap, epoch, period, field, data):
+        policy = issue_cap_policy(self.REGULATOR, cap, epoch, period)
+        assert self._adopts(policy)
+        if field == "cap":
+            value = data.draw(st.integers(0, canon.U32_MAX).filter(lambda v: v != cap))
+        elif field == "cap_epoch":
+            value = data.draw(st.integers(0, canon.U64_MAX).filter(lambda v: v != epoch))
+        else:
+            value = data.draw(st.one_of(
+                st.sampled_from([math.nextafter(period, 0.0),
+                                 math.nextafter(period, math.inf),
+                                 period + 0.4, period - 0.4]),
+                st.floats(min_value=1e-3, max_value=1e30),
+            ).filter(lambda v: v != period))
+        fields = {"cap": cap, "cap_epoch": epoch, "check_period_ms": period, field: value}
+        mutated = CapPolicy(**fields, regulator_signature=policy.regulator_signature)
+        assert not self._adopts(mutated)
+
+
+class TestChurnLoop:
+    SECTION = validate_config({
+        "name": "churn", "seed": 0,
+        "cluster": {"chips": 12, "cap": 4, "check_period_ms": 500.0,
+                    "churn_events": 1500, "cap_lowerings": 3},
+    })["cluster"]
+
+    def test_unenforced_cap_is_seen_as_violations(self, monkeypatch):
+        # The enforced run has none: test_acceptance's cap-safety criterion.
+        monkeypatch.setattr(cluster, "_enforce_cap", lambda node, peers: [])
+        result = run_cluster_section(self.SECTION, seed=4)
+        summary = next(r for r in result.records if r["event"] == "churn_summary")
+        assert summary["lowerings"] == 3
+        assert summary["violations"] > 0
+        assert not {p.name: p.passed for p in result.predicates}["cluster_cap_safety"]
 
 
 class TestTransfers:
