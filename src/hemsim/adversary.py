@@ -577,11 +577,9 @@ def _attack_landmark_compromise(profile, rng, params) -> dict:
         if bound.floor_violation:
             outliers.append(m.landmark_id)
             continue
-        distances = _GRID.distances_km(lms[m.landmark_id].position)
         slack = _GRID.half_diagonal_km()
-        if est.mask.any() and not (
-            (distances[est.mask] <= bound.bound_km + slack).any()
-        ):
+        disk = _GRID.within_km(lms[m.landmark_id].position, bound.bound_km + slack)
+        if est.mask.any() and not (disk & est.mask).any():
             outliers.append(m.landmark_id)
     return dict(
         succeeded=not est.contains(truth),

@@ -7,7 +7,7 @@
 
 `run` exits 0 when every success predicate holds, 1 on predicate failure,
 2 on a config/schema error, and 3 on an internal error (a determinism
-violation between verification reruns).
+violation between verification reruns, or any other uncaught exception).
 """
 
 from __future__ import annotations
@@ -113,7 +113,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except Exception as exc:
+        print(f"internal error: {exc!r}", file=sys.stderr)  # repr keeps it one line
+        return EXIT_INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ import math
 from typing import Any, Optional
 
 from .adversary import ATTACKS, TIER_CAPABILITIES, Tier
+from .canon import U64_MAX
 from .chipmodel import MeterResource
 
 RESOURCE_NAMES = tuple(r.value for r in MeterResource)
@@ -114,8 +115,8 @@ def _validate_region(obj: Any, path: str, strict: bool) -> dict:
     region = {
         "lat_min": _get_num(obj, path, "lat_min", -5.0, minimum=-90.0, maximum=90.0),
         "lat_max": _get_num(obj, path, "lat_max", 25.0, minimum=-90.0, maximum=90.0),
-        "lon_min": _get_num(obj, path, "lon_min", -5.0),
-        "lon_max": _get_num(obj, path, "lon_max", 25.0),
+        "lon_min": _get_num(obj, path, "lon_min", -5.0, minimum=-180.0, maximum=180.0),
+        "lon_max": _get_num(obj, path, "lon_max", 25.0, minimum=-180.0, maximum=180.0),
         "resolution_deg": _get_num(obj, path, "resolution_deg", 0.25, minimum=0.0,
                                    exclusive_min=True),
     }
@@ -123,6 +124,12 @@ def _validate_region(obj: Any, path: str, strict: bool) -> dict:
         _fail(f"{path}.lat_max", "must exceed lat_min")
     if region["lon_max"] <= region["lon_min"]:
         _fail(f"{path}.lon_max", "must exceed lon_min")
+    # The grid has round(extent / resolution) cells per axis; any other
+    # count would leave part of the region, and its truths, off the grid.
+    for axis in ("lat", "lon"):
+        cells = (region[f"{axis}_max"] - region[f"{axis}_min"]) / region["resolution_deg"]
+        if abs(cells - round(cells)) > 1e-9 * cells:
+            _fail(f"{path}.resolution_deg", f"must split {axis}_max - {axis}_min into whole cells")
     return region
 
 
@@ -185,7 +192,7 @@ def _validate_licensing(obj: Any, path: str, strict: bool) -> dict:
     return {
         "honest_licenses": _get_int(obj, path, "honest_licenses", 100, minimum=1),
         "fuzz_licenses": _get_int(obj, path, "fuzz_licenses", 1000, minimum=0),
-        "quota": _get_int(obj, path, "quota", 1000, minimum=1),
+        "quota": _get_int(obj, path, "quota", 1000, minimum=1, maximum=U64_MAX),  # signed as u64
         "resource": _get_str(obj, path, "resource", "clock_cycles", choices=RESOURCE_NAMES),
     }
 
@@ -203,10 +210,15 @@ def _validate_cluster(obj: Any, path: str, strict: bool) -> dict:
     return {
         "chips": _get_int(obj, path, "chips", 12, minimum=2),
         "cap": _get_int(obj, path, "cap", 4, minimum=0),
-        # Longer periods never come due, and the churn clock, which steps up
-        # to a tenth of a period per event, could overflow to inf.
+        # The churn clock steps uniform(0.5, period / 10) ms per event. From
+        # 5 ms up that is at most a tenth of a period, so each event brings at
+        # most one check instant per node, and `last_check_ms += period` moves
+        # while the clock stays below 2**52 periods. Shorter periods bring up
+        # to 0.5 / period instants per node per event, and below the float
+        # spacing of the clock the sum stops moving and the loop never ends.
+        # Longer periods never come due, and the clock could overflow to inf.
         "check_period_ms": _get_num(obj, path, "check_period_ms", 60_000.0,
-                                    minimum=0.0, maximum=1e12, exclusive_min=True),
+                                    minimum=5.0, maximum=1e12),
         "churn_events": _get_int(obj, path, "churn_events", 500, minimum=1),
         "cap_lowerings": _get_int(obj, path, "cap_lowerings", 2, minimum=0),
         "bridge_multiplier_sweep": [float(v) for v in sweep],
@@ -251,7 +263,7 @@ def _validate_attest(obj: Any, path: str, strict: bool) -> dict:
     _check_keys(obj, path, {"chips", "snapshots", "ops_per_interval", "threshold",
                             "rollback_demo", "classifier_traces", "fragmentation_k"},
                 strict)
-    return {
+    out = {
         "chips": _get_int(obj, path, "chips", 4, minimum=1),
         "snapshots": _get_int(obj, path, "snapshots", 6, minimum=2),
         "ops_per_interval": _get_int(obj, path, "ops_per_interval", 125_000_000, minimum=0),
@@ -260,6 +272,10 @@ def _validate_attest(obj: Any, path: str, strict: bool) -> dict:
         "classifier_traces": _get_int(obj, path, "classifier_traces", 60, minimum=0),
         "fragmentation_k": _get_int(obj, path, "fragmentation_k", 4, minimum=1),
     }
+    # A chip's last snapshot signs its cumulative meter as a u64.
+    if (out["snapshots"] - 1) * out["ops_per_interval"] > U64_MAX:
+        _fail(f"{path}.ops_per_interval", "times (snapshots - 1) must fit in u64")
+    return out
 
 
 def _validate_adversary(obj: Any, path: str, strict: bool) -> dict:

@@ -250,10 +250,13 @@ class GridSpec:
     def lon_centers(self) -> np.ndarray:
         return self.lon_min + (np.arange(self.n_lon) + 0.5) * self.resolution_deg
 
-    def cell_of(self, point: GeoPoint) -> tuple[int, int]:
-        i = int((point.latitude - self.lat_min) / self.resolution_deg)
-        j = int((point.longitude - self.lon_min) / self.resolution_deg)
-        return min(max(i, 0), self.n_lat - 1), min(max(j, 0), self.n_lon - 1)
+    def cell_of(self, point: GeoPoint) -> Optional[tuple[int, int]]:
+        """The half-open cell holding `point`, or None off the grid."""
+        i = math.floor((point.latitude - self.lat_min) / self.resolution_deg)
+        j = math.floor((point.longitude - self.lon_min) / self.resolution_deg)
+        if 0 <= i < self.n_lat and 0 <= j < self.n_lon:
+            return i, j
+        return None
 
     def center_of(self, i: int, j: int) -> GeoPoint:
         return GeoPoint(
@@ -274,17 +277,57 @@ class GridSpec:
         lons = np.radians(self.lon_centers()[cols])[None, :]
         return _haversine_km(lats, lons, landmark_position)
 
+    def within_km(
+        self,
+        landmark_position: GeoPoint,
+        radius_km: float,
+        rows: slice = slice(None),
+        cols: slice = slice(None),
+    ) -> np.ndarray:
+        """`distances_km(landmark_position, rows, cols) <= radius_km`, bit for bit.
+
+        Decided on the haversine term h, which grows with distance: cells
+        with h below sin^2(radius / 2R) by a relative 1e-9 are inside, cells
+        above it by as much are outside, and only cells in that band take
+        the exact arcsin comparison. The band is millions of times wider
+        than the few-ulp rounding of sin, sqrt and arcsin, so no cell
+        outside it can compare differently. Radii whose half-angle is not in
+        (1e-150, 1.5] rad (sin^2 would underflow, or flatten short of pi*R)
+        take the exact comparison on every cell.
+        """
+        lats = np.radians(self.lat_centers()[rows])[:, None]
+        lons = np.radians(self.lon_centers()[cols])[None, :]
+        h = _haversine_h(lats, lons, landmark_position)
+        half_angle = radius_km / (2.0 * EARTH_RADIUS_KM)
+        if not 1e-150 < half_angle <= 1.5:
+            return _arc_km(h) <= radius_km
+        s = math.sin(half_angle) ** 2
+        mask = h <= s * (1.0 + 1e-9)
+        band = mask & (h >= s * (1.0 - 1e-9))
+        if band.any():
+            mask[band] = _arc_km(h[band]) <= radius_km
+        return mask
+
+
+def _haversine_h(lats_rad: np.ndarray, lons_rad: np.ndarray, position: GeoPoint) -> np.ndarray:
+    """Haversine term sin^2(dlat/2) + cos(lat1) cos(lat2) sin^2(dlon/2) from
+    broadcast (lat, lon) radians to one position, as a fresh array."""
+    p2 = math.radians(position.latitude)
+    l2 = math.radians(position.longitude)
+    h = np.cos(lats_rad) * math.cos(p2) * np.sin((l2 - lons_rad) / 2.0) ** 2
+    h += np.sin((p2 - lats_rad) / 2.0) ** 2  # a + b == b + a exactly, one temporary fewer
+    return h
+
+
+def _arc_km(h: np.ndarray) -> np.ndarray:
+    """Great-circle km from haversine terms; clips `h` to [0, 1] in place."""
+    np.clip(h, 0.0, 1.0, out=h)
+    return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(h))
+
 
 def _haversine_km(lats_rad: np.ndarray, lons_rad: np.ndarray, position: GeoPoint) -> np.ndarray:
     """Haversine distance from broadcast (lat, lon) radians to one position."""
-    p2 = math.radians(position.latitude)
-    l2 = math.radians(position.longitude)
-    h = (
-        np.sin((p2 - lats_rad) / 2.0) ** 2
-        + np.cos(lats_rad) * math.cos(p2) * np.sin((l2 - lons_rad) / 2.0) ** 2
-    )
-    np.clip(h, 0.0, 1.0, out=h)
-    return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(h))
+    return _arc_km(_haversine_h(lats_rad, lons_rad, position))
 
 
 @dataclass
@@ -297,8 +340,9 @@ class GeoEstimate:
     fallback: bool = False
 
     def contains(self, point: GeoPoint) -> bool:
-        i, j = self.grid.cell_of(point)
-        return bool(self.mask[i, j])
+        """Whether the region holds the cell of `point`; False off the grid."""
+        cell = self.grid.cell_of(point)
+        return cell is not None and bool(self.mask[cell])
 
     def cell_count(self) -> int:
         return int(self.mask.sum())
@@ -355,7 +399,7 @@ def estimate_cbg(
     for lm, bound in sorted(usable_bounds, key=lambda item: item[1].bound_km):
         window = (slice(i0, i1), slice(j0, j1))
         live = mask[window]
-        live &= grid.distances_km(lm.position, *window) <= bound.bound_km + slack
+        live &= grid.within_km(lm.position, bound.bound_km + slack, *window)
         rows = np.flatnonzero(live.any(axis=1))
         if rows.size == 0:
             break
@@ -393,7 +437,7 @@ def estimate_bft(
         if bound.floor_violation:
             violations.append(m.landmark_id)  # unsatisfiable everywhere
             continue
-        counts += grid.distances_km(lm.position) <= bound.bound_km + slack
+        counts += grid.within_km(lm.position, bound.bound_km + slack)
     mask = counts >= (n - f)
     empty = not bool(mask.any())
     return GeoEstimate(grid, mask, None, empty=empty, floor_violations=tuple(violations))
@@ -572,42 +616,42 @@ class DescentResult:
     start: str = "init"
 
 
-def _distance_and_gradient(
-    lat_deg: float, lon_deg: float, landmark: GeoPoint
-) -> tuple[float, float, float]:
-    """Haversine distance and its partials w.r.t. the first point, per degree."""
-    p1 = math.radians(lat_deg)
-    l1 = math.radians(lon_deg)
-    p2 = math.radians(landmark.latitude)
-    l2 = math.radians(landmark.longitude)
-    dphi = p2 - p1
-    dlam = l2 - l1
-    a = math.sin(dphi / 2.0) ** 2 + math.cos(p1) * math.cos(p2) * math.sin(dlam / 2.0) ** 2
-    a = min(max(a, 0.0), 1.0)
-    d = 2.0 * EARTH_RADIUS_KM * math.asin(math.sqrt(a))
-    denom = math.sqrt(max(a * (1.0 - a), 1e-18))
-    dd_da = EARTH_RADIUS_KM / denom
-    da_dp1 = -math.sin(dphi) / 2.0 - math.sin(p1) * math.cos(p2) * math.sin(dlam / 2.0) ** 2
-    da_dl1 = -math.cos(p1) * math.cos(p2) * math.sin(dlam) / 2.0
-    to_rad = math.pi / 180.0
-    return d, dd_da * da_dp1 * to_rad, dd_da * da_dl1 * to_rad
-
-
 def descent_objective_and_gradient(
     lat_deg: float,
     lon_deg: float,
     targets: Sequence[tuple[GeoPoint, float]],
 ) -> tuple[float, float, float]:
-    """Sum of squared (distance - target) residuals and its gradient."""
+    """Sum of squared (distance - target) residuals and its gradient.
+
+    Per landmark, d is the haversine distance from (lat, lon) and
+    dd_da * da_dp1, dd_da * da_dl1 its partials in the first point's
+    radians. Terms that depend only on the point are computed once per
+    call, and sin^2(dlam / 2) and cos(p2) once per landmark.
+    """
+    p1 = math.radians(lat_deg)
+    l1 = math.radians(lon_deg)
+    cos_p1 = math.cos(p1)
+    sin_p1 = math.sin(p1)
+    to_rad = math.pi / 180.0
     f = 0.0
     g_lat = 0.0
     g_lon = 0.0
     for position, target_km in targets:
-        d, dd_lat, dd_lon = _distance_and_gradient(lat_deg, lon_deg, position)
+        p2 = math.radians(position.latitude)
+        dphi = p2 - p1
+        dlam = math.radians(position.longitude) - l1
+        cos_p2 = math.cos(p2)
+        s_half = math.sin(dlam / 2.0) ** 2
+        a = math.sin(dphi / 2.0) ** 2 + cos_p1 * cos_p2 * s_half
+        a = min(max(a, 0.0), 1.0)
+        d = 2.0 * EARTH_RADIUS_KM * math.asin(math.sqrt(a))
+        dd_da = EARTH_RADIUS_KM / math.sqrt(max(a * (1.0 - a), 1e-18))
+        da_dp1 = -math.sin(dphi) / 2.0 - sin_p1 * cos_p2 * s_half
+        da_dl1 = -cos_p1 * cos_p2 * math.sin(dlam) / 2.0
         residual = d - target_km
         f += residual * residual
-        g_lat += 2.0 * residual * dd_lat
-        g_lon += 2.0 * residual * dd_lon
+        g_lat += 2.0 * residual * (dd_da * da_dp1 * to_rad)
+        g_lon += 2.0 * residual * (dd_da * da_dl1 * to_rad)
     return f, g_lat, g_lon
 
 

@@ -10,11 +10,21 @@ from pathlib import Path
 import pytest
 
 import hemsim
+from hemsim import canon, cli
 from hemsim.cli import main
 from hemsim.config import SchemaError, validate_config
 from hemsim.scenarios import BUNDLED_SCENARIOS, execute_scenario
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
+
+
+def _run_cli_process(args: list[str], hash_seed: str = "0") -> subprocess.CompletedProcess:
+    """`python -m hemsim.cli ARGS` in a fresh interpreter, killed after 120 s."""
+    src = str(Path(hemsim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "hemsim.cli", *args], env=env,
+                          timeout=120, capture_output=True, text=True)
 
 
 class TestSchema:
@@ -140,6 +150,61 @@ class TestCli:
         assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 2
         assert "config.cluster.check_period_ms" in capsys.readouterr().err
 
+    def test_check_period_below_float_spacing_is_a_schema_error(self, tmp_path):
+        # Such a period once hung the churn loop, so the run gets a timeout.
+        config = tmp_path / "period.json"
+        config.write_text(json.dumps({
+            "name": "p", "seed": 1,
+            "cluster": {"chips": 4, "churn_events": 50, "check_period_ms": 1e-9},
+        }))
+        proc = _run_cli_process(["run", str(config), "--out", str(tmp_path / "out")])
+        assert proc.returncode == 2
+        assert "config.cluster.check_period_ms" in proc.stderr
+        validate_config({"name": "x", "seed": 1, "cluster": {"check_period_ms": 5.0}})
+
+    @pytest.mark.parametrize("sections, path", [
+        ({"licensing": {"honest_licenses": 2, "fuzz_licenses": 2, "quota": 10**23}},
+         "config.licensing.quota"),
+        ({"attest": {"chips": 1, "snapshots": 6, "ops_per_interval": 10**19,
+                     "classifier_traces": 0}},
+         "config.attest.ops_per_interval"),
+        ({"geoloc": {"trials": 1, "speedup_trials": 0, "descent_trials": 0,
+                     "bft": {"trials": 1}, "region": {"lon_max": 400}}},
+         "config.geoloc.region.lon_max"),
+        ({"geoloc": {"trials": 20, "speedup_trials": 0, "descent_trials": 0,
+                     "bft": {"trials": 1},
+                     "region": {"lat_min": 0, "lat_max": 14, "lon_min": 0, "lon_max": 14,
+                                "resolution_deg": 10}}},  # one 10-degree cell: truths off it
+         "config.geoloc.region.resolution_deg"),
+    ])
+    def test_out_of_domain_value_is_a_schema_error(self, tmp_path, capsys, sections, path):
+        config = tmp_path / "range.json"
+        config.write_text(json.dumps({"name": "r", "seed": 1, **sections}))
+        assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 2
+        assert path in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sections", [
+        {"licensing": {"honest_licenses": 2, "fuzz_licenses": 2, "quota": canon.U64_MAX}},
+        {"attest": {"chips": 1, "snapshots": 6, "ops_per_interval": canon.U64_MAX // 5,
+                    "classifier_traces": 0}},
+    ])
+    def test_u64_edge_values_reach_a_verdict(self, tmp_path, sections):
+        config = tmp_path / "edge.json"
+        config.write_text(json.dumps({"name": "e", "seed": 1, **sections}))
+        assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 0
+
+    def test_uncaught_exception_exits_three_with_one_line(self, tmp_path, capsys,
+                                                          monkeypatch):
+        def fail(config):
+            raise RuntimeError("simulated fault\nsecond line")
+
+        monkeypatch.setattr(cli, "execute_scenario", fail)
+        assert main(["run", "attest_accounting", "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("internal error: RuntimeError(")
+        assert err.count("\n") == 1
+        assert not any(tmp_path.iterdir())
+
     def test_negative_seed_override_is_a_schema_error(self, tmp_path, capsys):
         code = main(["run", "attest_accounting", "--out", str(tmp_path), "--seed", "-5"])
         assert code == 2
@@ -173,16 +238,11 @@ class TestCli:
         assert code == 0
 
     def test_reports_identical_across_hash_seeds(self, tmp_path):
-        src = str(Path(hemsim.__file__).resolve().parents[1])
         outputs = []
         for hash_seed in ("0", "123"):
             out = tmp_path / hash_seed
-            env = {**os.environ, "PYTHONHASHSEED": hash_seed,
-                   "PYTHONPATH": os.pathsep.join(
-                       filter(None, [src, os.environ.get("PYTHONPATH")]))}
-            subprocess.run([sys.executable, "-m", "hemsim.cli", "run", "cluster_caps",
-                            "--out", str(out)], env=env, check=True, timeout=120,
-                           capture_output=True)
+            _run_cli_process(["run", "cluster_caps", "--out", str(out)],
+                             hash_seed=hash_seed).check_returncode()
             outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
         assert outputs[0] == outputs[1]
         assert "cluster.jsonl" in outputs[0]

@@ -10,6 +10,7 @@ from hemsim import canon
 from hemsim.chipmodel import Registry, provision_chip
 from hemsim.geoloc import (
     Calibration,
+    GeoEstimate,
     GridSpec,
     InsufficientLandmarksError,
     Landmark,
@@ -29,7 +30,15 @@ from hemsim.geoloc import (
     verify_triangle,
     _coarse_scan_start,
 )
-from hemsim.netsim import GeoPoint, LatencyModel, Network, Node, Simulator, geodesic_distance
+from hemsim.netsim import (
+    EARTH_RADIUS_KM,
+    GeoPoint,
+    LatencyModel,
+    Network,
+    Node,
+    Simulator,
+    geodesic_distance,
+)
 
 C_KM_S = 299792.458
 
@@ -225,6 +234,22 @@ class TestCBG:
                           "verified": True, "missing": False}
 
 
+class TestGridCells:
+    def test_all_true_mask_does_not_contain_points_off_the_grid(self):
+        grid = GridSpec(0.0, 10.0, 20.0, 30.0, 0.5)
+        est = GeoEstimate(grid, np.ones((grid.n_lat, grid.n_lon), dtype=bool), None,
+                          empty=False)
+        inside = [grid.center_of(i, j) for i in (0, 7, grid.n_lat - 1)
+                  for j in (0, 9, grid.n_lon - 1)] + [GeoPoint(0.0, 20.0)]
+        assert all(est.contains(p) for p in inside)
+        one_cell_out = [grid.center_of(-1, 4), grid.center_of(grid.n_lat, 4),
+                        grid.center_of(4, -1), grid.center_of(4, grid.n_lon),
+                        grid.center_of(-1, -1), grid.center_of(grid.n_lat, grid.n_lon)]
+        for p in one_cell_out:
+            assert grid.cell_of(p) is None
+            assert not est.contains(p)
+
+
 class TestCBGWindowExactness:
     """The live-window CBG mask equals the full-grid intersection of every disk."""
 
@@ -280,6 +305,52 @@ class TestCBGWindowExactness:
                 seen["empty" if est.empty else "nonempty"] += 1
                 seen["violation"] += bool(expected_violations)
         assert all(count > 10 for count in seen.values()), seen
+
+
+class TestWithinKmExactness:
+    """`within_km` equals `distances_km(...) <= radius` on every cell, bit for bit."""
+
+    @staticmethod
+    def _window(rng, grid):
+        if rng.random() < 0.5:
+            return slice(None), slice(None)
+        i0, j0 = rng.randrange(grid.n_lat), rng.randrange(grid.n_lon)
+        return (slice(i0, rng.randint(i0 + 1, grid.n_lat)),
+                slice(j0, rng.randint(j0 + 1, grid.n_lon)))
+
+    def test_mask_equals_distance_comparison(self):
+        rng = random.Random(8128)
+        cases = 0
+        for trial in range(320):
+            resolution = rng.uniform(0.2, 1.0)
+            lat_min = rng.uniform(-90.0, 80.0)
+            lon_min = rng.uniform(-180.0, 160.0)
+            grid = GridSpec(lat_min, min(lat_min + rng.uniform(2.0, 20.0), 90.0),
+                            lon_min, lon_min + rng.uniform(2.0, 20.0), resolution)
+            window = self._window(rng, grid)
+            if trial % 3 == 0:  # on a cell center: one distance is exactly 0
+                position = grid.center_of(rng.randrange(grid.n_lat), rng.randrange(grid.n_lon))
+            elif trial % 3 == 1:
+                position = GeoPoint(
+                    rng.uniform(max(grid.lat_min - 10.0, -90.0), min(grid.lat_max + 10.0, 90.0)),
+                    rng.uniform(grid.lon_min - 10.0, grid.lon_max + 10.0))
+            else:
+                position = GeoPoint(rng.uniform(-90.0, 90.0), rng.uniform(-180.0, 180.0))
+            distances = grid.distances_km(position, *window)
+            on_cell = float(distances[rng.randrange(distances.shape[0]),
+                                      rng.randrange(distances.shape[1])])
+            radii = [
+                on_cell, math.nextafter(on_cell, 0.0), math.nextafter(on_cell, math.inf),
+                float(distances.min()), rng.uniform(0.0, 2.0 * float(distances.max())),
+                0.0, 1e-200, 3.0 * EARTH_RADIUS_KM, math.nextafter(3.0 * EARTH_RADIUS_KM, 0.0),
+                math.pi * EARTH_RADIUS_KM, rng.uniform(3.0, 4.0) * EARTH_RADIUS_KM,
+            ]
+            for radius in radii:
+                expected = distances <= radius
+                assert np.array_equal(grid.within_km(position, radius, *window), expected), \
+                    f"trial {trial}, radius {radius!r}"
+                cases += 1
+        assert cases > 3000
 
 
 class TestLikelihood:
@@ -531,6 +602,60 @@ class TestDescent:
         f_init, _, _ = descent_objective_and_gradient(init.latitude, init.longitude, targets)
         result = estimate_descent(ms, lms, init)
         assert result.objective_km2 <= f_init + 1e-9
+
+
+def _frozen_distance_and_gradient(lat_deg, lon_deg, landmark):
+    """The per-landmark scalar haversine term of the objective, kept verbatim."""
+    p1 = math.radians(lat_deg)
+    l1 = math.radians(lon_deg)
+    p2 = math.radians(landmark.latitude)
+    l2 = math.radians(landmark.longitude)
+    dphi = p2 - p1
+    dlam = l2 - l1
+    a = math.sin(dphi / 2.0) ** 2 + math.cos(p1) * math.cos(p2) * math.sin(dlam / 2.0) ** 2
+    a = min(max(a, 0.0), 1.0)
+    d = 2.0 * EARTH_RADIUS_KM * math.asin(math.sqrt(a))
+    denom = math.sqrt(max(a * (1.0 - a), 1e-18))
+    dd_da = EARTH_RADIUS_KM / denom
+    da_dp1 = -math.sin(dphi) / 2.0 - math.sin(p1) * math.cos(p2) * math.sin(dlam / 2.0) ** 2
+    da_dl1 = -math.cos(p1) * math.cos(p2) * math.sin(dlam) / 2.0
+    to_rad = math.pi / 180.0
+    return d, dd_da * da_dp1 * to_rad, dd_da * da_dl1 * to_rad
+
+
+def _frozen_objective(lat_deg, lon_deg, targets):
+    """The objective as a loop over `_frozen_distance_and_gradient`, kept verbatim."""
+    f = 0.0
+    g_lat = 0.0
+    g_lon = 0.0
+    for position, target_km in targets:
+        d, dd_lat, dd_lon = _frozen_distance_and_gradient(lat_deg, lon_deg, position)
+        residual = d - target_km
+        f += residual * residual
+        g_lat += 2.0 * residual * dd_lat
+        g_lon += 2.0 * residual * dd_lon
+    return f, g_lat, g_lon
+
+
+class TestObjectiveExactness:
+    def test_matches_frozen_scalar_objective_bit_for_bit(self):
+        rng = random.Random(4242)
+        for trial in range(3000):
+            positions = [GeoPoint(rng.choice((rng.uniform(-90.0, 90.0), 90.0, -90.0, 0.0)),
+                                  rng.uniform(-180.0, 180.0))
+                         for _ in range(rng.randint(1, 12))]
+            targets = [(pos, rng.choice((0.0, rng.uniform(0.0, 20000.0))))
+                       for pos in positions]
+            anchor = rng.choice(positions)
+            lat, lon = rng.choice((
+                (rng.uniform(-90.0, 90.0), rng.uniform(-540.0, 540.0)),  # descent lon wanders
+                (anchor.latitude, anchor.longitude),  # on a landmark: a == 0
+                (-anchor.latitude, anchor.longitude + 180.0),  # antipode: a == 1
+                (anchor.latitude + rng.uniform(-1e-6, 1e-6), anchor.longitude),
+            ))
+            got = descent_objective_and_gradient(lat, lon, targets)
+            want = _frozen_objective(lat, lon, targets)
+            assert [x.hex() for x in got] == [x.hex() for x in want], f"trial {trial}"
 
 
 def _reference_coarse_scan(targets, cells=24):
