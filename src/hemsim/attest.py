@@ -14,7 +14,6 @@ that classification can be fooled while accounting still totals correctly.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
@@ -102,26 +101,6 @@ class AttestReport:
     exceeds_threshold: bool
     incomplete: bool
     no_data: bool
-
-    def to_text(self) -> str:
-        """Stable structured rendering for golden-file comparison."""
-        payload = {
-            "devices": [
-                {
-                    "device_id": f"{r.device_id:032x}",
-                    "status": r.status.value,
-                    "offending_pair": list(r.offending_pair) if r.offending_pair else None,
-                    "detail": r.detail,
-                }
-                for r in sorted(self.device_results, key=lambda r: r.device_id)
-            ],
-            "totals": {res.value: self.totals[res] for res in MeterResource},
-            "threshold": self.threshold,
-            "exceeds_threshold": self.exceeds_threshold,
-            "incomplete": self.incomplete,
-            "no_data": self.no_data,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _verify_device_chain(

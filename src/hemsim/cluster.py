@@ -275,17 +275,19 @@ def adopt_manifest(node: ClusterNode, manifest: PodManifest) -> bool:
     """Adopt a replacement pod manifest iff signed and its epoch increases.
 
     Membership is otherwise immutable; swapping a broken device in or out of
-    a pod is a full manifest re-issue with an epoch bump.
+    a pod is a full manifest re-issue with an epoch bump. A stale epoch is
+    refused before the signature is checked: the answer is no whether or
+    not the signature holds.
     """
+    current_epoch = node.pod_manifest.manifest_epoch if node.pod_manifest is not None else -1
+    if manifest.manifest_epoch <= current_epoch:
+        return False
     signed = manifest_signed_bytes(manifest.pod_id, manifest.members,
                                    manifest.manifest_epoch)
     if not any(
         canon.verify(key, signed, manifest.regulator_signature)
         for key in node.chip.identity.issuer_keys
     ):
-        return False
-    current_epoch = node.pod_manifest.manifest_epoch if node.pod_manifest is not None else -1
-    if manifest.manifest_epoch <= current_epoch:
         return False
     node.pod_manifest = manifest
     return True

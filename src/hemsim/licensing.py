@@ -6,6 +6,13 @@ scheme hold up offline: issuer signature over every field, a per-device
 license id that must strictly increase (anti-replay, backed by a monotonic
 counter), and an unmodifiable device id binding (anti-sharing). Expiry
 against the on-chip clock prevents stockpiling.
+
+`install` runs the checks in a fixed order: device id, license id, expiry,
+then the signature. The first three read only the chip's own state and the
+license's claimed fields, so a license that fails one of them is refused
+without an ed25519 verify. A check on a field not yet verified may only
+reject, never accept; a license is accepted only if all four pass, and the
+reported reason is the first check that fails.
 """
 
 from __future__ import annotations
@@ -90,18 +97,6 @@ def decode_license(wire: bytes) -> License:
     )
 
 
-def license_record(lic: License) -> dict:
-    """Structured rendering in wire-field order, for reports and test vectors."""
-    return {
-        "license_id": lic.license_id,
-        "device_id": f"{lic.device_id:032x}",
-        "quota_count": len(lic.quotas),
-        "quotas": [{"resource": res.value, "amount": amount} for res, amount in lic.quotas],
-        "not_after": lic.not_after,
-        "signature": lic.issuer_signature.hex(),
-    }
-
-
 class RejectReason(Enum):
     BAD_SIGNATURE = "bad_signature"
     WRONG_DEVICE = "wrong_device"
@@ -154,21 +149,25 @@ def make_issuer(rng: random.Random) -> IssuerState:
 def install(chip: ChipState, lic: License, now_ms: float) -> InstallResult:
     """Device-side license verification; hostile inputs expected.
 
-    Acceptance requires all of: valid signature under an enrolled issuer
-    key, matching device id, strictly increasing license id, and (when
-    present) an unexpired not_after against the chip clock.
+    Acceptance requires all of: matching device id, strictly increasing
+    license id, (when present) an unexpired not_after against the chip
+    clock, and a valid signature under an enrolled issuer key. The checks
+    run in that order and the reason is the first one that fails. The first
+    three read unverified fields, which may only reject: the signature is
+    checked last, and only for a license that passed them. A rejection
+    changes no chip state.
     """
-    signed = license_signed_bytes(lic.license_id, lic.device_id, lic.quotas, lic.not_after)
-    if not any(
-        canon.verify(key, signed, lic.issuer_signature) for key in chip.identity.issuer_keys
-    ):
-        return InstallResult(False, RejectReason.BAD_SIGNATURE)
     if lic.device_id != chip.identity.device_id:
         return InstallResult(False, RejectReason.WRONG_DEVICE)
     if lic.license_id <= chip.last_license_id:
         return InstallResult(False, RejectReason.STALE_ID)
     if lic.not_after is not None and now_ms > lic.not_after:
         return InstallResult(False, RejectReason.EXPIRED)
+    signed = license_signed_bytes(lic.license_id, lic.device_id, lic.quotas, lic.not_after)
+    if not any(
+        canon.verify(key, signed, lic.issuer_signature) for key in chip.identity.issuer_keys
+    ):
+        return InstallResult(False, RejectReason.BAD_SIGNATURE)
     chip.last_license_id = lic.license_id
     chip.active_license = lic
     # Quota accounting restarts here: unused quota does not carry over.

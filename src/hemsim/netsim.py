@@ -238,14 +238,3 @@ class Simulator:
                 handler(self, item.event)
         self.now = max(self.now, time)
         return processed
-
-    def export_log(self) -> str:
-        """Stable text rendering of the processed-event log, one line per event."""
-        lines = []
-        for ev in self.log:
-            payload = ev.payload.hex() if isinstance(ev.payload, bytes) else repr(ev.payload)
-            marks = ",".join(ev.marks)
-            lines.append(
-                f"{ev.time:.9f}\t{ev.delivery_id}\t{ev.source}\t{ev.destination}\t{marks}\t{payload}"
-            )
-        return "\n".join(lines) + ("\n" if lines else "")

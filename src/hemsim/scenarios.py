@@ -105,8 +105,17 @@ def _policy_from_config(persistence: dict) -> PersistencePolicy:
 def fuzz_licenses(issuer, chips, trials: int, rng: random.Random) -> tuple[int, dict]:
     """Adversarial license campaign; returns (acceptances, kind counts).
 
-    Mutation kinds: field bit flips, wrong-key signatures, reused ids, and
-    cross-device swaps. Every mutated install must be rejected.
+    Mutation kinds, each counted when drawn:
+    - `bitflip`: one bit of the license id, device id, quota or signature of
+      a fresh license flipped;
+    - `wrong_key`: a license signed by a non-enrolled issuer;
+    - `reused_id`: a fresh license relabelled with an id at or below the
+      chip's last installed id, refused as `STALE_ID` before any verify (a
+      chip with no license installed has no id to reuse and is skipped);
+    - `cross_device`: a license issued to another chip, refused as
+      `WRONG_DEVICE` before any verify (skipped in a one-chip fleet).
+
+    Every mutated install must be rejected.
     """
     rogue = make_issuer(rng)
     acceptances = 0
@@ -142,9 +151,11 @@ def fuzz_licenses(issuer, chips, trials: int, rng: random.Random) -> tuple[int, 
             mutated = rogue.issue(chip.identity.device_id, {resource: 10**9})
         elif kind == "reused_id":
             mutated = issuer.issue(chip.identity.device_id, {resource: 1000})
-            mutated = License(max(0, chip.last_license_id - rng.randrange(3)),
-                              mutated.device_id, mutated.quotas, mutated.not_after,
-                              mutated.issuer_signature)
+            reused_id = max(0, chip.last_license_id - rng.randrange(3))
+            if chip.last_license_id < 0:  # drawn first: later trials keep their draws
+                continue
+            mutated = License(reused_id, mutated.device_id, mutated.quotas,
+                              mutated.not_after, mutated.issuer_signature)
         else:  # cross_device
             other = rng.choice([c for c in chips if c is not chip] or [chip])
             mutated = issuer.issue(other.identity.device_id, {resource: 1000})

@@ -139,6 +139,25 @@ class TestPodRegime:
         rejected = handshake(1.0, nodes[a], nodes[b], regime, registry, rng, alloc)
         assert rejected.reason is HandshakeReject.NOT_IN_POD
 
+    def test_stale_manifest_epoch_refused_without_verify(self, world, crypto_calls):
+        rng, regulator, _, nodes = world
+        ids = sorted(nodes)
+        node = nodes[ids[0]]
+        members = {i: nodes[i].chip.firmware_hash for i in ids[:2]}
+        current = issue_manifest(regulator, "pod-1", members, manifest_epoch=3)
+        assert adopt_manifest(node, current)
+        crypto_calls.update(verify=0)
+        for stale_epoch in (0, 3):
+            grown = {**members, ids[2]: nodes[ids[2]].chip.firmware_hash}
+            stale = issue_manifest(regulator, "pod-1", grown, manifest_epoch=stale_epoch)
+            assert adopt_manifest(node, stale) is False
+        assert crypto_calls["verify"] == 0
+        rogue = canon.generate_keypair(rng.randbytes(32))
+        forged = issue_manifest(rogue, "pod-1", members, manifest_epoch=4)
+        assert adopt_manifest(node, forged) is False
+        assert crypto_calls["verify"] == len(node.chip.identity.issuer_keys)
+        assert node.pod_manifest is current
+
     def test_unsigned_manifest_rejected(self, world):
         rng, regulator, registry, nodes = world
         ids = sorted(nodes)

@@ -1,13 +1,16 @@
 """Licensing protocol tests: issuance, install checks, quota enforcement."""
 
+import itertools
 import random
+from collections import defaultdict
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hemsim import canon
+from hemsim import canon, scenarios
 from hemsim.chipmodel import MeterResource, ThrottleLevel, provision_chip
+from hemsim.config import validate_config
 from hemsim.licensing import (
     InstallResult,
     License,
@@ -15,6 +18,7 @@ from hemsim.licensing import (
     decode_license,
     enforce,
     install,
+    license_signed_bytes,
     license_wire_bytes,
     make_issuer,
     metered_consume,
@@ -30,6 +34,29 @@ def world():
 
 
 QUOTA = {MeterResource.CLOCK_CYCLES: 1000}
+
+# The order in which `install` checks, and so the reason it reports first.
+CHECK_ORDER = (RejectReason.WRONG_DEVICE, RejectReason.STALE_ID, RejectReason.EXPIRED,
+               RejectReason.BAD_SIGNATURE)
+
+
+@pytest.fixture
+def verify_calls(monkeypatch):
+    """Count every signature verified."""
+    calls = []
+    real_verify = canon.verify
+
+    def verify(*args):
+        calls.append(args)
+        return real_verify(*args)
+
+    monkeypatch.setattr(canon, "verify", verify)
+    return calls
+
+
+def license_state(chip):
+    return (chip.last_license_id, chip.active_license, dict(chip.license_baseline),
+            chip.throttle)
 
 
 class TestIssue:
@@ -53,8 +80,6 @@ class TestIssue:
     def test_issued_license_verifies_under_issuer_key(self, world):
         _, issuer, chip = world
         lic = issuer.issue(chip.identity.device_id, QUOTA)
-        from hemsim.licensing import license_signed_bytes
-
         signed = license_signed_bytes(lic.license_id, lic.device_id, lic.quotas, lic.not_after)
         assert canon.verify(issuer.public_key, signed, lic.issuer_signature)
 
@@ -103,6 +128,65 @@ class TestInstall:
         rogue = make_issuer(rng)
         lic = rogue.issue(chip.identity.device_id, QUOTA)
         assert install(chip, lic, now_ms=0.0).reason is RejectReason.BAD_SIGNATURE
+
+    @pytest.mark.parametrize("reason", CHECK_ORDER[:3])
+    def test_local_check_refuses_without_verify(self, world, verify_calls, reason):
+        rng, issuer, chip = world
+        lic = issuer.issue(chip.identity.device_id, QUOTA)
+        assert install(chip, lic, now_ms=0.0).accepted
+        metered_consume(chip, MeterResource.CLOCK_CYCLES, 1000)
+        other = provision_chip(rng, frozenset({issuer.public_key}))
+        hostile = {
+            RejectReason.WRONG_DEVICE: issuer.issue(other.identity.device_id, QUOTA),
+            RejectReason.STALE_ID: lic,  # the replay of test_replay_rejected_stale_id
+            RejectReason.EXPIRED: issuer.issue(chip.identity.device_id, QUOTA, not_after=500),
+        }[reason]
+        before = license_state(chip)
+        verify_calls.clear()
+        assert install(chip, hostile, now_ms=501.0) == InstallResult(False, reason)
+        assert verify_calls == []
+        assert license_state(chip) == before
+        assert chip.throttle.level is ThrottleLevel.DISABLED
+
+    @pytest.mark.parametrize("wrong_device,stale,expired,bad_signature",
+                             itertools.product((False, True), repeat=4))
+    @settings(max_examples=25)
+    @given(data=st.data())
+    def test_reason_is_first_failing_check(self, wrong_device, stale, expired,
+                                           bad_signature, data):
+        rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+        issuer = make_issuer(rng)
+        chip = provision_chip(rng, frozenset({issuer.public_key}))
+        for _ in range(data.draw(st.integers(1, 3), label="installed")):
+            assert install(chip, issuer.issue(chip.identity.device_id, QUOTA),
+                           now_ms=0.0).accepted
+        metered_consume(chip, MeterResource.CLOCK_CYCLES, 7)
+        last = chip.last_license_id
+        now = 1_000
+        license_id = data.draw(st.integers(0, last) if stale
+                               else st.integers(last + 1, 2**64 - 1), label="license_id")
+        device_id = chip.identity.device_id
+        if wrong_device:
+            device_id ^= 1 << data.draw(st.integers(0, 127), label="device_bit")
+        not_after = (data.draw(st.integers(0, now - 1), label="not_after") if expired
+                     else data.draw(st.one_of(st.none(), st.integers(now, 2**64 - 1)),
+                                    label="not_after"))
+        signer = make_issuer(rng).keypair if bad_signature else issuer.keypair
+        quotas = tuple(QUOTA.items())
+        lic = License(license_id, device_id, quotas, not_after,
+                      signer.sign(license_signed_bytes(license_id, device_id, quotas,
+                                                       not_after)))
+        faults = [reason for reason, present in zip(
+            CHECK_ORDER, (wrong_device, stale, expired, bad_signature)) if present]
+        before = license_state(chip)
+        result = install(chip, lic, now_ms=float(now))
+        assert result.accepted == (not faults)
+        if faults:
+            assert result.reason is faults[0]
+            assert license_state(chip) == before
+        else:
+            assert result.reason is None
+            assert chip.last_license_id == license_id and chip.active_license is lic
 
     def test_field_mutation_invalidates_signature(self, world):
         _, issuer, chip = world
@@ -227,17 +311,6 @@ class TestWireFormat:
         ordinals = [res.ordinal for res, _ in lic.quotas]
         assert ordinals == sorted(ordinals)
 
-    def test_license_record_structure(self, world):
-        _, issuer, chip = world
-        lic = issuer.issue(chip.identity.device_id, QUOTA, not_after=99)
-        from hemsim.licensing import license_record
-
-        record = license_record(lic)
-        assert list(record) == ["license_id", "device_id", "quota_count", "quotas",
-                                "not_after", "signature"]
-        assert record["quotas"] == [{"resource": "clock_cycles", "amount": 1000}]
-        assert record["not_after"] == 99
-
     def test_golden_wire_vector(self):
         # Frozen vector: fixed issuer seed, fixed device id. Guards the wire
         # layout (field order, widths, endianness) against regressions.
@@ -307,3 +380,48 @@ class TestWireFormat:
             if install(chip, mutated, now_ms=1.0).accepted:
                 accepted += 1
         assert accepted == 0
+
+
+class TestFuzzCampaign:
+    def test_reused_and_cross_device_kinds_refused_locally(self, monkeypatch):
+        rng = random.Random(21)
+        issuer = make_issuer(rng)
+        chips = [provision_chip(rng, frozenset({issuer.public_key})) for _ in range(6)]
+        for chip in chips[:4]:  # two chips stay unlicensed: no id to reuse
+            assert install(chip, issuer.issue(chip.identity.device_id, QUOTA),
+                           now_ms=0.0).accepted
+        kinds_drawn = []
+        real_choice = rng.choice
+
+        def choice(seq):
+            picked = real_choice(seq)
+            if isinstance(picked, str):
+                kinds_drawn.append(picked)
+            return picked
+
+        reasons = defaultdict(list)
+
+        def recording_install(chip, lic, now_ms):
+            result = install(chip, lic, now_ms)
+            reasons[kinds_drawn[-1]].append(result.reason)
+            return result
+
+        rng.choice = choice
+        monkeypatch.setattr(scenarios, "install", recording_install)
+        acceptances, kinds = scenarios.fuzz_licenses(issuer, chips, 400, rng)
+        assert acceptances == 0
+        assert set(reasons) == set(kinds)
+        assert all(None not in kind_reasons for kind_reasons in reasons.values())
+        assert reasons["reused_id"] and set(reasons["reused_id"]) == {RejectReason.STALE_ID}
+        assert len(reasons["reused_id"]) < kinds["reused_id"]  # the unlicensed chips
+        assert len(reasons["cross_device"]) == kinds["cross_device"]
+        assert set(reasons["cross_device"]) == {RejectReason.WRONG_DEVICE}
+
+    def test_soundness_holds_with_unlicensed_chips(self):
+        # With fewer honest licenses than chips, a `reused_id` trial on a chip
+        # that never installed one used to relabel a genuine id-0 license.
+        config = validate_config({"name": "sparse", "seed": 0, "fleet": {"count": 16},
+                                  "licensing": {"honest_licenses": 1, "fuzz_licenses": 200}})
+        result = scenarios.run_licensing_section(config["licensing"], config["fleet"], 0)
+        soundness = {p.name: p for p in result.predicates}["licensing_soundness"]
+        assert soundness.passed, soundness.detail

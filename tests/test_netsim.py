@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hemsim.netsim import (
     EARTH_RADIUS_KM,
     CausalityError,
+    Event,
     GeoPoint,
     LatencyModel,
     Network,
@@ -136,7 +137,7 @@ class TestSimulator:
         assert sim.now == 50.0
 
     def test_replay_with_same_seed_identical_logs(self):
-        def run(seed: int) -> str:
+        def run(seed: int) -> list[Event]:
             sim = Simulator(seed=seed)
             schedule_rng = random.Random(seed + 1)
             for i in range(1000):
@@ -144,8 +145,7 @@ class TestSimulator:
                 sim.schedule(t, f"n{schedule_rng.randrange(8)}",
                              f"n{schedule_rng.randrange(8)}",
                              schedule_rng.randbytes(4))
-            sim.run_until(600.0)
-            return sim.export_log()
+            return sim.run_until(600.0)
 
         assert run(99) == run(99)
         assert run(99) != run(100)
