@@ -37,7 +37,7 @@ from .attest import (
 from .chipmodel import (
     MeterResource,
     Registry,
-    Throttle,
+    ThrottleLevel,
     extract_signing_oracle,
     provision_chip,
 )
@@ -369,7 +369,7 @@ def _attack_throttle_bypass(profile, rng, params) -> dict:
     registry = Registry()
     chip = provision_chip(rng, frozenset({regulator.public_bytes}))  # never licensed
     peer = provision_chip(rng, frozenset({regulator.public_bytes}))
-    peer.throttle = Throttle.full()
+    peer.throttle = ThrottleLevel.FULL
     registry.enroll(chip)
     registry.enroll(peer)
     genuine_hashes = {
@@ -408,7 +408,7 @@ def _cluster_world(rng, n_chips):
     nodes = []
     for _ in range(n_chips):
         chip = provision_chip(rng, frozenset({regulator.public_bytes}))
-        chip.throttle = Throttle.full()
+        chip.throttle = ThrottleLevel.FULL
         registry.enroll(chip)
         nodes.append(ClusterNode(chip=chip))
     return regulator, registry, nodes
@@ -438,12 +438,12 @@ def _attack_cap_forge(profile, rng, params) -> dict:
     regulator, registry, nodes = _cluster_world(rng, 1)
     node = nodes[0]
     genuine = issue_cap_policy(regulator, cap=4, cap_epoch=1)
-    assert apply_cap_update(node, genuine, now_ms=0.0)
+    assert apply_cap_update(node, genuine)
     rogue = canon.generate_keypair(rng.randbytes(32))
     forged_raise = issue_cap_policy(rogue, cap=1024, cap_epoch=2)
     replayed = issue_cap_policy(regulator, cap=64, cap_epoch=0)
-    adopted_forged = apply_cap_update(node, forged_raise, now_ms=1.0)
-    adopted_replay = apply_cap_update(node, replayed, now_ms=2.0)
+    adopted_forged = apply_cap_update(node, forged_raise)
+    adopted_replay = apply_cap_update(node, replayed)
     return dict(
         succeeded=adopted_forged or adopted_replay,
         detected=not adopted_forged and not adopted_replay,
@@ -559,7 +559,6 @@ def _attack_landmark_compromise(profile, rng, params) -> dict:
     # Two ring landmarks lie hard, reporting the chip nearly on top of them.
     compromised = list(range(min(profile.compromised_landmarks, f)))
     for idx in compromised:
-        landmarks[idx].honest = False
         landmarks[idx].misreport = lambda rtt: rtt * 0.1
     lms = {lm.id: lm for lm in landmarks}
     ms = synthesize_round(rng, landmarks, truth, 0.2, 0.5)
@@ -662,7 +661,7 @@ def _attack_relay(profile, rng, params) -> dict:
 def _attack_accounting_meter_tamper(profile, rng, params) -> dict:
     issuer = canon.generate_keypair(rng.randbytes(32))
     chip = provision_chip(rng, frozenset({issuer.public_bytes}))
-    chip.throttle = Throttle.full()
+    chip.throttle = ThrottleLevel.FULL
     registry = Registry()
     registry.enroll(chip)
     snapshots = []
@@ -728,7 +727,7 @@ def _attack_fragmentation(profile, rng, params) -> dict:
         frag_total = 0
         for row in range(frag.device_count):
             chip = provision_chip(rng, frozenset({issuer.public_bytes}))
-            chip.throttle = Throttle.full()
+            chip.throttle = ThrottleLevel.FULL
             registry.enroll(chip)
             first = emit_snapshot(chip, 0)
             ops = int(frag.utilization[row].sum() * ops_per_util)

@@ -26,8 +26,6 @@ from .chipmodel import ChipState, MeterResource, Registry
 SNAPSHOT_TAG = "meter-snapshot.v1"
 
 DEFAULT_SNAPSHOT_PERIOD_MS = 600_000.0  # ten simulated minutes
-# Reporting threshold on total operations; scenarios scale it down.
-REPORTING_THRESHOLD_OPS = 10**26
 DESK_SCALE_THRESHOLD_OPS = 10**9
 
 
@@ -107,7 +105,6 @@ def _verify_device_chain(
     device_id: int,
     snapshots: Sequence[MeterSnapshot],
     registry: Registry,
-    gap_tolerance: int,
 ) -> DeviceVerification:
     key = registry.public_key(device_id)
     if key is None:
@@ -127,7 +124,7 @@ def _verify_device_chain(
             )
     for prev, cur in zip(ordered, ordered[1:]):
         gap = cur.sequence_no - prev.sequence_no
-        if gap < 1 or gap - 1 > gap_tolerance:
+        if gap != 1:
             return DeviceVerification(
                 device_id, DeviceStatus.SEQUENCE_GAP,
                 offending_pair=(prev.sequence_no, cur.sequence_no),
@@ -146,7 +143,6 @@ def verify_chain(
     snapshots_by_device: dict[int, Sequence[MeterSnapshot]],
     registry: Registry,
     threshold: int = DESK_SCALE_THRESHOLD_OPS,
-    gap_tolerance: int = 0,
 ) -> AttestReport:
     """Validate per-device snapshot chains and total the verified consumption.
 
@@ -161,7 +157,7 @@ def verify_chain(
     any_data = False
     for device_id in sorted(snapshots_by_device):
         snapshots = snapshots_by_device[device_id]
-        verification = _verify_device_chain(device_id, snapshots, registry, gap_tolerance)
+        verification = _verify_device_chain(device_id, snapshots, registry)
         results.append(verification)
         if verification.status is not DeviceStatus.VERIFIED:
             incomplete = True
@@ -219,26 +215,21 @@ class WorkloadTrace:
         return self.utilization.shape[1]
 
 
-@dataclass(frozen=True)
-class ClassifierConfig:
-    """Desk-scale rule thresholds; every one is a config knob, not a claim."""
-
-    min_devices: int = 64
-    util_mean_min: float = 0.8
-    util_std_max: float = 0.05
-    autocorr_min: float = 0.6
-    max_lag: int = 16
-    min_steps: int = 16
-    interconnect_low_bytes: float = 1e6
+# Desk-scale rule thresholds: illustrative values, not a claim about where
+# real frontier training sits.
+MIN_DEVICES = 64
+UTIL_MEAN_MIN = 0.8
+UTIL_STD_MAX = 0.05
+AUTOCORR_MIN = 0.6
+MAX_LAG = 16
+MIN_STEPS = 16
+INTERCONNECT_LOW_BYTES = 1e6
 
 
 @dataclass(frozen=True)
 class Classification:
     label: WorkloadLabel
     scores: dict
-
-    def to_record(self) -> dict:
-        return {"label": self.label.value, "scores": self.scores}
 
 
 def _autocorrelation_peak(series: np.ndarray, max_lag: int) -> tuple[float, int]:
@@ -254,14 +245,13 @@ def _autocorrelation_peak(series: np.ndarray, max_lag: int) -> tuple[float, int]
     return best_value, best_lag
 
 
-def classify(trace: WorkloadTrace, config: ClassifierConfig | None = None) -> Classification:
+def classify(trace: WorkloadTrace) -> Classification:
     """Three-feature rule: fleet size, steady high utilization, periodic sync.
 
     All three must fire for frontier training; bursty utilization with low
     interconnect reads as inference; anything else is non-AI. Traces shorter
     than the autocorrelation window are indeterminate.
     """
-    config = config or ClassifierConfig()
     fleet_util = trace.utilization.mean(axis=0)
     fleet_interconnect = trace.interconnect_bytes.mean(axis=0)
     scores = {
@@ -272,26 +262,26 @@ def classify(trace: WorkloadTrace, config: ClassifierConfig | None = None) -> Cl
         "autocorr_peak": 0.0,
         "autocorr_lag": 0,
     }
-    if trace.steps < config.min_steps:
+    if trace.steps < MIN_STEPS:
         return Classification(WorkloadLabel.INDETERMINATE, scores)
-    peak, lag = _autocorrelation_peak(fleet_interconnect, config.max_lag)
+    peak, lag = _autocorrelation_peak(fleet_interconnect, MAX_LAG)
     scores["autocorr_peak"] = peak
     scores["autocorr_lag"] = lag
 
-    fleet_large = trace.device_count >= config.min_devices
+    fleet_large = trace.device_count >= MIN_DEVICES
     util_steady = (
-        scores["util_mean"] >= config.util_mean_min
-        and scores["util_std"] <= config.util_std_max
+        scores["util_mean"] >= UTIL_MEAN_MIN
+        and scores["util_std"] <= UTIL_STD_MAX
     )
-    periodic_sync = peak >= config.autocorr_min and lag >= 1
+    periodic_sync = peak >= AUTOCORR_MIN and lag >= 1
     scores["fleet_large"] = fleet_large
     scores["util_steady"] = util_steady
     scores["periodic_sync"] = periodic_sync
 
     if fleet_large and util_steady and periodic_sync:
         return Classification(WorkloadLabel.FRONTIER_TRAINING, scores)
-    bursty = scores["util_std"] > config.util_std_max
-    interconnect_low = scores["interconnect_mean_bytes"] < config.interconnect_low_bytes
+    bursty = scores["util_std"] > UTIL_STD_MAX
+    interconnect_low = scores["interconnect_mean_bytes"] < INTERCONNECT_LOW_BYTES
     if bursty and interconnect_low:
         return Classification(WorkloadLabel.INFERENCE, scores)
     return Classification(WorkloadLabel.NON_AI, scores)
@@ -384,13 +374,12 @@ def classification_flip_point(
     trace: WorkloadTrace,
     magnitudes: Sequence[float],
     rng_seed: int,
-    config: ClassifierConfig | None = None,
 ) -> Optional[float]:
     """Smallest swept noise magnitude that changes the assigned label."""
-    base = classify(trace, config).label
+    base = classify(trace).label
     for magnitude in sorted(magnitudes):
         rng = np.random.default_rng(rng_seed)
         perturbed = inject_noise(trace, magnitude, rng)
-        if classify(perturbed, config).label is not base:
+        if classify(perturbed).label is not base:
             return magnitude
     return None

@@ -18,8 +18,6 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PublicKey,
 )
 
-DEFAULT_SCHEME = "ed25519"
-
 U8_MAX = 2**8 - 1
 U32_MAX = 2**32 - 1
 U64_MAX = 2**64 - 1
@@ -120,13 +118,8 @@ class Decoder:
 
 @dataclass
 class KeyPair:
-    """Signing keypair; the private half never leaves this object.
+    """Ed25519 signing keypair; the private half never leaves this object."""
 
-    `scheme` identifies the signature algorithm so that exported test
-    vectors and registries declare what they were produced with.
-    """
-
-    scheme: str
     _private: Ed25519PrivateKey
     public_bytes: bytes
 
@@ -134,15 +127,13 @@ class KeyPair:
         return self._private.sign(message)
 
 
-def generate_keypair(seed: bytes, scheme: str = DEFAULT_SCHEME) -> KeyPair:
+def generate_keypair(seed: bytes) -> KeyPair:
     """Derive a keypair from 32 seed bytes (deterministic for a fixed seed)."""
-    if scheme != DEFAULT_SCHEME:
-        raise ValueError(f"unsupported signature scheme: {scheme}")
     if len(seed) != 32:
         raise ValueError("ed25519 seed must be exactly 32 bytes")
     private = Ed25519PrivateKey.from_private_bytes(seed)
     public = private.public_key().public_bytes_raw()
-    return KeyPair(scheme=scheme, _private=private, public_bytes=public)
+    return KeyPair(_private=private, public_bytes=public)
 
 
 def verify(public_bytes: bytes, message: bytes, signature: bytes) -> bool:

@@ -2,10 +2,11 @@
 
 The chip is modeled behaviorally: a tamper-scoped identity that signs
 canonical payloads, cumulative activity meters with three power-loss
-persistence designs, an exact fuse-based unary counter, a real-time clock
-with optional drift, throttle state, and a zeroization response. Electrical
-details (flash wear, capacitors, fuse physics) are out of scope; what is
-modeled is exactly the externally observable contract of each component.
+persistence designs, a write-through last-license-id counter, a real-time
+clock with optional drift, throttle state, and a zeroization response.
+Electrical details (flash wear, capacitors, counter circuits) are out of
+scope; what is modeled is exactly the externally observable contract of
+each component.
 """
 
 from __future__ import annotations
@@ -40,10 +41,6 @@ _RESOURCE_ORDINALS = {res: i for i, res in enumerate(MeterResource)}
 
 class ZeroizedError(RuntimeError):
     """The chip's keys were deleted; it signs nothing and executes nothing."""
-
-
-class CounterExhaustedError(RuntimeError):
-    """All fuses of a unary counter are burned."""
 
 
 class PolicyKind(Enum):
@@ -140,44 +137,9 @@ class RtcClock:
         return self._last_read
 
 
-@dataclass
-class UnaryCounter:
-    """Fuse-backed counter: exact across any power schedule, fixed capacity."""
-
-    capacity: int
-    count: int = 0
-
-    def increment(self) -> int:
-        if self.count >= self.capacity:
-            raise CounterExhaustedError(f"all {self.capacity} fuses burned")
-        self.count += 1
-        return self.count
-
-
 class ThrottleLevel(Enum):
     FULL = "full"
-    REDUCED = "reduced"
     DISABLED = "disabled"
-
-
-@dataclass(frozen=True)
-class Throttle:
-    level: ThrottleLevel
-    fraction: float = 1.0
-
-    @staticmethod
-    def full() -> "Throttle":
-        return Throttle(ThrottleLevel.FULL, 1.0)
-
-    @staticmethod
-    def reduced(fraction: float = 0.1) -> "Throttle":
-        if not 0.0 < fraction < 1.0:
-            raise ValueError("reduced fraction must be in (0, 1)")
-        return Throttle(ThrottleLevel.REDUCED, fraction)
-
-    @staticmethod
-    def disabled() -> "Throttle":
-        return Throttle(ThrottleLevel.DISABLED, 0.0)
 
 
 class ConsumeResult(Enum):
@@ -196,9 +158,6 @@ class DeviceIdentity:
 
 GENUINE_FIRMWARE = hashlib.sha256(b"accelerator-firmware/1.0").digest()
 
-# Default unary-counter capacity; license activations are infrequent.
-DEFAULT_FUSE_CAPACITY = 64
-
 
 @dataclass
 class TamperRecord:
@@ -216,20 +175,15 @@ class ChipState:
         identity: DeviceIdentity,
         policy: PersistencePolicy | None = None,
         rtc: RtcClock | None = None,
-        fuse_capacity: int = DEFAULT_FUSE_CAPACITY,
     ):
         self.identity = identity
         self.meters = MeterBank(policy or PersistencePolicy(PolicyKind.CAPACITOR_FLUSH))
         self.rtc = rtc or RtcClock()
-        self._fuse_capacity = fuse_capacity
-        self.unary_counters: dict[str, UnaryCounter] = {
-            "license_activations": UnaryCounter(capacity=fuse_capacity)
-        }
         # Stored in a write-through monotonic counter: exact across power loss.
         self.last_license_id: int = -1
         self.active_license: Optional[object] = None
         self.license_baseline: dict[MeterResource, int] = {r: 0 for r in MeterResource}
-        self.throttle: Throttle = Throttle.disabled()  # default-deny until licensed
+        self.throttle = ThrottleLevel.DISABLED  # default-deny until licensed
         self.zeroized: bool = False
         self.firmware_hash: bytes = GENUINE_FIRMWARE
         self.powered: bool = True
@@ -248,17 +202,6 @@ class ChipState:
 
     def rtc_read(self) -> float:
         return self.rtc.read(self.clock_ms)
-
-    def unary_count_increment(self, counter_name: str) -> int:
-        """Burn one fuse of a named unary counter (exact across power loss)."""
-        counter = self.unary_counters.setdefault(
-            counter_name, UnaryCounter(capacity=self._fuse_capacity)
-        )
-        return counter.increment()
-
-    @property
-    def license_counter(self) -> UnaryCounter:
-        return self.unary_counters["license_activations"]
 
     # -- signing oracle -----------------------------------------------------
 
@@ -281,7 +224,7 @@ class ChipState:
             raise RuntimeError("chip is powered off")
         if self.zeroized:
             raise ZeroizedError("chip is zeroized; execution refused")
-        if self.throttle.level is ThrottleLevel.DISABLED:
+        if self.throttle is ThrottleLevel.DISABLED:
             return ConsumeResult.THROTTLED
         self.meters.increment(resource, amount)
         self.meters.tick(self.clock_ms)
@@ -336,7 +279,7 @@ class ChipState:
 
     def zeroize(self) -> None:
         self.zeroized = True
-        self.throttle = Throttle.disabled()
+        self.throttle = ThrottleLevel.DISABLED
 
 
 def provision_chip(
@@ -344,13 +287,12 @@ def provision_chip(
     issuer_keys: frozenset[bytes],
     policy: PersistencePolicy | None = None,
     rtc: RtcClock | None = None,
-    fuse_capacity: int = DEFAULT_FUSE_CAPACITY,
 ) -> ChipState:
     """Mint a chip: fresh device id and an on-device generated keypair."""
     device_id = rng.getrandbits(128)
     keypair = canon.generate_keypair(rng.randbytes(32))
     identity = DeviceIdentity(device_id=device_id, keypair=keypair, issuer_keys=issuer_keys)
-    return ChipState(identity, policy=policy, rtc=rtc, fuse_capacity=fuse_capacity)
+    return ChipState(identity, policy=policy, rtc=rtc)
 
 
 def extract_signing_oracle(chip: ChipState, capability_granted: bool) -> Callable[[bytes], bytes]:
@@ -376,6 +318,3 @@ class Registry:
 
     def public_key(self, device_id: int) -> Optional[bytes]:
         return self._public_keys.get(device_id)
-
-    def __contains__(self, device_id: int) -> bool:
-        return device_id in self._public_keys

@@ -18,7 +18,7 @@ from enum import Enum
 from typing import Iterable, Optional, Union
 
 from . import canon
-from .chipmodel import ChipState, MeterResource, Registry, Throttle, ZeroizedError
+from .chipmodel import ChipState, MeterResource, Registry, ThrottleLevel, ZeroizedError
 
 MANIFEST_TAG = "pod-manifest.v1"
 CAP_POLICY_TAG = "cap-policy.v2"
@@ -104,7 +104,6 @@ class Session:
     peers: tuple[int, int]
     established_at: float
     link_kind: LinkKind = LinkKind.DIRECT_INTERCONNECT
-    bandwidth_used: int = 0
     open: bool = True
 
 
@@ -155,7 +154,6 @@ class ClusterNode:
     chip: ChipState
     sessions: dict[int, Session] = field(default_factory=dict)  # session_id -> Session
     cap_policy: Optional[CapPolicy] = None
-    cap_adopted_at_ms: float = 0.0
     last_check_ms: float = 0.0
     self_disabled: bool = False
     pod_manifest: Optional[PodManifest] = None
@@ -173,7 +171,7 @@ class ClusterNode:
 
     def disable(self) -> None:
         self.self_disabled = True
-        self.chip.throttle = Throttle.disabled()
+        self.chip.throttle = ThrottleLevel.DISABLED
         for session in list(self.sessions.values()):
             session.open = False
         self.sessions.clear()
@@ -293,7 +291,7 @@ def adopt_manifest(node: ClusterNode, manifest: PodManifest) -> bool:
     return True
 
 
-def apply_cap_update(node: ClusterNode, policy: CapPolicy, now_ms: float) -> bool:
+def apply_cap_update(node: ClusterNode, policy: CapPolicy) -> bool:
     """Adopt iff the epoch strictly increases and the policy is regulator-signed.
 
     A stale epoch is refused before the signature is checked: the answer is
@@ -309,7 +307,6 @@ def apply_cap_update(node: ClusterNode, policy: CapPolicy, now_ms: float) -> boo
     ):
         return False
     node.cap_policy = policy
-    node.cap_adopted_at_ms = now_ms
     return True
 
 
@@ -358,7 +355,6 @@ def transfer(
     if n_bytes < 0:
         raise ValueError("transfer size must be nonnegative")
     transit = n_bytes / DIRECT_INTERCONNECT_BYTES_PER_MS
-    session.bandwidth_used += n_bytes
     a.chip.consume(MeterResource.INTERCONNECT_TRANSFER_BYTES, n_bytes)
     b.chip.consume(MeterResource.INTERCONNECT_TRANSFER_BYTES, n_bytes)
     return DataEvent(now_ms, a.device_id, b.device_id, n_bytes,

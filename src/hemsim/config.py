@@ -18,6 +18,10 @@ from .chipmodel import MeterResource
 RESOURCE_NAMES = tuple(r.value for r in MeterResource)
 POLICY_KINDS = ("capacitor_flush", "periodic_flush", "boot_roundup")
 TIERS = tuple(t.value for t in Tier)
+# Jitter is median * exp(sigma * z) with z from random.gauss, whose |z| never
+# exceeds sqrt(-2 ln 2**-53) ~= 8.57 in CPython; exp overflows past ~709.78,
+# so any sigma up to ~82 keeps every draw finite; 50 leaves a margin.
+JITTER_SIGMA_MAX = 50.0
 
 
 class SchemaError(ValueError):
@@ -103,7 +107,8 @@ def _validate_latency(obj: Any, path: str, strict: bool) -> dict:
                           exclusive_min=True),
         "rho": _get_num(obj, path, "rho", 1.0, minimum=1.0),
         "jitter_median_ms": _get_num(obj, path, "jitter_median_ms", 0.0, minimum=0.0),
-        "jitter_sigma": _get_num(obj, path, "jitter_sigma", 0.5, minimum=0.0),
+        "jitter_sigma": _get_num(obj, path, "jitter_sigma", 0.5, minimum=0.0,
+                                 maximum=JITTER_SIGMA_MAX),
         "fixed_overhead_ms": _get_num(obj, path, "fixed_overhead_ms", 0.0, minimum=0.0),
     }
 
@@ -239,7 +244,8 @@ def _validate_geoloc(obj: Any, path: str, strict: bool) -> dict:
         "landmarks_max": _get_int(obj, path, "landmarks_max", 9, minimum=1),
         "region": _validate_region(obj.get("region", {}), f"{path}.region", strict),
         "jitter_median_ms": _get_num(obj, path, "jitter_median_ms", 0.1, minimum=0.0),
-        "jitter_sigma": _get_num(obj, path, "jitter_sigma", 0.5, minimum=0.0),
+        "jitter_sigma": _get_num(obj, path, "jitter_sigma", 0.5, minimum=0.0,
+                                 maximum=JITTER_SIGMA_MAX),
         "fixed_overhead_ms": _get_num(obj, path, "fixed_overhead_ms", 0.5, minimum=0.0),
         "speedup_trials": _get_int(obj, path, "speedup_trials", 60, minimum=0),
         "latency_factor": _get_num(obj, path, "latency_factor", 0.5, minimum=0.0,

@@ -3,11 +3,10 @@
 Landmark servers at known positions send signed-nonce challenges to a chip
 over the simulated network and time the responses on their own clocks. A
 verified round-trip time converts to a distance upper bound (nothing rides
-the wire faster than the propagation floor), and four estimator families
-turn bounds into location regions: disk intersection, history-calibrated
-likelihood, triangle containment verification, and fault-tolerant
-intersection that survives a bounded number of lying landmarks, plus a
-residual-minimizing descent for a point estimate.
+the wire faster than the propagation floor). Two region estimators turn
+bounds into location regions: disk intersection (CBG) and a fault-tolerant
+intersection that survives a bounded number of lying landmarks. A
+residual-minimizing descent gives a point estimate.
 
 Measurements whose response signature fails verification never influence
 any estimate.
@@ -18,7 +17,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -29,6 +27,7 @@ from .netsim import (
     EARTH_RADIUS_KM,
     SPEED_OF_LIGHT_KM_S,
     GeoPoint,
+    LatencyModel,
     Network,
     Simulator,
     geodesic_distance,
@@ -37,8 +36,6 @@ from .netsim import (
 GEOLOC_RESPONSE_TAG = "geoloc-response.v1"
 
 DEFAULT_GRID_RESOLUTION_DEG = 0.25
-DEFAULT_TRIANGLE_TOLERANCE_KM = 50.0
-DEFAULT_COLLINEARITY_EPS_SR = 1e-6
 KM_PER_DEGREE = 111.32  # equatorial worst case, used for grid-cell slack
 
 
@@ -47,8 +44,7 @@ class Calibration:
     """Per-landmark delay-to-distance parameters.
 
     The sound upper-bound conversion uses kappa with unit path stretch;
-    the likelihood estimator additionally uses the calibrated stretch rho
-    and a jitter model fitted from history.
+    synthesized rounds also apply the calibrated stretch rho.
     """
 
     kappa: float = 0.67
@@ -70,7 +66,6 @@ class Landmark:
 
     id: str
     position: GeoPoint
-    honest: bool = True
     calibration: Calibration = field(default_factory=Calibration)
     misreport: Optional[Callable[[float], float]] = None
 
@@ -83,14 +78,6 @@ class Measurement:
     response_signature: Optional[bytes]
     verified: bool
     missing: bool = False
-
-    def to_record(self) -> dict:
-        return {
-            "landmark_id": self.landmark_id,
-            "rtt_ms": None if self.rtt_ms is None else round(self.rtt_ms, 9),
-            "verified": self.verified,
-            "missing": self.missing,
-        }
 
 
 def response_message(device_id: int, nonce: bytes) -> bytes:
@@ -120,7 +107,6 @@ def challenge_round(
     sign_fn: Callable[[bytes], bytes],
     registry: Registry,
     timeout_ms: float = 5000.0,
-    processing_ms: float = 0.0,
 ) -> list[Measurement]:
     """One synchronized round: every landmark challenges the chip once.
 
@@ -142,24 +128,14 @@ def challenge_round(
         except ZeroizedError:
             return
         response = _Response(challenge.landmark_id, challenge.nonce, device_id, signature)
-        if processing_ms > 0.0:
-            s.schedule(s.now + processing_ms, chip_node_id, chip_node_id, ("hold", response))
-        else:
-            s.send(net, chip_node_id, challenge.landmark_id, response)
-
-    def chip_self_handler(s: Simulator, event) -> None:
-        payload = event.payload
-        if isinstance(payload, tuple) and payload and payload[0] == "hold":
-            s.send(net, chip_node_id, payload[1].landmark_id, payload[1])
-        else:
-            chip_handler(s, event)
+        s.send(net, chip_node_id, challenge.landmark_id, response)
 
     def landmark_handler(s: Simulator, event) -> None:
         response = event.payload
         if isinstance(response, _Response):
             arrivals.setdefault(response.landmark_id, (s.now, response))
 
-    sim.register(chip_node_id, chip_self_handler)
+    sim.register(chip_node_id, chip_handler)
     for lm in landmarks:
         sim.register(lm.id, landmark_handler)
 
@@ -258,12 +234,6 @@ class GridSpec:
             return i, j
         return None
 
-    def center_of(self, i: int, j: int) -> GeoPoint:
-        return GeoPoint(
-            self.lat_min + (i + 0.5) * self.resolution_deg,
-            self.lon_min + (j + 0.5) * self.resolution_deg,
-        )
-
     def half_diagonal_km(self) -> float:
         """Worst-case distance from a cell center to its corner."""
         return self.resolution_deg * KM_PER_DEGREE * math.sqrt(2.0) / 2.0
@@ -334,10 +304,8 @@ def _haversine_km(lats_rad: np.ndarray, lons_rad: np.ndarray, position: GeoPoint
 class GeoEstimate:
     grid: GridSpec
     mask: np.ndarray
-    point_estimate: Optional[GeoPoint]
     empty: bool
     floor_violations: tuple[str, ...] = ()
-    fallback: bool = False
 
     def contains(self, point: GeoPoint) -> bool:
         """Whether the region holds the cell of `point`; False off the grid."""
@@ -392,7 +360,7 @@ def estimate_cbg(
     usable_bounds, violations = _bounds_for(measurements, landmarks)
     if not usable_bounds:
         mask = np.zeros((grid.n_lat, grid.n_lon), dtype=bool)
-        return GeoEstimate(grid, mask, None, empty=True, floor_violations=violations)
+        return GeoEstimate(grid, mask, empty=True, floor_violations=violations)
     slack = grid.half_diagonal_km()
     mask = np.ones((grid.n_lat, grid.n_lon), dtype=bool)
     i0, i1, j0, j1 = 0, grid.n_lat, 0, grid.n_lon
@@ -407,7 +375,7 @@ def estimate_cbg(
         i0, i1 = i0 + int(rows[0]), i0 + int(rows[-1]) + 1
         j0, j1 = j0 + int(cols[0]), j0 + int(cols[-1]) + 1
     empty = not bool(mask.any())
-    return GeoEstimate(grid, mask, None, empty=empty, floor_violations=violations)
+    return GeoEstimate(grid, mask, empty=empty, floor_violations=violations)
 
 
 def estimate_bft(
@@ -440,170 +408,17 @@ def estimate_bft(
         counts += grid.within_km(lm.position, bound.bound_km + slack)
     mask = counts >= (n - f)
     empty = not bool(mask.any())
-    return GeoEstimate(grid, mask, None, empty=empty, floor_violations=tuple(violations))
+    return GeoEstimate(grid, mask, empty=empty, floor_violations=tuple(violations))
 
 
 class InsufficientLandmarksError(ValueError):
     """BFT estimation needs n >= 3f + 1 landmarks."""
 
 
-# Floors for the fitted lognormal jitter model; keep degenerate (zero-jitter)
-# histories well defined.
-_RESIDUAL_FLOOR_MS = 1e-6
-_SIGMA_FLOOR = 0.05
-
-
-def _fit_history(
-    history: Sequence[tuple[float, float]], calibration: Calibration
-) -> tuple[float, float]:
-    """Fit lognormal (mu, sigma) to per-sample extra one-way delay."""
-    residuals = []
-    for rtt_ms, distance_km in history:
-        expected = distance_km * calibration.rho / calibration.speed_km_per_ms()
-        residuals.append(
-            max(rtt_ms / 2.0 - calibration.fixed_overhead_ms - expected, _RESIDUAL_FLOOR_MS)
-        )
-    logs = np.log(residuals)
-    mu = float(np.mean(logs))
-    sigma = max(float(np.std(logs)), _SIGMA_FLOOR)
-    return mu, sigma
-
-
-def estimate_likelihood(
-    measurements: Sequence[Measurement],
-    landmarks: dict[str, Landmark],
-    grid: GridSpec,
-    history: Optional[dict[str, Sequence[tuple[float, float]]]],
-) -> GeoEstimate:
-    """Maximum-likelihood cell under per-landmark calibrated jitter models.
-
-    `history` maps landmark id to (rtt_ms, true_distance_km) samples used to
-    fit each landmark's extra-delay distribution. Without history for every
-    used landmark the estimator falls back to disk intersection and says so.
-    The argmax cell is the point estimate; ties break to the lowest latitude,
-    then the lowest longitude.
-    """
-    usable = _usable(measurements)
-    if not usable:
-        mask = np.zeros((grid.n_lat, grid.n_lon), dtype=bool)
-        return GeoEstimate(grid, mask, None, empty=True)
-    if not history or any(not history.get(m.landmark_id) for m in usable):
-        est = estimate_cbg(measurements, landmarks, grid)
-        est.fallback = True
-        return est
-
-    slack = grid.half_diagonal_km()
-    score = np.zeros((grid.n_lat, grid.n_lon), dtype=np.float64)
-    violations = []
-    for m in usable:
-        lm = landmarks[m.landmark_id]
-        cal = lm.calibration
-        mu, sigma = _fit_history(history[m.landmark_id], cal)
-        distances = grid.distances_km(lm.position)
-        if m.rtt_ms / 2.0 - cal.fixed_overhead_ms < 0.0:
-            violations.append(m.landmark_id)
-            continue
-        speed = cal.speed_km_per_ms()
-        residual = m.rtt_ms / 2.0 - cal.fixed_overhead_ms - distances * cal.rho / speed
-        # Feasibility is judged at grid granularity (best case within the
-        # cell); the score itself uses the cell center.
-        residual_best = residual + slack * cal.rho / speed
-        feasible = residual_best >= 0.0
-        clipped = np.clip(residual, _RESIDUAL_FLOOR_MS, None)
-        log_r = np.log(clipped)
-        logpdf = -log_r - math.log(sigma * math.sqrt(2.0 * math.pi)) \
-            - ((log_r - mu) ** 2) / (2.0 * sigma**2)
-        score += np.where(feasible, logpdf, -np.inf)
-
-    mask = np.isfinite(score)
-    if not mask.any():
-        return GeoEstimate(grid, mask, None, empty=True, floor_violations=tuple(violations))
-    i, j = argmax_cell(score)
-    return GeoEstimate(
-        grid, mask, grid.center_of(i, j), empty=False, floor_violations=tuple(violations)
-    )
-
-
-def argmax_cell(score: np.ndarray) -> tuple[int, int]:
-    """Highest-scoring cell; ties break to the lowest row, then column."""
-    best = np.max(score[np.isfinite(score)])
-    candidates = np.argwhere(score == best)
-    return min((int(r), int(c)) for r, c in candidates)
-
-
-# -- spherical triangle verification ------------------------------------------
-
-
-def _unit_vector(p: GeoPoint) -> np.ndarray:
-    lat = math.radians(p.latitude)
-    lon = math.radians(p.longitude)
-    return np.array(
-        [math.cos(lat) * math.cos(lon), math.cos(lat) * math.sin(lon), math.sin(lat)]
-    )
-
-
-def spherical_excess_sr(a: GeoPoint, b: GeoPoint, c: GeoPoint) -> float:
-    """Solid angle of the spherical triangle, in steradians."""
-    va, vb, vc = _unit_vector(a), _unit_vector(b), _unit_vector(c)
-    numerator = abs(float(np.dot(va, np.cross(vb, vc))))
-    denominator = 1.0 + float(np.dot(va, vb)) + float(np.dot(vb, vc)) + float(np.dot(vc, va))
-    return 2.0 * math.atan2(numerator, denominator)
-
-
-def point_in_spherical_triangle(p: GeoPoint, a: GeoPoint, b: GeoPoint, c: GeoPoint) -> bool:
-    """Same-hemisphere test against each edge's great circle.
-
-    Well defined for triangles contained in a hemisphere, which covers any
-    realistic landmark geometry (continental scale at most).
-    """
-    vp = _unit_vector(p)
-    va, vb, vc = _unit_vector(a), _unit_vector(b), _unit_vector(c)
-    for v1, v2, opposite in ((va, vb, vc), (vb, vc, va), (vc, va, vb)):
-        normal = np.cross(v1, v2)
-        side_p = float(np.dot(normal, vp))
-        side_ref = float(np.dot(normal, opposite))
-        if side_p * side_ref < 0.0:
-            return False
-    return True
-
-
-class TriangleVerdict(Enum):
-    INSIDE = "inside"
-    OUTSIDE = "outside"
-    INDETERMINATE = "indeterminate"
-
-
-def verify_triangle(
-    measurements: Sequence[Measurement],
-    landmarks: dict[str, Landmark],
-    claimed: GeoPoint,
-    tolerance_km: float = DEFAULT_TRIANGLE_TOLERANCE_KM,
-    collinearity_eps_sr: float = DEFAULT_COLLINEARITY_EPS_SR,
-) -> TriangleVerdict:
-    """Check a claimed location against three landmarks.
-
-    Inside requires both spherical containment in the landmark triangle and
-    every distance bound consistent with the claimed point within tolerance.
-    Collinear landmarks cannot decide and return indeterminate.
-    """
-    usable = _usable(measurements)
-    if len(usable) != 3:
-        raise ValueError("triangle verification needs exactly 3 verified measurements")
-    lms = [landmarks[m.landmark_id] for m in usable]
-    if spherical_excess_sr(*(lm.position for lm in lms)) < collinearity_eps_sr:
-        return TriangleVerdict.INDETERMINATE
-    if not point_in_spherical_triangle(claimed, *(lm.position for lm in lms)):
-        return TriangleVerdict.OUTSIDE
-    for m, lm in zip(usable, lms):
-        bound = delay_to_distance(m, lm.calibration)
-        if bound.floor_violation:
-            return TriangleVerdict.OUTSIDE
-        if geodesic_distance(claimed, lm.position) > bound.bound_km + tolerance_km:
-            return TriangleVerdict.OUTSIDE
-    return TriangleVerdict.INSIDE
-
-
 # -- descent ------------------------------------------------------------------
+
+DESCENT_MAX_ITERATIONS = 500
+DESCENT_STEP_TOLERANCE_DEG = 1e-6
 
 
 @dataclass(frozen=True)
@@ -656,11 +471,7 @@ def descent_objective_and_gradient(
 
 
 def _descend_from(
-    start: GeoPoint,
-    targets: Sequence[tuple[GeoPoint, float]],
-    max_iterations: int,
-    step_tolerance_deg: float,
-    label: str,
+    start: GeoPoint, targets: Sequence[tuple[GeoPoint, float]], label: str
 ) -> DescentResult:
     lat, lon = start.latitude, start.longitude
     f, g_lat, g_lon = descent_objective_and_gradient(lat, lon, targets)
@@ -668,7 +479,7 @@ def _descend_from(
     status = "max_iterations"
     converged = False
     iterations = 0
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, DESCENT_MAX_ITERATIONS + 1):
         g_norm = math.hypot(g_lat, g_lon)
         if g_norm == 0.0:
             status, converged = "stationary", True
@@ -676,7 +487,7 @@ def _descend_from(
         d_lat, d_lon = -g_lat / g_norm, -g_lon / g_norm
         improved = False
         t = step_deg
-        while t >= step_tolerance_deg / 4.0:
+        while t >= DESCENT_STEP_TOLERANCE_DEG / 4.0:
             new_lat = min(max(lat + t * d_lat, -90.0), 90.0)
             new_lon = lon + t * d_lon
             new_f, new_g_lat, new_g_lon = descent_objective_and_gradient(new_lat, new_lon, targets)
@@ -689,9 +500,9 @@ def _descend_from(
             # Full backtracking sweep failed to decrease: either converged
             # to numerical precision or genuinely stuck; report it.
             status = "no_descent_step"
-            converged = f < 1e-9 or g_norm * step_tolerance_deg < 1e-9
+            converged = f < 1e-9 or g_norm * DESCENT_STEP_TOLERANCE_DEG < 1e-9
             break
-        if t < step_tolerance_deg:
+        if t < DESCENT_STEP_TOLERANCE_DEG:
             status, converged = "step_tolerance", True
             break
         step_deg = min(t * 2.0, 8.0)
@@ -742,9 +553,6 @@ def estimate_descent(
     measurements: Sequence[Measurement],
     landmarks: dict[str, Landmark],
     init: GeoPoint,
-    max_iterations: int = 500,
-    step_tolerance_deg: float = 1e-6,
-    multistart: bool = True,
 ) -> DescentResult:
     """Minimize squared distance residuals by backtracking gradient descent.
 
@@ -765,17 +573,15 @@ def estimate_descent(
         bound = delay_to_distance(m, lm.calibration)
         targets.append((lm.position, bound.bound_km))
 
-    best = _descend_from(init, targets, max_iterations, step_tolerance_deg, "init")
-    if multistart:
-        centroid = GeoPoint(
-            sum(pos.latitude for pos, _ in targets) / len(targets),
-            sum(pos.longitude for pos, _ in targets) / len(targets),
-        )
-        starts = [(centroid, "centroid"), (_coarse_scan_start(targets), "coarse_scan")]
-        for start, label in starts:
-            candidate = _descend_from(start, targets, max_iterations, step_tolerance_deg, label)
-            if candidate.objective_km2 < best.objective_km2 - 1e-12:
-                best = candidate
+    best = _descend_from(init, targets, "init")
+    centroid = GeoPoint(
+        sum(pos.latitude for pos, _ in targets) / len(targets),
+        sum(pos.longitude for pos, _ in targets) / len(targets),
+    )
+    for start, label in ((centroid, "centroid"), (_coarse_scan_start(targets), "coarse_scan")):
+        candidate = _descend_from(start, targets, label)
+        if candidate.objective_km2 < best.objective_km2 - 1e-12:
+            best = candidate
     return best
 
 
@@ -792,24 +598,19 @@ def synthesize_round(
 ) -> list[Measurement]:
     """Closed-form honest measurements for estimator studies.
 
-    Same physics as the event-driven path (two legs, lognormal jitter per
-    leg, per-landmark calibrated overhead) without simulator bookkeeping;
+    Same physics as the event-driven path without simulator bookkeeping:
+    each leg of the round trip is one `LatencyModel.sample_one_way_delay`
+    draw under the landmark's calibration and the given lognormal jitter.
     `speedup` maps landmark ids to a round-trip multiplier for
     response-time attacks.
     """
     measurements = []
     for lm in landmarks:
+        cal = lm.calibration
+        model = LatencyModel(kappa=cal.kappa, rho=cal.rho, jitter_median_ms=jitter_median_ms,
+                             jitter_sigma=jitter_sigma, fixed_overhead_ms=cal.fixed_overhead_ms)
         distance = geodesic_distance(truth, lm.position)
-        rtt = 0.0
-        for _ in range(2):
-            jitter = 0.0
-            if jitter_median_ms > 0.0:
-                jitter = jitter_median_ms * math.exp(jitter_sigma * rng.gauss(0.0, 1.0))
-            rtt += (
-                distance * lm.calibration.rho / lm.calibration.speed_km_per_ms()
-                + lm.calibration.fixed_overhead_ms
-                + jitter
-            )
+        rtt = model.sample_one_way_delay(distance, rng) + model.sample_one_way_delay(distance, rng)
         if speedup and lm.id in speedup:
             rtt *= speedup[lm.id]
         measurements.append(

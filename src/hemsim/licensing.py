@@ -23,7 +23,7 @@ from enum import Enum
 from typing import Optional
 
 from . import canon
-from .chipmodel import ChipState, ConsumeResult, MeterResource, Throttle, ThrottleLevel
+from .chipmodel import ChipState, ConsumeResult, MeterResource, ThrottleLevel
 
 LICENSE_TAG = "license.v1"
 
@@ -172,24 +172,24 @@ def install(chip: ChipState, lic: License, now_ms: float) -> InstallResult:
     chip.active_license = lic
     # Quota accounting restarts here: unused quota does not carry over.
     chip.license_baseline = dict(chip.meters.volatile)
-    chip.throttle = Throttle.full()
+    chip.throttle = ThrottleLevel.FULL
     return InstallResult(True)
 
 
-def enforce(chip: ChipState) -> Throttle:
+def enforce(chip: ChipState) -> ThrottleLevel:
     """Recompute the throttle from license state; call after consume/install.
 
     With no valid quota left the chip is disabled.
     """
     lic: Optional[License] = chip.active_license  # type: ignore[assignment]
     if chip.zeroized or lic is None:
-        chip.throttle = Throttle.disabled()
+        chip.throttle = ThrottleLevel.DISABLED
         return chip.throttle
     for resource, quota in lic.quotas:
         if chip.consumed_since_install(resource) >= quota:
-            chip.throttle = Throttle.disabled()
+            chip.throttle = ThrottleLevel.DISABLED
             return chip.throttle
-    chip.throttle = Throttle.full()
+    chip.throttle = ThrottleLevel.FULL
     return chip.throttle
 
 
@@ -197,7 +197,7 @@ def enforce(chip: ChipState) -> Throttle:
 class ConsumeOutcome:
     applied: bool
     reason: Optional[str]
-    throttle_after: Throttle
+    throttle_after: ThrottleLevel
 
 
 def metered_consume(
@@ -211,7 +211,7 @@ def metered_consume(
     meter does not move and the caller sees the reason. Requests landing
     exactly on the boundary apply, after which enforcement throttles.
     """
-    if chip.throttle.level is ThrottleLevel.DISABLED:
+    if chip.throttle is ThrottleLevel.DISABLED:
         return ConsumeOutcome(False, "throttled", chip.throttle)
     lic: Optional[License] = chip.active_license  # type: ignore[assignment]
     if lic is not None:

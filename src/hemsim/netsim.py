@@ -7,7 +7,8 @@ fall below the straight-line propagation floor unless an adversary delay
 hook explicitly rewrites them, in which case the delivered event is marked.
 
 A `Simulator` instance owns one seeded RNG and one event heap; replaying
-the same scenario with the same seed yields a byte-identical event log.
+the same scenario with the same seed delivers the same events in the same
+order.
 """
 
 from __future__ import annotations
@@ -182,7 +183,6 @@ class Simulator:
     def __init__(self, seed: int = 0):
         self.now: float = 0.0
         self.rng = random.Random(seed)
-        self.log: list[Event] = []
         self._heap: list[_Scheduled] = []
         self._next_delivery_id = 0
         self._handlers: dict[str, Handler] = {}
@@ -231,7 +231,6 @@ class Simulator:
         while self._heap and self._heap[0].time <= time:
             item = heapq.heappop(self._heap)
             self.now = max(self.now, item.time)
-            self.log.append(item.event)
             processed.append(item.event)
             handler = self._handlers.get(item.event.destination)
             if handler is not None:

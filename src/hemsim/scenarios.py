@@ -42,7 +42,6 @@ from .chipmodel import (
     PersistencePolicy,
     PolicyKind,
     Registry,
-    Throttle,
     ThrottleLevel,
     provision_chip,
 )
@@ -62,6 +61,7 @@ from .geoloc import (
     Calibration,
     GridSpec,
     InsufficientLandmarksError,
+    KM_PER_DEGREE,
     Landmark,
     Measurement,
     estimate_bft,
@@ -201,12 +201,12 @@ def run_licensing_section(section: dict, fleet: dict, seed: int) -> SectionResul
     lic = issuer.issue(chip.identity.device_id, {resource: quota})
     install(chip, lic, now_ms=10_000.0)
     near = metered_consume(chip, resource, quota - 1)
-    at_boundary_full = chip.throttle.level is ThrottleLevel.FULL
+    at_boundary_full = chip.throttle is ThrottleLevel.FULL
     last = metered_consume(chip, resource, 1)
-    disabled_after = last.throttle_after.level is ThrottleLevel.DISABLED
+    disabled_after = last.throttle_after is ThrottleLevel.DISABLED
     renewal = issuer.issue(chip.identity.device_id, {resource: quota})
     install(chip, renewal, now_ms=10_001.0)
-    renewed_full = chip.throttle.level is ThrottleLevel.FULL
+    renewed_full = chip.throttle is ThrottleLevel.FULL
     lifecycle_ok = (near.applied and at_boundary_full and last.applied
                     and disabled_after and renewed_full)
     result.records.append({
@@ -243,7 +243,7 @@ def run_cluster_section(section: dict, seed: int) -> SectionResult:
     nodes: list[ClusterNode] = []
     for _ in range(section["chips"]):
         chip = provision_chip(rng, frozenset({regulator.public_bytes}))
-        chip.throttle = Throttle.full()
+        chip.throttle = ThrottleLevel.FULL
         registry.enroll(chip)
         nodes.append(ClusterNode(chip=chip))
     peers = {n.device_id: n for n in nodes}
@@ -252,7 +252,7 @@ def run_cluster_section(section: dict, seed: int) -> SectionResult:
     cap = section["cap"]
     policy = issue_cap_policy(regulator, cap, epoch, check_period)
     for node in nodes:
-        apply_cap_update(node, policy, now_ms=0.0)
+        apply_cap_update(node, policy)
     adopted_at = 0.0  # every node adopts each policy at the same instant
 
     churn = section["churn_events"]
@@ -300,11 +300,11 @@ def run_cluster_section(section: dict, seed: int) -> SectionResult:
             cap = rng.randrange(0, cap)
             lowered = issue_cap_policy(regulator, cap, epoch, check_period)
             for node in nodes:
-                apply_cap_update(node, lowered, now_ms=now)
+                apply_cap_update(node, lowered)
                 recount(node)
             adopted_at = now
             replay = issue_cap_policy(regulator, cap + 8, epoch - 1, check_period)
-            if not any(apply_cap_update(node, replay, now_ms=now) for node in nodes):
+            if not any(apply_cap_update(node, replay) for node in nodes):
                 stats["replays_rejected"] += 1
             stats["lowerings"] += 1
             next_check = next_check_ms()
@@ -478,7 +478,7 @@ def run_geoloc_section(section: dict, seed: int) -> SectionResult:
         init = _random_truth(rng, region)
         res = estimate_descent(ms, {lm.id: lm for lm in landmarks}, init)
         err_km = geodesic_distance(res.point, truth)
-        ok = err_km <= grid.resolution_deg * 111.32
+        ok = err_km <= grid.resolution_deg * KM_PER_DEGREE
         recovered += ok
         result.records.append({"event": "descent_trial", "trial": trial,
                                "error_km": round(err_km, 6), "recovered": ok})
@@ -502,7 +502,7 @@ def run_attest_section(section: dict, seed: int) -> SectionResult:
     chips = []
     for _ in range(section["chips"]):
         chip = provision_chip(rng, frozenset({issuer.public_bytes}))
-        chip.throttle = Throttle.full()
+        chip.throttle = ThrottleLevel.FULL
         registry.enroll(chip)
         chips.append(chip)
 
@@ -533,7 +533,7 @@ def run_attest_section(section: dict, seed: int) -> SectionResult:
 
     if section["rollback_demo"]:
         chip = provision_chip(rng, frozenset({issuer.public_bytes}))
-        chip.throttle = Throttle.full()
+        chip.throttle = ThrottleLevel.FULL
         registry.enroll(chip)
         snaps = []
         for seq in range(4):

@@ -25,7 +25,7 @@ from hemsim.chipmodel import (
     MeterResource,
     PersistencePolicy,
     PolicyKind,
-    Throttle,
+    ThrottleLevel,
     provision_chip,
 )
 from hemsim.config import validate_config
@@ -93,7 +93,7 @@ class TestAcceptance:
                 rng = random.Random(f"{kind.value}:{trial}")
                 chip = provision_chip(rng, frozenset({issuer_key.public_bytes}),
                                       policy=policy)
-                chip.throttle = Throttle.full()
+                chip.throttle = ThrottleLevel.FULL
                 # External oracle state, recomputed independently of MeterBank.
                 true_consumed = 0
                 model_volatile = 0

@@ -22,7 +22,7 @@ from hemsim.attest import (
 from hemsim.chipmodel import (
     MeterResource,
     Registry,
-    Throttle,
+    ThrottleLevel,
     ZeroizedError,
     provision_chip,
 )
@@ -36,7 +36,7 @@ def fleet():
     chips = []
     for _ in range(4):
         chip = provision_chip(rng, frozenset({issuer.public_bytes}))
-        chip.throttle = Throttle.full()
+        chip.throttle = ThrottleLevel.FULL
         registry.enroll(chip)
         chips.append(chip)
     return rng, registry, chips
@@ -127,7 +127,7 @@ class TestVerifyChain:
     def test_unknown_device_unverifiable_and_excluded(self, fleet):
         rng, registry, chips = fleet
         stranger = provision_chip(rng, frozenset())
-        stranger.throttle = Throttle.full()
+        stranger.throttle = ThrottleLevel.FULL
         stranger.consume(MeterResource.FLOAT_OPS, 999)
         snaps = [emit_snapshot(stranger, 0), emit_snapshot(stranger, 1)]
         report = verify_chain({stranger.identity.device_id: snaps}, registry)
@@ -143,8 +143,6 @@ class TestVerifyChain:
         snaps.append(emit_snapshot(chip, 2))  # sequence 1 missing
         report = verify_chain({chip.identity.device_id: snaps}, registry)
         assert report.device_results[0].status is DeviceStatus.SEQUENCE_GAP
-        tolerant = verify_chain({chip.identity.device_id: snaps}, registry, gap_tolerance=1)
-        assert tolerant.device_results[0].status is DeviceStatus.VERIFIED
 
     def test_report_is_stable(self, fleet):
         _, registry, chips = fleet

@@ -8,15 +8,12 @@ from hemsim import canon
 from hemsim.chipmodel import (
     ChipState,
     ConsumeResult,
-    CounterExhaustedError,
     MeterResource,
     PersistencePolicy,
     PolicyKind,
     Registry,
     RtcClock,
     ThrottleLevel,
-    Throttle,
-    UnaryCounter,
     ZeroizedError,
     extract_signing_oracle,
     provision_chip,
@@ -35,7 +32,7 @@ def issuer_key(rng):
 
 def make_chip(rng, issuer_key, policy=None) -> ChipState:
     chip = provision_chip(rng, frozenset({issuer_key.public_bytes}), policy=policy)
-    chip.throttle = Throttle.full()  # most component tests bypass licensing
+    chip.throttle = ThrottleLevel.FULL  # most component tests bypass licensing
     return chip
 
 
@@ -107,7 +104,7 @@ class TestConsume:
 
     def test_disabled_throttle_reports_throttled(self, rng, issuer_key):
         chip = make_chip(rng, issuer_key)
-        chip.throttle = Throttle.disabled()
+        chip.throttle = ThrottleLevel.DISABLED
         assert chip.consume(MeterResource.CLOCK_CYCLES, 50) is ConsumeResult.THROTTLED
         assert chip.meter_value(MeterResource.CLOCK_CYCLES) == 0
 
@@ -115,12 +112,6 @@ class TestConsume:
         chip = make_chip(rng, issuer_key)
         with pytest.raises(ValueError):
             chip.consume(MeterResource.JOULES, -1)
-
-    def test_reduced_throttle_still_meters(self, rng, issuer_key):
-        chip = make_chip(rng, issuer_key)
-        chip.throttle = Throttle.reduced(0.1)
-        assert chip.consume(MeterResource.CLOCK_CYCLES, 10) is ConsumeResult.APPLIED
-        assert chip.meter_value(MeterResource.CLOCK_CYCLES) == 10
 
 
 class TestPersistencePolicies:
@@ -207,35 +198,13 @@ class TestRtcAndUnaryCounter:
         rtc = RtcClock(epoch_ms=0.0, drift_ppm=50.0)
         assert rtc.read(1_000_000.0) == pytest.approx(1_000_050.0)
 
-    def test_unary_counter_exact_across_power_cuts(self, rng, issuer_key):
-        chip = make_chip(rng, issuer_key)
-        for _ in range(5):
-            chip.license_counter.increment()
-            chip.power_loss(at_ms=chip.clock_ms + 1.0)
-            chip.power_on(at_ms=chip.clock_ms + 2.0)
-        assert chip.license_counter.count == 5
-
-    def test_unary_counter_capacity_exhaustion(self):
-        counter = UnaryCounter(capacity=64)
-        for _ in range(64):
-            counter.increment()
-        with pytest.raises(CounterExhaustedError):
-            counter.increment()
-
-    def test_named_unary_counters_independent(self, rng, issuer_key):
-        chip = make_chip(rng, issuer_key)
-        assert chip.unary_count_increment("attest_epochs") == 1
-        assert chip.unary_count_increment("attest_epochs") == 2
-        assert chip.unary_count_increment("license_activations") == 1
-        assert chip.license_counter.count == 1
-
 
 class TestTamper:
     def test_detected_breach_zeroizes(self, rng, issuer_key):
         chip = make_chip(rng, issuer_key)
         record = chip.tamper_event("enclosure_breach")
         assert record.detected and chip.zeroized
-        assert chip.throttle.level is ThrottleLevel.DISABLED
+        assert chip.throttle is ThrottleLevel.DISABLED
         with pytest.raises(ZeroizedError):
             chip.sign(b"post-breach")
 
@@ -261,8 +230,7 @@ class TestRegistry:
         for chip in chips:
             registry.enroll(chip)
         for chip in chips:
-            assert chip.identity.device_id in registry
+            assert registry.public_key(chip.identity.device_id) is not None
             assert registry.public_key(chip.identity.device_id) == chip.public_key
         unknown = max(c.identity.device_id for c in chips) + 1
-        assert unknown not in registry
         assert registry.public_key(unknown) is None

@@ -12,10 +12,14 @@ import pytest
 import hemsim
 from hemsim import canon, cli
 from hemsim.cli import main
-from hemsim.config import SchemaError, validate_config
+from hemsim.config import JITTER_SIGMA_MAX, SchemaError, validate_config
 from hemsim.scenarios import BUNDLED_SCENARIOS, execute_scenario
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
+SMALL_GEOLOC = {"trials": 3, "speedup_trials": 2, "descent_trials": 1, "bft": {"trials": 2}}
+
+THREE_NODES = [{"id": "a", "lat": 0, "lon": 0}, {"id": "b", "lat": 10, "lon": 10},
+               {"id": "c", "lat": -10, "lon": 40}]
 
 
 def _run_cli_process(args: list[str], hash_seed: str = "0") -> subprocess.CompletedProcess:
@@ -176,6 +180,10 @@ class TestCli:
                      "region": {"lat_min": 0, "lat_max": 14, "lon_min": 0, "lon_max": 14,
                                 "resolution_deg": 10}}},  # one 10-degree cell: truths off it
          "config.geoloc.region.resolution_deg"),
+        ({"geoloc": {**SMALL_GEOLOC, "jitter_sigma": 1000}}, "config.geoloc.jitter_sigma"),
+        ({"network": {"nodes": THREE_NODES, "default_latency": {"jitter_median_ms": 1,
+                                                            "jitter_sigma": 50.001}}},
+         "config.network.default_latency.jitter_sigma"),
     ])
     def test_out_of_domain_value_is_a_schema_error(self, tmp_path, capsys, sections, path):
         config = tmp_path / "range.json"
@@ -192,6 +200,16 @@ class TestCli:
         config = tmp_path / "edge.json"
         config.write_text(json.dumps({"name": "e", "seed": 1, **sections}))
         assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 0
+
+    @pytest.mark.parametrize("sections", [
+        {"geoloc": {**SMALL_GEOLOC, "jitter_sigma": JITTER_SIGMA_MAX}},
+        {"network": {"nodes": THREE_NODES, "default_latency": {"jitter_median_ms": 1,
+                                                           "jitter_sigma": JITTER_SIGMA_MAX}}},
+    ])
+    def test_jitter_sigma_at_the_cap_reaches_a_verdict(self, tmp_path, sections):
+        config = tmp_path / "sigma.json"
+        config.write_text(json.dumps({"name": "j", "seed": 1, **sections}))
+        assert main(["run", str(config), "--out", str(tmp_path / "out")]) in (0, 1)
 
     def test_uncaught_exception_exits_three_with_one_line(self, tmp_path, capsys,
                                                           monkeypatch):

@@ -14,7 +14,7 @@ from hemsim.chipmodel import (
     ChipState,
     MeterResource,
     Registry,
-    Throttle,
+    ThrottleLevel,
     provision_chip,
 )
 from hemsim.cluster import (
@@ -48,17 +48,17 @@ def world():
     nodes = {}
     for _ in range(6):
         chip = provision_chip(rng, frozenset({regulator.public_bytes}))
-        chip.throttle = Throttle.full()
+        chip.throttle = ThrottleLevel.FULL
         registry.enroll(chip)
         node = ClusterNode(chip=chip)
         nodes[node.device_id] = node
     return rng, regulator, registry, nodes
 
 
-def adopt_caps(regulator, nodes, cap, epoch=0, check_period_ms=60_000.0, now=0.0):
+def adopt_caps(regulator, nodes, cap, epoch=0, check_period_ms=60_000.0):
     policy = issue_cap_policy(regulator, cap, epoch, check_period_ms)
     for node in nodes.values():
-        assert apply_cap_update(node, policy, now_ms=now)
+        assert apply_cap_update(node, policy)
     return policy
 
 
@@ -283,16 +283,15 @@ class TestCapRegime:
     def test_stale_epoch_refused_without_verify(self, world, crypto_calls):
         rng, regulator, _, nodes = world
         node = nodes[sorted(nodes)[0]]
-        assert apply_cap_update(node, issue_cap_policy(regulator, cap=4, cap_epoch=3),
-                                now_ms=0.0)
+        assert apply_cap_update(node, issue_cap_policy(regulator, cap=4, cap_epoch=3))
         crypto_calls.update(verify=0)
         for stale_epoch in (0, 3):
             stale = issue_cap_policy(regulator, cap=64, cap_epoch=stale_epoch)
-            assert not apply_cap_update(node, stale, now_ms=1.0)
+            assert not apply_cap_update(node, stale)
         assert crypto_calls["verify"] == 0
         rogue = canon.generate_keypair(rng.randbytes(32))
         forged = issue_cap_policy(rogue, cap=64, cap_epoch=4)
-        assert not apply_cap_update(node, forged, now_ms=2.0)
+        assert not apply_cap_update(node, forged)
         assert crypto_calls["verify"] == len(node.chip.identity.issuer_keys)
         assert node.adopted_cap() == 4
         assert node.cap_policy.cap_epoch == 3
@@ -303,7 +302,7 @@ class TestCapRegime:
         node = nodes[sorted(nodes)[0]]
         rogue = canon.generate_keypair(rng.randbytes(32))
         forged = issue_cap_policy(rogue, cap=64, cap_epoch=5)
-        assert not apply_cap_update(node, forged, now_ms=10.0)
+        assert not apply_cap_update(node, forged)
         assert node.adopted_cap() == 2
 
     def test_replayed_lower_epoch_rejected(self, world):
@@ -311,9 +310,9 @@ class TestCapRegime:
         node = nodes[sorted(nodes)[0]]
         old = issue_cap_policy(regulator, cap=16, cap_epoch=0)
         new = issue_cap_policy(regulator, cap=4, cap_epoch=1)
-        assert apply_cap_update(node, old, now_ms=0.0)
-        assert apply_cap_update(node, new, now_ms=1.0)
-        assert not apply_cap_update(node, old, now_ms=2.0)
+        assert apply_cap_update(node, old)
+        assert apply_cap_update(node, new)
+        assert not apply_cap_update(node, old)
         assert node.adopted_cap() == 4
 
     def test_lowering_tears_down_newest_first_within_one_period(self, world):
@@ -329,7 +328,7 @@ class TestCapRegime:
         assert hub.open_session_count() == 5
 
         lowered = issue_cap_policy(regulator, cap=2, cap_epoch=1, check_period_ms=100.0)
-        assert apply_cap_update(hub, lowered, now_ms=10.0)
+        assert apply_cap_update(hub, lowered)
         assert hub.open_session_count() == 5  # grace until the next check
 
         closed = run_due_checks(hub, 110.0, {n.device_id: n for n in nodes.values()})
@@ -351,7 +350,7 @@ class TestCapRegime:
         for i, peer in enumerate(ids[1:5]):
             handshake(float(i), hub, nodes[peer], CapRegime(), registry, rng, alloc)
         lowered = issue_cap_policy(regulator, cap=1, cap_epoch=1, check_period_ms=100.0)
-        apply_cap_update(hub, lowered, now_ms=50.0)
+        apply_cap_update(hub, lowered)
         peers = {n.device_id: n for n in nodes.values()}
         # Jump far ahead; the backlog of check instants still runs punctually.
         closed = run_due_checks(hub, 1000.0, peers)
@@ -368,7 +367,7 @@ class TestCapPolicySignature:
     CHIP = provision_chip(_rng, frozenset({REGULATOR.public_bytes}))
 
     def _adopts(self, policy: CapPolicy) -> bool:
-        return apply_cap_update(ClusterNode(chip=self.CHIP), policy, now_ms=0.0)
+        return apply_cap_update(ClusterNode(chip=self.CHIP), policy)
 
     @pytest.mark.parametrize("signed_period, enforced_period", [
         (60_000.2, 60_000.9),  # the same whole milliseconds

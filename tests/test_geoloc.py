@@ -15,19 +15,13 @@ from hemsim.geoloc import (
     InsufficientLandmarksError,
     Landmark,
     Measurement,
-    TriangleVerdict,
-    argmax_cell,
     challenge_round,
     delay_to_distance,
     descent_objective_and_gradient,
     estimate_bft,
     estimate_cbg,
     estimate_descent,
-    estimate_likelihood,
-    point_in_spherical_triangle,
-    spherical_excess_sr,
     synthesize_round,
-    verify_triangle,
     _coarse_scan_start,
 )
 from hemsim.netsim import (
@@ -41,6 +35,12 @@ from hemsim.netsim import (
 )
 
 C_KM_S = 299792.458
+
+
+def _center(grid: GridSpec, i: int, j: int) -> GeoPoint:
+    """Center of cell (i, j), which lies off the grid for an index out of range."""
+    return GeoPoint(grid.lat_min + (i + 0.5) * grid.resolution_deg,
+                    grid.lon_min + (j + 0.5) * grid.resolution_deg)
 
 
 def make_world(landmark_positions, chip_position, jitter_median=0.0, jitter_sigma=0.5,
@@ -227,24 +227,17 @@ class TestCBG:
         est = estimate_cbg(ms, lms, GRID)
         assert est.empty and est.inconsistent
 
-    def test_measurement_record_fields(self):
-        m = Measurement("lm0", 12.3456789, b"n", b"s", verified=True)
-        record = m.to_record()
-        assert record == {"landmark_id": "lm0", "rtt_ms": 12.3456789,
-                          "verified": True, "missing": False}
-
 
 class TestGridCells:
     def test_all_true_mask_does_not_contain_points_off_the_grid(self):
         grid = GridSpec(0.0, 10.0, 20.0, 30.0, 0.5)
-        est = GeoEstimate(grid, np.ones((grid.n_lat, grid.n_lon), dtype=bool), None,
-                          empty=False)
-        inside = [grid.center_of(i, j) for i in (0, 7, grid.n_lat - 1)
+        est = GeoEstimate(grid, np.ones((grid.n_lat, grid.n_lon), dtype=bool), empty=False)
+        inside = [_center(grid, i, j) for i in (0, 7, grid.n_lat - 1)
                   for j in (0, 9, grid.n_lon - 1)] + [GeoPoint(0.0, 20.0)]
         assert all(est.contains(p) for p in inside)
-        one_cell_out = [grid.center_of(-1, 4), grid.center_of(grid.n_lat, 4),
-                        grid.center_of(4, -1), grid.center_of(4, grid.n_lon),
-                        grid.center_of(-1, -1), grid.center_of(grid.n_lat, grid.n_lon)]
+        one_cell_out = [_center(grid, -1, 4), _center(grid, grid.n_lat, 4),
+                        _center(grid, 4, -1), _center(grid, 4, grid.n_lon),
+                        _center(grid, -1, -1), _center(grid, grid.n_lat, grid.n_lon)]
         for p in one_cell_out:
             assert grid.cell_of(p) is None
             assert not est.contains(p)
@@ -329,7 +322,7 @@ class TestWithinKmExactness:
                             lon_min, lon_min + rng.uniform(2.0, 20.0), resolution)
             window = self._window(rng, grid)
             if trial % 3 == 0:  # on a cell center: one distance is exactly 0
-                position = grid.center_of(rng.randrange(grid.n_lat), rng.randrange(grid.n_lon))
+                position = _center(grid, rng.randrange(grid.n_lat), rng.randrange(grid.n_lon))
             elif trial % 3 == 1:
                 position = GeoPoint(
                     rng.uniform(max(grid.lat_min - 10.0, -90.0), min(grid.lat_max + 10.0, 90.0)),
@@ -353,161 +346,36 @@ class TestWithinKmExactness:
         assert cases > 3000
 
 
-class TestLikelihood:
-    def _history_for(self, rng, lm, jitter_median, jitter_sigma, samples=60):
-        history = []
-        for _ in range(samples):
-            d = rng.uniform(50.0, 2500.0)
-            rtt = 0.0
-            for _ in range(2):
-                jitter = 0.0
-                if jitter_median > 0.0:
-                    jitter = jitter_median * math.exp(jitter_sigma * rng.gauss(0.0, 1.0))
-                rtt += d / lm.calibration.speed_km_per_ms() \
-                    + lm.calibration.fixed_overhead_ms + jitter
-            history.append((rtt, d))
-        return history
-
-    def test_zero_jitter_history_argmax_is_true_cell(self):
-        rng = random.Random(12)
-        positions = [GeoPoint(0, 0), GeoPoint(0, 20), GeoPoint(20, 10)]
-        lms = honest_landmarks(positions)
-        truth = GRID.center_of(*GRID.cell_of(GeoPoint(9.1, 7.3)))  # snap to a cell center
-        ms = synthesize_round(rng, list(lms.values()), truth, 0.0, 0.5)
-        history = {lm_id: self._history_for(rng, lm, 0.0, 0.5) for lm_id, lm in lms.items()}
-        est = estimate_likelihood(ms, lms, GRID, history)
-        assert not est.fallback
-        assert GRID.cell_of(est.point_estimate) == GRID.cell_of(truth)
-
-    def test_symmetric_geometry_estimate_on_bisector(self):
-        rng = random.Random(12)
-        # Landmarks mirrored across lon = 10; grid centers include that column.
-        grid = GridSpec(lat_min=-5.0, lat_max=25.0, lon_min=-5.125, lon_max=25.125,
-                        resolution_deg=0.25)
-        positions = [GeoPoint(0.0, 0.0), GeoPoint(0.0, 20.0)]
-        lms = honest_landmarks(positions)
-        truth = GeoPoint(10.125, 10.0)  # on the perpendicular bisector
-        ms = synthesize_round(rng, list(lms.values()), truth, 0.0, 0.5)
-        assert ms[0].rtt_ms == pytest.approx(ms[1].rtt_ms)
-        history = {lm_id: self._history_for(rng, lm, 0.0, 0.5) for lm_id, lm in lms.items()}
-        est = estimate_likelihood(ms, lms, grid, history)
-        # Perpendicular bisector of the landmark pair is the lon = 10 line.
-        assert est.point_estimate.longitude == pytest.approx(10.0)
-
-    def test_argmax_invariant_under_uniform_scaling(self):
-        rng = np.random.default_rng(5)
-        score = rng.normal(size=(40, 40))
-        assert argmax_cell(score) == argmax_cell(score + 123.456)
-
-    def test_empty_history_falls_back_to_cbg(self):
-        rng = random.Random(12)
-        positions = [GeoPoint(0, 0), GeoPoint(0, 20), GeoPoint(20, 10)]
-        lms = honest_landmarks(positions)
-        truth = GeoPoint(9.0, 7.0)
-        ms = synthesize_round(rng, list(lms.values()), truth, 0.1, 0.5)
-        est = estimate_likelihood(ms, lms, GRID, history=None)
-        assert est.fallback
-        cbg = estimate_cbg(ms, lms, GRID)
-        assert np.array_equal(est.mask, cbg.mask)
-
-    def test_point_estimate_lies_inside_region(self):
-        rng = random.Random(30)
-        positions = [GeoPoint(0, 0), GeoPoint(0, 20), GeoPoint(20, 10)]
-        lms = honest_landmarks(positions)
-        truth = GeoPoint(7.0, 11.0)
-        ms = synthesize_round(rng, list(lms.values()), truth, 0.3, 0.5)
-        history = {lm_id: self._history_for(rng, lm, 0.3, 0.5) for lm_id, lm in lms.items()}
-        est = estimate_likelihood(ms, lms, GRID, history)
-        assert est.point_estimate is not None
-        assert est.contains(est.point_estimate)
-
-
-def winding_number_inside(p: GeoPoint, a: GeoPoint, b: GeoPoint, c: GeoPoint) -> bool:
-    """Brute-force oracle: winding of the triangle boundary around p."""
-
-    def unit(g):
-        lat, lon = math.radians(g.latitude), math.radians(g.longitude)
-        return np.array([math.cos(lat) * math.cos(lon),
-                         math.cos(lat) * math.sin(lon),
-                         math.sin(lat)])
-
-    vp = unit(p)
-    up = np.array([0.0, 0.0, 1.0])
-    east = np.cross(up, vp)
-    norm = np.linalg.norm(east)
-    if norm < 1e-12:  # polar point; rotate the basis
-        east = np.array([1.0, 0.0, 0.0])
-    else:
-        east = east / norm
-    north = np.cross(vp, east)
-
-    def azimuth(g):
-        v = unit(g)
-        w = v - vp * float(np.dot(v, vp))
-        return math.atan2(float(np.dot(w, east)), float(np.dot(w, north)))
-
-    angles = [azimuth(v) for v in (a, b, c)]
-    total = 0.0
-    for i in range(3):
-        delta = angles[(i + 1) % 3] - angles[i]
-        while delta > math.pi:
-            delta -= 2.0 * math.pi
-        while delta <= -math.pi:
-            delta += 2.0 * math.pi
-        total += delta
-    return abs(total) > math.pi
-
-
-class TestVerifyTriangle:
-    def _equilateral(self):
-        return [GeoPoint(0.0, 0.0), GeoPoint(0.0, 12.0), GeoPoint(10.392, 6.0)]
-
-    def test_centroid_honest_delays_inside(self):
-        positions = self._equilateral()
-        lms = honest_landmarks(positions)
-        centroid = GeoPoint(3.46, 6.0)
-        ms = synthesize_round(random.Random(8), list(lms.values()), centroid, 0.05, 0.5)
-        assert verify_triangle(ms, lms, centroid) is TriangleVerdict.INSIDE
-
-    def test_claimed_outside_triangle_is_outside_regardless_of_delays(self):
-        positions = self._equilateral()
-        lms = honest_landmarks(positions)
-        outside_point = GeoPoint(20.0, 20.0)
-        ms = synthesize_round(random.Random(8), list(lms.values()), outside_point, 0.05, 0.5)
-        assert verify_triangle(ms, lms, outside_point) is TriangleVerdict.OUTSIDE
-
-    def test_inside_triangle_but_inconsistent_delays_rejected(self):
-        positions = self._equilateral()
-        lms = honest_landmarks(positions)
-        centroid = GeoPoint(3.46, 6.0)
-        elsewhere = GeoPoint(9.0, 11.0)  # delays say here, claim says centroid
-        ms = synthesize_round(random.Random(8), list(lms.values()), elsewhere, 0.05, 0.5)
-        assert verify_triangle(ms, lms, centroid) is TriangleVerdict.OUTSIDE
-
-    def test_collinear_landmarks_indeterminate(self):
-        positions = [GeoPoint(0.0, 0.0), GeoPoint(0.0, 5.0), GeoPoint(0.0, 10.0)]
-        lms = honest_landmarks(positions)
-        ms = synthesize_round(random.Random(8), list(lms.values()), GeoPoint(0.0, 5.0),
-                              0.05, 0.5)
-        assert verify_triangle(ms, lms, GeoPoint(0.0, 5.0)) is TriangleVerdict.INDETERMINATE
-
-    def test_agrees_with_winding_number_oracle(self):
-        # Hemisphere-contained triangles (continental landmark spreads);
-        # beyond that "inside" is not well defined for either method.
-        rng = random.Random(2718)
-        checked = 0
-        while checked < 10_000:
-            lat0 = rng.uniform(-50.0, 50.0)
-            lon0 = rng.uniform(-140.0, 140.0)
-            pts = [
-                GeoPoint(lat0 + rng.uniform(-25.0, 25.0), lon0 + rng.uniform(-25.0, 25.0))
-                for _ in range(3)
+class TestSynthesizeRound:
+    def test_each_leg_is_one_latency_model_draw(self):
+        """An RTT is two `sample_one_way_delay` draws, in order, from the same rng."""
+        rng = random.Random(1618)
+        for trial in range(400):
+            landmarks = [
+                Landmark(f"lm{i}", GeoPoint(rng.uniform(-60, 60), rng.uniform(-180, 180)),
+                         calibration=Calibration(kappa=rng.uniform(0.3, 1.0),
+                                                 rho=rng.choice((1.0, rng.uniform(1.0, 2.0))),
+                                                 fixed_overhead_ms=rng.uniform(0.0, 3.0)))
+                for i in range(rng.randint(1, 9))
             ]
-            if spherical_excess_sr(*pts) < 1e-4:  # skip near-degenerate triangles
-                continue
-            p = GeoPoint(lat0 + rng.uniform(-35.0, 35.0), lon0 + rng.uniform(-35.0, 35.0))
-            assert point_in_spherical_triangle(p, *pts) == winding_number_inside(p, *pts)
-            checked += 1
+            truth = GeoPoint(rng.uniform(-60, 60), rng.uniform(-180, 180))
+            median = rng.choice((0.0, rng.uniform(0.01, 5.0)))  # jitter off, then on
+            sigma = rng.uniform(0.0, 2.0)
+            speedup = rng.choice((None, {rng.choice(landmarks).id: rng.uniform(0.1, 1.0)}))
+            seed = rng.getrandbits(64)
+            got_rng, want_rng = random.Random(seed), random.Random(seed)
+            got = synthesize_round(got_rng, landmarks, truth, median, sigma, speedup)
+            for lm, m in zip(landmarks, got):
+                cal = lm.calibration
+                model = LatencyModel(kappa=cal.kappa, rho=cal.rho, jitter_median_ms=median,
+                                     jitter_sigma=sigma, fixed_overhead_ms=cal.fixed_overhead_ms)
+                d = geodesic_distance(truth, lm.position)
+                want = model.sample_one_way_delay(d, want_rng) \
+                    + model.sample_one_way_delay(d, want_rng)
+                if speedup and lm.id in speedup:
+                    want *= speedup[lm.id]
+                assert m.rtt_ms.hex() == want.hex(), f"trial {trial}, {lm.id}"
+            assert got_rng.getstate() == want_rng.getstate(), f"trial {trial}"
 
 
 class TestBFT:

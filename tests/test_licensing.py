@@ -94,7 +94,7 @@ class TestInstall:
         _, issuer, chip = world
         result = install(chip, issuer.issue(chip.identity.device_id, QUOTA), now_ms=0.0)
         assert result == InstallResult(True)
-        assert chip.throttle.level is ThrottleLevel.FULL
+        assert chip.throttle is ThrottleLevel.FULL
 
     def test_replay_rejected_stale_id(self, world):
         _, issuer, chip = world
@@ -146,7 +146,7 @@ class TestInstall:
         assert install(chip, hostile, now_ms=501.0) == InstallResult(False, reason)
         assert verify_calls == []
         assert license_state(chip) == before
-        assert chip.throttle.level is ThrottleLevel.DISABLED
+        assert chip.throttle is ThrottleLevel.DISABLED
 
     @pytest.mark.parametrize("wrong_device,stale,expired,bad_signature",
                              itertools.product((False, True), repeat=4))
@@ -204,17 +204,17 @@ class TestInstall:
 class TestEnforce:
     def test_no_license_means_disabled_from_boot(self, world):
         _, _, chip = world
-        assert chip.throttle.level is ThrottleLevel.DISABLED
-        assert enforce(chip).level is ThrottleLevel.DISABLED
+        assert chip.throttle is ThrottleLevel.DISABLED
+        assert enforce(chip) is ThrottleLevel.DISABLED
 
     def test_quota_boundary(self, world):
         _, issuer, chip = world
         install(chip, issuer.issue(chip.identity.device_id, QUOTA), now_ms=0.0)
         assert metered_consume(chip, MeterResource.CLOCK_CYCLES, 999).applied
-        assert chip.throttle.level is ThrottleLevel.FULL
+        assert chip.throttle is ThrottleLevel.FULL
         outcome = metered_consume(chip, MeterResource.CLOCK_CYCLES, 1)
         assert outcome.applied
-        assert outcome.throttle_after.level is ThrottleLevel.DISABLED
+        assert outcome.throttle_after is ThrottleLevel.DISABLED
 
     def test_crossing_consume_rejected_whole(self, world):
         _, issuer, chip = world
@@ -228,9 +228,9 @@ class TestEnforce:
         _, issuer, chip = world
         install(chip, issuer.issue(chip.identity.device_id, QUOTA), now_ms=0.0)
         metered_consume(chip, MeterResource.CLOCK_CYCLES, 1000)
-        assert chip.throttle.level is ThrottleLevel.DISABLED
+        assert chip.throttle is ThrottleLevel.DISABLED
         install(chip, issuer.issue(chip.identity.device_id, QUOTA), now_ms=10.0)
-        assert chip.throttle.level is ThrottleLevel.FULL
+        assert chip.throttle is ThrottleLevel.FULL
         assert chip.consumed_since_install(MeterResource.CLOCK_CYCLES) == 0
 
     def test_unquoted_resource_not_limited(self, world):
@@ -238,7 +238,7 @@ class TestEnforce:
         install(chip, issuer.issue(chip.identity.device_id, QUOTA), now_ms=0.0)
         outcome = metered_consume(chip, MeterResource.JOULES, 10**9)
         assert outcome.applied
-        assert chip.throttle.level is ThrottleLevel.FULL
+        assert chip.throttle is ThrottleLevel.FULL
 
 
 class TestQuotaBound:
@@ -249,7 +249,7 @@ class TestQuotaBound:
             quota = seq_rng.randrange(100, 2000)
             lic = issuer.issue(chip.identity.device_id, {MeterResource.CLOCK_CYCLES: quota})
             assert install(chip, lic, now_ms=float(trial)).accepted
-            while chip.throttle.level is ThrottleLevel.FULL:
+            while chip.throttle is ThrottleLevel.FULL:
                 metered_consume(chip, MeterResource.CLOCK_CYCLES,
                                 seq_rng.randrange(1, 300))
                 assert chip.consumed_since_install(MeterResource.CLOCK_CYCLES) <= quota

@@ -113,7 +113,6 @@ class TestSimulator:
     def test_empty_schedule_empty_log(self):
         sim = Simulator(seed=7)
         assert sim.run_until(100.0) == []
-        assert sim.log == []
         assert sim.now == 100.0
 
     def test_equal_times_ordered_by_delivery_id(self):

@@ -1,0 +1,85 @@
+"""Guard: every top-level definition in src/hemsim is used somewhere in src/.
+
+A module-level function, class or constant, or a non-dunder method of a
+module-level class, whose name occurs in src/ only at its own definition is
+reached from tests alone, or from nothing. Such code is deleted, not kept.
+Comments and plain strings do not count as uses; f-string expressions do.
+"""
+
+import ast
+import io
+import re
+import tokenize
+from collections import Counter
+from pathlib import Path
+
+import hemsim
+
+SRC = Path(hemsim.__file__).resolve().parent
+
+# Definitions nothing in src/ uses yet, each kept for a stated reason.
+ALLOWED = {
+    "__version__": "the conventional package version attribute, read from outside src/",
+    "license_wire_bytes": "license wire format; ROADMAP items 1-2 put it on the install path",
+    "decode_license": "license wire format; ROADMAP items 1-2 put it on the install path",
+    "adopt_manifest": "signed pod-manifest adoption; ROADMAP items 1-2 wire it into handshake",
+    "transfer": "direct-path reference the bridge-penalty test compares bridge_transfer with",
+    "distances_km": "perfbench traces it; the within_km exactness tests compare against it",
+}
+
+
+def _is_attack_body(node: ast.AST) -> bool:
+    """`@attack(...)` registers the body; its name is never referenced."""
+    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "attack"
+               for d in getattr(node, "decorator_list", ()))
+
+
+def _definitions(tree: ast.Module) -> list[str]:
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if not _is_attack_body(node):
+                names.append(node.name)
+        elif isinstance(node, ast.ClassDef):
+            names.append(node.name)
+            names.extend(item.name for item in node.body
+                         if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                         and not (item.name.startswith("__") and item.name.endswith("__")))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.extend(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def _name_uses(source: str) -> Counter:
+    """Identifier occurrences, counting names inside f-strings but not comments."""
+    uses = Counter()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type == tokenize.NAME:
+            uses[tok.string] += 1
+        elif tok.type == tokenize.STRING and "f" in re.match(r"\w*", tok.string)[0].lower():
+            uses.update(re.findall(r"[A-Za-z_]\w*", tok.string))  # before Python 3.12
+    return uses
+
+
+def _scan() -> tuple[set[str], set[str]]:
+    defined: list[str] = []
+    uses = Counter()
+    for path in sorted(SRC.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        defined.extend(_definitions(ast.parse(source)))
+        uses += _name_uses(source)
+    # A name defined k times is dead when it occurs only at those k definitions.
+    counts = Counter(defined)
+    dead = {name for name in counts if uses[name] <= counts[name]}
+    return set(defined), dead
+
+
+def test_no_definition_is_used_only_by_tests():
+    _, dead = _scan()
+    assert dead <= set(ALLOWED), f"unused outside tests: {sorted(dead - set(ALLOWED))}"
+
+
+def test_allowlist_names_existing_definitions():
+    defined, _ = _scan()
+    assert set(ALLOWED) <= defined, f"stale allowlist entries: {sorted(set(ALLOWED) - defined)}"
