@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Optional
 
@@ -55,7 +55,6 @@ from .cluster import (
     issue_manifest,
 )
 from .geoloc import (
-    Calibration,
     GridSpec,
     Landmark,
     challenge_round,
@@ -230,7 +229,7 @@ def _landmark_ring(n: int, overhead: float = 0.5, center=(10.0, 10.0),
             f"lm{i}",
             GeoPoint(clat + radius_deg * math.sin(2 * math.pi * i / n),
                      clon + radius_deg * math.cos(2 * math.pi * i / n)),
-            calibration=Calibration(fixed_overhead_ms=overhead),
+            fixed_overhead_ms=overhead,
         )
         for i in range(n)
     ]
@@ -558,21 +557,17 @@ def _attack_landmark_compromise(profile, rng, params) -> dict:
     truth = GeoPoint(11.0, 9.0)
     # Two ring landmarks lie hard, reporting the chip nearly on top of them.
     compromised = list(range(min(profile.compromised_landmarks, f)))
-    for idx in compromised:
-        landmarks[idx].misreport = lambda rtt: rtt * 0.1
+    liars = {landmarks[idx].id for idx in compromised}
     lms = {lm.id: lm for lm in landmarks}
-    ms = synthesize_round(rng, landmarks, truth, 0.2, 0.5)
     ms = [
-        type(m)(m.landmark_id, lms[m.landmark_id].misreport(m.rtt_ms)
-                if lms[m.landmark_id].misreport else m.rtt_ms,
-                m.nonce, m.response_signature, m.verified)
-        for m in ms
+        replace(m, rtt_ms=m.rtt_ms * 0.1) if m.landmark_id in liars else m
+        for m in synthesize_round(rng, landmarks, truth, 0.2, 0.5)
     ]
     est = estimate_bft(ms, lms, _GRID, f=f)
     # Liars whose bounds exclude the whole surviving region stand out.
     outliers = []
     for m in ms:
-        bound = delay_to_distance(m, lms[m.landmark_id].calibration)
+        bound = delay_to_distance(m, lms[m.landmark_id].fixed_overhead_ms)
         if bound.floor_violation:
             outliers.append(m.landmark_id)
             continue
@@ -626,9 +621,9 @@ def _attack_relay(profile, rng, params) -> dict:
     truth = GeoPoint(20.0, 20.0)        # where the chip really sits
     relay_site = GeoPoint(2.0, 2.0)     # where the relay answers from
     landmarks = [
-        Landmark("lm0", GeoPoint(0.0, 0.0), calibration=Calibration(fixed_overhead_ms=0.5)),
-        Landmark("lm1", GeoPoint(0.0, 8.0), calibration=Calibration(fixed_overhead_ms=0.5)),
-        Landmark("lm2", GeoPoint(8.0, 4.0), calibration=Calibration(fixed_overhead_ms=0.5)),
+        Landmark("lm0", GeoPoint(0.0, 0.0), fixed_overhead_ms=0.5),
+        Landmark("lm1", GeoPoint(0.0, 8.0), fixed_overhead_ms=0.5),
+        Landmark("lm2", GeoPoint(8.0, 4.0), fixed_overhead_ms=0.5),
     ]
     nodes = [Node(lm.id, lm.position, role="landmark") for lm in landmarks]
     nodes.append(Node("relay", relay_site))

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -39,35 +39,18 @@ DEFAULT_GRID_RESOLUTION_DEG = 0.25
 KM_PER_DEGREE = 111.32  # equatorial worst case, used for grid-cell slack
 
 
+# Sound distance bounds take light in fibre (kappa 0.67) along the geodesic.
+BOUND_SPEED_KM_PER_MS = SPEED_OF_LIGHT_KM_S * 0.67 / 1000.0
+
+
 @dataclass(frozen=True)
-class Calibration:
-    """Per-landmark delay-to-distance parameters.
-
-    The sound upper-bound conversion uses kappa with unit path stretch;
-    synthesized rounds also apply the calibrated stretch rho.
-    """
-
-    kappa: float = 0.67
-    rho: float = 1.0
-    fixed_overhead_ms: float = 0.0
-
-    def speed_km_per_ms(self) -> float:
-        return SPEED_OF_LIGHT_KM_S * self.kappa / 1000.0
-
-
-@dataclass
 class Landmark:
-    """A timing server at a known location.
-
-    Dishonest landmarks (a scripted `misreport` of measured round-trips)
-    may only be constructed by scenarios that grant the compromised-
-    landmark capability; the adversary module enforces that gate.
-    """
+    """A timing server at a known location, with its calibrated per-leg
+    processing delay."""
 
     id: str
     position: GeoPoint
-    calibration: Calibration = field(default_factory=Calibration)
-    misreport: Optional[Callable[[float], float]] = None
+    fixed_overhead_ms: float = 0.0
 
 
 @dataclass
@@ -156,8 +139,6 @@ def challenge_round(
             continue
         arrival_time, response = arrived
         rtt = arrival_time - t_start
-        if lm.misreport is not None:
-            rtt = lm.misreport(rtt)
         expected = response_message(device_id, response.nonce)
         key = registry.public_key(device_id)
         verified = (
@@ -179,7 +160,7 @@ class DistanceBound:
     floor_violation: bool
 
 
-def delay_to_distance(measurement: Measurement, calibration: Calibration) -> DistanceBound:
+def delay_to_distance(measurement: Measurement, fixed_overhead_ms: float) -> DistanceBound:
     """Sound upper bound on chip-landmark distance from a verified RTT.
 
     Uses unit path stretch (no route is shorter than the geodesic), so any
@@ -189,10 +170,10 @@ def delay_to_distance(measurement: Measurement, calibration: Calibration) -> Dis
     """
     if measurement.missing or not measurement.verified:
         raise ValueError("delay_to_distance requires a verified measurement")
-    one_way_ms = measurement.rtt_ms / 2.0 - calibration.fixed_overhead_ms
+    one_way_ms = measurement.rtt_ms / 2.0 - fixed_overhead_ms
     if one_way_ms < 0.0:
         return DistanceBound(measurement.landmark_id, 0.0, floor_violation=True)
-    bound = one_way_ms * calibration.speed_km_per_ms()
+    bound = one_way_ms * BOUND_SPEED_KM_PER_MS
     return DistanceBound(measurement.landmark_id, bound, floor_violation=False)
 
 
@@ -333,7 +314,7 @@ def _bounds_for(
     violations = []
     for m in _usable(measurements):
         lm = landmarks[m.landmark_id]
-        bound = delay_to_distance(m, lm.calibration)
+        bound = delay_to_distance(m, lm.fixed_overhead_ms)
         if bound.floor_violation:
             violations.append(m.landmark_id)
         else:
@@ -401,7 +382,7 @@ def estimate_bft(
     violations = []
     for m in usable:
         lm = landmarks[m.landmark_id]
-        bound = delay_to_distance(m, lm.calibration)
+        bound = delay_to_distance(m, lm.fixed_overhead_ms)
         if bound.floor_violation:
             violations.append(m.landmark_id)  # unsatisfiable everywhere
             continue
@@ -570,7 +551,7 @@ def estimate_descent(
     targets = []
     for m in usable:
         lm = landmarks[m.landmark_id]
-        bound = delay_to_distance(m, lm.calibration)
+        bound = delay_to_distance(m, lm.fixed_overhead_ms)
         targets.append((lm.position, bound.bound_km))
 
     best = _descend_from(init, targets, "init")
@@ -600,15 +581,14 @@ def synthesize_round(
 
     Same physics as the event-driven path without simulator bookkeeping:
     each leg of the round trip is one `LatencyModel.sample_one_way_delay`
-    draw under the landmark's calibration and the given lognormal jitter.
+    draw under the landmark's fixed overhead and the given lognormal jitter.
     `speedup` maps landmark ids to a round-trip multiplier for
     response-time attacks.
     """
     measurements = []
     for lm in landmarks:
-        cal = lm.calibration
-        model = LatencyModel(kappa=cal.kappa, rho=cal.rho, jitter_median_ms=jitter_median_ms,
-                             jitter_sigma=jitter_sigma, fixed_overhead_ms=cal.fixed_overhead_ms)
+        model = LatencyModel(jitter_median_ms=jitter_median_ms, jitter_sigma=jitter_sigma,
+                             fixed_overhead_ms=lm.fixed_overhead_ms)
         distance = geodesic_distance(truth, lm.position)
         rtt = model.sample_one_way_delay(distance, rng) + model.sample_one_way_delay(distance, rng)
         if speedup and lm.id in speedup:

@@ -58,7 +58,6 @@ from .cluster import (
     teardown,
 )
 from .geoloc import (
-    Calibration,
     GridSpec,
     InsufficientLandmarksError,
     KM_PER_DEGREE,
@@ -376,7 +375,7 @@ def _random_landmarks(rng: random.Random, n: int, region: dict, overhead: float)
             f"lm{k}",
             GeoPoint(center_lat + radius * extent_lat * math.sin(angle),
                      center_lon + radius * extent_lon * math.cos(angle)),
-            calibration=Calibration(fixed_overhead_ms=overhead),
+            fixed_overhead_ms=overhead,
         ))
     return landmarks
 

@@ -62,6 +62,13 @@ class TestSchema:
             validate_config({"name": "x", "seed": 1,
                              "geoloc": {"region": {"lat_min": 10.0, "lat_max": 5.0}}})
 
+    def test_grid_cap_admits_the_whole_globe_at_the_default_resolution(self):
+        globe = {"lat_min": -90, "lat_max": 90, "lon_min": -180, "lon_max": 180}
+        validate_config({"name": "x", "seed": 1, "geoloc": {"region": globe}})
+        with pytest.raises(SchemaError, match=r"region\.resolution_deg: must give at most"):
+            validate_config({"name": "x", "seed": 1,
+                             "geoloc": {"region": {**globe, "resolution_deg": 0.2}}})
+
     def test_sections_resolve_the_defaults_they_run_with(self):
         resolved = validate_config({"name": "x", "seed": 1, "licensing": {},
                                     "attack_matrix": {}})
@@ -184,6 +191,26 @@ class TestCli:
         ({"network": {"nodes": THREE_NODES, "default_latency": {"jitter_median_ms": 1,
                                                             "jitter_sigma": 50.001}}},
          "config.network.default_latency.jitter_sigma"),
+        # Each case below once got past the schema and exited 3, or wrote a
+        # bare NaN or Infinity token into cluster.jsonl.
+        ({"cluster": {"chips": 2, "churn_events": 1,
+                      "bridge_multiplier_sweep": [1.0, float("nan"), 2.0]}},
+         "config.cluster.bridge_multiplier_sweep[1]"),
+        ({"cluster": {"chips": 2, "churn_events": 1,
+                      "bridge_multiplier_sweep": [1.0, float("inf"), 2.0]}},
+         "config.cluster.bridge_multiplier_sweep[1]"),
+        ({"geoloc": {**SMALL_GEOLOC, "region": {"resolution_deg": 1e-320}}},
+         "config.geoloc.region.resolution_deg"),  # OverflowError in round()
+        ({"geoloc": {**SMALL_GEOLOC, "region": {"resolution_deg": 0.0001}}},
+         "config.geoloc.region.resolution_deg"),  # MemoryError: 300,000**2 cells
+        ({"geoloc": {**SMALL_GEOLOC, "landmarks_min": 1, "landmarks_max": 2}},
+         "config.geoloc.landmarks_max"),  # speedup trials draw from [3, 2]
+        ({"cluster": {"chips": 2, "churn_events": 1, "cap": 2**32}},
+         "config.cluster.cap"),  # signed as u32
+        ({"cluster": {"chips": 2, "churn_events": 1, "check_period_ms": 10**400}},
+         "config.cluster.check_period_ms"),  # an integer past the float range
+        ({"name": "r\ud800", "attest": {"chips": 1, "classifier_traces": 0}},
+         "config.name"),  # a lone surrogate, which no UTF-8 report can hold
     ])
     def test_out_of_domain_value_is_a_schema_error(self, tmp_path, capsys, sections, path):
         config = tmp_path / "range.json"

@@ -9,7 +9,7 @@ import pytest
 from hemsim import canon
 from hemsim.chipmodel import Registry, provision_chip
 from hemsim.geoloc import (
-    Calibration,
+    BOUND_SPEED_KM_PER_MS,
     GeoEstimate,
     GridSpec,
     InsufficientLandmarksError,
@@ -52,7 +52,7 @@ def make_world(landmark_positions, chip_position, jitter_median=0.0, jitter_sigm
     registry = Registry()
     registry.enroll(chip)
     landmarks = [
-        Landmark(f"lm{i}", pos, calibration=Calibration(fixed_overhead_ms=overhead))
+        Landmark(f"lm{i}", pos, fixed_overhead_ms=overhead)
         for i, pos in enumerate(landmark_positions)
     ]
     nodes = [Node(lm.id, lm.position, role="landmark") for lm in landmarks]
@@ -115,31 +115,28 @@ class TestChallengeRound:
 
 class TestDelayToDistance:
     def test_floor_rtt_inverts_to_exact_distance(self):
-        cal = Calibration(kappa=0.67, fixed_overhead_ms=2.0)
-        rtt = 2.0 * (1000.0 / cal.speed_km_per_ms() + 2.0)
+        rtt = 2.0 * (1000.0 / BOUND_SPEED_KM_PER_MS + 2.0)
         m = Measurement("lm", rtt, b"", b"", verified=True)
-        bound = delay_to_distance(m, cal)
+        bound = delay_to_distance(m, 2.0)
         assert not bound.floor_violation
         assert bound.bound_km == pytest.approx(1000.0)
 
     def test_rtt_below_twice_overhead_flags_impossible(self):
-        cal = Calibration(fixed_overhead_ms=2.0)
         m = Measurement("lm", 0.0, b"", b"", verified=True)
-        assert delay_to_distance(m, cal).floor_violation
+        assert delay_to_distance(m, 2.0).floor_violation
 
     def test_added_congestion_only_increases_bound(self):
-        cal = Calibration(kappa=0.67, fixed_overhead_ms=1.0)
         rng = random.Random(4)
-        base_rtt = 2.0 * (500.0 / cal.speed_km_per_ms() + 1.0)
-        base = delay_to_distance(Measurement("lm", base_rtt, b"", b"", True), cal).bound_km
+        base_rtt = 2.0 * (500.0 / BOUND_SPEED_KM_PER_MS + 1.0)
+        base = delay_to_distance(Measurement("lm", base_rtt, b"", b"", True), 1.0).bound_km
         for _ in range(200):
             congested = base_rtt + rng.uniform(0.0, 20.0)
-            bound = delay_to_distance(Measurement("lm", congested, b"", b"", True), cal).bound_km
+            bound = delay_to_distance(Measurement("lm", congested, b"", b"", True), 1.0).bound_km
             assert bound >= base - 1e-9
 
     def test_unverified_measurement_refused(self):
         with pytest.raises(ValueError):
-            delay_to_distance(Measurement("lm", 5.0, b"", b"", verified=False), Calibration())
+            delay_to_distance(Measurement("lm", 5.0, b"", b"", verified=False), 0.0)
 
 
 GRID = GridSpec(lat_min=-5.0, lat_max=25.0, lon_min=-5.0, lon_max=25.0, resolution_deg=0.25)
@@ -147,7 +144,7 @@ GRID = GridSpec(lat_min=-5.0, lat_max=25.0, lon_min=-5.0, lon_max=25.0, resoluti
 
 def honest_landmarks(positions, overhead=1.0):
     return {
-        f"lm{i}": Landmark(f"lm{i}", pos, calibration=Calibration(fixed_overhead_ms=overhead))
+        f"lm{i}": Landmark(f"lm{i}", pos, fixed_overhead_ms=overhead)
         for i, pos in enumerate(positions)
     }
 
@@ -158,7 +155,7 @@ class TestCBG:
         truth = GeoPoint(12.0, 10.0)
         ms = synthesize_round(random.Random(1), list(lms.values()), truth, 0.0, 0.5)
         est = estimate_cbg(ms, lms, GRID)
-        bound = delay_to_distance(ms[0], lms["lm0"].calibration).bound_km
+        bound = delay_to_distance(ms[0], lms["lm0"].fixed_overhead_ms).bound_km
         dists = GRID.distances_km(lms["lm0"].position)
         inside = dists <= bound
         assert est.mask[inside].all()  # every cell within the bound is in the region
@@ -254,7 +251,7 @@ class TestCBGWindowExactness:
         for m in measurements:
             if not m.verified or m.missing:
                 continue
-            bound = delay_to_distance(m, lms[m.landmark_id].calibration)
+            bound = delay_to_distance(m, lms[m.landmark_id].fixed_overhead_ms)
             if bound.floor_violation:
                 violations.append(m.landmark_id)
             else:
@@ -285,7 +282,7 @@ class TestCBGWindowExactness:
                     distance = geodesic_distance(truth, lm.position)
                     # Scale the truthful bound so some disks miss the truth.
                     scaled = distance * rng.choice((0.3, 0.9, 1.0, 1.2, 3.0))
-                    rtt = 2.0 * (scaled / lm.calibration.speed_km_per_ms() + 1.0)
+                    rtt = 2.0 * (scaled / BOUND_SPEED_KM_PER_MS + 1.0)
                     if rng.random() < 0.1:
                         rtt = rng.uniform(0.0, 1.9)  # below the propagation floor
                     measurements.append(Measurement(lm_id, rtt, b"", b"",
@@ -353,9 +350,7 @@ class TestSynthesizeRound:
         for trial in range(400):
             landmarks = [
                 Landmark(f"lm{i}", GeoPoint(rng.uniform(-60, 60), rng.uniform(-180, 180)),
-                         calibration=Calibration(kappa=rng.uniform(0.3, 1.0),
-                                                 rho=rng.choice((1.0, rng.uniform(1.0, 2.0))),
-                                                 fixed_overhead_ms=rng.uniform(0.0, 3.0)))
+                         fixed_overhead_ms=rng.uniform(0.0, 3.0))
                 for i in range(rng.randint(1, 9))
             ]
             truth = GeoPoint(rng.uniform(-60, 60), rng.uniform(-180, 180))
@@ -366,9 +361,8 @@ class TestSynthesizeRound:
             got_rng, want_rng = random.Random(seed), random.Random(seed)
             got = synthesize_round(got_rng, landmarks, truth, median, sigma, speedup)
             for lm, m in zip(landmarks, got):
-                cal = lm.calibration
-                model = LatencyModel(kappa=cal.kappa, rho=cal.rho, jitter_median_ms=median,
-                                     jitter_sigma=sigma, fixed_overhead_ms=cal.fixed_overhead_ms)
+                model = LatencyModel(jitter_median_ms=median, jitter_sigma=sigma,
+                                     fixed_overhead_ms=lm.fixed_overhead_ms)
                 d = geodesic_distance(truth, lm.position)
                 want = model.sample_one_way_delay(d, want_rng) \
                     + model.sample_one_way_delay(d, want_rng)
@@ -463,7 +457,7 @@ class TestDescent:
         ms = synthesize_round(rng, list(lms.values()), truth, 1.0, 0.8)
         targets = [
             (lms[m.landmark_id].position,
-             delay_to_distance(m, lms[m.landmark_id].calibration).bound_km)
+             delay_to_distance(m, lms[m.landmark_id].fixed_overhead_ms).bound_km)
             for m in ms
         ]
         init = GeoPoint(2.0, 2.0)
