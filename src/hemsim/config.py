@@ -73,9 +73,18 @@ SCHEMA = _obj(
     network=_obj(
         default_latency=_obj(
             {},
-            kappa=Key(float, 0.67, minimum=0.0, maximum=1.0, exclusive_min=True),
-            rho=Key(float, 1.0, minimum=1.0),
-            jitter_median_ms=Key(float, 0.0, minimum=0.0),
+            # A one-way delay is floor * rho + overhead + jitter, and the floor,
+            # distance / (kappa c), is at most ~66.8 / kappa ms. Real media
+            # carry signals at 0.5-0.99 c and real routes stretch a geodesic a
+            # few times, so kappa >= 0.01 and rho <= 1000 keep the stretched
+            # floor under 6.7e6 ms; a kappa of 5e-324 or a rho of 1e308
+            # overflowed it to inf, which no JSON report can hold.
+            kappa=Key(float, 0.67, minimum=0.01, maximum=1.0),
+            rho=Key(float, 1.0, minimum=1.0, maximum=1000.0),
+            # Jitter is median * exp(sigma * z) < median * e**429 (see
+            # JITTER_SIGMA_MAX): a median up to 1e6 ms (~17 minutes) keeps it
+            # under 1e193, where a median of 1e308 overflowed to inf.
+            jitter_median_ms=Key(float, 0.0, minimum=0.0, maximum=1e6),
             jitter_sigma=Key(float, 0.5, minimum=0.0, maximum=JITTER_SIGMA_MAX),
             fixed_overhead_ms=Key(float, 0.0, minimum=0.0),
         ),
@@ -114,8 +123,11 @@ SCHEMA = _obj(
         check_period_ms=Key(float, 60_000.0, minimum=5.0, maximum=1e12),
         churn_events=Key(int, 500, minimum=1),
         cap_lowerings=Key(int, 2, minimum=0),
+        # The sweep sends 1 GB over a 1e8 bytes/ms link, so transit_ms is
+        # 10 * multiplier and overflowed to inf past ~1.8e307; 1e6 (a transit
+        # of ~2.8 hours) is far past any bridge penalty a host could impose.
         bridge_multiplier_sweep=Key(list, [1.0, 2.0, 5.0, 10.0], minimum=1,
-                                    item=Key(float, minimum=1.0)),
+                                    item=Key(float, minimum=1.0, maximum=1e6)),
     ),
     geoloc=_obj(
         trials=Key(int, 60, minimum=1),

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -207,6 +208,14 @@ class GridSpec:
     def lon_centers(self) -> np.ndarray:
         return self.lon_min + (np.arange(self.n_lon) + 0.5) * self.resolution_deg
 
+    @cached_property
+    def _axes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Cell-center latitude radians, their cosines and longitude radians,
+        computed once per grid (kept in the instance dict, outside the
+        dataclass fields, so equality and hashing are unchanged)."""
+        lats = np.radians(self.lat_centers())
+        return lats, np.cos(lats), np.radians(self.lon_centers())
+
     def cell_of(self, point: GeoPoint) -> Optional[tuple[int, int]]:
         """The half-open cell holding `point`, or None off the grid."""
         i = math.floor((point.latitude - self.lat_min) / self.resolution_deg)
@@ -223,7 +232,8 @@ class GridSpec:
         self, landmark_position: GeoPoint, rows: slice = slice(None), cols: slice = slice(None)
     ) -> np.ndarray:
         """Haversine distance from the cell centers in a row/column window (by
-        default the whole grid) to one landmark."""
+        default the whole grid) to one landmark. Recomputes the grid axes on
+        every call: it is the reference that `within_km` is tested against."""
         lats = np.radians(self.lat_centers()[rows])[:, None]
         lons = np.radians(self.lon_centers()[cols])[None, :]
         return _haversine_km(lats, lons, landmark_position)
@@ -237,18 +247,21 @@ class GridSpec:
     ) -> np.ndarray:
         """`distances_km(landmark_position, rows, cols) <= radius_km`, bit for bit.
 
-        Decided on the haversine term h, which grows with distance: cells
-        with h below sin^2(radius / 2R) by a relative 1e-9 are inside, cells
-        above it by as much are outside, and only cells in that band take
-        the exact arcsin comparison. The band is millions of times wider
-        than the few-ulp rounding of sin, sqrt and arcsin, so no cell
-        outside it can compare differently. Radii whose half-angle is not in
-        (1e-150, 1.5] rad (sin^2 would underflow, or flatten short of pi*R)
-        take the exact comparison on every cell.
+        Reads the grid's cached axes and takes the same haversine steps in
+        the same order, so every h has the bits `distances_km` computes.
+        Decided on h, which grows with distance: cells with h below
+        sin^2(radius / 2R) by a relative 1e-9 are inside, cells above it by
+        as much are outside, and only cells in that band take the exact
+        arcsin comparison. The band is millions of times wider than the
+        few-ulp rounding of sin, sqrt and arcsin, so no cell outside it can
+        compare differently. Radii whose half-angle is not in (1e-150, 1.5]
+        rad (sin^2 would underflow, or flatten short of pi*R) take the exact
+        comparison on every cell. The region estimators call it on each
+        disk's `disk_window` only.
         """
-        lats = np.radians(self.lat_centers()[rows])[:, None]
-        lons = np.radians(self.lon_centers()[cols])[None, :]
-        h = _haversine_h(lats, lons, landmark_position)
+        lats, cos_lats, lons = self._axes
+        h = _haversine_h(lats[rows, None], cos_lats[rows, None], lons[None, cols],
+                         landmark_position)
         half_angle = radius_km / (2.0 * EARTH_RADIUS_KM)
         if not 1e-150 < half_angle <= 1.5:
             return _arc_km(h) <= radius_km
@@ -259,13 +272,66 @@ class GridSpec:
             mask[band] = _arc_km(h[band]) <= radius_km
         return mask
 
+    def disk_window(self, position: GeoPoint, radius_km: float) -> tuple[int, int, int, int]:
+        """Row and column bounds `(i0, i1, j0, j1)` of a box that holds every
+        cell whose center `distances_km` puts within `radius_km` of `position`.
 
-def _haversine_h(lats_rad: np.ndarray, lons_rad: np.ndarray, position: GeoPoint) -> np.ndarray:
+        With theta = radius / R, such a center has |dlat| <= theta, and,
+        while theta + |lat| stays clear of 90 degrees, |dlon| <= asin(sin
+        theta / cos lat). The box is padded by one whole cell and by
+        `_WINDOW_MARGIN_DEG` on every side, far more than the rounding of the
+        haversine. Columns fall back to the whole grid near a pole and when
+        the lon span reaches the grid across the 180-degree seam; rows and
+        columns both do within `_ANTIPODE_CLEARANCE_RAD` of pi, past it, or
+        when theta is not a number.
+        """
+        theta = radius_km / EARTH_RADIUS_KM
+        if not theta < math.pi - _ANTIPODE_CLEARANCE_RAD:
+            return 0, self.n_lat, 0, self.n_lon
+        res = self.resolution_deg
+        lat, lon = position.latitude, position.longitude
+        dlat = math.degrees(theta) + _WINDOW_MARGIN_DEG
+        i0, i1 = _cell_span(lat - dlat, lat + dlat, self.lat_min, res, self.n_lat)
+        phi = math.radians(lat)
+        if theta + abs(phi) >= _POLE_CLEARANCE_RAD:
+            return i0, i1, 0, self.n_lon
+        dlon = math.degrees(math.asin(math.sin(theta) / math.cos(phi))) + _WINDOW_MARGIN_DEG
+        if lon - dlon + 360.0 <= self.lon_max + res or lon + dlon - 360.0 >= self.lon_min - res:
+            return i0, i1, 0, self.n_lon  # a copy of the span 360 degrees over meets the grid
+        j0, j1 = _cell_span(lon - dlon, lon + dlon, self.lon_min, res, self.n_lon)
+        return i0, i1, j0, j1
+
+
+# Absolute pad of each disk window: ~0.1 mm, thousands of times the few-ulp
+# rounding of a haversine angle, for grids whose cells are smaller than that.
+_WINDOW_MARGIN_DEG = 1e-9
+# Near the antipode arcsin(sqrt(h)) is ill-conditioned: a rounding of h moves
+# the angle by ~4e-16 / sin(theta) rad, which this keeps under 1e-13 rad.
+_ANTIPODE_CLEARANCE_RAD = 0.01
+# Below this, asin(sin theta / cos lat) is well conditioned and its argument
+# stays under 1; past it the disk may hold a pole and spans every longitude.
+_POLE_CLEARANCE_RAD = math.radians(89.0)
+
+
+def _cell_span(lo: float, hi: float, origin: float, res: float, n: int) -> tuple[int, int]:
+    """`[start, stop)` of the cells whose centers `origin + (k + 0.5) * res`
+    lie in `[lo, hi]`, padded by one cell on each side and clamped to
+    `[0, n]`. Fractional indices are clamped before `floor`, so a span far
+    off a grid of tiny cells (an infinite quotient) clamps too."""
+    start = math.floor(min(max((lo - origin) / res - 0.5, -2.0), n + 1.0)) - 1
+    stop = math.floor(min(max((hi - origin) / res - 0.5, -2.0), n + 1.0)) + 2
+    return min(max(start, 0), n), min(max(stop, 0), n)
+
+
+def _haversine_h(
+    lats_rad: np.ndarray, cos_lats: np.ndarray, lons_rad: np.ndarray, position: GeoPoint
+) -> np.ndarray:
     """Haversine term sin^2(dlat/2) + cos(lat1) cos(lat2) sin^2(dlon/2) from
-    broadcast (lat, lon) radians to one position, as a fresh array."""
+    broadcast (lat, lon) radians, with `cos_lats` = cos(lat1), to one
+    position, as a fresh array."""
     p2 = math.radians(position.latitude)
     l2 = math.radians(position.longitude)
-    h = np.cos(lats_rad) * math.cos(p2) * np.sin((l2 - lons_rad) / 2.0) ** 2
+    h = cos_lats * math.cos(p2) * np.sin((l2 - lons_rad) / 2.0) ** 2
     h += np.sin((p2 - lats_rad) / 2.0) ** 2  # a + b == b + a exactly, one temporary fewer
     return h
 
@@ -278,7 +344,7 @@ def _arc_km(h: np.ndarray) -> np.ndarray:
 
 def _haversine_km(lats_rad: np.ndarray, lons_rad: np.ndarray, position: GeoPoint) -> np.ndarray:
     """Haversine distance from broadcast (lat, lon) radians to one position."""
-    return _arc_km(_haversine_h(lats_rad, lons_rad, position))
+    return _arc_km(_haversine_h(lats_rad, np.cos(lats_rad), lons_rad, position))
 
 
 @dataclass
@@ -332,11 +398,13 @@ def estimate_cbg(
     An empty intersection is an explicit inconsistency signal, not an
     answer; callers treat it as an alarm.
 
-    Disks are applied smallest bound first, each one evaluated only on the
-    bounding box of cells still in the region, and evaluation stops once
-    that box is empty. Cells outside the box are already excluded and AND
-    does not depend on order, so the mask equals the full-grid intersection
-    of every disk, bit for bit.
+    Disks are applied smallest bound first. Each one is evaluated only
+    where the bounding box of cells still in the region meets the disk's
+    `disk_window`; live cells outside that window are cleared, and
+    evaluation stops once the box is empty. Cells outside either box lie
+    outside the disk or are already excluded, and AND does not depend on
+    order, so the mask equals the full-grid intersection of every disk,
+    bit for bit.
     """
     usable_bounds, violations = _bounds_for(measurements, landmarks)
     if not usable_bounds:
@@ -346,15 +414,19 @@ def estimate_cbg(
     mask = np.ones((grid.n_lat, grid.n_lon), dtype=bool)
     i0, i1, j0, j1 = 0, grid.n_lat, 0, grid.n_lon
     for lm, bound in sorted(usable_bounds, key=lambda item: item[1].bound_km):
-        window = (slice(i0, i1), slice(j0, j1))
-        live = mask[window]
-        live &= grid.within_km(lm.position, bound.bound_km + slack, *window)
+        radius = bound.bound_km + slack
+        a0, a1, b0, b1 = grid.disk_window(lm.position, radius)
+        a0, a1, b0, b1 = max(a0, i0), min(a1, i1), max(b0, j0), min(b1, j1)
+        window = (slice(a0, a1), slice(b0, b1))
+        live = mask[window] & grid.within_km(lm.position, radius, *window)
+        mask[i0:i1, j0:j1] = False
+        mask[window] = live
         rows = np.flatnonzero(live.any(axis=1))
         if rows.size == 0:
             break
         cols = np.flatnonzero(live.any(axis=0))
-        i0, i1 = i0 + int(rows[0]), i0 + int(rows[-1]) + 1
-        j0, j1 = j0 + int(cols[0]), j0 + int(cols[-1]) + 1
+        i0, i1 = a0 + int(rows[0]), a0 + int(rows[-1]) + 1
+        j0, j1 = b0 + int(cols[0]), b0 + int(cols[-1]) + 1
     empty = not bool(mask.any())
     return GeoEstimate(grid, mask, empty=empty, floor_violations=violations)
 
@@ -370,6 +442,10 @@ def estimate_bft(
     Requires n >= 3f + 1 landmarks. With at most f landmarks reporting
     arbitrarily, the true cell still satisfies all n - f honest bounds,
     so it stays in the region no matter what the liars say.
+
+    Each disk adds its count only inside its `disk_window`; no cell outside
+    that box is in the disk, so the counts, and the mask, equal the
+    full-grid counts bit for bit.
     """
     if f < 0:
         raise ValueError("f must be nonnegative")
@@ -386,7 +462,9 @@ def estimate_bft(
         if bound.floor_violation:
             violations.append(m.landmark_id)  # unsatisfiable everywhere
             continue
-        counts += grid.within_km(lm.position, bound.bound_km + slack)
+        radius = bound.bound_km + slack
+        i0, i1, j0, j1 = grid.disk_window(lm.position, radius)
+        counts[i0:i1, j0:j1] += grid.within_km(lm.position, radius, slice(i0, i1), slice(j0, j1))
     mask = counts >= (n - f)
     empty = not bool(mask.any())
     return GeoEstimate(grid, mask, empty=empty, floor_violations=tuple(violations))

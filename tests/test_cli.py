@@ -211,6 +211,18 @@ class TestCli:
          "config.cluster.check_period_ms"),  # an integer past the float range
         ({"name": "r\ud800", "attest": {"chips": 1, "classifier_traces": 0}},
          "config.name"),  # a lone surrogate, which no UTF-8 report can hold
+        # Each of these wrote a bare Infinity token into cluster.jsonl or
+        # network.jsonl: the transit or delay overflowed.
+        ({"cluster": {"chips": 2, "churn_events": 1, "cap_lowerings": 0,
+                      "bridge_multiplier_sweep": [1e308]}},
+         "config.cluster.bridge_multiplier_sweep[0]"),
+        ({"network": {"nodes": THREE_NODES, "default_latency": {"rho": 1e308}}},
+         "config.network.default_latency.rho"),
+        ({"network": {"nodes": THREE_NODES, "default_latency": {"kappa": 5e-324}}},
+         "config.network.default_latency.kappa"),
+        ({"network": {"nodes": THREE_NODES, "default_latency": {"jitter_median_ms": 1e308,
+                                                            "jitter_sigma": 1}}},
+         "config.network.default_latency.jitter_median_ms"),
     ])
     def test_out_of_domain_value_is_a_schema_error(self, tmp_path, capsys, sections, path):
         config = tmp_path / "range.json"

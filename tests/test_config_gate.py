@@ -7,7 +7,9 @@ such as `U64_MAX`. It shapes the few values a cross-field check ties
 together: whole grid cells, `landmarks_min <= landmarks_max`,
 `n >= 3f + 1` and the u64 meter product. A drawn config either fails the
 schema or is run, and its reports written, without any other exception
-and within a deadline.
+and within a deadline. Every report line must then parse as strict JSON:
+a NaN or Infinity token, which `json` writes for a non-finite float and
+strict parsers refuse, fails the gate.
 """
 
 import json
@@ -129,6 +131,20 @@ def _on_deadline(signum, frame):
     raise TimeoutError(f"example still running after {DEADLINE_S} s")
 
 
+def _refuse_constant(token: str):
+    raise ValueError(f"non-finite number {token} in a report")
+
+
+def _parse_strictly(path: Path) -> None:
+    """Parse a written report, each line of a .jsonl, refusing NaN and Infinity."""
+    text = path.read_text(encoding="utf-8")
+    if path.suffix == ".json":
+        json.loads(text, parse_constant=_refuse_constant)
+    elif path.suffix == ".jsonl":
+        for line in text.splitlines():
+            json.loads(line, parse_constant=_refuse_constant)
+
+
 @settings(max_examples=150, deadline=None)
 @given(configs())
 # Each of these once exited 3 (an uncaught exception) at a schema-valid config.
@@ -139,6 +155,13 @@ def _on_deadline(signum, frame):
 @example({"name": "x", "seed": 1, "cluster": {"cap": 2**32, "churn_events": 1}})
 @example({"name": "x", "seed": 1, "cluster": {"check_period_ms": 10**400}})
 @example({"name": "x\ud800", "seed": 1, "attest": {"chips": 1}})
+# At these bounds each latency and transit the reports hold stays finite.
+@example({"name": "x", "seed": 1, "cluster": {"chips": 2, "churn_events": 1,
+                                              "bridge_multiplier_sweep": [1e6]}})
+@example({"name": "x", "seed": 1, "network": {
+    "default_latency": {"kappa": 0.01, "rho": 1000.0, "jitter_median_ms": 1e6,
+                        "jitter_sigma": 50.0, "fixed_overhead_ms": 1.7e308},
+    "nodes": [{"id": "a", "lat": 90.0, "lon": 0.0}, {"id": "b", "lat": -90.0, "lon": 0.0}]}})
 def test_every_admitted_config_reaches_a_verdict(raw):
     raw = json.loads(json.dumps(raw))  # what a config file holds
     try:
@@ -150,7 +173,8 @@ def test_every_admitted_config_reaches_a_verdict(raw):
     try:
         outcome = execute_scenario(config)
         with tempfile.TemporaryDirectory() as out:
-            write_reports(outcome, Path(out))
+            for path in write_reports(outcome, Path(out)):
+                _parse_strictly(path)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)

@@ -240,6 +240,13 @@ class TestGridCells:
             assert not est.contains(p)
 
 
+class TestGridAxesCache:
+    def test_cached_axes_leave_equality_and_hash_alone(self):
+        used, fresh = (GridSpec(-5.0, 25.0, -5.0, 25.0, 0.25) for _ in range(2))
+        used.within_km(GeoPoint(10.0, 10.0), 500.0)
+        assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+
+
 class TestCBGWindowExactness:
     """The live-window CBG mask equals the full-grid intersection of every disk."""
 
@@ -295,6 +302,147 @@ class TestCBGWindowExactness:
                 seen["empty" if est.empty else "nonempty"] += 1
                 seen["violation"] += bool(expected_violations)
         assert all(count > 10 for count in seen.values()), seen
+
+
+def _edge_grid(rng, edge, height, width, resolution):
+    """A grid on the map that touches the named edge, a pole or the 180°
+    seam, or ("inside") lies anywhere on it."""
+    lat_min, lon_min = rng.uniform(-90.0, 90.0 - height), rng.uniform(-180.0, 180.0 - width)
+    if edge == "north":
+        lat_min = 90.0 - height
+    elif edge == "south":
+        lat_min = -90.0
+    elif edge == "east":
+        lon_min = 180.0 - width
+    elif edge == "west":
+        lon_min = -180.0
+    return GridSpec(lat_min, lat_min + height, lon_min, lon_min + width, resolution)
+
+
+class TestBFTWindowExactness:
+    """The BFT mask equals the full-grid count of satisfied disks, bit for bit."""
+
+    @staticmethod
+    def _reference(measurements, lms, grid, f):
+        slack = grid.half_diagonal_km()
+        usable = [m for m in measurements if m.verified and not m.missing]
+        counts = np.zeros((grid.n_lat, grid.n_lon), dtype=np.int64)
+        violations = []
+        for m in usable:
+            bound = delay_to_distance(m, lms[m.landmark_id].fixed_overhead_ms)
+            if bound.floor_violation:
+                violations.append(m.landmark_id)
+            else:
+                counts += grid.distances_km(lms[m.landmark_id].position) <= bound.bound_km + slack
+        return counts >= len(usable) - f, tuple(violations)
+
+    def test_mask_equals_full_grid_count(self):
+        rng = random.Random(31337)
+        seen = {"empty": 0, "nonempty": 0, "violation": 0, "pulled": 0, "pushed": 0}
+        seen.update({f"f={f}": 0 for f in range(5)})
+        seen.update({edge: 0 for edge in ("north", "south", "east", "west", "inside")})
+        for resolution in (0.2, 0.5, 1.0):
+            for trial in range(200):
+                edge = ("north", "south", "east", "west", "inside")[trial % 5]
+                grid = _edge_grid(rng, edge, rng.uniform(4.0, 30.0), rng.uniform(4.0, 30.0),
+                                  resolution)
+                truth = GeoPoint(rng.uniform(grid.lat_min, grid.lat_max),
+                                 rng.uniform(grid.lon_min, grid.lon_max))
+                # Landmarks reach 15° past the grid, across a pole or the seam.
+                lms = honest_landmarks([
+                    GeoPoint(min(max(rng.uniform(grid.lat_min - 15.0, grid.lat_max + 15.0),
+                                     -90.0), 90.0),
+                             rng.uniform(grid.lon_min - 15.0, grid.lon_max + 15.0))
+                    for _ in range(rng.choice((rng.randint(1, 12), 13)))
+                ], overhead=1.0)
+                measurements = []
+                for lm_id, lm in lms.items():
+                    distance = geodesic_distance(truth, lm.position)
+                    scaled = distance * rng.choice((0.9, 1.0, 1.2, 3.0))
+                    rtt = 2.0 * (scaled / BOUND_SPEED_KM_PER_MS + 1.0)
+                    if rng.random() < 0.1:
+                        rtt = rng.uniform(0.0, 1.9)  # below the propagation floor
+                    measurements.append(Measurement(lm_id, rtt, b"", b"",
+                                                    verified=rng.random() > 0.1))
+                usable = [i for i, m in enumerate(measurements) if m.verified]
+                if not usable:
+                    with pytest.raises(InsufficientLandmarksError):
+                        estimate_bft(measurements, lms, grid, f=0)
+                    continue
+                most = (len(usable) - 1) // 3
+                f = rng.choice((0, rng.randint(0, most), most))
+                for idx in rng.sample(usable, f):
+                    m = measurements[idx]
+                    if rng.random() < 0.5:
+                        lied, kind = rng.uniform(0.0, m.rtt_ms), "pulled"
+                    else:
+                        lied, kind = m.rtt_ms * rng.uniform(1.0, 50.0), "pushed"
+                    measurements[idx] = Measurement(m.landmark_id, lied, b"", b"", True)
+                    seen[kind] += 1
+                expected_mask, expected_violations = self._reference(measurements, lms, grid, f)
+                est = estimate_bft(measurements, lms, grid, f=f)
+                assert np.array_equal(est.mask, expected_mask), f"{resolution} trial {trial}"
+                assert est.empty == (not expected_mask.any())
+                assert est.floor_violations == expected_violations
+                seen["empty" if est.empty else "nonempty"] += 1
+                seen["violation"] += bool(expected_violations)
+                seen[f"f={f}"] += 1
+                seen[edge] += 1
+        assert all(count > 10 for count in seen.values()), seen
+
+
+class TestDiskWindowSoundness:
+    """No cell outside `disk_window`'s box is within the radius by `distances_km`."""
+
+    @staticmethod
+    def _position(rng, grid, kind):
+        if kind == "center":
+            return _center(grid, rng.randrange(grid.n_lat), rng.randrange(grid.n_lon))
+        if kind == "pole":
+            lat = rng.choice((90.0, -90.0, math.nextafter(90.0, 0.0), rng.uniform(88.0, 90.0)))
+            return GeoPoint(lat * rng.choice((1.0, -1.0)), rng.uniform(-180.0, 180.0))
+        if kind == "seam":  # GeoPoint wraps the longitude into (-180, 180]
+            return GeoPoint(rng.uniform(grid.lat_min, grid.lat_max),
+                            rng.choice((180.0, -180.0)) + rng.uniform(-3.0, 3.0))
+        if kind == "off_grid":
+            return GeoPoint(
+                min(max(rng.uniform(grid.lat_min - 20.0, grid.lat_max + 20.0), -90.0), 90.0),
+                rng.uniform(grid.lon_min - 20.0, grid.lon_max + 20.0))
+        return GeoPoint(rng.uniform(-90.0, 90.0), rng.uniform(-180.0, 180.0))
+
+    def test_no_cell_outside_the_box_is_in_the_disk(self):
+        rng = random.Random(6174)
+        kinds = ("center", "pole", "seam", "off_grid", "anywhere")
+        edges = ("north", "south", "east", "west", "inside")
+        cut = 0  # boxes smaller than the grid around a disk that holds cells
+        for trial in range(1500):
+            resolution = rng.choice((1e-7, 0.01, 0.2, 0.5, 1.0, 3.0))
+            n_lat, n_lon = rng.randint(1, 60), rng.randint(1, 60)
+            grid = _edge_grid(rng, edges[trial % 5], min(n_lat * resolution, 180.0),
+                              min(n_lon * resolution, 360.0), resolution)
+            position = self._position(rng, grid, kinds[trial // 5 % 5])
+            distances = grid.distances_km(position)
+            # A cell in the position's own column or row, so the disk can end
+            # exactly on a cell center where the rows or columns bound is tight.
+            cell = grid.cell_of(position) or (rng.randrange(grid.n_lat),
+                                              rng.randrange(grid.n_lon))
+            on_cells = [float(distances[rng.randrange(grid.n_lat), cell[1]]),
+                        float(distances[cell[0], rng.randrange(grid.n_lon)]),
+                        float(distances[rng.randrange(grid.n_lat), rng.randrange(grid.n_lon)])]
+            radii = [0.0, 1e-200, math.pi * EARTH_RADIUS_KM,
+                     math.nextafter(math.pi * EARTH_RADIUS_KM, 0.0),
+                     rng.uniform(3.2, 5.0) * EARTH_RADIUS_KM, math.nan,
+                     rng.uniform(0.0, 2.0 * float(distances.max()))]
+            for d in on_cells:
+                radii += [d, math.nextafter(d, 0.0), math.nextafter(d, math.inf)]
+            for radius in radii:
+                i0, i1, j0, j1 = grid.disk_window(position, radius)
+                assert 0 <= i0 <= i1 <= grid.n_lat and 0 <= j0 <= j1 <= grid.n_lon
+                outside = distances <= radius
+                cut += outside.any() and (i1 - i0) * (j1 - j0) < outside.size
+                outside[i0:i1, j0:j1] = False
+                assert not outside.any(), f"trial {trial}, radius {radius!r}"
+        assert cut > 5000, cut
 
 
 class TestWithinKmExactness:
