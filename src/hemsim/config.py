@@ -161,7 +161,11 @@ SCHEMA = _obj(
         threshold=Key(int, 10**9, minimum=1),
         rollback_demo=Key(bool, True),
         classifier_traces=Key(int, 60, minimum=0),
-        fragmentation_k=Key(int, 4, minimum=1),
+        # The fragmentation demo builds a trace of 60 * k devices x 96 steps:
+        # each k adds 45 KiB to every float64 layer, and about six layers are
+        # live at once (~0.26 MB per k, measured). 128 keeps the demo near
+        # 35 MB; 10**8 asked for 44 GB a layer and ended in MemoryError.
+        fragmentation_k=Key(int, 4, minimum=1, maximum=128),
     ),
     adversary=_obj(
         tier=Key(str, "open", choices=TIERS),
@@ -296,6 +300,11 @@ def validate_config(raw: Any, strict: bool = True) -> dict:
             _fail("config.geoloc.landmarks_max", "must be >= 3 when speedup_trials > 0")
         if geoloc["bft"]["n"] < 3 * geoloc["bft"]["f"] + 1:
             _fail("config.geoloc.bft.n", "must be >= 3*f + 1 (Byzantine landmark bound)")
+    # Cap lowerings fall on distinct churn events; more of them than events
+    # would only repeat instants, in a loop as long as the count.
+    cluster = config.get("cluster")
+    if cluster and cluster["cap_lowerings"] > cluster["churn_events"]:
+        _fail("config.cluster.cap_lowerings", "must be <= churn_events")
     # A chip's last snapshot signs its cumulative meter as a u64.
     attest = config.get("attest")
     if attest and (attest["snapshots"] - 1) * attest["ops_per_interval"] > U64_MAX:

@@ -490,17 +490,32 @@ class DescentResult:
     start: str = "init"
 
 
+# Per landmark: (lat radians, lon radians, cos lat, target km), fixed for a
+# whole descent.
+DescentTerms = Sequence[tuple[float, float, float, float]]
+
+
+def descent_terms(targets: Sequence[tuple[GeoPoint, float]]) -> DescentTerms:
+    """The landmark terms the descent objective reads, built once per
+    descent from `(landmark position, target km)` pairs."""
+    terms = []
+    for position, target_km in targets:
+        p2 = math.radians(position.latitude)
+        terms.append((p2, math.radians(position.longitude), math.cos(p2), target_km))
+    return terms
+
+
 def descent_objective_and_gradient(
-    lat_deg: float,
-    lon_deg: float,
-    targets: Sequence[tuple[GeoPoint, float]],
+    lat_deg: float, lon_deg: float, terms: DescentTerms
 ) -> tuple[float, float, float]:
     """Sum of squared (distance - target) residuals and its gradient.
 
     Per landmark, d is the haversine distance from (lat, lon) and
     dd_da * da_dp1, dd_da * da_dl1 its partials in the first point's
-    radians. Terms that depend only on the point are computed once per
-    call, and sin^2(dlam / 2) and cos(p2) once per landmark.
+    radians. The landmark's own terms come from `descent_terms`; terms
+    that depend only on the point are computed once per call, and
+    sin^2(dlam / 2) once per landmark. The descent calls it at each start
+    and at each step it accepts.
     """
     p1 = math.radians(lat_deg)
     l1 = math.radians(lon_deg)
@@ -510,16 +525,17 @@ def descent_objective_and_gradient(
     f = 0.0
     g_lat = 0.0
     g_lon = 0.0
-    for position, target_km in targets:
-        p2 = math.radians(position.latitude)
+    for p2, l2, cos_p2, target_km in terms:
         dphi = p2 - p1
-        dlam = math.radians(position.longitude) - l1
-        cos_p2 = math.cos(p2)
+        dlam = l2 - l1
         s_half = math.sin(dlam / 2.0) ** 2
         a = math.sin(dphi / 2.0) ** 2 + cos_p1 * cos_p2 * s_half
-        a = min(max(a, 0.0), 1.0)
+        # Clamps as comparisons that, like min/max calls, pass NaN and -0.0
+        # through unchanged.
+        a = 0.0 if a < 0.0 else 1.0 if a > 1.0 else a
         d = 2.0 * EARTH_RADIUS_KM * math.asin(math.sqrt(a))
-        dd_da = EARTH_RADIUS_KM / math.sqrt(max(a * (1.0 - a), 1e-18))
+        q = a * (1.0 - a)
+        dd_da = EARTH_RADIUS_KM / math.sqrt(1e-18 if q < 1e-18 else q)
         da_dp1 = -math.sin(dphi) / 2.0 - sin_p1 * cos_p2 * s_half
         da_dl1 = -cos_p1 * cos_p2 * math.sin(dlam) / 2.0
         residual = d - target_km
@@ -529,11 +545,35 @@ def descent_objective_and_gradient(
     return f, g_lat, g_lon
 
 
-def _descend_from(
-    start: GeoPoint, targets: Sequence[tuple[GeoPoint, float]], label: str
-) -> DescentResult:
+def descent_objective(lat_deg: float, lon_deg: float, terms: DescentTerms) -> float:
+    """The f of `descent_objective_and_gradient`, bit for bit (the same
+    operations in the same order), without the gradient. The line search
+    calls it at every trial point, most of which it rejects."""
+    p1 = math.radians(lat_deg)
+    l1 = math.radians(lon_deg)
+    cos_p1 = math.cos(p1)
+    sin, asin, sqrt = math.sin, math.asin, math.sqrt
+    diameter = 2.0 * EARTH_RADIUS_KM
+    f = 0.0
+    for p2, l2, cos_p2, target_km in terms:
+        a = sin((p2 - p1) / 2.0) ** 2 + cos_p1 * cos_p2 * sin((l2 - l1) / 2.0) ** 2
+        a = 0.0 if a < 0.0 else 1.0 if a > 1.0 else a
+        residual = diameter * asin(sqrt(a)) - target_km
+        f += residual * residual
+    return f
+
+
+def _descend_from(start: GeoPoint, terms: DescentTerms, label: str) -> DescentResult:
+    """One backtracking descent from `start`.
+
+    Each trial point of the line search is scored by `descent_objective`
+    alone; the gradient is computed, by `descent_objective_and_gradient`,
+    only at the start and at each accepted step. Both give the same f bit
+    for bit, so the path is the one a search computing the gradient at every
+    trial point would take.
+    """
     lat, lon = start.latitude, start.longitude
-    f, g_lat, g_lon = descent_objective_and_gradient(lat, lon, targets)
+    f, g_lat, g_lon = descent_objective_and_gradient(lat, lon, terms)
     step_deg = 1.0
     status = "max_iterations"
     converged = False
@@ -549,9 +589,9 @@ def _descend_from(
         while t >= DESCENT_STEP_TOLERANCE_DEG / 4.0:
             new_lat = min(max(lat + t * d_lat, -90.0), 90.0)
             new_lon = lon + t * d_lon
-            new_f, new_g_lat, new_g_lon = descent_objective_and_gradient(new_lat, new_lon, targets)
-            if new_f <= f - 1e-4 * t * g_norm:
-                lat, lon, f, g_lat, g_lon = new_lat, new_lon, new_f, new_g_lat, new_g_lon
+            if descent_objective(new_lat, new_lon, terms) <= f - 1e-4 * t * g_norm:
+                lat, lon = new_lat, new_lon
+                f, g_lat, g_lon = descent_objective_and_gradient(lat, lon, terms)
                 improved = True
                 break
             t /= 2.0
@@ -575,15 +615,18 @@ def _descend_from(
     )
 
 
-def _coarse_scan_start(targets: Sequence[tuple[GeoPoint, float]], cells: int = 24) -> GeoPoint:
+def _coarse_scan_start(
+    targets: Sequence[tuple[GeoPoint, float]], terms: DescentTerms, cells: int = 24
+) -> GeoPoint:
     """Cheapest cell of a coarse objective scan over the landmark extent.
 
     The objective is scored on all cells at once through `_haversine_km`.
     Numpy's sin and arcsin may differ from libm's in the last bit, so every
     near-tie cell (objective within a relative 1e-9 plus 1e-9 km^2 of the
     least) is re-scored in row-major order with the scalar
-    `descent_objective_and_gradient`, keeping the first strict minimum: the
-    same cell, at the same coordinates, as a scalar scan of every cell.
+    `descent_objective` on `terms` (those of `targets`), keeping the first
+    strict minimum: the same cell, at the same coordinates, as a scalar scan
+    of every cell.
     """
     lats = [pos.latitude for pos, _ in targets]
     lons = [pos.longitude for pos, _ in targets]
@@ -602,7 +645,7 @@ def _coarse_scan_start(targets: Sequence[tuple[GeoPoint, float]], cells: int = 2
     best = None
     for i, j in np.argwhere(f <= f.min() * (1.0 + 1e-9) + 1e-9):
         lat, lon = float(lat_c[i]), float(lon_c[j])
-        value, _, _ = descent_objective_and_gradient(lat, lon, targets)
+        value = descent_objective(lat, lon, terms)
         if best is None or value < best[0]:
             best = (value, lat, lon)
     return GeoPoint(best[1], best[2])
@@ -622,6 +665,9 @@ def estimate_descent(
     objective never exceeds the objective at the init point; a failure to
     decrease along a full backtracking sweep ends a run with a diagnostic
     status instead of a silent wrong answer.
+
+    The landmark terms are built once, by `descent_terms`, and shared by
+    all three runs and the coarse scan.
     """
     usable = _usable(measurements)
     if len(usable) < 3:
@@ -631,14 +677,16 @@ def estimate_descent(
         lm = landmarks[m.landmark_id]
         bound = delay_to_distance(m, lm.fixed_overhead_ms)
         targets.append((lm.position, bound.bound_km))
+    terms = descent_terms(targets)
 
-    best = _descend_from(init, targets, "init")
+    best = _descend_from(init, terms, "init")
     centroid = GeoPoint(
         sum(pos.latitude for pos, _ in targets) / len(targets),
         sum(pos.longitude for pos, _ in targets) / len(targets),
     )
-    for start, label in ((centroid, "centroid"), (_coarse_scan_start(targets), "coarse_scan")):
-        candidate = _descend_from(start, targets, label)
+    for start, label in ((centroid, "centroid"),
+                         (_coarse_scan_start(targets, terms), "coarse_scan")):
+        candidate = _descend_from(start, terms, label)
         if candidate.objective_km2 < best.objective_km2 - 1e-12:
             best = candidate
     return best

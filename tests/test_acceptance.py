@@ -29,7 +29,7 @@ from hemsim.chipmodel import (
     provision_chip,
 )
 from hemsim.config import validate_config
-from hemsim.geoloc import descent_objective_and_gradient
+from hemsim.geoloc import descent_objective_and_gradient, descent_terms
 from hemsim.licensing import install, make_issuer
 from hemsim.netsim import GeoPoint
 from hemsim.scenarios import (
@@ -205,11 +205,11 @@ class TestAcceptance:
         h = 1e-5
         worst_rel = 0.0
         for _ in range(100):
-            targets = [
+            targets = descent_terms([
                 (GeoPoint(rng.uniform(-30, 40), rng.uniform(-60, 70)),
                  rng.uniform(100.0, 4000.0))
                 for _ in range(rng.randrange(3, 8))
-            ]
+            ])
             lat = rng.uniform(-45, 45)
             lon = rng.uniform(-100, 100)
             _, g_lat, g_lon = descent_objective_and_gradient(lat, lon, targets)

@@ -223,6 +223,14 @@ class TestCli:
         ({"network": {"nodes": THREE_NODES, "default_latency": {"jitter_median_ms": 1e308,
                                                             "jitter_sigma": 1}}},
          "config.network.default_latency.jitter_median_ms"),
+        # Unbounded counts: 10**8 fragments exited 3 with MemoryError, and more
+        # cap lowerings than churn events only built repeated instants.
+        ({"attest": {"chips": 1, "classifier_traces": 0, "fragmentation_k": 100_000_000}},
+         "config.attest.fragmentation_k"),
+        ({"attest": {"chips": 1, "classifier_traces": 0, "fragmentation_k": 129}},
+         "config.attest.fragmentation_k"),
+        ({"cluster": {"chips": 2, "churn_events": 2, "cap_lowerings": 3}},
+         "config.cluster.cap_lowerings"),
     ])
     def test_out_of_domain_value_is_a_schema_error(self, tmp_path, capsys, sections, path):
         config = tmp_path / "range.json"

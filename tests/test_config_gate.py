@@ -5,11 +5,11 @@ the schema enforces come from one table. About half of its numbers are a
 bound: a minimum, the float just past an exclusive minimum, or a maximum
 such as `U64_MAX`. It shapes the few values a cross-field check ties
 together: whole grid cells, `landmarks_min <= landmarks_max`,
-`n >= 3f + 1` and the u64 meter product. A drawn config either fails the
-schema or is run, and its reports written, without any other exception
-and within a deadline. Every report line must then parse as strict JSON:
-a NaN or Infinity token, which `json` writes for a non-finite float and
-strict parsers refuse, fails the gate.
+`cap_lowerings <= churn_events`, `n >= 3f + 1` and the u64 meter product.
+A drawn config either fails the schema or is run, and its reports
+written, without any other exception and within a deadline. Every report
+line must then parse as strict JSON: a NaN or Infinity token, which `json`
+writes for a non-finite float and strict parsers refuse, fails the gate.
 """
 
 import json
@@ -119,6 +119,10 @@ def configs(draw) -> dict:
             geoloc["bft"] = draw(_values(GEOLOC.fields["bft"], "config.geoloc.bft"))
         bft = geoloc["bft"]
         bft["n"] = 3 * bft["f"] + 1 + draw(_with_edges(st.integers(0, MAX_COUNT), 0))
+    cluster = config.get("cluster")
+    if cluster is not None:
+        cluster["cap_lowerings"], cluster["churn_events"] = sorted(
+            (cluster["cap_lowerings"], cluster["churn_events"]))
     attest = config.get("attest")
     if attest is not None:
         snapshots = attest.get("snapshots", SCHEMA.fields["attest"].fields["snapshots"].default)
@@ -157,6 +161,7 @@ def _parse_strictly(path: Path) -> None:
 @example({"name": "x\ud800", "seed": 1, "attest": {"chips": 1}})
 # At these bounds each latency and transit the reports hold stays finite.
 @example({"name": "x", "seed": 1, "cluster": {"chips": 2, "churn_events": 1,
+                                              "cap_lowerings": 1,
                                               "bridge_multiplier_sweep": [1e6]}})
 @example({"name": "x", "seed": 1, "network": {
     "default_latency": {"kappa": 0.01, "rho": 1000.0, "jitter_median_ms": 1e6,

@@ -10,6 +10,9 @@ from hemsim import canon
 from hemsim.chipmodel import Registry, provision_chip
 from hemsim.geoloc import (
     BOUND_SPEED_KM_PER_MS,
+    DESCENT_MAX_ITERATIONS,
+    DESCENT_STEP_TOLERANCE_DEG,
+    DescentResult,
     GeoEstimate,
     GridSpec,
     InsufficientLandmarksError,
@@ -17,7 +20,9 @@ from hemsim.geoloc import (
     Measurement,
     challenge_round,
     delay_to_distance,
+    descent_objective,
     descent_objective_and_gradient,
+    descent_terms,
     estimate_bft,
     estimate_cbg,
     estimate_descent,
@@ -562,7 +567,7 @@ class TestDescent:
         h = 1e-5
         for _ in range(30):
             positions, _ = self._targets(rng)
-            targets = [(pos, rng.uniform(100.0, 3000.0)) for pos in positions]
+            targets = descent_terms([(pos, rng.uniform(100.0, 3000.0)) for pos in positions])
             lat = rng.uniform(-40, 40)
             lon = rng.uniform(-90, 90)
             f, g_lat, g_lon = descent_objective_and_gradient(lat, lon, targets)
@@ -609,7 +614,8 @@ class TestDescent:
             for m in ms
         ]
         init = GeoPoint(2.0, 2.0)
-        f_init, _, _ = descent_objective_and_gradient(init.latitude, init.longitude, targets)
+        f_init, _, _ = descent_objective_and_gradient(init.latitude, init.longitude,
+                                                      descent_terms(targets))
         result = estimate_descent(ms, lms, init)
         assert result.objective_km2 <= f_init + 1e-9
 
@@ -647,25 +653,165 @@ def _frozen_objective(lat_deg, lon_deg, targets):
     return f, g_lat, g_lon
 
 
+def _frozen_objective_and_gradient(lat_deg, lon_deg, targets):
+    """`descent_objective_and_gradient` as it was before its landmark terms
+    were built once per descent, kept verbatim."""
+    p1 = math.radians(lat_deg)
+    l1 = math.radians(lon_deg)
+    cos_p1 = math.cos(p1)
+    sin_p1 = math.sin(p1)
+    to_rad = math.pi / 180.0
+    f = 0.0
+    g_lat = 0.0
+    g_lon = 0.0
+    for position, target_km in targets:
+        p2 = math.radians(position.latitude)
+        dphi = p2 - p1
+        dlam = math.radians(position.longitude) - l1
+        cos_p2 = math.cos(p2)
+        s_half = math.sin(dlam / 2.0) ** 2
+        a = math.sin(dphi / 2.0) ** 2 + cos_p1 * cos_p2 * s_half
+        a = min(max(a, 0.0), 1.0)
+        d = 2.0 * EARTH_RADIUS_KM * math.asin(math.sqrt(a))
+        dd_da = EARTH_RADIUS_KM / math.sqrt(max(a * (1.0 - a), 1e-18))
+        da_dp1 = -math.sin(dphi) / 2.0 - sin_p1 * cos_p2 * s_half
+        da_dl1 = -cos_p1 * cos_p2 * math.sin(dlam) / 2.0
+        residual = d - target_km
+        f += residual * residual
+        g_lat += 2.0 * residual * (dd_da * da_dp1 * to_rad)
+        g_lon += 2.0 * residual * (dd_da * da_dl1 * to_rad)
+    return f, g_lat, g_lon
+
+
+def _frozen_descend_from(start, targets, label):
+    """`_descend_from` as it was when every trial point also computed the
+    gradient, kept verbatim."""
+    lat, lon = start.latitude, start.longitude
+    f, g_lat, g_lon = _frozen_objective_and_gradient(lat, lon, targets)
+    step_deg = 1.0
+    status = "max_iterations"
+    converged = False
+    iterations = 0
+    for iterations in range(1, DESCENT_MAX_ITERATIONS + 1):
+        g_norm = math.hypot(g_lat, g_lon)
+        if g_norm == 0.0:
+            status, converged = "stationary", True
+            break
+        d_lat, d_lon = -g_lat / g_norm, -g_lon / g_norm
+        improved = False
+        t = step_deg
+        while t >= DESCENT_STEP_TOLERANCE_DEG / 4.0:
+            new_lat = min(max(lat + t * d_lat, -90.0), 90.0)
+            new_lon = lon + t * d_lon
+            new_f, new_g_lat, new_g_lon = _frozen_objective_and_gradient(new_lat, new_lon,
+                                                                         targets)
+            if new_f <= f - 1e-4 * t * g_norm:
+                lat, lon, f, g_lat, g_lon = new_lat, new_lon, new_f, new_g_lat, new_g_lon
+                improved = True
+                break
+            t /= 2.0
+        if not improved:
+            # Full backtracking sweep failed to decrease: either converged
+            # to numerical precision or genuinely stuck; report it.
+            status = "no_descent_step"
+            converged = f < 1e-9 or g_norm * DESCENT_STEP_TOLERANCE_DEG < 1e-9
+            break
+        if t < DESCENT_STEP_TOLERANCE_DEG:
+            status, converged = "step_tolerance", True
+            break
+        step_deg = min(t * 2.0, 8.0)
+    return DescentResult(
+        point=GeoPoint(lat, lon),
+        objective_km2=f,
+        iterations=iterations,
+        converged=converged,
+        status=status,
+        start=label,
+    )
+
+
+def _frozen_estimate_descent(measurements, landmarks, init):
+    """`estimate_descent` over `_frozen_descend_from`: the same three starts
+    and the same choice. The coarse-scan start comes from `_coarse_scan_start`,
+    which `TestCoarseScanExactness` pins to a scalar scan."""
+    targets = []
+    for m in measurements:
+        if m.verified and not m.missing:
+            lm = landmarks[m.landmark_id]
+            targets.append((lm.position, delay_to_distance(m, lm.fixed_overhead_ms).bound_km))
+    best = _frozen_descend_from(init, targets, "init")
+    centroid = GeoPoint(
+        sum(pos.latitude for pos, _ in targets) / len(targets),
+        sum(pos.longitude for pos, _ in targets) / len(targets),
+    )
+    scan = _coarse_scan_start(targets, descent_terms(targets))
+    for start, label in ((centroid, "centroid"), (scan, "coarse_scan")):
+        candidate = _frozen_descend_from(start, targets, label)
+        if candidate.objective_km2 < best.objective_km2 - 1e-12:
+            best = candidate
+    return best
+
+
+def _objective_cases():
+    """3,000 (trial, lat, lon, targets) cases: random points, and points on,
+    next to and antipodal to a landmark, including the poles."""
+    rng = random.Random(4242)
+    for trial in range(3000):
+        positions = [GeoPoint(rng.choice((rng.uniform(-90.0, 90.0), 90.0, -90.0, 0.0)),
+                              rng.uniform(-180.0, 180.0))
+                     for _ in range(rng.randint(1, 12))]
+        targets = [(pos, rng.choice((0.0, rng.uniform(0.0, 20000.0))))
+                   for pos in positions]
+        anchor = rng.choice(positions)
+        lat, lon = rng.choice((
+            (rng.uniform(-90.0, 90.0), rng.uniform(-540.0, 540.0)),  # descent lon wanders
+            (anchor.latitude, anchor.longitude),  # on a landmark: a == 0
+            (-anchor.latitude, anchor.longitude + 180.0),  # antipode: a == 1
+            (anchor.latitude + rng.uniform(-1e-6, 1e-6), anchor.longitude),
+        ))
+        yield trial, lat, lon, targets
+
+
+def _raw_haversine_a(lat_deg, lon_deg, landmark):
+    """The haversine term before its clamp to [0, 1]."""
+    p1, p2 = math.radians(lat_deg), math.radians(landmark.latitude)
+    dlam = math.radians(landmark.longitude) - math.radians(lon_deg)
+    return math.sin((p2 - p1) / 2.0) ** 2 + math.cos(p1) * math.cos(p2) * math.sin(dlam / 2.0) ** 2
+
+
 class TestObjectiveExactness:
     def test_matches_frozen_scalar_objective_bit_for_bit(self):
-        rng = random.Random(4242)
-        for trial in range(3000):
-            positions = [GeoPoint(rng.choice((rng.uniform(-90.0, 90.0), 90.0, -90.0, 0.0)),
-                                  rng.uniform(-180.0, 180.0))
-                         for _ in range(rng.randint(1, 12))]
-            targets = [(pos, rng.choice((0.0, rng.uniform(0.0, 20000.0))))
-                       for pos in positions]
-            anchor = rng.choice(positions)
-            lat, lon = rng.choice((
-                (rng.uniform(-90.0, 90.0), rng.uniform(-540.0, 540.0)),  # descent lon wanders
-                (anchor.latitude, anchor.longitude),  # on a landmark: a == 0
-                (-anchor.latitude, anchor.longitude + 180.0),  # antipode: a == 1
-                (anchor.latitude + rng.uniform(-1e-6, 1e-6), anchor.longitude),
-            ))
-            got = descent_objective_and_gradient(lat, lon, targets)
+        for trial, lat, lon, targets in _objective_cases():
+            got = descent_objective_and_gradient(lat, lon, descent_terms(targets))
             want = _frozen_objective(lat, lon, targets)
             assert [x.hex() for x in got] == [x.hex() for x in want], f"trial {trial}"
+
+    def test_objective_alone_equals_the_full_functions_f(self):
+        nan = float("nan")
+        past_one = (-69.51232454868148, 266.5812282599507,
+                    GeoPoint(69.51232454868148, 86.5812282599507))
+        assert _raw_haversine_a(5.0, 5.0, GeoPoint(5.0, 5.0)) == 0.0
+        assert _raw_haversine_a(0.0, 180.0, GeoPoint(0.0, 0.0)) == 1.0
+        assert _raw_haversine_a(*past_one) > 1.0  # rounds past 1: clamped
+        nan_cases = [
+            (nan, 10.0, [(GeoPoint(5.0, 5.0), 100.0)]),
+            (10.0, nan, [(GeoPoint(5.0, 5.0), 100.0)]),
+            (10.0, 10.0, [(GeoPoint(5.0, 5.0), nan)]),
+        ]
+        edges = nan_cases + [
+            (5.0, 5.0, [(GeoPoint(5.0, 5.0), 30.0), (GeoPoint(-5.0, 5.0), 0.0)]),  # a == 0
+            (0.0, 180.0, [(GeoPoint(0.0, 0.0), 20000.0)]),  # a == 1
+            (past_one[0], past_one[1], [(past_one[2], 20015.0)]),
+        ]
+        cases = [*_objective_cases(), *[(3000 + i, *case) for i, case in enumerate(edges)]]
+        for trial, lat, lon, targets in cases:
+            terms = descent_terms(targets)
+            alone = descent_objective(lat, lon, terms)
+            full, _, _ = descent_objective_and_gradient(lat, lon, terms)
+            frozen, _, _ = _frozen_objective(lat, lon, targets)
+            assert alone.hex() == full.hex() == frozen.hex(), f"trial {trial}"
+        assert all(math.isnan(descent_objective(lat, lon, descent_terms(targets)))
+                   for lat, lon, targets in nan_cases)
 
 
 def _reference_coarse_scan(targets, cells=24):
@@ -674,12 +820,13 @@ def _reference_coarse_scan(targets, cells=24):
     lons = [pos.longitude for pos, _ in targets]
     lat_lo, lat_hi = max(min(lats) - 5.0, -90.0), min(max(lats) + 5.0, 90.0)
     lon_lo, lon_hi = min(lons) - 5.0, max(lons) + 5.0
+    terms = descent_terms(targets)
     best = None
     for i in range(cells):
         for j in range(cells):
             lat = lat_lo + (i + 0.5) * (lat_hi - lat_lo) / cells
             lon = lon_lo + (j + 0.5) * (lon_hi - lon_lo) / cells
-            f, _, _ = descent_objective_and_gradient(lat, lon, targets)
+            f = descent_objective(lat, lon, terms)
             if best is None or f < best[0]:
                 best = (f, lat, lon)
     return best[1], best[2]
@@ -716,6 +863,77 @@ class TestCoarseScanExactness:
                 noise = 0.0 if mode == "exact" else 200.0
                 targets = [(pos, geodesic_distance(truth, pos) + rng.uniform(0.0, noise))
                            for pos in positions]
-            start = _coarse_scan_start(targets)
+            start = _coarse_scan_start(targets, descent_terms(targets))
             assert (start.latitude, start.longitude) == _reference_coarse_scan(targets), \
                 f"trial {trial} ({layout}, {mode})"
+
+
+def _fields(result):
+    """Every field of a DescentResult, floats in hex."""
+    return (result.point.latitude.hex(), result.point.longitude.hex(),
+            result.objective_km2.hex(), result.iterations, result.status, result.start,
+            result.converged)
+
+
+class TestDescentExactness:
+    """`estimate_descent` against `_frozen_estimate_descent`, field for field."""
+
+    def _positions(self, rng, n, layout):
+        if layout == "local":
+            lat0, lon0 = rng.uniform(-60, 60), rng.uniform(-150, 150)
+            return [GeoPoint(lat0 + rng.uniform(-12, 12), lon0 + rng.uniform(-12, 12))
+                    for _ in range(n)]
+        if layout == "wide":
+            return [GeoPoint(rng.uniform(-85, 85), rng.uniform(-180, 180)) for _ in range(n)]
+        if layout == "pole":
+            pole = rng.choice((90.0, -90.0))
+            lat0, lon0 = pole - math.copysign(rng.uniform(15, 40), pole), rng.uniform(-180, 180)
+            near = [GeoPoint(lat0 + rng.uniform(-8, 8), lon0 + rng.uniform(-8, 8))
+                    for _ in range(n - 1)]
+            return [GeoPoint(pole, rng.uniform(-180, 180))] + near
+        # Across the seam: longitudes on both sides of +-180 degrees.
+        lat0 = rng.uniform(-60, 60)
+        return [GeoPoint(lat0 + rng.uniform(-10, 10), 180.0 + rng.uniform(-10, 10))
+                for _ in range(n)]
+
+    def _measurements(self, rng, landmarks, truth, targets):
+        if targets == "zero":  # an RTT of twice the overhead bounds at 0 km
+            ms = [Measurement(lm.id, 2.0 * lm.fixed_overhead_ms, b"", b"", verified=True)
+                  for lm in landmarks]
+        elif targets == "random":
+            ms = [Measurement(lm.id, rng.uniform(1.0, 60.0), b"", b"", verified=True)
+                  for lm in landmarks]
+        else:
+            jitter = 0.0 if targets == "exact" else rng.uniform(0.05, 2.0)
+            ms = synthesize_round(rng, landmarks, truth, jitter, 0.8)
+        if rng.random() < 0.2:  # an unverified outlier that must not count
+            ms.append(Measurement(landmarks[0].id, 0.01, b"", b"", verified=False))
+        return ms
+
+    def test_matches_frozen_descent_field_for_field(self):
+        rng = random.Random(2024)
+        # Descents near a pole often run to the iteration cap (steps in
+        # degrees of longitude are badly conditioned there), so they take
+        # one case in eight.
+        layouts = ("local", "wide", "seam", "local", "wide", "seam", "local", "pole")
+        for trial in range(1500):
+            layout = layouts[trial % len(layouts)]
+            positions = self._positions(rng, rng.randint(3, 5), layout)
+            landmarks = [Landmark(f"lm{i}", pos, fixed_overhead_ms=rng.choice((0.0, 0.5)))
+                         for i, pos in enumerate(positions)]
+            truth = rng.choice(positions)
+            truth = GeoPoint(max(-90.0, min(90.0, truth.latitude + rng.uniform(-3, 3))),
+                             truth.longitude + rng.uniform(-3, 3))
+            targets = rng.choice(("zero", "exact", "noisy", "random"))
+            ms = self._measurements(rng, landmarks, truth, targets)
+            anchor = rng.choice(positions)
+            init = rng.choice((
+                GeoPoint(rng.uniform(-90, 90), rng.uniform(-180, 180)),
+                anchor,  # on a landmark
+                GeoPoint(-anchor.latitude, anchor.longitude + 180.0),  # its antipode
+                truth,
+            ))
+            lms = {lm.id: lm for lm in landmarks}
+            got = _fields(estimate_descent(ms, lms, init))
+            want = _fields(_frozen_estimate_descent(ms, lms, init))
+            assert got == want, f"trial {trial} ({layout}, {targets})"
