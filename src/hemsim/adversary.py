@@ -45,8 +45,8 @@ from .cluster import (
     ClusterNode,
     DataEvent,
     HandshakeReject,
-    PodRegime,
     SessionAllocator,
+    adopt_manifest,
     apply_cap_update,
     bridge_transfer,
     detect_cross_pod_coupling,
@@ -168,6 +168,7 @@ ATTACK_INVENTORY: dict[str, tuple[str, ...]] = {
     "cluster": (
         "cluster_pod_firmware_mod",
         "cluster_cap_forge",
+        "cluster_manifest_forge",
         "cluster_pcie_bridge",
         "cluster_gradient_smuggle",
     ),
@@ -182,6 +183,7 @@ ATTACK_INVENTORY: dict[str, tuple[str, ...]] = {
         "licensing_counterfeit",
         "licensing_replay",
         "licensing_cross_device",
+        "licensing_host_clock_rollback",
         "licensing_meter_rollback",
         "licensing_power_cut_rollback",
         "licensing_throttle_bypass",
@@ -212,11 +214,17 @@ def attack(name: str, *, expect: tuple[bool, bool], required=frozenset()):
 # -- world helpers ---------------------------------------------------------------
 
 
+def _require(done: bool, step: str) -> None:
+    """A set-up step the row cannot mean anything without; runs under -O too."""
+    if not done:
+        raise RuntimeError(f"attack set-up failed: {step}")
+
+
 def _licensed_chip(rng: random.Random, quota: int):
     issuer = make_issuer(rng)
     chip = provision_chip(rng, frozenset({issuer.public_key}))
     lic = issuer.issue(chip.identity.device_id, {MeterResource.CLOCK_CYCLES: quota})
-    assert install(chip, lic, now_ms=0.0).accepted
+    _require(install(chip, lic).accepted, "genuine license install")
     return issuer, chip, lic
 
 
@@ -265,7 +273,7 @@ def _attack_counterfeit(profile, rng, params) -> dict:
                 not_after=None,
                 issuer_signature=rng.randbytes(64),
             )
-        if install(chip, forged, now_ms=1.0).accepted:
+        if install(chip, forged).accepted:
             acceptances += 1
     return dict(
         succeeded=acceptances > 0,
@@ -280,7 +288,7 @@ def _attack_replay(profile, rng, params) -> dict:
     metered_consume(chip, MeterResource.CLOCK_CYCLES, 1000)  # exhaust the grant
     rejections = []
     for _ in range(50):
-        rejections.append(install(chip, lic, now_ms=chip.clock_ms).reason)
+        rejections.append(install(chip, lic).reason)
     return dict(
         succeeded=any(r is None for r in rejections),
         detected=all(r is RejectReason.STALE_ID for r in rejections),
@@ -294,11 +302,29 @@ def _attack_cross_device(profile, rng, params) -> dict:
     chip_a = provision_chip(rng, frozenset({issuer.public_key}))
     chip_b = provision_chip(rng, frozenset({issuer.public_key}))
     lic_a = issuer.issue(chip_a.identity.device_id, {MeterResource.CLOCK_CYCLES: 10**6})
-    result = install(chip_b, lic_a, now_ms=0.0)
+    result = install(chip_b, lic_a)
     return dict(
         succeeded=result.accepted,
         detected=result.reason is RejectReason.WRONG_DEVICE,
         evidence={"reason": result.reason.value if result.reason else None},
+    )
+
+
+@attack("licensing_host_clock_rollback", expect=(False, True))
+def _attack_host_clock_rollback(profile, rng, params) -> dict:
+    issuer = make_issuer(rng)
+    chip = provision_chip(rng, frozenset({issuer.public_key}))
+    chip.advance_to(50_000.0)
+    # A license that expired long ago, offered by a host that turns time back.
+    expired = issuer.issue(chip.identity.device_id, {MeterResource.CLOCK_CYCLES: 10**6},
+                           not_after=10_000)
+    chip.advance_to(0.0)
+    result = install(chip, expired)
+    return dict(
+        succeeded=result.accepted,
+        detected=result.reason is RejectReason.EXPIRED,
+        evidence={"chip_rtc_ms": chip.rtc_read(), "not_after": expired.not_after,
+                  "reason": result.reason.value if result.reason else None},
     )
 
 
@@ -352,7 +378,7 @@ def _attack_power_cut_rollback(profile, rng, params) -> dict:
         at = chip.clock_ms + rng.uniform(0.01, 20.0)
         chip.power_loss(at_ms=at)
         chip.power_on(at_ms=at + rng.uniform(0.01, 5.0))
-        if install(chip, lic, now_ms=chip.clock_ms).accepted:
+        if install(chip, lic).accepted:
             reuse_accepted += 1
     return dict(
         succeeded=reuse_accepted > 0,
@@ -386,8 +412,9 @@ def _attack_throttle_bypass(profile, rng, params) -> dict:
     manifest = issue_manifest(regulator, "pod-0", genuine_hashes, manifest_epoch=0)
     node_chip = ClusterNode(chip=chip)
     node_peer = ClusterNode(chip=peer)
-    result = handshake(0.0, node_peer, node_chip, PodRegime(manifest), registry, rng,
-                       SessionAllocator())
+    for node in (node_peer, node_chip):
+        _require(adopt_manifest(node, manifest), "genuine manifest adoption")
+    result = handshake(0.0, node_peer, node_chip, registry, rng, SessionAllocator())
     return dict(
         succeeded=unlicensed_use > 0,
         detected=result.reason is HandshakeReject.FIRMWARE_MISMATCH
@@ -422,8 +449,10 @@ def _attack_pod_firmware(profile, rng, params) -> dict:
         {a.device_id: a.chip.firmware_hash, b.device_id: b.chip.firmware_hash},
         manifest_epoch=0,
     )
+    for node in (a, b):
+        _require(adopt_manifest(node, manifest), "genuine manifest adoption")
     b.chip.tamper_event("firmware_mod", covert=True)
-    result = handshake(0.0, a, b, PodRegime(manifest), registry, rng, SessionAllocator())
+    result = handshake(0.0, a, b, registry, rng, SessionAllocator())
     return dict(
         succeeded=result.accepted,
         detected=result.reason is HandshakeReject.FIRMWARE_MISMATCH and b.self_disabled,
@@ -437,7 +466,7 @@ def _attack_cap_forge(profile, rng, params) -> dict:
     regulator, registry, nodes = _cluster_world(rng, 1)
     node = nodes[0]
     genuine = issue_cap_policy(regulator, cap=4, cap_epoch=1)
-    assert apply_cap_update(node, genuine)
+    _require(apply_cap_update(node, genuine), "genuine cap policy adoption")
     rogue = canon.generate_keypair(rng.randbytes(32))
     forged_raise = issue_cap_policy(rogue, cap=1024, cap_epoch=2)
     replayed = issue_cap_policy(regulator, cap=64, cap_epoch=0)
@@ -447,6 +476,32 @@ def _attack_cap_forge(profile, rng, params) -> dict:
         succeeded=adopted_forged or adopted_replay,
         detected=not adopted_forged and not adopted_replay,
         evidence={"cap_after": node.adopted_cap(), "cap_epoch_after": node.cap_policy.cap_epoch},
+    )
+
+
+@attack("cluster_manifest_forge", expect=(False, True))
+def _attack_manifest_forge(profile, rng, params) -> dict:
+    regulator, registry, nodes = _cluster_world(rng, 3)
+    member, peer, outsider = nodes
+    pod = {n.device_id: n.chip.firmware_hash for n in (member, peer)}
+    _require(adopt_manifest(member, issue_manifest(regulator, "pod-0", pod, manifest_epoch=0)),
+             "genuine manifest adoption")
+    # The outsider is a genuine member of another pod.
+    own = issue_manifest(regulator, "pod-1", {outsider.device_id: outsider.chip.firmware_hash},
+                         manifest_epoch=0)
+    _require(adopt_manifest(outsider, own), "genuine manifest adoption")
+    rogue = canon.generate_keypair(rng.randbytes(32))
+    forged = issue_manifest(rogue, "pod-0",
+                            {**pod, outsider.device_id: outsider.chip.firmware_hash},
+                            manifest_epoch=1)
+    adopted = adopt_manifest(member, forged)
+    result = handshake(0.0, member, outsider, registry, rng, SessionAllocator())
+    return dict(
+        succeeded=adopted or result.accepted,
+        detected=not adopted and result.reason is HandshakeReject.NOT_IN_POD,
+        evidence={"forged_adopted": adopted,
+                  "member_epoch": member.pod_manifest.manifest_epoch,
+                  "handshake_reason": result.reason.value if result.reason else None},
     )
 
 

@@ -4,7 +4,10 @@ Chips mutually authenticate before any data moves: each side signs the
 peer's nonce with its device key and the claimed device id is checked
 against the verifier registry. Two enforcement regimes gate the session:
 pod membership with firmware integrity (fixed set), or a regulator-signed
-cap on concurrently authenticated peers (adjustable cap). The module also
+cap on concurrently authenticated peers (adjustable cap). A chip's regime is
+what it has itself verified and adopted - a pod manifest (`adopt_manifest`),
+a cap policy (`apply_cap_update`), or both - and each endpoint of a
+handshake enforces its own; the caller passes no regime. The module also
 models the two circumvention routes named for these regimes - PCIe-bridged
 transfers through a host, and gradient smuggling between pods - plus an
 offline detector that flags periodic inter-pod traffic.
@@ -15,7 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 from . import canon
 from .chipmodel import ChipState, MeterResource, Registry, ThrottleLevel, ZeroizedError
@@ -134,19 +137,6 @@ class HandshakeResult:
         return self.session is not None
 
 
-@dataclass(frozen=True)
-class PodRegime:
-    manifest: PodManifest
-
-
-@dataclass(frozen=True)
-class CapRegime:
-    """Marker: each endpoint enforces its own adopted cap policy."""
-
-
-Regime = Union[PodRegime, CapRegime]
-
-
 @dataclass
 class ClusterNode:
     """One chip's cluster-facing state."""
@@ -211,20 +201,20 @@ def handshake(
     now_ms: float,
     a: ClusterNode,
     b: ClusterNode,
-    regime: Regime,
     registry: Registry,
     rng: random.Random,
     allocator: SessionAllocator,
 ) -> HandshakeResult:
-    """Mutual challenge-response with regime admission.
+    """Mutual challenge-response; each endpoint admits under its own regime.
 
     Check order: a disabled endpoint refuses first. Both nonces are then
-    drawn, so the rng stream does not depend on which check rejects. Under
-    the cap regime each endpoint next compares its open sessions with the
-    cap it has already verified and adopted; that is local state, so a full
-    chip refuses before paying for signatures it would discard. Pod
-    membership and firmware are checked only after both sides have
-    authenticated, because a firmware mismatch self-disables the member and
+    drawn, so the rng stream does not depend on which check rejects. An
+    endpoint with a cap policy, or with no pod manifest, next compares its
+    open sessions with the cap it has verified and adopted (0 if none:
+    default-deny); that is local state, so a full chip refuses before paying
+    for signatures it would discard. An endpoint's pod manifest is checked
+    only after both sides have authenticated: both must be listed in it, and
+    the endpoint's own firmware must match its entry or it self-disables;
     an unauthenticated peer must not be able to trigger that. Every
     accepted session is mutually authenticated.
     """
@@ -232,26 +222,23 @@ def handshake(
         return HandshakeResult(None, HandshakeReject.BAD_AUTH)
     nonce_a = rng.randbytes(16)
     nonce_b = rng.randbytes(16)
-    if isinstance(regime, CapRegime):
-        for node in (a, b):
-            if node.open_session_count() >= node.adopted_cap():
-                return HandshakeResult(None, HandshakeReject.CAP_EXCEEDED)
+    for node in (a, b):
+        held_to_cap = node.cap_policy is not None or node.pod_manifest is None
+        if held_to_cap and node.open_session_count() >= node.adopted_cap():
+            return HandshakeResult(None, HandshakeReject.CAP_EXCEEDED)
     if not _auth_ok(a, nonce_b, b.device_id, registry):
         return HandshakeResult(None, HandshakeReject.BAD_AUTH)
     if not _auth_ok(b, nonce_a, a.device_id, registry):
         return HandshakeResult(None, HandshakeReject.BAD_AUTH)
 
-    if isinstance(regime, PodRegime):
-        manifest = regime.manifest
-        for node in (a, b):
-            expected = manifest.expected_firmware(node.device_id)
-            if expected is None:
-                return HandshakeResult(None, HandshakeReject.NOT_IN_POD)
-        for node in (a, b):
-            expected = manifest.expected_firmware(node.device_id)
-            if expected != node.chip.firmware_hash:
-                node.disable()  # integrity check tripped: member self-disables
-                return HandshakeResult(None, HandshakeReject.FIRMWARE_MISMATCH)
+    in_pods = [node for node in (a, b) if node.pod_manifest is not None]
+    for node in in_pods:
+        if any(node.pod_manifest.expected_firmware(n.device_id) is None for n in (a, b)):
+            return HandshakeResult(None, HandshakeReject.NOT_IN_POD)
+    for node in in_pods:
+        if node.pod_manifest.expected_firmware(node.device_id) != node.chip.firmware_hash:
+            node.disable()  # integrity check tripped: member self-disables
+            return HandshakeResult(None, HandshakeReject.FIRMWARE_MISMATCH)
 
     session = Session(
         session_id=allocator.next_id(),

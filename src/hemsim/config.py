@@ -96,7 +96,10 @@ SCHEMA = _obj(
         )),
     ),
     fleet=_obj(
-        count=Key(int, 4, minimum=1),
+        # Each chip costs an ed25519 key generation (~60 us) and ~2.3 KB; the
+        # fuzz campaign copies the fleet list on each cross-device trial
+        # (~16 ns a chip). 10,000 chips provision in under a second.
+        count=Key(int, 4, minimum=1, maximum=10_000),
         persistence=_obj(
             {},
             kind=Key(str, "capacitor_flush", choices=POLICY_KINDS),
@@ -105,13 +108,21 @@ SCHEMA = _obj(
         ),
     ),
     licensing=_obj(
-        honest_licenses=Key(int, 100, minimum=1),
-        fuzz_licenses=Key(int, 1000, minimum=0),
+        # An honest license costs an ed25519 sign and verify (~0.22 ms), a fuzz
+        # trial a sign and at most a verify (~0.12 ms), on one 2.1 GHz Xeon
+        # core: 100,000 honest licenses take about 22 s, and 100,000 fuzz
+        # trials on 10,000 chips took 24 s (their fleet copies included).
+        honest_licenses=Key(int, 100, minimum=1, maximum=100_000),
+        fuzz_licenses=Key(int, 1000, minimum=0, maximum=100_000),
         quota=Key(int, 1000, minimum=1, maximum=U64_MAX),  # signed as u64
         resource=Key(str, "clock_cycles", choices=RESOURCE_NAMES),
     ),
     cluster=_obj(
-        chips=Key(int, 12, minimum=2),
+        # A chip costs ~0.2 ms to provision, enrol and adopt the cap; a churn
+        # event ~0.14 ms (a handshake signs and verifies twice), and every
+        # check instant, one per 10-20 events, visits each chip (~0.3 us).
+        # 2,048 chips and 20,000 events at a 5 ms period took 16 s.
+        chips=Key(int, 12, minimum=2, maximum=2048),
         cap=Key(int, 4, minimum=0, maximum=U32_MAX),  # signed as u32
         # The churn clock steps uniform(0.5, period / 10) ms per event. From
         # 5 ms up that is at most a tenth of a period, so each event brings at
@@ -121,7 +132,7 @@ SCHEMA = _obj(
         # spacing of the clock the sum stops moving and the loop never ends.
         # Longer periods never come due, and the clock could overflow to inf.
         check_period_ms=Key(float, 60_000.0, minimum=5.0, maximum=1e12),
-        churn_events=Key(int, 500, minimum=1),
+        churn_events=Key(int, 500, minimum=1, maximum=20_000),  # cost: see chips
         cap_lowerings=Key(int, 2, minimum=0),
         # The sweep sends 1 GB over a 1e8 bytes/ms link, so transit_ms is
         # 10 * multiplier and overflowed to inf past ~1.8e307; 1e6 (a transit
@@ -174,7 +185,9 @@ SCHEMA = _obj(
     ),
     attack_matrix=_obj(
         enabled=Key(bool, True),
-        counterfeit_trials=Key(int, 2000, minimum=1),
+        # Each trial signs a forgery or flips a bit and is verified (~0.13
+        # ms): 100,000 trials run in about 13 s.
+        counterfeit_trials=Key(int, 2000, minimum=1, maximum=100_000),
     ),
     expect=Key(dict, OMITTED, item=Key(bool)),
 )

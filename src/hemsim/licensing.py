@@ -146,22 +146,23 @@ def make_issuer(rng: random.Random) -> IssuerState:
     return IssuerState(keypair=canon.generate_keypair(rng.randbytes(32)))
 
 
-def install(chip: ChipState, lic: License, now_ms: float) -> InstallResult:
+def install(chip: ChipState, lic: License) -> InstallResult:
     """Device-side license verification; hostile inputs expected.
 
     Acceptance requires all of: matching device id, strictly increasing
-    license id, (when present) an unexpired not_after against the chip
-    clock, and a valid signature under an enrolled issuer key. The checks
+    license id, (when present) a not_after the chip's own RTC has not
+    passed, and a valid signature under an enrolled issuer key. The checks
     run in that order and the reason is the first one that fails. The first
     three read unverified fields, which may only reject: the signature is
     checked last, and only for a license that passed them. A rejection
-    changes no chip state.
+    changes no chip state. The host passes no time: it can advance the
+    chip's clock (`advance_to`) but never turn it back.
     """
     if lic.device_id != chip.identity.device_id:
         return InstallResult(False, RejectReason.WRONG_DEVICE)
     if lic.license_id <= chip.last_license_id:
         return InstallResult(False, RejectReason.STALE_ID)
-    if lic.not_after is not None and now_ms > lic.not_after:
+    if lic.not_after is not None and chip.rtc_read() > lic.not_after:
         return InstallResult(False, RejectReason.EXPIRED)
     signed = license_signed_bytes(lic.license_id, lic.device_id, lic.quotas, lic.not_after)
     if not any(

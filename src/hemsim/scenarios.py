@@ -46,7 +46,6 @@ from .chipmodel import (
     provision_chip,
 )
 from .cluster import (
-    CapRegime,
     ClusterNode,
     Session,
     SessionAllocator,
@@ -160,7 +159,7 @@ def fuzz_licenses(issuer, chips, trials: int, rng: random.Random) -> tuple[int, 
             mutated = issuer.issue(other.identity.device_id, {resource: 1000})
             if other is chip:
                 continue
-        if install(chip, mutated, now_ms=1.0).accepted:
+        if install(chip, mutated).accepted:
             acceptances += 1
     return acceptances, kinds
 
@@ -182,7 +181,7 @@ def run_licensing_section(section: dict, fleet: dict, seed: int) -> SectionResul
     for i in range(section["honest_licenses"]):
         chip = chips[i % len(chips)]
         lic = issuer.issue(chip.identity.device_id, {resource: quota})
-        if install(chip, lic, now_ms=float(i)).accepted:
+        if install(chip, lic).accepted:
             honest_accepted += 1
     result.records.append({
         "event": "honest_campaign",
@@ -198,13 +197,13 @@ def run_licensing_section(section: dict, fleet: dict, seed: int) -> SectionResul
     # Quota lifecycle on one chip: boundary, default-deny, renewal.
     chip = chips[0]
     lic = issuer.issue(chip.identity.device_id, {resource: quota})
-    install(chip, lic, now_ms=10_000.0)
+    install(chip, lic)
     near = metered_consume(chip, resource, quota - 1)
     at_boundary_full = chip.throttle is ThrottleLevel.FULL
     last = metered_consume(chip, resource, 1)
     disabled_after = last.throttle_after is ThrottleLevel.DISABLED
     renewal = issuer.issue(chip.identity.device_id, {resource: quota})
-    install(chip, renewal, now_ms=10_001.0)
+    install(chip, renewal)
     renewed_full = chip.throttle is ThrottleLevel.FULL
     lifecycle_ok = (near.applied and at_boundary_full and last.applied
                     and disabled_after and renewed_full)
@@ -314,7 +313,7 @@ def run_cluster_section(section: dict, seed: int) -> SectionResult:
             stats["teardowns"] += 1
         else:
             a, b = rng.sample(nodes, 2)
-            outcome = handshake(now, a, b, CapRegime(), registry, rng, alloc)
+            outcome = handshake(now, a, b, registry, rng, alloc)
             stats["handshakes"] += 1
             if outcome.accepted:
                 stats["accepted"] += 1

@@ -22,12 +22,13 @@ THREE_NODES = [{"id": "a", "lat": 0, "lon": 0}, {"id": "b", "lat": 10, "lon": 10
                {"id": "c", "lat": -10, "lon": 40}]
 
 
-def _run_cli_process(args: list[str], hash_seed: str = "0") -> subprocess.CompletedProcess:
-    """`python -m hemsim.cli ARGS` in a fresh interpreter, killed after 120 s."""
+def _run_cli_process(args: list[str], hash_seed: str = "0",
+                     flags: tuple[str, ...] = ()) -> subprocess.CompletedProcess:
+    """`python FLAGS -m hemsim.cli ARGS` in a fresh interpreter, killed after 120 s."""
     src = str(Path(hemsim.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONHASHSEED": hash_seed,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-m", "hemsim.cli", *args], env=env,
+    return subprocess.run([sys.executable, *flags, "-m", "hemsim.cli", *args], env=env,
                           timeout=120, capture_output=True, text=True)
 
 
@@ -231,6 +232,18 @@ class TestCli:
          "config.attest.fragmentation_k"),
         ({"cluster": {"chips": 2, "churn_events": 2, "cap_lowerings": 3}},
          "config.cluster.cap_lowerings"),
+        # One past each count's maximum: the schema states what a run may cost.
+        ({"fleet": {"count": 10_001}, "licensing": {"honest_licenses": 1, "fuzz_licenses": 0}},
+         "config.fleet.count"),
+        ({"licensing": {"honest_licenses": 100_001, "fuzz_licenses": 0}},
+         "config.licensing.honest_licenses"),
+        ({"licensing": {"honest_licenses": 1, "fuzz_licenses": 100_001}},
+         "config.licensing.fuzz_licenses"),
+        ({"cluster": {"chips": 2049, "churn_events": 1, "cap_lowerings": 0}},
+         "config.cluster.chips"),
+        ({"cluster": {"chips": 2, "churn_events": 20_001}}, "config.cluster.churn_events"),
+        ({"attack_matrix": {"counterfeit_trials": 100_001}},
+         "config.attack_matrix.counterfeit_trials"),
     ])
     def test_out_of_domain_value_is_a_schema_error(self, tmp_path, capsys, sections, path):
         config = tmp_path / "range.json"
@@ -346,3 +359,15 @@ class TestGoldenReports:
     def test_bundled_scenario_matches_golden(self, scenario, report):
         golden = (GOLDEN_DIR / f"{scenario}.{report}").read_text(encoding="utf-8")
         assert _bundled_reports(scenario)[report] == golden
+
+    def test_attack_matrix_matches_golden_under_python_O(self, tmp_path):
+        # -O strips assert statements, so no attack may do its set-up in one.
+        run = _run_cli_process(["run", "attack_matrix", "--out", str(tmp_path)],
+                               flags=("-O",))
+        assert run.returncode == 0, run.stdout + run.stderr
+        written = sorted(p.name for p in tmp_path.iterdir())
+        assert written == sorted(p.name[len("attack_matrix."):]
+                                 for p in GOLDEN_DIR.glob("attack_matrix.*"))
+        for name in written:
+            golden = (GOLDEN_DIR / f"attack_matrix.{name}").read_bytes()
+            assert (tmp_path / name).read_bytes() == golden, name

@@ -19,12 +19,10 @@ from hemsim.chipmodel import (
 )
 from hemsim.cluster import (
     CapPolicy,
-    CapRegime,
     ClusterNode,
     DataEvent,
     HandshakeReject,
     LinkKind,
-    PodRegime,
     SessionAllocator,
     adopt_manifest,
     apply_cap_update,
@@ -91,10 +89,12 @@ class TestPodRegime:
             {i: nodes[i].chip.firmware_hash for i in (a, b, c)},
             manifest_epoch=0,
         )
+        for i in (a, b, c, d):
+            assert adopt_manifest(nodes[i], manifest)
         alloc = SessionAllocator()
-        ok = handshake(0.0, nodes[a], nodes[b], PodRegime(manifest), registry, rng, alloc)
+        ok = handshake(0.0, nodes[a], nodes[b], registry, rng, alloc)
         assert ok.accepted
-        rejected = handshake(1.0, nodes[a], nodes[d], PodRegime(manifest), registry, rng, alloc)
+        rejected = handshake(1.0, nodes[a], nodes[d], registry, rng, alloc)
         assert rejected.reason is HandshakeReject.NOT_IN_POD
 
     def test_firmware_mismatch_rejects_and_self_disables(self, world):
@@ -106,13 +106,13 @@ class TestPodRegime:
             {a: nodes[a].chip.firmware_hash, b: nodes[b].chip.firmware_hash},
             manifest_epoch=0,
         )
+        for i in (a, b):
+            assert adopt_manifest(nodes[i], manifest)
         nodes[b].chip.firmware_hash = hashlib.sha256(b"patched").digest()
-        result = handshake(0.0, nodes[a], nodes[b], PodRegime(manifest), registry, rng,
-                           SessionAllocator())
+        result = handshake(0.0, nodes[a], nodes[b], registry, rng, SessionAllocator())
         assert result.reason is HandshakeReject.FIRMWARE_MISMATCH
         assert nodes[b].self_disabled
-        again = handshake(1.0, nodes[a], nodes[b], PodRegime(manifest), registry, rng,
-                          SessionAllocator())
+        again = handshake(1.0, nodes[a], nodes[b], registry, rng, SessionAllocator())
         assert again.reason is HandshakeReject.BAD_AUTH
 
     def test_member_replacement_via_manifest_reissue(self, world):
@@ -133,10 +133,10 @@ class TestPodRegime:
         )
         assert adopt_manifest(nodes[a], replacement)
         assert not adopt_manifest(nodes[a], first)  # stale epoch rejected
+        assert adopt_manifest(nodes[b], first) and adopt_manifest(nodes[c], replacement)
         alloc = SessionAllocator()
-        regime = PodRegime(nodes[a].pod_manifest)
-        assert handshake(0.0, nodes[a], nodes[c], regime, registry, rng, alloc).accepted
-        rejected = handshake(1.0, nodes[a], nodes[b], regime, registry, rng, alloc)
+        assert handshake(0.0, nodes[a], nodes[c], registry, rng, alloc).accepted
+        rejected = handshake(1.0, nodes[a], nodes[b], registry, rng, alloc)
         assert rejected.reason is HandshakeReject.NOT_IN_POD
 
     def test_stale_manifest_epoch_refused_without_verify(self, world, crypto_calls):
@@ -167,6 +167,41 @@ class TestPodRegime:
                                 manifest_epoch=5)
         assert not adopt_manifest(nodes[ids[0]], forged)
 
+    @pytest.mark.parametrize("outsider_first", [False, True])
+    def test_member_that_refused_a_forged_manifest_does_not_admit_the_outsider(
+            self, world, outsider_first):
+        rng, regulator, registry, nodes = world
+        ids = sorted(nodes)
+        member, outsider = nodes[ids[0]], nodes[ids[2]]
+        pod = {i: nodes[i].chip.firmware_hash for i in ids[:2]}
+        genuine = issue_manifest(regulator, "pod-1", pod, manifest_epoch=0)
+        assert adopt_manifest(member, genuine)
+        assert apply_cap_update(outsider, issue_cap_policy(regulator, cap=4, cap_epoch=0))
+        rogue = canon.generate_keypair(rng.randbytes(32))
+        forged = issue_manifest(rogue, "pod-1",
+                                {**pod, outsider.device_id: outsider.chip.firmware_hash},
+                                manifest_epoch=1)
+        assert not adopt_manifest(member, forged)
+        pair = (outsider, member) if outsider_first else (member, outsider)
+        result = handshake(0.0, *pair, registry, rng, SessionAllocator())
+        assert result.reason is HandshakeReject.NOT_IN_POD
+        assert member.pod_manifest is genuine and not member.sessions
+
+    def test_member_that_adopted_no_manifest_is_refused(self, world, crypto_calls):
+        rng, regulator, registry, nodes = world
+        ids = sorted(nodes)
+        a, b = nodes[ids[0]], nodes[ids[1]]
+        manifest = issue_manifest(regulator, "pod-1",
+                                  {i: nodes[i].chip.firmware_hash for i in ids[:2]},
+                                  manifest_epoch=0)
+        assert adopt_manifest(a, manifest)  # b is listed but holds no manifest
+        crypto_calls.update(verify=0, sign=0)
+        for pair in ((a, b), (b, a)):
+            result = handshake(0.0, *pair, registry, rng, SessionAllocator())
+            assert result.reason is HandshakeReject.CAP_EXCEEDED
+        assert crypto_calls == {"verify": 0, "sign": 0}
+        assert not a.sessions and not b.sessions
+
     def test_forged_identity_rejected(self, world):
         rng, regulator, registry, nodes = world
         ids = sorted(nodes)
@@ -185,8 +220,9 @@ class TestPodRegime:
             )
         )
         imposter = ClusterNode(chip=imposter_chip)
-        result = handshake(0.0, nodes[a], imposter, PodRegime(manifest), registry, rng,
-                           SessionAllocator())
+        for node in (nodes[a], imposter):
+            assert adopt_manifest(node, manifest)
+        result = handshake(0.0, nodes[a], imposter, registry, rng, SessionAllocator())
         assert result.reason is HandshakeReject.BAD_AUTH
 
     @pytest.mark.parametrize("imposter_first", [False, True])
@@ -206,9 +242,10 @@ class TestPodRegime:
             issuer_keys=frozenset({regulator.public_bytes}),
         )))
         imposter.chip.firmware_hash = hashlib.sha256(b"patched").digest()
+        for node in (nodes[a], imposter):
+            assert adopt_manifest(node, manifest)
         pair = (imposter, nodes[a]) if imposter_first else (nodes[a], imposter)
-        result = handshake(0.0, *pair, PodRegime(manifest), registry, rng,
-                           SessionAllocator())
+        result = handshake(0.0, *pair, registry, rng, SessionAllocator())
         # Authentication fails before the firmware check can run.
         assert result.reason is HandshakeReject.BAD_AUTH
         assert not nodes[a].self_disabled
@@ -230,8 +267,7 @@ class TestPodRegime:
                 issuer_keys=frozenset({regulator.public_bytes}),
             )))
             imposter.cap_policy = honest.cap_policy
-            result = handshake(float(trial), honest, imposter, CapRegime(), registry,
-                               rng, alloc)
+            result = handshake(float(trial), honest, imposter, registry, rng, alloc)
             successes += result.accepted
         assert successes == 0
 
@@ -243,15 +279,15 @@ class TestCapRegime:
         ids = sorted(nodes)
         hub = nodes[ids[0]]
         alloc = SessionAllocator()
-        assert handshake(0.0, hub, nodes[ids[1]], CapRegime(), registry, rng, alloc).accepted
-        assert handshake(1.0, hub, nodes[ids[2]], CapRegime(), registry, rng, alloc).accepted
-        third = handshake(2.0, hub, nodes[ids[3]], CapRegime(), registry, rng, alloc)
+        assert handshake(0.0, hub, nodes[ids[1]], registry, rng, alloc).accepted
+        assert handshake(1.0, hub, nodes[ids[2]], registry, rng, alloc).accepted
+        third = handshake(2.0, hub, nodes[ids[3]], registry, rng, alloc)
         assert third.reason is HandshakeReject.CAP_EXCEEDED
 
     def test_no_adopted_policy_denies(self, world):
         rng, _, registry, nodes = world
         ids = sorted(nodes)
-        result = handshake(0.0, nodes[ids[0]], nodes[ids[1]], CapRegime(), registry, rng,
+        result = handshake(0.0, nodes[ids[0]], nodes[ids[1]], registry, rng,
                            SessionAllocator())
         assert result.reason is HandshakeReject.CAP_EXCEEDED
 
@@ -263,21 +299,20 @@ class TestCapRegime:
         hub = nodes[ids[0]]
         alloc = SessionAllocator()
         if cap:
-            assert handshake(0.0, hub, nodes[ids[1]], CapRegime(), registry, rng,
-                             alloc).accepted
+            assert handshake(0.0, hub, nodes[ids[1]], registry, rng, alloc).accepted
         crypto_calls.update(verify=0, sign=0)
         expected_rng = random.Random()
         expected_rng.setstate(rng.getstate())
         expected_rng.randbytes(32)  # both nonces are drawn whichever check rejects
         for a, b in ((hub, nodes[ids[2]]), (nodes[ids[2]], hub)):
-            result = handshake(1.0, a, b, CapRegime(), registry, rng, alloc)
+            result = handshake(1.0, a, b, registry, rng, alloc)
             assert result.reason is HandshakeReject.CAP_EXCEEDED
             assert rng.getstate() == expected_rng.getstate()
             expected_rng.randbytes(32)
         assert crypto_calls == {"verify": 0, "sign": 0}
         if cap:  # an admitted handshake still authenticates both ways
-            assert handshake(2.0, nodes[ids[2]], nodes[ids[3]], CapRegime(), registry,
-                             rng, alloc).accepted
+            assert handshake(2.0, nodes[ids[2]], nodes[ids[3]], registry, rng,
+                             alloc).accepted
             assert crypto_calls == {"verify": 2, "sign": 2}
 
     def test_stale_epoch_refused_without_verify(self, world, crypto_calls):
@@ -323,7 +358,7 @@ class TestCapRegime:
         alloc = SessionAllocator()
         sessions = []
         for i, peer in enumerate(ids[1:6]):
-            result = handshake(float(i), hub, nodes[peer], CapRegime(), registry, rng, alloc)
+            result = handshake(float(i), hub, nodes[peer], registry, rng, alloc)
             sessions.append(result.session)
         assert hub.open_session_count() == 5
 
@@ -348,7 +383,7 @@ class TestCapRegime:
         adopt_caps(regulator, nodes, cap=8, check_period_ms=100.0)
         alloc = SessionAllocator()
         for i, peer in enumerate(ids[1:5]):
-            handshake(float(i), hub, nodes[peer], CapRegime(), registry, rng, alloc)
+            handshake(float(i), hub, nodes[peer], registry, rng, alloc)
         lowered = issue_cap_policy(regulator, cap=1, cap_epoch=1, check_period_ms=100.0)
         apply_cap_update(hub, lowered)
         peers = {n.device_id: n for n in nodes.values()}
@@ -433,7 +468,7 @@ class TestTransfers:
         adopt_caps(regulator, nodes, cap=8)
         ids = sorted(nodes)
         a, b = nodes[ids[0]], nodes[ids[1]]
-        session = handshake(0.0, a, b, CapRegime(), registry, rng, SessionAllocator()).session
+        session = handshake(0.0, a, b, registry, rng, SessionAllocator()).session
         return a, b, session
 
     def test_bridge_latency_multiplier(self, world):

@@ -92,48 +92,51 @@ class TestIssue:
 class TestInstall:
     def test_valid_fresh_license_accepted(self, world):
         _, issuer, chip = world
-        result = install(chip, issuer.issue(chip.identity.device_id, QUOTA), now_ms=0.0)
+        result = install(chip, issuer.issue(chip.identity.device_id, QUOTA))
         assert result == InstallResult(True)
         assert chip.throttle is ThrottleLevel.FULL
 
     def test_replay_rejected_stale_id(self, world):
         _, issuer, chip = world
         lic = issuer.issue(chip.identity.device_id, QUOTA)
-        assert install(chip, lic, now_ms=0.0).accepted
-        result = install(chip, lic, now_ms=1.0)
+        assert install(chip, lic).accepted
+        result = install(chip, lic)
         assert result.reason is RejectReason.STALE_ID
 
     def test_out_of_order_older_license_rejected(self, world):
         _, issuer, chip = world
         first = issuer.issue(chip.identity.device_id, QUOTA)
         second = issuer.issue(chip.identity.device_id, QUOTA)
-        assert install(chip, second, now_ms=0.0).accepted
-        assert install(chip, first, now_ms=0.0).reason is RejectReason.STALE_ID
+        assert install(chip, second).accepted
+        assert install(chip, first).reason is RejectReason.STALE_ID
 
     def test_cross_device_rejected(self, world):
         rng, issuer, chip = world
         other = provision_chip(rng, frozenset({issuer.public_key}))
         lic_for_other = issuer.issue(other.identity.device_id, QUOTA)
-        assert install(chip, lic_for_other, now_ms=0.0).reason is RejectReason.WRONG_DEVICE
+        assert install(chip, lic_for_other).reason is RejectReason.WRONG_DEVICE
 
     def test_expired_license_rejected(self, world):
         _, issuer, chip = world
-        lic = issuer.issue(chip.identity.device_id, QUOTA, not_after=500)
-        assert install(chip, lic, now_ms=501.0).reason is RejectReason.EXPIRED
+        # The chip's clock only moves forward, so the on-time install comes first.
         fresh = issuer.issue(chip.identity.device_id, QUOTA, not_after=500)
-        assert install(chip, fresh, now_ms=500.0).accepted
+        chip.advance_to(500.0)
+        assert install(chip, fresh).accepted
+        lic = issuer.issue(chip.identity.device_id, QUOTA, not_after=500)
+        chip.advance_to(501.0)
+        assert install(chip, lic).reason is RejectReason.EXPIRED
 
     def test_non_enrolled_issuer_rejected(self, world):
         rng, issuer, chip = world
         rogue = make_issuer(rng)
         lic = rogue.issue(chip.identity.device_id, QUOTA)
-        assert install(chip, lic, now_ms=0.0).reason is RejectReason.BAD_SIGNATURE
+        assert install(chip, lic).reason is RejectReason.BAD_SIGNATURE
 
     @pytest.mark.parametrize("reason", CHECK_ORDER[:3])
     def test_local_check_refuses_without_verify(self, world, verify_calls, reason):
         rng, issuer, chip = world
         lic = issuer.issue(chip.identity.device_id, QUOTA)
-        assert install(chip, lic, now_ms=0.0).accepted
+        assert install(chip, lic).accepted
         metered_consume(chip, MeterResource.CLOCK_CYCLES, 1000)
         other = provision_chip(rng, frozenset({issuer.public_key}))
         hostile = {
@@ -141,9 +144,10 @@ class TestInstall:
             RejectReason.STALE_ID: lic,  # the replay of test_replay_rejected_stale_id
             RejectReason.EXPIRED: issuer.issue(chip.identity.device_id, QUOTA, not_after=500),
         }[reason]
+        chip.advance_to(501.0)
         before = license_state(chip)
         verify_calls.clear()
-        assert install(chip, hostile, now_ms=501.0) == InstallResult(False, reason)
+        assert install(chip, hostile) == InstallResult(False, reason)
         assert verify_calls == []
         assert license_state(chip) == before
         assert chip.throttle is ThrottleLevel.DISABLED
@@ -158,8 +162,7 @@ class TestInstall:
         issuer = make_issuer(rng)
         chip = provision_chip(rng, frozenset({issuer.public_key}))
         for _ in range(data.draw(st.integers(1, 3), label="installed")):
-            assert install(chip, issuer.issue(chip.identity.device_id, QUOTA),
-                           now_ms=0.0).accepted
+            assert install(chip, issuer.issue(chip.identity.device_id, QUOTA)).accepted
         metered_consume(chip, MeterResource.CLOCK_CYCLES, 7)
         last = chip.last_license_id
         now = 1_000
@@ -178,8 +181,9 @@ class TestInstall:
                                                        not_after)))
         faults = [reason for reason, present in zip(
             CHECK_ORDER, (wrong_device, stale, expired, bad_signature)) if present]
+        chip.advance_to(float(now))
         before = license_state(chip)
-        result = install(chip, lic, now_ms=float(now))
+        result = install(chip, lic)
         assert result.accepted == (not faults)
         if faults:
             assert result.reason is faults[0]
@@ -198,7 +202,7 @@ class TestInstall:
             not_after=lic.not_after,
             issuer_signature=lic.issuer_signature,
         )
-        assert install(chip, bumped, now_ms=0.0).reason is RejectReason.BAD_SIGNATURE
+        assert install(chip, bumped).reason is RejectReason.BAD_SIGNATURE
 
 
 class TestEnforce:
@@ -209,7 +213,7 @@ class TestEnforce:
 
     def test_quota_boundary(self, world):
         _, issuer, chip = world
-        install(chip, issuer.issue(chip.identity.device_id, QUOTA), now_ms=0.0)
+        install(chip, issuer.issue(chip.identity.device_id, QUOTA))
         assert metered_consume(chip, MeterResource.CLOCK_CYCLES, 999).applied
         assert chip.throttle is ThrottleLevel.FULL
         outcome = metered_consume(chip, MeterResource.CLOCK_CYCLES, 1)
@@ -218,7 +222,7 @@ class TestEnforce:
 
     def test_crossing_consume_rejected_whole(self, world):
         _, issuer, chip = world
-        install(chip, issuer.issue(chip.identity.device_id, QUOTA), now_ms=0.0)
+        install(chip, issuer.issue(chip.identity.device_id, QUOTA))
         metered_consume(chip, MeterResource.CLOCK_CYCLES, 999)
         outcome = metered_consume(chip, MeterResource.CLOCK_CYCLES, 5)
         assert not outcome.applied and outcome.reason == "quota_exceeded"
@@ -226,16 +230,16 @@ class TestEnforce:
 
     def test_renewal_after_exhaustion_restores_full(self, world):
         _, issuer, chip = world
-        install(chip, issuer.issue(chip.identity.device_id, QUOTA), now_ms=0.0)
+        install(chip, issuer.issue(chip.identity.device_id, QUOTA))
         metered_consume(chip, MeterResource.CLOCK_CYCLES, 1000)
         assert chip.throttle is ThrottleLevel.DISABLED
-        install(chip, issuer.issue(chip.identity.device_id, QUOTA), now_ms=10.0)
+        install(chip, issuer.issue(chip.identity.device_id, QUOTA))
         assert chip.throttle is ThrottleLevel.FULL
         assert chip.consumed_since_install(MeterResource.CLOCK_CYCLES) == 0
 
     def test_unquoted_resource_not_limited(self, world):
         _, issuer, chip = world
-        install(chip, issuer.issue(chip.identity.device_id, QUOTA), now_ms=0.0)
+        install(chip, issuer.issue(chip.identity.device_id, QUOTA))
         outcome = metered_consume(chip, MeterResource.JOULES, 10**9)
         assert outcome.applied
         assert chip.throttle is ThrottleLevel.FULL
@@ -248,7 +252,7 @@ class TestQuotaBound:
         for trial in range(50):
             quota = seq_rng.randrange(100, 2000)
             lic = issuer.issue(chip.identity.device_id, {MeterResource.CLOCK_CYCLES: quota})
-            assert install(chip, lic, now_ms=float(trial)).accepted
+            assert install(chip, lic).accepted
             while chip.throttle is ThrottleLevel.FULL:
                 metered_consume(chip, MeterResource.CLOCK_CYCLES,
                                 seq_rng.randrange(1, 300))
@@ -259,14 +263,14 @@ class TestRollbackResistance:
     def test_power_cycling_never_reenables_consumed_license(self, world):
         _, issuer, chip = world
         lic = issuer.issue(chip.identity.device_id, QUOTA)
-        install(chip, lic, now_ms=0.0)
+        install(chip, lic)
         metered_consume(chip, MeterResource.CLOCK_CYCLES, 1000)
         cut_rng = random.Random(3)
         for i in range(50):
             at = chip.clock_ms + cut_rng.uniform(0.1, 5.0)
             chip.power_loss(at_ms=at)
             chip.power_on(at_ms=at + cut_rng.uniform(0.1, 5.0))
-            assert install(chip, lic, now_ms=chip.clock_ms).reason is RejectReason.STALE_ID
+            assert install(chip, lic).reason is RejectReason.STALE_ID
 
 
 class TestRtcExpiryEdge:
@@ -287,9 +291,22 @@ class TestRtcExpiryEdge:
                                 {MeterResource.CLOCK_CYCLES: 10}, not_after=not_after)
         lic_exact = issuer.issue(exact.identity.device_id,
                                  {MeterResource.CLOCK_CYCLES: 10}, not_after=not_after)
-        assert install(fast, lic_fast, now_ms=fast.rtc_read()).reason \
-            is RejectReason.EXPIRED
-        assert install(exact, lic_exact, now_ms=exact.rtc_read()).accepted
+        assert install(fast, lic_fast).reason is RejectReason.EXPIRED
+        assert install(exact, lic_exact).accepted
+
+    def test_expiry_is_judged_by_the_chip_clock(self, verify_calls):
+        from hemsim.chipmodel import RtcClock
+
+        rng = random.Random(56)
+        issuer = make_issuer(rng)
+        chip = provision_chip(rng, frozenset({issuer.public_key}),
+                              rtc=RtcClock(epoch_ms=50_000))
+        assert chip.clock_ms == 0.0 and chip.rtc_read() == 50_000
+        lic = issuer.issue(chip.identity.device_id, QUOTA, not_after=10_000)
+        before = license_state(chip)
+        assert install(chip, lic) == InstallResult(False, RejectReason.EXPIRED)
+        assert verify_calls == []
+        assert license_state(chip) == before
 
 
 class TestWireFormat:
@@ -353,7 +370,7 @@ class TestWireFormat:
     def test_mini_fuzz_zero_acceptances(self, world):
         rng, issuer, chip = world
         lic = issuer.issue(chip.identity.device_id, QUOTA)
-        install(chip, lic, now_ms=0.0)
+        install(chip, lic)
         rogue = make_issuer(rng)
         fuzz_rng = random.Random(999)
         accepted = 0
@@ -377,7 +394,7 @@ class TestWireFormat:
                 mutated = rogue.issue(chip.identity.device_id, QUOTA)
             else:  # replay of the consumed id
                 mutated = lic
-            if install(chip, mutated, now_ms=1.0).accepted:
+            if install(chip, mutated).accepted:
                 accepted += 1
         assert accepted == 0
 
@@ -388,8 +405,7 @@ class TestFuzzCampaign:
         issuer = make_issuer(rng)
         chips = [provision_chip(rng, frozenset({issuer.public_key})) for _ in range(6)]
         for chip in chips[:4]:  # two chips stay unlicensed: no id to reuse
-            assert install(chip, issuer.issue(chip.identity.device_id, QUOTA),
-                           now_ms=0.0).accepted
+            assert install(chip, issuer.issue(chip.identity.device_id, QUOTA)).accepted
         kinds_drawn = []
         real_choice = rng.choice
 
@@ -401,8 +417,8 @@ class TestFuzzCampaign:
 
         reasons = defaultdict(list)
 
-        def recording_install(chip, lic, now_ms):
-            result = install(chip, lic, now_ms)
+        def recording_install(chip, lic):
+            result = install(chip, lic)
             reasons[kinds_drawn[-1]].append(result.reason)
             return result
 

@@ -20,9 +20,8 @@ SRC = Path(hemsim.__file__).resolve().parent
 # Definitions nothing in src/ uses yet, each kept for a stated reason.
 ALLOWED = {
     "__version__": "the conventional package version attribute, read from outside src/",
-    "license_wire_bytes": "license wire format; ROADMAP items 1-2 put it on the install path",
-    "decode_license": "license wire format; ROADMAP items 1-2 put it on the install path",
-    "adopt_manifest": "signed pod-manifest adoption; ROADMAP items 1-2 wire it into handshake",
+    "license_wire_bytes": "license wire format; ROADMAP item 2 puts it on the install path",
+    "decode_license": "license wire format; ROADMAP item 2 puts it on the install path",
     "transfer": "direct-path reference the bridge-penalty test compares bridge_transfer with",
     "distances_km": "perfbench traces it; the within_km exactness tests compare against it",
 }
@@ -81,5 +80,7 @@ def test_no_definition_is_used_only_by_tests():
 
 
 def test_allowlist_names_existing_definitions():
-    defined, _ = _scan()
+    defined, dead = _scan()
     assert set(ALLOWED) <= defined, f"stale allowlist entries: {sorted(set(ALLOWED) - defined)}"
+    # An entry that src/ now uses has outlived its reason, so it leaves the list.
+    assert set(ALLOWED) <= dead, f"allowlisted but used in src/: {sorted(set(ALLOWED) - dead)}"
