@@ -64,8 +64,8 @@ from .geoloc import (
     synthesize_round,
 )
 from .licensing import (
-    License,
     RejectReason,
+    fuzz_licenses,
     install,
     make_issuer,
     metered_consume,
@@ -252,33 +252,12 @@ _GRID = GridSpec(lat_min=-5.0, lat_max=25.0, lon_min=-5.0, lon_max=25.0, resolut
 @attack("licensing_counterfeit", required={Capability.COUNTERFEIT_LICENSE}, expect=(False, True))
 def _attack_counterfeit(profile, rng, params) -> dict:
     trials = params.get("trials", 2000)
-    issuer, chip, genuine = _licensed_chip(rng, quota=10**6)
-    rogue = make_issuer(rng)
-    acceptances = 0
-    for _ in range(trials):
-        kind = rng.randrange(3)
-        if kind == 0:
-            forged = rogue.issue(chip.identity.device_id, {MeterResource.CLOCK_CYCLES: 10**9})
-        elif kind == 1:
-            sig = bytearray(genuine.issuer_signature)
-            bit = rng.randrange(len(sig) * 8)
-            sig[bit // 8] ^= 1 << (bit % 8)
-            forged = License(genuine.license_id + 1, genuine.device_id, genuine.quotas,
-                             genuine.not_after, bytes(sig))
-        else:
-            forged = License(
-                license_id=genuine.license_id + 1 + rng.randrange(100),
-                device_id=genuine.device_id,
-                quotas=((MeterResource.CLOCK_CYCLES, rng.randrange(10**9)),),
-                not_after=None,
-                issuer_signature=rng.randbytes(64),
-            )
-        if install(chip, forged).accepted:
-            acceptances += 1
+    issuer, chip, _ = _licensed_chip(rng, quota=10**6)
+    acceptances, refusals = fuzz_licenses(issuer, [chip], trials, rng)
     return dict(
         succeeded=acceptances > 0,
         detected=acceptances < trials,  # rejections are visible events
-        evidence={"trials": trials, "acceptances": acceptances},
+        evidence={"trials": trials, "acceptances": acceptances, "refusals": refusals},
     )
 
 
@@ -316,14 +295,15 @@ def _attack_host_clock_rollback(profile, rng, params) -> dict:
     chip = provision_chip(rng, frozenset({issuer.public_key}))
     chip.advance_to(50_000.0)
     # A license that expired long ago, offered by a host that turns time back.
+    not_after = 10_000
     expired = issuer.issue(chip.identity.device_id, {MeterResource.CLOCK_CYCLES: 10**6},
-                           not_after=10_000)
+                           not_after=not_after)
     chip.advance_to(0.0)
     result = install(chip, expired)
     return dict(
         succeeded=result.accepted,
         detected=result.reason is RejectReason.EXPIRED,
-        evidence={"chip_rtc_ms": chip.rtc_read(), "not_after": expired.not_after,
+        evidence={"chip_rtc_ms": chip.rtc_read(), "not_after": not_after,
                   "reason": result.reason.value if result.reason else None},
     )
 

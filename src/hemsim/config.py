@@ -49,7 +49,7 @@ class Key:
 
     A default of None makes the key required. A dict with `fields` allows
     exactly those keys; a dict with `item` allows any key, each value an
-    `item`. A list's `minimum` is its least length.
+    `item`. A list's `minimum` and `maximum` bound its length.
     """
 
     kind: type
@@ -88,7 +88,10 @@ SCHEMA = _obj(
             jitter_sigma=Key(float, 0.5, minimum=0.0, maximum=JITTER_SIGMA_MAX),
             fixed_overhead_ms=Key(float, 0.0, minimum=0.0),
         ),
-        nodes=Key(list, [], item=_obj(
+        # The smoke test sends one ping each way between every pair of nodes
+        # and writes a record per ping: 256 nodes (65,280 pings) ran in 1.8 s
+        # and 36 MB, and 512 nodes in 9.4 s and 148 MB.
+        nodes=Key(list, [], maximum=256, item=_obj(
             id=Key(str),
             lat=Key(float, minimum=-90.0, maximum=90.0),
             lon=Key(float),
@@ -96,9 +99,9 @@ SCHEMA = _obj(
         )),
     ),
     fleet=_obj(
-        # Each chip costs an ed25519 key generation (~60 us) and ~2.3 KB; the
-        # fuzz campaign copies the fleet list on each cross-device trial
-        # (~16 ns a chip). 10,000 chips provision in under a second.
+        # Each chip costs an ed25519 key generation (~60 us) and ~2.3 KB, and
+        # the fuzz campaign signs at most two licenses for it (~0.14 ms).
+        # 10,000 chips provision in under a second.
         count=Key(int, 4, minimum=1, maximum=10_000),
         persistence=_obj(
             {},
@@ -109,9 +112,10 @@ SCHEMA = _obj(
     ),
     licensing=_obj(
         # An honest license costs an ed25519 sign and verify (~0.22 ms), a fuzz
-        # trial a sign and at most a verify (~0.12 ms), on one 2.1 GHz Xeon
-        # core: 100,000 honest licenses take about 22 s, and 100,000 fuzz
-        # trials on 10,000 chips took 24 s (their fleet copies included).
+        # trial at most a verify (~0.1 ms), on one 2.1 GHz Xeon core: 100,000
+        # honest licenses take about 22 s, and 100,000 fuzz trials on 10,000
+        # chips took 12 s (provisioning and the campaign's 20,000 signs
+        # included).
         honest_licenses=Key(int, 100, minimum=1, maximum=100_000),
         fuzz_licenses=Key(int, 1000, minimum=0, maximum=100_000),
         quota=Key(int, 1000, minimum=1, maximum=U64_MAX),  # signed as u64
@@ -141,9 +145,14 @@ SCHEMA = _obj(
                                     item=Key(float, minimum=1.0, maximum=1e6)),
     ),
     geoloc=_obj(
-        trials=Key(int, 60, minimum=1),
-        landmarks_min=Key(int, 3, minimum=1),
-        landmarks_max=Key(int, 9, minimum=1),
+        # A containment or speedup trial tests each landmark's disk in its
+        # grid window: ~0.65 ms with 3-9 landmarks on the default 30 x 30
+        # degree grid, 5 ms with 64, and ~15 ms with 64 on the whole globe at
+        # 0.25 degrees (about 2**20 cells), so 10,000 trials take 6 s to 2.5
+        # minutes. Landmark counts share the bound of `bft.n`.
+        trials=Key(int, 60, minimum=1, maximum=10_000),
+        landmarks_min=Key(int, 3, minimum=1, maximum=64),
+        landmarks_max=Key(int, 9, minimum=1, maximum=64),
         region=_obj(
             {},
             lat_min=Key(float, -5.0, minimum=-90.0, maximum=90.0),
@@ -155,23 +164,34 @@ SCHEMA = _obj(
         jitter_median_ms=Key(float, 0.1, minimum=0.0),
         jitter_sigma=Key(float, 0.5, minimum=0.0, maximum=JITTER_SIGMA_MAX),
         fixed_overhead_ms=Key(float, 0.5, minimum=0.0),
-        speedup_trials=Key(int, 60, minimum=0),
+        speedup_trials=Key(int, 60, minimum=0, maximum=10_000),  # cost: see trials
         latency_factor=Key(float, 0.5, minimum=0.0, maximum=1.0, exclusive_min=True),
+        # A quorum trial adds each of its n disks to a per-cell count: 1.1 ms
+        # at n = 7 on the default grid, 6.5 ms at n = 64, and 0.41 s at n = 64
+        # on the whole globe, where 500 trials take 3.5 minutes. f = 21 is
+        # the most that n = 64 admits (n >= 3f + 1).
         bft=_obj(
             {},
-            n=Key(int, 7, minimum=1),
-            f=Key(int, 2, minimum=0),
-            trials=Key(int, 30, minimum=1),
+            n=Key(int, 7, minimum=1, maximum=64),
+            f=Key(int, 2, minimum=0, maximum=21),
+            trials=Key(int, 30, minimum=1, maximum=500),
         ),
-        descent_trials=Key(int, 15, minimum=0),
+        # A zero-noise descent took 1.4 ms at low latitude and 28 ms at 70-88
+        # degrees, so 2,000 trials take 3 s to a minute.
+        descent_trials=Key(int, 15, minimum=0, maximum=2_000),
     ),
     attest=_obj(
-        chips=Key(int, 4, minimum=1),
-        snapshots=Key(int, 6, minimum=2),
+        # Each snapshot is signed, kept and verified: ~0.31 ms and ~1 KB
+        # (256 chips x 128 snapshots ran in 10.3 s and 31 MB), so both
+        # maxima together, 131,072 snapshots, take ~40 s and ~130 MB.
+        chips=Key(int, 4, minimum=1, maximum=1024),
+        snapshots=Key(int, 6, minimum=2, maximum=128),
         ops_per_interval=Key(int, 125_000_000, minimum=0),
         threshold=Key(int, 10**9, minimum=1),
         rollback_demo=Key(bool, True),
-        classifier_traces=Key(int, 60, minimum=0),
+        # A trace is generated and classified in ~0.22 ms and then dropped:
+        # 10,000 traces take about 2 s.
+        classifier_traces=Key(int, 60, minimum=0, maximum=10_000),
         # The fragmentation demo builds a trace of 60 * k devices x 96 steps:
         # each k adds 45 KiB to every float64 layer, and about six layers are
         # live at once (~0.26 MB per k, measured). 128 keeps the demo near
@@ -185,8 +205,8 @@ SCHEMA = _obj(
     ),
     attack_matrix=_obj(
         enabled=Key(bool, True),
-        # Each trial signs a forgery or flips a bit and is verified (~0.13
-        # ms): 100,000 trials run in about 13 s.
+        # Each trial is a licensing fuzz trial on one chip (at most a verify,
+        # ~0.08 ms): 100,000 trials ran in 8 s.
         counterfeit_trials=Key(int, 2000, minimum=1, maximum=100_000),
     ),
     expect=Key(dict, OMITTED, item=Key(bool)),
@@ -215,6 +235,8 @@ def _walk(key: Key, value: Any, path: str, strict: bool) -> Any:
     if key.kind is list:
         if not isinstance(value, list) or len(value) < (key.minimum or 0):
             _fail(path, "must be a nonempty list" if key.minimum else "must be a list")
+        if key.maximum is not None and len(value) > key.maximum:
+            _fail(path, f"must have at most {key.maximum} items")
         return [_walk(key.item, v, f"{path}[{i}]", strict) for i, v in enumerate(value)]
     if key.kind is bool:
         if not isinstance(value, bool):

@@ -68,7 +68,7 @@ from .geoloc import (
     synthesize_round,
 )
 from .licensing import (
-    License,
+    fuzz_licenses,
     install,
     make_issuer,
     metered_consume,
@@ -98,70 +98,6 @@ def _policy_from_config(persistence: dict) -> PersistencePolicy:
 
 
 # -- licensing ---------------------------------------------------------------------
-
-
-def fuzz_licenses(issuer, chips, trials: int, rng: random.Random) -> tuple[int, dict]:
-    """Adversarial license campaign; returns (acceptances, kind counts).
-
-    Mutation kinds, each counted when drawn:
-    - `bitflip`: one bit of the license id, device id, quota or signature of
-      a fresh license flipped;
-    - `wrong_key`: a license signed by a non-enrolled issuer;
-    - `reused_id`: a fresh license relabelled with an id at or below the
-      chip's last installed id, refused as `STALE_ID` before any verify (a
-      chip with no license installed has no id to reuse and is skipped);
-    - `cross_device`: a license issued to another chip, refused as
-      `WRONG_DEVICE` before any verify (skipped in a one-chip fleet).
-
-    Every mutated install must be rejected.
-    """
-    rogue = make_issuer(rng)
-    acceptances = 0
-    kinds = {"bitflip": 0, "wrong_key": 0, "reused_id": 0, "cross_device": 0}
-    resource = MeterResource.CLOCK_CYCLES
-    for _ in range(trials):
-        chip = rng.choice(chips)
-        kind = rng.choice(tuple(kinds))
-        kinds[kind] += 1
-        if kind == "bitflip":
-            base = issuer.issue(chip.identity.device_id, {resource: 1000})
-            target = rng.randrange(4)
-            if target == 0:
-                mutated = License(base.license_id ^ (1 << rng.randrange(64)),
-                                  base.device_id, base.quotas, base.not_after,
-                                  base.issuer_signature)
-            elif target == 1:
-                mutated = License(base.license_id,
-                                  base.device_id ^ (1 << rng.randrange(128)),
-                                  base.quotas, base.not_after, base.issuer_signature)
-            elif target == 2:
-                resource_key, amount = base.quotas[0]
-                mutated = License(base.license_id, base.device_id,
-                                  ((resource_key, amount ^ (1 << rng.randrange(48))),),
-                                  base.not_after, base.issuer_signature)
-            else:
-                sig = bytearray(base.issuer_signature)
-                bit = rng.randrange(len(sig) * 8)
-                sig[bit // 8] ^= 1 << (bit % 8)
-                mutated = License(base.license_id, base.device_id, base.quotas,
-                                  base.not_after, bytes(sig))
-        elif kind == "wrong_key":
-            mutated = rogue.issue(chip.identity.device_id, {resource: 10**9})
-        elif kind == "reused_id":
-            mutated = issuer.issue(chip.identity.device_id, {resource: 1000})
-            reused_id = max(0, chip.last_license_id - rng.randrange(3))
-            if chip.last_license_id < 0:  # drawn first: later trials keep their draws
-                continue
-            mutated = License(reused_id, mutated.device_id, mutated.quotas,
-                              mutated.not_after, mutated.issuer_signature)
-        else:  # cross_device
-            other = rng.choice([c for c in chips if c is not chip] or [chip])
-            mutated = issuer.issue(other.identity.device_id, {resource: 1000})
-            if other is chip:
-                continue
-        if install(chip, mutated).accepted:
-            acceptances += 1
-    return acceptances, kinds
 
 
 def run_licensing_section(section: dict, fleet: dict, seed: int) -> SectionResult:
@@ -216,12 +152,12 @@ def run_licensing_section(section: dict, fleet: dict, seed: int) -> SectionResul
     result.predicates.append(Predicate("licensing_quota_lifecycle", lifecycle_ok))
 
     # Soundness: the fuzz campaign accepts nothing.
-    acceptances, kinds = fuzz_licenses(issuer, chips, section["fuzz_licenses"], rng)
+    acceptances, refusals = fuzz_licenses(issuer, chips, section["fuzz_licenses"], rng)
     result.records.append({
         "event": "fuzz_campaign",
         "trials": section["fuzz_licenses"],
         "acceptances": acceptances,
-        "kinds": kinds,
+        "refusals": refusals,
     })
     result.predicates.append(Predicate(
         "licensing_soundness", acceptances == 0,

@@ -30,12 +30,11 @@ from hemsim.chipmodel import (
 )
 from hemsim.config import validate_config
 from hemsim.geoloc import descent_objective_and_gradient, descent_terms
-from hemsim.licensing import install, make_issuer
+from hemsim.licensing import fuzz_licenses, install, make_issuer
 from hemsim.netsim import GeoPoint
 from hemsim.scenarios import (
     BUNDLED_SCENARIOS,
     execute_scenario,
-    fuzz_licenses,
     run_attest_section,
     run_cluster_section,
     run_geoloc_section,
@@ -66,7 +65,7 @@ class TestAcceptance:
                                {MeterResource.CLOCK_CYCLES: 1000})
             honest_accepted += install(chip, lic).accepted
 
-        acceptances, kinds = fuzz_licenses(issuer, chips, 10_000, rng)
+        acceptances, refusals = fuzz_licenses(issuer, chips, 10_000, rng)
         elapsed = time.monotonic() - start
         passed = honest_accepted == 1000 and acceptances == 0 and elapsed < 30.0
         _report("1 licensing soundness", passed, elapsed, 30,

@@ -244,6 +244,25 @@ class TestCli:
         ({"cluster": {"chips": 2, "churn_events": 20_001}}, "config.cluster.churn_events"),
         ({"attack_matrix": {"counterfeit_trials": 100_001}},
          "config.attack_matrix.counterfeit_trials"),
+        ({"geoloc": {**SMALL_GEOLOC, "trials": 10_001}}, "config.geoloc.trials"),
+        ({"geoloc": {**SMALL_GEOLOC, "speedup_trials": 10_001}},
+         "config.geoloc.speedup_trials"),
+        ({"geoloc": {**SMALL_GEOLOC, "descent_trials": 2_001}}, "config.geoloc.descent_trials"),
+        ({"geoloc": {**SMALL_GEOLOC, "landmarks_min": 65, "landmarks_max": 65}},
+         "config.geoloc.landmarks_min"),
+        ({"geoloc": {**SMALL_GEOLOC, "landmarks_max": 65}}, "config.geoloc.landmarks_max"),
+        ({"geoloc": {**SMALL_GEOLOC, "bft": {"n": 65, "f": 2, "trials": 2}}},
+         "config.geoloc.bft.n"),
+        ({"geoloc": {**SMALL_GEOLOC, "bft": {"n": 64, "f": 22, "trials": 2}}},
+         "config.geoloc.bft.f"),
+        ({"geoloc": {**SMALL_GEOLOC, "bft": {"trials": 501}}}, "config.geoloc.bft.trials"),
+        ({"attest": {"chips": 1_025, "classifier_traces": 0}}, "config.attest.chips"),
+        ({"attest": {"chips": 1, "snapshots": 129, "classifier_traces": 0}},
+         "config.attest.snapshots"),
+        ({"attest": {"chips": 1, "classifier_traces": 10_001}},
+         "config.attest.classifier_traces"),
+        ({"network": {"nodes": [{"id": f"n{i}", "lat": 0, "lon": i} for i in range(257)]}},
+         "config.network.nodes"),
     ])
     def test_out_of_domain_value_is_a_schema_error(self, tmp_path, capsys, sections, path):
         config = tmp_path / "range.json"

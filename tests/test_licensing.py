@@ -2,24 +2,25 @@
 
 import itertools
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hemsim import canon, scenarios
+from hemsim import canon, licensing, scenarios
 from hemsim.chipmodel import MeterResource, ThrottleLevel, provision_chip
 from hemsim.config import validate_config
 from hemsim.licensing import (
+    FUZZ_KINDS,
     InstallResult,
     License,
     RejectReason,
     decode_license,
     enforce,
+    fuzz_licenses,
     install,
     license_signed_bytes,
-    license_wire_bytes,
     make_issuer,
     metered_consume,
 )
@@ -36,8 +37,8 @@ def world():
 QUOTA = {MeterResource.CLOCK_CYCLES: 1000}
 
 # The order in which `install` checks, and so the reason it reports first.
-CHECK_ORDER = (RejectReason.WRONG_DEVICE, RejectReason.STALE_ID, RejectReason.EXPIRED,
-               RejectReason.BAD_SIGNATURE)
+CHECK_ORDER = (RejectReason.MALFORMED, RejectReason.WRONG_DEVICE, RejectReason.STALE_ID,
+               RejectReason.EXPIRED, RejectReason.BAD_SIGNATURE)
 
 
 @pytest.fixture
@@ -54,6 +55,12 @@ def verify_calls(monkeypatch):
     return calls
 
 
+def signed_wire(signer, license_id, device_id, quotas, not_after):
+    """Wire bytes of these exact fields, signed by `signer` (quotas in the given order)."""
+    signed = license_signed_bytes(license_id, device_id, quotas, not_after)
+    return signed + canon.blob(signer.sign(signed))
+
+
 def license_state(chip):
     return (chip.last_license_id, chip.active_license, dict(chip.license_baseline),
             chip.throttle)
@@ -62,24 +69,25 @@ def license_state(chip):
 class TestIssue:
     def test_first_license_id_is_zero(self, world):
         _, issuer, chip = world
-        lic = issuer.issue(chip.identity.device_id, QUOTA)
+        lic = decode_license(issuer.issue(chip.identity.device_id, QUOTA))
         assert lic.license_id == 0
 
     def test_ids_increment_per_device(self, world):
         _, issuer, chip = world
-        ids = [issuer.issue(chip.identity.device_id, QUOTA).license_id for _ in range(3)]
+        ids = [decode_license(issuer.issue(chip.identity.device_id, QUOTA)).license_id
+               for _ in range(3)]
         assert ids == [0, 1, 2]
 
     def test_sequencing_is_per_device(self, world):
         rng, issuer, chip = world
         other = provision_chip(rng, frozenset({issuer.public_key}))
         issuer.issue(chip.identity.device_id, QUOTA)
-        lic_other = issuer.issue(other.identity.device_id, QUOTA)
+        lic_other = decode_license(issuer.issue(other.identity.device_id, QUOTA))
         assert lic_other.license_id == 0
 
     def test_issued_license_verifies_under_issuer_key(self, world):
         _, issuer, chip = world
-        lic = issuer.issue(chip.identity.device_id, QUOTA)
+        lic = decode_license(issuer.issue(chip.identity.device_id, QUOTA))
         signed = license_signed_bytes(lic.license_id, lic.device_id, lic.quotas, lic.not_after)
         assert canon.verify(issuer.public_key, signed, lic.issuer_signature)
 
@@ -132,7 +140,7 @@ class TestInstall:
         lic = rogue.issue(chip.identity.device_id, QUOTA)
         assert install(chip, lic).reason is RejectReason.BAD_SIGNATURE
 
-    @pytest.mark.parametrize("reason", CHECK_ORDER[:3])
+    @pytest.mark.parametrize("reason", CHECK_ORDER[:4])
     def test_local_check_refuses_without_verify(self, world, verify_calls, reason):
         rng, issuer, chip = world
         lic = issuer.issue(chip.identity.device_id, QUOTA)
@@ -140,6 +148,7 @@ class TestInstall:
         metered_consume(chip, MeterResource.CLOCK_CYCLES, 1000)
         other = provision_chip(rng, frozenset({issuer.public_key}))
         hostile = {
+            RejectReason.MALFORMED: issuer.issue(chip.identity.device_id, QUOTA)[:-1],
             RejectReason.WRONG_DEVICE: issuer.issue(other.identity.device_id, QUOTA),
             RejectReason.STALE_ID: lic,  # the replay of test_replay_rejected_stale_id
             RejectReason.EXPIRED: issuer.issue(chip.identity.device_id, QUOTA, not_after=500),
@@ -175,33 +184,27 @@ class TestInstall:
                      else data.draw(st.one_of(st.none(), st.integers(now, 2**64 - 1)),
                                     label="not_after"))
         signer = make_issuer(rng).keypair if bad_signature else issuer.keypair
-        quotas = tuple(QUOTA.items())
-        lic = License(license_id, device_id, quotas, not_after,
-                      signer.sign(license_signed_bytes(license_id, device_id, quotas,
-                                                       not_after)))
+        wire = signed_wire(signer, license_id, device_id, tuple(QUOTA.items()), not_after)
         faults = [reason for reason, present in zip(
-            CHECK_ORDER, (wrong_device, stale, expired, bad_signature)) if present]
+            CHECK_ORDER[1:], (wrong_device, stale, expired, bad_signature)) if present]
         chip.advance_to(float(now))
         before = license_state(chip)
-        result = install(chip, lic)
+        result = install(chip, wire)
         assert result.accepted == (not faults)
         if faults:
             assert result.reason is faults[0]
             assert license_state(chip) == before
         else:
             assert result.reason is None
-            assert chip.last_license_id == license_id and chip.active_license is lic
+            assert (chip.last_license_id == license_id
+                    and chip.active_license == decode_license(wire))
 
     def test_field_mutation_invalidates_signature(self, world):
         _, issuer, chip = world
-        lic = issuer.issue(chip.identity.device_id, QUOTA)
-        bumped = License(
-            license_id=lic.license_id,
-            device_id=lic.device_id,
-            quotas=((MeterResource.CLOCK_CYCLES, 10**9),),
-            not_after=lic.not_after,
-            issuer_signature=lic.issuer_signature,
-        )
+        lic = decode_license(issuer.issue(chip.identity.device_id, QUOTA))
+        bumped = license_signed_bytes(
+            lic.license_id, lic.device_id, ((MeterResource.CLOCK_CYCLES, 10**9),), lic.not_after,
+        ) + canon.blob(lic.issuer_signature)
         assert install(chip, bumped).reason is RejectReason.BAD_SIGNATURE
 
 
@@ -312,19 +315,21 @@ class TestRtcExpiryEdge:
 class TestWireFormat:
     def test_round_trip(self, world):
         _, issuer, chip = world
-        lic = issuer.issue(
+        wire = issuer.issue(
             chip.identity.device_id,
             {MeterResource.CLOCK_CYCLES: 1000, MeterResource.FLOAT_OPS: 5},
             not_after=123456,
         )
-        assert decode_license(license_wire_bytes(lic)) == lic
+        lic = decode_license(wire)
+        assert license_signed_bytes(lic.license_id, lic.device_id, lic.quotas,
+                                    lic.not_after) + canon.blob(lic.issuer_signature) == wire
 
     def test_quota_entries_sorted_by_resource_ordinal(self, world):
         _, issuer, chip = world
-        lic = issuer.issue(
+        lic = decode_license(issuer.issue(
             chip.identity.device_id,
             {MeterResource.JOULES: 1, MeterResource.FLOAT_OPS: 2},
-        )
+        ))
         ordinals = [res.ordinal for res, _ in lic.quotas]
         assert ordinals == sorted(ordinals)
 
@@ -332,9 +337,8 @@ class TestWireFormat:
         # Frozen vector: fixed issuer seed, fixed device id. Guards the wire
         # layout (field order, widths, endianness) against regressions.
         issuer = make_issuer(random.Random(1234))
-        lic = issuer.issue(0x00112233445566778899AABBCCDDEEFF,
-                           {MeterResource.CLOCK_CYCLES: 1000}, not_after=7777)
-        wire = license_wire_bytes(lic)
+        wire = issuer.issue(0x00112233445566778899AABBCCDDEEFF,
+                            {MeterResource.CLOCK_CYCLES: 1000}, not_after=7777)
         prefix = (
             "0a0000006c6963656e73652e7631"  # tag "license.v1"
             "0000000000000000"              # license_id 0
@@ -345,7 +349,9 @@ class TestWireFormat:
             "01611e000000000000"            # not_after present, 7777
         )
         assert wire.hex().startswith(prefix)
-        assert decode_license(wire) == lic
+        assert decode_license(wire) == License(
+            0, 0x00112233445566778899AABBCCDDEEFF, ((MeterResource.CLOCK_CYCLES, 1000),),
+            7777, wire[-64:])
 
     @given(
         license_id=st.integers(min_value=0, max_value=2**64 - 1),
@@ -365,77 +371,101 @@ class TestWireFormat:
             not_after=not_after,
             issuer_signature=signature,
         )
-        assert decode_license(license_wire_bytes(lic)) == lic
+        wire = license_signed_bytes(license_id, device_id, lic.quotas,
+                                    not_after) + canon.blob(signature)
+        assert decode_license(wire) == lic
 
-    def test_mini_fuzz_zero_acceptances(self, world):
-        rng, issuer, chip = world
-        lic = issuer.issue(chip.identity.device_id, QUOTA)
-        install(chip, lic)
-        rogue = make_issuer(rng)
-        fuzz_rng = random.Random(999)
-        accepted = 0
-        for _ in range(500):
-            kind = fuzz_rng.randrange(4)
-            if kind == 0:  # bit flip in a signed field
-                mutated = License(
-                    license_id=lic.license_id ^ (1 << fuzz_rng.randrange(20)),
-                    device_id=lic.device_id,
-                    quotas=lic.quotas,
-                    not_after=lic.not_after,
-                    issuer_signature=lic.issuer_signature,
-                )
-            elif kind == 1:  # signature bit flip
-                sig = bytearray(lic.issuer_signature)
-                bit = fuzz_rng.randrange(len(sig) * 8)
-                sig[bit // 8] ^= 1 << (bit % 8)
-                mutated = License(lic.license_id, lic.device_id, lic.quotas,
-                                  lic.not_after, bytes(sig))
-            elif kind == 2:  # forged by a non-enrolled issuer
-                mutated = rogue.issue(chip.identity.device_id, QUOTA)
-            else:  # replay of the consumed id
-                mutated = lic
-            if install(chip, mutated).accepted:
-                accepted += 1
-        assert accepted == 0
+    @settings(max_examples=50)
+    @given(
+        prior=st.integers(min_value=0, max_value=3),
+        device_id=st.integers(min_value=0, max_value=2**128 - 1),
+        quotas=st.dictionaries(st.sampled_from(list(MeterResource)),
+                               st.integers(min_value=0, max_value=2**64 - 1)),
+        not_after=st.one_of(st.none(), st.integers(min_value=0, max_value=2**64 - 1)),
+    )
+    def test_every_issued_license_decodes_to_its_fields(self, prior, device_id, quotas,
+                                                        not_after):
+        issuer = make_issuer(random.Random(7))
+        for _ in range(prior):
+            issuer.issue(device_id, QUOTA)
+        wire = issuer.issue(device_id, quotas, not_after=not_after)
+        lic = decode_license(wire)
+        assert (lic.license_id, lic.device_id, lic.not_after) == (prior, device_id, not_after)
+        assert lic.quotas == tuple(sorted(quotas.items(), key=lambda kv: kv[0].ordinal))
+        signed = license_signed_bytes(prior, device_id, lic.quotas, not_after)
+        assert canon.verify(issuer.public_key, signed, lic.issuer_signature)
+
+    def test_every_single_bit_flip_is_refused(self, world):
+        _, issuer, chip = world
+        assert install(chip, issuer.issue(chip.identity.device_id, QUOTA)).accepted
+        wire = issuer.issue(chip.identity.device_id, QUOTA)
+        assert len(wire) == 120
+        before = license_state(chip)
+        value = int.from_bytes(wire, "little")
+        for bit in range(len(wire) * 8):
+            flipped = (value ^ (1 << bit)).to_bytes(len(wire), "little")
+            assert not install(chip, flipped).accepted, f"bit {bit}"
+            assert license_state(chip) == before, f"bit {bit}"
+        assert install(chip, wire).accepted
+
+    @pytest.mark.parametrize("quotas", [
+        ((MeterResource.JOULES, 1), (MeterResource.FLOAT_OPS, 2)),  # out of ordinal order
+        ((MeterResource.FLOAT_OPS, 1), (MeterResource.FLOAT_OPS, 2)),  # resource twice
+    ])
+    def test_non_canonical_quota_order_is_malformed(self, world, verify_calls, quotas):
+        _, issuer, chip = world
+        # Signed by the enrolled key over exactly these fields: only the
+        # canonical-order check stands between this wire and the chip.
+        wire = signed_wire(issuer.keypair, 0, chip.identity.device_id, quotas, None)
+        with pytest.raises(canon.EncodingError):
+            decode_license(wire)
+        verify_calls.clear()
+        assert install(chip, wire) == InstallResult(False, RejectReason.MALFORMED)
+        assert verify_calls == []
+        assert chip.last_license_id == -1 and chip.active_license is None
 
 
 class TestFuzzCampaign:
-    def test_reused_and_cross_device_kinds_refused_locally(self, monkeypatch):
+    def test_each_kind_is_refused_by_the_check_it_targets(self, monkeypatch):
         rng = random.Random(21)
         issuer = make_issuer(rng)
         chips = [provision_chip(rng, frozenset({issuer.public_key})) for _ in range(6)]
-        for chip in chips[:4]:  # two chips stay unlicensed: no id to reuse
+        for chip in chips[:4]:  # two chips stay unlicensed: no id to relabel to
             assert install(chip, issuer.issue(chip.identity.device_id, QUOTA)).accepted
         kinds_drawn = []
         real_choice = rng.choice
 
         def choice(seq):
             picked = real_choice(seq)
-            if isinstance(picked, str):
-                kinds_drawn.append(picked)
+            kinds_drawn.append(picked)
             return picked
 
         reasons = defaultdict(list)
 
-        def recording_install(chip, lic):
-            result = install(chip, lic)
+        def recording_install(chip, wire):
+            result = install(chip, wire)
             reasons[kinds_drawn[-1]].append(result.reason)
+            if kinds_drawn[-1] == "relabel":
+                assert chip.last_license_id >= 0
             return result
 
         rng.choice = choice
-        monkeypatch.setattr(scenarios, "install", recording_install)
-        acceptances, kinds = scenarios.fuzz_licenses(issuer, chips, 400, rng)
+        monkeypatch.setattr(licensing, "install", recording_install)
+        acceptances, refusals = fuzz_licenses(issuer, chips, 600, rng)
         assert acceptances == 0
-        assert set(reasons) == set(kinds)
+        assert set(reasons) == set(FUZZ_KINDS)
         assert all(None not in kind_reasons for kind_reasons in reasons.values())
-        assert reasons["reused_id"] and set(reasons["reused_id"]) == {RejectReason.STALE_ID}
-        assert len(reasons["reused_id"]) < kinds["reused_id"]  # the unlicensed chips
-        assert len(reasons["cross_device"]) == kinds["cross_device"]
-        assert set(reasons["cross_device"]) == {RejectReason.WRONG_DEVICE}
+        targets = {"truncate": RejectReason.MALFORMED, "append": RejectReason.MALFORMED,
+                   "relabel": RejectReason.STALE_ID, "other_chip": RejectReason.WRONG_DEVICE,
+                   "rogue": RejectReason.BAD_SIGNATURE}
+        for kind, reason in targets.items():
+            assert set(reasons[kind]) == {reason}, kind
+        tally = Counter(r.value for kind_reasons in reasons.values() for r in kind_reasons)
+        assert refusals == {reason.value: tally[reason.value] for reason in RejectReason}
 
     def test_soundness_holds_with_unlicensed_chips(self):
-        # With fewer honest licenses than chips, a `reused_id` trial on a chip
-        # that never installed one used to relabel a genuine id-0 license.
+        # With fewer honest licenses than chips, some chips have no installed
+        # id: a stale-id relabel there would offer a genuine id-0 license.
         config = validate_config({"name": "sparse", "seed": 0, "fleet": {"count": 16},
                                   "licensing": {"honest_licenses": 1, "fuzz_licenses": 200}})
         result = scenarios.run_licensing_section(config["licensing"], config["fleet"], 0)

@@ -20,8 +20,6 @@ SRC = Path(hemsim.__file__).resolve().parent
 # Definitions nothing in src/ uses yet, each kept for a stated reason.
 ALLOWED = {
     "__version__": "the conventional package version attribute, read from outside src/",
-    "license_wire_bytes": "license wire format; ROADMAP item 2 puts it on the install path",
-    "decode_license": "license wire format; ROADMAP item 2 puts it on the install path",
     "transfer": "direct-path reference the bridge-penalty test compares bridge_transfer with",
     "distances_km": "perfbench traces it; the within_km exactness tests compare against it",
 }
