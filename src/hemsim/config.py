@@ -176,8 +176,8 @@ SCHEMA = _obj(
             f=Key(int, 2, minimum=0, maximum=21),
             trials=Key(int, 30, minimum=1, maximum=500),
         ),
-        # A zero-noise descent took 1.4 ms at low latitude and 28 ms at 70-88
-        # degrees, so 2,000 trials take 3 s to a minute.
+        # A zero-noise descent trial takes about 0.6 ms at any latitude (64
+        # trials at 70-88 degrees took 0.04 s), so 2,000 trials take ~1.3 s.
         descent_trials=Key(int, 15, minimum=0, maximum=2_000),
     ),
     attest=_obj(

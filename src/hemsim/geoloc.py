@@ -6,7 +6,8 @@ verified round-trip time converts to a distance upper bound (nothing rides
 the wire faster than the propagation floor). Two region estimators turn
 bounds into location regions: disk intersection (CBG) and a fault-tolerant
 intersection that survives a bounded number of lying landmarks. A
-residual-minimizing descent gives a point estimate.
+Levenberg-Marquardt descent on the distance residuals, stepping in
+east/north km around its current point, gives a point estimate.
 
 Measurements whose response signature fails verification never influence
 any estimate.
@@ -308,6 +309,10 @@ _WINDOW_MARGIN_DEG = 1e-9
 # Near the antipode arcsin(sqrt(h)) is ill-conditioned: a rounding of h moves
 # the angle by ~4e-16 / sin(theta) rad, which this keeps under 1e-13 rad.
 _ANTIPODE_CLEARANCE_RAD = 0.01
+# No haversine distance exceeds 2R asin(1), half the circumference; a radius
+# past it by this relative margin, far beyond the rounding of arcsin and
+# sqrt, holds every cell.
+_WHOLE_GLOBE_KM = 2.0 * EARTH_RADIUS_KM * math.asin(1.0) * (1.0 + 1e-9)
 # Below this, asin(sin theta / cos lat) is well conditioned and its argument
 # stays under 1; past it the disk may hold a pole and spans every longitude.
 _POLE_CLEARANCE_RAD = math.radians(89.0)
@@ -445,7 +450,8 @@ def estimate_bft(
 
     Each disk adds its count only inside its `disk_window`; no cell outside
     that box is in the disk, so the counts, and the mask, equal the
-    full-grid counts bit for bit.
+    full-grid counts bit for bit. A disk wider than `_WHOLE_GLOBE_KM` holds
+    every cell and is counted once, as a scalar, without the kernel.
     """
     if f < 0:
         raise ValueError("f must be nonnegative")
@@ -455,6 +461,7 @@ def estimate_bft(
         raise InsufficientLandmarksError(f"need at least {3 * f + 1} landmarks, have {n}")
     slack = grid.half_diagonal_km()
     counts = np.zeros((grid.n_lat, grid.n_lon), dtype=np.int32)
+    whole_globe = 0
     violations = []
     for m in usable:
         lm = landmarks[m.landmark_id]
@@ -463,9 +470,12 @@ def estimate_bft(
             violations.append(m.landmark_id)  # unsatisfiable everywhere
             continue
         radius = bound.bound_km + slack
+        if radius > _WHOLE_GLOBE_KM:
+            whole_globe += 1
+            continue
         i0, i1, j0, j1 = grid.disk_window(lm.position, radius)
         counts[i0:i1, j0:j1] += grid.within_km(lm.position, radius, slice(i0, i1), slice(j0, j1))
-    mask = counts >= (n - f)
+    mask = counts >= (n - f - whole_globe)
     empty = not bool(mask.any())
     return GeoEstimate(grid, mask, empty=empty, floor_violations=tuple(violations))
 
@@ -477,7 +487,15 @@ class InsufficientLandmarksError(ValueError):
 # -- descent ------------------------------------------------------------------
 
 DESCENT_MAX_ITERATIONS = 500
-DESCENT_STEP_TOLERANCE_DEG = 1e-6
+DESCENT_STEP_TOLERANCE_KM = 1e-4
+# Closer than this (in sines of the central angle, ~6 um) to a landmark or its
+# antipode, the bearing toward it is rounding noise: d has a cusp there and no
+# gradient, so the landmark's Jacobian row is zero.
+_BEARING_FLOOR = 1e-12
+# Initial damping mu, relative to the largest diagonal entry of H. The
+# starts are not near the minimum (a caller's guess, a centroid, a coarse
+# cell), for which Madsen, Nielsen & Tingleff advise a tau as large as 1.
+_DAMPING_TAU = 1.0
 
 
 @dataclass(frozen=True)
@@ -507,104 +525,124 @@ def descent_terms(targets: Sequence[tuple[GeoPoint, float]]) -> DescentTerms:
 
 def descent_objective_and_gradient(
     lat_deg: float, lon_deg: float, terms: DescentTerms
-) -> tuple[float, float, float]:
-    """Sum of squared (distance - target) residuals and its gradient.
+) -> tuple[float, float, float, float, float, float]:
+    """Sum f of squared residuals r_i = d_i - target_i at (lat, lon), with its
+    gradient and Gauss-Newton Hessian in east/north km around the point.
 
-    Per landmark, d is the haversine distance from (lat, lon) and
-    dd_da * da_dp1, dd_da * da_dl1 its partials in the first point's
-    radians. The landmark's own terms come from `descent_terms`; terms
-    that depend only on the point are computed once per call, and
-    sin^2(dlam / 2) once per landmark. The descent calls it at each start
-    and at each step it accepts.
+    Returns `(f, g_east, g_north, h_ee, h_en, h_nn)`: g = 2 J^T r and
+    H = 2 J^T J. d_i is the haversine distance to landmark i, and row i of J
+    is minus the unit initial bearing toward it (a move of s km along bearing
+    b changes d_i by -s cos(b - bearing_i)). Within `_BEARING_FLOOR` of the
+    landmark or its antipode the row is zero. At a pole the frame is the limit
+    along meridian `lon_deg`, the frame `_move` steps in. f takes the
+    haversine steps of the original degree-space objective in the same
+    order, so it is the same float.
     """
     p1 = math.radians(lat_deg)
     l1 = math.radians(lon_deg)
     cos_p1 = math.cos(p1)
     sin_p1 = math.sin(p1)
-    to_rad = math.pi / 180.0
-    f = 0.0
-    g_lat = 0.0
-    g_lon = 0.0
+    sin, asin, sqrt, hypot = math.sin, math.asin, math.sqrt, math.hypot
+    f = g_e = g_n = h_ee = h_en = h_nn = 0.0
     for p2, l2, cos_p2, target_km in terms:
         dphi = p2 - p1
         dlam = l2 - l1
-        s_half = math.sin(dlam / 2.0) ** 2
-        a = math.sin(dphi / 2.0) ** 2 + cos_p1 * cos_p2 * s_half
+        s_half = sin(dlam / 2.0) ** 2
+        a = sin(dphi / 2.0) ** 2 + cos_p1 * cos_p2 * s_half
         # Clamps as comparisons that, like min/max calls, pass NaN and -0.0
         # through unchanged.
         a = 0.0 if a < 0.0 else 1.0 if a > 1.0 else a
-        d = 2.0 * EARTH_RADIUS_KM * math.asin(math.sqrt(a))
-        q = a * (1.0 - a)
-        dd_da = EARTH_RADIUS_KM / math.sqrt(1e-18 if q < 1e-18 else q)
-        da_dp1 = -math.sin(dphi) / 2.0 - sin_p1 * cos_p2 * s_half
-        da_dl1 = -cos_p1 * cos_p2 * math.sin(dlam) / 2.0
-        residual = d - target_km
+        residual = 2.0 * EARTH_RADIUS_KM * asin(sqrt(a)) - target_km
         f += residual * residual
-        g_lat += 2.0 * residual * (dd_da * da_dp1 * to_rad)
-        g_lon += 2.0 * residual * (dd_da * da_dl1 * to_rad)
-    return f, g_lat, g_lon
+        # Bearing components, each sin(central angle) times the unit vector;
+        # north is cos p1 sin p2 - sin p1 cos p2 cos dlam without cancellation.
+        east = cos_p2 * sin(dlam)
+        north = sin(dphi) + 2.0 * sin_p1 * cos_p2 * s_half
+        norm = hypot(east, north)
+        if norm > _BEARING_FLOOR:
+            east /= norm
+            north /= norm
+            g_e -= residual * east
+            g_n -= residual * north
+            h_ee += east * east
+            h_en += east * north
+            h_nn += north * north
+    return f, 2.0 * g_e, 2.0 * g_n, 2.0 * h_ee, 2.0 * h_en, 2.0 * h_nn
 
 
-def descent_objective(lat_deg: float, lon_deg: float, terms: DescentTerms) -> float:
-    """The f of `descent_objective_and_gradient`, bit for bit (the same
-    operations in the same order), without the gradient. The line search
-    calls it at every trial point, most of which it rejects."""
-    p1 = math.radians(lat_deg)
-    l1 = math.radians(lon_deg)
-    cos_p1 = math.cos(p1)
-    sin, asin, sqrt = math.sin, math.asin, math.sqrt
-    diameter = 2.0 * EARTH_RADIUS_KM
-    f = 0.0
-    for p2, l2, cos_p2, target_km in terms:
-        a = sin((p2 - p1) / 2.0) ** 2 + cos_p1 * cos_p2 * sin((l2 - l1) / 2.0) ** 2
-        a = 0.0 if a < 0.0 else 1.0 if a > 1.0 else a
-        residual = diameter * asin(sqrt(a)) - target_km
-        f += residual * residual
-    return f
+def _move(lat_deg: float, lon_deg: float, east_km: float, north_km: float) -> tuple[float, float]:
+    """The point `hypot(east, north)` km from (lat, lon) along the great circle
+    leaving it in that east/north direction.
+
+    Computed on unit vectors in a frame turned to meridian `lon_deg`, so it
+    holds at a pole (north there points along that meridian, as in
+    `descent_objective_and_gradient`), never leaves [-90, 90] latitude, and
+    adds the longitude change to `lon_deg`: longitude stays continuous across
+    the 180-degree seam and over a pole.
+    """
+    s = math.hypot(east_km, north_km)
+    phi = math.radians(lat_deg)
+    sin_p, cos_p = math.sin(phi), math.cos(phi)
+    cos_d = math.cos(s / EARTH_RADIUS_KM)
+    k = math.sin(s / EARTH_RADIUS_KM) / s
+    x = cos_d * cos_p - k * north_km * sin_p
+    y = k * east_km
+    z = cos_d * sin_p + k * north_km * cos_p
+    return (math.degrees(math.atan2(z, math.hypot(x, y))),
+            lon_deg + math.degrees(math.atan2(y, x)))
 
 
 def _descend_from(start: GeoPoint, terms: DescentTerms, label: str) -> DescentResult:
-    """One backtracking descent from `start`.
+    """One Levenberg-Marquardt descent from `start` in the local east/north
+    km frame.
 
-    Each trial point of the line search is scored by `descent_objective`
-    alone; the gradient is computed, by `descent_objective_and_gradient`,
-    only at the start and at each accepted step. Both give the same f bit
-    for bit, so the path is the one a search computing the gradient at every
-    trial point would take.
+    Each iteration solves the 2x2 damped normal equations (H + mu I) step =
+    -g, moves the point along that step with `_move` and keeps the move only
+    if f falls, so f never rises. The damping follows the gain ratio
+    (Nielsen's rule): it shrinks after a step the model predicted well and
+    doubles, then quadruples and so on, after each refused step. The run
+    stops, before evaluating, at a step under `DESCENT_STEP_TOLERANCE_KM`:
+    `step_tolerance` after an accepted step, `no_descent_step` after a
+    refused one (damping alone shrank it). Each evaluated point is one
+    `descent_objective_and_gradient` call.
     """
     lat, lon = start.latitude, start.longitude
-    f, g_lat, g_lon = descent_objective_and_gradient(lat, lon, terms)
-    step_deg = 1.0
+    f, g_e, g_n, h_ee, h_en, h_nn = descent_objective_and_gradient(lat, lon, terms)
+    mu = _DAMPING_TAU * max(h_ee, h_nn)
+    nu = 2.0
+    accepted = True
     status = "max_iterations"
     converged = False
     iterations = 0
     for iterations in range(1, DESCENT_MAX_ITERATIONS + 1):
-        g_norm = math.hypot(g_lat, g_lon)
-        if g_norm == 0.0:
+        if g_e == 0.0 and g_n == 0.0:
             status, converged = "stationary", True
             break
-        d_lat, d_lon = -g_lat / g_norm, -g_lon / g_norm
-        improved = False
-        t = step_deg
-        while t >= DESCENT_STEP_TOLERANCE_DEG / 4.0:
-            new_lat = min(max(lat + t * d_lat, -90.0), 90.0)
-            new_lon = lon + t * d_lon
-            if descent_objective(new_lat, new_lon, terms) <= f - 1e-4 * t * g_norm:
-                lat, lon = new_lat, new_lon
-                f, g_lat, g_lon = descent_objective_and_gradient(lat, lon, terms)
-                improved = True
-                break
-            t /= 2.0
-        if not improved:
-            # Full backtracking sweep failed to decrease: either converged
-            # to numerical precision or genuinely stuck; report it.
-            status = "no_descent_step"
-            converged = f < 1e-9 or g_norm * DESCENT_STEP_TOLERANCE_DEG < 1e-9
+        a, c = h_ee + mu, h_nn + mu
+        det = a * c - h_en * h_en
+        d_e = (h_en * g_n - c * g_e) / det
+        d_n = (h_en * g_e - a * g_n) / det
+        step = math.hypot(d_e, d_n)
+        if step < DESCENT_STEP_TOLERANCE_KM:
+            if accepted:
+                status, converged = "step_tolerance", True
+            else:
+                status = "no_descent_step"
+                converged = f < 1e-9 or math.hypot(g_e, g_n) * DESCENT_STEP_TOLERANCE_KM < 1e-9
             break
-        if t < DESCENT_STEP_TOLERANCE_DEG:
-            status, converged = "step_tolerance", True
-            break
-        step_deg = min(t * 2.0, 8.0)
+        new_lat, new_lon = _move(lat, lon, d_e, d_n)
+        trial = descent_objective_and_gradient(new_lat, new_lon, terms)
+        accepted = trial[0] < f
+        if accepted:
+            predicted = 0.5 * (mu * step * step - g_e * d_e - g_n * d_n)
+            rho = (f - trial[0]) / predicted
+            mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+            nu = 2.0
+            lat, lon = new_lat, new_lon
+            f, g_e, g_n, h_ee, h_en, h_nn = trial
+        else:
+            mu *= nu
+            nu *= 2.0
     return DescentResult(
         point=GeoPoint(lat, lon),
         objective_km2=f,
@@ -623,10 +661,10 @@ def _coarse_scan_start(
     The objective is scored on all cells at once through `_haversine_km`.
     Numpy's sin and arcsin may differ from libm's in the last bit, so every
     near-tie cell (objective within a relative 1e-9 plus 1e-9 km^2 of the
-    least) is re-scored in row-major order with the scalar
-    `descent_objective` on `terms` (those of `targets`), keeping the first
-    strict minimum: the same cell, at the same coordinates, as a scalar scan
-    of every cell.
+    least) is re-scored in row-major order with the scalar f of
+    `descent_objective_and_gradient` on `terms` (those of `targets`),
+    keeping the first strict minimum: the same cell, at the same
+    coordinates, as a scalar scan of every cell.
     """
     lats = [pos.latitude for pos, _ in targets]
     lons = [pos.longitude for pos, _ in targets]
@@ -645,7 +683,7 @@ def _coarse_scan_start(
     best = None
     for i, j in np.argwhere(f <= f.min() * (1.0 + 1e-9) + 1e-9):
         lat, lon = float(lat_c[i]), float(lon_c[j])
-        value = descent_objective(lat, lon, terms)
+        value = descent_objective_and_gradient(lat, lon, terms)[0]
         if best is None or value < best[0]:
             best = (value, lat, lon)
     return GeoPoint(best[1], best[2])
@@ -656,15 +694,18 @@ def estimate_descent(
     landmarks: dict[str, Landmark],
     init: GeoPoint,
 ) -> DescentResult:
-    """Minimize squared distance residuals by backtracking gradient descent.
+    """Minimize squared distance residuals by Levenberg-Marquardt descent in
+    the local east/north km frame (`_descend_from`).
 
     The squared-residual surface has spurious local minima, so in addition
     to the caller's init the descent is seeded from the landmark centroid
     and the best cell of a coarse objective scan, keeping whichever run
-    ends lowest (deterministic; the init run wins ties). The result's
-    objective never exceeds the objective at the init point; a failure to
-    decrease along a full backtracking sweep ends a run with a diagnostic
-    status instead of a silent wrong answer.
+    ends lowest (deterministic; the init run wins ties). Each run accepts
+    only steps that lower the objective, so the result's objective never
+    exceeds the objective at the init point. A run ends at a step under
+    `DESCENT_STEP_TOLERANCE_KM` or at `DESCENT_MAX_ITERATIONS`, and its
+    status says which (`no_descent_step` when damping alone shrank the
+    step), instead of a silent wrong answer.
 
     The landmark terms are built once, by `descent_terms`, and shared by
     all three runs and the coarse scan.
@@ -672,6 +713,8 @@ def estimate_descent(
     usable = _usable(measurements)
     if len(usable) < 3:
         raise ValueError("descent needs at least 3 verified measurements")
+    if not math.isfinite(init.longitude):  # GeoPoint admits a NaN longitude
+        raise ValueError("descent needs a finite init")
     targets = []
     for m in usable:
         lm = landmarks[m.landmark_id]

@@ -47,6 +47,7 @@ from .chipmodel import (
 )
 from .cluster import (
     ClusterNode,
+    HandshakeReject,
     Session,
     SessionAllocator,
     apply_cap_update,
@@ -196,8 +197,9 @@ def run_cluster_section(section: dict, seed: int) -> SectionResult:
     }
     alloc = SessionAllocator()
     now = 0.0
-    stats = {"handshakes": 0, "accepted": 0, "cap_rejected": 0, "teardowns": 0,
-             "lowerings": 0, "replays_rejected": 0}
+    stats = {"handshakes": 0, "accepted": 0, "teardowns": 0, "lowerings": 0,
+             "replays_rejected": 0}
+    refusals = {reason.value: 0 for reason in HandshakeReject}
     violations = 0
     # Work per event is proportional to what changed, not to the fleet size.
     # Session ids grow in establishment order, so `open_sessions` iterates in
@@ -257,11 +259,11 @@ def run_cluster_section(section: dict, seed: int) -> SectionResult:
                 recount(a)
                 recount(b)
             else:
-                stats["cap_rejected"] += 1
+                refusals[outcome.reason.value] += 1
         if now > adopted_at + check_period + 1e-9:
             violations += len(over_cap)
-    result.records.append({"event": "churn_summary", **stats, "violations": violations,
-                           "final_cap": cap, "final_epoch": epoch})
+    result.records.append({"event": "churn_summary", **stats, "refusals": refusals,
+                           "violations": violations, "final_cap": cap, "final_epoch": epoch})
     result.predicates.append(Predicate(
         "cluster_cap_safety", violations == 0,
         f"{violations} instants over cap beyond one check period",
@@ -415,7 +417,9 @@ def run_geoloc_section(section: dict, seed: int) -> SectionResult:
         ok = err_km <= grid.resolution_deg * KM_PER_DEGREE
         recovered += ok
         result.records.append({"event": "descent_trial", "trial": trial,
-                               "error_km": round(err_km, 6), "recovered": ok})
+                               "error_km": round(err_km, 6), "recovered": ok,
+                               "iterations": res.iterations, "status": res.status,
+                               "start": res.start})
     if section["descent_trials"]:
         result.predicates.append(Predicate(
             "geoloc_descent_recovery", recovered == section["descent_trials"],

@@ -31,7 +31,7 @@ from hemsim.chipmodel import (
 from hemsim.config import validate_config
 from hemsim.geoloc import descent_objective_and_gradient, descent_terms
 from hemsim.licensing import fuzz_licenses, install, make_issuer
-from hemsim.netsim import GeoPoint
+from hemsim.netsim import EARTH_RADIUS_KM, GeoPoint
 from hemsim.scenarios import (
     BUNDLED_SCENARIOS,
     execute_scenario,
@@ -201,7 +201,16 @@ class TestAcceptance:
     def test_06_descent_correctness(self):
         start = time.monotonic()
         rng = random.Random(606)
-        h = 1e-5
+        h = 1e-3  # km along the east and north great circles
+
+        def moved(lat, lon, bearing, km):
+            p1, d = math.radians(lat), km / EARTH_RADIUS_KM
+            p2 = math.asin(math.sin(p1) * math.cos(d)
+                           + math.cos(p1) * math.sin(d) * math.cos(bearing))
+            dl = math.atan2(math.sin(bearing) * math.sin(d) * math.cos(p1),
+                            math.cos(d) - math.sin(p1) * math.sin(p2))
+            return math.degrees(p2), lon + math.degrees(dl)
+
         worst_rel = 0.0
         for _ in range(100):
             targets = descent_terms([
@@ -211,13 +220,11 @@ class TestAcceptance:
             ])
             lat = rng.uniform(-45, 45)
             lon = rng.uniform(-100, 100)
-            _, g_lat, g_lon = descent_objective_and_gradient(lat, lon, targets)
-            f_lat_p, _, _ = descent_objective_and_gradient(lat + h, lon, targets)
-            f_lat_m, _, _ = descent_objective_and_gradient(lat - h, lon, targets)
-            f_lon_p, _, _ = descent_objective_and_gradient(lat, lon + h, targets)
-            f_lon_m, _, _ = descent_objective_and_gradient(lat, lon - h, targets)
-            for analytic, numeric in ((g_lat, (f_lat_p - f_lat_m) / (2 * h)),
-                                      (g_lon, (f_lon_p - f_lon_m) / (2 * h))):
+            _, g_e, g_n, _, _, _ = descent_objective_and_gradient(lat, lon, targets)
+            for analytic, bearing in ((g_e, math.pi / 2.0), (g_n, 0.0)):
+                f_p = descent_objective_and_gradient(*moved(lat, lon, bearing, h), targets)[0]
+                f_m = descent_objective_and_gradient(*moved(lat, lon, bearing, -h), targets)[0]
+                numeric = (f_p - f_m) / (2 * h)
                 scale = max(abs(analytic), abs(numeric), 1e-3)
                 rel = abs(analytic - numeric) / scale
                 worst_rel = max(worst_rel, rel)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hemsim import canon, cluster
+from hemsim import canon, cluster, scenarios
 from hemsim.chipmodel import (
     DeviceIdentity,
     ChipState,
@@ -460,6 +460,28 @@ class TestChurnLoop:
         assert summary["lowerings"] == 3
         assert summary["violations"] > 0
         assert not {p.name: p.passed for p in result.predicates}["cluster_cap_safety"]
+
+    def test_each_refusal_is_counted_under_its_reason(self, monkeypatch):
+        # Every fourth handshake checks identities against an empty registry,
+        # so an endpoint pair with room refuses it as BAD_AUTH.
+        calls = []
+        seen = {reason.value: 0 for reason in HandshakeReject}
+
+        def recording_handshake(now_ms, a, b, registry, rng, allocator):
+            calls.append(now_ms)
+            if len(calls) % 4 == 0:
+                registry = Registry()
+            outcome = handshake(now_ms, a, b, registry, rng, allocator)
+            if not outcome.accepted:
+                seen[outcome.reason.value] += 1
+            return outcome
+
+        monkeypatch.setattr(scenarios, "handshake", recording_handshake)
+        result = run_cluster_section(self.SECTION, seed=4)
+        summary = next(r for r in result.records if r["event"] == "churn_summary")
+        assert seen["bad_auth"] > 0 and seen["cap_exceeded"] > 0
+        assert summary["refusals"] == seen
+        assert sum(seen.values()) == summary["handshakes"] - summary["accepted"]
 
 
 class TestTransfers:
