@@ -24,12 +24,14 @@ import numpy as np
 
 from . import canon
 from .attest import (
+    DESK_SCALE_THRESHOLD_OPS,
     DeviceStatus,
     WorkloadLabel,
     classification_flip_point,
     classify,
+    covert_rollback_chain,
     emit_snapshot,
-    fragment,
+    fragmentation_demo,
     generate_trace,
     inject_noise,
     verify_chain,
@@ -39,6 +41,7 @@ from .chipmodel import (
     Registry,
     ThrottleLevel,
     extract_signing_oracle,
+    mint_fleet,
     provision_chip,
 )
 from .cluster import (
@@ -409,15 +412,8 @@ def _attack_throttle_bypass(profile, rng, params) -> dict:
 
 
 def _cluster_world(rng, n_chips):
-    regulator = canon.generate_keypair(rng.randbytes(32))
-    registry = Registry()
-    nodes = []
-    for _ in range(n_chips):
-        chip = provision_chip(rng, frozenset({regulator.public_bytes}))
-        chip.throttle = ThrottleLevel.FULL
-        registry.enroll(chip)
-        nodes.append(ClusterNode(chip=chip))
-    return regulator, registry, nodes
+    regulator, registry, chips = mint_fleet(rng, n_chips)
+    return regulator, registry, [ClusterNode(chip=chip) for chip in chips]
 
 
 @attack("cluster_pod_firmware_mod", required={Capability.FIRMWARE_MOD}, expect=(False, True))
@@ -621,10 +617,7 @@ def _attack_landmark_compromise(profile, rng, params) -> dict:
 
 @attack("geoloc_landmark_ddos", required={Capability.DDOS_LANDMARKS}, expect=(False, True))
 def _attack_ddos(profile, rng, params) -> dict:
-    issuer = canon.generate_keypair(rng.randbytes(32))
-    chip = provision_chip(rng, frozenset({issuer.public_bytes}))
-    registry = Registry()
-    registry.enroll(chip)
+    _, registry, (chip,) = mint_fleet(rng, 1)
     landmarks = _landmark_ring(7, overhead=0.5)
     truth = GeoPoint(11.0, 9.0)
     nodes = [Node(lm.id, lm.position, role="landmark") for lm in landmarks]
@@ -648,10 +641,7 @@ def _attack_ddos(profile, rng, params) -> dict:
 
 @attack("geoloc_key_extraction_relay", required={Capability.KEY_EXTRACTION}, expect=(True, False))
 def _attack_relay(profile, rng, params) -> dict:
-    issuer = canon.generate_keypair(rng.randbytes(32))
-    chip = provision_chip(rng, frozenset({issuer.public_bytes}))
-    registry = Registry()
-    registry.enroll(chip)
+    _, registry, (chip,) = mint_fleet(rng, 1)
     oracle = extract_signing_oracle(chip, capability_granted=True)
     truth = GeoPoint(20.0, 20.0)        # where the chip really sits
     relay_site = GeoPoint(2.0, 2.0)     # where the relay answers from
@@ -689,21 +679,7 @@ def _attack_relay(profile, rng, params) -> dict:
 
 @attack("accounting_meter_tamper", required={Capability.COVERT_TAMPER}, expect=(False, True))
 def _attack_accounting_meter_tamper(profile, rng, params) -> dict:
-    issuer = canon.generate_keypair(rng.randbytes(32))
-    chip = provision_chip(rng, frozenset({issuer.public_bytes}))
-    chip.throttle = ThrottleLevel.FULL
-    registry = Registry()
-    registry.enroll(chip)
-    snapshots = []
-    true_total = 0
-    for seq in range(5):
-        chip.consume(MeterResource.FLOAT_OPS, 10**6)
-        true_total += 10**6
-        snapshots.append(emit_snapshot(chip, seq))
-    chip.tamper_event("meter_rollback", covert=True,
-                      resource=MeterResource.FLOAT_OPS, amount=3 * 10**6)
-    snapshots.append(emit_snapshot(chip, 5))
-    report = verify_chain({chip.identity.device_id: snapshots}, registry)
+    report, true_total = covert_rollback_chain(rng)
     result = report.device_results[0]
     # The falsified chain is rejected outright, so no undercounted total is
     # ever reported as verified.
@@ -742,39 +718,18 @@ def _attack_noise_injection(profile, rng, params) -> dict:
 def _attack_fragmentation(profile, rng, params) -> dict:
     np_rng = np.random.default_rng(rng.randrange(2**31))
     trace = generate_trace(WorkloadLabel.FRONTIER_TRAINING, np_rng, devices=240)
-    fragments = fragment(trace, 4)
-    fragment_labels = [classify(f).label for f in fragments]
-    evaded = all(label is not WorkloadLabel.FRONTIER_TRAINING for label in fragment_labels)
-
-    # Accounting still totals correctly across the fragments: chips meter the
-    # same operations no matter how the telemetry is reported.
-    issuer = canon.generate_keypair(rng.randbytes(32))
-    registry = Registry()
-    ops_per_util = 10**7
-    per_fragment_totals = []
-    union_snapshots = {}
-    for frag in fragments:
-        frag_total = 0
-        for row in range(frag.device_count):
-            chip = provision_chip(rng, frozenset({issuer.public_bytes}))
-            chip.throttle = ThrottleLevel.FULL
-            registry.enroll(chip)
-            first = emit_snapshot(chip, 0)
-            ops = int(frag.utilization[row].sum() * ops_per_util)
-            chip.consume(MeterResource.FLOAT_OPS, ops)
-            frag_total += ops
-            union_snapshots[chip.identity.device_id] = [first, emit_snapshot(chip, 1)]
-        per_fragment_totals.append(frag_total)
-    threshold = 10**9
-    union_report = verify_chain(union_snapshots, registry, threshold=threshold)
+    demo = fragmentation_demo(trace, 4)
+    # Accounting still totals the union: chips meter the same operations no
+    # matter how the telemetry is reported.
+    union_ops = sum(demo.fragment_ops)
     return dict(
-        succeeded=evaded,
+        succeeded=demo.evaded,
         detected=False,
         evidence={
-            "fragment_labels": [label.value for label in fragment_labels],
-            "union_total_ops": union_report.totals[MeterResource.FLOAT_OPS],
-            "union_exceeds_threshold": union_report.exceeds_threshold,
-            "per_fragment_totals": per_fragment_totals,
+            "fragment_labels": [label.value for label in demo.fragment_labels],
+            "union_total_ops": union_ops,
+            "union_exceeds_threshold": union_ops > DESK_SCALE_THRESHOLD_OPS,
+            "per_fragment_totals": demo.fragment_ops,
         },
     )
 

@@ -10,10 +10,13 @@ Classification is a deliberately simple three-feature rule over telemetry
 traces: fleet size, utilization steadiness, and interconnect periodicity.
 It is honest about its limits: the evasion helpers exist to demonstrate
 that classification can be fooled while accounting still totals correctly.
+The attest section and the accounting attack rows share two worlds, each
+built here once: `covert_rollback_chain` and `fragmentation_demo`.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
@@ -21,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import canon
-from .chipmodel import ChipState, MeterResource, Registry
+from .chipmodel import ChipState, MeterResource, Registry, mint_fleet
 
 SNAPSHOT_TAG = "meter-snapshot.v1"
 
@@ -177,6 +180,23 @@ def verify_chain(
         incomplete=incomplete,
         no_data=no_data,
     )
+
+
+def covert_rollback_chain(rng: random.Random) -> tuple[AttestReport, int]:
+    """A fresh chip signs a snapshot after each of 4 intervals of 1e6 ops,
+    then one more after a covert tamper rolls its meter back by 2e6.
+
+    Returns the verifier's report on that chain and the ops really run.
+    """
+    _, registry, (chip,) = mint_fleet(rng, 1)
+    snapshots = []
+    for seq in range(4):
+        chip.consume(MeterResource.FLOAT_OPS, 10**6)
+        snapshots.append(emit_snapshot(chip, seq))
+    chip.tamper_event("meter_rollback", covert=True,
+                      resource=MeterResource.FLOAT_OPS, amount=2 * 10**6)
+    snapshots.append(emit_snapshot(chip, 4))
+    return verify_chain({chip.identity.device_id: snapshots}, registry), 4 * 10**6
 
 
 # -- workload classification ----------------------------------------------------
@@ -368,6 +388,35 @@ def fragment(trace: WorkloadTrace, k: int) -> list[WorkloadTrace]:
         )
         for idx in splits
     ]
+
+
+def metered_ops(trace: WorkloadTrace) -> int:
+    """Float ops the trace's chips meter (1e7 per device-step at full
+    utilization), whoever reports the telemetry."""
+    return int(trace.utilization.sum() * 10**7)
+
+
+@dataclass(frozen=True)
+class FragmentationDemo:
+    whole_label: WorkloadLabel
+    fragment_labels: list[WorkloadLabel]
+    fragment_ops: list[int]
+    evaded: bool
+
+
+def fragmentation_demo(trace: WorkloadTrace, k: int) -> FragmentationDemo:
+    """Report one run as `k` fragments: what the classifier and the meters see.
+
+    Evasion holds when the whole run reads as frontier training and no
+    fragment does. The fragments' metered ops still sum to the whole run's.
+    """
+    fragments = fragment(trace, k)
+    whole_label = classify(trace).label
+    fragment_labels = [classify(f).label for f in fragments]
+    evaded = (whole_label is WorkloadLabel.FRONTIER_TRAINING
+              and all(label is not WorkloadLabel.FRONTIER_TRAINING for label in fragment_labels))
+    return FragmentationDemo(whole_label, fragment_labels,
+                             [metered_ops(f) for f in fragments], evaded)
 
 
 def classification_flip_point(

@@ -4,6 +4,9 @@ The chip is modeled behaviorally: a tamper-scoped identity that signs
 canonical payloads, cumulative activity meters with three power-loss
 persistence designs, a write-through last-license-id counter, a real-time
 clock with optional drift, throttle state, and a zeroization response.
+`ChipState.issuer_signed` is the chip's one trust decision for the
+issuer-signed documents it adopts, and `mint_fleet` builds the issuer key,
+registry and enrolled chips that sections and attack rows start from.
 Electrical details (flash wear, capacitors, counter circuits) are out of
 scope; what is modeled is exactly the externally observable contract of
 each component.
@@ -214,6 +217,14 @@ class ChipState:
     def public_key(self) -> bytes:
         return self.identity.keypair.public_bytes
 
+    def issuer_signed(self, message: bytes, signature: bytes) -> bool:
+        """Whether an issuer key this chip enrolled signed `message`.
+
+        The one trust decision behind every issuer-signed document the chip
+        adopts: licenses, cap policies and pod manifests.
+        """
+        return any(canon.verify(key, message, signature) for key in self.identity.issuer_keys)
+
     # -- metering -----------------------------------------------------------
 
     def consume(self, resource: MeterResource, amount: int) -> ConsumeResult:
@@ -318,3 +329,20 @@ class Registry:
 
     def public_key(self, device_id: int) -> Optional[bytes]:
         return self._public_keys.get(device_id)
+
+
+def mint_fleet(rng: random.Random, n: int) -> tuple[canon.KeyPair, Registry, list[ChipState]]:
+    """An issuer key, a registry, and `n` chips enrolled there at full throttle.
+
+    Draws the issuer key first, then each chip's id and key in turn. Every
+    chip enrolls only the issuer key.
+    """
+    issuer = canon.generate_keypair(rng.randbytes(32))
+    registry = Registry()
+    chips = []
+    for _ in range(n):
+        chip = provision_chip(rng, frozenset({issuer.public_bytes}))
+        chip.throttle = ThrottleLevel.FULL
+        registry.enroll(chip)
+        chips.append(chip)
+    return issuer, registry, chips

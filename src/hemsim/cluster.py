@@ -269,10 +269,7 @@ def adopt_manifest(node: ClusterNode, manifest: PodManifest) -> bool:
         return False
     signed = manifest_signed_bytes(manifest.pod_id, manifest.members,
                                    manifest.manifest_epoch)
-    if not any(
-        canon.verify(key, signed, manifest.regulator_signature)
-        for key in node.chip.identity.issuer_keys
-    ):
+    if not node.chip.issuer_signed(signed, manifest.regulator_signature):
         return False
     node.pod_manifest = manifest
     return True
@@ -288,10 +285,7 @@ def apply_cap_update(node: ClusterNode, policy: CapPolicy) -> bool:
     if policy.cap_epoch <= current_epoch:
         return False
     signed = cap_policy_signed_bytes(policy.cap, policy.cap_epoch, policy.check_period_ms)
-    if not any(
-        canon.verify(key, signed, policy.regulator_signature)
-        for key in node.chip.identity.issuer_keys
-    ):
+    if not node.chip.issuer_signed(signed, policy.regulator_signature):
         return False
     node.cap_policy = policy
     return True

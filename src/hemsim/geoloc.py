@@ -713,8 +713,6 @@ def estimate_descent(
     usable = _usable(measurements)
     if len(usable) < 3:
         raise ValueError("descent needs at least 3 verified measurements")
-    if not math.isfinite(init.longitude):  # GeoPoint admits a NaN longitude
-        raise ValueError("descent needs a finite init")
     targets = []
     for m in usable:
         lm = landmarks[m.landmark_id]

@@ -169,9 +169,7 @@ def install(chip: ChipState, wire: bytes) -> InstallResult:
     if lic.not_after is not None and chip.rtc_read() > lic.not_after:
         return InstallResult(False, RejectReason.EXPIRED)
     signed = license_signed_bytes(lic.license_id, lic.device_id, lic.quotas, lic.not_after)
-    if not any(
-        canon.verify(key, signed, lic.issuer_signature) for key in chip.identity.issuer_keys
-    ):
+    if not chip.issuer_signed(signed, lic.issuer_signature):
         return InstallResult(False, RejectReason.BAD_SIGNATURE)
     chip.last_license_id = lic.license_id
     chip.active_license = lic

@@ -3,8 +3,9 @@
 Nodes sit at geographic positions; links carry a latency model built from
 a propagation fraction of light speed, a path-stretch factor, a lognormal
 jitter term, and a fixed per-hop overhead. Message transit times never
-fall below the straight-line propagation floor unless an adversary delay
-hook explicitly rewrites them, in which case the delivered event is marked.
+fall below the straight-line propagation floor; a speedup attack is
+modelled on the measurements (`geoloc.synthesize_round(speedup=)`), not
+here. Drop hooks model landmarks taken down by denial of service.
 
 A `Simulator` instance owns one seeded RNG and one event heap; replaying
 the same scenario with the same seed delivers the same events in the same
@@ -47,6 +48,8 @@ class GeoPoint:
     def __post_init__(self):
         if not -90.0 <= self.latitude <= 90.0:
             raise ValueError(f"latitude out of range: {self.latitude}")
+        if not math.isfinite(self.longitude):
+            raise ValueError(f"longitude not finite: {self.longitude}")
         object.__setattr__(self, "longitude", _normalize_longitude(self.longitude))
 
 
@@ -103,12 +106,6 @@ class LatencyModel:
         return base + self.fixed_overhead_ms + jitter
 
 
-# Adversary delay hook: (src, dst, sampled_delay_ms, floor_ms) -> new delay.
-# Returning a delay below the floor is how a speedup capability manifests;
-# the simulator marks the resulting event so the invariant stays auditable.
-DelayHook = Callable[[str, str, float, float], float]
-
-
 @dataclass(frozen=True)
 class Node:
     id: str
@@ -126,7 +123,6 @@ class Network:
                 raise ValueError(f"duplicate node id: {node.id}")
             self.nodes[node.id] = node
         self.default_latency = default_latency or LatencyModel()
-        self.delay_hooks: list[DelayHook] = []
         # Drop hooks model denial of service: any hook returning True for a
         # (src, dst) pair silently discards the message (seen as a timeout).
         self.drop_hooks: list[Callable[[str, str], bool]] = []
@@ -136,19 +132,6 @@ class Network:
 
     def distance_km(self, src: str, dst: str) -> float:
         return geodesic_distance(self.nodes[src].position, self.nodes[dst].position)
-
-    def sample_transit(self, src: str, dst: str, rng: random.Random) -> tuple[float, bool]:
-        """One-way delay and whether a hook pushed it below the physical floor."""
-        model = self.default_latency
-        distance = self.distance_km(src, dst)
-        delay = model.sample_one_way_delay(distance, rng)
-        floor = model.propagation_floor_ms(distance)
-        below_floor = False
-        for hook in self.delay_hooks:
-            delay = hook(src, dst, delay, floor)
-            if delay < floor:
-                below_floor = True
-        return delay, below_floor
 
 
 @dataclass(frozen=True)
@@ -160,7 +143,6 @@ class Event:
     destination: str
     payload: Any
     delivery_id: int
-    marks: tuple[str, ...] = ()
 
 
 Handler = Callable[["Simulator", Event], None]
@@ -190,14 +172,7 @@ class Simulator:
     def register(self, node_id: str, handler: Handler) -> None:
         self._handlers[node_id] = handler
 
-    def schedule(
-        self,
-        time: float,
-        source: str,
-        destination: str,
-        payload: Any,
-        marks: tuple[str, ...] = (),
-    ) -> Event:
+    def schedule(self, time: float, source: str, destination: str, payload: Any) -> Event:
         if time < self.now:
             raise CausalityError(f"cannot schedule at t={time} before now={self.now}")
         event = Event(
@@ -206,7 +181,6 @@ class Simulator:
             destination=destination,
             payload=payload,
             delivery_id=self._next_delivery_id,
-            marks=marks,
         )
         self._next_delivery_id += 1
         heapq.heappush(self._heap, _Scheduled(time, event.delivery_id, event))
@@ -221,9 +195,9 @@ class Simulator:
         """
         if network.dropped(source, destination):
             return None
-        delay, below_floor = network.sample_transit(source, destination, self.rng)
-        marks = ("speedup",) if below_floor else ()
-        return self.schedule(self.now + delay, source, destination, payload, marks=marks)
+        delay = network.default_latency.sample_one_way_delay(
+            network.distance_km(source, destination), self.rng)
+        return self.schedule(self.now + delay, source, destination, payload)
 
     def run_until(self, time: float) -> list[Event]:
         """Process all events with event.time <= time; returns those processed."""

@@ -18,7 +18,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import canon
 from .adversary import (
     Tier,
     matrix_report,
@@ -33,16 +32,18 @@ from .attest import (
     MeterResource,
     WorkloadLabel,
     classify,
+    covert_rollback_chain,
     emit_snapshot,
-    fragment,
+    fragmentation_demo,
     generate_trace,
+    metered_ops,
     verify_chain,
 )
 from .chipmodel import (
     PersistencePolicy,
     PolicyKind,
-    Registry,
     ThrottleLevel,
+    mint_fleet,
     provision_chip,
 )
 from .cluster import (
@@ -173,14 +174,8 @@ def run_licensing_section(section: dict, fleet: dict, seed: int) -> SectionResul
 def run_cluster_section(section: dict, seed: int) -> SectionResult:
     rng = random.Random(seed * 1_000_003 + 23)
     result = SectionResult()
-    regulator = canon.generate_keypair(rng.randbytes(32))
-    registry = Registry()
-    nodes: list[ClusterNode] = []
-    for _ in range(section["chips"]):
-        chip = provision_chip(rng, frozenset({regulator.public_bytes}))
-        chip.throttle = ThrottleLevel.FULL
-        registry.enroll(chip)
-        nodes.append(ClusterNode(chip=chip))
+    regulator, registry, chips = mint_fleet(rng, section["chips"])
+    nodes = [ClusterNode(chip=chip) for chip in chips]
     peers = {n.device_id: n for n in nodes}
     check_period = section["check_period_ms"]
     epoch = 0
@@ -435,14 +430,7 @@ def run_attest_section(section: dict, seed: int) -> SectionResult:
     rng = random.Random(seed * 1_000_003 + 41)
     np_rng = np.random.default_rng(seed * 7 + 5)
     result = SectionResult()
-    issuer = canon.generate_keypair(rng.randbytes(32))
-    registry = Registry()
-    chips = []
-    for _ in range(section["chips"]):
-        chip = provision_chip(rng, frozenset({issuer.public_bytes}))
-        chip.throttle = ThrottleLevel.FULL
-        registry.enroll(chip)
-        chips.append(chip)
+    _, registry, chips = mint_fleet(rng, section["chips"])
 
     oracle_total = 0
     table = {}
@@ -470,17 +458,7 @@ def run_attest_section(section: dict, seed: int) -> SectionResult:
     result.predicates.append(Predicate("attest_threshold_reporting", threshold_ok))
 
     if section["rollback_demo"]:
-        chip = provision_chip(rng, frozenset({issuer.public_bytes}))
-        chip.throttle = ThrottleLevel.FULL
-        registry.enroll(chip)
-        snaps = []
-        for seq in range(4):
-            chip.consume(MeterResource.FLOAT_OPS, 10**6)
-            snaps.append(emit_snapshot(chip, seq))
-        chip.tamper_event("meter_rollback", covert=True,
-                          resource=MeterResource.FLOAT_OPS, amount=2 * 10**6)
-        snaps.append(emit_snapshot(chip, 4))
-        rollback_report = verify_chain({chip.identity.device_id: snaps}, registry)
+        rollback_report, _ = covert_rollback_chain(rng)
         status = rollback_report.device_results[0]
         detected = status.status is DeviceStatus.METER_ROLLBACK
         result.records.append({
@@ -513,26 +491,20 @@ def run_attest_section(section: dict, seed: int) -> SectionResult:
     k = section["fragmentation_k"]
     devices = 60 * k  # fragments land below the fleet-size threshold
     trace = generate_trace(WorkloadLabel.FRONTIER_TRAINING, np_rng, devices=devices)
-    whole_label = classify(trace).label
-    fragments = fragment(trace, k)
-    fragment_labels = [classify(f).label for f in fragments]
-    evaded = (whole_label is WorkloadLabel.FRONTIER_TRAINING
-              and all(l is not WorkloadLabel.FRONTIER_TRAINING for l in fragment_labels))
-    ops_per_util = 10**7
-    union_ops = int(sum(int(f.utilization.sum() * ops_per_util) for f in fragments))
-    whole_ops = int(trace.utilization.sum() * ops_per_util)
-    totals_preserved = abs(union_ops - whole_ops) <= k  # integer truncation only
+    demo = fragmentation_demo(trace, k)
+    union_ops = sum(demo.fragment_ops)
+    totals_preserved = abs(union_ops - metered_ops(trace)) <= k  # integer truncation only
     result.records.append({
         "event": "fragmentation_demo",
         "k": k,
-        "whole_label": whole_label.value,
-        "fragment_labels": [l.value for l in fragment_labels],
+        "whole_label": demo.whole_label.value,
+        "fragment_labels": [label.value for label in demo.fragment_labels],
         "union_ops": union_ops,
         "union_exceeds_threshold": union_ops > section["threshold"],
     })
     result.predicates.append(Predicate(
         "attest_fragmentation_asymmetry",
-        evaded and totals_preserved and union_ops > section["threshold"],
+        demo.evaded and totals_preserved and union_ops > section["threshold"],
     ))
     return result
 

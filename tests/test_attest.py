@@ -13,8 +13,11 @@ from hemsim.attest import (
     WorkloadTrace,
     classification_flip_point,
     classify,
+    covert_rollback_chain,
     emit_snapshot,
     fragment,
+    fragmentation_demo,
+    metered_ops,
     generate_trace,
     inject_noise,
     verify_chain,
@@ -150,6 +153,16 @@ class TestVerifyChain:
         assert verify_chain(table, registry) == verify_chain(table, registry)
 
 
+class TestCovertRollbackChain:
+    def test_rollback_names_the_pair_and_totals_nothing(self):
+        report, true_total = covert_rollback_chain(random.Random(404))
+        (result,) = report.device_results
+        assert result.status is DeviceStatus.METER_ROLLBACK
+        assert result.offending_pair == (3, 4)
+        assert true_total == 4 * 10**6
+        assert report.totals[MeterResource.FLOAT_OPS] == 0 and report.incomplete
+
+
 class TestTraceValidation:
     def test_mismatched_shapes_rejected(self):
         with pytest.raises(ValueError):
@@ -222,3 +235,21 @@ class TestEvasion:
         stacked = np.vstack([f.utilization for f in fragments])
         assert stacked.shape == trace.utilization.shape
         assert stacked.sum() == pytest.approx(trace.utilization.sum())
+
+    def test_fragmentation_demo_reports_evasion_and_metered_union(self):
+        trace = generate_trace(WorkloadLabel.FRONTIER_TRAINING, np.random.default_rng(11),
+                               devices=240)
+        demo = fragmentation_demo(trace, 4)
+        assert demo.whole_label is WorkloadLabel.FRONTIER_TRAINING
+        assert len(demo.fragment_labels) == len(demo.fragment_ops) == 4
+        assert demo.evaded
+        assert abs(sum(demo.fragment_ops) - metered_ops(trace)) <= 4
+
+    def test_non_ai_run_is_not_counted_as_evaded(self):
+        # No fragment reads as frontier training, but neither did the whole run.
+        trace = generate_trace(WorkloadLabel.NON_AI, np.random.default_rng(12), devices=32)
+        demo = fragmentation_demo(trace, 4)
+        assert demo.whole_label is WorkloadLabel.NON_AI
+        assert all(label is not WorkloadLabel.FRONTIER_TRAINING
+                   for label in demo.fragment_labels)
+        assert not demo.evaded

@@ -1,20 +1,27 @@
-"""Guard: every benchmark workload reaches a passing verdict.
+"""Guard: every benchmark workload reaches a passing verdict with pinned bytes.
 
 `perfbench/run.py` rejects a run whose predicates fail ("outputs incorrect"),
 so a change that breaks a bench workload's predicates would first show up in
-a bench run. This test builds each workload's config with
-`perfbench/workloads.py` at the seeds the bench uses and requires every
-predicate to pass. It reads that file without importing it as a package
-(nothing is written under perfbench/) and changes nothing there.
+a bench run. These tests build each workload's config with
+`perfbench/workloads.py` at the seeds the bench uses, require every
+predicate to pass, and pin the sha256 of every report the execution writes.
+They read that file without importing it as a package (nothing is written
+under perfbench/) and change nothing there.
+
+The digests are regenerated only on purpose, as the goldens under
+`tests/goldens/` are: by a change that means to move report bytes and says
+which bytes moved and why.
 """
 
+import functools
+import hashlib
 import types
 from pathlib import Path
 
 import pytest
 
 from hemsim.config import validate_config
-from hemsim.scenarios import execute_scenario
+from hemsim.scenarios import ScenarioOutcome, execute_scenario
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -28,12 +35,98 @@ def _workloads() -> types.ModuleType:
 
 
 BENCH = _workloads()
+SEEDS = (1, 4242)
+
+REPORT_SHA256 = {
+    ("attack_breadth", 1): {
+        "attack_matrix.txt":
+            "6f7469be97795138857690fc83e01ea63b8710cdd55ecf55d4603efaad430374",
+        "attacks.jsonl":
+            "43263009250542281dd459c26cc4fa19c33a223549f76e137ade50666a72d51f",
+        "network.jsonl":
+            "f0694be323ed807dcd2bd2b8cbc9aa2143985f622c746d1db4d7e1360f2352a7",
+        "summary.json":
+            "8e99b952ce8cd4fc193899a4f8125b7ba21c0cc6019bf57b48e2e24d9005b662",
+        "summary.txt":
+            "2184360cbe5364c5ad873813af723f46ab12cb833d5d081128fcf4db6f7177fe",
+    },
+    ("attack_breadth", 4242): {
+        "attack_matrix.txt":
+            "6f7469be97795138857690fc83e01ea63b8710cdd55ecf55d4603efaad430374",
+        "attacks.jsonl":
+            "43263009250542281dd459c26cc4fa19c33a223549f76e137ade50666a72d51f",
+        "network.jsonl":
+            "fa3da8d7596ea60a6efec6a7f98751efdeb1370d1bf25363937cc6bcca5797f6",
+        "summary.json":
+            "3ea4292b7895c0062d9a2eeaddbcacbb287ef361d43c052cb9aea6f3f738fc11",
+        "summary.txt":
+            "2184360cbe5364c5ad873813af723f46ab12cb833d5d081128fcf4db6f7177fe",
+    },
+    ("geoloc_grid", 1): {
+        "geoloc.jsonl":
+            "598476e72e1cb472e17a8524b59acb063c67af025afe62dc8175f99c68ef167b",
+        "summary.json":
+            "ecedc409d1564087fabdf8b9edd283d52bc03d37d368ff6f4de557dbc18b4d8b",
+        "summary.txt":
+            "7cd9306f22492b95a85b8adb649f130d18bd85f93f7a3e30eb52a432bbbd2155",
+    },
+    ("geoloc_grid", 4242): {
+        "geoloc.jsonl":
+            "4955d9fa3c1c6dce6c25720de10c10cf589a4566f38b8c26dcfc1a169dacfbfa",
+        "summary.json":
+            "9cd5ac60dcd538df5f753c5eaa1ceace67ffba3e29a59bd5368b1f379d4ce8a8",
+        "summary.txt":
+            "7cd9306f22492b95a85b8adb649f130d18bd85f93f7a3e30eb52a432bbbd2155",
+    },
+    ("signed_fleet", 1): {
+        "attest.jsonl":
+            "fca303226e53ed8dc7871ad09c61f23dbf44caa05874022a56aa93315bcc8cc3",
+        "cluster.jsonl":
+            "c7bdfb1e685e820a0ca4f8bd4db32bf7f9f1bbc44a5e80641996c621f8bda0d0",
+        "licensing.jsonl":
+            "8c7f682b3c4b95d45f42baca9c319a1396b646f9d198ff990e6d1f9dc13cb70e",
+        "summary.json":
+            "7b811e56bbab15c0d7742aedca4db93c8849dfa58c9a5dfcb1f621c34cdb4d04",
+        "summary.txt":
+            "cd969e85d72b372e7e1b6f8ac0136fdbaebf3ea4cbcaeeaeabed67d9abd2e948",
+    },
+    ("signed_fleet", 4242): {
+        "attest.jsonl":
+            "3ceabdb4353c5147211cf3a589f3bb20160b460a7c161954a9b6e9cf8d7e9dee",
+        "cluster.jsonl":
+            "e8b2ad19a2224a7a2970c1e61033f4edc3e930ceb6fcf79811605b3585f9c748",
+        "licensing.jsonl":
+            "71975dde2471a98c92ac865f3a965604e27f3a8367dc977052370a1fc5395236",
+        "summary.json":
+            "c1bce16191f87fee7a638432bb515508ca7815496ed155ec328c0fc6b83aff1b",
+        "summary.txt":
+            "cd969e85d72b372e7e1b6f8ac0136fdbaebf3ea4cbcaeeaeabed67d9abd2e948",
+    },
+}
 
 
-@pytest.mark.parametrize("seed", [1, 4242])
+@functools.cache
+def _execute(name: str, seed: int) -> ScenarioOutcome:
+    """One execution per (workload, seed), shared by the tests below."""
+    return execute_scenario(validate_config(BENCH.build(name, seed)))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("name", BENCH.NAMES)
 def test_bench_workload_predicates_pass(name, seed):
-    outcome = execute_scenario(validate_config(BENCH.build(name, seed)))
+    outcome = _execute(name, seed)
     failed = [(p.name, p.detail) for p in outcome.predicates if not p.passed]
     assert outcome.predicates and not failed, failed
     assert outcome.passed
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("name", BENCH.NAMES)
+def test_bench_workload_report_digests_are_pinned(name, seed):
+    digests = {filename: hashlib.sha256(text.encode("utf-8")).hexdigest()
+               for filename, text in _execute(name, seed).reports.items()}
+    assert digests == REPORT_SHA256[(name, seed)]
+
+
+def test_every_workload_and_seed_is_pinned():
+    assert set(REPORT_SHA256) == {(name, seed) for name in BENCH.NAMES for seed in SEEDS}

@@ -16,6 +16,7 @@ from hemsim.chipmodel import (
     ThrottleLevel,
     ZeroizedError,
     extract_signing_oracle,
+    mint_fleet,
     provision_chip,
 )
 
@@ -234,3 +235,45 @@ class TestRegistry:
             assert registry.public_key(chip.identity.device_id) == chip.public_key
         unknown = max(c.identity.device_id for c in chips) + 1
         assert registry.public_key(unknown) is None
+
+
+class TestIssuerTrust:
+    def test_enrolled_issuer_signature_is_trusted(self, rng, issuer_key):
+        chip = make_chip(rng, issuer_key)
+        assert chip.issuer_signed(b"cap policy", issuer_key.sign(b"cap policy"))
+
+    def test_rogue_key_signature_is_not_trusted(self, rng, issuer_key):
+        chip = make_chip(rng, issuer_key)
+        rogue = canon.generate_keypair(rng.randbytes(32))
+        assert not chip.issuer_signed(b"cap policy", rogue.sign(b"cap policy"))
+
+    def test_flipped_bit_is_not_trusted(self, rng, issuer_key):
+        chip = make_chip(rng, issuer_key)
+        signature = issuer_key.sign(b"cap policy")
+        assert not chip.issuer_signed(b"cap pomicy", signature)
+        flipped = bytes([signature[0] ^ 1]) + signature[1:]
+        assert not chip.issuer_signed(b"cap policy", flipped)
+
+
+class TestMintFleet:
+    @pytest.mark.parametrize("seed", [1, 23, 4242])
+    def test_draws_match_the_inline_sequence(self, seed):
+        # The sequence every section and attack row wrote out before the helper.
+        rng = random.Random(seed)
+        issuer = canon.generate_keypair(rng.randbytes(32))
+        inline = [provision_chip(rng, frozenset({issuer.public_bytes})) for _ in range(5)]
+        after_inline = rng.random()
+
+        rng = random.Random(seed)
+        minted_issuer, registry, chips = mint_fleet(rng, 5)
+        assert minted_issuer.public_bytes == issuer.public_bytes
+        assert [c.identity.device_id for c in chips] == [c.identity.device_id for c in inline]
+        assert [c.public_key for c in chips] == [c.public_key for c in inline]
+        assert rng.random() == after_inline
+
+    def test_chips_are_enrolled_at_full_throttle(self):
+        issuer, registry, chips = mint_fleet(random.Random(5), 3)
+        for chip in chips:
+            assert chip.throttle is ThrottleLevel.FULL
+            assert chip.identity.issuer_keys == frozenset({issuer.public_bytes})
+            assert registry.public_key(chip.identity.device_id) == chip.public_key

@@ -680,14 +680,6 @@ class TestDescent:
         result = estimate_descent(ms, lms, init)
         assert result.objective_km2 <= f_init + 1e-9
 
-    def test_non_finite_init_is_refused(self):
-        # A NaN start has a NaN objective, which no other run can beat.
-        positions = [GeoPoint(0, 0), GeoPoint(0, 20), GeoPoint(20, 10)]
-        lms = honest_landmarks(positions)
-        ms = synthesize_round(random.Random(3), list(lms.values()), GeoPoint(8.0, 9.0), 0.0, 0.5)
-        with pytest.raises(ValueError, match="finite init"):
-            estimate_descent(ms, lms, GeoPoint(8.0, math.nan))
-
 
 class TestDescentAtHighLatitude:
     def test_polar_region_recovers_every_trial_without_the_cap(self):

@@ -40,6 +40,12 @@ class TestGeoPoint:
         with pytest.raises(ValueError):
             GeoPoint(-91.0, 0.0)
 
+    @pytest.mark.parametrize("lon", [math.nan, math.inf, -math.inf])
+    def test_non_finite_longitude_is_refused(self, lon):
+        # fmod passes NaN through and fails on an infinity with a bare domain error.
+        with pytest.raises(ValueError, match=f"longitude not finite: {lon}"):
+            GeoPoint(8.0, lon)
+
     @given(points)
     def test_normalization_idempotent(self, p):
         assert -180.0 < p.longitude <= 180.0
@@ -165,18 +171,3 @@ class TestNetworkTransit:
         for _ in range(200):
             ev = sim.send(net, "a", "b", b"x")
             assert ev.time - sim.now >= floor - 1e-9
-            assert ev.marks == ()
-
-    def test_speedup_hook_marks_event(self):
-        net = self._network(kappa=0.67)
-        net.delay_hooks.append(lambda src, dst, delay, floor: delay * 0.25)
-        sim = Simulator(seed=3)
-        ev = sim.send(net, "a", "b", b"x")
-        assert "speedup" in ev.marks
-
-    def test_slowdown_hook_leaves_no_mark(self):
-        net = self._network(kappa=0.67)
-        net.delay_hooks.append(lambda src, dst, delay, floor: delay + 25.0)
-        sim = Simulator(seed=3)
-        ev = sim.send(net, "a", "b", b"x")
-        assert ev.marks == ()
