@@ -1,8 +1,9 @@
 """Verifiable compute accounting and heuristic workload classification.
 
-Chips periodically emit signed snapshots of their cumulative meters; the
-verifier checks signatures against the registry, requires gapless strictly
-increasing sequence numbers, and requires meters never to step backwards.
+Chips periodically emit signed snapshots of their cumulative meters as wire
+bytes; the verifier decodes each, checks signatures against the registry,
+requires gapless strictly increasing sequence numbers, and requires meters
+never to step backwards.
 Totals are exact deltas (final minus initial) per device, summed per
 resource, and compared against a reporting threshold.
 
@@ -24,9 +25,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import canon
-from .chipmodel import ChipState, MeterResource, Registry, mint_fleet
+from .chipmodel import RESOURCE, ChipState, MeterResource, Registry, mint_fleet
 
-SNAPSHOT_TAG = "meter-snapshot.v1"
+SNAPSHOT = canon.Doc("meter-snapshot.v1", device_id=canon.U128, sequence_no=canon.U64,
+                     rtc_time_ms=canon.U64, meters=canon.mapping(RESOURCE, canon.U64))
 
 DEFAULT_SNAPSHOT_PERIOD_MS = 600_000.0  # ten simulated minutes
 DESK_SCALE_THRESHOLD_OPS = 10**9
@@ -34,47 +36,19 @@ DESK_SCALE_THRESHOLD_OPS = 10**9
 
 @dataclass(frozen=True)
 class MeterSnapshot:
+    """A snapshot's fields, as the verifier holds them once decoded."""
+
     device_id: int
     sequence_no: int
     rtc_time_ms: int
-    meters: tuple[tuple[MeterResource, int], ...]  # all resources, ordinal order
-    device_signature: bytes
-
-    def meter(self, resource: MeterResource) -> int:
-        for res, value in self.meters:
-            if res is resource:
-                return value
-        raise KeyError(resource)
+    meters: dict[MeterResource, int]
 
 
-def snapshot_signed_bytes(
-    device_id: int,
-    sequence_no: int,
-    rtc_time_ms: int,
-    meters: tuple[tuple[MeterResource, int], ...],
-) -> bytes:
-    parts = [canon.u128(device_id), canon.u64(sequence_no), canon.u64(rtc_time_ms),
-             canon.u32(len(meters))]
-    for resource, value in meters:
-        parts.append(canon.u8(resource.ordinal))
-        parts.append(canon.u64(value))
-    return canon.tagged(SNAPSHOT_TAG, *parts)
-
-
-def emit_snapshot(chip: ChipState, sequence_no: int) -> MeterSnapshot:
-    """Sign the chip's current meters; refused when zeroized."""
-    meters = tuple((r, chip.meters.volatile[r]) for r in MeterResource)
-    rtc_ms = int(chip.rtc_read())
-    signature = chip.sign(
-        snapshot_signed_bytes(chip.identity.device_id, sequence_no, rtc_ms, meters)
-    )
-    return MeterSnapshot(
-        device_id=chip.identity.device_id,
-        sequence_no=sequence_no,
-        rtc_time_ms=rtc_ms,
-        meters=meters,
-        device_signature=signature,
-    )
+def emit_snapshot(chip: ChipState, sequence_no: int) -> bytes:
+    """Sign the chip's current meters; returns wire bytes. Refused when zeroized."""
+    return SNAPSHOT.wire(chip.sign, device_id=chip.identity.device_id,
+                         sequence_no=sequence_no, rtc_time_ms=int(chip.rtc_read()),
+                         meters=chip.meters.volatile)
 
 
 class DeviceStatus(Enum):
@@ -84,6 +58,7 @@ class DeviceStatus(Enum):
     SEQUENCE_GAP = "sequence_gap"
     METER_ROLLBACK = "meter_rollback"
     NO_DATA = "no_data"
+    MALFORMED = "malformed"  # a snapshot that does not decode, or leaves out a meter
 
 
 @dataclass(frozen=True)
@@ -106,48 +81,60 @@ class AttestReport:
 
 def _verify_device_chain(
     device_id: int,
-    snapshots: Sequence[MeterSnapshot],
+    wires: Sequence[bytes],
     registry: Registry,
-) -> DeviceVerification:
+) -> tuple[DeviceVerification, list[MeterSnapshot]]:
+    """The device's verdict and, when verified, its snapshots in sequence order.
+
+    Every wire is decoded before any signature is checked, and each signature
+    is checked over the wire's own signed bytes.
+    """
     key = registry.public_key(device_id)
     if key is None:
         return DeviceVerification(device_id, DeviceStatus.UNVERIFIABLE,
-                                  detail="device not in registry")
-    if not snapshots:
-        return DeviceVerification(device_id, DeviceStatus.NO_DATA)
-    ordered = sorted(snapshots, key=lambda s: s.sequence_no)
-    for snap in ordered:
-        signed = snapshot_signed_bytes(
-            snap.device_id, snap.sequence_no, snap.rtc_time_ms, snap.meters
-        )
-        if snap.device_id != device_id or not canon.verify(key, signed, snap.device_signature):
+                                  detail="device not in registry"), []
+    if not wires:
+        return DeviceVerification(device_id, DeviceStatus.NO_DATA), []
+    decoded = []
+    for wire in wires:
+        try:
+            fields, signed, signature = SNAPSHOT.decode(wire)
+            if len(fields["meters"]) != len(MeterResource):
+                raise canon.EncodingError("snapshot leaves out a meter")
+        except canon.EncodingError as exc:
+            return DeviceVerification(device_id, DeviceStatus.MALFORMED, detail=str(exc)), []
+        decoded.append((MeterSnapshot(**fields), signed, signature))
+    decoded.sort(key=lambda d: d[0].sequence_no)
+    for snap, signed, signature in decoded:
+        if snap.device_id != device_id or not canon.verify(key, signed, signature):
             return DeviceVerification(
                 device_id, DeviceStatus.BAD_SIGNATURE,
                 detail=f"snapshot {snap.sequence_no} failed verification",
-            )
+            ), []
+    ordered = [snap for snap, _, _ in decoded]
     for prev, cur in zip(ordered, ordered[1:]):
         gap = cur.sequence_no - prev.sequence_no
         if gap != 1:
             return DeviceVerification(
                 device_id, DeviceStatus.SEQUENCE_GAP,
                 offending_pair=(prev.sequence_no, cur.sequence_no),
-            )
+            ), []
         for resource in MeterResource:
-            if cur.meter(resource) < prev.meter(resource):
+            if cur.meters[resource] < prev.meters[resource]:
                 return DeviceVerification(
                     device_id, DeviceStatus.METER_ROLLBACK,
                     offending_pair=(prev.sequence_no, cur.sequence_no),
                     detail=resource.value,
-                )
-    return DeviceVerification(device_id, DeviceStatus.VERIFIED)
+                ), []
+    return DeviceVerification(device_id, DeviceStatus.VERIFIED), ordered
 
 
 def verify_chain(
-    snapshots_by_device: dict[int, Sequence[MeterSnapshot]],
+    snapshots_by_device: dict[int, Sequence[bytes]],
     registry: Registry,
     threshold: int = DESK_SCALE_THRESHOLD_OPS,
 ) -> AttestReport:
-    """Validate per-device snapshot chains and total the verified consumption.
+    """Validate per-device chains of snapshot wires and total the verified consumption.
 
     Only devices whose whole chain verifies contribute to totals; any meter
     decrease is named by its offending sequence pair (covert rollbacks are
@@ -159,17 +146,16 @@ def verify_chain(
     incomplete = False
     any_data = False
     for device_id in sorted(snapshots_by_device):
-        snapshots = snapshots_by_device[device_id]
-        verification = _verify_device_chain(device_id, snapshots, registry)
+        verification, ordered = _verify_device_chain(
+            device_id, snapshots_by_device[device_id], registry)
         results.append(verification)
         if verification.status is not DeviceStatus.VERIFIED:
             incomplete = True
             continue
         any_data = True
-        ordered = sorted(snapshots, key=lambda s: s.sequence_no)
         first, last = ordered[0], ordered[-1]
         for resource in MeterResource:
-            totals[resource] += last.meter(resource) - first.meter(resource)
+            totals[resource] += last.meters[resource] - first.meters[resource]
     no_data = not any_data
     total_ops = totals[MeterResource.FLOAT_OPS]
     return AttestReport(

@@ -1,16 +1,20 @@
 """Canonical byte serialization and signing primitives.
 
-Every signed payload in the fleet model (licenses, meter snapshots, pod
-manifests, cap policies, session auth, location challenge responses) is
-serialized through these helpers so that signatures are bit-reproducible:
-fixed field order, little-endian fixed-width integers and floats,
-length-prefixed byte strings, and a domain-separation tag per payload kind.
+Every signed message in the fleet model is a `Doc`: licenses, cap policies,
+pod manifests, meter snapshots, session auth and location challenge
+responses. Each `Doc` declares its domain-separation tag and typed fields
+once, and from that one declaration come its signed bytes, its wire form
+and a decoder that refuses every encoding but the canonical one: fixed field
+order, little-endian fixed-width numbers, length-prefixed byte strings, and
+mappings in strictly increasing key order.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
+from typing import Any, Callable, Sequence
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -25,7 +29,7 @@ U128_MAX = 2**128 - 1
 
 
 class EncodingError(ValueError):
-    """Value cannot be represented in the canonical encoding."""
+    """Value cannot be represented in, or bytes are not, the canonical encoding."""
 
 
 def u8(value: int) -> bytes:
@@ -53,7 +57,9 @@ def u128(value: int) -> bytes:
 
 
 def f64(value: float) -> bytes:
-    """IEEE-754 binary64, little-endian: every bit of the float is bound."""
+    """IEEE-754 binary64, little-endian. NaN and -0.0 have no one encoding."""
+    if math.isnan(value) or (value == 0.0 and math.copysign(1.0, value) < 0.0):
+        raise EncodingError(f"f64 has no canonical encoding: {value!r}")
     return struct.pack("<d", value)
 
 
@@ -69,23 +75,18 @@ def opt_u64(value: int | None) -> bytes:
     return b"\x01" + u64(value)
 
 
-def tagged(tag: str, *parts: bytes) -> bytes:
-    """Domain-separated message: length-prefixed tag, then the payload parts."""
-    return blob(tag.encode("ascii")) + b"".join(parts)
-
-
 class Decoder:
-    """Sequential reader matching the encoders above."""
+    """Sequential reader matching the encoders above, from byte `pos` on."""
 
-    def __init__(self, data: bytes):
+    def __init__(self, data: bytes, pos: int = 0):
         self._data = data
-        self._pos = 0
+        self.pos = pos
 
     def _take(self, n: int) -> bytes:
-        if self._pos + n > len(self._data):
+        if self.pos + n > len(self._data):
             raise EncodingError("truncated canonical payload")
-        out = self._data[self._pos : self._pos + n]
-        self._pos += n
+        out = self._data[self.pos : self.pos + n]
+        self.pos += n
         return out
 
     def u8(self) -> int:
@@ -100,8 +101,19 @@ class Decoder:
     def u128(self) -> int:
         return int.from_bytes(self._take(16), "little")
 
+    def f64(self) -> float:
+        value = struct.unpack("<d", self._take(8))[0]
+        f64(value)  # refuses NaN and -0.0, as encoding does
+        return value
+
     def blob(self) -> bytes:
         return self._take(self.u32())
+
+    def text(self) -> str:
+        try:
+            return self.blob().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise EncodingError("text is not valid UTF-8") from exc
 
     def opt_u64(self) -> int | None:
         flag = self.u8()
@@ -111,9 +123,92 @@ class Decoder:
             raise EncodingError(f"bad optional flag byte: {flag}")
         return self.u64()
 
-    def expect_end(self) -> None:
-        if self._pos != len(self._data):
+
+@dataclass(frozen=True)
+class Field:
+    """A field type: encoder, decoder, and the order of values that key a mapping."""
+
+    encode: Callable[[Any], bytes]
+    decode: Callable[[Decoder], Any]
+    rank: Callable[[Any], Any] = lambda value: value
+
+
+U32 = Field(u32, Decoder.u32)
+U64 = Field(u64, Decoder.u64)
+U128 = Field(u128, Decoder.u128)
+OPT_U64 = Field(opt_u64, Decoder.opt_u64)
+F64 = Field(f64, Decoder.f64)
+BLOB = Field(blob, Decoder.blob)
+TEXT = Field(lambda value: blob(value.encode("utf-8")), Decoder.text)
+
+
+def ordinal(members: Sequence) -> Field:
+    """One byte per value: its index in `members`, which also ranks it."""
+    index = {member: i for i, member in enumerate(members)}
+    encoded = {member: u8(i) for member, i in index.items()}
+
+    def decode(dec: Decoder) -> Any:
+        i = dec.u8()
+        if i >= len(members):
+            raise EncodingError(f"unknown ordinal: {i}")
+        return members[i]
+
+    return Field(encoded.__getitem__, decode, index.__getitem__)
+
+
+def mapping(key: Field, value: Field) -> Field:
+    """A u32 count, then (key, value) pairs sorted by strictly increasing key rank."""
+
+    def encode(items: dict) -> bytes:
+        return u32(len(items)) + b"".join(
+            key.encode(k) + value.encode(items[k]) for k in sorted(items, key=key.rank))
+
+    def decode(dec: Decoder) -> dict:
+        items, last = {}, None
+        for _ in range(dec.u32()):
+            k = key.decode(dec)
+            rank = key.rank(k)
+            if last is not None and rank <= last:
+                raise EncodingError(f"mapping keys not strictly increasing at {k!r}")
+            items[k], last = value.decode(dec), rank
+        return items
+
+    return Field(encode, decode)
+
+
+class Doc:
+    """One signed message kind: a domain-separation tag, then named typed fields."""
+
+    def __init__(self, tag: str, **fields: Field):
+        self.tag = tag
+        self.head = blob(tag.encode("ascii"))
+        self.fields = fields
+
+    def signed(self, **values: Any) -> bytes:
+        """The bytes a signature covers: the tag, then each field in order."""
+        return self.head + b"".join(f.encode(values[name]) for name, f in self.fields.items())
+
+    def wire(self, sign: Callable[[bytes], bytes], **values: Any) -> bytes:
+        """The signed bytes, then the signature `sign` makes over them as a blob."""
+        signed = self.signed(**values)
+        return signed + blob(sign(signed))
+
+    def decode(self, wire: bytes) -> tuple[dict[str, Any], bytes, bytes]:
+        """(fields, signed bytes, signature) of the one canonical wire form.
+
+        Any other bytes raise EncodingError: another tag, a truncated or
+        out-of-range field, mapping keys out of order or repeated, and
+        anything after the signature.
+        """
+        if not wire.startswith(self.head):
+            raise EncodingError(f"not a {self.tag} payload")
+        dec = Decoder(wire, len(self.head))
+        fields = {name: f.decode(dec) for name, f in self.fields.items()}
+        end = dec.pos
+        signature = dec.blob()
+        if dec.pos != len(wire):
             raise EncodingError("trailing bytes after canonical payload")
+        return fields, wire[:end], signature
 
 
 @dataclass

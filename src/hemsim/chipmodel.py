@@ -34,12 +34,9 @@ class MeterResource(Enum):
     JOULES = "joules"
     CLOCK_CYCLES = "clock_cycles"
 
-    @property
-    def ordinal(self) -> int:
-        return _RESOURCE_ORDINALS[self]
 
-
-_RESOURCE_ORDINALS = {res: i for i, res in enumerate(MeterResource)}
+# The one wire encoding of a resource in every signed document: its ordinal.
+RESOURCE = canon.ordinal(tuple(MeterResource))
 
 
 class ZeroizedError(RuntimeError):

@@ -5,12 +5,12 @@ peer's nonce with its device key and the claimed device id is checked
 against the verifier registry. Two enforcement regimes gate the session:
 pod membership with firmware integrity (fixed set), or a regulator-signed
 cap on concurrently authenticated peers (adjustable cap). A chip's regime is
-what it has itself verified and adopted - a pod manifest (`adopt_manifest`),
-a cap policy (`apply_cap_update`), or both - and each endpoint of a
-handshake enforces its own; the caller passes no regime. The module also
-models the two circumvention routes named for these regimes - PCIe-bridged
-transfers through a host, and gradient smuggling between pods - plus an
-offline detector that flags periodic inter-pod traffic.
+what it has itself verified and adopted from wire bytes - a pod manifest
+(`adopt_manifest`), a cap policy (`apply_cap_update`), or both - and each
+endpoint of a handshake enforces its own; the caller passes no regime. The
+module also models the two circumvention routes named for these regimes -
+PCIe-bridged transfers through a host, and gradient smuggling between pods
+- plus an offline detector that flags periodic inter-pod traffic.
 """
 
 from __future__ import annotations
@@ -23,9 +23,13 @@ from typing import Iterable, Optional
 from . import canon
 from .chipmodel import ChipState, MeterResource, Registry, ThrottleLevel, ZeroizedError
 
-MANIFEST_TAG = "pod-manifest.v1"
-CAP_POLICY_TAG = "cap-policy.v2"
-SESSION_AUTH_TAG = "session-auth.v1"
+MANIFEST = canon.Doc("pod-manifest.v1", pod_id=canon.TEXT, manifest_epoch=canon.U64,
+                     members=canon.mapping(canon.U128, canon.BLOB))
+# The exact float the chips enforce is signed, not a rounded copy of it.
+CAP_POLICY = canon.Doc("cap-policy.v2", cap=canon.U32, cap_epoch=canon.U64,
+                       check_period_ms=canon.F64)
+SESSION_AUTH = canon.Doc("session-auth.v1", signer=canon.U128, peer=canon.U128,
+                         nonce=canon.BLOB)
 
 DEFAULT_CHECK_PERIOD_MS = 60_000.0
 DEFAULT_BRIDGE_MULTIPLIER = 5.0
@@ -35,27 +39,11 @@ DIRECT_INTERCONNECT_BYTES_PER_MS = 1e8
 
 @dataclass(frozen=True)
 class PodManifest:
+    """A pod manifest's fields, as a chip that adopted it holds them."""
+
     pod_id: str
-    members: tuple[tuple[int, bytes], ...]  # (device_id, firmware_hash), sorted
     manifest_epoch: int
-    regulator_signature: bytes
-
-    def expected_firmware(self, device_id: int) -> Optional[bytes]:
-        for member, fw in self.members:
-            if member == device_id:
-                return fw
-        return None
-
-
-def manifest_signed_bytes(
-    pod_id: str, members: tuple[tuple[int, bytes], ...], manifest_epoch: int
-) -> bytes:
-    parts = [canon.blob(pod_id.encode("utf-8")), canon.u64(manifest_epoch),
-             canon.u32(len(members))]
-    for device_id, fw_hash in members:
-        parts.append(canon.u128(device_id))
-        parts.append(canon.blob(fw_hash))
-    return canon.tagged(MANIFEST_TAG, *parts)
+    members: dict[int, bytes]  # device_id -> firmware hash
 
 
 def issue_manifest(
@@ -63,25 +51,19 @@ def issue_manifest(
     pod_id: str,
     members: dict[int, bytes],
     manifest_epoch: int,
-) -> PodManifest:
-    ordered = tuple(sorted(members.items()))
-    signature = regulator.sign(manifest_signed_bytes(pod_id, ordered, manifest_epoch))
-    return PodManifest(pod_id, ordered, manifest_epoch, signature)
+) -> bytes:
+    """Sign a pod manifest; returns its wire bytes."""
+    return MANIFEST.wire(regulator.sign, pod_id=pod_id, manifest_epoch=manifest_epoch,
+                         members=members)
 
 
 @dataclass(frozen=True)
 class CapPolicy:
+    """A cap policy's fields, as a chip that adopted it holds them."""
+
     cap: int
     cap_epoch: int
     check_period_ms: float
-    regulator_signature: bytes
-
-
-def cap_policy_signed_bytes(cap: int, cap_epoch: int, check_period_ms: float) -> bytes:
-    # The exact float the chips enforce is signed, not a rounded copy of it.
-    return canon.tagged(
-        CAP_POLICY_TAG, canon.u32(cap), canon.u64(cap_epoch), canon.f64(check_period_ms)
-    )
 
 
 def issue_cap_policy(
@@ -89,11 +71,10 @@ def issue_cap_policy(
     cap: int,
     cap_epoch: int,
     check_period_ms: float = DEFAULT_CHECK_PERIOD_MS,
-) -> CapPolicy:
-    if cap < 0:
-        raise ValueError("cap must be nonnegative")
-    signature = regulator.sign(cap_policy_signed_bytes(cap, cap_epoch, check_period_ms))
-    return CapPolicy(cap, cap_epoch, check_period_ms, signature)
+) -> bytes:
+    """Sign a cap policy; returns its wire bytes."""
+    return CAP_POLICY.wire(regulator.sign, cap=cap, cap_epoch=cap_epoch,
+                           check_period_ms=check_period_ms)
 
 
 class LinkKind(Enum):
@@ -169,12 +150,7 @@ class ClusterNode:
 
 def _auth_ok(signer: ClusterNode, peer_nonce: bytes, peer_id: int, registry: Registry) -> bool:
     """Mutual-auth leg: signer proves control of its claimed device id."""
-    message = canon.tagged(
-        SESSION_AUTH_TAG,
-        canon.u128(signer.device_id),
-        canon.u128(peer_id),
-        canon.blob(peer_nonce),
-    )
+    message = SESSION_AUTH.signed(signer=signer.device_id, peer=peer_id, nonce=peer_nonce)
     try:
         signature = signer.chip.sign(message)
     except ZeroizedError:
@@ -233,10 +209,10 @@ def handshake(
 
     in_pods = [node for node in (a, b) if node.pod_manifest is not None]
     for node in in_pods:
-        if any(node.pod_manifest.expected_firmware(n.device_id) is None for n in (a, b)):
+        if any(n.device_id not in node.pod_manifest.members for n in (a, b)):
             return HandshakeResult(None, HandshakeReject.NOT_IN_POD)
     for node in in_pods:
-        if node.pod_manifest.expected_firmware(node.device_id) != node.chip.firmware_hash:
+        if node.pod_manifest.members[node.device_id] != node.chip.firmware_hash:
             node.disable()  # integrity check tripped: member self-disables
             return HandshakeResult(None, HandshakeReject.FIRMWARE_MISMATCH)
 
@@ -256,38 +232,45 @@ def teardown(session: Session, a: ClusterNode, b: ClusterNode) -> None:
     b.sessions.pop(session.session_id, None)
 
 
-def adopt_manifest(node: ClusterNode, manifest: PodManifest) -> bool:
+def _newer_signed(node: ClusterNode, doc: canon.Doc, wire: bytes, epoch: str,
+                  adopted: PodManifest | CapPolicy | None) -> Optional[dict]:
+    """The fields of `wire` iff it decodes, its `epoch` field exceeds the
+    adopted document's, and an issuer key the chip enrolled signed it.
+
+    Bytes that do not decode are refused before anything else. A stale
+    epoch is refused before the signature is checked: the answer is no
+    whether or not the signature holds.
+    """
+    try:
+        fields, signed, signature = doc.decode(wire)
+    except canon.EncodingError:
+        return None
+    if adopted is not None and fields[epoch] <= getattr(adopted, epoch):
+        return None
+    if not node.chip.issuer_signed(signed, signature):
+        return None
+    return fields
+
+
+def adopt_manifest(node: ClusterNode, wire: bytes) -> bool:
     """Adopt a replacement pod manifest iff signed and its epoch increases.
 
     Membership is otherwise immutable; swapping a broken device in or out of
-    a pod is a full manifest re-issue with an epoch bump. A stale epoch is
-    refused before the signature is checked: the answer is no whether or
-    not the signature holds.
+    a pod is a full manifest re-issue with an epoch bump.
     """
-    current_epoch = node.pod_manifest.manifest_epoch if node.pod_manifest is not None else -1
-    if manifest.manifest_epoch <= current_epoch:
+    fields = _newer_signed(node, MANIFEST, wire, "manifest_epoch", node.pod_manifest)
+    if fields is None:
         return False
-    signed = manifest_signed_bytes(manifest.pod_id, manifest.members,
-                                   manifest.manifest_epoch)
-    if not node.chip.issuer_signed(signed, manifest.regulator_signature):
-        return False
-    node.pod_manifest = manifest
+    node.pod_manifest = PodManifest(**fields)
     return True
 
 
-def apply_cap_update(node: ClusterNode, policy: CapPolicy) -> bool:
-    """Adopt iff the epoch strictly increases and the policy is regulator-signed.
-
-    A stale epoch is refused before the signature is checked: the answer is
-    no whether or not the signature holds.
-    """
-    current_epoch = node.cap_policy.cap_epoch if node.cap_policy is not None else -1
-    if policy.cap_epoch <= current_epoch:
+def apply_cap_update(node: ClusterNode, wire: bytes) -> bool:
+    """Adopt iff the epoch strictly increases and the policy is regulator-signed."""
+    fields = _newer_signed(node, CAP_POLICY, wire, "cap_epoch", node.cap_policy)
+    if fields is None:
         return False
-    signed = cap_policy_signed_bytes(policy.cap, policy.cap_epoch, policy.check_period_ms)
-    if not node.chip.issuer_signed(signed, policy.regulator_signature):
-        return False
-    node.cap_policy = policy
+    node.cap_policy = CapPolicy(**fields)
     return True
 
 
@@ -325,21 +308,6 @@ def run_due_checks(
         node.last_check_ms += period
         closed.extend(_enforce_cap(node, peers))
     return closed
-
-
-def transfer(
-    now_ms: float, session: Session, a: ClusterNode, b: ClusterNode, n_bytes: int
-) -> DataEvent:
-    """Move data over an established direct-interconnect session."""
-    if not session.open:
-        raise ValueError("transfer over a closed session")
-    if n_bytes < 0:
-        raise ValueError("transfer size must be nonnegative")
-    transit = n_bytes / DIRECT_INTERCONNECT_BYTES_PER_MS
-    a.chip.consume(MeterResource.INTERCONNECT_TRANSFER_BYTES, n_bytes)
-    b.chip.consume(MeterResource.INTERCONNECT_TRANSFER_BYTES, n_bytes)
-    return DataEvent(now_ms, a.device_id, b.device_id, n_bytes,
-                     LinkKind.DIRECT_INTERCONNECT, transit)
 
 
 def bridge_transfer(

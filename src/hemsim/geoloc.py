@@ -35,7 +35,7 @@ from .netsim import (
     geodesic_distance,
 )
 
-GEOLOC_RESPONSE_TAG = "geoloc-response.v1"
+GEOLOC_RESPONSE = canon.Doc("geoloc-response.v1", device_id=canon.U128, nonce=canon.BLOB)
 
 DEFAULT_GRID_RESOLUTION_DEG = 0.25
 KM_PER_DEGREE = 111.32  # equatorial worst case, used for grid-cell slack
@@ -63,10 +63,6 @@ class Measurement:
     response_signature: Optional[bytes]
     verified: bool
     missing: bool = False
-
-
-def response_message(device_id: int, nonce: bytes) -> bytes:
-    return canon.tagged(GEOLOC_RESPONSE_TAG, canon.u128(device_id), canon.blob(nonce))
 
 
 @dataclass(frozen=True)
@@ -107,7 +103,7 @@ def challenge_round(
         challenge = event.payload
         if not isinstance(challenge, _Challenge):
             return
-        message = response_message(device_id, challenge.nonce)
+        message = GEOLOC_RESPONSE.signed(device_id=device_id, nonce=challenge.nonce)
         try:
             signature = sign_fn(message)
         except ZeroizedError:
@@ -141,7 +137,7 @@ def challenge_round(
             continue
         arrival_time, response = arrived
         rtt = arrival_time - t_start
-        expected = response_message(device_id, response.nonce)
+        expected = GEOLOC_RESPONSE.signed(device_id=device_id, nonce=nonces[lm.id])
         key = registry.public_key(device_id)
         verified = (
             key is not None

@@ -26,80 +26,20 @@ from enum import Enum
 from typing import Optional
 
 from . import canon
-from .chipmodel import ChipState, ConsumeResult, MeterResource, ThrottleLevel
+from .chipmodel import RESOURCE, ChipState, ConsumeResult, MeterResource, ThrottleLevel
 
-LICENSE_TAG = "license.v1"
+LICENSE = canon.Doc("license.v1", license_id=canon.U64, device_id=canon.U128,
+                    quotas=canon.mapping(RESOURCE, canon.U64), not_after=canon.OPT_U64)
 
 
 @dataclass(frozen=True)
 class License:
+    """A license's fields, as a chip that installed it holds them."""
+
     license_id: int
     device_id: int
-    quotas: tuple[tuple[MeterResource, int], ...]  # sorted by resource ordinal
+    quotas: dict[MeterResource, int]
     not_after: Optional[int]
-    issuer_signature: bytes
-
-    def quota_for(self, resource: MeterResource) -> Optional[int]:
-        for res, amount in self.quotas:
-            if res is resource:
-                return amount
-        return None
-
-
-def _sorted_quotas(quotas: dict[MeterResource, int]) -> tuple[tuple[MeterResource, int], ...]:
-    for amount in quotas.values():
-        if amount < 0:
-            raise ValueError("quotas must be nonnegative")
-    return tuple(sorted(quotas.items(), key=lambda kv: kv[0].ordinal))
-
-
-def license_signed_bytes(
-    license_id: int,
-    device_id: int,
-    quotas: tuple[tuple[MeterResource, int], ...],
-    not_after: Optional[int],
-) -> bytes:
-    parts = [canon.u64(license_id), canon.u128(device_id), canon.u32(len(quotas))]
-    for resource, amount in quotas:
-        parts.append(canon.u8(resource.ordinal))
-        parts.append(canon.u64(amount))
-    parts.append(canon.opt_u64(not_after))
-    return canon.tagged(LICENSE_TAG, *parts)
-
-
-def decode_license(wire: bytes) -> License:
-    """Parse the wire format: the signed fields, then the length-prefixed signature.
-
-    Only the one canonical encoding of each license decodes: quotas must be
-    in strictly increasing resource ordinal order, the optional flag 0 or 1,
-    and nothing may follow the signature. Anything else is an EncodingError.
-    """
-    dec = canon.Decoder(wire)
-    tag = dec.blob()
-    if tag != LICENSE_TAG.encode("ascii"):
-        raise canon.EncodingError(f"unexpected payload tag: {tag!r}")
-    license_id = dec.u64()
-    device_id = dec.u128()
-    count = dec.u32()
-    resources = list(MeterResource)
-    quotas = []
-    for _ in range(count):
-        ordinal = dec.u8()
-        if ordinal >= len(resources):
-            raise canon.EncodingError(f"unknown resource ordinal: {ordinal}")
-        if quotas and ordinal <= quotas[-1][0].ordinal:
-            raise canon.EncodingError(f"quota ordinals not strictly increasing at {ordinal}")
-        quotas.append((resources[ordinal], dec.u64()))
-    not_after = dec.opt_u64()
-    signature = dec.blob()
-    dec.expect_end()
-    return License(
-        license_id=license_id,
-        device_id=device_id,
-        quotas=tuple(quotas),
-        not_after=not_after,
-        issuer_signature=signature,
-    )
 
 
 class RejectReason(Enum):
@@ -136,8 +76,8 @@ class IssuerState:
         """Sign the device's next license; returns its wire bytes."""
         license_id = self.next_license_id.get(device_id, 0)
         self.next_license_id[device_id] = license_id + 1
-        signed = license_signed_bytes(license_id, device_id, _sorted_quotas(quotas), not_after)
-        return signed + canon.blob(self.keypair.sign(signed))
+        return LICENSE.wire(self.keypair.sign, license_id=license_id, device_id=device_id,
+                            quotas=quotas, not_after=not_after)
 
 
 def make_issuer(rng: random.Random) -> IssuerState:
@@ -159,17 +99,17 @@ def install(chip: ChipState, wire: bytes) -> InstallResult:
     back.
     """
     try:
-        lic = decode_license(wire)
+        fields, signed, signature = LICENSE.decode(wire)
     except canon.EncodingError:
         return InstallResult(False, RejectReason.MALFORMED)
+    lic = License(**fields)
     if lic.device_id != chip.identity.device_id:
         return InstallResult(False, RejectReason.WRONG_DEVICE)
     if lic.license_id <= chip.last_license_id:
         return InstallResult(False, RejectReason.STALE_ID)
     if lic.not_after is not None and chip.rtc_read() > lic.not_after:
         return InstallResult(False, RejectReason.EXPIRED)
-    signed = license_signed_bytes(lic.license_id, lic.device_id, lic.quotas, lic.not_after)
-    if not chip.issuer_signed(signed, lic.issuer_signature):
+    if not chip.issuer_signed(signed, signature):
         return InstallResult(False, RejectReason.BAD_SIGNATURE)
     chip.last_license_id = lic.license_id
     chip.active_license = lic
@@ -180,7 +120,7 @@ def install(chip: ChipState, wire: bytes) -> InstallResult:
 
 
 FUZZ_KINDS = ("bitflip", "truncate", "append", "relabel", "other_chip", "rogue")
-_LICENSE_ID_AT = len(canon.tagged(LICENSE_TAG))  # wire offset of the u64 license id
+_LICENSE_ID_AT = len(LICENSE.head)  # wire offset of the u64 license id
 
 
 def fuzz_licenses(issuer: IssuerState, chips: list[ChipState], trials: int,
@@ -254,7 +194,7 @@ def enforce(chip: ChipState) -> ThrottleLevel:
     if chip.zeroized or lic is None:
         chip.throttle = ThrottleLevel.DISABLED
         return chip.throttle
-    for resource, quota in lic.quotas:
+    for resource, quota in lic.quotas.items():
         if chip.consumed_since_install(resource) >= quota:
             chip.throttle = ThrottleLevel.DISABLED
             return chip.throttle
@@ -284,7 +224,7 @@ def metered_consume(
         return ConsumeOutcome(False, "throttled", chip.throttle)
     lic: Optional[License] = chip.active_license  # type: ignore[assignment]
     if lic is not None:
-        quota = lic.quota_for(resource)
+        quota = lic.quotas.get(resource)
         if quota is not None and chip.consumed_since_install(resource) + amount > quota:
             throttle = enforce(chip)
             return ConsumeOutcome(False, "quota_exceeded", throttle)

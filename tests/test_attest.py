@@ -7,8 +7,8 @@ import pytest
 
 from hemsim import canon
 from hemsim.attest import (
+    SNAPSHOT,
     DeviceStatus,
-    MeterSnapshot,
     WorkloadLabel,
     WorkloadTrace,
     classification_flip_point,
@@ -48,32 +48,25 @@ def fleet():
 class TestSnapshots:
     def test_snapshot_after_zero_consumption_all_zero(self, fleet):
         _, registry, chips = fleet
-        snap = emit_snapshot(chips[0], sequence_no=0)
-        assert all(value == 0 for _, value in snap.meters)
+        fields, _, _ = SNAPSHOT.decode(emit_snapshot(chips[0], sequence_no=0))
+        assert fields["meters"] == {r: 0 for r in MeterResource}
 
     def test_delta_matches_consumption(self, fleet):
         _, registry, chips = fleet
         chip = chips[0]
-        first = emit_snapshot(chip, 0)
+        first, _, _ = SNAPSHOT.decode(emit_snapshot(chip, 0))
         chip.consume(MeterResource.FLOAT_OPS, 10**6)
-        second = emit_snapshot(chip, 1)
-        delta = second.meter(MeterResource.FLOAT_OPS) - first.meter(MeterResource.FLOAT_OPS)
+        second, _, _ = SNAPSHOT.decode(emit_snapshot(chip, 1))
+        delta = second["meters"][MeterResource.FLOAT_OPS] - first["meters"][MeterResource.FLOAT_OPS]
         assert delta == 10**6
 
     def test_tampered_snapshot_rejected(self, fleet):
         _, registry, chips = fleet
         chip = chips[0]
         chip.consume(MeterResource.FLOAT_OPS, 500)
-        snap = emit_snapshot(chip, 0)
-        doctored = MeterSnapshot(
-            device_id=snap.device_id,
-            sequence_no=snap.sequence_no,
-            rtc_time_ms=snap.rtc_time_ms,
-            meters=tuple(
-                (r, 0 if r is MeterResource.FLOAT_OPS else v) for r, v in snap.meters
-            ),
-            device_signature=snap.device_signature,
-        )
+        fields, _, signature = SNAPSHOT.decode(emit_snapshot(chip, 0))
+        meters = {**fields["meters"], MeterResource.FLOAT_OPS: 0}
+        doctored = SNAPSHOT.signed(**{**fields, "meters": meters}) + canon.blob(signature)
         report = verify_chain({chip.identity.device_id: [doctored]}, registry)
         assert report.device_results[0].status is DeviceStatus.BAD_SIGNATURE
 

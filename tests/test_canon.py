@@ -1,0 +1,328 @@
+"""Signed-document codec tests: golden wire vectors, canonical round trips,
+and refusal of every non-canonical encoding by the chip and the verifier."""
+
+import hashlib
+import importlib
+import math
+import pkgutil
+import random
+import struct
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import hemsim
+from hemsim import canon
+from hemsim.attest import SNAPSHOT, DeviceStatus, emit_snapshot, verify_chain
+from hemsim.chipmodel import (
+    RESOURCE,
+    ChipState,
+    DeviceIdentity,
+    MeterResource,
+    ThrottleLevel,
+    mint_fleet,
+)
+from hemsim.cluster import (
+    CAP_POLICY,
+    MANIFEST,
+    SESSION_AUTH,
+    ClusterNode,
+    adopt_manifest,
+    apply_cap_update,
+    issue_cap_policy,
+    issue_manifest,
+)
+from hemsim.geoloc import GEOLOC_RESPONSE
+from hemsim.licensing import LICENSE
+
+KEY = canon.generate_keypair(bytes(range(32)))
+DEVICE = 0x00112233445566778899AABBCCDDEEFF
+PEER = 0x0F1E2D3C4B5A69788796A5B4C3D2E1F0  # ranks after DEVICE
+NONCE = bytes(range(16))
+FW_A = hashlib.sha256(b"fw-a").digest()
+FW_B = hashlib.sha256(b"fw-b").digest()
+FLOAT_OPS = MeterResource.FLOAT_OPS
+
+
+@pytest.fixture
+def world():
+    """A regulator key and two enrolled chips, the first with a cluster node."""
+    regulator, registry, chips = mint_fleet(random.Random(61), 2)
+    return regulator, registry, chips, ClusterNode(chip=chips[0])
+
+
+def flips(wire: bytes):
+    """`wire` with each one of its bits flipped in turn."""
+    value = int.from_bytes(wire, "little")
+    for bit in range(len(wire) * 8):
+        yield bit, (value ^ (1 << bit)).to_bytes(len(wire), "little")
+
+
+def hand_laid(sign, doc: canon.Doc, *parts: bytes) -> bytes:
+    """A wire of field bytes laid out by hand after `doc`'s tag, canonical or
+    not, with a valid signature from `sign` over them."""
+    signed = doc.head + b"".join(parts)
+    return signed + canon.blob(sign(signed))
+
+
+class TestGoldenWireVectors:
+    """Frozen vectors: a fixed key seed and fixed ids. They guard every byte of
+    each layout (tag, field order, widths, endianness, mapping order)."""
+
+    def test_cap_policy(self):
+        wire = issue_cap_policy(KEY, cap=4, cap_epoch=7, check_period_ms=60_000.5)
+        assert wire.hex() == (
+            "0d0000006361702d706f6c6963792e7632"  # tag "cap-policy.v2"
+            "04000000"                            # cap 4
+            "0700000000000000"                    # cap_epoch 7
+            "00000000104ced40"                    # check_period_ms 60000.5
+            "40000000"                            # 64-byte signature
+            "a4c7e2cdd1b143ebab6d8889f1804080fe9d913f194f8493b8c959a86cf48877"
+            "97607afe2d7823a34cde19e936b278c1d78adb09bcb4f0c8d7e7cc24433cb40b"
+        )
+
+    def test_pod_manifest_with_two_members(self):
+        wire = issue_manifest(KEY, "pod-1", {PEER: FW_B, DEVICE: FW_A}, manifest_epoch=2)
+        assert wire.hex() == (
+            "0f000000706f642d6d616e69666573742e7631"  # tag "pod-manifest.v1"
+            "05000000706f642d31"                      # pod_id "pod-1"
+            "0200000000000000"                        # manifest_epoch 2
+            "02000000"                                # two members, by device id
+            "ffeeddccbbaa99887766554433221100"        # DEVICE
+            "20000000" + FW_A.hex() +
+            "f0e1d2c3b4a5968778695a4b3c2d1e0f"        # PEER
+            "20000000" + FW_B.hex() +
+            "40000000"
+            "a67b2524f9c36261a6cfa61cdd60ebb3f1cfa2940a2be3bd031ba9cd5fbdafb6"
+            "fe445a9ef80a98682fe9ba5ee8c215516c5538bfe3843842d5292b76d77d2909"
+        )
+
+    def test_meter_snapshot(self):
+        chip = ChipState(DeviceIdentity(DEVICE, KEY, frozenset()))
+        chip.throttle = ThrottleLevel.FULL
+        chip.advance_to(600_000.0)
+        chip.consume(FLOAT_OPS, 10**6)
+        chip.consume(MeterResource.JOULES, 5)
+        assert emit_snapshot(chip, 3).hex() == (
+            "110000006d657465722d736e617073686f742e7631"  # tag "meter-snapshot.v1"
+            "ffeeddccbbaa99887766554433221100"            # device_id
+            "0300000000000000"                            # sequence_no 3
+            "c027090000000000"                            # rtc_time_ms 600000
+            "07000000"                                    # seven meters, by ordinal
+            "00" "40420f0000000000"                       # float_ops 1e6
+            "01" "0000000000000000"
+            "02" "0000000000000000"
+            "03" "0000000000000000"
+            "04" "0000000000000000"
+            "05" "0500000000000000"                       # joules 5
+            "06" "0000000000000000"
+            "40000000"
+            "6ba12ae997a165a8a240ae122b53981b130c99dfec87a99b68e8a765cc3e7060"
+            "41cf2319f672250eb8606741cbc11bf48a20b85407226d40841658e2fb98770f"
+        )
+
+    def test_session_auth(self):
+        message = SESSION_AUTH.signed(signer=DEVICE, peer=PEER, nonce=NONCE)
+        assert message.hex() == (
+            "0f00000073657373696f6e2d617574682e7631"  # tag "session-auth.v1"
+            "ffeeddccbbaa99887766554433221100"        # signer
+            "f0e1d2c3b4a5968778695a4b3c2d1e0f"        # peer
+            "10000000000102030405060708090a0b0c0d0e0f"  # nonce
+        )
+        assert KEY.sign(message).hex() == (
+            "ccbba049d23696815db47212627a84dc36b07a936e76405b1f01e5c48a3d3da0"
+            "8c7a9f956762483a5da5f9e47e3d1cafc03212a4146bfbc9c67c070ea0028805"
+        )
+
+    def test_geoloc_response(self):
+        message = GEOLOC_RESPONSE.signed(device_id=DEVICE, nonce=NONCE)
+        assert message.hex() == (
+            "1200000067656f6c6f632d726573706f6e73652e7631"  # tag "geoloc-response.v1"
+            "ffeeddccbbaa99887766554433221100"              # device_id
+            "10000000000102030405060708090a0b0c0d0e0f"      # nonce
+        )
+        assert KEY.sign(message).hex() == (
+            "bc72c66d8ace3165666d7373e9f75499593013ce6f0e05d56f236a59dd1c27a8"
+            "b5f3c9e3261d01d1accb82f8f5251791a59295b982216d3f8b104dffdfd3a504"
+        )
+
+
+def test_every_doc_tag_is_distinct():
+    # Domain separation: no two kinds of signed message share a tag, so no
+    # signature over one kind verifies as another.
+    docs = {}
+    for info in pkgutil.iter_modules(hemsim.__path__):
+        module = importlib.import_module(f"hemsim.{info.name}")
+        for name, value in vars(module).items():
+            if isinstance(value, canon.Doc):
+                docs[id(value)] = (value.tag, f"{info.name}.{name}")
+    tags = sorted(docs.values())
+    assert len(tags) == 6, tags
+    assert len({tag for tag, _ in tags}) == len(tags), tags
+
+
+U64S = st.integers(0, canon.U64_MAX)
+U128S = st.integers(0, canon.U128_MAX)
+FIELDS = {
+    "license": (LICENSE, dict(
+        license_id=U64S, device_id=U128S, not_after=st.one_of(st.none(), U64S),
+        quotas=st.dictionaries(st.sampled_from(list(MeterResource)), U64S))),
+    "cap_policy": (CAP_POLICY, dict(
+        cap=st.integers(0, canon.U32_MAX), cap_epoch=U64S,
+        check_period_ms=st.floats(allow_nan=False).filter(
+            lambda v: math.copysign(1.0, v) > 0.0 or v != 0.0))),
+    "manifest": (MANIFEST, dict(
+        pod_id=st.text(max_size=12), manifest_epoch=U64S,
+        members=st.dictionaries(U128S, st.binary(max_size=40), max_size=4))),
+    "snapshot": (SNAPSHOT, dict(
+        device_id=U128S, sequence_no=U64S, rtc_time_ms=U64S,
+        meters=st.fixed_dictionaries({r: U64S for r in MeterResource}))),
+    "session_auth": (SESSION_AUTH, dict(signer=U128S, peer=U128S, nonce=st.binary())),
+    "geoloc_response": (GEOLOC_RESPONSE, dict(device_id=U128S, nonce=st.binary())),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FIELDS))
+@settings(max_examples=60)
+@given(data=st.data())
+def test_wire_round_trip(kind, data):
+    doc, strategies = FIELDS[kind]
+    values = data.draw(st.fixed_dictionaries(strategies), label="fields")
+    signature = data.draw(st.binary(max_size=80), label="signature")
+    signed = doc.signed(**values)
+    wire = signed + canon.blob(signature)
+    assert doc.decode(wire) == (values, signed, signature)
+    extra = data.draw(st.binary(min_size=1, max_size=8), label="trailing")
+    with pytest.raises(canon.EncodingError):
+        doc.decode(wire + extra)
+
+
+class TestCapPolicyWire:
+    def _adopted(self, world):
+        regulator, _, _, node = world
+        assert apply_cap_update(node, issue_cap_policy(regulator, cap=4, cap_epoch=1))
+        return regulator, node, node.cap_policy
+
+    def test_every_single_bit_flip_is_refused(self, world):
+        regulator, node, before = self._adopted(world)
+        wire = issue_cap_policy(regulator, cap=8, cap_epoch=2, check_period_ms=30_000.0)
+        for bit, flipped in flips(wire):
+            assert not apply_cap_update(node, flipped), f"bit {bit}"
+            assert node.cap_policy == before, f"bit {bit}"
+        assert apply_cap_update(node, wire)
+
+    @pytest.mark.parametrize("period_bytes, adopted", [
+        (struct.pack("<d", 30_000.0), True),  # the hand-laid layout is the real one
+        (struct.pack("<d", math.nan), False),
+        (bytes.fromhex("010000000000f87f"), False),  # another NaN bit pattern
+        (struct.pack("<d", -0.0), False),
+    ], ids=["canonical", "nan", "other_nan", "negative_zero"])
+    def test_only_a_canonical_period_is_adopted(self, world, verify_calls, period_bytes,
+                                                adopted):
+        regulator, node, before = self._adopted(world)
+        wire = hand_laid(regulator.sign, CAP_POLICY, canon.u32(8), canon.u64(2), period_bytes)
+        verify_calls.clear()
+        assert apply_cap_update(node, wire) is adopted
+        if not adopted:
+            assert verify_calls == []
+            assert node.cap_policy == before
+
+    def test_trailing_bytes_refused_without_verify(self, world, verify_calls):
+        regulator, node, before = self._adopted(world)
+        wire = issue_cap_policy(regulator, cap=8, cap_epoch=2) + b"\x00"
+        verify_calls.clear()
+        assert not apply_cap_update(node, wire)
+        assert verify_calls == [] and node.cap_policy == before
+
+    @pytest.mark.parametrize("period", [math.nan, -0.0])
+    def test_non_canonical_period_does_not_encode(self, world, period):
+        regulator, *_ = world
+        with pytest.raises(canon.EncodingError):
+            issue_cap_policy(regulator, cap=8, cap_epoch=2, check_period_ms=period)
+
+
+class TestManifestWire:
+    def _adopted(self, world):
+        regulator, _, _, node = world
+        assert adopt_manifest(node, issue_manifest(regulator, "pod-1", {DEVICE: FW_A}, 0))
+        return regulator, node, node.pod_manifest
+
+    def test_every_single_bit_flip_is_refused(self, world):
+        regulator, node, before = self._adopted(world)
+        wire = issue_manifest(regulator, "pod-1", {DEVICE: FW_A, PEER: FW_B}, 1)
+        for bit, flipped in flips(wire):
+            assert not adopt_manifest(node, flipped), f"bit {bit}"
+            assert node.pod_manifest == before, f"bit {bit}"
+        assert adopt_manifest(node, wire)
+
+    @pytest.mark.parametrize("pod_id, members, adopted", [
+        (b"pod-1", ((DEVICE, FW_A), (PEER, FW_B)), True),  # the real layout
+        (b"pod-1", ((PEER, FW_B), (DEVICE, FW_A)), False),  # out of order
+        (b"pod-1", ((DEVICE, FW_A), (DEVICE, FW_A)), False),  # repeated
+        (b"pod-\xff", ((DEVICE, FW_A), (PEER, FW_B)), False),  # not UTF-8
+    ], ids=["canonical", "out_of_order", "repeated", "not_utf8"])
+    def test_only_a_canonical_manifest_is_adopted(self, world, verify_calls, pod_id, members,
+                                                  adopted):
+        regulator, node, before = self._adopted(world)
+        pairs = [canon.u128(device) + canon.blob(fw) for device, fw in members]
+        wire = hand_laid(regulator.sign, MANIFEST, canon.blob(pod_id), canon.u64(1),
+                         canon.u32(len(pairs)), *pairs)
+        verify_calls.clear()
+        assert adopt_manifest(node, wire) is adopted
+        if not adopted:
+            assert verify_calls == []
+            assert node.pod_manifest == before
+
+    def test_trailing_bytes_refused_without_verify(self, world, verify_calls):
+        regulator, node, before = self._adopted(world)
+        wire = issue_manifest(regulator, "pod-1", {DEVICE: FW_A}, 1) + b"\x00"
+        verify_calls.clear()
+        assert not adopt_manifest(node, wire)
+        assert verify_calls == [] and node.pod_manifest == before
+
+
+class TestSnapshotWire:
+    def _chain(self, world):
+        """A first snapshot, then a chip that has run 1000 ops since it."""
+        _, registry, (chip, _), _ = world
+        first = emit_snapshot(chip, 0)
+        chip.consume(FLOAT_OPS, 1000)
+        return registry, chip, first
+
+    def test_every_single_bit_flip_is_refused(self, world):
+        registry, chip, first = self._chain(world)
+        device = chip.identity.device_id
+        wire = emit_snapshot(chip, 1)
+        assert verify_chain({device: [first, wire]}, registry).totals[FLOAT_OPS] == 1000
+        for bit, flipped in flips(wire):
+            report = verify_chain({device: [first, flipped]}, registry)
+            assert report.device_results[0].status is not DeviceStatus.VERIFIED, f"bit {bit}"
+            assert set(report.totals.values()) == {0}, f"bit {bit}"
+
+    @pytest.mark.parametrize("order, status", [
+        (tuple(MeterResource), DeviceStatus.VERIFIED),  # the real layout
+        (tuple(MeterResource)[1::-1] + tuple(MeterResource)[2:], DeviceStatus.MALFORMED),
+        (tuple(MeterResource)[:1] + tuple(MeterResource)[:-1], DeviceStatus.MALFORMED),
+        (tuple(MeterResource)[:-1], DeviceStatus.MALFORMED),  # leaves out a meter
+    ], ids=["canonical", "out_of_order", "repeated", "missing"])
+    def test_only_a_canonical_snapshot_verifies(self, world, verify_calls, order, status):
+        registry, chip, first = self._chain(world)
+        meters = [RESOURCE.encode(r) + canon.u64(chip.meter_value(r)) for r in order]
+        wire = hand_laid(chip.sign, SNAPSHOT, canon.u128(chip.identity.device_id),
+                         canon.u64(1), canon.u64(int(chip.rtc_read())),
+                         canon.u32(len(meters)), *meters)
+        verify_calls.clear()
+        report = verify_chain({chip.identity.device_id: [first, wire]}, registry)
+        assert report.device_results[0].status is status
+        if status is DeviceStatus.MALFORMED:
+            assert verify_calls == []
+            assert set(report.totals.values()) == {0} and report.incomplete
+
+    def test_trailing_bytes_refused_without_verify(self, world, verify_calls):
+        registry, chip, first = self._chain(world)
+        verify_calls.clear()
+        report = verify_chain({chip.identity.device_id: [first, emit_snapshot(chip, 1) + b"\0"]},
+                              registry)
+        assert report.device_results[0].status is DeviceStatus.MALFORMED
+        assert verify_calls == []

@@ -9,18 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hemsim import canon, licensing, scenarios
-from hemsim.chipmodel import MeterResource, ThrottleLevel, provision_chip
+from hemsim.chipmodel import RESOURCE, MeterResource, ThrottleLevel, provision_chip
 from hemsim.config import validate_config
 from hemsim.licensing import (
     FUZZ_KINDS,
+    LICENSE,
     InstallResult,
     License,
     RejectReason,
-    decode_license,
     enforce,
     fuzz_licenses,
     install,
-    license_signed_bytes,
     make_issuer,
     metered_consume,
 )
@@ -41,24 +40,19 @@ CHECK_ORDER = (RejectReason.MALFORMED, RejectReason.WRONG_DEVICE, RejectReason.S
                RejectReason.EXPIRED, RejectReason.BAD_SIGNATURE)
 
 
-@pytest.fixture
-def verify_calls(monkeypatch):
-    """Count every signature verified."""
-    calls = []
-    real_verify = canon.verify
-
-    def verify(*args):
-        calls.append(args)
-        return real_verify(*args)
-
-    monkeypatch.setattr(canon, "verify", verify)
-    return calls
+def signed_wire(sign, license_id, device_id, quotas, not_after):
+    """Wire bytes of these exact fields, signed by `sign` (quotas in the given order,
+    canonical or not)."""
+    signed = (LICENSE.head + canon.u64(license_id) + canon.u128(device_id)
+              + canon.u32(len(quotas))
+              + b"".join(RESOURCE.encode(r) + canon.u64(amount) for r, amount in quotas)
+              + canon.opt_u64(not_after))
+    return signed + canon.blob(sign(signed))
 
 
-def signed_wire(signer, license_id, device_id, quotas, not_after):
-    """Wire bytes of these exact fields, signed by `signer` (quotas in the given order)."""
-    signed = license_signed_bytes(license_id, device_id, quotas, not_after)
-    return signed + canon.blob(signer.sign(signed))
+def held_license(wire):
+    """The license a chip would hold after installing `wire`."""
+    return License(**LICENSE.decode(wire)[0])
 
 
 def license_state(chip):
@@ -69,12 +63,12 @@ def license_state(chip):
 class TestIssue:
     def test_first_license_id_is_zero(self, world):
         _, issuer, chip = world
-        lic = decode_license(issuer.issue(chip.identity.device_id, QUOTA))
+        lic = held_license(issuer.issue(chip.identity.device_id, QUOTA))
         assert lic.license_id == 0
 
     def test_ids_increment_per_device(self, world):
         _, issuer, chip = world
-        ids = [decode_license(issuer.issue(chip.identity.device_id, QUOTA)).license_id
+        ids = [held_license(issuer.issue(chip.identity.device_id, QUOTA)).license_id
                for _ in range(3)]
         assert ids == [0, 1, 2]
 
@@ -82,14 +76,13 @@ class TestIssue:
         rng, issuer, chip = world
         other = provision_chip(rng, frozenset({issuer.public_key}))
         issuer.issue(chip.identity.device_id, QUOTA)
-        lic_other = decode_license(issuer.issue(other.identity.device_id, QUOTA))
+        lic_other = held_license(issuer.issue(other.identity.device_id, QUOTA))
         assert lic_other.license_id == 0
 
     def test_issued_license_verifies_under_issuer_key(self, world):
         _, issuer, chip = world
-        lic = decode_license(issuer.issue(chip.identity.device_id, QUOTA))
-        signed = license_signed_bytes(lic.license_id, lic.device_id, lic.quotas, lic.not_after)
-        assert canon.verify(issuer.public_key, signed, lic.issuer_signature)
+        _, signed, signature = LICENSE.decode(issuer.issue(chip.identity.device_id, QUOTA))
+        assert canon.verify(issuer.public_key, signed, signature)
 
     def test_negative_quota_rejected(self, world):
         _, issuer, chip = world
@@ -184,7 +177,7 @@ class TestInstall:
                      else data.draw(st.one_of(st.none(), st.integers(now, 2**64 - 1)),
                                     label="not_after"))
         signer = make_issuer(rng).keypair if bad_signature else issuer.keypair
-        wire = signed_wire(signer, license_id, device_id, tuple(QUOTA.items()), not_after)
+        wire = signed_wire(signer.sign, license_id, device_id, tuple(QUOTA.items()), not_after)
         faults = [reason for reason, present in zip(
             CHECK_ORDER[1:], (wrong_device, stale, expired, bad_signature)) if present]
         chip.advance_to(float(now))
@@ -197,14 +190,13 @@ class TestInstall:
         else:
             assert result.reason is None
             assert (chip.last_license_id == license_id
-                    and chip.active_license == decode_license(wire))
+                    and chip.active_license == held_license(wire))
 
     def test_field_mutation_invalidates_signature(self, world):
         _, issuer, chip = world
-        lic = decode_license(issuer.issue(chip.identity.device_id, QUOTA))
-        bumped = license_signed_bytes(
-            lic.license_id, lic.device_id, ((MeterResource.CLOCK_CYCLES, 10**9),), lic.not_after,
-        ) + canon.blob(lic.issuer_signature)
+        fields, _, signature = LICENSE.decode(issuer.issue(chip.identity.device_id, QUOTA))
+        bumped = LICENSE.signed(**{**fields, "quotas": {MeterResource.CLOCK_CYCLES: 10**9}}
+                                ) + canon.blob(signature)
         assert install(chip, bumped).reason is RejectReason.BAD_SIGNATURE
 
 
@@ -320,17 +312,16 @@ class TestWireFormat:
             {MeterResource.CLOCK_CYCLES: 1000, MeterResource.FLOAT_OPS: 5},
             not_after=123456,
         )
-        lic = decode_license(wire)
-        assert license_signed_bytes(lic.license_id, lic.device_id, lic.quotas,
-                                    lic.not_after) + canon.blob(lic.issuer_signature) == wire
+        fields, signed, signature = LICENSE.decode(wire)
+        assert LICENSE.signed(**fields) == signed and signed + canon.blob(signature) == wire
 
     def test_quota_entries_sorted_by_resource_ordinal(self, world):
         _, issuer, chip = world
-        lic = decode_license(issuer.issue(
+        lic = held_license(issuer.issue(
             chip.identity.device_id,
             {MeterResource.JOULES: 1, MeterResource.FLOAT_OPS: 2},
         ))
-        ordinals = [res.ordinal for res, _ in lic.quotas]
+        ordinals = [RESOURCE.rank(res) for res in lic.quotas]
         assert ordinals == sorted(ordinals)
 
     def test_golden_wire_vector(self):
@@ -349,9 +340,10 @@ class TestWireFormat:
             "01611e000000000000"            # not_after present, 7777
         )
         assert wire.hex().startswith(prefix)
-        assert decode_license(wire) == License(
-            0, 0x00112233445566778899AABBCCDDEEFF, ((MeterResource.CLOCK_CYCLES, 1000),),
-            7777, wire[-64:])
+        assert LICENSE.decode(wire) == (
+            {"license_id": 0, "device_id": 0x00112233445566778899AABBCCDDEEFF,
+             "quotas": {MeterResource.CLOCK_CYCLES: 1000}, "not_after": 7777},
+            bytes.fromhex(prefix), wire[-64:])
 
     @given(
         license_id=st.integers(min_value=0, max_value=2**64 - 1),
@@ -364,16 +356,10 @@ class TestWireFormat:
     def test_wire_round_trip_property(self, license_id, device_id, amounts, not_after,
                                       signature):
         resources = list(MeterResource)[: len(amounts)]
-        lic = License(
-            license_id=license_id,
-            device_id=device_id,
-            quotas=tuple(zip(resources, amounts)),
-            not_after=not_after,
-            issuer_signature=signature,
-        )
-        wire = license_signed_bytes(license_id, device_id, lic.quotas,
-                                    not_after) + canon.blob(signature)
-        assert decode_license(wire) == lic
+        wire = signed_wire(lambda signed: signature, license_id, device_id,
+                           tuple(zip(resources, amounts)), not_after)
+        assert held_license(wire) == License(license_id, device_id,
+                                               dict(zip(resources, amounts)), not_after)
 
     @settings(max_examples=50)
     @given(
@@ -389,11 +375,11 @@ class TestWireFormat:
         for _ in range(prior):
             issuer.issue(device_id, QUOTA)
         wire = issuer.issue(device_id, quotas, not_after=not_after)
-        lic = decode_license(wire)
-        assert (lic.license_id, lic.device_id, lic.not_after) == (prior, device_id, not_after)
-        assert lic.quotas == tuple(sorted(quotas.items(), key=lambda kv: kv[0].ordinal))
-        signed = license_signed_bytes(prior, device_id, lic.quotas, not_after)
-        assert canon.verify(issuer.public_key, signed, lic.issuer_signature)
+        fields, signed, signature = LICENSE.decode(wire)
+        assert fields == {"license_id": prior, "device_id": device_id, "quotas": quotas,
+                          "not_after": not_after}
+        assert list(fields["quotas"]) == sorted(quotas, key=RESOURCE.rank)
+        assert canon.verify(issuer.public_key, signed, signature)
 
     def test_every_single_bit_flip_is_refused(self, world):
         _, issuer, chip = world
@@ -416,9 +402,9 @@ class TestWireFormat:
         _, issuer, chip = world
         # Signed by the enrolled key over exactly these fields: only the
         # canonical-order check stands between this wire and the chip.
-        wire = signed_wire(issuer.keypair, 0, chip.identity.device_id, quotas, None)
+        wire = signed_wire(issuer.keypair.sign, 0, chip.identity.device_id, quotas, None)
         with pytest.raises(canon.EncodingError):
-            decode_license(wire)
+            LICENSE.decode(wire)
         verify_calls.clear()
         assert install(chip, wire) == InstallResult(False, RejectReason.MALFORMED)
         assert verify_calls == []

@@ -20,7 +20,6 @@ SRC = Path(hemsim.__file__).resolve().parent
 # Definitions nothing in src/ uses yet, each kept for a stated reason.
 ALLOWED = {
     "__version__": "the conventional package version attribute, read from outside src/",
-    "transfer": "direct-path reference the bridge-penalty test compares bridge_transfer with",
     "distances_km": "perfbench traces it; the within_km exactness tests compare against it",
 }
 
