@@ -7,14 +7,23 @@ once, and from that one declaration come its signed bytes, its wire form
 and a decoder that refuses every encoding but the canonical one: fixed field
 order, little-endian fixed-width numbers, length-prefixed byte strings, and
 mappings in strictly increasing key order.
+
+`verify` answers from a memo while a `verify_memo()` block is open, so each
+distinct (key, message, signature) costs one ed25519 verification in that
+block. `scenarios.execute_scenario` opens one per execution; outside such a
+block every call verifies. Verification is a pure function of the triple,
+so every caller still gets the answer it would compute itself.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 import struct
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -231,8 +240,37 @@ def generate_keypair(seed: bytes) -> KeyPair:
     return KeyPair(_private=private, public_bytes=public)
 
 
+_verified: ContextVar[dict[bytes, bool] | None] = ContextVar("verified", default=None)
+
+
+@contextmanager
+def verify_memo() -> Iterator[None]:
+    """Within the block, `verify` checks each distinct triple once.
+
+    The block starts with an empty memo and puts back the enclosing one on
+    exit, so no answer outlives the block that computed it.
+    """
+    token = _verified.set({})
+    try:
+        yield
+    finally:
+        _verified.reset(token)
+
+
 def verify(public_bytes: bytes, message: bytes, signature: bytes) -> bool:
     """True iff `signature` is valid for `message` under the given public key."""
+    memo = _verified.get()
+    if memo is None:
+        return _ed25519_verify(public_bytes, message, signature)
+    # Blobs keep the three parts apart: no two triples share a key preimage.
+    key = hashlib.sha256(blob(public_bytes) + blob(signature) + message).digest()
+    ok = memo.get(key)
+    if ok is None:
+        ok = memo[key] = _ed25519_verify(public_bytes, message, signature)
+    return ok
+
+
+def _ed25519_verify(public_bytes: bytes, message: bytes, signature: bytes) -> bool:
     try:
         Ed25519PublicKey.from_public_bytes(public_bytes).verify(signature, message)
         return True

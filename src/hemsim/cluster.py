@@ -15,10 +15,11 @@ PCIe-bridged transfers through a host, and gradient smuggling between pods
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from . import canon
 from .chipmodel import ChipState, MeterResource, Registry, ThrottleLevel, ZeroizedError
@@ -233,19 +234,23 @@ def teardown(session: Session, a: ClusterNode, b: ClusterNode) -> None:
 
 
 def _newer_signed(node: ClusterNode, doc: canon.Doc, wire: bytes, epoch: str,
-                  adopted: PodManifest | CapPolicy | None) -> Optional[dict]:
+                  adopted: PodManifest | CapPolicy | None,
+                  admissible: Callable[[dict], bool] = lambda fields: True) -> Optional[dict]:
     """The fields of `wire` iff it decodes, its `epoch` field exceeds the
-    adopted document's, and an issuer key the chip enrolled signed it.
+    adopted document's, its fields are `admissible`, and an issuer key the
+    chip enrolled signed it.
 
     Bytes that do not decode are refused before anything else. A stale
-    epoch is refused before the signature is checked: the answer is no
-    whether or not the signature holds.
+    epoch or inadmissible fields are refused before the signature is
+    checked: the answer is no whether or not the signature holds.
     """
     try:
         fields, signed, signature = doc.decode(wire)
     except canon.EncodingError:
         return None
     if adopted is not None and fields[epoch] <= getattr(adopted, epoch):
+        return None
+    if not admissible(fields):
         return None
     if not node.chip.issuer_signed(signed, signature):
         return None
@@ -266,8 +271,14 @@ def adopt_manifest(node: ClusterNode, wire: bytes) -> bool:
 
 
 def apply_cap_update(node: ClusterNode, wire: bytes) -> bool:
-    """Adopt iff the epoch strictly increases and the policy is regulator-signed."""
-    fields = _newer_signed(node, CAP_POLICY, wire, "cap_epoch", node.cap_policy)
+    """Adopt iff the epoch strictly increases, the check period is finite and
+    positive, and the policy is regulator-signed.
+
+    Any other period would stop `run_due_checks` from returning (zero or
+    less) or from ever checking (infinity), whoever signed it.
+    """
+    fields = _newer_signed(node, CAP_POLICY, wire, "cap_epoch", node.cap_policy,
+                           lambda fields: 0.0 < fields["check_period_ms"] < math.inf)
     if fields is None:
         return False
     node.cap_policy = CapPolicy(**fields)

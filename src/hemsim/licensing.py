@@ -75,9 +75,10 @@ class IssuerState:
     ) -> bytes:
         """Sign the device's next license; returns its wire bytes."""
         license_id = self.next_license_id.get(device_id, 0)
-        self.next_license_id[device_id] = license_id + 1
-        return LICENSE.wire(self.keypair.sign, license_id=license_id, device_id=device_id,
+        wire = LICENSE.wire(self.keypair.sign, license_id=license_id, device_id=device_id,
                             quotas=quotas, not_after=not_after)
+        self.next_license_id[device_id] = license_id + 1  # a refused request burns no id
+        return wire
 
 
 def make_issuer(rng: random.Random) -> IssuerState:

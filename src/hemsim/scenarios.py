@@ -39,6 +39,7 @@ from .attest import (
     metered_ops,
     verify_chain,
 )
+from .canon import verify_memo
 from .chipmodel import (
     PersistencePolicy,
     PolicyKind,
@@ -600,21 +601,23 @@ def execute_scenario(config: dict) -> ScenarioOutcome:
             lines = [json.dumps(r, sort_keys=True) for r in section_result.records]
             reports[f"{name}.jsonl"] = "\n".join(lines) + "\n"
 
-    if "network" in config:
-        add("network", run_network_section(config["network"], seed))
-    if "licensing" in config:
-        add("licensing", run_licensing_section(config["licensing"], config["fleet"], seed))
-    if "cluster" in config:
-        add("cluster", run_cluster_section(config["cluster"], seed))
-    if "geoloc" in config:
-        add("geoloc", run_geoloc_section(config["geoloc"], seed))
-    if "attest" in config:
-        add("attest", run_attest_section(config["attest"], seed))
-    if config.get("attack_matrix", {}).get("enabled"):
-        section_result, matrix_text = run_attack_matrix_section(
-            config["attack_matrix"], config["adversary"], seed)
-        add("attacks", section_result)
-        reports["attack_matrix.txt"] = matrix_text
+    # Each distinct signed message is verified once per execution, never across runs.
+    with verify_memo():
+        if "network" in config:
+            add("network", run_network_section(config["network"], seed))
+        if "licensing" in config:
+            add("licensing", run_licensing_section(config["licensing"], config["fleet"], seed))
+        if "cluster" in config:
+            add("cluster", run_cluster_section(config["cluster"], seed))
+        if "geoloc" in config:
+            add("geoloc", run_geoloc_section(config["geoloc"], seed))
+        if "attest" in config:
+            add("attest", run_attest_section(config["attest"], seed))
+        if config.get("attack_matrix", {}).get("enabled"):
+            section_result, matrix_text = run_attack_matrix_section(
+                config["attack_matrix"], config["adversary"], seed)
+            add("attacks", section_result)
+            reports["attack_matrix.txt"] = matrix_text
 
     expectations = config.get("expect", {})
     failures = []

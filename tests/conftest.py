@@ -24,3 +24,25 @@ def verify_calls(monkeypatch):
 
     monkeypatch.setattr(canon, "verify", verify)
     return calls
+
+
+@pytest.fixture
+def ed25519_verifies(monkeypatch):
+    """Record every ed25519 verification actually computed, not answered from a memo."""
+    calls = []
+    real_key = canon.Ed25519PublicKey
+
+    class CountingKey:
+        def __init__(self, key):
+            self._key = key
+
+        @classmethod
+        def from_public_bytes(cls, data):
+            return cls(real_key.from_public_bytes(data))
+
+        def verify(self, signature, message):
+            calls.append((signature, message))
+            self._key.verify(signature, message)
+
+    monkeypatch.setattr(canon, "Ed25519PublicKey", CountingKey)
+    return calls

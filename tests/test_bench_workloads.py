@@ -8,6 +8,11 @@ predicate to pass, and pin the sha256 of every report the execution writes.
 They read that file without importing it as a package (nothing is written
 under perfbench/) and change nothing there.
 
+They also pin how many ed25519 verifications each execution computes:
+`canon.verify` answers repeats of a (key, message, signature) from a memo
+that lasts one execution, so the count is the number of distinct signed
+messages checked, and it is the same for every execution in a process.
+
 The digests are regenerated only on purpose, as the goldens under
 `tests/goldens/` are: by a change that means to move report bytes and says
 which bytes moved and why.
@@ -104,6 +109,16 @@ REPORT_SHA256 = {
     },
 }
 
+# ed25519 verifications computed in one execution.
+REAL_VERIFIES = {
+    ("attack_breadth", 1): 175,
+    ("attack_breadth", 4242): 170,
+    ("geoloc_grid", 1): 0,
+    ("geoloc_grid", 4242): 0,
+    ("signed_fleet", 1): 3182,
+    ("signed_fleet", 4242): 3147,
+}
+
 
 @functools.cache
 def _execute(name: str, seed: int) -> ScenarioOutcome:
@@ -129,4 +144,22 @@ def test_bench_workload_report_digests_are_pinned(name, seed):
 
 
 def test_every_workload_and_seed_is_pinned():
-    assert set(REPORT_SHA256) == {(name, seed) for name in BENCH.NAMES for seed in SEEDS}
+    pinned = {(name, seed) for name in BENCH.NAMES for seed in SEEDS}
+    assert set(REPORT_SHA256) == set(REAL_VERIFIES) == pinned
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("name", BENCH.NAMES)
+def test_bench_workload_real_verifies_are_pinned(name, seed, ed25519_verifies):
+    execute_scenario(validate_config(BENCH.build(name, seed)))
+    assert len(ed25519_verifies) == REAL_VERIFIES[(name, seed)]
+
+
+def test_no_verify_is_remembered_from_an_earlier_execution(ed25519_verifies):
+    config = validate_config(BENCH.build("attack_breadth", 1))
+    counts = []
+    for _ in range(2):
+        ed25519_verifies.clear()
+        execute_scenario(config)
+        counts.append(len(ed25519_verifies))
+    assert counts == [REAL_VERIFIES[("attack_breadth", 1)]] * 2

@@ -1,5 +1,6 @@
 """Signed-document codec tests: golden wire vectors, canonical round trips,
-and refusal of every non-canonical encoding by the chip and the verifier."""
+refusal of every non-canonical encoding by the chip and the verifier, and the
+scoped memo of `canon.verify`."""
 
 import hashlib
 import importlib
@@ -326,3 +327,80 @@ class TestSnapshotWire:
                               registry)
         assert report.device_results[0].status is DeviceStatus.MALFORMED
         assert verify_calls == []
+
+
+def flip_bit(data: bytes, bit: int) -> bytes:
+    """`data` with bit `bit` (taken modulo its length) flipped."""
+    bit %= len(data) * 8
+    return (int.from_bytes(data, "little") ^ (1 << bit)).to_bytes(len(data), "little")
+
+
+class TestVerifyMemo:
+    MESSAGE = b"memo" * 10
+    GOOD = (KEY.public_bytes, MESSAGE, KEY.sign(MESSAGE))  # verify's argument order
+    OTHER = (KEY.public_bytes, MESSAGE + b"!", KEY.sign(MESSAGE + b"!"))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.binary(min_size=32, max_size=32), message=st.binary(min_size=1, max_size=64),
+           bad_key=st.binary(max_size=40).filter(lambda key: len(key) != 32),
+           bit=st.integers(0, 2**16), data=st.data())
+    def test_every_answer_equals_plain_verify(self, seed, message, bad_key, bit, data):
+        key = canon.generate_keypair(seed)
+        wrong = canon.generate_keypair(hashlib.sha256(seed).digest())
+        signature = key.sign(message)
+        triples = [
+            (key.public_bytes, message, signature),
+            (key.public_bytes, message, flip_bit(signature, bit)),
+            (key.public_bytes, flip_bit(message, bit), signature),
+            (wrong.public_bytes, message, signature),
+            (bad_key, message, signature),
+        ]
+        plain = [canon.verify(*triple) for triple in triples]
+        assert plain == [True, False, False, False, False]
+        asked = data.draw(st.permutations(list(range(len(triples))) * 2), label="order")
+        with canon.verify_memo():
+            assert [canon.verify(*triples[i]) for i in asked] == [plain[i] for i in asked]
+
+    @pytest.mark.parametrize("good_first", [True, False])
+    def test_triples_with_equal_concatenations_do_not_collide(self, ed25519_verifies,
+                                                              good_first):
+        key, message, signature = self.GOOD
+        joined = key + signature + message
+        shifted = [  # the same bytes, cut at other places: (key, message, signature)
+            (joined[:31], joined[95:], joined[31:95]),
+            (key, message[1:], signature + message[:1]),
+        ]
+        assert all(k + s + m == joined for k, m, s in shifted)
+        with canon.verify_memo():
+            for _ in range(2):
+                if good_first:
+                    assert canon.verify(*self.GOOD)
+                assert [canon.verify(*triple) for triple in shifted] == [False, False]
+                if not good_first:
+                    assert canon.verify(*self.GOOD)
+
+    def test_memo_ends_with_its_block(self, ed25519_verifies):
+        with canon.verify_memo():
+            assert canon.verify(*self.GOOD) and canon.verify(*self.GOOD)
+        assert len(ed25519_verifies) == 1
+        assert canon.verify(*self.GOOD) and canon.verify(*self.GOOD)
+        assert len(ed25519_verifies) == 3
+
+    def test_memo_ends_when_its_block_raises(self, ed25519_verifies):
+        with pytest.raises(RuntimeError):
+            with canon.verify_memo():
+                assert canon.verify(*self.GOOD)
+                raise RuntimeError
+        assert canon.verify(*self.GOOD) and canon.verify(*self.GOOD)
+        assert len(ed25519_verifies) == 3
+
+    def test_nested_block_restores_the_outer_memo(self, ed25519_verifies):
+        with canon.verify_memo():
+            assert canon.verify(*self.GOOD)
+            with canon.verify_memo():  # starts empty
+                assert canon.verify(*self.GOOD) and canon.verify(*self.OTHER)
+                assert len(ed25519_verifies) == 3
+            assert canon.verify(*self.GOOD)  # answered by the outer memo
+            assert len(ed25519_verifies) == 3
+            assert canon.verify(*self.OTHER)  # the inner memo's answers are gone
+            assert len(ed25519_verifies) == 4

@@ -335,6 +335,23 @@ class TestCapRegime:
         assert node.adopted_cap() == 4
         assert node.cap_policy.cap_epoch == 3
 
+    @pytest.mark.parametrize("period", [0.0, -1.0, math.inf])
+    def test_unschedulable_period_refused_without_verify(self, world, crypto_calls, period):
+        _, regulator, _, nodes = world
+        ids = sorted(nodes)
+        adopted, fresh = nodes[ids[0]], nodes[ids[1]]
+        adopt_caps(regulator, {ids[0]: adopted}, cap=4, check_period_ms=100.0)
+        before = adopted.cap_policy
+        crypto_calls.update(verify=0)
+        bad = issue_cap_policy(regulator, cap=2, cap_epoch=1, check_period_ms=period)
+        assert not apply_cap_update(adopted, bad)
+        assert not apply_cap_update(fresh, bad)
+        assert crypto_calls["verify"] == 0
+        assert adopted.cap_policy == before and fresh.cap_policy is None
+        assert run_due_checks(adopted, 1000.0, nodes) == []
+        assert adopted.last_check_ms == 1000.0
+        assert run_due_checks(fresh, 1000.0, nodes) == []
+
     def test_unsigned_cap_raise_rejected(self, world):
         rng, regulator, registry, nodes = world
         adopt_caps(regulator, nodes, cap=2)

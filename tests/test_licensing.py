@@ -86,8 +86,11 @@ class TestIssue:
 
     def test_negative_quota_rejected(self, world):
         _, issuer, chip = world
-        with pytest.raises(ValueError):
+        with pytest.raises(canon.EncodingError):
             issuer.issue(chip.identity.device_id, {MeterResource.JOULES: -5})
+        # A refused request burns no id: the first license issued is still id 0.
+        lic = held_license(issuer.issue(chip.identity.device_id, QUOTA))
+        assert lic.license_id == 0
 
 
 class TestInstall:
