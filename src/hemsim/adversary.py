@@ -595,16 +595,19 @@ def _attack_landmark_compromise(profile, rng, params) -> dict:
         for m in synthesize_round(rng, landmarks, truth, 0.2, 0.5)
     ]
     est = estimate_bft(ms, lms, _GRID, f=f)
-    # Liars whose bounds exclude the whole surviving region stand out.
+    # Liars whose bounds exclude the whole surviving region stand out. No
+    # cell outside a disk's `disk_window` is in the disk, so only the window
+    # is tested.
     outliers = []
     for m in ms:
         bound = delay_to_distance(m, lms[m.landmark_id].fixed_overhead_ms)
         if bound.floor_violation:
             outliers.append(m.landmark_id)
             continue
-        slack = _GRID.half_diagonal_km()
-        disk = _GRID.within_km(lms[m.landmark_id].position, bound.bound_km + slack)
-        if est.mask.any() and not (disk & est.mask).any():
+        disk = (lms[m.landmark_id].position, bound.bound_km + _GRID.half_diagonal_km())
+        i0, i1, j0, j1 = _GRID.disk_window(*disk)
+        window = (slice(i0, i1), slice(j0, j1))
+        if est.mask.any() and not (_GRID.within_km([disk], *window)[0] & est.mask[window]).any():
             outliers.append(m.landmark_id)
     return dict(
         succeeded=not est.contains(truth),

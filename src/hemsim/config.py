@@ -145,11 +145,13 @@ SCHEMA = _obj(
                                     item=Key(float, minimum=1.0, maximum=1e6)),
     ),
     geoloc=_obj(
-        # A containment or speedup trial tests each landmark's disk in its
-        # grid window: ~0.65 ms with 3-9 landmarks on the default 30 x 30
-        # degree grid, 5 ms with 64, and ~15 ms with 64 on the whole globe at
-        # 0.25 degrees (about 2**20 cells), so 10,000 trials take 6 s to 2.5
-        # minutes. Landmark counts share the bound of `bft.n`.
+        # A containment or speedup trial tests its landmarks' disks in
+        # stacked groups over the region's box: ~0.25 ms with 3-9 landmarks
+        # on the default 30 x 30 degree grid, 1.5 ms with 64, and ~3 ms with
+        # 64 on the whole globe at 0.25 degrees (about 2**20 cells), so
+        # 10,000 trials take 2.5 to 30 s. Jitter that leaves a quarter of the
+        # globe in the region costs ~0.1 s a trial there. Landmark counts
+        # share the bound of `bft.n`.
         trials=Key(int, 60, minimum=1, maximum=10_000),
         landmarks_min=Key(int, 3, minimum=1, maximum=64),
         landmarks_max=Key(int, 9, minimum=1, maximum=64),

@@ -237,36 +237,55 @@ class GridSpec:
 
     def within_km(
         self,
-        landmark_position: GeoPoint,
-        radius_km: float,
+        disks: Sequence[tuple[GeoPoint, float]],
         rows: slice = slice(None),
         cols: slice = slice(None),
     ) -> np.ndarray:
-        """`distances_km(landmark_position, rows, cols) <= radius_km`, bit for bit.
+        """A `(k, rows, cols)` stack with plane n equal to
+        `distances_km(position_n, rows, cols) <= radius_n`, bit for bit, for
+        the k `(position, radius_km)` pairs in `disks`.
 
-        Reads the grid's cached axes and takes the same haversine steps in
-        the same order, so every h has the bits `distances_km` computes.
-        Decided on h, which grows with distance: cells with h below
-        sin^2(radius / 2R) by a relative 1e-9 are inside, cells above it by
-        as much are outside, and only cells in that band take the exact
-        arcsin comparison. The band is millions of times wider than the
-        few-ulp rounding of sin, sqrt and arcsin, so no cell outside it can
-        compare differently. Radii whose half-angle is not in (1e-150, 1.5]
-        rad (sin^2 would underflow, or flatten short of pi*R) take the exact
-        comparison on every cell. The region estimators call it on each
-        disk's `disk_window` only.
+        Builds each disk's scalars with `math`, as `_haversine_km` does for
+        one position, reads the grid's cached axes and takes the same
+        haversine steps in the same order, broadcast over the whole stack,
+        so every h has the bits `distances_km` computes. Decided on h, which
+        grows with distance: cells with h below sin^2(radius / 2R) by a
+        relative 1e-9 are inside, cells above it by as much are outside, and
+        only cells in that band take the exact arcsin comparison. The band is millions of
+        times wider than the few-ulp rounding of sin, sqrt and arcsin, so no
+        cell outside it can compare differently. Disks whose half-angle is
+        not in (1e-150, 1.5] rad (sin^2 would underflow, or flatten short of
+        pi*R) take the exact comparison on their whole plane. The region
+        estimators call it on disk windows only: `estimate_cbg` with a group
+        of disks over the live box, `estimate_bft` with one disk at a time.
         """
         lats, cos_lats, lons = self._axes
-        h = _haversine_h(lats[rows, None], cos_lats[rows, None], lons[None, cols],
-                         landmark_position)
-        half_angle = radius_km / (2.0 * EARTH_RADIUS_KM)
-        if not 1e-150 < half_angle <= 1.5:
-            return _arc_km(h) <= radius_km
-        s = math.sin(half_angle) ** 2
-        mask = h <= s * (1.0 + 1e-9)
-        band = mask & (h >= s * (1.0 - 1e-9))
+        terms = []
+        exact = []
+        for n, (position, radius_km) in enumerate(disks):
+            half_angle = radius_km / (2.0 * EARTH_RADIUS_KM)
+            if 1e-150 < half_angle <= 1.5:
+                s = math.sin(half_angle) ** 2
+                upper, lower = s * (1.0 + 1e-9), s * (1.0 - 1e-9)
+            else:  # no cell passes or is in the band; the plane is decided below
+                upper, lower = -1.0, 2.0
+                exact.append(n)
+            p2 = math.radians(position.latitude)
+            terms.append((p2, math.radians(position.longitude), math.cos(p2),
+                          upper, lower, radius_km))
+        if len(terms) == 1:  # floats: a lone disk costs what a scalar kernel would
+            p2, l2, cos_p2, upper, lower, radii = terms[0]
+        else:  # one (k, 1, 1) array per column, to broadcast over the cells
+            p2, l2, cos_p2, upper, lower, radii = \
+                np.array(terms, dtype=float).reshape(-1, 6).T[:, :, None, None]
+        h = _haversine_h(lats[rows, None], cos_lats[rows, None], lons[cols], p2, l2, cos_p2)
+        h = h.reshape(len(terms), *h.shape[-2:])
+        mask = h <= upper
+        band = mask & (h >= lower)
         if band.any():
-            mask[band] = _arc_km(h[band]) <= radius_km
+            mask[band] = _arc_km(h[band]) <= np.broadcast_to(radii, h.shape)[band]
+        for n in exact:
+            mask[n] = _arc_km(h[n]) <= disks[n][1]
         return mask
 
     def disk_window(self, position: GeoPoint, radius_km: float) -> tuple[int, int, int, int]:
@@ -312,6 +331,10 @@ _WHOLE_GLOBE_KM = 2.0 * EARTH_RADIUS_KM * math.asin(1.0) * (1.0 + 1e-9)
 # Below this, asin(sin theta / cos lat) is well conditioned and its argument
 # stays under 1; past it the disk may hold a pole and spans every longitude.
 _POLE_CLEARANCE_RAD = math.radians(89.0)
+# Most disk-cells an `estimate_cbg` group of two or more disks hands
+# `within_km`: its float haversine stack is then at most 2 MiB, a quarter of
+# one plane over a 2**20-cell grid. It bounds memory; it is not a setting.
+_GROUP_CELLS = 2**18
 
 
 def _cell_span(lo: float, hi: float, origin: float, res: float, n: int) -> tuple[int, int]:
@@ -325,27 +348,39 @@ def _cell_span(lo: float, hi: float, origin: float, res: float, n: int) -> tuple
 
 
 def _haversine_h(
-    lats_rad: np.ndarray, cos_lats: np.ndarray, lons_rad: np.ndarray, position: GeoPoint
+    lats_rad: np.ndarray,
+    cos_lats: np.ndarray,
+    lons_rad: np.ndarray,
+    p2: float | np.ndarray,
+    l2: float | np.ndarray,
+    cos_p2: float | np.ndarray,
 ) -> np.ndarray:
     """Haversine term sin^2(dlat/2) + cos(lat1) cos(lat2) sin^2(dlon/2) from
-    broadcast (lat, lon) radians, with `cos_lats` = cos(lat1), to one
-    position, as a fresh array."""
-    p2 = math.radians(position.latitude)
-    l2 = math.radians(position.longitude)
-    h = cos_lats * math.cos(p2) * np.sin((l2 - lons_rad) / 2.0) ** 2
+    broadcast (lat, lon) radians, with `cos_lats` = cos(lat1), to positions
+    at latitude `p2` and longitude `l2` radians with `cos_p2` = cos(p2), as a
+    fresh array. The position terms are floats for one position, or arrays
+    that broadcast against the cells for a stack of them."""
+    h = cos_lats * cos_p2 * np.sin((l2 - lons_rad) / 2.0) ** 2
     h += np.sin((p2 - lats_rad) / 2.0) ** 2  # a + b == b + a exactly, one temporary fewer
     return h
 
 
 def _arc_km(h: np.ndarray) -> np.ndarray:
-    """Great-circle km from haversine terms; clips `h` to [0, 1] in place."""
+    """Great-circle km from haversine terms, computed in place in `h` (with
+    no temporary as large) and returned: h is clipped to [0, 1], then each
+    step of 2R arcsin(sqrt(h)) overwrites it."""
     np.clip(h, 0.0, 1.0, out=h)
-    return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(h))
+    np.sqrt(h, out=h)
+    np.arcsin(h, out=h)
+    h *= 2.0 * EARTH_RADIUS_KM
+    return h
 
 
 def _haversine_km(lats_rad: np.ndarray, lons_rad: np.ndarray, position: GeoPoint) -> np.ndarray:
     """Haversine distance from broadcast (lat, lon) radians to one position."""
-    return _arc_km(_haversine_h(lats_rad, np.cos(lats_rad), lons_rad, position))
+    p2 = math.radians(position.latitude)
+    return _arc_km(_haversine_h(lats_rad, np.cos(lats_rad), lons_rad,
+                                p2, math.radians(position.longitude), math.cos(p2)))
 
 
 @dataclass
@@ -399,27 +434,46 @@ def estimate_cbg(
     An empty intersection is an explicit inconsistency signal, not an
     answer; callers treat it as an alarm.
 
-    Disks are applied smallest bound first. Each one is evaluated only
-    where the bounding box of cells still in the region meets the disk's
-    `disk_window`; live cells outside that window are cleared, and
-    evaluation stops once the box is empty. Cells outside either box lie
-    outside the disk or are already excluded, and AND does not depend on
-    order, so the mask equals the full-grid intersection of every disk,
-    bit for bit.
+    Disks are taken smallest bound first; a disk wider than
+    `_WHOLE_GLOBE_KM` holds every cell and is skipped. The rest go in groups:
+    a group grows while its size times the cells of the live box (the
+    bounding box of cells still in the region) cut by all of its disks'
+    `disk_window`s stays within `_GROUP_CELLS`, and a lone disk over a
+    larger box is a group of its own. One `within_km` call tests the whole
+    group on that box, its planes are ANDed into the region, live cells
+    outside the box are cleared, the live box shrinks to the cells left, and
+    evaluation stops once it is empty. Cells outside the box lie outside a
+    disk or are already excluded, and AND does not depend on order, so the
+    mask equals the full-grid intersection of every disk, bit for bit.
     """
     usable_bounds, violations = _bounds_for(measurements, landmarks)
     if not usable_bounds:
         mask = np.zeros((grid.n_lat, grid.n_lon), dtype=bool)
         return GeoEstimate(grid, mask, empty=True, floor_violations=violations)
     slack = grid.half_diagonal_km()
+    disks = [(lm.position, bound.bound_km + slack)
+             for lm, bound in sorted(usable_bounds, key=lambda item: item[1].bound_km)
+             if not bound.bound_km + slack > _WHOLE_GLOBE_KM]
     mask = np.ones((grid.n_lat, grid.n_lon), dtype=bool)
     i0, i1, j0, j1 = 0, grid.n_lat, 0, grid.n_lon
-    for lm, bound in sorted(usable_bounds, key=lambda item: item[1].bound_km):
-        radius = bound.bound_km + slack
-        a0, a1, b0, b1 = grid.disk_window(lm.position, radius)
-        a0, a1, b0, b1 = max(a0, i0), min(a1, i1), max(b0, j0), min(b1, j1)
+    start = 0
+    while start < len(disks):
+        a0, a1, b0, b1 = i0, i1, j0, j1
+        stop = start
+        for position, radius in disks[start:]:
+            w0, w1, v0, v1 = grid.disk_window(position, radius)
+            w0, v0 = max(w0, a0), max(v0, b0)
+            w1, v1 = max(min(w1, a1), w0), max(min(v1, b1), v0)
+            cells = (w1 - w0) * (v1 - v0)
+            if stop > start and (stop + 1 - start) * cells > _GROUP_CELLS:
+                break
+            a0, a1, b0, b1 = w0, w1, v0, v1
+            stop += 1
+            if cells == 0:
+                break  # no cell is left for any later disk
         window = (slice(a0, a1), slice(b0, b1))
-        live = mask[window] & grid.within_km(lm.position, radius, *window)
+        live = grid.within_km(disks[start:stop], *window).all(axis=0)
+        live &= mask[window]
         mask[i0:i1, j0:j1] = False
         mask[window] = live
         rows = np.flatnonzero(live.any(axis=1))
@@ -428,6 +482,7 @@ def estimate_cbg(
         cols = np.flatnonzero(live.any(axis=0))
         i0, i1 = a0 + int(rows[0]), a0 + int(rows[-1]) + 1
         j0, j1 = b0 + int(cols[0]), b0 + int(cols[-1]) + 1
+        start = stop
     empty = not bool(mask.any())
     return GeoEstimate(grid, mask, empty=empty, floor_violations=violations)
 
@@ -470,7 +525,8 @@ def estimate_bft(
             whole_globe += 1
             continue
         i0, i1, j0, j1 = grid.disk_window(lm.position, radius)
-        counts[i0:i1, j0:j1] += grid.within_km(lm.position, radius, slice(i0, i1), slice(j0, j1))
+        counts[i0:i1, j0:j1] += grid.within_km([(lm.position, radius)],
+                                               slice(i0, i1), slice(j0, j1))[0]
     mask = counts >= (n - f - whole_globe)
     empty = not bool(mask.any())
     return GeoEstimate(grid, mask, empty=empty, floor_violations=tuple(violations))
@@ -649,10 +705,41 @@ def _descend_from(start: GeoPoint, terms: DescentTerms, label: str) -> DescentRe
     )
 
 
+def _unwrapped_longitudes(targets: Sequence[tuple[GeoPoint, float]]) -> list[float]:
+    """Landmark longitudes, unwrapped across the 180-degree seam when that
+    gathers the landmarks into 180 degrees of longitude.
+
+    Unwrapping moves each longitude more than 180 degrees from the first
+    landmark's by 360 degrees toward it. A landmark on a pole says nothing
+    by its longitude, so the first is the first off the poles, and only
+    those count toward the span. Sets that span at most 180 degrees as they
+    are, and sets spread too wide for any unwrapping to gather, keep every
+    value's bits.
+    """
+    lons = [pos.longitude for pos, _ in targets]
+    placed = [pos.longitude for pos, _ in targets if abs(pos.latitude) != 90.0] or lons
+    lon0 = placed[0]
+
+    def unwrap(lon: float) -> float:
+        return lon - 360.0 if lon - lon0 > 180.0 else lon + 360.0 if lon - lon0 < -180.0 else lon
+
+    moved = [unwrap(lon) for lon in placed]
+    if max(placed) - min(placed) > 180.0 and max(moved) - min(moved) <= 180.0:
+        return [unwrap(lon) for lon in lons]
+    return lons
+
+
+def _centroid_start(targets: Sequence[tuple[GeoPoint, float]]) -> GeoPoint:
+    """Mean landmark latitude and mean unwrapped longitude."""
+    lons = _unwrapped_longitudes(targets)
+    return GeoPoint(sum(pos.latitude for pos, _ in targets) / len(targets), sum(lons) / len(lons))
+
+
 def _coarse_scan_start(
     targets: Sequence[tuple[GeoPoint, float]], terms: DescentTerms, cells: int = 24
 ) -> GeoPoint:
-    """Cheapest cell of a coarse objective scan over the landmark extent.
+    """Cheapest cell of a coarse objective scan over the landmark extent,
+    in `_unwrapped_longitudes`.
 
     The objective is scored on all cells at once through `_haversine_km`.
     Numpy's sin and arcsin may differ from libm's in the last bit, so every
@@ -663,7 +750,7 @@ def _coarse_scan_start(
     coordinates, as a scalar scan of every cell.
     """
     lats = [pos.latitude for pos, _ in targets]
-    lons = [pos.longitude for pos, _ in targets]
+    lons = _unwrapped_longitudes(targets)
     pad = 5.0
     lat_lo, lat_hi = max(min(lats) - pad, -90.0), min(max(lats) + pad, 90.0)
     lon_lo, lon_hi = min(lons) - pad, max(lons) + pad
@@ -695,8 +782,10 @@ def estimate_descent(
 
     The squared-residual surface has spurious local minima, so in addition
     to the caller's init the descent is seeded from the landmark centroid
-    and the best cell of a coarse objective scan, keeping whichever run
-    ends lowest (deterministic; the init run wins ties). Each run accepts
+    and the best cell of a coarse objective scan (both in
+    `_unwrapped_longitudes`, so landmarks that straddle the 180-degree seam
+    seed near them), keeping whichever run ends lowest (deterministic; the
+    init run wins ties). Each run accepts
     only steps that lower the objective, so the result's objective never
     exceeds the objective at the init point. A run ends at a step under
     `DESCENT_STEP_TOLERANCE_KM` or at `DESCENT_MAX_ITERATIONS`, and its
@@ -717,11 +806,7 @@ def estimate_descent(
     terms = descent_terms(targets)
 
     best = _descend_from(init, terms, "init")
-    centroid = GeoPoint(
-        sum(pos.latitude for pos, _ in targets) / len(targets),
-        sum(pos.longitude for pos, _ in targets) / len(targets),
-    )
-    for start, label in ((centroid, "centroid"),
+    for start, label in ((_centroid_start(targets), "centroid"),
                          (_coarse_scan_start(targets, terms), "coarse_scan")):
         candidate = _descend_from(start, terms, label)
         if candidate.objective_km2 < best.objective_km2 - 1e-12:

@@ -1,7 +1,10 @@
 """Location verification tests against ground-truth and brute-force oracles."""
 
+import itertools
 import math
 import random
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -26,8 +29,10 @@ from hemsim.geoloc import (
     estimate_cbg,
     estimate_descent,
     synthesize_round,
+    _centroid_start,
     _coarse_scan_start,
     _move,
+    _unwrapped_longitudes,
     _WHOLE_GLOBE_KM,
 )
 from hemsim.netsim import (
@@ -250,7 +255,7 @@ class TestGridCells:
 class TestGridAxesCache:
     def test_cached_axes_leave_equality_and_hash_alone(self):
         used, fresh = (GridSpec(-5.0, 25.0, -5.0, 25.0, 0.25) for _ in range(2))
-        used.within_km(GeoPoint(10.0, 10.0), 500.0)
+        used.within_km([(GeoPoint(10.0, 10.0), 500.0)])
         assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
 
 
@@ -309,6 +314,105 @@ class TestCBGWindowExactness:
                 seen["empty" if est.empty else "nonempty"] += 1
                 seen["violation"] += bool(expected_violations)
         assert all(count > 10 for count in seen.values()), seen
+
+    @pytest.mark.parametrize("group_cells", [None, 0, 4096])
+    def test_edge_grids_many_landmarks_and_groups(self, monkeypatch, group_cells):
+        """Grids on a pole or the 180° seam and up to 64 landmarks. With
+        `_GROUP_CELLS` patched to 0 every disk that still meets a live cell
+        is a group of its own; at 4096 cells, groups of several disks split a
+        trial several ways."""
+        if group_cells is not None:
+            monkeypatch.setattr(geoloc, "_GROUP_CELLS", group_cells)
+        stacks = []
+        kernel = GridSpec.within_km
+
+        def counted(grid, disks, rows=slice(None), cols=slice(None)):
+            planes = kernel(grid, disks, rows, cols)
+            stacks.append(planes.shape)
+            return planes
+
+        monkeypatch.setattr(GridSpec, "within_km", counted)
+        rng = random.Random(1729)
+        edges = ("north", "south", "east", "west", "inside")
+        seen = Counter()
+        for trial in range(150):
+            edge = edges[trial % 5]
+            grid = _edge_grid(rng, edge, rng.uniform(4.0, 30.0), rng.uniform(4.0, 30.0),
+                              rng.choice((0.2, 0.5, 1.0)))
+            truth = GeoPoint(rng.uniform(grid.lat_min, grid.lat_max),
+                             rng.uniform(grid.lon_min, grid.lon_max))
+            n = rng.choice((rng.randint(1, 8), rng.randint(9, 64), 64))
+            # Landmarks reach 15° past the grid, across a pole or the seam.
+            lms = honest_landmarks([
+                GeoPoint(min(max(rng.uniform(grid.lat_min - 15.0, grid.lat_max + 15.0), -90.0),
+                             90.0),
+                         rng.uniform(grid.lon_min - 15.0, grid.lon_max + 15.0))
+                for _ in range(n)
+            ], overhead=1.0)
+            # Half the trials have disks that miss the truth; the others keep
+            # it, with some disks past 3R (the exact path) or the whole globe.
+            scales = (0.3, 0.9, 1.0, 1.2, 3.0) if rng.random() < 0.5 else (1.0, 1.2, 3.0)
+            measurements = []
+            for lm_id, lm in lms.items():
+                bound = geodesic_distance(truth, lm.position) * rng.choice(scales)
+                if rng.random() < 0.05:
+                    bound = rng.choice((rng.uniform(3.0, math.pi), 4.0)) * EARTH_RADIUS_KM
+                rtt = 2.0 * (bound / BOUND_SPEED_KM_PER_MS + 1.0)
+                if rng.random() < 0.05:
+                    rtt = rng.uniform(0.0, 1.9)  # below the propagation floor
+                measurements.append(Measurement(lm_id, rtt, b"", b"",
+                                                verified=rng.random() > 0.1))
+            expected_mask, expected_violations = self._reference(measurements, lms, grid)
+            stacks.clear()
+            est = estimate_cbg(measurements, lms, grid)
+            assert np.array_equal(est.mask, expected_mask), f"trial {trial}"
+            assert est.empty == (not expected_mask.any())
+            assert est.floor_violations == expected_violations
+            seen[edge] += 1
+            seen["empty" if est.empty else "nonempty"] += 1
+            seen["several groups"] += len(stacks) > 1
+            seen["stacked"] += any(k > 1 and r * c > 0 for k, r, c in stacks)
+            seen["many landmarks"] += n > 32
+        assert all(seen[key] > 10 for key in (*edges, "empty", "nonempty", "many landmarks")), seen
+        if group_cells == 0:
+            assert seen["stacked"] == 0 and seen["several groups"] > 10, seen
+        elif group_cells == 4096:
+            assert seen["stacked"] > 10 and seen["several groups"] > 10, seen
+        else:
+            assert seen["stacked"] > 10, seen
+
+
+class TestCBGWorstCaseMemory:
+    """One 64-landmark CBG trial over the whole globe at 0.25° (1440 x 720 =
+    1,036,800 cells, about 2**20, the most the config admits). Jitter of 50
+    ms a leg adds thousands of km to every bound, so the region keeps about
+    a third of the globe and most disks are tested over most of the grid,
+    some past 3R (the exact path) and some past the whole globe.
+
+    `PARENT_PEAK_BYTES` is the tracemalloc peak of this trial with the
+    per-disk kernel that the stacked `within_km` replaced, measured on a
+    2-core VM with Python 3.11.7 and numpy 2.4.6: 16,893,467 bytes (16.9
+    MB). The stacked kernel, which computes the arcsin in place, peaked at
+    9,028,380 bytes there.
+    """
+
+    PARENT_PEAK_BYTES = 16_893_467
+
+    def test_peak_stays_within_ten_percent_of_the_per_disk_kernel(self):
+        rng = random.Random(1)
+        grid = GridSpec(-90.0, 90.0, -180.0, 180.0, 0.25)
+        lms = honest_landmarks([GeoPoint(rng.uniform(-85.0, 85.0), rng.uniform(-180.0, 180.0))
+                                for _ in range(64)], overhead=0.5)
+        truth = GeoPoint(rng.uniform(-60.0, 60.0), rng.uniform(-180.0, 180.0))
+        ms = synthesize_round(rng, list(lms.values()), truth, 50.0, 0.5)
+        tracemalloc.start()
+        try:
+            est = estimate_cbg(ms, lms, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est.contains(truth) and est.cell_count() > grid.n_lat * grid.n_lon // 8
+        assert peak <= 1.1 * self.PARENT_PEAK_BYTES, peak
 
 
 def _edge_grid(rng, edge, height, width, resolution):
@@ -465,6 +569,7 @@ class TestWithinKmExactness:
 
     def test_mask_equals_distance_comparison(self):
         rng = random.Random(8128)
+        mix = random.Random(496)  # the stacks' own draws leave the 320 trials as they were
         cases = 0
         for trial in range(320):
             resolution = rng.uniform(0.2, 1.0)
@@ -492,10 +597,30 @@ class TestWithinKmExactness:
             ]
             for radius in radii:
                 expected = distances <= radius
-                assert np.array_equal(grid.within_km(position, radius, *window), expected), \
+                assert np.array_equal(grid.within_km([(position, radius)], *window)[0], expected), \
                     f"trial {trial}, radius {radius!r}"
                 cases += 1
-        assert cases > 3000
+            # All radii at once: band, exact-path (0, 1e-200, 3R and past it)
+            # and whole-globe planes in one stack.
+            stack = grid.within_km([(position, radius) for radius in radii], *window)
+            assert stack.shape == (len(radii), *distances.shape)
+            for plane, radius in zip(stack, radii):
+                assert np.array_equal(plane, distances <= radius), f"trial {trial}, {radius!r}"
+            # Disks about other positions, with radii drawn from the same
+            # kinds, shuffled into one stack.
+            disks = [(position, radius) for radius in radii]
+            for _ in range(mix.randint(1, 4)):
+                other = GeoPoint(mix.uniform(-90.0, 90.0), mix.uniform(-180.0, 180.0))
+                reach = float(grid.distances_km(other, *window).max())
+                disks += [(other, r) for r in (mix.uniform(0.0, 2.0 * reach), 0.0, 1e-200,
+                                               3.0 * EARTH_RADIUS_KM, math.pi * EARTH_RADIUS_KM)]
+            mix.shuffle(disks)
+            for plane, (center, radius) in zip(grid.within_km(disks, *window), disks):
+                assert np.array_equal(plane, grid.distances_km(center, *window) <= radius), \
+                    f"trial {trial}, {center}, {radius!r}"
+                cases += 1
+        assert cases > 9000
+        assert grid.within_km([], *window).shape == (0, *distances.shape)
 
     def test_whole_globe_radius_holds_every_cell(self):
         # estimate_bft counts a disk wider than _WHOLE_GLOBE_KM as holding
@@ -514,8 +639,9 @@ class TestWithinKmExactness:
                          *[GeoPoint(rng.uniform(-90.0, 90.0), rng.uniform(-180.0, 180.0))
                            for _ in range(10)]]
             for position in positions:
-                assert grid.within_km(position, radius).all(), (grid, position)
+                assert grid.within_km([(position, radius)]).all(), (grid, position)
                 assert grid.distances_km(position).max() < _WHOLE_GLOBE_KM
+            assert grid.within_km([(position, radius) for position in positions]).all(), grid
 
 
 class TestSynthesizeRound:
@@ -939,9 +1065,10 @@ class TestObjectiveExactness:
 
 
 def _reference_coarse_scan(targets, cells=24):
-    """The scan as a scalar loop: first strict minimum over row-major cells."""
+    """The scan as a scalar loop: first strict minimum over row-major cells
+    of the box over `_unwrapped_longitudes` (`TestSeamStarts` checks those)."""
     lats = [pos.latitude for pos, _ in targets]
-    lons = [pos.longitude for pos, _ in targets]
+    lons = _unwrapped_longitudes(targets)
     lat_lo, lat_hi = max(min(lats) - 5.0, -90.0), min(max(lats) + 5.0, 90.0)
     lon_lo, lon_hi = min(lons) - 5.0, max(lons) + 5.0
     best = None
@@ -987,8 +1114,72 @@ class TestCoarseScanExactness:
                 targets = [(pos, geodesic_distance(truth, pos) + rng.uniform(0.0, noise))
                            for pos in positions]
             start = _coarse_scan_start(targets, descent_terms(targets))
-            assert (start.latitude, start.longitude) == _reference_coarse_scan(targets), \
+            assert start == GeoPoint(*_reference_coarse_scan(targets)), \
                 f"trial {trial} ({layout}, {mode})"
+
+
+class TestSeamStarts:
+    # Landmarks of TestDescentAgainstFrozen's trial 1282, on both sides of
+    # the seam, whose plain mean longitude put the centroid at -61.39°.
+    SEAM = [GeoPoint(15.284909961351488, 172.7503249623497),
+            GeoPoint(2.7949024874421937, -177.8358367572423),
+            GeoPoint(4.619619661678111, -179.09320331189014)]
+
+    @staticmethod
+    def _across_seam(lon, west, east):
+        """`lon` lies on the short arc from `west` eastward across 180° to `east`."""
+        return lon >= west or lon <= east
+
+    def test_centroid_and_scan_start_fall_between_landmarks_across_the_seam(self):
+        for order in itertools.permutations(self.SEAM):
+            targets = [(pos, 500.0) for pos in order]
+            centroid = _centroid_start(targets)
+            assert self._across_seam(centroid.longitude, 172.75, -177.83), centroid
+            assert 2.79 < centroid.latitude < 15.29
+            # The scan's box is the landmarks' extent padded by 5°, not 350°.
+            scan = _coarse_scan_start(targets, descent_terms(targets))
+            assert self._across_seam(scan.longitude, 167.75, -172.83), scan
+        result = estimate_descent(
+            [Measurement(f"lm{i}", 2.0 * (geodesic_distance(GeoPoint(8.0, 178.0), pos)
+                                          / BOUND_SPEED_KM_PER_MS), b"", b"", verified=True)
+             for i, pos in enumerate(self.SEAM)],
+            honest_landmarks(self.SEAM, overhead=0.0), GeoPoint(-40.0, 0.0))
+        assert result.converged and geodesic_distance(result.point, GeoPoint(8.0, 178.0)) < 0.01
+
+    def test_unwrapping_moves_only_seam_sets(self):
+        rng = random.Random(180)
+        moved = 0
+        for trial in range(2000):
+            n = rng.randint(1, 8)
+            if trial % 2:  # a cluster that may cross the seam
+                lon0 = rng.uniform(-180.0, 180.0)
+                lons = [lon0 + rng.uniform(-80.0, 80.0) for _ in range(n)]
+            else:
+                lons = [rng.uniform(-180.0, 180.0) for _ in range(n)]
+            lats = [rng.choice((rng.uniform(-89.0, 89.0), 90.0, -90.0)) for _ in range(n)]
+            targets = [(GeoPoint(lat, lon), 0.0) for lat, lon in zip(lats, lons)]
+            raw = [pos.longitude for pos, _ in targets]
+            got = _unwrapped_longitudes(targets)
+            placed = ([(lon, i) for i, (lat, lon) in enumerate(zip(lats, got)) if abs(lat) != 90.0]
+                      or list(zip(got, range(n))))  # all on the poles: all count
+            if got == raw:
+                continue
+            moved += 1
+            # Off the poles, the raw longitudes spanned more than 180° and the
+            # unwrapped ones fit in 180°; each moved value is its raw one
+            # +-360, and each other value keeps its bits.
+            assert max(raw[i] for _, i in placed) - min(raw[i] for _, i in placed) > 180.0
+            assert max(lon for lon, _ in placed) - min(lon for lon, _ in placed) <= 180.0
+            for g, r in zip(got, raw):
+                assert g.hex() == r.hex() or abs(g - r) == 360.0, (g, r)
+        assert moved > 100
+        wide = [(GeoPoint(0.0, lon), 0.0) for lon in (-170.0, -60.0, 50.0, 160.0)]
+        assert _unwrapped_longitudes(wide) == [-170.0, -60.0, 50.0, 160.0]
+        # A pole landmark's longitude neither anchors nor widens the span.
+        polar = [(GeoPoint(90.0, 0.0), 0.0), (GeoPoint(80.0, 179.0), 0.0),
+                 (GeoPoint(80.0, -179.0), 0.0)]
+        assert _unwrapped_longitudes(polar) == [0.0, 179.0, 181.0]
+        assert _unwrapped_longitudes(polar[:1] + [(GeoPoint(80.0, 10.0), 0.0)]) == [0.0, 10.0]
 
 
 class TestDescentAgainstFrozen:
