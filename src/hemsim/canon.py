@@ -84,6 +84,11 @@ def opt_u64(value: int | None) -> bytes:
     return b"\x01" + u64(value)
 
 
+_UNPACK_U32 = struct.Struct("<I").unpack_from
+_UNPACK_U64 = struct.Struct("<Q").unpack_from
+_UNPACK_F64 = struct.Struct("<d").unpack_from
+
+
 class Decoder:
     """Sequential reader matching the encoders above, from byte `pos` on."""
 
@@ -98,20 +103,38 @@ class Decoder:
         self.pos += n
         return out
 
+    # The fixed-width reads check bounds once, then unpack in place at `pos`.
+
     def u8(self) -> int:
-        return self._take(1)[0]
+        pos = self.pos
+        if pos + 1 > len(self._data):
+            raise EncodingError("truncated canonical payload")
+        self.pos = pos + 1
+        return self._data[pos]
 
     def u32(self) -> int:
-        return struct.unpack("<I", self._take(4))[0]
+        pos = self.pos
+        if pos + 4 > len(self._data):
+            raise EncodingError("truncated canonical payload")
+        self.pos = pos + 4
+        return _UNPACK_U32(self._data, pos)[0]
 
     def u64(self) -> int:
-        return struct.unpack("<Q", self._take(8))[0]
+        pos = self.pos
+        if pos + 8 > len(self._data):
+            raise EncodingError("truncated canonical payload")
+        self.pos = pos + 8
+        return _UNPACK_U64(self._data, pos)[0]
 
     def u128(self) -> int:
         return int.from_bytes(self._take(16), "little")
 
     def f64(self) -> float:
-        value = struct.unpack("<d", self._take(8))[0]
+        pos = self.pos
+        if pos + 8 > len(self._data):
+            raise EncodingError("truncated canonical payload")
+        self.pos = pos + 8
+        value = _UNPACK_F64(self._data, pos)[0]
         f64(value)  # refuses NaN and -0.0, as encoding does
         return value
 

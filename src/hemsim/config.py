@@ -89,8 +89,9 @@ SCHEMA = _obj(
             fixed_overhead_ms=Key(float, 0.0, minimum=0.0),
         ),
         # The smoke test sends one ping each way between every pair of nodes
-        # and writes a record per ping: 256 nodes (65,280 pings) ran in 1.8 s
-        # and 36 MB, and 512 nodes in 9.4 s and 148 MB.
+        # and writes a record per ping: 256 nodes (65,280 pings) ran in 1.2-1.5 s
+        # and 39 MB (tracemalloc peak), and 512 nodes in 7.2 s and 158 MB, on
+        # a 2-core VM with Python 3.11.
         nodes=Key(list, [], maximum=256, item=_obj(
             id=Key(str),
             lat=Key(float, minimum=-90.0, maximum=90.0),

@@ -834,9 +834,13 @@ def synthesize_round(
     response-time attacks.
     """
     measurements = []
+    models: dict[float, LatencyModel] = {}  # one per distinct overhead in the round
     for lm in landmarks:
-        model = LatencyModel(jitter_median_ms=jitter_median_ms, jitter_sigma=jitter_sigma,
-                             fixed_overhead_ms=lm.fixed_overhead_ms)
+        model = models.get(lm.fixed_overhead_ms)
+        if model is None:
+            model = models[lm.fixed_overhead_ms] = LatencyModel(
+                jitter_median_ms=jitter_median_ms, jitter_sigma=jitter_sigma,
+                fixed_overhead_ms=lm.fixed_overhead_ms)
         distance = geodesic_distance(truth, lm.position)
         rtt = model.sample_one_way_delay(distance, rng) + model.sample_one_way_delay(distance, rng)
         if speedup and lm.id in speedup:

@@ -7,9 +7,9 @@ fall below the straight-line propagation floor; a speedup attack is
 modelled on the measurements (`geoloc.synthesize_round(speedup=)`), not
 here. Drop hooks model landmarks taken down by denial of service.
 
-A `Simulator` instance owns one seeded RNG and one event heap; replaying
-the same scenario with the same seed delivers the same events in the same
-order.
+A `Simulator` instance owns one seeded RNG and one event heap ordered by
+`(time, delivery_id)`; replaying the same scenario with the same seed
+delivers the same events in the same order.
 """
 
 from __future__ import annotations
@@ -17,8 +17,9 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Optional
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Any, Callable, Iterable, Mapping, Optional
 
 SPEED_OF_LIGHT_KM_S = 299792.458
 EARTH_RADIUS_KM = 6371.0
@@ -114,24 +115,37 @@ class Node:
 
 
 class Network:
-    """Topology: nodes whose links all share one latency model."""
+    """Topology: nodes whose links all share one latency model.
+
+    `nodes` is read-only, so the distance cached for each ordered pair of
+    node ids holds for the life of the network.
+    """
 
     def __init__(self, nodes: Iterable[Node], default_latency: LatencyModel | None = None):
-        self.nodes: dict[str, Node] = {}
+        table: dict[str, Node] = {}
         for node in nodes:
-            if node.id in self.nodes:
+            if node.id in table:
                 raise ValueError(f"duplicate node id: {node.id}")
-            self.nodes[node.id] = node
+            table[node.id] = node
+        self.nodes: Mapping[str, Node] = MappingProxyType(table)
         self.default_latency = default_latency or LatencyModel()
         # Drop hooks model denial of service: any hook returning True for a
         # (src, dst) pair silently discards the message (seen as a timeout).
         self.drop_hooks: list[Callable[[str, str], bool]] = []
+        self._distances: dict[tuple[str, str], float] = {}
 
     def dropped(self, src: str, dst: str) -> bool:
+        if not self.drop_hooks:
+            return False
         return any(hook(src, dst) for hook in self.drop_hooks)
 
     def distance_km(self, src: str, dst: str) -> float:
-        return geodesic_distance(self.nodes[src].position, self.nodes[dst].position)
+        """Geodesic km from `src` to `dst`, computed once per ordered pair."""
+        distance = self._distances.get((src, dst))
+        if distance is None:
+            distance = self._distances[src, dst] = geodesic_distance(
+                self.nodes[src].position, self.nodes[dst].position)
+        return distance
 
 
 @dataclass(frozen=True)
@@ -148,24 +162,19 @@ class Event:
 Handler = Callable[["Simulator", Event], None]
 
 
-@dataclass(order=True)
-class _Scheduled:
-    time: float
-    delivery_id: int
-    event: Event = field(compare=False)
-
-
 class Simulator:
     """Single-threaded event loop with a seeded RNG.
 
-    One instance per scenario; instances share no mutable state, so
+    The heap holds `(time, delivery_id, event)` tuples. Delivery ids are
+    unique, so tuple order is `(time, delivery_id)` and never reaches the
+    event. One instance per scenario; instances share no mutable state, so
     independent scenarios may run in parallel processes or threads.
     """
 
     def __init__(self, seed: int = 0):
         self.now: float = 0.0
         self.rng = random.Random(seed)
-        self._heap: list[_Scheduled] = []
+        self._heap: list[tuple[float, int, Event]] = []
         self._next_delivery_id = 0
         self._handlers: dict[str, Handler] = {}
 
@@ -183,7 +192,7 @@ class Simulator:
             delivery_id=self._next_delivery_id,
         )
         self._next_delivery_id += 1
-        heapq.heappush(self._heap, _Scheduled(time, event.delivery_id, event))
+        heapq.heappush(self._heap, (time, event.delivery_id, event))
         return event
 
     def send(
@@ -202,12 +211,14 @@ class Simulator:
     def run_until(self, time: float) -> list[Event]:
         """Process all events with event.time <= time; returns those processed."""
         processed: list[Event] = []
-        while self._heap and self._heap[0].time <= time:
-            item = heapq.heappop(self._heap)
-            self.now = max(self.now, item.time)
-            processed.append(item.event)
-            handler = self._handlers.get(item.event.destination)
+        heap, handlers = self._heap, self._handlers
+        while heap and heap[0][0] <= time:
+            at, _, event = heapq.heappop(heap)
+            if at > self.now:  # max(self.now, at), without the call
+                self.now = at
+            processed.append(event)
+            handler = handlers.get(event.destination)
             if handler is not None:
-                handler(self, item.event)
+                handler(self, event)
         self.now = max(self.now, time)
         return processed

@@ -594,11 +594,13 @@ def execute_scenario(config: dict) -> ScenarioOutcome:
     seed = config["seed"]
     predicates: list[Predicate] = []
     reports: dict[str, str] = {}
+    # The encoder json.dumps(r, sort_keys=True) would build for each record.
+    encode = json.JSONEncoder(sort_keys=True).encode
 
     def add(name: str, section_result: SectionResult) -> None:
         predicates.extend(section_result.predicates)
         if section_result.records:
-            lines = [json.dumps(r, sort_keys=True) for r in section_result.records]
+            lines = [encode(r) for r in section_result.records]
             reports[f"{name}.jsonl"] = "\n".join(lines) + "\n"
 
     # Each distinct signed message is verified once per execution, never across runs.

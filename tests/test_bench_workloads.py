@@ -12,6 +12,9 @@ They also pin how many ed25519 verifications each execution computes:
 `canon.verify` answers repeats of a (key, message, signature) from a memo
 that lasts one execution, so the count is the number of distinct signed
 messages checked, and it is the same for every execution in a process.
+Next to those they pin the network work of each `attack_breadth` execution:
+the great-circle distances computed and the events the `Simulator`
+delivered.
 
 The digests are regenerated only on purpose, as the goldens under
 `tests/goldens/` are: by a change that means to move report bytes and says
@@ -20,11 +23,13 @@ which bytes moved and why.
 
 import functools
 import hashlib
+import sys
 import types
 from pathlib import Path
 
 import pytest
 
+from hemsim import netsim
 from hemsim.config import validate_config
 from hemsim.scenarios import ScenarioOutcome, execute_scenario
 
@@ -119,6 +124,15 @@ REAL_VERIFIES = {
     ("signed_fleet", 4242): 3147,
 }
 
+# Per attack_breadth execution: (calls of `netsim.geodesic_distance` from any
+# hemsim module, events `Simulator.run_until` delivered). A `Network` computes
+# each ordered pair's distance once, so the ping section's 1,560 sends and
+# their floors take 1,560 distances, not 3,120.
+NETSIM_WORK = {
+    ("attack_breadth", 1): (1596, 1578),
+    ("attack_breadth", 4242): (1596, 1578),
+}
+
 
 @functools.cache
 def _execute(name: str, seed: int) -> ScenarioOutcome:
@@ -163,3 +177,27 @@ def test_no_verify_is_remembered_from_an_earlier_execution(ed25519_verifies):
         execute_scenario(config)
         counts.append(len(ed25519_verifies))
     assert counts == [REAL_VERIFIES[("attack_breadth", 1)]] * 2
+
+
+@pytest.mark.parametrize("name, seed", sorted(NETSIM_WORK))
+def test_bench_workload_netsim_work_is_pinned(name, seed, monkeypatch):
+    distances, events = [], []
+    real_distance, real_run_until = netsim.geodesic_distance, netsim.Simulator.run_until
+
+    def geodesic_distance(*args):
+        distances.append(args)
+        return real_distance(*args)
+
+    def run_until(self, time):
+        delivered = real_run_until(self, time)
+        events.extend(delivered)
+        return delivered
+
+    # Every module that bound the function by name calls it through its own binding.
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("hemsim.") and vars(module).get(
+                "geodesic_distance") is real_distance:
+            monkeypatch.setattr(module, "geodesic_distance", geodesic_distance)
+    monkeypatch.setattr(netsim.Simulator, "run_until", run_until)
+    execute_scenario(validate_config(BENCH.build(name, seed)))
+    assert (len(distances), len(events)) == NETSIM_WORK[(name, seed)]

@@ -199,6 +199,31 @@ def test_wire_round_trip(kind, data):
         doc.decode(wire + extra)
 
 
+# One valid value of every field of each kind, with each mapping holding
+# two entries and each optional field present.
+VALUES = {
+    "license": dict(license_id=7, device_id=DEVICE, not_after=10**12,
+                    quotas={FLOAT_OPS: 10**9, MeterResource.JOULES: 5}),
+    "cap_policy": dict(cap=4, cap_epoch=7, check_period_ms=60_000.5),
+    "manifest": dict(pod_id="pod-1", manifest_epoch=2, members={DEVICE: FW_A, PEER: FW_B}),
+    "snapshot": dict(device_id=DEVICE, sequence_no=3, rtc_time_ms=600_000,
+                     meters={r: i for i, r in enumerate(MeterResource)}),
+    "session_auth": dict(signer=DEVICE, peer=PEER, nonce=NONCE),
+    "geoloc_response": dict(device_id=DEVICE, nonce=NONCE),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FIELDS))
+def test_every_strict_prefix_of_a_wire_is_refused(kind):
+    doc = FIELDS[kind][0]
+    wire = doc.wire(KEY.sign, **VALUES[kind])
+    assert doc.decode(wire)[0] == VALUES[kind]
+    for end in range(len(wire)):
+        message = "truncated canonical payload" if end >= len(doc.head) else "not a"
+        with pytest.raises(canon.EncodingError, match=message):
+            doc.decode(wire[:end])
+
+
 class TestCapPolicyWire:
     def _adopted(self, world):
         regulator, _, _, node = world

@@ -646,12 +646,14 @@ class TestWithinKmExactness:
 
 class TestSynthesizeRound:
     def test_each_leg_is_one_latency_model_draw(self):
-        """An RTT is two `sample_one_way_delay` draws, in order, from the same rng."""
+        """An RTT is two `sample_one_way_delay` draws, in order, from the same rng,
+        under a model of the landmark's own overhead, which other landmarks
+        of the round may share."""
         rng = random.Random(1618)
         for trial in range(400):
             landmarks = [
                 Landmark(f"lm{i}", GeoPoint(rng.uniform(-60, 60), rng.uniform(-180, 180)),
-                         fixed_overhead_ms=rng.uniform(0.0, 3.0))
+                         fixed_overhead_ms=rng.choice((rng.uniform(0.0, 3.0), 0.0, 0.5)))
                 for i in range(rng.randint(1, 9))
             ]
             truth = GeoPoint(rng.uniform(-60, 60), rng.uniform(-180, 180))
@@ -986,10 +988,57 @@ def _frozen_descend_from(start, targets, label):
     )
 
 
+def _frozen_unwrapped_longitudes(targets):
+    """`geoloc._unwrapped_longitudes` as the coarse scan first used it, kept verbatim."""
+    lons = [pos.longitude for pos, _ in targets]
+    placed = [pos.longitude for pos, _ in targets if abs(pos.latitude) != 90.0] or lons
+    lon0 = placed[0]
+
+    def unwrap(lon: float) -> float:
+        return lon - 360.0 if lon - lon0 > 180.0 else lon + 360.0 if lon - lon0 < -180.0 else lon
+
+    moved = [unwrap(lon) for lon in placed]
+    if max(placed) - min(placed) > 180.0 and max(moved) - min(moved) <= 180.0:
+        return [unwrap(lon) for lon in lons]
+    return lons
+
+
+def _frozen_coarse_scan_start(targets, cells=24):
+    """`geoloc._coarse_scan_start` as `_frozen_estimate_descent` was measured
+    against, kept verbatim but for its helpers: the haversine is written out,
+    and near-tie cells are re-scored with `_frozen_objective`, whose f is the
+    scalar f (`TestObjectiveExactness`)."""
+    lats = [pos.latitude for pos, _ in targets]
+    lons = _frozen_unwrapped_longitudes(targets)
+    pad = 5.0
+    lat_lo, lat_hi = max(min(lats) - pad, -90.0), min(max(lats) + pad, 90.0)
+    lon_lo, lon_hi = min(lons) - pad, max(lons) + pad
+    k = np.arange(cells) + 0.5
+    lat_c = lat_lo + k * (lat_hi - lat_lo) / cells
+    lon_c = lon_lo + k * (lon_hi - lon_lo) / cells
+    lats_rad = np.radians(lat_c)[:, None]
+    lons_rad = np.radians(lon_c)[None, :]
+    f = np.zeros((cells, cells))
+    for position, target_km in targets:
+        p2, l2 = math.radians(position.latitude), math.radians(position.longitude)
+        h = np.cos(lats_rad) * math.cos(p2) * np.sin((l2 - lons_rad) / 2.0) ** 2
+        h += np.sin((p2 - lats_rad) / 2.0) ** 2
+        residual = 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.clip(h, 0.0, 1.0))) - target_km
+        f += residual * residual
+    best = None
+    for i, j in np.argwhere(f <= f.min() * (1.0 + 1e-9) + 1e-9):
+        lat, lon = float(lat_c[i]), float(lon_c[j])
+        value = _frozen_objective(lat, lon, targets)[0]
+        if best is None or value < best[0]:
+            best = (value, lat, lon)
+    return GeoPoint(best[1], best[2])
+
+
 def _frozen_estimate_descent(measurements, landmarks, init):
     """`estimate_descent` over `_frozen_descend_from`: the same three starts
-    and the same choice. The coarse-scan start comes from `_coarse_scan_start`,
-    which `TestCoarseScanExactness` pins to a scalar scan."""
+    and the same choice. The centroid is the plain mean of the landmarks and
+    the coarse-scan start comes from `_frozen_coarse_scan_start`, so nothing
+    of the live descent moves this reference."""
     targets = []
     for m in measurements:
         if m.verified and not m.missing:
@@ -1000,7 +1049,7 @@ def _frozen_estimate_descent(measurements, landmarks, init):
         sum(pos.latitude for pos, _ in targets) / len(targets),
         sum(pos.longitude for pos, _ in targets) / len(targets),
     )
-    scan = _coarse_scan_start(targets, descent_terms(targets))
+    scan = _frozen_coarse_scan_start(targets)
     for start, label in ((centroid, "centroid"), (scan, "coarse_scan")):
         candidate = _frozen_descend_from(start, targets, label)
         if candidate.objective_km2 < best.objective_km2 - 1e-12:

@@ -155,6 +155,28 @@ class TestSimulator:
         assert run(99) == run(99)
         assert run(99) != run(100)
 
+    def test_many_equal_times_and_handler_sends_delivered_in_key_order(self):
+        sim = Simulator(seed=7)
+        rng = random.Random(11)
+        times = [0.0, 0.5, 1.0, 1.0 + 1e-12, 2.0, 7.25]
+
+        def handler(s, event):
+            if event.payload % 3 == 0:  # a follow-up, often at the same time
+                s.schedule(s.now + rng.choice((0.0, 0.0, 0.5, 2.0)),
+                           event.destination, f"n{rng.randrange(4)}", event.payload + 1)
+
+        for i in range(4):
+            sim.register(f"n{i}", handler)
+        scheduled = [sim.schedule(rng.choice(times), "src", f"n{rng.randrange(5)}", i)
+                     for i in range(3000)]
+        processed = sim.run_until(20.0)
+        keys = [(e.time, e.delivery_id) for e in processed]
+        assert keys == sorted(keys)
+        assert len(set(e.delivery_id for e in processed)) == len(processed) > len(scheduled)
+        assert processed[:1] == [min(scheduled, key=lambda e: (e.time, e.delivery_id))]
+        assert sum(e.time == 1.0 for e in processed) > 400  # ties are common
+        assert sim.run_until(30.0) == []
+
 
 class TestNetworkTransit:
     def _network(self, **model_kwargs) -> Network:
@@ -171,3 +193,41 @@ class TestNetworkTransit:
         for _ in range(200):
             ev = sim.send(net, "a", "b", b"x")
             assert ev.time - sim.now >= floor - 1e-9
+
+    def test_distance_is_the_geodesic_of_every_ordered_pair_on_every_call(self):
+        positions = [GeoPoint(0.0, 0.0), GeoPoint(0.0, 180.0), GeoPoint(90.0, 0.0),
+                     GeoPoint(-33.9, 151.2), GeoPoint(48.8566, 2.3522),
+                     GeoPoint(48.8566, 2.3522)]  # two nodes at one place
+        nodes = [Node(f"n{i}", pos) for i, pos in enumerate(positions)]
+        net = Network(nodes)
+        for _ in range(3):
+            for a in nodes:
+                for b in nodes:
+                    want = geodesic_distance(a.position, b.position)
+                    assert net.distance_km(a.id, b.id) == want, (a.id, b.id)
+        with pytest.raises(KeyError):
+            net.distance_km("n0", "missing")
+
+    def test_nodes_are_read_only(self):
+        net = self._network()
+        with pytest.raises(TypeError):
+            net.nodes["a"] = Node("a", GeoPoint(45.0, 45.0))
+        with pytest.raises(TypeError):
+            net.nodes["c"] = Node("c", GeoPoint(45.0, 45.0))
+        with pytest.raises(TypeError):
+            del net.nodes["b"]
+        assert sorted(net.nodes) == ["a", "b"]
+        assert net.nodes["a"].position == GeoPoint(0.0, 0.0)
+
+    def test_drop_hooks_drop(self):
+        net = self._network()
+        sim = Simulator(seed=3)
+        assert not net.dropped("a", "b")
+        assert sim.send(net, "a", "b", b"kept") is not None
+        net.drop_hooks.append(lambda src, dst: dst == "b")
+        assert net.dropped("a", "b") and not net.dropped("b", "a")
+        assert sim.send(net, "a", "b", b"lost") is None
+        assert sim.send(net, "b", "a", b"back") is not None
+        assert [e.payload for e in sim.run_until(1000.0)] == [b"kept", b"back"]
+        net.drop_hooks.clear()
+        assert sim.send(net, "a", "b", b"again") is not None
