@@ -128,7 +128,6 @@ class AdversaryProfile:
     tier: Tier
     capabilities: frozenset[Capability]
     latency_factor: float = 0.5          # for delay_speedup
-    compromised_landmarks: int = 2       # for compromise_landmarks
 
 
 def profile_for_tier(tier: Tier, **overrides) -> AdversaryProfile:
@@ -373,13 +372,9 @@ def _attack_power_cut_rollback(profile, rng, params) -> dict:
 
 @attack("licensing_throttle_bypass", required={Capability.FIRMWARE_MOD}, expect=(True, True))
 def _attack_throttle_bypass(profile, rng, params) -> dict:
-    regulator = canon.generate_keypair(rng.randbytes(32))
-    registry = Registry()
-    chip = provision_chip(rng, frozenset({regulator.public_bytes}))  # never licensed
-    peer = provision_chip(rng, frozenset({regulator.public_bytes}))
-    peer.throttle = ThrottleLevel.FULL
-    registry.enroll(chip)
-    registry.enroll(peer)
+    regulator, registry, (node_chip, node_peer) = _cluster_world(rng, 2)
+    chip, peer = node_chip.chip, node_peer.chip
+    chip.throttle = ThrottleLevel.DISABLED  # never licensed
     genuine_hashes = {
         chip.identity.device_id: chip.firmware_hash,
         peer.identity.device_id: peer.firmware_hash,
@@ -393,8 +388,6 @@ def _attack_throttle_bypass(profile, rng, params) -> dict:
     # The pod integrity check catches the patched firmware at the next
     # handshake against the regulator-signed manifest of genuine hashes.
     manifest = issue_manifest(regulator, "pod-0", genuine_hashes, manifest_epoch=0)
-    node_chip = ClusterNode(chip=chip)
-    node_peer = ClusterNode(chip=peer)
     for node in (node_peer, node_chip):
         _require(adopt_manifest(node, manifest), "genuine manifest adoption")
     result = handshake(0.0, node_peer, node_chip, registry, rng, SessionAllocator())
@@ -587,8 +580,7 @@ def _attack_landmark_compromise(profile, rng, params) -> dict:
     landmarks = _landmark_ring(7)
     truth = GeoPoint(11.0, 9.0)
     # Two ring landmarks lie hard, reporting the chip nearly on top of them.
-    compromised = list(range(min(profile.compromised_landmarks, f)))
-    liars = {landmarks[idx].id for idx in compromised}
+    liars = [lm.id for lm in landmarks[:f]]
     lms = {lm.id: lm for lm in landmarks}
     ms = [
         replace(m, rtt_ms=m.rtt_ms * 0.1) if m.landmark_id in liars else m
@@ -612,7 +604,7 @@ def _attack_landmark_compromise(profile, rng, params) -> dict:
     return dict(
         succeeded=not est.contains(truth),
         detected=len(outliers) > 0,
-        evidence={"compromised": [landmarks[i].id for i in compromised],
+        evidence={"compromised": liars,
                   "flagged_outliers": outliers,
                   "truth_contained": est.contains(truth)},
     )
@@ -623,7 +615,7 @@ def _attack_ddos(profile, rng, params) -> dict:
     _, registry, (chip,) = mint_fleet(rng, 1)
     landmarks = _landmark_ring(7, overhead=0.5)
     truth = GeoPoint(11.0, 9.0)
-    nodes = [Node(lm.id, lm.position, role="landmark") for lm in landmarks]
+    nodes = [Node(lm.id, lm.position) for lm in landmarks]
     nodes.append(Node("chip", truth))
     net = Network(nodes, default_latency=LatencyModel(
         kappa=0.67, jitter_median_ms=0.2, jitter_sigma=0.5, fixed_overhead_ms=0.5))
@@ -653,7 +645,7 @@ def _attack_relay(profile, rng, params) -> dict:
         Landmark("lm1", GeoPoint(0.0, 8.0), fixed_overhead_ms=0.5),
         Landmark("lm2", GeoPoint(8.0, 4.0), fixed_overhead_ms=0.5),
     ]
-    nodes = [Node(lm.id, lm.position, role="landmark") for lm in landmarks]
+    nodes = [Node(lm.id, lm.position) for lm in landmarks]
     nodes.append(Node("relay", relay_site))
     net = Network(nodes, default_latency=LatencyModel(
         kappa=0.67, jitter_median_ms=0.1, jitter_sigma=0.5, fixed_overhead_ms=0.5))

@@ -6,6 +6,8 @@ error names the offending path so a bad config is a one-line fix.
 
 `SCHEMA` declares every key once: its type, default and range. One walker
 checks a config against it, then a short list of cross-field checks runs.
+A key earns its place by changing what a run reports; one that no report
+reads is deleted, not kept (tests/test_no_dead_knob.py holds this).
 """
 
 from __future__ import annotations
@@ -17,10 +19,9 @@ from typing import Any, Optional
 
 from .adversary import ATTACKS, TIER_CAPABILITIES, Tier
 from .canon import U32_MAX, U64_MAX
-from .chipmodel import MeterResource, PolicyKind
+from .chipmodel import MeterResource
 
 RESOURCE_NAMES = tuple(r.value for r in MeterResource)
-POLICY_KINDS = tuple(k.value for k in PolicyKind)
 TIERS = tuple(t.value for t in Tier)
 # Jitter is median * exp(sigma * z) with z from random.gauss, whose |z| never
 # exceeds sqrt(-2 ln 2**-53) ~= 8.57 in CPython; exp overflows past ~709.78,
@@ -96,7 +97,6 @@ SCHEMA = _obj(
             id=Key(str),
             lat=Key(float, minimum=-90.0, maximum=90.0),
             lon=Key(float),
-            role=Key(str, "chip"),
         )),
     ),
     fleet=_obj(
@@ -104,12 +104,6 @@ SCHEMA = _obj(
         # the fuzz campaign signs at most two licenses for it (~0.14 ms).
         # 10,000 chips provision in under a second.
         count=Key(int, 4, minimum=1, maximum=10_000),
-        persistence=_obj(
-            {},
-            kind=Key(str, "capacitor_flush", choices=POLICY_KINDS),
-            flush_interval_ms=Key(float, 3_600_000.0, minimum=0.0, exclusive_min=True),
-            roundup_increment=Key(int, OMITTED, minimum=0),  # default set by kind
-        ),
     ),
     licensing=_obj(
         # An honest license costs an ed25519 sign and verify (~0.22 ms), a fuzz
@@ -204,7 +198,6 @@ SCHEMA = _obj(
     adversary=_obj(
         tier=Key(str, "open", choices=TIERS),
         latency_factor=Key(float, 0.5, minimum=0.0, maximum=1.0, exclusive_min=True),
-        compromised_landmarks=Key(int, 2, minimum=0),
     ),
     attack_matrix=_obj(
         enabled=Key(bool, True),
@@ -321,13 +314,6 @@ def validate_config(raw: Any, strict: bool = True) -> dict:
         if node["id"] in seen:
             _fail(f"config.network.nodes[{i}].id", "duplicate node id")
         seen.add(node["id"])
-    if "fleet" in config:
-        persistence = config["fleet"]["persistence"]
-        roundup = persistence["kind"] == "boot_roundup"
-        persistence.setdefault("roundup_increment", 1000 if roundup else 0)
-        if roundup and persistence["roundup_increment"] <= 0:
-            _fail("config.fleet.persistence.roundup_increment",
-                  "must be positive for boot_roundup")
     if "geoloc" in config:
         geoloc = config["geoloc"]
         _check_region(geoloc["region"], "config.geoloc.region")

@@ -510,16 +510,11 @@ def estimate_bft(
     n = len(usable)
     if n < 3 * f + 1:
         raise InsufficientLandmarksError(f"need at least {3 * f + 1} landmarks, have {n}")
+    usable_bounds, violations = _bounds_for(usable, landmarks)  # violations fit no cell
     slack = grid.half_diagonal_km()
     counts = np.zeros((grid.n_lat, grid.n_lon), dtype=np.int32)
     whole_globe = 0
-    violations = []
-    for m in usable:
-        lm = landmarks[m.landmark_id]
-        bound = delay_to_distance(m, lm.fixed_overhead_ms)
-        if bound.floor_violation:
-            violations.append(m.landmark_id)  # unsatisfiable everywhere
-            continue
+    for lm, bound in usable_bounds:
         radius = bound.bound_km + slack
         if radius > _WHOLE_GLOBE_KM:
             whole_globe += 1
@@ -529,7 +524,7 @@ def estimate_bft(
                                                slice(i0, i1), slice(j0, j1))[0]
     mask = counts >= (n - f - whole_globe)
     empty = not bool(mask.any())
-    return GeoEstimate(grid, mask, empty=empty, floor_violations=tuple(violations))
+    return GeoEstimate(grid, mask, empty=empty, floor_violations=violations)
 
 
 class InsufficientLandmarksError(ValueError):

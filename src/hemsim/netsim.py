@@ -111,7 +111,6 @@ class LatencyModel:
 class Node:
     id: str
     position: GeoPoint
-    role: str = "chip"
 
 
 class Network:

@@ -40,13 +40,7 @@ from .attest import (
     verify_chain,
 )
 from .canon import verify_memo
-from .chipmodel import (
-    PersistencePolicy,
-    PolicyKind,
-    ThrottleLevel,
-    mint_fleet,
-    provision_chip,
-)
+from .chipmodel import ThrottleLevel, mint_fleet, provision_chip
 from .cluster import (
     ClusterNode,
     HandshakeReject,
@@ -92,14 +86,6 @@ class SectionResult:
     predicates: list[Predicate] = field(default_factory=list)
 
 
-def _policy_from_config(persistence: dict) -> PersistencePolicy:
-    return PersistencePolicy(
-        kind=PolicyKind(persistence["kind"]),
-        flush_interval_ms=persistence["flush_interval_ms"],
-        roundup_increment=persistence["roundup_increment"],
-    )
-
-
 # -- licensing ---------------------------------------------------------------------
 
 
@@ -107,11 +93,7 @@ def run_licensing_section(section: dict, fleet: dict, seed: int) -> SectionResul
     rng = random.Random(seed * 1_000_003 + 11)
     result = SectionResult()
     issuer = make_issuer(rng)
-    policy = _policy_from_config(fleet["persistence"])
-    chips = [
-        provision_chip(rng, frozenset({issuer.public_key}), policy=policy)
-        for _ in range(fleet["count"])
-    ]
+    chips = [provision_chip(rng, frozenset({issuer.public_key})) for _ in range(fleet["count"])]
     resource = MeterResource(section["resource"])
     quota = section["quota"]
 
@@ -516,11 +498,8 @@ def run_attest_section(section: dict, seed: int) -> SectionResult:
 def run_attack_matrix_section(section: dict, adversary_cfg: dict, seed: int) -> tuple[
         SectionResult, str]:
     result = SectionResult()
-    profile = profile_for_tier(
-        Tier(adversary_cfg["tier"]),
-        latency_factor=adversary_cfg["latency_factor"],
-        compromised_landmarks=adversary_cfg["compromised_landmarks"],
-    )
+    profile = profile_for_tier(Tier(adversary_cfg["tier"]),
+                               latency_factor=adversary_cfg["latency_factor"])
     outcomes = run_matrix(profile, seed, params={"trials": section["counterfeit_trials"]})
     missing = unexercised_rows()
     result.predicates.append(Predicate(
@@ -552,8 +531,7 @@ def run_attack_matrix_section(section: dict, adversary_cfg: dict, seed: int) -> 
 
 def run_network_section(section: dict, seed: int) -> SectionResult:
     result = SectionResult()
-    nodes = [Node(n["id"], GeoPoint(n["lat"], n["lon"]), role=n["role"])
-             for n in section["nodes"]]
+    nodes = [Node(n["id"], GeoPoint(n["lat"], n["lon"])) for n in section["nodes"]]
     if len(nodes) < 2:
         return result
     latency = LatencyModel(**section["default_latency"])
@@ -668,8 +646,7 @@ BUNDLED_SCENARIOS: dict[str, dict] = {
         "name": "licensing_basic",
         "description": "License issuance, quota throttling, and a forged-license fuzz campaign.",
         "seed": 101,
-        "fleet": {"count": 4,
-                  "persistence": {"kind": "capacitor_flush"}},
+        "fleet": {"count": 4},
         "licensing": {"honest_licenses": 200, "fuzz_licenses": 2000, "quota": 1000,
                       "resource": "clock_cycles"},
     },
@@ -700,7 +677,7 @@ BUNDLED_SCENARIOS: dict[str, dict] = {
         "name": "attack_matrix",
         "description": "Every named attack vs. its defense, with expected outcomes asserted both ways.",
         "seed": 505,
-        "adversary": {"tier": "open", "latency_factor": 0.5, "compromised_landmarks": 2},
+        "adversary": {"tier": "open", "latency_factor": 0.5},
         "attack_matrix": {"enabled": True, "counterfeit_trials": 1000},
     },
 }

@@ -76,8 +76,7 @@ class TestSchema:
         assert resolved["fleet"] == validate_config(
             {"name": "x", "seed": 1, "fleet": {}})["fleet"]
         assert resolved["fleet"]["count"] == 4
-        assert resolved["adversary"] == {"tier": "open", "latency_factor": 0.5,
-                                         "compromised_landmarks": 2}
+        assert resolved["adversary"] == {"tier": "open", "latency_factor": 0.5}
 
     def test_bundled_scenarios_round_trip_strict(self):
         for name, raw in BUNDLED_SCENARIOS.items():

@@ -67,7 +67,7 @@ def make_world(landmark_positions, chip_position, jitter_median=0.0, jitter_sigm
         Landmark(f"lm{i}", pos, fixed_overhead_ms=overhead)
         for i, pos in enumerate(landmark_positions)
     ]
-    nodes = [Node(lm.id, lm.position, role="landmark") for lm in landmarks]
+    nodes = [Node(lm.id, lm.position) for lm in landmarks]
     nodes.append(Node("chip", chip_position))
     net = Network(
         nodes,
