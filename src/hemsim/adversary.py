@@ -18,7 +18,7 @@ import math
 import random
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -125,13 +125,15 @@ TIER_CAPABILITIES[Tier.OPEN] = TIER_CAPABILITIES[Tier.COVERT] | frozenset({
 
 @dataclass(frozen=True)
 class AdversaryProfile:
-    tier: Tier
+    """The attacker: the capabilities it may use and how hard each row tries."""
+
     capabilities: frozenset[Capability]
-    latency_factor: float = 0.5          # for delay_speedup
+    latency_factor: float                # for delay_speedup
+    counterfeit_trials: int              # for licensing_counterfeit
 
 
-def profile_for_tier(tier: Tier, **overrides) -> AdversaryProfile:
-    return AdversaryProfile(tier=tier, capabilities=TIER_CAPABILITIES[tier], **overrides)
+def profile_for_tier(tier: Tier, **strength) -> AdversaryProfile:
+    return AdversaryProfile(TIER_CAPABILITIES[tier], **strength)
 
 
 class ScenarioConfigError(ValueError):
@@ -154,9 +156,8 @@ class AttackSpec:
     required: frozenset[Capability]
     expected_succeeded: bool
     expected_detected: bool
-    # (profile, rng, params) -> {"succeeded", "detected", "evidence"}
-    run_fn: Callable[[AdversaryProfile, random.Random, dict], dict] = field(
-        repr=False, compare=False)
+    # (profile, rng) -> {"succeeded", "detected", "evidence"}
+    run_fn: Callable[[AdversaryProfile, random.Random], dict] = field(repr=False, compare=False)
 
 
 # The named-attack inventory, grouped by the mechanism each attack targets.
@@ -252,8 +253,8 @@ _GRID = GridSpec(lat_min=-5.0, lat_max=25.0, lon_min=-5.0, lon_max=25.0, resolut
 
 
 @attack("licensing_counterfeit", required={Capability.COUNTERFEIT_LICENSE}, expect=(False, True))
-def _attack_counterfeit(profile, rng, params) -> dict:
-    trials = params.get("trials", 2000)
+def _attack_counterfeit(profile, rng) -> dict:
+    trials = profile.counterfeit_trials
     issuer, chip, _ = _licensed_chip(rng, quota=10**6)
     acceptances, refusals = fuzz_licenses(issuer, [chip], trials, rng)
     return dict(
@@ -264,7 +265,7 @@ def _attack_counterfeit(profile, rng, params) -> dict:
 
 
 @attack("licensing_replay", required={Capability.REPLAY_LICENSE}, expect=(False, True))
-def _attack_replay(profile, rng, params) -> dict:
+def _attack_replay(profile, rng) -> dict:
     issuer, chip, lic = _licensed_chip(rng, quota=1000)
     metered_consume(chip, MeterResource.CLOCK_CYCLES, 1000)  # exhaust the grant
     rejections = []
@@ -278,7 +279,7 @@ def _attack_replay(profile, rng, params) -> dict:
 
 
 @attack("licensing_cross_device", required={Capability.CROSS_DEVICE_LICENSE}, expect=(False, True))
-def _attack_cross_device(profile, rng, params) -> dict:
+def _attack_cross_device(profile, rng) -> dict:
     issuer = make_issuer(rng)
     chip_a = provision_chip(rng, frozenset({issuer.public_key}))
     chip_b = provision_chip(rng, frozenset({issuer.public_key}))
@@ -292,7 +293,7 @@ def _attack_cross_device(profile, rng, params) -> dict:
 
 
 @attack("licensing_host_clock_rollback", expect=(False, True))
-def _attack_host_clock_rollback(profile, rng, params) -> dict:
+def _attack_host_clock_rollback(profile, rng) -> dict:
     issuer = make_issuer(rng)
     chip = provision_chip(rng, frozenset({issuer.public_key}))
     chip.advance_to(50_000.0)
@@ -311,7 +312,7 @@ def _attack_host_clock_rollback(profile, rng, params) -> dict:
 
 
 @attack("licensing_meter_rollback", required={Capability.COVERT_TAMPER}, expect=(True, True))
-def _attack_meter_rollback_licensing(profile, rng, params) -> dict:
+def _attack_meter_rollback_licensing(profile, rng) -> dict:
     quota = 10_000
     issuer, chip, lic = _licensed_chip(rng, quota=quota)
     registry = Registry()
@@ -351,7 +352,7 @@ def _attack_meter_rollback_licensing(profile, rng, params) -> dict:
 
 @attack("licensing_power_cut_rollback", required={Capability.POWER_CUT_TIMING},
         expect=(False, True))
-def _attack_power_cut_rollback(profile, rng, params) -> dict:
+def _attack_power_cut_rollback(profile, rng) -> dict:
     issuer, chip, lic = _licensed_chip(rng, quota=500)
     metered_consume(chip, MeterResource.CLOCK_CYCLES, 500)
     reuse_accepted = 0
@@ -371,7 +372,7 @@ def _attack_power_cut_rollback(profile, rng, params) -> dict:
 
 
 @attack("licensing_throttle_bypass", required={Capability.FIRMWARE_MOD}, expect=(True, True))
-def _attack_throttle_bypass(profile, rng, params) -> dict:
+def _attack_throttle_bypass(profile, rng) -> dict:
     regulator, registry, (node_chip, node_peer) = _cluster_world(rng, 2)
     chip, peer = node_chip.chip, node_peer.chip
     chip.throttle = ThrottleLevel.DISABLED  # never licensed
@@ -410,7 +411,7 @@ def _cluster_world(rng, n_chips):
 
 
 @attack("cluster_pod_firmware_mod", required={Capability.FIRMWARE_MOD}, expect=(False, True))
-def _attack_pod_firmware(profile, rng, params) -> dict:
+def _attack_pod_firmware(profile, rng) -> dict:
     regulator, registry, nodes = _cluster_world(rng, 2)
     a, b = nodes
     manifest = issue_manifest(
@@ -431,7 +432,7 @@ def _attack_pod_firmware(profile, rng, params) -> dict:
 
 
 @attack("cluster_cap_forge", expect=(False, True))
-def _attack_cap_forge(profile, rng, params) -> dict:
+def _attack_cap_forge(profile, rng) -> dict:
     regulator, registry, nodes = _cluster_world(rng, 1)
     node = nodes[0]
     genuine = issue_cap_policy(regulator, cap=4, cap_epoch=1)
@@ -449,7 +450,7 @@ def _attack_cap_forge(profile, rng, params) -> dict:
 
 
 @attack("cluster_manifest_forge", expect=(False, True))
-def _attack_manifest_forge(profile, rng, params) -> dict:
+def _attack_manifest_forge(profile, rng) -> dict:
     regulator, registry, nodes = _cluster_world(rng, 3)
     member, peer, outsider = nodes
     pod = {n.device_id: n.chip.firmware_hash for n in (member, peer)}
@@ -475,14 +476,13 @@ def _attack_manifest_forge(profile, rng, params) -> dict:
 
 
 @attack("cluster_pcie_bridge", required={Capability.PCIE_BRIDGE}, expect=(True, True))
-def _attack_pcie_bridge(profile, rng, params) -> dict:
+def _attack_pcie_bridge(profile, rng) -> dict:
     regulator, registry, nodes = _cluster_world(rng, 2)
     a, b = nodes
     moved = 0
     events = []
     for step in range(5):
-        event = bridge_transfer(step * 100.0, "host-0", a, b, 10**9,
-                                capability_granted=True)
+        event = bridge_transfer(step * 100.0, "host-0", a, b, 10**9)
         events.append(event)
         moved += event.n_bytes
     direct_ms = 10**9 / 1e8
@@ -500,7 +500,7 @@ def _attack_pcie_bridge(profile, rng, params) -> dict:
 
 @attack("cluster_gradient_smuggle",
         required={Capability.GRADIENT_SMUGGLE, Capability.PCIE_BRIDGE}, expect=(True, True))
-def _attack_gradient_smuggle(profile, rng, params) -> dict:
+def _attack_gradient_smuggle(profile, rng) -> dict:
     regulator, registry, nodes = _cluster_world(rng, 8)
     pod_of = {}
     for i, node in enumerate(nodes):
@@ -511,8 +511,7 @@ def _attack_gradient_smuggle(profile, rng, params) -> dict:
     events: list[DataEvent] = []
     for step in range(12):
         events.append(
-            bridge_transfer(step * step_ms + 500.0, "host-0", bridge_a, bridge_b,
-                            gradient_bytes, capability_granted=True)
+            bridge_transfer(step * step_ms + 500.0, "host-0", bridge_a, bridge_b, gradient_bytes)
         )
     flags = detect_cross_pod_coupling(events, pod_of, window_ms=step_ms,
                                       threshold_bytes_per_step=gradient_bytes // 2)
@@ -530,7 +529,7 @@ def _attack_gradient_smuggle(profile, rng, params) -> dict:
 
 
 @attack("geoloc_delay_slowdown", required={Capability.DELAY_SLOWDOWN}, expect=(False, False))
-def _attack_slowdown(profile, rng, params) -> dict:
+def _attack_slowdown(profile, rng) -> dict:
     landmarks = _landmark_ring(6)
     lms = {lm.id: lm for lm in landmarks}
     truth = GeoPoint(11.0, 9.0)
@@ -554,7 +553,7 @@ def _attack_slowdown(profile, rng, params) -> dict:
 
 
 @attack("geoloc_delay_speedup", required={Capability.DELAY_SPEEDUP}, expect=(False, True))
-def _attack_speedup(profile, rng, params) -> dict:
+def _attack_speedup(profile, rng) -> dict:
     landmarks = _landmark_ring(5)
     lms = {lm.id: lm for lm in landmarks}
     truth = GeoPoint(11.0, 9.0)
@@ -575,7 +574,7 @@ def _attack_speedup(profile, rng, params) -> dict:
 
 @attack("geoloc_landmark_compromise", required={Capability.COMPROMISE_LANDMARKS},
         expect=(False, True))
-def _attack_landmark_compromise(profile, rng, params) -> dict:
+def _attack_landmark_compromise(profile, rng) -> dict:
     f = 2
     landmarks = _landmark_ring(7)
     truth = GeoPoint(11.0, 9.0)
@@ -611,7 +610,7 @@ def _attack_landmark_compromise(profile, rng, params) -> dict:
 
 
 @attack("geoloc_landmark_ddos", required={Capability.DDOS_LANDMARKS}, expect=(False, True))
-def _attack_ddos(profile, rng, params) -> dict:
+def _attack_ddos(profile, rng) -> dict:
     _, registry, (chip,) = mint_fleet(rng, 1)
     landmarks = _landmark_ring(7, overhead=0.5)
     truth = GeoPoint(11.0, 9.0)
@@ -635,9 +634,9 @@ def _attack_ddos(profile, rng, params) -> dict:
 
 
 @attack("geoloc_key_extraction_relay", required={Capability.KEY_EXTRACTION}, expect=(True, False))
-def _attack_relay(profile, rng, params) -> dict:
+def _attack_relay(profile, rng) -> dict:
     _, registry, (chip,) = mint_fleet(rng, 1)
-    oracle = extract_signing_oracle(chip, capability_granted=True)
+    oracle = extract_signing_oracle(chip)
     truth = GeoPoint(20.0, 20.0)        # where the chip really sits
     relay_site = GeoPoint(2.0, 2.0)     # where the relay answers from
     landmarks = [
@@ -673,7 +672,7 @@ def _attack_relay(profile, rng, params) -> dict:
 
 
 @attack("accounting_meter_tamper", required={Capability.COVERT_TAMPER}, expect=(False, True))
-def _attack_accounting_meter_tamper(profile, rng, params) -> dict:
+def _attack_accounting_meter_tamper(profile, rng) -> dict:
     report, true_total = covert_rollback_chain(rng)
     result = report.device_results[0]
     # The falsified chain is rejected outright, so no undercounted total is
@@ -689,7 +688,7 @@ def _attack_accounting_meter_tamper(profile, rng, params) -> dict:
 
 
 @attack("accounting_noise_injection", expect=(True, False))
-def _attack_noise_injection(profile, rng, params) -> dict:
+def _attack_noise_injection(profile, rng) -> dict:
     np_rng = np.random.default_rng(rng.randrange(2**31))
     trace = generate_trace(WorkloadLabel.FRONTIER_TRAINING, np_rng, devices=128)
     base_label = classify(trace).label
@@ -710,7 +709,7 @@ def _attack_noise_injection(profile, rng, params) -> dict:
 
 
 @attack("accounting_fragmentation", expect=(True, False))
-def _attack_fragmentation(profile, rng, params) -> dict:
+def _attack_fragmentation(profile, rng) -> dict:
     np_rng = np.random.default_rng(rng.randrange(2**31))
     trace = generate_trace(WorkloadLabel.FRONTIER_TRAINING, np_rng, devices=240)
     demo = fragmentation_demo(trace, 4)
@@ -732,13 +731,8 @@ def _attack_fragmentation(profile, rng, params) -> dict:
 # -- running -----------------------------------------------------------------------
 
 
-def run_attack(
-    name: str,
-    profile: AdversaryProfile,
-    seed: int,
-    params: Optional[dict] = None,
-) -> AttackOutcome:
-    """Execute one named attack scenario under the given adversary profile."""
+def run_attack(name: str, profile: AdversaryProfile, seed: int) -> AttackOutcome:
+    """Execute one named attack under the profile: the one capability gate."""
     spec = ATTACKS.get(name)
     if spec is None:
         raise KeyError(f"unknown attack: {name}")
@@ -747,17 +741,14 @@ def run_attack(
         raise ScenarioConfigError(
             f"{name} requires capabilities not granted: {sorted(c.value for c in missing)}"
         )
-    return AttackOutcome(name, spec.mechanism,
-                         **spec.run_fn(profile, random.Random(seed), params or {}))
+    return AttackOutcome(name, spec.mechanism, **spec.run_fn(profile, random.Random(seed)))
 
 
-def run_matrix(
-    profile: AdversaryProfile, seed: int, params: Optional[dict] = None
-) -> list[AttackOutcome]:
+def run_matrix(profile: AdversaryProfile, seed: int) -> list[AttackOutcome]:
     """Run every registered attack; the profile must grant every capability."""
     outcomes = []
     for offset, name in enumerate(sorted(ATTACKS)):
-        outcomes.append(run_attack(name, profile, seed + offset, params))
+        outcomes.append(run_attack(name, profile, seed + offset))
     return outcomes
 
 

@@ -303,14 +303,14 @@ def provision_chip(
     return ChipState(identity, policy=policy, rtc=rtc)
 
 
-def extract_signing_oracle(chip: ChipState, capability_granted: bool) -> Callable[[bytes], bytes]:
+def extract_signing_oracle(chip: ChipState) -> Callable[[bytes], bytes]:
     """Clone the chip's signing ability, as a successful key extraction would.
 
-    Gated on an explicit adversary capability; the honest model never exposes
-    the private key through any readable field, log, or report.
+    An attack row reaches it only past `adversary.run_attack`, the one
+    capability gate, which demands `key_extraction` of the profile; the honest
+    model never exposes the private key through any readable field, log, or
+    report.
     """
-    if not capability_granted:
-        raise PermissionError("key extraction requires the key_extraction capability")
     keypair = chip.identity.keypair
     return lambda message: keypair.sign(message)
 

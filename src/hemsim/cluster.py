@@ -328,15 +328,14 @@ def bridge_transfer(
     b: ClusterNode,
     n_bytes: int,
     multiplier: float = DEFAULT_BRIDGE_MULTIPLIER,
-    capability_granted: bool = False,
 ) -> DataEvent:
     """Route data between chips through a host's PCIe link.
 
     Succeeds (that is the point of the attack) but pays the latency
-    multiplier and leaves both endpoints' PCIe meters as evidence.
+    multiplier and leaves both endpoints' PCIe meters as evidence. An attack
+    row reaches it only past `adversary.run_attack`, the one capability gate,
+    which demands `pcie_bridge` of the profile.
     """
-    if not capability_granted:
-        raise PermissionError("bridge transfer requires the pcie_bridge capability")
     if n_bytes < 0:
         raise ValueError("transfer size must be nonnegative")
     transit = n_bytes / DIRECT_INTERCONNECT_BYTES_PER_MS * multiplier

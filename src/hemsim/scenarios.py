@@ -256,8 +256,7 @@ def run_cluster_section(section: dict, seed: int) -> SectionResult:
     a, b = nodes[0], nodes[1]
     transits = []
     for multiplier in section["bridge_multiplier_sweep"]:
-        event = bridge_transfer(now, "host-0", a, b, 10**9, multiplier=multiplier,
-                                capability_granted=True)
+        event = bridge_transfer(now, "host-0", a, b, 10**9, multiplier=multiplier)
         transits.append(event.transit_ms)
         result.records.append({"event": "bridge_sweep", "multiplier": multiplier,
                                "transit_ms": event.transit_ms})
@@ -499,8 +498,9 @@ def run_attack_matrix_section(section: dict, adversary_cfg: dict, seed: int) -> 
         SectionResult, str]:
     result = SectionResult()
     profile = profile_for_tier(Tier(adversary_cfg["tier"]),
-                               latency_factor=adversary_cfg["latency_factor"])
-    outcomes = run_matrix(profile, seed, params={"trials": section["counterfeit_trials"]})
+                               latency_factor=adversary_cfg["latency_factor"],
+                               counterfeit_trials=section["counterfeit_trials"])
+    outcomes = run_matrix(profile, seed)
     missing = unexercised_rows()
     result.predicates.append(Predicate(
         "attack_matrix_complete", not missing,

@@ -271,8 +271,8 @@ class TestAcceptance:
         inventory = {name for names in ATTACK_INVENTORY.values() for name in names}
         assert inventory == set(ATTACKS)
 
-        outcomes = run_matrix(profile_for_tier(Tier.OPEN), seed=808,
-                              params={"trials": 10_000})
+        outcomes = run_matrix(profile_for_tier(Tier.OPEN, latency_factor=0.5,
+                                               counterfeit_trials=10_000), seed=808)
         by_name = {o.attack: o for o in outcomes}
         mismatches = [
             name for name, o in by_name.items()

@@ -2,6 +2,7 @@
 
 import pytest
 
+import hemsim.adversary
 from hemsim.adversary import (
     ATTACK_INVENTORY,
     ATTACKS,
@@ -17,7 +18,7 @@ from hemsim.adversary import (
     unexercised_rows,
 )
 
-OPEN = profile_for_tier(Tier.OPEN)
+OPEN = profile_for_tier(Tier.OPEN, latency_factor=0.5, counterfeit_trials=2000)
 
 
 class TestTierStructure:
@@ -33,9 +34,28 @@ class TestTierStructure:
         assert Capability.KEY_EXTRACTION in TIER_CAPABILITIES[Tier.OPEN]
 
     def test_missing_capability_is_config_error(self):
-        minimal = profile_for_tier(Tier.MINIMAL)
+        minimal = profile_for_tier(Tier.MINIMAL, latency_factor=0.5, counterfeit_trials=2000)
         with pytest.raises(ScenarioConfigError):
             run_attack("geoloc_key_extraction_relay", minimal, seed=1)
+
+    def test_rows_reaching_a_gated_helper_require_its_capability(self, monkeypatch):
+        # The helpers trust their caller, so `required` is all that gates them.
+        gated = {"bridge_transfer": Capability.PCIE_BRIDGE,
+                 "extract_signing_oracle": Capability.KEY_EXTRACTION}
+        reached, seen, ungated = set(), set(), []
+        for helper in gated:
+            def spy(*args, _helper=helper, _original=getattr(hemsim.adversary, helper),
+                    **kwargs):
+                reached.add(_helper)
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(hemsim.adversary, helper, spy)
+        for name, spec in sorted(ATTACKS.items()):
+            reached.clear()
+            run_attack(name, OPEN, seed=7)
+            seen |= reached
+            ungated += [(name, h) for h in sorted(reached) if gated[h] not in spec.required]
+        assert seen == set(gated)
+        assert not ungated, ungated
 
 
 class TestMatrixCompleteness:
@@ -53,7 +73,7 @@ class TestMatrixCompleteness:
     def test_decorator_rejects_duplicate_and_uninventoried_names(self, name, message):
         before = dict(ATTACKS)
         with pytest.raises(ValueError, match=message):
-            attack(name, expect=(False, True))(lambda profile, rng, params: {})
+            attack(name, expect=(False, True))(lambda profile, rng: {})
         assert ATTACKS == before
 
     def test_matrix_report_has_one_row_per_attack(self):

@@ -83,11 +83,9 @@ class TestSigningOracle:
         with pytest.raises(ZeroizedError):
             chip.sign(b"anything")
 
-    def test_key_extraction_is_capability_gated(self, rng, issuer_key):
+    def test_extracted_oracle_signs_as_the_chip(self, rng, issuer_key):
         chip = make_chip(rng, issuer_key)
-        with pytest.raises(PermissionError):
-            extract_signing_oracle(chip, capability_granted=False)
-        oracle = extract_signing_oracle(chip, capability_granted=True)
+        oracle = extract_signing_oracle(chip)
         assert canon.verify(chip.public_key, b"m", oracle(b"m"))
 
 

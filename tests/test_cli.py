@@ -78,6 +78,16 @@ class TestSchema:
         assert resolved["fleet"]["count"] == 4
         assert resolved["adversary"] == {"tier": "open", "latency_factor": 0.5}
 
+    def test_config_imports_no_section_module(self):
+        # Validating a config needs the schema, not the simulator behind it.
+        sections = ["adversary", "cluster", "geoloc", "licensing", "attest", "netsim"]
+        src = str(Path(hemsim.__file__).resolve().parents[1])
+        probe = ("import sys, hemsim.config; "
+                 f"print([m for m in {sections!r} if 'hemsim.' + m in sys.modules])")
+        out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+                             timeout=60, capture_output=True, text=True, check=True).stdout
+        assert out.strip() == "[]"
+
     def test_bundled_scenarios_round_trip_strict(self):
         for name, raw in BUNDLED_SCENARIOS.items():
             resolved = validate_config(raw, strict=True)
@@ -262,6 +272,10 @@ class TestCli:
          "config.attest.classifier_traces"),
         ({"network": {"nodes": [{"id": f"n{i}", "lat": 0, "lon": i} for i in range(257)]}},
          "config.network.nodes"),
+        # rtt / 2 - overhead cancels the propagation term: at 1e16 ms only 2
+        # of 20 honest trials contained the truth.
+        ({"geoloc": {**SMALL_GEOLOC, "fixed_overhead_ms": 1e16}},
+         "config.geoloc.fixed_overhead_ms"),
     ])
     def test_out_of_domain_value_is_a_schema_error(self, tmp_path, capsys, sections, path):
         config = tmp_path / "range.json"
@@ -277,6 +291,13 @@ class TestCli:
     def test_u64_edge_values_reach_a_verdict(self, tmp_path, sections):
         config = tmp_path / "edge.json"
         config.write_text(json.dumps({"name": "e", "seed": 1, **sections}))
+        assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 0
+
+    def test_fixed_overhead_at_its_maximum_passes(self, tmp_path):
+        config = tmp_path / "overhead.json"
+        config.write_text(json.dumps({"name": "o", "seed": 1, "geoloc": {
+            "trials": 20, "speedup_trials": 6, "descent_trials": 5, "bft": {"trials": 5},
+            "fixed_overhead_ms": 1e6}}))
         assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 0
 
     @pytest.mark.parametrize("sections", [

@@ -536,26 +536,20 @@ class TestTransfers:
         a, b, session = self._pair(world)
         gig = 10**9
         direct = transfer(0.0, session, a, b, gig)
-        bridged = bridge_transfer(0.0, "host-1", a, b, gig, multiplier=5.0,
-                                  capability_granted=True)
+        bridged = bridge_transfer(0.0, "host-1", a, b, gig, multiplier=5.0)
         assert bridged.transit_ms == pytest.approx(5.0 * direct.transit_ms)
         assert bridged.link_kind is LinkKind.PCIE_BRIDGE
 
     def test_meters_reflect_bytes_on_both_endpoints(self, world):
         a, b, _ = self._pair(world)
-        bridge_transfer(0.0, "host-1", a, b, 12345, capability_granted=True)
+        bridge_transfer(0.0, "host-1", a, b, 12345)
         assert a.chip.meter_value(MeterResource.PCIE_TRANSFER_BYTES) == 12345
         assert b.chip.meter_value(MeterResource.PCIE_TRANSFER_BYTES) == 12345
 
     def test_zero_byte_bridge_leaves_meters_unchanged(self, world):
         a, b, _ = self._pair(world)
-        bridge_transfer(0.0, "host-1", a, b, 0, capability_granted=True)
+        bridge_transfer(0.0, "host-1", a, b, 0)
         assert a.chip.meter_value(MeterResource.PCIE_TRANSFER_BYTES) == 0
-
-    def test_bridge_requires_capability(self, world):
-        a, b, _ = self._pair(world)
-        with pytest.raises(PermissionError):
-            bridge_transfer(0.0, "host-1", a, b, 10)
 
 
 class TestCrossPodDetector:

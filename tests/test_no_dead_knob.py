@@ -19,8 +19,7 @@ ALLOWED = {
     "licensing.quota": "the quota lifecycle record keeps only its verdicts",
     "licensing.resource": "the quota lifecycle record keeps only its verdicts",
     "attack_matrix.counterfeit_trials": "sets how much work a row does; rows record only verdicts",
-    "adversary.tier": "only `open` passes the schema when the matrix runs, and the bench "
-                      "config passes it",
+    "adversary.tier": "one value, `open`, kept because the bench config names it",
 }
 
 _LICENSING = {"fleet": {"count": 2}, "licensing": {"honest_licenses": 3, "fuzz_licenses": 6}}

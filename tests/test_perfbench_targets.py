@@ -10,11 +10,15 @@ changing anything under perfbench/, and resolves each entry the way
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def _targets() -> list[tuple[str, str, str]]:
@@ -40,3 +44,16 @@ def test_tracer_target_resolves(name, module, attr):
         owner = getattr(owner, part)
     assert leaf in vars(owner), f"{name}: hemsim.{module}.{attr} is gone"
     assert callable(vars(owner)[leaf]), f"{name}: hemsim.{module}.{attr} is not callable"
+
+
+def test_worker_import_loads_every_target_module():
+    # `Tracer.install` finds each module in `sys.modules` after the worker's
+    # one import, so a module that `src/` imports lazily would fail a traced
+    # run even though `importlib` resolves it above.
+    modules = sorted({module for _, module, _ in _targets()})
+    probe = ("import sys; from hemsim import config, scenarios; "
+             f"print([m for m in {modules!r} if 'hemsim.' + m not in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", probe],
+                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                         timeout=60, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
