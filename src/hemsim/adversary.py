@@ -14,6 +14,7 @@ mechanism comes from its row in `ATTACK_INVENTORY`.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, field, replace
@@ -48,7 +49,6 @@ from .cluster import (
     ClusterNode,
     DataEvent,
     HandshakeReject,
-    SessionAllocator,
     adopt_manifest,
     apply_cap_update,
     bridge_transfer,
@@ -391,7 +391,7 @@ def _attack_throttle_bypass(profile, rng) -> dict:
     manifest = issue_manifest(regulator, "pod-0", genuine_hashes, manifest_epoch=0)
     for node in (node_peer, node_chip):
         _require(adopt_manifest(node, manifest), "genuine manifest adoption")
-    result = handshake(0.0, node_peer, node_chip, registry, rng, SessionAllocator())
+    result = handshake(0.0, node_peer, node_chip, registry, rng, itertools.count())
     return dict(
         succeeded=unlicensed_use > 0,
         detected=result.reason is HandshakeReject.FIRMWARE_MISMATCH
@@ -422,7 +422,7 @@ def _attack_pod_firmware(profile, rng) -> dict:
     for node in (a, b):
         _require(adopt_manifest(node, manifest), "genuine manifest adoption")
     b.chip.tamper_event("firmware_mod", covert=True)
-    result = handshake(0.0, a, b, registry, rng, SessionAllocator())
+    result = handshake(0.0, a, b, registry, rng, itertools.count())
     return dict(
         succeeded=result.accepted,
         detected=result.reason is HandshakeReject.FIRMWARE_MISMATCH and b.self_disabled,
@@ -465,7 +465,7 @@ def _attack_manifest_forge(profile, rng) -> dict:
                             {**pod, outsider.device_id: outsider.chip.firmware_hash},
                             manifest_epoch=1)
     adopted = adopt_manifest(member, forged)
-    result = handshake(0.0, member, outsider, registry, rng, SessionAllocator())
+    result = handshake(0.0, member, outsider, registry, rng, itertools.count())
     return dict(
         succeeded=adopted or result.accepted,
         detected=not adopted and result.reason is HandshakeReject.NOT_IN_POD,

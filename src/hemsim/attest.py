@@ -29,19 +29,10 @@ from .chipmodel import RESOURCE, ChipState, MeterResource, Registry, mint_fleet
 
 SNAPSHOT = canon.Doc("meter-snapshot.v1", device_id=canon.U128, sequence_no=canon.U64,
                      rtc_time_ms=canon.U64, meters=canon.mapping(RESOURCE, canon.U64))
+MeterSnapshot = SNAPSHOT.record  # a snapshot's fields, as the verifier holds them decoded
 
 DEFAULT_SNAPSHOT_PERIOD_MS = 600_000.0  # ten simulated minutes
 DESK_SCALE_THRESHOLD_OPS = 10**9
-
-
-@dataclass(frozen=True)
-class MeterSnapshot:
-    """A snapshot's fields, as the verifier holds them once decoded."""
-
-    device_id: int
-    sequence_no: int
-    rtc_time_ms: int
-    meters: dict[MeterResource, int]
 
 
 def emit_snapshot(chip: ChipState, sequence_no: int) -> bytes:
@@ -103,7 +94,7 @@ def _verify_device_chain(
                 raise canon.EncodingError("snapshot leaves out a meter")
         except canon.EncodingError as exc:
             return DeviceVerification(device_id, DeviceStatus.MALFORMED, detail=str(exc)), []
-        decoded.append((MeterSnapshot(**fields), signed, signature))
+        decoded.append((SNAPSHOT.record(**fields), signed, signature))
     decoded.sort(key=lambda d: d[0].sequence_no)
     for snap, signed, signature in decoded:
         if snap.device_id != device_id or not canon.verify(key, signed, signature):

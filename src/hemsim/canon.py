@@ -3,10 +3,11 @@
 Every signed message in the fleet model is a `Doc`: licenses, cap policies,
 pod manifests, meter snapshots, session auth and location challenge
 responses. Each `Doc` declares its domain-separation tag and typed fields
-once, and from that one declaration come its signed bytes, its wire form
-and a decoder that refuses every encoding but the canonical one: fixed field
-order, little-endian fixed-width numbers, length-prefixed byte strings, and
-mappings in strictly increasing key order.
+once, and from that one declaration come its signed bytes, its wire form,
+the record a decoded document is held in, and a decoder that refuses every
+encoding but the canonical one: fixed field order, little-endian fixed-width
+numbers, length-prefixed byte strings, and mappings in strictly increasing
+key order.
 
 `verify` answers from a memo while a `verify_memo()` block is open, so each
 distinct (key, message, signature) costs one ed25519 verification in that
@@ -22,7 +23,8 @@ import math
 import struct
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import dataclass, make_dataclass
+from functools import cached_property
 from typing import Any, Callable, Iterator, Sequence
 
 from cryptography.exceptions import InvalidSignature
@@ -96,45 +98,32 @@ class Decoder:
         self._data = data
         self.pos = pos
 
-    def _take(self, n: int) -> bytes:
-        if self.pos + n > len(self._data):
+    def _advance(self, n: int) -> int:
+        """Move past the next `n` bytes; returns the offset they start at."""
+        pos = self.pos
+        if pos + n > len(self._data):
             raise EncodingError("truncated canonical payload")
-        out = self._data[self.pos : self.pos + n]
-        self.pos += n
-        return out
+        self.pos = pos + n
+        return pos
 
-    # The fixed-width reads check bounds once, then unpack in place at `pos`.
+    def _take(self, n: int) -> bytes:
+        pos = self._advance(n)
+        return self._data[pos : pos + n]
 
     def u8(self) -> int:
-        pos = self.pos
-        if pos + 1 > len(self._data):
-            raise EncodingError("truncated canonical payload")
-        self.pos = pos + 1
-        return self._data[pos]
+        return self._data[self._advance(1)]
 
     def u32(self) -> int:
-        pos = self.pos
-        if pos + 4 > len(self._data):
-            raise EncodingError("truncated canonical payload")
-        self.pos = pos + 4
-        return _UNPACK_U32(self._data, pos)[0]
+        return _UNPACK_U32(self._data, self._advance(4))[0]
 
     def u64(self) -> int:
-        pos = self.pos
-        if pos + 8 > len(self._data):
-            raise EncodingError("truncated canonical payload")
-        self.pos = pos + 8
-        return _UNPACK_U64(self._data, pos)[0]
+        return _UNPACK_U64(self._data, self._advance(8))[0]
 
     def u128(self) -> int:
         return int.from_bytes(self._take(16), "little")
 
     def f64(self) -> float:
-        pos = self.pos
-        if pos + 8 > len(self._data):
-            raise EncodingError("truncated canonical payload")
-        self.pos = pos + 8
-        value = _UNPACK_F64(self._data, pos)[0]
+        value = _UNPACK_F64(self._data, self._advance(8))[0]
         f64(value)  # refuses NaN and -0.0, as encoding does
         return value
 
@@ -241,6 +230,14 @@ class Doc:
         if dec.pos != len(wire):
             raise EncodingError("trailing bytes after canonical payload")
         return fields, wire[:end], signature
+
+    @cached_property
+    def record(self) -> type:
+        """The frozen dataclass that holds a decoded document: one attribute per
+        field, in order, named after the tag ("pod-manifest.v1" -> PodManifest).
+        Built on first use, so a kind that is never held builds none."""
+        name = self.tag.split(".")[0].title().replace("-", "")
+        return make_dataclass(name, list(self.fields), frozen=True)
 
 
 @dataclass

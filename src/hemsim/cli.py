@@ -1,13 +1,15 @@
 """Command-line scenario runner.
 
     hemsim list
-    hemsim describe <name> [--strict]
-    hemsim run <config.json | bundled-name> --out <dir> [--seed N] [--strict]
+    hemsim describe <name>
+    hemsim run <config.json | bundled-name> --out <dir> [--seed N]
               [--verify-determinism]
 
 `run` exits 0 when every success predicate holds, 1 on predicate failure,
-2 on a config/schema error, and 3 on an internal error (a determinism
-violation between verification reruns, or any other uncaught exception).
+2 on a config/schema error (an unknown key, a repeated key, or a file that
+cannot be read as UTF-8 JSON among them), and 3 on an internal error (a
+determinism violation between verification reruns, or any other uncaught
+exception). `describe` exits 2 on the same config errors.
 """
 
 from __future__ import annotations
@@ -25,15 +27,15 @@ EXIT_CONFIG_ERROR = 2
 EXIT_INTERNAL_ERROR = 3
 
 
-def _resolve_config(ref: str, strict: bool) -> dict:
+def _resolve_config(ref: str) -> dict:
     if ref in BUNDLED_SCENARIOS:
-        return validate_config(BUNDLED_SCENARIOS[ref], strict=strict)
+        return validate_config(BUNDLED_SCENARIOS[ref])
     if not Path(ref).exists():
         known = ", ".join(sorted(BUNDLED_SCENARIOS))
         raise SchemaError(
             f"config: {ref!r} is neither a file nor a bundled scenario (bundled: {known})"
         )
-    return load_config_file(ref, strict=strict)
+    return load_config_file(ref)
 
 
 def _cmd_list(_args) -> int:
@@ -45,7 +47,7 @@ def _cmd_list(_args) -> int:
 
 def _cmd_describe(args) -> int:
     try:
-        config = _resolve_config(args.name, strict=args.strict)
+        config = _resolve_config(args.name)
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
@@ -55,9 +57,9 @@ def _cmd_describe(args) -> int:
 
 def _cmd_run(args) -> int:
     try:
-        config = _resolve_config(args.config, strict=args.strict)
+        config = _resolve_config(args.config)
         if args.seed is not None:
-            config = validate_config({**config, "seed": args.seed}, strict=args.strict)
+            config = validate_config({**config, "seed": args.seed})
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
@@ -94,8 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_describe = sub.add_parser("describe", help="print a resolved scenario config")
     p_describe.add_argument("name", help="bundled scenario name or config file path")
-    p_describe.add_argument("--strict", action="store_true",
-                            help="reject unknown config keys")
     p_describe.set_defaults(fn=_cmd_describe)
 
     p_run = sub.add_parser("run", help="execute a scenario and write reports")
@@ -103,8 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", required=True, help="output directory for reports")
     p_run.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
-    p_run.add_argument("--strict", action="store_true",
-                       help="reject unknown config keys")
     p_run.add_argument("--verify-determinism", action="store_true",
                        help="run twice and fail on any report byte difference")
     p_run.set_defaults(fn=_cmd_run)

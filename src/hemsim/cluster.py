@@ -19,7 +19,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from . import canon
 from .chipmodel import ChipState, MeterResource, Registry, ThrottleLevel, ZeroizedError
@@ -31,20 +31,14 @@ CAP_POLICY = canon.Doc("cap-policy.v2", cap=canon.U32, cap_epoch=canon.U64,
                        check_period_ms=canon.F64)
 SESSION_AUTH = canon.Doc("session-auth.v1", signer=canon.U128, peer=canon.U128,
                          nonce=canon.BLOB)
+# A document's fields, as a chip that adopted it holds them.
+PodManifest = MANIFEST.record
+CapPolicy = CAP_POLICY.record
 
 DEFAULT_CHECK_PERIOD_MS = 60_000.0
 DEFAULT_BRIDGE_MULTIPLIER = 5.0
 # Direct interconnect moves 1e8 bytes per simulated ms (100 GB/s class links).
 DIRECT_INTERCONNECT_BYTES_PER_MS = 1e8
-
-
-@dataclass(frozen=True)
-class PodManifest:
-    """A pod manifest's fields, as a chip that adopted it holds them."""
-
-    pod_id: str
-    manifest_epoch: int
-    members: dict[int, bytes]  # device_id -> firmware hash
 
 
 def issue_manifest(
@@ -58,15 +52,6 @@ def issue_manifest(
                          members=members)
 
 
-@dataclass(frozen=True)
-class CapPolicy:
-    """A cap policy's fields, as a chip that adopted it holds them."""
-
-    cap: int
-    cap_epoch: int
-    check_period_ms: float
-
-
 def issue_cap_policy(
     regulator: canon.KeyPair,
     cap: int,
@@ -78,17 +63,11 @@ def issue_cap_policy(
                            check_period_ms=check_period_ms)
 
 
-class LinkKind(Enum):
-    DIRECT_INTERCONNECT = "direct_interconnect"
-    PCIE_BRIDGE = "pcie_bridge"
-
-
 @dataclass
 class Session:
     session_id: int
     peers: tuple[int, int]
     established_at: float
-    link_kind: LinkKind = LinkKind.DIRECT_INTERCONNECT
     open: bool = True
 
 
@@ -98,7 +77,6 @@ class DataEvent:
     src_device: int
     dst_device: int
     n_bytes: int
-    link_kind: LinkKind
     transit_ms: float
 
 
@@ -162,25 +140,13 @@ def _auth_ok(signer: ClusterNode, peer_nonce: bytes, peer_id: int, registry: Reg
     return canon.verify(registered, message, signature)
 
 
-class SessionAllocator:
-    """Deterministic session ids in establishment order."""
-
-    def __init__(self):
-        self._next = 0
-
-    def next_id(self) -> int:
-        sid = self._next
-        self._next += 1
-        return sid
-
-
 def handshake(
     now_ms: float,
     a: ClusterNode,
     b: ClusterNode,
     registry: Registry,
     rng: random.Random,
-    allocator: SessionAllocator,
+    session_ids: Iterator[int],
 ) -> HandshakeResult:
     """Mutual challenge-response; each endpoint admits under its own regime.
 
@@ -193,7 +159,8 @@ def handshake(
     only after both sides have authenticated: both must be listed in it, and
     the endpoint's own firmware must match its entry or it self-disables;
     an unauthenticated peer must not be able to trigger that. Every
-    accepted session is mutually authenticated.
+    accepted session is mutually authenticated, and takes the next id from
+    `session_ids`; a refused handshake takes none.
     """
     if a.self_disabled or b.self_disabled:
         return HandshakeResult(None, HandshakeReject.BAD_AUTH)
@@ -218,7 +185,7 @@ def handshake(
             return HandshakeResult(None, HandshakeReject.FIRMWARE_MISMATCH)
 
     session = Session(
-        session_id=allocator.next_id(),
+        session_id=next(session_ids),
         peers=(a.device_id, b.device_id),
         established_at=now_ms,
     )
@@ -266,7 +233,7 @@ def adopt_manifest(node: ClusterNode, wire: bytes) -> bool:
     fields = _newer_signed(node, MANIFEST, wire, "manifest_epoch", node.pod_manifest)
     if fields is None:
         return False
-    node.pod_manifest = PodManifest(**fields)
+    node.pod_manifest = MANIFEST.record(**fields)
     return True
 
 
@@ -281,7 +248,7 @@ def apply_cap_update(node: ClusterNode, wire: bytes) -> bool:
                            lambda fields: 0.0 < fields["check_period_ms"] < math.inf)
     if fields is None:
         return False
-    node.cap_policy = CapPolicy(**fields)
+    node.cap_policy = CAP_POLICY.record(**fields)
     return True
 
 
@@ -342,7 +309,7 @@ def bridge_transfer(
     if n_bytes > 0:
         a.chip.consume(MeterResource.PCIE_TRANSFER_BYTES, n_bytes)
         b.chip.consume(MeterResource.PCIE_TRANSFER_BYTES, n_bytes)
-    return DataEvent(now_ms, a.device_id, b.device_id, n_bytes, LinkKind.PCIE_BRIDGE, transit)
+    return DataEvent(now_ms, a.device_id, b.device_id, n_bytes, transit)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
-"""Scenario configuration schema and strict validation.
+"""Scenario configuration schema and validation.
 
-Configs are JSON objects. Validation always checks types and value ranges
-and fills defaults; strict mode additionally rejects unknown keys. Every
-error names the offending path so a bad config is a one-line fix.
+Configs are JSON objects. Validation checks types and value ranges, fills
+defaults, and rejects unknown keys; a config file must also be readable
+UTF-8 JSON with no key repeated in an object. Every error names the
+offending path so a bad config is a one-line fix.
 
 `SCHEMA` declares every key once: its type, default and range. One walker
 checks a config against it, then a short list of cross-field checks runs.
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -213,31 +215,31 @@ SCHEMA = _obj(
 )
 
 
-def _walk(key: Key, value: Any, path: str, strict: bool) -> Any:
+def _walk(key: Key, value: Any, path: str) -> Any:
     """Check `value` against `key`; returns it resolved, defaults filled."""
     if key.kind is dict:
         if not isinstance(value, dict):
             _fail(path, "must be an object")
         if key.item is not None:  # free keys, which reports print, so text too
-            return {_walk(Key(str), name, f"{path}.{name}", strict):
-                    _walk(key.item, v, f"{path}.{name}", strict) for name, v in value.items()}
+            return {_walk(Key(str), name, f"{path}.{name}"): _walk(key.item, v, f"{path}.{name}")
+                    for name, v in value.items()}
         unknown = sorted(set(value) - set(key.fields))
-        if unknown and strict:
-            _fail(f"{path}.{unknown[0]}", "unknown key (strict mode)")
+        if unknown:
+            _fail(f"{path}.{unknown[0]}", "unknown key")
         out = {}
         for name, sub in key.fields.items():
             v = value.get(name, sub.default)
             if v is None and sub.kind in (int, float, str):  # null or no default
                 _fail(f"{path}.{name}", "is required")
             if v is not OMITTED:
-                out[name] = _walk(sub, v, f"{path}.{name}", strict)
+                out[name] = _walk(sub, v, f"{path}.{name}")
         return out
     if key.kind is list:
         if not isinstance(value, list) or len(value) < (key.minimum or 0):
             _fail(path, "must be a nonempty list" if key.minimum else "must be a list")
         if key.maximum is not None and len(value) > key.maximum:
             _fail(path, f"must have at most {key.maximum} items")
-        return [_walk(key.item, v, f"{path}[{i}]", strict) for i, v in enumerate(value)]
+        return [_walk(key.item, v, f"{path}[{i}]") for i, v in enumerate(value)]
     if key.kind is bool:
         if not isinstance(value, bool):
             _fail(path, "must be a boolean")
@@ -290,7 +292,7 @@ def _check_region(region: dict, path: str) -> None:
             _fail(f"{path}.resolution_deg", f"must split {axis}_max - {axis}_min into whole cells")
 
 
-def validate_config(raw: Any, strict: bool = True) -> dict:
+def validate_config(raw: Any) -> dict:
     """Validate and resolve a scenario config; returns the config with defaults.
 
     Raises SchemaError naming the offending path on the first problem found.
@@ -302,7 +304,7 @@ def validate_config(raw: Any, strict: bool = True) -> dict:
         for section, companion in (("licensing", "fleet"), ("attack_matrix", "adversary")):
             if section in raw:
                 raw.setdefault(companion, {})
-    config = _walk(SCHEMA, raw, "config", strict)
+    config = _walk(SCHEMA, raw, "config")
 
     seen = set()
     for i, node in enumerate(config.get("network", {}).get("nodes", [])):
@@ -331,15 +333,26 @@ def validate_config(raw: Any, strict: bool = True) -> dict:
     return config
 
 
-def load_config_file(path: str, strict: bool = True) -> dict:
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """A JSON object's members; a repeated key would silently drop a value."""
+    out = dict(pairs)
+    if len(out) < len(pairs):
+        repeated = [name for name, n in Counter(name for name, _ in pairs).items() if n > 1]
+        raise SchemaError(f"repeated key {repeated[0]!r}")
+    return out
+
+
+def load_config_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except FileNotFoundError:
-        raise SchemaError(f"config: file not found: {path}")
+            raw = json.load(fh, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"config: invalid JSON in {path}: {exc}")
-    return validate_config(raw, strict=strict)
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not UTF-8, ...
+        raise SchemaError(f"config: cannot read {path}: {exc}")
+    except SchemaError as exc:
+        raise SchemaError(f"config: {exc} in {path}")
+    return validate_config(raw)
 
 
 def render_config(config: dict) -> str:

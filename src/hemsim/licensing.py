@@ -30,16 +30,7 @@ from .chipmodel import RESOURCE, ChipState, ConsumeResult, MeterResource, Thrott
 
 LICENSE = canon.Doc("license.v1", license_id=canon.U64, device_id=canon.U128,
                     quotas=canon.mapping(RESOURCE, canon.U64), not_after=canon.OPT_U64)
-
-
-@dataclass(frozen=True)
-class License:
-    """A license's fields, as a chip that installed it holds them."""
-
-    license_id: int
-    device_id: int
-    quotas: dict[MeterResource, int]
-    not_after: Optional[int]
+License = LICENSE.record  # a license's fields, as a chip that installed it holds them
 
 
 class RejectReason(Enum):
@@ -103,7 +94,7 @@ def install(chip: ChipState, wire: bytes) -> InstallResult:
         fields, signed, signature = LICENSE.decode(wire)
     except canon.EncodingError:
         return InstallResult(False, RejectReason.MALFORMED)
-    lic = License(**fields)
+    lic = LICENSE.record(**fields)
     if lic.device_id != chip.identity.device_id:
         return InstallResult(False, RejectReason.WRONG_DEVICE)
     if lic.license_id <= chip.last_license_id:

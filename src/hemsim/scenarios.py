@@ -10,6 +10,7 @@ function of (config, seed).
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
@@ -45,7 +46,6 @@ from .cluster import (
     ClusterNode,
     HandshakeReject,
     Session,
-    SessionAllocator,
     apply_cap_update,
     bridge_transfer,
     handshake,
@@ -173,7 +173,7 @@ def run_cluster_section(section: dict, seed: int) -> SectionResult:
         (churn * (k + 1)) // (section["cap_lowerings"] + 1)
         for k in range(section["cap_lowerings"])
     }
-    alloc = SessionAllocator()
+    session_ids = itertools.count()
     now = 0.0
     stats = {"handshakes": 0, "accepted": 0, "teardowns": 0, "lowerings": 0,
              "replays_rejected": 0}
@@ -229,7 +229,7 @@ def run_cluster_section(section: dict, seed: int) -> SectionResult:
             stats["teardowns"] += 1
         else:
             a, b = rng.sample(nodes, 2)
-            outcome = handshake(now, a, b, registry, rng, alloc)
+            outcome = handshake(now, a, b, registry, rng, session_ids)
             stats["handshakes"] += 1
             if outcome.accepted:
                 stats["accepted"] += 1

@@ -299,7 +299,7 @@ class TestAcceptance:
     def test_09_determinism(self):
         start = time.monotonic()
         for name, raw in sorted(BUNDLED_SCENARIOS.items()):
-            config = validate_config(raw, strict=True)
+            config = validate_config(raw)
             first = execute_scenario(config)
             second = execute_scenario(config)
             assert first.reports == second.reports, f"{name} reports differ across reruns"

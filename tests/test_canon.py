@@ -2,12 +2,17 @@
 refusal of every non-canonical encoding by the chip and the verifier, and the
 scoped memo of `canon.verify`."""
 
+import dataclasses
 import hashlib
 import importlib
 import math
+import os
 import pkgutil
 import random
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -149,18 +154,61 @@ class TestGoldenWireVectors:
         )
 
 
-def test_every_doc_tag_is_distinct():
-    # Domain separation: no two kinds of signed message share a tag, so no
-    # signature over one kind verifies as another.
-    docs = {}
+def module_values():
+    """(module.name, value) of every module-level name in src/hemsim."""
     for info in pkgutil.iter_modules(hemsim.__path__):
         module = importlib.import_module(f"hemsim.{info.name}")
         for name, value in vars(module).items():
-            if isinstance(value, canon.Doc):
-                docs[id(value)] = (value.tag, f"{info.name}.{name}")
-    tags = sorted(docs.values())
+            yield f"{info.name}.{name}", value
+
+
+def module_docs() -> dict[int, tuple[str, canon.Doc]]:
+    return {id(value): (name, value) for name, value in module_values()
+            if isinstance(value, canon.Doc)}
+
+
+def test_every_doc_tag_is_distinct():
+    # Domain separation: no two kinds of signed message share a tag, so no
+    # signature over one kind verifies as another.
+    tags = sorted((doc.tag, name) for name, doc in module_docs().values())
     assert len(tags) == 6, tags
     assert len({tag for tag, _ in tags}) == len(tags), tags
+
+
+def test_each_doc_record_holds_its_fields_in_order():
+    for name, doc in module_docs().values():
+        assert [f.name for f in dataclasses.fields(doc.record)] == list(doc.fields), name
+        values = dict(VALUES[FIELD_KINDS[doc.tag]])
+        assert dataclasses.asdict(doc.record(**values)) == values, name
+
+
+def test_no_dataclass_repeats_a_docs_fields():
+    # Each document's fields are declared once, in its Doc: a hand-written
+    # twin dataclass would be a second declaration that can drift.
+    docs = [doc for _, doc in module_docs().values()]
+    records = {doc.record for doc in docs}
+    field_sets = {frozenset(doc.fields) for doc in docs}
+    twins = {name for name, value in module_values()
+             if isinstance(value, type) and dataclasses.is_dataclass(value)
+             and value not in records
+             and frozenset(f.name for f in dataclasses.fields(value)) in field_sets}
+    assert not twins
+
+
+def test_import_builds_records_only_for_the_held_kinds():
+    # Session auth and location responses are signed and checked, never held,
+    # so a fresh import builds no record class for them.
+    src = str(Path(hemsim.__file__).resolve().parents[1])
+    probe = ("import hemsim.scenarios\n"
+             "from hemsim.cluster import SESSION_AUTH\n"
+             "from hemsim.geoloc import GEOLOC_RESPONSE\n"
+             "from hemsim import attest, cluster, licensing\n"
+             "docs = [SESSION_AUTH, GEOLOC_RESPONSE, licensing.LICENSE, cluster.CAP_POLICY,\n"
+             "        cluster.MANIFEST, attest.SNAPSHOT]\n"
+             "print(['record' in vars(doc) for doc in docs])")
+    out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+                         timeout=60, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == str([False, False, True, True, True, True])
 
 
 U64S = st.integers(0, canon.U64_MAX)
@@ -211,6 +259,7 @@ VALUES = {
     "session_auth": dict(signer=DEVICE, peer=PEER, nonce=NONCE),
     "geoloc_response": dict(device_id=DEVICE, nonce=NONCE),
 }
+FIELD_KINDS = {doc.tag: kind for kind, (doc, _) in FIELDS.items()}
 
 
 @pytest.mark.parametrize("kind", sorted(FIELDS))

@@ -42,12 +42,10 @@ class TestSchema:
         with pytest.raises(SchemaError, match=r"config\.cluster\.cap: must be >= 0"):
             validate_config({"name": "x", "seed": 1, "cluster": {"cap": -1}})
 
-    def test_unknown_key_rejected_in_strict_mode(self):
+    def test_unknown_key_rejected(self):
         raw = {"name": "x", "seed": 1, "licensing": {"quotas": 5}}
         with pytest.raises(SchemaError, match=r"config\.licensing\.quotas: unknown key"):
-            validate_config(raw, strict=True)
-        resolved = validate_config(raw, strict=False)
-        assert resolved["licensing"]["quota"] == 1000  # unknown key ignored
+            validate_config(raw)
 
     def test_missing_seed_rejected(self):
         with pytest.raises(SchemaError, match=r"config\.seed: is required"):
@@ -90,8 +88,8 @@ class TestSchema:
 
     def test_bundled_scenarios_round_trip_strict(self):
         for name, raw in BUNDLED_SCENARIOS.items():
-            resolved = validate_config(raw, strict=True)
-            again = validate_config(resolved, strict=True)
+            resolved = validate_config(raw)
+            again = validate_config(resolved)
             assert again == resolved, name
 
 
@@ -103,10 +101,10 @@ class TestCli:
             assert name in out
 
     def test_describe_prints_valid_resolved_config(self, capsys):
-        assert main(["describe", "geoloc_cbg", "--strict"]) == 0
+        assert main(["describe", "geoloc_cbg"]) == 0
         out = capsys.readouterr().out
         parsed = json.loads(out)
-        assert validate_config(parsed, strict=True) == parsed
+        assert validate_config(parsed) == parsed
 
     def test_describe_unknown_errors_with_catalog(self, capsys):
         assert main(["describe", "no_such_scenario"]) == 2
@@ -114,7 +112,7 @@ class TestCli:
         assert "licensing_basic" in err
 
     def test_run_writes_reports_and_exits_zero(self, tmp_path, capsys):
-        code = main(["run", "licensing_basic", "--out", str(tmp_path), "--strict"])
+        code = main(["run", "licensing_basic", "--out", str(tmp_path)])
         assert code == 0
         assert (tmp_path / "summary.txt").exists()
         assert (tmp_path / "licensing.jsonl").exists()
@@ -128,6 +126,42 @@ class TestCli:
         code = main(["run", str(config), "--out", str(tmp_path / "out")])
         assert code == 2
         assert "config.cluster.cap" in capsys.readouterr().err
+
+    def test_unknown_key_in_a_file_exits_two(self, tmp_path, capsys):
+        config = tmp_path / "extra.json"
+        config.write_text(json.dumps({"name": "x", "seed": 1, "licensing": {"quotas": 5}}))
+        assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 2
+        assert "config.licensing.quotas: unknown key" in capsys.readouterr().err
+        assert main(["describe", str(config)]) == 2
+
+    def test_repeated_key_exits_two_naming_key_and_file(self, tmp_path, capsys):
+        config = tmp_path / "twice.json"
+        config.write_text('{"name": "x", "seed": 1, "geoloc": {"trials": 2, "trials": 1}}')
+        for argv in (["run", str(config), "--out", str(tmp_path / "out")],
+                     ["describe", str(config)]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert "repeated key 'trials'" in err and str(config) in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "describe"])
+    @pytest.mark.parametrize("unreadable", ["directory", "utf-16"])
+    def test_unreadable_config_exits_two(self, tmp_path, capsys, command, unreadable):
+        config = tmp_path / "config.json"
+        if unreadable == "directory":
+            config.mkdir()
+        else:
+            config.write_bytes(b"\xff\xfe" + '{"name": "x", "seed": 1}'.encode("utf-16-le"))
+        extra = ["--out", str(tmp_path / "out")] if command == "run" else []
+        assert main([command, str(config), *extra]) == 2
+        assert capsys.readouterr().err.startswith(f"error: config: cannot read {config}")
+
+    @pytest.mark.parametrize("command", ["run", "describe"])
+    def test_strict_flag_is_gone(self, tmp_path, command):
+        extra = ["--out", str(tmp_path)] if command == "run" else []
+        with pytest.raises(SystemExit) as exc:
+            main([command, "licensing_basic", *extra, "--strict"])
+        assert exc.value.code == 2  # argparse's usage error
 
     def test_run_failed_expectation_exits_one(self, tmp_path, capsys):
         config = tmp_path / "expect.json"
@@ -343,8 +377,7 @@ class TestCli:
         out = {}
         for label, seed in (("a", "1"), ("b", "1"), ("c", "2")):
             path = tmp_path / label
-            assert main(["run", "geoloc_cbg", "--out", str(path), "--seed", seed,
-                         "--strict"]) == 0
+            assert main(["run", "geoloc_cbg", "--out", str(path), "--seed", seed]) == 0
             out[label] = (path / "geoloc.jsonl").read_bytes()
         assert out["a"] == out["b"]
         assert out["a"] != out["c"]
@@ -367,7 +400,7 @@ class TestCli:
 
 @functools.lru_cache(maxsize=None)
 def _bundled_reports(name: str) -> dict:
-    return execute_scenario(validate_config(BUNDLED_SCENARIOS[name], strict=True)).reports
+    return execute_scenario(validate_config(BUNDLED_SCENARIOS[name])).reports
 
 
 class TestGoldenReports:
@@ -375,7 +408,7 @@ class TestGoldenReports:
 
     @pytest.mark.parametrize("report", ["licensing.jsonl", "summary.txt", "summary.json"])
     def test_licensing_basic_matches_golden(self, report):
-        config = validate_config(BUNDLED_SCENARIOS["licensing_basic"], strict=True)
+        config = validate_config(BUNDLED_SCENARIOS["licensing_basic"])
         outcome = execute_scenario(config)
         golden = (GOLDEN_DIR / f"licensing_basic.{report}").read_text(encoding="utf-8")
         assert outcome.reports[report] == golden

@@ -1,6 +1,7 @@
 """Cluster interconnect tests: handshakes, caps, pods, bridges, detector."""
 
 import hashlib
+import itertools
 import math
 import random
 
@@ -24,10 +25,8 @@ from hemsim.cluster import (
     ClusterNode,
     DataEvent,
     HandshakeReject,
-    LinkKind,
     PodManifest,
     Session,
-    SessionAllocator,
     adopt_manifest,
     apply_cap_update,
     bridge_transfer,
@@ -94,10 +93,10 @@ class TestPodRegime:
         )
         for i in (a, b, c, d):
             assert adopt_manifest(nodes[i], manifest)
-        alloc = SessionAllocator()
-        ok = handshake(0.0, nodes[a], nodes[b], registry, rng, alloc)
+        session_ids = itertools.count()
+        ok = handshake(0.0, nodes[a], nodes[b], registry, rng, session_ids)
         assert ok.accepted
-        rejected = handshake(1.0, nodes[a], nodes[d], registry, rng, alloc)
+        rejected = handshake(1.0, nodes[a], nodes[d], registry, rng, session_ids)
         assert rejected.reason is HandshakeReject.NOT_IN_POD
 
     def test_firmware_mismatch_rejects_and_self_disables(self, world):
@@ -112,10 +111,10 @@ class TestPodRegime:
         for i in (a, b):
             assert adopt_manifest(nodes[i], manifest)
         nodes[b].chip.firmware_hash = hashlib.sha256(b"patched").digest()
-        result = handshake(0.0, nodes[a], nodes[b], registry, rng, SessionAllocator())
+        result = handshake(0.0, nodes[a], nodes[b], registry, rng, itertools.count())
         assert result.reason is HandshakeReject.FIRMWARE_MISMATCH
         assert nodes[b].self_disabled
-        again = handshake(1.0, nodes[a], nodes[b], registry, rng, SessionAllocator())
+        again = handshake(1.0, nodes[a], nodes[b], registry, rng, itertools.count())
         assert again.reason is HandshakeReject.BAD_AUTH
 
     def test_member_replacement_via_manifest_reissue(self, world):
@@ -137,9 +136,9 @@ class TestPodRegime:
         assert adopt_manifest(nodes[a], replacement)
         assert not adopt_manifest(nodes[a], first)  # stale epoch rejected
         assert adopt_manifest(nodes[b], first) and adopt_manifest(nodes[c], replacement)
-        alloc = SessionAllocator()
-        assert handshake(0.0, nodes[a], nodes[c], registry, rng, alloc).accepted
-        rejected = handshake(1.0, nodes[a], nodes[b], registry, rng, alloc)
+        session_ids = itertools.count()
+        assert handshake(0.0, nodes[a], nodes[c], registry, rng, session_ids).accepted
+        rejected = handshake(1.0, nodes[a], nodes[b], registry, rng, session_ids)
         assert rejected.reason is HandshakeReject.NOT_IN_POD
 
     def test_stale_manifest_epoch_refused_without_verify(self, world, crypto_calls):
@@ -186,7 +185,7 @@ class TestPodRegime:
                                 manifest_epoch=1)
         assert not adopt_manifest(member, forged)
         pair = (outsider, member) if outsider_first else (member, outsider)
-        result = handshake(0.0, *pair, registry, rng, SessionAllocator())
+        result = handshake(0.0, *pair, registry, rng, itertools.count())
         assert result.reason is HandshakeReject.NOT_IN_POD
         assert member.pod_manifest == PodManifest(**MANIFEST.decode(genuine)[0])
         assert not member.sessions
@@ -201,7 +200,7 @@ class TestPodRegime:
         assert adopt_manifest(a, manifest)  # b is listed but holds no manifest
         crypto_calls.update(verify=0, sign=0)
         for pair in ((a, b), (b, a)):
-            result = handshake(0.0, *pair, registry, rng, SessionAllocator())
+            result = handshake(0.0, *pair, registry, rng, itertools.count())
             assert result.reason is HandshakeReject.CAP_EXCEEDED
         assert crypto_calls == {"verify": 0, "sign": 0}
         assert not a.sessions and not b.sessions
@@ -226,7 +225,7 @@ class TestPodRegime:
         imposter = ClusterNode(chip=imposter_chip)
         for node in (nodes[a], imposter):
             assert adopt_manifest(node, manifest)
-        result = handshake(0.0, nodes[a], imposter, registry, rng, SessionAllocator())
+        result = handshake(0.0, nodes[a], imposter, registry, rng, itertools.count())
         assert result.reason is HandshakeReject.BAD_AUTH
 
     @pytest.mark.parametrize("imposter_first", [False, True])
@@ -249,7 +248,7 @@ class TestPodRegime:
         for node in (nodes[a], imposter):
             assert adopt_manifest(node, manifest)
         pair = (imposter, nodes[a]) if imposter_first else (nodes[a], imposter)
-        result = handshake(0.0, *pair, registry, rng, SessionAllocator())
+        result = handshake(0.0, *pair, registry, rng, itertools.count())
         # Authentication fails before the firmware check can run.
         assert result.reason is HandshakeReject.BAD_AUTH
         assert not nodes[a].self_disabled
@@ -261,7 +260,7 @@ class TestPodRegime:
         ids = sorted(nodes)
         honest = nodes[ids[0]]
         adopt_caps(regulator, nodes, cap=64)
-        alloc = SessionAllocator()
+        session_ids = itertools.count()
         successes = 0
         for trial in range(1000):
             victim = rng.choice(ids[1:])
@@ -271,7 +270,7 @@ class TestPodRegime:
                 issuer_keys=frozenset({regulator.public_bytes}),
             )))
             imposter.cap_policy = honest.cap_policy
-            result = handshake(float(trial), honest, imposter, registry, rng, alloc)
+            result = handshake(float(trial), honest, imposter, registry, rng, session_ids)
             successes += result.accepted
         assert successes == 0
 
@@ -282,17 +281,21 @@ class TestCapRegime:
         adopt_caps(regulator, nodes, cap=2)
         ids = sorted(nodes)
         hub = nodes[ids[0]]
-        alloc = SessionAllocator()
-        assert handshake(0.0, hub, nodes[ids[1]], registry, rng, alloc).accepted
-        assert handshake(1.0, hub, nodes[ids[2]], registry, rng, alloc).accepted
-        third = handshake(2.0, hub, nodes[ids[3]], registry, rng, alloc)
+        session_ids = itertools.count()
+        first = handshake(0.0, hub, nodes[ids[1]], registry, rng, session_ids)
+        second = handshake(1.0, hub, nodes[ids[2]], registry, rng, session_ids)
+        assert (first.session.session_id, second.session.session_id) == (0, 1)
+        third = handshake(2.0, hub, nodes[ids[3]], registry, rng, session_ids)
         assert third.reason is HandshakeReject.CAP_EXCEEDED
+        # A refused handshake takes no id: the next session is still number 2.
+        fourth = handshake(3.0, nodes[ids[3]], nodes[ids[4]], registry, rng, session_ids)
+        assert fourth.session.session_id == 2
 
     def test_no_adopted_policy_denies(self, world):
         rng, _, registry, nodes = world
         ids = sorted(nodes)
         result = handshake(0.0, nodes[ids[0]], nodes[ids[1]], registry, rng,
-                           SessionAllocator())
+                           itertools.count())
         assert result.reason is HandshakeReject.CAP_EXCEEDED
 
     @pytest.mark.parametrize("cap", [0, 1])
@@ -301,22 +304,22 @@ class TestCapRegime:
         adopt_caps(regulator, nodes, cap=cap)
         ids = sorted(nodes)
         hub = nodes[ids[0]]
-        alloc = SessionAllocator()
+        session_ids = itertools.count()
         if cap:
-            assert handshake(0.0, hub, nodes[ids[1]], registry, rng, alloc).accepted
+            assert handshake(0.0, hub, nodes[ids[1]], registry, rng, session_ids).accepted
         crypto_calls.update(verify=0, sign=0)
         expected_rng = random.Random()
         expected_rng.setstate(rng.getstate())
         expected_rng.randbytes(32)  # both nonces are drawn whichever check rejects
         for a, b in ((hub, nodes[ids[2]]), (nodes[ids[2]], hub)):
-            result = handshake(1.0, a, b, registry, rng, alloc)
+            result = handshake(1.0, a, b, registry, rng, session_ids)
             assert result.reason is HandshakeReject.CAP_EXCEEDED
             assert rng.getstate() == expected_rng.getstate()
             expected_rng.randbytes(32)
         assert crypto_calls == {"verify": 0, "sign": 0}
         if cap:  # an admitted handshake still authenticates both ways
             assert handshake(2.0, nodes[ids[2]], nodes[ids[3]], registry, rng,
-                             alloc).accepted
+                             session_ids).accepted
             assert crypto_calls == {"verify": 2, "sign": 2}
 
     def test_stale_epoch_refused_without_verify(self, world, crypto_calls):
@@ -376,10 +379,10 @@ class TestCapRegime:
         ids = sorted(nodes)
         hub = nodes[ids[0]]
         adopt_caps(regulator, nodes, cap=16, check_period_ms=100.0)
-        alloc = SessionAllocator()
+        session_ids = itertools.count()
         sessions = []
         for i, peer in enumerate(ids[1:6]):
-            result = handshake(float(i), hub, nodes[peer], registry, rng, alloc)
+            result = handshake(float(i), hub, nodes[peer], registry, rng, session_ids)
             sessions.append(result.session)
         assert hub.open_session_count() == 5
 
@@ -402,9 +405,9 @@ class TestCapRegime:
         ids = sorted(nodes)
         hub = nodes[ids[0]]
         adopt_caps(regulator, nodes, cap=8, check_period_ms=100.0)
-        alloc = SessionAllocator()
+        session_ids = itertools.count()
         for i, peer in enumerate(ids[1:5]):
-            handshake(float(i), hub, nodes[peer], registry, rng, alloc)
+            handshake(float(i), hub, nodes[peer], registry, rng, session_ids)
         lowered = issue_cap_policy(regulator, cap=1, cap_epoch=1, check_period_ms=100.0)
         apply_cap_update(hub, lowered)
         peers = {n.device_id: n for n in nodes.values()}
@@ -491,11 +494,11 @@ class TestChurnLoop:
         calls = []
         seen = {reason.value: 0 for reason in HandshakeReject}
 
-        def recording_handshake(now_ms, a, b, registry, rng, allocator):
+        def recording_handshake(now_ms, a, b, registry, rng, session_ids):
             calls.append(now_ms)
             if len(calls) % 4 == 0:
                 registry = Registry()
-            outcome = handshake(now_ms, a, b, registry, rng, allocator)
+            outcome = handshake(now_ms, a, b, registry, rng, session_ids)
             if not outcome.accepted:
                 seen[outcome.reason.value] += 1
             return outcome
@@ -519,8 +522,7 @@ def transfer(
     transit = n_bytes / DIRECT_INTERCONNECT_BYTES_PER_MS
     a.chip.consume(MeterResource.INTERCONNECT_TRANSFER_BYTES, n_bytes)
     b.chip.consume(MeterResource.INTERCONNECT_TRANSFER_BYTES, n_bytes)
-    return DataEvent(now_ms, a.device_id, b.device_id, n_bytes,
-                     LinkKind.DIRECT_INTERCONNECT, transit)
+    return DataEvent(now_ms, a.device_id, b.device_id, n_bytes, transit)
 
 
 class TestTransfers:
@@ -529,7 +531,7 @@ class TestTransfers:
         adopt_caps(regulator, nodes, cap=8)
         ids = sorted(nodes)
         a, b = nodes[ids[0]], nodes[ids[1]]
-        session = handshake(0.0, a, b, registry, rng, SessionAllocator()).session
+        session = handshake(0.0, a, b, registry, rng, itertools.count()).session
         return a, b, session
 
     def test_bridge_latency_multiplier(self, world):
@@ -538,7 +540,6 @@ class TestTransfers:
         direct = transfer(0.0, session, a, b, gig)
         bridged = bridge_transfer(0.0, "host-1", a, b, gig, multiplier=5.0)
         assert bridged.transit_ms == pytest.approx(5.0 * direct.transit_ms)
-        assert bridged.link_kind is LinkKind.PCIE_BRIDGE
 
     def test_meters_reflect_bytes_on_both_endpoints(self, world):
         a, b, _ = self._pair(world)
@@ -555,7 +556,7 @@ class TestTransfers:
 class TestCrossPodDetector:
     def test_no_inter_pod_traffic_no_flags(self):
         pod_of = {1: "p1", 2: "p1", 3: "p2"}
-        events = [DataEvent(t, 1, 2, 10**9, LinkKind.DIRECT_INTERCONNECT, 1.0)
+        events = [DataEvent(t, 1, 2, 10**9, 1.0)
                   for t in (0.0, 100.0, 200.0)]
         assert detect_cross_pod_coupling(events, pod_of, 100.0, 10**6) == []
 
@@ -563,7 +564,7 @@ class TestCrossPodDetector:
         pod_of = {1: "p1", 3: "p2"}
         gradient_bytes = 5 * 10**8
         events = [
-            DataEvent(50.0 + step * 100.0, 1, 3, gradient_bytes, LinkKind.PCIE_BRIDGE, 2.5)
+            DataEvent(50.0 + step * 100.0, 1, 3, gradient_bytes, 2.5)
             for step in range(8)
         ]
         flags = detect_cross_pod_coupling(events, pod_of, 100.0, gradient_bytes)
@@ -575,7 +576,7 @@ class TestCrossPodDetector:
     def test_sporadic_subthreshold_not_flagged(self):
         pod_of = {1: "p1", 3: "p2"}
         events = [
-            DataEvent(130.0, 1, 3, 10**4, LinkKind.PCIE_BRIDGE, 0.1),
-            DataEvent(890.0, 1, 3, 2 * 10**4, LinkKind.PCIE_BRIDGE, 0.1),
+            DataEvent(130.0, 1, 3, 10**4, 0.1),
+            DataEvent(890.0, 1, 3, 2 * 10**4, 0.1),
         ]
         assert detect_cross_pod_coupling(events, pod_of, 100.0, 10**6) == []
