@@ -231,16 +231,15 @@ def _licensed_chip(rng: random.Random, quota: int):
     return issuer, chip, lic
 
 
-def _landmark_ring(n: int, overhead: float = 0.5, center=(10.0, 10.0),
-                   radius_deg: float = 9.0) -> list[Landmark]:
-    """Fixed dispersed geometry so each matrix row is seed-robust."""
-    clat, clon = center
+def _landmark_ring(n: int) -> list[Landmark]:
+    """Fixed dispersed geometry so each matrix row is seed-robust: n landmarks
+    9 degrees around (10, 10), each with a 0.5 ms overhead."""
     return [
         Landmark(
             f"lm{i}",
-            GeoPoint(clat + radius_deg * math.sin(2 * math.pi * i / n),
-                     clon + radius_deg * math.cos(2 * math.pi * i / n)),
-            fixed_overhead_ms=overhead,
+            GeoPoint(10.0 + 9.0 * math.sin(2 * math.pi * i / n),
+                     10.0 + 9.0 * math.cos(2 * math.pi * i / n)),
+            fixed_overhead_ms=0.5,
         )
         for i in range(n)
     ]
@@ -531,16 +530,11 @@ def _attack_gradient_smuggle(profile, rng) -> dict:
 @attack("geoloc_delay_slowdown", required={Capability.DELAY_SLOWDOWN}, expect=(False, False))
 def _attack_slowdown(profile, rng) -> dict:
     landmarks = _landmark_ring(6)
-    lms = {lm.id: lm for lm in landmarks}
     truth = GeoPoint(11.0, 9.0)
     honest = synthesize_round(rng, landmarks, truth, 0.2, 0.5)
-    baseline = estimate_cbg(honest, lms, _GRID)
-    slowed = [
-        type(m)(m.landmark_id, m.rtt_ms + rng.uniform(5.0, 30.0), m.nonce,
-                m.response_signature, m.verified)
-        for m in honest
-    ]
-    attacked = estimate_cbg(slowed, lms, _GRID)
+    baseline = estimate_cbg(honest, _GRID)
+    slowed = [replace(m, rtt_ms=m.rtt_ms + rng.uniform(5.0, 30.0)) for m in honest]
+    attacked = estimate_cbg(slowed, _GRID)
     return dict(
         succeeded=not attacked.contains(truth),  # goal: evict the truth
         detected=attacked.inconsistent,
@@ -555,11 +549,10 @@ def _attack_slowdown(profile, rng) -> dict:
 @attack("geoloc_delay_speedup", required={Capability.DELAY_SPEEDUP}, expect=(False, True))
 def _attack_speedup(profile, rng) -> dict:
     landmarks = _landmark_ring(5)
-    lms = {lm.id: lm for lm in landmarks}
     truth = GeoPoint(11.0, 9.0)
     ms = synthesize_round(rng, landmarks, truth, 0.1, 0.5,
                           speedup={"lm0": profile.latency_factor})
-    est = estimate_cbg(ms, lms, _GRID)
+    est = estimate_cbg(ms, _GRID)
     # Success would be a clean (non-empty, unflagged) region that the chip
     # appears inside while the truth is pushed out.
     clean_spoof = (not est.inconsistent) and not est.contains(truth)
@@ -580,26 +573,25 @@ def _attack_landmark_compromise(profile, rng) -> dict:
     truth = GeoPoint(11.0, 9.0)
     # Two ring landmarks lie hard, reporting the chip nearly on top of them.
     liars = [lm.id for lm in landmarks[:f]]
-    lms = {lm.id: lm for lm in landmarks}
     ms = [
-        replace(m, rtt_ms=m.rtt_ms * 0.1) if m.landmark_id in liars else m
+        replace(m, rtt_ms=m.rtt_ms * 0.1) if m.landmark.id in liars else m
         for m in synthesize_round(rng, landmarks, truth, 0.2, 0.5)
     ]
-    est = estimate_bft(ms, lms, _GRID, f=f)
+    est = estimate_bft(ms, _GRID, f=f)
     # Liars whose bounds exclude the whole surviving region stand out. No
     # cell outside a disk's `disk_window` is in the disk, so only the window
     # is tested.
     outliers = []
     for m in ms:
-        bound = delay_to_distance(m, lms[m.landmark_id].fixed_overhead_ms)
-        if bound.floor_violation:
-            outliers.append(m.landmark_id)
+        bound_km = delay_to_distance(m)
+        if bound_km is None:
+            outliers.append(m.landmark.id)
             continue
-        disk = (lms[m.landmark_id].position, bound.bound_km + _GRID.half_diagonal_km())
+        disk = (m.landmark.position, bound_km + _GRID.half_diagonal_km())
         i0, i1, j0, j1 = _GRID.disk_window(*disk)
         window = (slice(i0, i1), slice(j0, j1))
         if est.mask.any() and not (_GRID.within_km([disk], *window)[0] & est.mask[window]).any():
-            outliers.append(m.landmark_id)
+            outliers.append(m.landmark.id)
     return dict(
         succeeded=not est.contains(truth),
         detected=len(outliers) > 0,
@@ -612,7 +604,7 @@ def _attack_landmark_compromise(profile, rng) -> dict:
 @attack("geoloc_landmark_ddos", required={Capability.DDOS_LANDMARKS}, expect=(False, True))
 def _attack_ddos(profile, rng) -> dict:
     _, registry, (chip,) = mint_fleet(rng, 1)
-    landmarks = _landmark_ring(7, overhead=0.5)
+    landmarks = _landmark_ring(7)
     truth = GeoPoint(11.0, 9.0)
     nodes = [Node(lm.id, lm.position) for lm in landmarks]
     nodes.append(Node("chip", truth))
@@ -623,9 +615,8 @@ def _attack_ddos(profile, rng) -> dict:
     sim = Simulator(seed=rng.randrange(2**31))
     ms = challenge_round(sim, net, landmarks, chip.identity.device_id, "chip",
                          chip.sign, registry, timeout_ms=500.0)
-    lms = {lm.id: lm for lm in landmarks}
-    est = estimate_cbg(ms, lms, _GRID)
-    missing = [m.landmark_id for m in ms if m.missing]
+    est = estimate_cbg(ms, _GRID)
+    missing = [m.landmark.id for m in ms if m.rtt_ms is None]
     return dict(
         succeeded=not est.contains(truth),
         detected=len(missing) > 0,
@@ -651,8 +642,7 @@ def _attack_relay(profile, rng) -> dict:
     sim = Simulator(seed=rng.randrange(2**31))
     ms = challenge_round(sim, net, landmarks, chip.identity.device_id, "relay",
                          oracle, registry)
-    lms = {lm.id: lm for lm in landmarks}
-    est = estimate_cbg(ms, lms, _GRID)
+    est = estimate_cbg(ms, _GRID)
     spoofed = (
         all(m.verified for m in ms)
         and not est.inconsistent

@@ -7,8 +7,10 @@ pod membership with firmware integrity (fixed set), or a regulator-signed
 cap on concurrently authenticated peers (adjustable cap). A chip's regime is
 what it has itself verified and adopted from wire bytes - a pod manifest
 (`adopt_manifest`), a cap policy (`apply_cap_update`), or both - and each
-endpoint of a handshake enforces its own; the caller passes no regime. The
-module also models the two circumvention routes named for these regimes -
+endpoint of a handshake enforces its own; the caller passes no regime. A
+`Session` holds its two `ClusterNode` ends and is open while both hold it
+in their `sessions` tables, so closing one needs nothing but the session.
+The module also models the two circumvention routes named for these regimes -
 PCIe-bridged transfers through a host, and gradient smuggling between pods
 - plus an offline detector that flags periodic inter-pod traffic.
 """
@@ -63,12 +65,14 @@ def issue_cap_policy(
                            check_period_ms=check_period_ms)
 
 
-@dataclass
+@dataclass(eq=False)
 class Session:
+    """A mutually authenticated link, open while both `ends` hold it. Equal
+    only to itself: the ends refer back to it."""
+
     session_id: int
-    peers: tuple[int, int]
+    ends: tuple[ClusterNode, ClusterNode]
     established_at: float
-    open: bool = True
 
 
 @dataclass(frozen=True)
@@ -113,7 +117,7 @@ class ClusterNode:
         return self.chip.identity.device_id
 
     def open_session_count(self) -> int:
-        return sum(1 for s in self.sessions.values() if s.open)
+        return len(self.sessions)
 
     def adopted_cap(self) -> int:
         # Default-deny: a chip that has adopted no policy interconnects with no one.
@@ -123,8 +127,7 @@ class ClusterNode:
         self.self_disabled = True
         self.chip.throttle = ThrottleLevel.DISABLED
         for session in list(self.sessions.values()):
-            session.open = False
-        self.sessions.clear()
+            teardown(session)
 
 
 def _auth_ok(signer: ClusterNode, peer_nonce: bytes, peer_id: int, registry: Registry) -> bool:
@@ -184,20 +187,16 @@ def handshake(
             node.disable()  # integrity check tripped: member self-disables
             return HandshakeResult(None, HandshakeReject.FIRMWARE_MISMATCH)
 
-    session = Session(
-        session_id=next(session_ids),
-        peers=(a.device_id, b.device_id),
-        established_at=now_ms,
-    )
+    session = Session(session_id=next(session_ids), ends=(a, b), established_at=now_ms)
     a.sessions[session.session_id] = session
     b.sessions[session.session_id] = session
     return HandshakeResult(session)
 
 
-def teardown(session: Session, a: ClusterNode, b: ClusterNode) -> None:
-    session.open = False
-    a.sessions.pop(session.session_id, None)
-    b.sessions.pop(session.session_id, None)
+def teardown(session: Session) -> None:
+    """Close `session` at both of its ends."""
+    for end in session.ends:
+        end.sessions.pop(session.session_id, None)
 
 
 def _newer_signed(node: ClusterNode, doc: canon.Doc, wire: bytes, epoch: str,
@@ -252,27 +251,17 @@ def apply_cap_update(node: ClusterNode, wire: bytes) -> bool:
     return True
 
 
-def _enforce_cap(node: ClusterNode, peers: dict[int, "ClusterNode"]) -> list[Session]:
+def _enforce_cap(node: ClusterNode) -> list[Session]:
     """Tear down newest-first sessions until the node is within its cap."""
-    closed: list[Session] = []
-    cap = node.adopted_cap()
-    open_sessions = sorted(
-        (s for s in node.sessions.values() if s.open),
-        key=lambda s: (s.established_at, s.session_id),
-        reverse=True,
-    )
-    while len(open_sessions) > cap:
-        session = open_sessions.pop(0)
-        other_id = session.peers[0] if session.peers[1] == node.device_id else session.peers[1]
-        other = peers[other_id]
-        teardown(session, node, other)
-        closed.append(session)
+    newest_first = sorted(node.sessions.values(), key=lambda s: (s.established_at, s.session_id),
+                          reverse=True)
+    closed = newest_first[:max(len(newest_first) - node.adopted_cap(), 0)]
+    for session in closed:
+        teardown(session)
     return closed
 
 
-def run_due_checks(
-    node: ClusterNode, now_ms: float, peers: dict[int, "ClusterNode"]
-) -> list[Session]:
+def run_due_checks(node: ClusterNode, now_ms: float) -> list[Session]:
     """Execute every check instant that has come due, on its exact schedule.
 
     Keeps the cap-violation window after a lowering bounded by one check
@@ -284,7 +273,7 @@ def run_due_checks(
     period = node.cap_policy.check_period_ms
     while node.last_check_ms + period <= now_ms:
         node.last_check_ms += period
-        closed.extend(_enforce_cap(node, peers))
+        closed.extend(_enforce_cap(node))
     return closed
 
 
@@ -312,6 +301,10 @@ def bridge_transfer(
     return DataEvent(now_ms, a.device_id, b.device_id, n_bytes, transit)
 
 
+# Windows over the threshold that make a pod pair's traffic periodic.
+_MIN_PERIODIC_WINDOWS = 3
+
+
 @dataclass(frozen=True)
 class CouplingFlag:
     pod_pair: tuple[str, str]
@@ -325,11 +318,10 @@ def detect_cross_pod_coupling(
     pod_of: dict[int, str],
     window_ms: float,
     threshold_bytes_per_step: int,
-    min_periodic_windows: int = 3,
 ) -> list[CouplingFlag]:
     """Flag pod pairs whose windowed inter-pod traffic looks like training sync.
 
-    A pair is flagged when at least `min_periodic_windows` windows each carry
+    A pair is flagged when at least `_MIN_PERIODIC_WINDOWS` windows each carry
     `threshold_bytes_per_step` or more between the two pods, the signature of
     per-step gradient exchange. Sporadic sub-threshold chatter is ignored.
     """
@@ -351,7 +343,7 @@ def detect_cross_pod_coupling(
     for pair in sorted(window_totals):
         totals = window_totals[pair]
         over = sorted(w for w, total in totals.items() if total >= threshold_bytes_per_step)
-        if len(over) >= min_periodic_windows:
+        if len(over) >= _MIN_PERIODIC_WINDOWS:
             flags.append(
                 CouplingFlag(
                     pod_pair=pair,

@@ -1,13 +1,14 @@
 """Challenge-response location verification.
 
-Landmark servers at known positions send signed-nonce challenges to a chip
-over the simulated network and time the responses on their own clocks. A
-verified round-trip time converts to a distance upper bound (nothing rides
-the wire faster than the propagation floor). Two region estimators turn
-bounds into location regions: disk intersection (CBG) and a fault-tolerant
-intersection that survives a bounded number of lying landmarks. A
-Levenberg-Marquardt descent on the distance residuals, stepping in
-east/north km around its current point, gives a point estimate.
+Landmark servers at known positions send nonce challenges to a chip over
+the simulated network and time the signed responses on their own clocks.
+Each `Measurement` carries the `Landmark` that took it, so the estimators
+take measurements alone. A verified round-trip time converts to a distance
+upper bound (nothing rides the wire faster than the propagation floor). Two
+region estimators turn bounds into location regions: disk intersection
+(CBG) and a fault-tolerant intersection that survives a bounded number of
+lying landmarks. A Levenberg-Marquardt descent on the distance residuals,
+stepping in east/north km around its current point, gives a point estimate.
 
 Measurements whose response signature fails verification never influence
 any estimate.
@@ -57,26 +58,18 @@ class Landmark:
 
 @dataclass
 class Measurement:
-    landmark_id: str
+    """One landmark's timing of the chip; `rtt_ms` is None when no response
+    arrived in time."""
+
+    landmark: Landmark
     rtt_ms: Optional[float]
-    nonce: bytes
-    response_signature: Optional[bytes]
     verified: bool
-    missing: bool = False
-
-
-@dataclass(frozen=True)
-class _Challenge:
-    landmark_id: str
-    nonce: bytes
 
 
 @dataclass(frozen=True)
 class _Response:
-    landmark_id: str
     nonce: bytes
-    device_id: int
-    signature: Optional[bytes]
+    signature: bytes
 
 
 def challenge_round(
@@ -91,88 +84,70 @@ def challenge_round(
 ) -> list[Measurement]:
     """One synchronized round: every landmark challenges the chip once.
 
-    RTTs are measured on each landmark's clock (simulation time). Responses
-    that never arrive within the timeout yield measurements marked missing;
-    responses signed by anything but the registered device key are retained
-    but flagged unverified.
+    A challenge is the landmark's nonce; the chip answers whoever sent it.
+    Each landmark times, on its own clock (simulation time), the first
+    response delivered to it that carries the nonce it sent, so no other
+    message can stand in for it. A landmark with no such response within the
+    timeout yields a measurement with no RTT; responses signed by anything
+    but the registered device key are retained but flagged unverified.
     """
     t_start = sim.now
+    nonces: dict[str, bytes] = {}
     arrivals: dict[str, tuple[float, _Response]] = {}
 
     def chip_handler(s: Simulator, event) -> None:
-        challenge = event.payload
-        if not isinstance(challenge, _Challenge):
+        nonce = event.payload
+        if not isinstance(nonce, bytes):
             return
-        message = GEOLOC_RESPONSE.signed(device_id=device_id, nonce=challenge.nonce)
         try:
-            signature = sign_fn(message)
+            signature = sign_fn(GEOLOC_RESPONSE.signed(device_id=device_id, nonce=nonce))
         except ZeroizedError:
             return
-        response = _Response(challenge.landmark_id, challenge.nonce, device_id, signature)
-        s.send(net, chip_node_id, challenge.landmark_id, response)
+        s.send(net, chip_node_id, event.source, _Response(nonce, signature))
 
     def landmark_handler(s: Simulator, event) -> None:
         response = event.payload
-        if isinstance(response, _Response):
-            arrivals.setdefault(response.landmark_id, (s.now, response))
+        if (isinstance(response, _Response) and event.destination not in arrivals
+                and response.nonce == nonces[event.destination]):
+            arrivals[event.destination] = (s.now, response)
 
     sim.register(chip_node_id, chip_handler)
     for lm in landmarks:
         sim.register(lm.id, landmark_handler)
 
-    nonces: dict[str, bytes] = {}
     for lm in landmarks:
-        nonce = sim.rng.randbytes(16)
-        nonces[lm.id] = nonce
-        sim.send(net, lm.id, chip_node_id, _Challenge(lm.id, nonce))
+        nonces[lm.id] = sim.rng.randbytes(16)
+        sim.send(net, lm.id, chip_node_id, nonces[lm.id])
     sim.run_until(t_start + timeout_ms)
 
+    key = registry.public_key(device_id)
     measurements = []
     for lm in landmarks:
         arrived = arrivals.get(lm.id)
         if arrived is None or arrived[0] - t_start > timeout_ms:
-            measurements.append(
-                Measurement(lm.id, None, nonces[lm.id], None, verified=False, missing=True)
-            )
+            measurements.append(Measurement(lm, None, verified=False))
             continue
         arrival_time, response = arrived
-        rtt = arrival_time - t_start
         expected = GEOLOC_RESPONSE.signed(device_id=device_id, nonce=nonces[lm.id])
-        key = registry.public_key(device_id)
-        verified = (
-            key is not None
-            and response.nonce == nonces[lm.id]
-            and response.signature is not None
-            and canon.verify(key, expected, response.signature)
-        )
-        measurements.append(
-            Measurement(lm.id, rtt, response.nonce, response.signature, verified=verified)
-        )
+        verified = key is not None and canon.verify(key, expected, response.signature)
+        measurements.append(Measurement(lm, arrival_time - t_start, verified=verified))
     return measurements
 
 
-@dataclass(frozen=True)
-class DistanceBound:
-    landmark_id: str
-    bound_km: float
-    floor_violation: bool
-
-
-def delay_to_distance(measurement: Measurement, fixed_overhead_ms: float) -> DistanceBound:
-    """Sound upper bound on chip-landmark distance from a verified RTT.
+def delay_to_distance(measurement: Measurement) -> Optional[float]:
+    """Sound upper bound, in km, on chip-landmark distance from a verified RTT.
 
     Uses unit path stretch (no route is shorter than the geodesic), so any
     added congestion or detour only inflates the bound. An RTT below twice
-    the fixed overhead is physically impossible and is flagged instead: the
-    telltale of a response-speedup attack.
+    the landmark's fixed overhead is physically impossible and yields None
+    instead: the telltale of a response-speedup attack.
     """
-    if measurement.missing or not measurement.verified:
+    if not measurement.verified:
         raise ValueError("delay_to_distance requires a verified measurement")
-    one_way_ms = measurement.rtt_ms / 2.0 - fixed_overhead_ms
+    one_way_ms = measurement.rtt_ms / 2.0 - measurement.landmark.fixed_overhead_ms
     if one_way_ms < 0.0:
-        return DistanceBound(measurement.landmark_id, 0.0, floor_violation=True)
-    bound = one_way_ms * BOUND_SPEED_KM_PER_MS
-    return DistanceBound(measurement.landmark_id, bound, floor_violation=False)
+        return None
+    return one_way_ms * BOUND_SPEED_KM_PER_MS
 
 
 @dataclass(frozen=True)
@@ -405,30 +380,28 @@ class GeoEstimate:
 
 
 def _usable(measurements: Iterable[Measurement]) -> list[Measurement]:
-    """Key-binding gate: only verified, non-missing measurements count."""
-    return [m for m in measurements if m.verified and not m.missing]
+    """Key-binding gate: only verified measurements count (a measurement with
+    no RTT is never verified)."""
+    return [m for m in measurements if m.verified]
 
 
 def _bounds_for(
-    measurements: Sequence[Measurement], landmarks: dict[str, Landmark]
-) -> tuple[list[tuple[Landmark, DistanceBound]], tuple[str, ...]]:
-    usable_bounds = []
+    measurements: Sequence[Measurement],
+) -> tuple[list[tuple[GeoPoint, float]], tuple[str, ...]]:
+    """`(landmark position, bound km)` of each usable measurement, and the ids
+    of the landmarks whose RTT is below the propagation floor."""
+    bounds = []
     violations = []
     for m in _usable(measurements):
-        lm = landmarks[m.landmark_id]
-        bound = delay_to_distance(m, lm.fixed_overhead_ms)
-        if bound.floor_violation:
-            violations.append(m.landmark_id)
+        bound_km = delay_to_distance(m)
+        if bound_km is None:
+            violations.append(m.landmark.id)
         else:
-            usable_bounds.append((lm, bound))
-    return usable_bounds, tuple(violations)
+            bounds.append((m.landmark.position, bound_km))
+    return bounds, tuple(violations)
 
 
-def estimate_cbg(
-    measurements: Sequence[Measurement],
-    landmarks: dict[str, Landmark],
-    grid: GridSpec,
-) -> GeoEstimate:
+def estimate_cbg(measurements: Sequence[Measurement], grid: GridSpec) -> GeoEstimate:
     """Constraint-based geolocation: intersect distance-bound disks.
 
     An empty intersection is an explicit inconsistency signal, not an
@@ -446,14 +419,14 @@ def estimate_cbg(
     disk or are already excluded, and AND does not depend on order, so the
     mask equals the full-grid intersection of every disk, bit for bit.
     """
-    usable_bounds, violations = _bounds_for(measurements, landmarks)
-    if not usable_bounds:
+    bounds, violations = _bounds_for(measurements)
+    if not bounds:
         mask = np.zeros((grid.n_lat, grid.n_lon), dtype=bool)
         return GeoEstimate(grid, mask, empty=True, floor_violations=violations)
     slack = grid.half_diagonal_km()
-    disks = [(lm.position, bound.bound_km + slack)
-             for lm, bound in sorted(usable_bounds, key=lambda item: item[1].bound_km)
-             if not bound.bound_km + slack > _WHOLE_GLOBE_KM]
+    disks = [(position, bound_km + slack)
+             for position, bound_km in sorted(bounds, key=lambda item: item[1])
+             if not bound_km + slack > _WHOLE_GLOBE_KM]
     mask = np.ones((grid.n_lat, grid.n_lon), dtype=bool)
     i0, i1, j0, j1 = 0, grid.n_lat, 0, grid.n_lon
     start = 0
@@ -487,12 +460,7 @@ def estimate_cbg(
     return GeoEstimate(grid, mask, empty=empty, floor_violations=violations)
 
 
-def estimate_bft(
-    measurements: Sequence[Measurement],
-    landmarks: dict[str, Landmark],
-    grid: GridSpec,
-    f: int,
-) -> GeoEstimate:
+def estimate_bft(measurements: Sequence[Measurement], grid: GridSpec, f: int) -> GeoEstimate:
     """Fault-tolerant region: cells consistent with at least n - f bounds.
 
     Requires n >= 3f + 1 landmarks. With at most f landmarks reporting
@@ -510,17 +478,17 @@ def estimate_bft(
     n = len(usable)
     if n < 3 * f + 1:
         raise InsufficientLandmarksError(f"need at least {3 * f + 1} landmarks, have {n}")
-    usable_bounds, violations = _bounds_for(usable, landmarks)  # violations fit no cell
+    bounds, violations = _bounds_for(usable)  # violations fit no cell
     slack = grid.half_diagonal_km()
     counts = np.zeros((grid.n_lat, grid.n_lon), dtype=np.int32)
     whole_globe = 0
-    for lm, bound in usable_bounds:
-        radius = bound.bound_km + slack
+    for position, bound_km in bounds:
+        radius = bound_km + slack
         if radius > _WHOLE_GLOBE_KM:
             whole_globe += 1
             continue
-        i0, i1, j0, j1 = grid.disk_window(lm.position, radius)
-        counts[i0:i1, j0:j1] += grid.within_km([(lm.position, radius)],
+        i0, i1, j0, j1 = grid.disk_window(position, radius)
+        counts[i0:i1, j0:j1] += grid.within_km([(position, radius)],
                                                slice(i0, i1), slice(j0, j1))[0]
     mask = counts >= (n - f - whole_globe)
     empty = not bool(mask.any())
@@ -730,9 +698,11 @@ def _centroid_start(targets: Sequence[tuple[GeoPoint, float]]) -> GeoPoint:
     return GeoPoint(sum(pos.latitude for pos, _ in targets) / len(targets), sum(lons) / len(lons))
 
 
-def _coarse_scan_start(
-    targets: Sequence[tuple[GeoPoint, float]], terms: DescentTerms, cells: int = 24
-) -> GeoPoint:
+# Cells per side of the coarse objective scan.
+_COARSE_SCAN_CELLS = 24
+
+
+def _coarse_scan_start(targets: Sequence[tuple[GeoPoint, float]], terms: DescentTerms) -> GeoPoint:
     """Cheapest cell of a coarse objective scan over the landmark extent,
     in `_unwrapped_longitudes`.
 
@@ -749,6 +719,7 @@ def _coarse_scan_start(
     pad = 5.0
     lat_lo, lat_hi = max(min(lats) - pad, -90.0), min(max(lats) + pad, 90.0)
     lon_lo, lon_hi = min(lons) - pad, max(lons) + pad
+    cells = _COARSE_SCAN_CELLS
     k = np.arange(cells) + 0.5
     lat_c = lat_lo + k * (lat_hi - lat_lo) / cells
     lon_c = lon_lo + k * (lon_hi - lon_lo) / cells
@@ -767,11 +738,7 @@ def _coarse_scan_start(
     return GeoPoint(best[1], best[2])
 
 
-def estimate_descent(
-    measurements: Sequence[Measurement],
-    landmarks: dict[str, Landmark],
-    init: GeoPoint,
-) -> DescentResult:
+def estimate_descent(measurements: Sequence[Measurement], init: GeoPoint) -> DescentResult:
     """Minimize squared distance residuals by Levenberg-Marquardt descent in
     the local east/north km frame (`_descend_from`).
 
@@ -793,11 +760,8 @@ def estimate_descent(
     usable = _usable(measurements)
     if len(usable) < 3:
         raise ValueError("descent needs at least 3 verified measurements")
-    targets = []
-    for m in usable:
-        lm = landmarks[m.landmark_id]
-        bound = delay_to_distance(m, lm.fixed_overhead_ms)
-        targets.append((lm.position, bound.bound_km))
+    # A landmark timed below the propagation floor targets 0 km.
+    targets = [(m.landmark.position, delay_to_distance(m) or 0.0) for m in usable]
     terms = descent_terms(targets)
 
     best = _descend_from(init, terms, "init")
@@ -840,7 +804,5 @@ def synthesize_round(
         rtt = model.sample_one_way_delay(distance, rng) + model.sample_one_way_delay(distance, rng)
         if speedup and lm.id in speedup:
             rtt *= speedup[lm.id]
-        measurements.append(
-            Measurement(lm.id, rtt, b"synthetic", b"", verified=True, missing=False)
-        )
+        measurements.append(Measurement(lm, rtt, verified=True))
     return measurements

@@ -14,7 +14,7 @@ import itertools
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -58,7 +58,6 @@ from .geoloc import (
     InsufficientLandmarksError,
     KM_PER_DEGREE,
     Landmark,
-    Measurement,
     estimate_bft,
     estimate_cbg,
     estimate_descent,
@@ -159,7 +158,6 @@ def run_cluster_section(section: dict, seed: int) -> SectionResult:
     result = SectionResult()
     regulator, registry, chips = mint_fleet(rng, section["chips"])
     nodes = [ClusterNode(chip=chip) for chip in chips]
-    peers = {n.device_id: n for n in nodes}
     check_period = section["check_period_ms"]
     epoch = 0
     cap = section["cap"]
@@ -193,8 +191,8 @@ def run_cluster_section(section: dict, seed: int) -> SectionResult:
 
     def close(session: Session) -> None:
         del open_sessions[session.session_id]
-        for device_id in session.peers:
-            recount(peers[device_id])
+        for end in session.ends:
+            recount(end)
 
     def next_check_ms() -> float:
         return min(n.last_check_ms + n.cap_policy.check_period_ms for n in nodes)
@@ -206,7 +204,7 @@ def run_cluster_section(section: dict, seed: int) -> SectionResult:
             # Every node, in list order, once any is due. Popping nodes off a
             # heap would reorder enforcement, and so which sessions close.
             for node in nodes:
-                for session in run_due_checks(node, now, peers):
+                for session in run_due_checks(node, now):
                     close(session)
             next_check = next_check_ms()
         if i in lowering_at and cap > 0:
@@ -224,7 +222,7 @@ def run_cluster_section(section: dict, seed: int) -> SectionResult:
             next_check = next_check_ms()
         if open_sessions and rng.random() < 0.35:
             session = rng.choice(list(open_sessions.values()))
-            teardown(session, peers[session.peers[0]], peers[session.peers[1]])
+            teardown(session)
             close(session)
             stats["teardowns"] += 1
         else:
@@ -319,7 +317,7 @@ def run_geoloc_section(section: dict, seed: int) -> SectionResult:
         landmarks = _random_landmarks(rng, n, region, overhead)
         truth = _random_truth(rng, region)
         ms = synthesize_round(rng, landmarks, truth, jitter_median, jitter_sigma)
-        est = estimate_cbg(ms, {lm.id: lm for lm in landmarks}, grid)
+        est = estimate_cbg(ms, grid)
         ok = est.contains(truth) and not est.empty
         contained += ok
         result.records.append({"event": "cbg_trial", "trial": trial, "landmarks": n,
@@ -337,7 +335,7 @@ def run_geoloc_section(section: dict, seed: int) -> SectionResult:
         speedy = rng.choice(landmarks).id
         ms = synthesize_round(rng, landmarks, truth, jitter_median, jitter_sigma,
                               speedup={speedy: section["latency_factor"]})
-        est = estimate_cbg(ms, {lm.id: lm for lm in landmarks}, grid)
+        est = estimate_cbg(ms, grid)
         flagged += est.inconsistent
         result.records.append({"event": "speedup_trial", "trial": trial,
                                "flagged": est.inconsistent})
@@ -361,9 +359,8 @@ def run_geoloc_section(section: dict, seed: int) -> SectionResult:
                 lied = rng.uniform(0.0, ms[idx].rtt_ms)  # pull closer
             else:
                 lied = ms[idx].rtt_ms * rng.uniform(1.0, 50.0)  # push away
-            ms[idx] = Measurement(ms[idx].landmark_id, lied, ms[idx].nonce,
-                                  ms[idx].response_signature, True)
-        est = estimate_bft(ms, {lm.id: lm for lm in landmarks}, grid, f=bft["f"])
+            ms[idx] = replace(ms[idx], rtt_ms=lied)
+        est = estimate_bft(ms, grid, f=bft["f"])
         bft_contained += est.contains(truth)
     result.records.append({"event": "bft_campaign", "n": bft["n"], "f": bft["f"],
                            "trials": bft["trials"], "contained": bft_contained})
@@ -376,7 +373,7 @@ def run_geoloc_section(section: dict, seed: int) -> SectionResult:
     refusal_ms = synthesize_round(rng, refusal_landmarks, _random_truth(rng, region),
                                   jitter_median, jitter_sigma)
     try:
-        estimate_bft(refusal_ms, {lm.id: lm for lm in refusal_landmarks}, grid, f=2)
+        estimate_bft(refusal_ms, grid, f=2)
         refused = False
     except InsufficientLandmarksError:
         refused = True
@@ -389,7 +386,7 @@ def run_geoloc_section(section: dict, seed: int) -> SectionResult:
         truth = _random_truth(rng, region)
         ms = synthesize_round(rng, landmarks, truth, 0.0, jitter_sigma)
         init = _random_truth(rng, region)
-        res = estimate_descent(ms, {lm.id: lm for lm in landmarks}, init)
+        res = estimate_descent(ms, init)
         err_km = geodesic_distance(res.point, truth)
         ok = err_km <= grid.resolution_deg * KM_PER_DEGREE
         recovered += ok

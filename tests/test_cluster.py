@@ -35,6 +35,7 @@ from hemsim.cluster import (
     issue_cap_policy,
     issue_manifest,
     run_due_checks,
+    teardown,
 )
 from hemsim.config import validate_config
 from hemsim.scenarios import run_cluster_section
@@ -53,6 +54,14 @@ def world():
         node = ClusterNode(chip=chip)
         nodes[node.device_id] = node
     return rng, regulator, registry, nodes
+
+
+def held_by_both_ends(session):
+    return all(end.sessions.get(session.session_id) is session for end in session.ends)
+
+
+def held_by_neither_end(session):
+    return all(session.session_id not in end.sessions for end in session.ends)
 
 
 def adopt_caps(regulator, nodes, cap, epoch=0, check_period_ms=60_000.0):
@@ -102,19 +111,25 @@ class TestPodRegime:
     def test_firmware_mismatch_rejects_and_self_disables(self, world):
         rng, regulator, registry, nodes = world
         ids = sorted(nodes)
-        a, b = ids[:2]
+        a, b, c = ids[:3]
         manifest = issue_manifest(
             regulator, "pod-1",
-            {a: nodes[a].chip.firmware_hash, b: nodes[b].chip.firmware_hash},
+            {i: nodes[i].chip.firmware_hash for i in (a, b, c)},
             manifest_epoch=0,
         )
-        for i in (a, b):
+        for i in (a, b, c):
             assert adopt_manifest(nodes[i], manifest)
+        session_ids = itertools.count()
+        held = handshake(0.0, nodes[b], nodes[c], registry, rng, session_ids).session
         nodes[b].chip.firmware_hash = hashlib.sha256(b"patched").digest()
-        result = handshake(0.0, nodes[a], nodes[b], registry, rng, itertools.count())
+        result = handshake(0.0, nodes[a], nodes[b], registry, rng, session_ids)
         assert result.reason is HandshakeReject.FIRMWARE_MISMATCH
         assert nodes[b].self_disabled
-        again = handshake(1.0, nodes[a], nodes[b], registry, rng, itertools.count())
+        # Disabling closes b's sessions at both ends, its peer c's included.
+        assert held_by_neither_end(held)
+        assert not nodes[b].sessions and not nodes[c].sessions
+        assert nodes[c].open_session_count() == 0
+        again = handshake(1.0, nodes[a], nodes[b], registry, rng, session_ids)
         assert again.reason is HandshakeReject.BAD_AUTH
 
     def test_member_replacement_via_manifest_reissue(self, world):
@@ -285,11 +300,24 @@ class TestCapRegime:
         first = handshake(0.0, hub, nodes[ids[1]], registry, rng, session_ids)
         second = handshake(1.0, hub, nodes[ids[2]], registry, rng, session_ids)
         assert (first.session.session_id, second.session.session_id) == (0, 1)
+        assert first.session.ends == (hub, nodes[ids[1]])
+        assert held_by_both_ends(first.session) and held_by_both_ends(second.session)
+        # A session equals only itself, and its repr stops where it meets itself
+        # again through its ends.
+        twin = Session(first.session.session_id, first.session.ends, first.session.established_at)
+        assert first.session == first.session and first.session != twin
+        assert "sessions={0: ..." in repr(first.session)
+        assert repr(hub).startswith("ClusterNode(")
         third = handshake(2.0, hub, nodes[ids[3]], registry, rng, session_ids)
         assert third.reason is HandshakeReject.CAP_EXCEEDED
         # A refused handshake takes no id: the next session is still number 2.
         fourth = handshake(3.0, nodes[ids[3]], nodes[ids[4]], registry, rng, session_ids)
         assert fourth.session.session_id == 2
+        # Tearing a session down removes it from both ends and frees its slot.
+        teardown(first.session)
+        assert held_by_neither_end(first.session)
+        assert hub.open_session_count() == 1 and nodes[ids[1]].open_session_count() == 0
+        assert handshake(4.0, hub, nodes[ids[5]], registry, rng, session_ids).accepted
 
     def test_no_adopted_policy_denies(self, world):
         rng, _, registry, nodes = world
@@ -351,9 +379,9 @@ class TestCapRegime:
         assert not apply_cap_update(fresh, bad)
         assert crypto_calls["verify"] == 0
         assert adopted.cap_policy == before and fresh.cap_policy is None
-        assert run_due_checks(adopted, 1000.0, nodes) == []
+        assert run_due_checks(adopted, 1000.0) == []
         assert adopted.last_check_ms == 1000.0
-        assert run_due_checks(fresh, 1000.0, nodes) == []
+        assert run_due_checks(fresh, 1000.0) == []
 
     def test_unsigned_cap_raise_rejected(self, world):
         rng, regulator, registry, nodes = world
@@ -390,14 +418,15 @@ class TestCapRegime:
         assert apply_cap_update(hub, lowered)
         assert hub.open_session_count() == 5  # grace until the next check
 
-        closed = run_due_checks(hub, 110.0, {n.device_id: n for n in nodes.values()})
+        closed = run_due_checks(hub, 110.0)
         assert hub.open_session_count() == 2
         assert len(closed) == 3
         closed_ids = {s.session_id for s in closed}
         newest_three = {s.session_id for s in sorted(sessions, key=lambda s: -s.established_at)[:3]}
         assert closed_ids == newest_three
+        assert all(held_by_neither_end(s) for s in closed)
         # The longest-running sessions survive.
-        assert sessions[0].open and sessions[1].open
+        assert held_by_both_ends(sessions[0]) and held_by_both_ends(sessions[1])
 
 
     def test_run_due_checks_executes_on_schedule(self, world):
@@ -410,9 +439,8 @@ class TestCapRegime:
             handshake(float(i), hub, nodes[peer], registry, rng, session_ids)
         lowered = issue_cap_policy(regulator, cap=1, cap_epoch=1, check_period_ms=100.0)
         apply_cap_update(hub, lowered)
-        peers = {n.device_id: n for n in nodes.values()}
         # Jump far ahead; the backlog of check instants still runs punctually.
-        closed = run_due_checks(hub, 1000.0, peers)
+        closed = run_due_checks(hub, 1000.0)
         assert hub.open_session_count() == 1
         assert len(closed) == 3
         assert hub.last_check_ms == 1000.0
@@ -481,7 +509,7 @@ class TestChurnLoop:
 
     def test_unenforced_cap_is_seen_as_violations(self, monkeypatch):
         # The enforced run has none: test_acceptance's cap-safety criterion.
-        monkeypatch.setattr(cluster, "_enforce_cap", lambda node, peers: [])
+        monkeypatch.setattr(cluster, "_enforce_cap", lambda node: [])
         result = run_cluster_section(self.SECTION, seed=4)
         summary = next(r for r in result.records if r["event"] == "churn_summary")
         assert summary["lowerings"] == 3
@@ -515,7 +543,7 @@ def transfer(
     now_ms: float, session: Session, a: ClusterNode, b: ClusterNode, n_bytes: int
 ) -> DataEvent:
     """Direct-interconnect reference path that bridge transfers are compared with."""
-    if not session.open:
+    if not held_by_both_ends(session):
         raise ValueError("transfer over a closed session")
     if n_bytes < 0:
         raise ValueError("transfer size must be nonnegative")

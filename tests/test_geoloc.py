@@ -99,7 +99,7 @@ class TestChallengeRound:
         ms = challenge_round(sim, net, landmarks, chip.identity.device_id, "chip",
                              chip.sign, registry)
         assert len(ms) == 3
-        assert all(m.verified and not m.missing for m in ms)
+        assert all(m.verified and m.rtt_ms is not None for m in ms)
 
     def test_wrong_key_response_flagged_unverified(self):
         sim, net, chip, registry, landmarks = make_world([GeoPoint(0, 0)], GeoPoint(1, 1))
@@ -107,14 +107,32 @@ class TestChallengeRound:
         ms = challenge_round(sim, net, landmarks, chip.identity.device_id, "chip",
                              rogue.sign, registry)
         assert len(ms) == 1
-        assert not ms[0].verified and not ms[0].missing
+        assert not ms[0].verified and ms[0].rtt_ms is not None
 
     def test_dropped_response_marked_missing(self):
         sim, net, chip, registry, landmarks = make_world([GeoPoint(0, 0)], GeoPoint(1, 1))
         net.drop_hooks.append(lambda src, dst: src == "chip")
         ms = challenge_round(sim, net, landmarks, chip.identity.device_id, "chip",
                              chip.sign, registry)
-        assert ms[0].missing
+        assert ms[0].rtt_ms is None and not ms[0].verified
+
+    def test_junk_payloads_leave_every_measurement_as_in_a_clean_round(self):
+        # A message delivered to a landmark before the chip's answer to its
+        # own nonce, or a payload of the wrong kind, must not stand in for it.
+        def one_round(junk):
+            sim, net, chip, registry, landmarks = make_world(
+                [GeoPoint(0, 0), GeoPoint(0, 10), GeoPoint(10, 5)], GeoPoint(4, 5),
+                jitter_median=0.5,
+            )
+            for destination in ("lm0", "lm1", "lm2", "chip"):
+                for payload in junk:
+                    sim.schedule(0.001, "chip", destination, payload)
+            return challenge_round(sim, net, landmarks, chip.identity.device_id, "chip",
+                                   chip.sign, registry)
+
+        clean = one_round([])
+        assert all(m.verified for m in clean)
+        assert one_round([geoloc._Response(bytes(16), b""), "junk", None]) == clean
 
     def test_rtt_reflects_distance(self):
         far = GeoPoint(0.0, 30.0)
@@ -125,30 +143,34 @@ class TestChallengeRound:
         assert ms[0].rtt_ms == pytest.approx(2 * d / (C_KM_S * 0.67) * 1000.0)
 
 
+def _landmark(overhead):
+    return Landmark("lm", GeoPoint(0.0, 0.0), fixed_overhead_ms=overhead)
+
+
 class TestDelayToDistance:
     def test_floor_rtt_inverts_to_exact_distance(self):
         rtt = 2.0 * (1000.0 / BOUND_SPEED_KM_PER_MS + 2.0)
-        m = Measurement("lm", rtt, b"", b"", verified=True)
-        bound = delay_to_distance(m, 2.0)
-        assert not bound.floor_violation
-        assert bound.bound_km == pytest.approx(1000.0)
+        m = Measurement(_landmark(2.0), rtt, verified=True)
+        bound_km = delay_to_distance(m)
+        assert bound_km is not None
+        assert bound_km == pytest.approx(1000.0)
 
     def test_rtt_below_twice_overhead_flags_impossible(self):
-        m = Measurement("lm", 0.0, b"", b"", verified=True)
-        assert delay_to_distance(m, 2.0).floor_violation
+        m = Measurement(_landmark(2.0), 0.0, verified=True)
+        assert delay_to_distance(m) is None
 
     def test_added_congestion_only_increases_bound(self):
         rng = random.Random(4)
         base_rtt = 2.0 * (500.0 / BOUND_SPEED_KM_PER_MS + 1.0)
-        base = delay_to_distance(Measurement("lm", base_rtt, b"", b"", True), 1.0).bound_km
+        base = delay_to_distance(Measurement(_landmark(1.0), base_rtt, True))
         for _ in range(200):
             congested = base_rtt + rng.uniform(0.0, 20.0)
-            bound = delay_to_distance(Measurement("lm", congested, b"", b"", True), 1.0).bound_km
-            assert bound >= base - 1e-9
+            bound_km = delay_to_distance(Measurement(_landmark(1.0), congested, True))
+            assert bound_km >= base - 1e-9
 
     def test_unverified_measurement_refused(self):
         with pytest.raises(ValueError):
-            delay_to_distance(Measurement("lm", 5.0, b"", b"", verified=False), 0.0)
+            delay_to_distance(Measurement(_landmark(0.0), 5.0, verified=False))
 
 
 GRID = GridSpec(lat_min=-5.0, lat_max=25.0, lon_min=-5.0, lon_max=25.0, resolution_deg=0.25)
@@ -166,8 +188,8 @@ class TestCBG:
         lms = honest_landmarks([GeoPoint(10.0, 10.0)])
         truth = GeoPoint(12.0, 10.0)
         ms = synthesize_round(random.Random(1), list(lms.values()), truth, 0.0, 0.5)
-        est = estimate_cbg(ms, lms, GRID)
-        bound = delay_to_distance(ms[0], lms["lm0"].fixed_overhead_ms).bound_km
+        est = estimate_cbg(ms, GRID)
+        bound = delay_to_distance(ms[0])
         dists = GRID.distances_km(lms["lm0"].position)
         inside = dists <= bound
         assert est.mask[inside].all()  # every cell within the bound is in the region
@@ -183,7 +205,7 @@ class TestCBG:
             truth = GeoPoint(rng.uniform(0, 20), rng.uniform(0, 20))
             ms = synthesize_round(rng, list(lms.values()), truth,
                                   jitter_median_ms=rng.uniform(0.05, 2.0), jitter_sigma=0.5)
-            est = estimate_cbg(ms, lms, GRID)
+            est = estimate_cbg(ms, GRID)
             assert est.contains(truth), f"trial {trial} lost the truth"
             assert not est.empty
 
@@ -194,7 +216,7 @@ class TestCBG:
         truth = GeoPoint(6.0, 6.0)
         ms = synthesize_round(rng, list(lms.values()), truth, 0.1, 0.5,
                               speedup={"lm1": 0.5})
-        est = estimate_cbg(ms, lms, GRID)
+        est = estimate_cbg(ms, GRID)
         assert est.inconsistent
 
     def test_slowdown_never_removes_truth_and_grows_region(self):
@@ -203,13 +225,9 @@ class TestCBG:
         lms = honest_landmarks(positions)
         truth = GeoPoint(8.0, 8.0)
         ms = synthesize_round(rng, list(lms.values()), truth, 0.2, 0.5)
-        base = estimate_cbg(ms, lms, GRID)
-        slowed = [
-            Measurement(m.landmark_id, m.rtt_ms + 10.0, m.nonce, m.response_signature,
-                        m.verified)
-            for m in ms
-        ]
-        grown = estimate_cbg(slowed, lms, GRID)
+        base = estimate_cbg(ms, GRID)
+        slowed = [Measurement(m.landmark, m.rtt_ms + 10.0, m.verified) for m in ms]
+        grown = estimate_cbg(slowed, GRID)
         assert base.contains(truth) and grown.contains(truth)
         assert grown.cell_count() >= base.cell_count()
         assert (grown.mask | base.mask).sum() == grown.mask.sum()  # superset
@@ -221,19 +239,19 @@ class TestCBG:
         lms["evil"] = Landmark("evil", GeoPoint(19, 19))
         truth = GeoPoint(8.0, 8.0)
         ms = synthesize_round(rng, [lms[f"lm{i}"] for i in range(3)], truth, 0.2, 0.5)
-        forged = Measurement("evil", 0.01, b"n", b"bad-signature", verified=False)
-        est_with = estimate_cbg(ms + [forged], lms, GRID)
-        est_without = estimate_cbg(ms, lms, GRID)
+        forged = Measurement(lms["evil"], 0.01, verified=False)
+        est_with = estimate_cbg(ms + [forged], GRID)
+        est_without = estimate_cbg(ms, GRID)
         assert np.array_equal(est_with.mask, est_without.mask)
 
     def test_empty_region_flagged(self):
         lms = honest_landmarks([GeoPoint(0, 0), GeoPoint(0, 20)])
         # Two tiny disks around far-apart landmarks cannot intersect.
         ms = [
-            Measurement("lm0", 2.2, b"", b"", verified=True),
-            Measurement("lm1", 2.2, b"", b"", verified=True),
+            Measurement(lms["lm0"], 2.2, verified=True),
+            Measurement(lms["lm1"], 2.2, verified=True),
         ]
-        est = estimate_cbg(ms, lms, GRID)
+        est = estimate_cbg(ms, GRID)
         assert est.empty and est.inconsistent
 
 
@@ -263,19 +281,19 @@ class TestCBGWindowExactness:
     """The live-window CBG mask equals the full-grid intersection of every disk."""
 
     @staticmethod
-    def _reference(measurements, lms, grid):
+    def _reference(measurements, grid):
         slack = grid.half_diagonal_km()
         disks = []
         violations = []
         for m in measurements:
-            if not m.verified or m.missing:
+            if not m.verified or m.rtt_ms is None:
                 continue
-            bound = delay_to_distance(m, lms[m.landmark_id].fixed_overhead_ms)
-            if bound.floor_violation:
-                violations.append(m.landmark_id)
+            bound_km = delay_to_distance(m)
+            if bound_km is None:
+                violations.append(m.landmark.id)
             else:
-                disks.append(grid.distances_km(lms[m.landmark_id].position)
-                             <= bound.bound_km + slack)
+                disks.append(grid.distances_km(m.landmark.position)
+                             <= bound_km + slack)
         if not disks:
             return np.zeros((grid.n_lat, grid.n_lon), dtype=bool), tuple(violations)
         return np.logical_and.reduce(disks), tuple(violations)
@@ -297,17 +315,16 @@ class TestCBGWindowExactness:
                     for _ in range(rng.randint(1, 8))
                 ], overhead=1.0)
                 measurements = []
-                for lm_id, lm in lms.items():
+                for lm in lms.values():
                     distance = geodesic_distance(truth, lm.position)
                     # Scale the truthful bound so some disks miss the truth.
                     scaled = distance * rng.choice((0.3, 0.9, 1.0, 1.2, 3.0))
                     rtt = 2.0 * (scaled / BOUND_SPEED_KM_PER_MS + 1.0)
                     if rng.random() < 0.1:
                         rtt = rng.uniform(0.0, 1.9)  # below the propagation floor
-                    measurements.append(Measurement(lm_id, rtt, b"", b"",
-                                                    verified=rng.random() > 0.1))
-                expected_mask, expected_violations = self._reference(measurements, lms, grid)
-                est = estimate_cbg(measurements, lms, grid)
+                    measurements.append(Measurement(lm, rtt, verified=rng.random() > 0.1))
+                expected_mask, expected_violations = self._reference(measurements, grid)
+                est = estimate_cbg(measurements, grid)
                 assert np.array_equal(est.mask, expected_mask)
                 assert est.empty == (not expected_mask.any())
                 assert est.floor_violations == expected_violations
@@ -353,18 +370,17 @@ class TestCBGWindowExactness:
             # it, with some disks past 3R (the exact path) or the whole globe.
             scales = (0.3, 0.9, 1.0, 1.2, 3.0) if rng.random() < 0.5 else (1.0, 1.2, 3.0)
             measurements = []
-            for lm_id, lm in lms.items():
+            for lm in lms.values():
                 bound = geodesic_distance(truth, lm.position) * rng.choice(scales)
                 if rng.random() < 0.05:
                     bound = rng.choice((rng.uniform(3.0, math.pi), 4.0)) * EARTH_RADIUS_KM
                 rtt = 2.0 * (bound / BOUND_SPEED_KM_PER_MS + 1.0)
                 if rng.random() < 0.05:
                     rtt = rng.uniform(0.0, 1.9)  # below the propagation floor
-                measurements.append(Measurement(lm_id, rtt, b"", b"",
-                                                verified=rng.random() > 0.1))
-            expected_mask, expected_violations = self._reference(measurements, lms, grid)
+                measurements.append(Measurement(lm, rtt, verified=rng.random() > 0.1))
+            expected_mask, expected_violations = self._reference(measurements, grid)
             stacks.clear()
-            est = estimate_cbg(measurements, lms, grid)
+            est = estimate_cbg(measurements, grid)
             assert np.array_equal(est.mask, expected_mask), f"trial {trial}"
             assert est.empty == (not expected_mask.any())
             assert est.floor_violations == expected_violations
@@ -407,7 +423,7 @@ class TestCBGWorstCaseMemory:
         ms = synthesize_round(rng, list(lms.values()), truth, 50.0, 0.5)
         tracemalloc.start()
         try:
-            est = estimate_cbg(ms, lms, grid)
+            est = estimate_cbg(ms, grid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -434,17 +450,17 @@ class TestBFTWindowExactness:
     """The BFT mask equals the full-grid count of satisfied disks, bit for bit."""
 
     @staticmethod
-    def _reference(measurements, lms, grid, f):
+    def _reference(measurements, grid, f):
         slack = grid.half_diagonal_km()
-        usable = [m for m in measurements if m.verified and not m.missing]
+        usable = [m for m in measurements if m.verified and m.rtt_ms is not None]
         counts = np.zeros((grid.n_lat, grid.n_lon), dtype=np.int64)
         violations = []
         for m in usable:
-            bound = delay_to_distance(m, lms[m.landmark_id].fixed_overhead_ms)
-            if bound.floor_violation:
-                violations.append(m.landmark_id)
+            bound_km = delay_to_distance(m)
+            if bound_km is None:
+                violations.append(m.landmark.id)
             else:
-                counts += grid.distances_km(lms[m.landmark_id].position) <= bound.bound_km + slack
+                counts += grid.distances_km(m.landmark.position) <= bound_km + slack
         return counts >= len(usable) - f, tuple(violations)
 
     def test_mask_equals_full_grid_count(self):
@@ -467,18 +483,17 @@ class TestBFTWindowExactness:
                     for _ in range(rng.choice((rng.randint(1, 12), 13)))
                 ], overhead=1.0)
                 measurements = []
-                for lm_id, lm in lms.items():
+                for lm in lms.values():
                     distance = geodesic_distance(truth, lm.position)
                     scaled = distance * rng.choice((0.9, 1.0, 1.2, 3.0))
                     rtt = 2.0 * (scaled / BOUND_SPEED_KM_PER_MS + 1.0)
                     if rng.random() < 0.1:
                         rtt = rng.uniform(0.0, 1.9)  # below the propagation floor
-                    measurements.append(Measurement(lm_id, rtt, b"", b"",
-                                                    verified=rng.random() > 0.1))
+                    measurements.append(Measurement(lm, rtt, verified=rng.random() > 0.1))
                 usable = [i for i, m in enumerate(measurements) if m.verified]
                 if not usable:
                     with pytest.raises(InsufficientLandmarksError):
-                        estimate_bft(measurements, lms, grid, f=0)
+                        estimate_bft(measurements, grid, f=0)
                     continue
                 most = (len(usable) - 1) // 3
                 f = rng.choice((0, rng.randint(0, most), most))
@@ -488,10 +503,10 @@ class TestBFTWindowExactness:
                         lied, kind = rng.uniform(0.0, m.rtt_ms), "pulled"
                     else:
                         lied, kind = m.rtt_ms * rng.uniform(1.0, 50.0), "pushed"
-                    measurements[idx] = Measurement(m.landmark_id, lied, b"", b"", True)
+                    measurements[idx] = Measurement(m.landmark, lied, True)
                     seen[kind] += 1
-                expected_mask, expected_violations = self._reference(measurements, lms, grid, f)
-                est = estimate_bft(measurements, lms, grid, f=f)
+                expected_mask, expected_violations = self._reference(measurements, grid, f)
+                est = estimate_bft(measurements, grid, f=f)
                 assert np.array_equal(est.mask, expected_mask), f"{resolution} trial {trial}"
                 assert est.empty == (not expected_mask.any())
                 assert est.floor_violations == expected_violations
@@ -686,8 +701,8 @@ class TestBFT:
 
     def test_f_zero_reduces_to_cbg(self):
         _, lms, truth, ms = self._setup(4)
-        bft = estimate_bft(ms, lms, GRID, f=0)
-        cbg = estimate_cbg(ms, lms, GRID)
+        bft = estimate_bft(ms, GRID, f=0)
+        cbg = estimate_cbg(ms, GRID)
         assert np.array_equal(bft.mask, cbg.mask)
 
     def test_two_garbage_landmarks_cannot_evict_truth(self):
@@ -695,15 +710,14 @@ class TestBFT:
             rng, lms, truth, ms = self._setup(7, seed=600 + trial)
             evil = rng.sample(range(7), 2)
             for idx in evil:
-                ms[idx] = Measurement(ms[idx].landmark_id, rng.uniform(0.01, 500.0),
-                                      b"", b"", verified=True)
-            est = estimate_bft(ms, lms, GRID, f=2)
+                ms[idx] = Measurement(ms[idx].landmark, rng.uniform(0.01, 500.0), verified=True)
+            est = estimate_bft(ms, GRID, f=2)
             assert est.contains(truth), f"trial {trial} evicted the truth"
 
     def test_insufficient_landmarks_refused(self):
         _, lms, _, ms = self._setup(4)
         with pytest.raises(InsufficientLandmarksError):
-            estimate_bft(ms, lms, GRID, f=2)
+            estimate_bft(ms, GRID, f=2)
 
 
 class TestDescent:
@@ -777,7 +791,7 @@ class TestDescent:
             truth = GeoPoint(rng.uniform(4, 16), rng.uniform(4, 16))
             ms = synthesize_round(rng, list(lms.values()), truth, 0.0, 0.5)
             init = GeoPoint(rng.uniform(6, 14), rng.uniform(6, 14))
-            result = estimate_descent(ms, lms, init)
+            result = estimate_descent(ms, init)
             err = geodesic_distance(result.point, truth)
             assert err < GRID.resolution_deg * 111.32, f"trial {trial}: err {err:.2f} km"
 
@@ -787,7 +801,7 @@ class TestDescent:
         lms = honest_landmarks(positions)
         truth = GeoPoint(8.0, 9.0)
         ms = synthesize_round(rng, list(lms.values()), truth, 0.0, 0.5)
-        result = estimate_descent(ms, lms, truth)
+        result = estimate_descent(ms, truth)
         assert result.objective_km2 == pytest.approx(0.0, abs=1e-6)
         assert geodesic_distance(result.point, truth) < 1e-3
 
@@ -797,15 +811,11 @@ class TestDescent:
         lms = honest_landmarks(positions)
         truth = GeoPoint(8.0, 9.0)
         ms = synthesize_round(rng, list(lms.values()), truth, 1.0, 0.8)
-        targets = [
-            (lms[m.landmark_id].position,
-             delay_to_distance(m, lms[m.landmark_id].fixed_overhead_ms).bound_km)
-            for m in ms
-        ]
+        targets = [(m.landmark.position, delay_to_distance(m)) for m in ms]
         init = GeoPoint(2.0, 2.0)
         f_init, *_ = descent_objective_and_gradient(init.latitude, init.longitude,
                                                     descent_terms(targets))
-        result = estimate_descent(ms, lms, init)
+        result = estimate_descent(ms, init)
         assert result.objective_km2 <= f_init + 1e-9
 
 
@@ -858,7 +868,7 @@ class TestDescentAtHighLatitude:
                 init = GeoPoint(max(-90.0, min(90.0, truth.latitude + rng.uniform(-8, 8))),
                                 truth.longitude + rng.uniform(-8, 8))
                 del runs[:]
-                result = estimate_descent(ms, lms, init)
+                result = estimate_descent(ms, init)
                 assert len(runs) == 3
                 assert all(run.status != "max_iterations" for run in runs), (band, trial)
                 err = geodesic_distance(result.point, truth)
@@ -1034,16 +1044,16 @@ def _frozen_coarse_scan_start(targets, cells=24):
     return GeoPoint(best[1], best[2])
 
 
-def _frozen_estimate_descent(measurements, landmarks, init):
+def _frozen_estimate_descent(measurements, init):
     """`estimate_descent` over `_frozen_descend_from`: the same three starts
     and the same choice. The centroid is the plain mean of the landmarks and
     the coarse-scan start comes from `_frozen_coarse_scan_start`, so nothing
     of the live descent moves this reference."""
     targets = []
     for m in measurements:
-        if m.verified and not m.missing:
-            lm = landmarks[m.landmark_id]
-            targets.append((lm.position, delay_to_distance(m, lm.fixed_overhead_ms).bound_km))
+        if m.verified and m.rtt_ms is not None:
+            # Below the propagation floor the target is 0 km.
+            targets.append((m.landmark.position, delay_to_distance(m) or 0.0))
     best = _frozen_descend_from(init, targets, "init")
     centroid = GeoPoint(
         sum(pos.latitude for pos, _ in targets) / len(targets),
@@ -1189,10 +1199,10 @@ class TestSeamStarts:
             scan = _coarse_scan_start(targets, descent_terms(targets))
             assert self._across_seam(scan.longitude, 167.75, -172.83), scan
         result = estimate_descent(
-            [Measurement(f"lm{i}", 2.0 * (geodesic_distance(GeoPoint(8.0, 178.0), pos)
-                                          / BOUND_SPEED_KM_PER_MS), b"", b"", verified=True)
-             for i, pos in enumerate(self.SEAM)],
-            honest_landmarks(self.SEAM, overhead=0.0), GeoPoint(-40.0, 0.0))
+            [Measurement(lm, 2.0 * (geodesic_distance(GeoPoint(8.0, 178.0), lm.position)
+                                    / BOUND_SPEED_KM_PER_MS), verified=True)
+             for lm in honest_landmarks(self.SEAM, overhead=0.0).values()],
+            GeoPoint(-40.0, 0.0))
         assert result.converged and geodesic_distance(result.point, GeoPoint(8.0, 178.0)) < 0.01
 
     def test_unwrapping_moves_only_seam_sets(self):
@@ -1268,16 +1278,15 @@ class TestDescentAgainstFrozen:
 
     def _measurements(self, rng, landmarks, truth, targets):
         if targets == "zero":  # an RTT of twice the overhead bounds at 0 km
-            ms = [Measurement(lm.id, 2.0 * lm.fixed_overhead_ms, b"", b"", verified=True)
+            ms = [Measurement(lm, 2.0 * lm.fixed_overhead_ms, verified=True)
                   for lm in landmarks]
         elif targets == "random":
-            ms = [Measurement(lm.id, rng.uniform(1.0, 60.0), b"", b"", verified=True)
-                  for lm in landmarks]
+            ms = [Measurement(lm, rng.uniform(1.0, 60.0), verified=True) for lm in landmarks]
         else:
             jitter = 0.0 if targets == "exact" else rng.uniform(0.05, 2.0)
             ms = synthesize_round(rng, landmarks, truth, jitter, 0.8)
         if rng.random() < 0.2:  # an unverified outlier that must not count
-            ms.append(Measurement(landmarks[0].id, 0.01, b"", b"", verified=False))
+            ms.append(Measurement(landmarks[0], 0.01, verified=False))
         return ms
 
     def test_objective_and_error_no_worse_than_frozen(self):
@@ -1301,9 +1310,8 @@ class TestDescentAgainstFrozen:
                 GeoPoint(-anchor.latitude, anchor.longitude + 180.0),  # its antipode
                 truth,
             ))
-            lms = {lm.id: lm for lm in landmarks}
-            got = estimate_descent(ms, lms, init)
-            want = _frozen_estimate_descent(ms, lms, init)
+            got = estimate_descent(ms, init)
+            want = _frozen_estimate_descent(ms, init)
             label = f"trial {trial} ({layout}, {targets})"
             assert got.status != "max_iterations", label
             if trial in self.EXCEPTIONS:
