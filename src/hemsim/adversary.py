@@ -9,7 +9,9 @@ hold where they are designed to hold, and attacks the design concedes
 (key-extraction relay, workload shaping) must actually succeed.
 
 Each attack is declared once, by the `@attack` decorator on its body; the
-mechanism comes from its row in `ATTACK_INVENTORY`.
+mechanism comes from its row in `ATTACK_INVENTORY`. A row judges a region
+only through `estimate_cbg` or `estimate_bft`, never through `GridSpec`'s
+kernels.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ from .chipmodel import (
 )
 from .cluster import (
     ClusterNode,
-    DataEvent,
     HandshakeReject,
     adopt_manifest,
     apply_cap_update,
@@ -61,7 +62,6 @@ from .geoloc import (
     GridSpec,
     Landmark,
     challenge_round,
-    delay_to_distance,
     estimate_bft,
     estimate_cbg,
     synthesize_round,
@@ -318,22 +318,15 @@ def _attack_meter_rollback_licensing(profile, rng) -> dict:
     registry.enroll(chip)
     snapshots = [emit_snapshot(chip, 0)]
     true_consumed = 0
-    # Burn most of the quota, roll the meter back covertly, keep consuming.
-    for seq in range(1, 4):
-        amount = 3000
-        if metered_consume(chip, MeterResource.CLOCK_CYCLES, amount).applied:
-            true_consumed += amount
+    # Burn most of the quota, roll the meter back covertly at seq 4, keep consuming.
+    for seq in range(1, 8):
+        if seq == 4:
+            chip.tamper_event("meter_rollback", covert=True,
+                              resource=MeterResource.CLOCK_CYCLES, amount=8000)
+        elif metered_consume(chip, MeterResource.CLOCK_CYCLES, 3000).applied:
+            true_consumed += 3000
         snapshots.append(emit_snapshot(chip, seq))
-    chip.tamper_event("meter_rollback", covert=True,
-                      resource=MeterResource.CLOCK_CYCLES, amount=8000)
-    snapshots.append(emit_snapshot(chip, 4))
-    overdraft = 0
-    for seq in range(5, 8):
-        amount = 3000
-        if metered_consume(chip, MeterResource.CLOCK_CYCLES, amount).applied:
-            true_consumed += amount
-            overdraft = max(0, true_consumed - quota)
-        snapshots.append(emit_snapshot(chip, seq))
+    overdraft = max(0, true_consumed - quota)
     report = verify_chain({chip.identity.device_id: snapshots}, registry)
     status = report.device_results[0].status
     return dict(
@@ -372,13 +365,9 @@ def _attack_power_cut_rollback(profile, rng) -> dict:
 
 @attack("licensing_throttle_bypass", required={Capability.FIRMWARE_MOD}, expect=(True, True))
 def _attack_throttle_bypass(profile, rng) -> dict:
-    regulator, registry, (node_chip, node_peer) = _cluster_world(rng, 2)
-    chip, peer = node_chip.chip, node_peer.chip
+    registry, (node_chip, node_peer) = _pod_world(rng, 2)
+    chip = node_chip.chip
     chip.throttle = ThrottleLevel.DISABLED  # never licensed
-    genuine_hashes = {
-        chip.identity.device_id: chip.firmware_hash,
-        peer.identity.device_id: peer.firmware_hash,
-    }
     throttled = chip.consume(MeterResource.CLOCK_CYCLES, 100)
     # Modified firmware ignores the throttle: meters move despite the
     # disabled state the license state machine mandates.
@@ -387,9 +376,6 @@ def _attack_throttle_bypass(profile, rng) -> dict:
     unlicensed_use = chip.meter_value(MeterResource.CLOCK_CYCLES)
     # The pod integrity check catches the patched firmware at the next
     # handshake against the regulator-signed manifest of genuine hashes.
-    manifest = issue_manifest(regulator, "pod-0", genuine_hashes, manifest_epoch=0)
-    for node in (node_peer, node_chip):
-        _require(adopt_manifest(node, manifest), "genuine manifest adoption")
     result = handshake(0.0, node_peer, node_chip, registry, rng, itertools.count())
     return dict(
         succeeded=unlicensed_use > 0,
@@ -409,17 +395,20 @@ def _cluster_world(rng, n_chips):
     return regulator, registry, [ClusterNode(chip=chip) for chip in chips]
 
 
+def _pod_world(rng, n_chips):
+    """`_cluster_world` with every node in one pod, under an adopted manifest
+    of the genuine firmware."""
+    regulator, registry, nodes = _cluster_world(rng, n_chips)
+    genuine = {node.device_id: node.chip.firmware_hash for node in nodes}
+    manifest = issue_manifest(regulator, "pod-0", genuine, manifest_epoch=0)
+    for node in nodes:
+        _require(adopt_manifest(node, manifest), "genuine manifest adoption")
+    return registry, nodes
+
+
 @attack("cluster_pod_firmware_mod", required={Capability.FIRMWARE_MOD}, expect=(False, True))
 def _attack_pod_firmware(profile, rng) -> dict:
-    regulator, registry, nodes = _cluster_world(rng, 2)
-    a, b = nodes
-    manifest = issue_manifest(
-        regulator, "pod-1",
-        {a.device_id: a.chip.firmware_hash, b.device_id: b.chip.firmware_hash},
-        manifest_epoch=0,
-    )
-    for node in (a, b):
-        _require(adopt_manifest(node, manifest), "genuine manifest adoption")
+    registry, (a, b) = _pod_world(rng, 2)
     b.chip.tamper_event("firmware_mod", covert=True)
     result = handshake(0.0, a, b, registry, rng, itertools.count())
     return dict(
@@ -478,12 +467,8 @@ def _attack_manifest_forge(profile, rng) -> dict:
 def _attack_pcie_bridge(profile, rng) -> dict:
     regulator, registry, nodes = _cluster_world(rng, 2)
     a, b = nodes
-    moved = 0
-    events = []
-    for step in range(5):
-        event = bridge_transfer(step * 100.0, "host-0", a, b, 10**9)
-        events.append(event)
-        moved += event.n_bytes
+    events = [bridge_transfer(step * 100.0, "host-0", a, b, 10**9) for step in range(5)]
+    moved = sum(event.n_bytes for event in events)
     direct_ms = 10**9 / 1e8
     return dict(
         succeeded=moved == 5 * 10**9,
@@ -501,17 +486,12 @@ def _attack_pcie_bridge(profile, rng) -> dict:
         required={Capability.GRADIENT_SMUGGLE, Capability.PCIE_BRIDGE}, expect=(True, True))
 def _attack_gradient_smuggle(profile, rng) -> dict:
     regulator, registry, nodes = _cluster_world(rng, 8)
-    pod_of = {}
-    for i, node in enumerate(nodes):
-        pod_of[node.device_id] = "pod-a" if i < 4 else "pod-b"
+    pod_of = {node.device_id: "pod-a" if i < 4 else "pod-b" for i, node in enumerate(nodes)}
     bridge_a, bridge_b = nodes[3], nodes[4]  # one compromised device per pod
     step_ms = 1000.0
     gradient_bytes = 2 * 10**9
-    events: list[DataEvent] = []
-    for step in range(12):
-        events.append(
-            bridge_transfer(step * step_ms + 500.0, "host-0", bridge_a, bridge_b, gradient_bytes)
-        )
+    events = [bridge_transfer(step * step_ms + 500.0, "host-0", bridge_a, bridge_b, gradient_bytes)
+              for step in range(12)]
     flags = detect_cross_pod_coupling(events, pod_of, window_ms=step_ms,
                                       threshold_bytes_per_step=gradient_bytes // 2)
     return dict(
@@ -578,19 +558,12 @@ def _attack_landmark_compromise(profile, rng) -> dict:
         for m in synthesize_round(rng, landmarks, truth, 0.2, 0.5)
     ]
     est = estimate_bft(ms, _GRID, f=f)
-    # Liars whose bounds exclude the whole surviving region stand out. No
-    # cell outside a disk's `disk_window` is in the disk, so only the window
-    # is tested.
+    # A liar stands out by impossible timing, or by a region of its own that
+    # misses the whole surviving one.
     outliers = []
     for m in ms:
-        bound_km = delay_to_distance(m)
-        if bound_km is None:
-            outliers.append(m.landmark.id)
-            continue
-        disk = (m.landmark.position, bound_km + _GRID.half_diagonal_km())
-        i0, i1, j0, j1 = _GRID.disk_window(*disk)
-        window = (slice(i0, i1), slice(j0, j1))
-        if est.mask.any() and not (_GRID.within_km([disk], *window)[0] & est.mask[window]).any():
+        own = estimate_cbg([m], _GRID)
+        if own.floor_violations or (est.mask.any() and not (own.mask & est.mask).any()):
             outliers.append(m.landmark.id)
     return dict(
         succeeded=not est.contains(truth),
@@ -601,20 +574,28 @@ def _attack_landmark_compromise(profile, rng) -> dict:
     )
 
 
+def _challenge(rng, registry, chip, sign_fn, landmarks, responder: Node,
+               jitter_median_ms: float, downed: int = 0, timeout_ms: float = 5000.0):
+    """One `challenge_round` from `landmarks` to `responder`, which answers
+    with `sign_fn` for `chip`. The network's links have a 0.5 ms overhead;
+    `downed` landmarks, sampled from `rng`, never receive a message."""
+    net = Network([*(Node(lm.id, lm.position) for lm in landmarks), responder],
+                  default_latency=LatencyModel(jitter_median_ms=jitter_median_ms,
+                                               fixed_overhead_ms=0.5))
+    unreachable = {lm.id for lm in rng.sample(landmarks, downed)}
+    net.drop_hooks.append(lambda src, dst: dst in unreachable)
+    sim = Simulator(seed=rng.randrange(2**31))
+    return challenge_round(sim, net, landmarks, chip.identity.device_id, responder.id,
+                           sign_fn, registry, timeout_ms)
+
+
 @attack("geoloc_landmark_ddos", required={Capability.DDOS_LANDMARKS}, expect=(False, True))
 def _attack_ddos(profile, rng) -> dict:
     _, registry, (chip,) = mint_fleet(rng, 1)
     landmarks = _landmark_ring(7)
     truth = GeoPoint(11.0, 9.0)
-    nodes = [Node(lm.id, lm.position) for lm in landmarks]
-    nodes.append(Node("chip", truth))
-    net = Network(nodes, default_latency=LatencyModel(
-        kappa=0.67, jitter_median_ms=0.2, jitter_sigma=0.5, fixed_overhead_ms=0.5))
-    downed = {lm.id for lm in rng.sample(landmarks, 2)}
-    net.drop_hooks.append(lambda src, dst: dst in downed)
-    sim = Simulator(seed=rng.randrange(2**31))
-    ms = challenge_round(sim, net, landmarks, chip.identity.device_id, "chip",
-                         chip.sign, registry, timeout_ms=500.0)
+    ms = _challenge(rng, registry, chip, chip.sign, landmarks, Node("chip", truth),
+                    jitter_median_ms=0.2, downed=2, timeout_ms=500.0)
     est = estimate_cbg(ms, _GRID)
     missing = [m.landmark.id for m in ms if m.rtt_ms is None]
     return dict(
@@ -635,13 +616,8 @@ def _attack_relay(profile, rng) -> dict:
         Landmark("lm1", GeoPoint(0.0, 8.0), fixed_overhead_ms=0.5),
         Landmark("lm2", GeoPoint(8.0, 4.0), fixed_overhead_ms=0.5),
     ]
-    nodes = [Node(lm.id, lm.position) for lm in landmarks]
-    nodes.append(Node("relay", relay_site))
-    net = Network(nodes, default_latency=LatencyModel(
-        kappa=0.67, jitter_median_ms=0.1, jitter_sigma=0.5, fixed_overhead_ms=0.5))
-    sim = Simulator(seed=rng.randrange(2**31))
-    ms = challenge_round(sim, net, landmarks, chip.identity.device_id, "relay",
-                         oracle, registry)
+    ms = _challenge(rng, registry, chip, oracle, landmarks, Node("relay", relay_site),
+                    jitter_median_ms=0.1)
     est = estimate_cbg(ms, _GRID)
     spoofed = (
         all(m.verified for m in ms)

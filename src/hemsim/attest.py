@@ -193,8 +193,6 @@ class WorkloadTrace:
     utilization: np.ndarray
     interconnect_bytes: np.ndarray
     pcie_bytes: np.ndarray
-    step_period_ms: float
-    label: Optional[WorkloadLabel] = None  # generator ground truth only
 
     def __post_init__(self):
         shapes = {self.utilization.shape, self.interconnect_bytes.shape, self.pcie_bytes.shape}
@@ -296,9 +294,8 @@ def generate_trace(
     rng: np.random.Generator,
     devices: Optional[int] = None,
     steps: int = 96,
-    step_period_ms: float = 1000.0,
 ) -> WorkloadTrace:
-    """Synthesize a labeled telemetry trace from one of three templates."""
+    """Synthesize a telemetry trace from the template for `label`, one of three."""
     if label is WorkloadLabel.FRONTIER_TRAINING:
         devices = devices or 256
         util = np.clip(rng.normal(0.95, 0.02, size=(devices, steps)), 0.0, 1.0)
@@ -322,7 +319,7 @@ def generate_trace(
         pcie = rng.uniform(0.0, 1e6, size=(devices, steps))
     else:
         raise ValueError(f"no generator template for {label}")
-    return WorkloadTrace(util, interconnect, pcie, step_period_ms, label=label)
+    return WorkloadTrace(util, interconnect, pcie)
 
 
 def inject_noise(trace: WorkloadTrace, magnitude: float, rng: np.random.Generator) -> WorkloadTrace:
@@ -334,19 +331,13 @@ def inject_noise(trace: WorkloadTrace, magnitude: float, rng: np.random.Generato
     """
     if magnitude < 0.0:
         raise ValueError("noise magnitude must be nonnegative")
-    if magnitude == 0.0:
-        return WorkloadTrace(
-            trace.utilization.copy(), trace.interconnect_bytes.copy(),
-            trace.pcie_bytes.copy(), trace.step_period_ms, label=trace.label,
-        )
     shape = trace.utilization.shape
     util = np.clip(
         trace.utilization + rng.uniform(-magnitude, magnitude, size=shape), 0.0, 1.0
     )
     chatter = rng.uniform(0.0, magnitude * GRADIENT_SYNC_BYTES, size=shape)
     interconnect = trace.interconnect_bytes + chatter
-    return WorkloadTrace(util, interconnect, trace.pcie_bytes.copy(),
-                         trace.step_period_ms, label=trace.label)
+    return WorkloadTrace(util, interconnect, trace.pcie_bytes.copy())
 
 
 def fragment(trace: WorkloadTrace, k: int) -> list[WorkloadTrace]:
@@ -359,10 +350,7 @@ def fragment(trace: WorkloadTrace, k: int) -> list[WorkloadTrace]:
         raise ValueError("k must be between 1 and the device count")
     splits = np.array_split(np.arange(trace.device_count), k)
     return [
-        WorkloadTrace(
-            trace.utilization[idx], trace.interconnect_bytes[idx],
-            trace.pcie_bytes[idx], trace.step_period_ms, label=trace.label,
-        )
+        WorkloadTrace(trace.utilization[idx], trace.interconnect_bytes[idx], trace.pcie_bytes[idx])
         for idx in splits
     ]
 

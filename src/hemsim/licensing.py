@@ -26,7 +26,7 @@ from enum import Enum
 from typing import Optional
 
 from . import canon
-from .chipmodel import RESOURCE, ChipState, ConsumeResult, MeterResource, ThrottleLevel
+from .chipmodel import RESOURCE, ChipState, MeterResource, ThrottleLevel
 
 LICENSE = canon.Doc("license.v1", license_id=canon.U64, device_id=canon.U128,
                     quotas=canon.mapping(RESOURCE, canon.U64), not_after=canon.OPT_U64)
@@ -220,8 +220,6 @@ def metered_consume(
         if quota is not None and chip.consumed_since_install(resource) + amount > quota:
             throttle = enforce(chip)
             return ConsumeOutcome(False, "quota_exceeded", throttle)
-    result = chip.consume(resource, amount)
-    if result is ConsumeResult.THROTTLED:
-        return ConsumeOutcome(False, "throttled", chip.throttle)
+    chip.consume(resource, amount)  # applies: the throttle was checked on entry
     throttle = enforce(chip)
     return ConsumeOutcome(True, None, throttle)

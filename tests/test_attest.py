@@ -159,12 +159,11 @@ class TestCovertRollbackChain:
 class TestTraceValidation:
     def test_mismatched_shapes_rejected(self):
         with pytest.raises(ValueError):
-            WorkloadTrace(np.zeros((2, 10)), np.zeros((2, 9)), np.zeros((2, 10)), 1000.0)
+            WorkloadTrace(np.zeros((2, 10)), np.zeros((2, 9)), np.zeros((2, 10)))
 
     def test_out_of_range_utilization_rejected(self):
         with pytest.raises(ValueError):
-            WorkloadTrace(np.full((2, 10), 1.5), np.zeros((2, 10)),
-                          np.zeros((2, 10)), 1000.0)
+            WorkloadTrace(np.full((2, 10), 1.5), np.zeros((2, 10)), np.zeros((2, 10)))
 
 
 class TestClassifier:
