@@ -1,4 +1,4 @@
-"""Adversary tiers, capabilities, and the scripted attack inventory.
+"""Adversary tiers, capabilities, and the scripted attack rows.
 
 Each named attack against the four mechanisms is a self-contained scenario:
 it builds a small world from a seed, runs the adversary's script, and
@@ -8,9 +8,10 @@ way, because the claims are falsifiable in both directions: defenses must
 hold where they are designed to hold, and attacks the design concedes
 (key-extraction relay, workload shaping) must actually succeed.
 
-Each attack is declared once, by the `@attack` decorator on its body; the
-mechanism comes from its row in `ATTACK_INVENTORY`. A row judges a region
-only through `estimate_cbg` or `estimate_bft`, never through `GridSpec`'s
+Each attack row is one declaration: the `@attack` decorator on a function
+named after the row, whose first word is the mechanism it targets
+(accounting, cluster, geoloc or licensing). A row judges a region only
+through `estimate_cbg` or `estimate_bft`, never through `GridSpec`'s
 kernels.
 """
 
@@ -48,6 +49,7 @@ from .chipmodel import (
     provision_chip,
 )
 from .cluster import (
+    DIRECT_INTERCONNECT_BYTES_PER_MS,
     ClusterNode,
     HandshakeReject,
     adopt_manifest,
@@ -129,7 +131,7 @@ class AdversaryProfile:
 
     capabilities: frozenset[Capability]
     latency_factor: float                # for delay_speedup
-    counterfeit_trials: int              # for licensing_counterfeit
+    counterfeit_trials: int              # for the counterfeit-license row
 
 
 def profile_for_tier(tier: Tier, **strength) -> AdversaryProfile:
@@ -151,7 +153,6 @@ class AttackOutcome:
 
 @dataclass(frozen=True)
 class AttackSpec:
-    name: str
     mechanism: str
     required: frozenset[Capability]
     expected_succeeded: bool
@@ -160,56 +161,21 @@ class AttackSpec:
     run_fn: Callable[[AdversaryProfile, random.Random], dict] = field(repr=False, compare=False)
 
 
-# The named-attack inventory, grouped by the mechanism each attack targets.
-# The test suite fails if any row here lacks a registered scenario.
-ATTACK_INVENTORY: dict[str, tuple[str, ...]] = {
-    "accounting": (
-        "accounting_meter_tamper",
-        "accounting_noise_injection",
-        "accounting_fragmentation",
-    ),
-    "cluster": (
-        "cluster_pod_firmware_mod",
-        "cluster_cap_forge",
-        "cluster_manifest_forge",
-        "cluster_pcie_bridge",
-        "cluster_gradient_smuggle",
-    ),
-    "geoloc": (
-        "geoloc_delay_slowdown",
-        "geoloc_delay_speedup",
-        "geoloc_landmark_compromise",
-        "geoloc_landmark_ddos",
-        "geoloc_key_extraction_relay",
-    ),
-    "licensing": (
-        "licensing_counterfeit",
-        "licensing_replay",
-        "licensing_cross_device",
-        "licensing_host_clock_rollback",
-        "licensing_meter_rollback",
-        "licensing_power_cut_rollback",
-        "licensing_throttle_bypass",
-    ),
-}
-_MECHANISM_OF = {name: mechanism
-                 for mechanism, names in ATTACK_INVENTORY.items() for name in names}
-
 ATTACKS: dict[str, AttackSpec] = {}
 
 
-def attack(name: str, *, expect: tuple[bool, bool], required=frozenset()):
-    """Register the decorated body as the scenario for an inventory row.
+def attack(*, expect: tuple[bool, bool], required=frozenset()):
+    """Register the decorated body as the attack row named after it.
 
-    `expect` is (succeeded, detected) as the design claims it; `required`
-    are the capabilities `run_attack` demands of the profile.
+    The row's mechanism is the first word of its name. `expect` is
+    (succeeded, detected) as the design claims it; `required` are the
+    capabilities `run_attack` demands of the profile.
     """
     def register(fn):
+        name = fn.__name__
         if name in ATTACKS:
             raise ValueError(f"attack registered twice: {name}")
-        if name not in _MECHANISM_OF:
-            raise ValueError(f"attack not in ATTACK_INVENTORY: {name}")
-        ATTACKS[name] = AttackSpec(name, _MECHANISM_OF[name], frozenset(required), *expect, fn)
+        ATTACKS[name] = AttackSpec(name.partition("_")[0], frozenset(required), *expect, fn)
         return fn
     return register
 
@@ -231,15 +197,19 @@ def _licensed_chip(rng: random.Random, quota: int):
     return issuer, chip, lic
 
 
+# The per-leg processing delay of every row's landmarks and challenge links.
+_OVERHEAD_MS = 0.5
+
+
 def _landmark_ring(n: int) -> list[Landmark]:
     """Fixed dispersed geometry so each matrix row is seed-robust: n landmarks
-    9 degrees around (10, 10), each with a 0.5 ms overhead."""
+    9 degrees around (10, 10)."""
     return [
         Landmark(
             f"lm{i}",
             GeoPoint(10.0 + 9.0 * math.sin(2 * math.pi * i / n),
                      10.0 + 9.0 * math.cos(2 * math.pi * i / n)),
-            fixed_overhead_ms=0.5,
+            fixed_overhead_ms=_OVERHEAD_MS,
         )
         for i in range(n)
     ]
@@ -251,8 +221,8 @@ _GRID = GridSpec(lat_min=-5.0, lat_max=25.0, lon_min=-5.0, lon_max=25.0, resolut
 # -- licensing attacks -------------------------------------------------------------
 
 
-@attack("licensing_counterfeit", required={Capability.COUNTERFEIT_LICENSE}, expect=(False, True))
-def _attack_counterfeit(profile, rng) -> dict:
+@attack(expect=(False, True), required={Capability.COUNTERFEIT_LICENSE})
+def licensing_counterfeit(profile, rng) -> dict:
     trials = profile.counterfeit_trials
     issuer, chip, _ = _licensed_chip(rng, quota=10**6)
     acceptances, refusals = fuzz_licenses(issuer, [chip], trials, rng)
@@ -263,8 +233,8 @@ def _attack_counterfeit(profile, rng) -> dict:
     )
 
 
-@attack("licensing_replay", required={Capability.REPLAY_LICENSE}, expect=(False, True))
-def _attack_replay(profile, rng) -> dict:
+@attack(expect=(False, True), required={Capability.REPLAY_LICENSE})
+def licensing_replay(profile, rng) -> dict:
     issuer, chip, lic = _licensed_chip(rng, quota=1000)
     metered_consume(chip, MeterResource.CLOCK_CYCLES, 1000)  # exhaust the grant
     rejections = []
@@ -277,8 +247,8 @@ def _attack_replay(profile, rng) -> dict:
     )
 
 
-@attack("licensing_cross_device", required={Capability.CROSS_DEVICE_LICENSE}, expect=(False, True))
-def _attack_cross_device(profile, rng) -> dict:
+@attack(expect=(False, True), required={Capability.CROSS_DEVICE_LICENSE})
+def licensing_cross_device(profile, rng) -> dict:
     issuer = make_issuer(rng)
     chip_a = provision_chip(rng, frozenset({issuer.public_key}))
     chip_b = provision_chip(rng, frozenset({issuer.public_key}))
@@ -291,8 +261,8 @@ def _attack_cross_device(profile, rng) -> dict:
     )
 
 
-@attack("licensing_host_clock_rollback", expect=(False, True))
-def _attack_host_clock_rollback(profile, rng) -> dict:
+@attack(expect=(False, True))
+def licensing_host_clock_rollback(profile, rng) -> dict:
     issuer = make_issuer(rng)
     chip = provision_chip(rng, frozenset({issuer.public_key}))
     chip.advance_to(50_000.0)
@@ -310,8 +280,8 @@ def _attack_host_clock_rollback(profile, rng) -> dict:
     )
 
 
-@attack("licensing_meter_rollback", required={Capability.COVERT_TAMPER}, expect=(True, True))
-def _attack_meter_rollback_licensing(profile, rng) -> dict:
+@attack(expect=(True, True), required={Capability.COVERT_TAMPER})
+def licensing_meter_rollback(profile, rng) -> dict:
     quota = 10_000
     issuer, chip, lic = _licensed_chip(rng, quota=quota)
     registry = Registry()
@@ -342,9 +312,8 @@ def _attack_meter_rollback_licensing(profile, rng) -> dict:
     )
 
 
-@attack("licensing_power_cut_rollback", required={Capability.POWER_CUT_TIMING},
-        expect=(False, True))
-def _attack_power_cut_rollback(profile, rng) -> dict:
+@attack(expect=(False, True), required={Capability.POWER_CUT_TIMING})
+def licensing_power_cut_rollback(profile, rng) -> dict:
     issuer, chip, lic = _licensed_chip(rng, quota=500)
     metered_consume(chip, MeterResource.CLOCK_CYCLES, 500)
     reuse_accepted = 0
@@ -363,8 +332,8 @@ def _attack_power_cut_rollback(profile, rng) -> dict:
     )
 
 
-@attack("licensing_throttle_bypass", required={Capability.FIRMWARE_MOD}, expect=(True, True))
-def _attack_throttle_bypass(profile, rng) -> dict:
+@attack(expect=(True, True), required={Capability.FIRMWARE_MOD})
+def licensing_throttle_bypass(profile, rng) -> dict:
     registry, (node_chip, node_peer) = _pod_world(rng, 2)
     chip = node_chip.chip
     chip.throttle = ThrottleLevel.DISABLED  # never licensed
@@ -406,8 +375,8 @@ def _pod_world(rng, n_chips):
     return registry, nodes
 
 
-@attack("cluster_pod_firmware_mod", required={Capability.FIRMWARE_MOD}, expect=(False, True))
-def _attack_pod_firmware(profile, rng) -> dict:
+@attack(expect=(False, True), required={Capability.FIRMWARE_MOD})
+def cluster_pod_firmware_mod(profile, rng) -> dict:
     registry, (a, b) = _pod_world(rng, 2)
     b.chip.tamper_event("firmware_mod", covert=True)
     result = handshake(0.0, a, b, registry, rng, itertools.count())
@@ -419,8 +388,8 @@ def _attack_pod_firmware(profile, rng) -> dict:
     )
 
 
-@attack("cluster_cap_forge", expect=(False, True))
-def _attack_cap_forge(profile, rng) -> dict:
+@attack(expect=(False, True))
+def cluster_cap_forge(profile, rng) -> dict:
     regulator, registry, nodes = _cluster_world(rng, 1)
     node = nodes[0]
     genuine = issue_cap_policy(regulator, cap=4, cap_epoch=1)
@@ -437,8 +406,8 @@ def _attack_cap_forge(profile, rng) -> dict:
     )
 
 
-@attack("cluster_manifest_forge", expect=(False, True))
-def _attack_manifest_forge(profile, rng) -> dict:
+@attack(expect=(False, True))
+def cluster_manifest_forge(profile, rng) -> dict:
     regulator, registry, nodes = _cluster_world(rng, 3)
     member, peer, outsider = nodes
     pod = {n.device_id: n.chip.firmware_hash for n in (member, peer)}
@@ -463,13 +432,13 @@ def _attack_manifest_forge(profile, rng) -> dict:
     )
 
 
-@attack("cluster_pcie_bridge", required={Capability.PCIE_BRIDGE}, expect=(True, True))
-def _attack_pcie_bridge(profile, rng) -> dict:
+@attack(expect=(True, True), required={Capability.PCIE_BRIDGE})
+def cluster_pcie_bridge(profile, rng) -> dict:
     regulator, registry, nodes = _cluster_world(rng, 2)
     a, b = nodes
     events = [bridge_transfer(step * 100.0, "host-0", a, b, 10**9) for step in range(5)]
     moved = sum(event.n_bytes for event in events)
-    direct_ms = 10**9 / 1e8
+    direct_ms = 10**9 / DIRECT_INTERCONNECT_BYTES_PER_MS
     return dict(
         succeeded=moved == 5 * 10**9,
         detected=a.chip.meter_value(MeterResource.PCIE_TRANSFER_BYTES) == moved,
@@ -482,9 +451,8 @@ def _attack_pcie_bridge(profile, rng) -> dict:
     )
 
 
-@attack("cluster_gradient_smuggle",
-        required={Capability.GRADIENT_SMUGGLE, Capability.PCIE_BRIDGE}, expect=(True, True))
-def _attack_gradient_smuggle(profile, rng) -> dict:
+@attack(expect=(True, True), required={Capability.GRADIENT_SMUGGLE, Capability.PCIE_BRIDGE})
+def cluster_gradient_smuggle(profile, rng) -> dict:
     regulator, registry, nodes = _cluster_world(rng, 8)
     pod_of = {node.device_id: "pod-a" if i < 4 else "pod-b" for i, node in enumerate(nodes)}
     bridge_a, bridge_b = nodes[3], nodes[4]  # one compromised device per pod
@@ -507,8 +475,8 @@ def _attack_gradient_smuggle(profile, rng) -> dict:
 # -- geoloc attacks ----------------------------------------------------------------
 
 
-@attack("geoloc_delay_slowdown", required={Capability.DELAY_SLOWDOWN}, expect=(False, False))
-def _attack_slowdown(profile, rng) -> dict:
+@attack(expect=(False, False), required={Capability.DELAY_SLOWDOWN})
+def geoloc_delay_slowdown(profile, rng) -> dict:
     landmarks = _landmark_ring(6)
     truth = GeoPoint(11.0, 9.0)
     honest = synthesize_round(rng, landmarks, truth, 0.2, 0.5)
@@ -526,8 +494,8 @@ def _attack_slowdown(profile, rng) -> dict:
     )
 
 
-@attack("geoloc_delay_speedup", required={Capability.DELAY_SPEEDUP}, expect=(False, True))
-def _attack_speedup(profile, rng) -> dict:
+@attack(expect=(False, True), required={Capability.DELAY_SPEEDUP})
+def geoloc_delay_speedup(profile, rng) -> dict:
     landmarks = _landmark_ring(5)
     truth = GeoPoint(11.0, 9.0)
     ms = synthesize_round(rng, landmarks, truth, 0.1, 0.5,
@@ -545,9 +513,8 @@ def _attack_speedup(profile, rng) -> dict:
     )
 
 
-@attack("geoloc_landmark_compromise", required={Capability.COMPROMISE_LANDMARKS},
-        expect=(False, True))
-def _attack_landmark_compromise(profile, rng) -> dict:
+@attack(expect=(False, True), required={Capability.COMPROMISE_LANDMARKS})
+def geoloc_landmark_compromise(profile, rng) -> dict:
     f = 2
     landmarks = _landmark_ring(7)
     truth = GeoPoint(11.0, 9.0)
@@ -577,11 +544,11 @@ def _attack_landmark_compromise(profile, rng) -> dict:
 def _challenge(rng, registry, chip, sign_fn, landmarks, responder: Node,
                jitter_median_ms: float, downed: int = 0, timeout_ms: float = 5000.0):
     """One `challenge_round` from `landmarks` to `responder`, which answers
-    with `sign_fn` for `chip`. The network's links have a 0.5 ms overhead;
+    with `sign_fn` for `chip`. The network's links have the rows' overhead;
     `downed` landmarks, sampled from `rng`, never receive a message."""
     net = Network([*(Node(lm.id, lm.position) for lm in landmarks), responder],
                   default_latency=LatencyModel(jitter_median_ms=jitter_median_ms,
-                                               fixed_overhead_ms=0.5))
+                                               fixed_overhead_ms=_OVERHEAD_MS))
     unreachable = {lm.id for lm in rng.sample(landmarks, downed)}
     net.drop_hooks.append(lambda src, dst: dst in unreachable)
     sim = Simulator(seed=rng.randrange(2**31))
@@ -589,8 +556,8 @@ def _challenge(rng, registry, chip, sign_fn, landmarks, responder: Node,
                            sign_fn, registry, timeout_ms)
 
 
-@attack("geoloc_landmark_ddos", required={Capability.DDOS_LANDMARKS}, expect=(False, True))
-def _attack_ddos(profile, rng) -> dict:
+@attack(expect=(False, True), required={Capability.DDOS_LANDMARKS})
+def geoloc_landmark_ddos(profile, rng) -> dict:
     _, registry, (chip,) = mint_fleet(rng, 1)
     landmarks = _landmark_ring(7)
     truth = GeoPoint(11.0, 9.0)
@@ -605,16 +572,16 @@ def _attack_ddos(profile, rng) -> dict:
     )
 
 
-@attack("geoloc_key_extraction_relay", required={Capability.KEY_EXTRACTION}, expect=(True, False))
-def _attack_relay(profile, rng) -> dict:
+@attack(expect=(True, False), required={Capability.KEY_EXTRACTION})
+def geoloc_key_extraction_relay(profile, rng) -> dict:
     _, registry, (chip,) = mint_fleet(rng, 1)
     oracle = extract_signing_oracle(chip)
     truth = GeoPoint(20.0, 20.0)        # where the chip really sits
     relay_site = GeoPoint(2.0, 2.0)     # where the relay answers from
     landmarks = [
-        Landmark("lm0", GeoPoint(0.0, 0.0), fixed_overhead_ms=0.5),
-        Landmark("lm1", GeoPoint(0.0, 8.0), fixed_overhead_ms=0.5),
-        Landmark("lm2", GeoPoint(8.0, 4.0), fixed_overhead_ms=0.5),
+        Landmark("lm0", GeoPoint(0.0, 0.0), fixed_overhead_ms=_OVERHEAD_MS),
+        Landmark("lm1", GeoPoint(0.0, 8.0), fixed_overhead_ms=_OVERHEAD_MS),
+        Landmark("lm2", GeoPoint(8.0, 4.0), fixed_overhead_ms=_OVERHEAD_MS),
     ]
     ms = _challenge(rng, registry, chip, oracle, landmarks, Node("relay", relay_site),
                     jitter_median_ms=0.1)
@@ -637,8 +604,8 @@ def _attack_relay(profile, rng) -> dict:
 # -- accounting attacks -------------------------------------------------------------
 
 
-@attack("accounting_meter_tamper", required={Capability.COVERT_TAMPER}, expect=(False, True))
-def _attack_accounting_meter_tamper(profile, rng) -> dict:
+@attack(expect=(False, True), required={Capability.COVERT_TAMPER})
+def accounting_meter_tamper(profile, rng) -> dict:
     report, true_total = covert_rollback_chain(rng)
     result = report.device_results[0]
     # The falsified chain is rejected outright, so no undercounted total is
@@ -653,8 +620,8 @@ def _attack_accounting_meter_tamper(profile, rng) -> dict:
     )
 
 
-@attack("accounting_noise_injection", expect=(True, False))
-def _attack_noise_injection(profile, rng) -> dict:
+@attack(expect=(True, False))
+def accounting_noise_injection(profile, rng) -> dict:
     np_rng = np.random.default_rng(rng.randrange(2**31))
     trace = generate_trace(WorkloadLabel.FRONTIER_TRAINING, np_rng, devices=128)
     base_label = classify(trace).label
@@ -674,8 +641,8 @@ def _attack_noise_injection(profile, rng) -> dict:
     )
 
 
-@attack("accounting_fragmentation", expect=(True, False))
-def _attack_fragmentation(profile, rng) -> dict:
+@attack(expect=(True, False))
+def accounting_fragmentation(profile, rng) -> dict:
     np_rng = np.random.default_rng(rng.randrange(2**31))
     trace = generate_trace(WorkloadLabel.FRONTIER_TRAINING, np_rng, devices=240)
     demo = fragmentation_demo(trace, 4)
@@ -729,7 +696,3 @@ def matrix_report(outcomes: list[AttackOutcome]) -> str:
         )
     return "\n".join(lines) + "\n"
 
-
-def unexercised_rows() -> list[str]:
-    """Inventory rows without a registered scenario."""
-    return [name for name in _MECHANISM_OF if name not in ATTACKS]

@@ -159,14 +159,6 @@ class DeviceIdentity:
 GENUINE_FIRMWARE = hashlib.sha256(b"accelerator-firmware/1.0").digest()
 
 
-@dataclass
-class TamperRecord:
-    kind: str
-    covert: bool
-    detected: bool
-    details: dict
-
-
 class ChipState:
     """One accelerator's full governed state, owned by a single simulation."""
 
@@ -188,7 +180,6 @@ class ChipState:
         self.firmware_hash: bytes = GENUINE_FIRMWARE
         self.powered: bool = True
         self.clock_ms: float = 0.0
-        self.tamper_log: list[TamperRecord] = []
 
     # -- time ---------------------------------------------------------------
 
@@ -262,7 +253,7 @@ class ChipState:
 
     # -- tamper response ------------------------------------------------------
 
-    def tamper_event(self, kind: str, covert: bool = False, **details) -> TamperRecord:
+    def tamper_event(self, kind: str, covert: bool = False, **details) -> None:
         """Apply a tamper attempt.
 
         Detected tampering (the default) triggers the zeroization response.
@@ -270,12 +261,9 @@ class ChipState:
         and mutates state without tripping the response, which is exactly
         what downstream verifiers must be able to catch.
         """
-        record = TamperRecord(kind=kind, covert=covert, detected=not covert, details=details)
-        self.tamper_log.append(record)
         if not covert:
             self.zeroize()
-            return record
-        if kind == "meter_rollback":
+        elif kind == "meter_rollback":
             resource = details["resource"]
             amount = details["amount"]
             self.meters.volatile[resource] = max(0, self.meters.volatile[resource] - amount)
@@ -283,7 +271,6 @@ class ChipState:
             self.firmware_hash = details.get(
                 "new_hash", hashlib.sha256(b"patched-" + self.firmware_hash).digest()
             )
-        return record
 
     def zeroize(self) -> None:
         self.zeroized = True

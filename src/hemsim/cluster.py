@@ -309,7 +309,6 @@ _MIN_PERIODIC_WINDOWS = 3
 class CouplingFlag:
     pod_pair: tuple[str, str]
     windows_over_threshold: int
-    window_bytes: tuple[tuple[int, int], ...]  # (window index, bytes)
     device_pairs: tuple[tuple[int, int], ...]
 
 
@@ -340,16 +339,9 @@ def detect_cross_pod_coupling(
             tuple(sorted((event.src_device, event.dst_device)))
         )
     flags = []
-    for pair in sorted(window_totals):
-        totals = window_totals[pair]
-        over = sorted(w for w, total in totals.items() if total >= threshold_bytes_per_step)
-        if len(over) >= _MIN_PERIODIC_WINDOWS:
-            flags.append(
-                CouplingFlag(
-                    pod_pair=pair,
-                    windows_over_threshold=len(over),
-                    window_bytes=tuple(sorted(totals.items())),
-                    device_pairs=tuple(sorted(pair_devices[pair])),
-                )
-            )
+    for pair, totals in sorted(window_totals.items()):
+        over = sum(total >= threshold_bytes_per_step for total in totals.values())
+        if over >= _MIN_PERIODIC_WINDOWS:
+            flags.append(CouplingFlag(pod_pair=pair, windows_over_threshold=over,
+                                      device_pairs=tuple(sorted(pair_devices[pair]))))
     return flags

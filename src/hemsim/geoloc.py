@@ -42,8 +42,9 @@ DEFAULT_GRID_RESOLUTION_DEG = 0.25
 KM_PER_DEGREE = 111.32  # equatorial worst case, used for grid-cell slack
 
 
-# Sound distance bounds take light in fibre (kappa 0.67) along the geodesic.
-BOUND_SPEED_KM_PER_MS = SPEED_OF_LIGHT_KM_S * 0.67 / 1000.0
+# Sound distance bounds take light at the latency model's kappa along the
+# geodesic: a faster bound would be loose, a slower one unsound.
+BOUND_SPEED_KM_PER_MS = SPEED_OF_LIGHT_KM_S * LatencyModel.kappa / 1000.0
 
 
 @dataclass(frozen=True)

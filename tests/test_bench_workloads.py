@@ -56,9 +56,9 @@ REPORT_SHA256 = {
         "network.jsonl":
             "f0694be323ed807dcd2bd2b8cbc9aa2143985f622c746d1db4d7e1360f2352a7",
         "summary.json":
-            "8e99b952ce8cd4fc193899a4f8125b7ba21c0cc6019bf57b48e2e24d9005b662",
+            "155948d2b7abfb2f1a2c35fd60fff0b659964635cd0e15c1bbb824762da7deae",
         "summary.txt":
-            "2184360cbe5364c5ad873813af723f46ab12cb833d5d081128fcf4db6f7177fe",
+            "f5b3df62afcc5246aeecc65e1ee57d144ca7be2a8ae1811d22a4b0d2d09aedf2",
     },
     ("attack_breadth", 4242): {
         "attack_matrix.txt":
@@ -68,9 +68,9 @@ REPORT_SHA256 = {
         "network.jsonl":
             "fa3da8d7596ea60a6efec6a7f98751efdeb1370d1bf25363937cc6bcca5797f6",
         "summary.json":
-            "3ea4292b7895c0062d9a2eeaddbcacbb287ef361d43c052cb9aea6f3f738fc11",
+            "066afc7beed256b5c77fd6b2a35fc9a31a428f6ad005ccaf09c7d199cd3414ad",
         "summary.txt":
-            "2184360cbe5364c5ad873813af723f46ab12cb833d5d081128fcf4db6f7177fe",
+            "f5b3df62afcc5246aeecc65e1ee57d144ca7be2a8ae1811d22a4b0d2d09aedf2",
     },
     ("geoloc_grid", 1): {
         "geoloc.jsonl":

@@ -201,8 +201,8 @@ class TestRtcAndUnaryCounter:
 class TestTamper:
     def test_detected_breach_zeroizes(self, rng, issuer_key):
         chip = make_chip(rng, issuer_key)
-        record = chip.tamper_event("enclosure_breach")
-        assert record.detected and chip.zeroized
+        chip.tamper_event("enclosure_breach")
+        assert chip.zeroized
         assert chip.throttle is ThrottleLevel.DISABLED
         with pytest.raises(ZeroizedError):
             chip.sign(b"post-breach")
@@ -210,16 +210,15 @@ class TestTamper:
     def test_covert_rollback_mutates_without_zeroization(self, rng, issuer_key):
         chip = make_chip(rng, issuer_key)
         chip.consume(MeterResource.FLOAT_OPS, 1000)
-        record = chip.tamper_event(
+        chip.tamper_event(
             "meter_rollback", covert=True, resource=MeterResource.FLOAT_OPS, amount=400
         )
-        assert not record.detected and not chip.zeroized
+        assert not chip.zeroized
         assert chip.meter_value(MeterResource.FLOAT_OPS) == 600
 
     def test_no_tamper_leaves_state_unchanged(self, rng, issuer_key):
         chip = make_chip(rng, issuer_key)
         assert not chip.zeroized
-        assert chip.tamper_log == []
 
 
 class TestRegistry:

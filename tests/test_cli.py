@@ -1,35 +1,56 @@
 """Config schema and CLI behavior tests, including golden reports."""
 
 import functools
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hemsim
 from hemsim import canon, cli
 from hemsim.cli import main
-from hemsim.config import JITTER_SIGMA_MAX, SchemaError, validate_config
+from hemsim.config import JITTER_SIGMA_MAX, SCHEMA, SchemaError, render_config, validate_config
 from hemsim.scenarios import BUNDLED_SCENARIOS, execute_scenario
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 SMALL_GEOLOC = {"trials": 3, "speedup_trials": 2, "descent_trials": 1, "bft": {"trials": 2}}
 
+# sha256 of each bundled scenario's resolved config, `render_config` text.
+BUNDLED_CONFIG_SHA256 = {
+    "attack_matrix": "abe3fa530e2c7e411be5116b065b6336e1980ef1a2696dac4c87861035475f85",
+    "attest_accounting": "0bc1a94c34e0418a031dff8fd6625da632f162eabc43e81ecf87fadbbdb44cd4",
+    "cluster_caps": "0dbc201dd3fee26738904ed138239f07b13f59bbd166ca33b83f440a1417cb54",
+    "geoloc_cbg": "537ab26bbd05047f26179592017c73357c6582f36916e650f359c630523d25f3",
+    "licensing_basic": "da21e3de603d729afa068b49033ea7d9688ab823f8c7847c66726437a7a4ba1a",
+}
+
 THREE_NODES = [{"id": "a", "lat": 0, "lon": 0}, {"id": "b", "lat": 10, "lon": 10},
                {"id": "c", "lat": -10, "lon": 40}]
 
 
-def _run_cli_process(args: list[str], hash_seed: str = "0",
-                     flags: tuple[str, ...] = ()) -> subprocess.CompletedProcess:
-    """`python FLAGS -m hemsim.cli ARGS` in a fresh interpreter, killed after 120 s."""
+def _run_cli_process(args: list[str], hash_seed: str = "0", flags: tuple[str, ...] = (),
+                     env: dict[str, str] | None = None) -> subprocess.CompletedProcess:
+    """`python FLAGS -m hemsim.cli ARGS` in a fresh interpreter, killed after 120 s;
+    `env` adds variables to the inherited environment."""
     src = str(Path(hemsim.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONHASHSEED": hash_seed,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+           **(env or {})}
     return subprocess.run([sys.executable, *flags, "-m", "hemsim.cli", *args], env=env,
                           timeout=120, capture_output=True, text=True)
+
+
+# numpy's SIMD kernels beyond its build baseline, as numpy chose them for this
+# CPU at import; a child prints the ones still enabled under its environment.
+_ENABLED_DISPATCH = ("import numpy as np; "
+                     "umath = (getattr(np, '_core', None) or np.core)._multiarray_umath; "
+                     "print(','.join(f for f in umath.__cpu_dispatch__ "
+                     "if umath.__cpu_features__.get(f)))")
 
 
 class TestSchema:
@@ -85,6 +106,23 @@ class TestSchema:
         out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
                              timeout=60, capture_output=True, text=True, check=True).stdout
         assert out.strip() == "[]"
+
+    def test_bundled_scenarios_resolve_to_pinned_configs(self):
+        digests = {name: hashlib.sha256(render_config(validate_config(raw)).encode()).hexdigest()
+                   for name, raw in BUNDLED_SCENARIOS.items()}
+        assert digests == BUNDLED_CONFIG_SHA256
+
+    def test_bundled_scenarios_state_only_what_differs_from_the_schema(self):
+        def restated(raw, key, path):
+            for name, value in raw.items():
+                sub = key.fields[name]
+                if sub.kind is dict and sub.fields:
+                    yield from restated(value, sub, f"{path}.{name}")
+                elif value == sub.default:
+                    yield f"{path}.{name}"
+
+        assert [path for name, raw in sorted(BUNDLED_SCENARIOS.items())
+                for path in restated(raw, SCHEMA, name)] == []
 
     def test_bundled_scenarios_round_trip_strict(self):
         for name, raw in BUNDLED_SCENARIOS.items():
@@ -431,6 +469,24 @@ class TestGoldenReports:
     def test_bundled_scenario_matches_golden(self, scenario, report):
         golden = (GOLDEN_DIR / f"{scenario}.{report}").read_text(encoding="utf-8")
         assert _bundled_reports(scenario)[report] == golden
+
+    @pytest.mark.parametrize("scenario", ["geoloc_cbg", "attest_accounting"])
+    def test_numpy_scenario_matches_golden_on_baseline_kernels(self, scenario, tmp_path):
+        # numpy picks its SIMD kernels by CPU at run time, so reports must
+        # not depend on which it picked: with every dispatched feature off,
+        # only the baseline kernels run, and the bytes must not move.
+        umath = (getattr(np, "_core", None) or np.core)._multiarray_umath
+        env = {"NPY_DISABLE_CPU_FEATURES": ",".join(umath.__cpu_dispatch__)}
+        probe = subprocess.run([sys.executable, "-c", _ENABLED_DISPATCH],
+                               env={**os.environ, **env}, timeout=60,
+                               capture_output=True, text=True, check=True)
+        assert probe.stdout.strip() == "", probe.stdout + probe.stderr
+        run = _run_cli_process(["run", scenario, "--out", str(tmp_path)], env=env)
+        assert run.returncode == 0, run.stdout + run.stderr
+        goldens = {p.name[len(scenario) + 1:]: p for p in GOLDEN_DIR.glob(f"{scenario}.*")}
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(goldens)
+        for name, golden in goldens.items():
+            assert (tmp_path / name).read_bytes() == golden.read_bytes(), name
 
     def test_attack_matrix_matches_golden_under_python_O(self, tmp_path):
         # -O strips assert statements, so no attack may do its set-up in one.
