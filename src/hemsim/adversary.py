@@ -197,19 +197,22 @@ def _licensed_chip(rng: random.Random, quota: int):
     return issuer, chip, lic
 
 
-# The per-leg processing delay of every row's landmarks and challenge links.
-_OVERHEAD_MS = 0.5
+def _link(jitter_median_ms: float) -> LatencyModel:
+    """Every row's medium: the default speed and jitter spread, the rows'
+    per-leg processing delay, and the row's jitter median."""
+    return LatencyModel(jitter_median_ms=jitter_median_ms, fixed_overhead_ms=0.5)
 
 
-def _landmark_ring(n: int) -> list[Landmark]:
+def _landmark_ring(n: int, jitter_median_ms: float) -> list[Landmark]:
     """Fixed dispersed geometry so each matrix row is seed-robust: n landmarks
-    9 degrees around (10, 10)."""
+    9 degrees around (10, 10), calibrated on `_link(jitter_median_ms)`."""
+    link = _link(jitter_median_ms)
     return [
         Landmark(
             f"lm{i}",
             GeoPoint(10.0 + 9.0 * math.sin(2 * math.pi * i / n),
                      10.0 + 9.0 * math.cos(2 * math.pi * i / n)),
-            fixed_overhead_ms=_OVERHEAD_MS,
+            link,
         )
         for i in range(n)
     ]
@@ -436,7 +439,7 @@ def cluster_manifest_forge(profile, rng) -> dict:
 def cluster_pcie_bridge(profile, rng) -> dict:
     regulator, registry, nodes = _cluster_world(rng, 2)
     a, b = nodes
-    events = [bridge_transfer(step * 100.0, "host-0", a, b, 10**9) for step in range(5)]
+    events = [bridge_transfer(step * 100.0, a, b, 10**9) for step in range(5)]
     moved = sum(event.n_bytes for event in events)
     direct_ms = 10**9 / DIRECT_INTERCONNECT_BYTES_PER_MS
     return dict(
@@ -458,7 +461,7 @@ def cluster_gradient_smuggle(profile, rng) -> dict:
     bridge_a, bridge_b = nodes[3], nodes[4]  # one compromised device per pod
     step_ms = 1000.0
     gradient_bytes = 2 * 10**9
-    events = [bridge_transfer(step * step_ms + 500.0, "host-0", bridge_a, bridge_b, gradient_bytes)
+    events = [bridge_transfer(step * step_ms + 500.0, bridge_a, bridge_b, gradient_bytes)
               for step in range(12)]
     flags = detect_cross_pod_coupling(events, pod_of, window_ms=step_ms,
                                       threshold_bytes_per_step=gradient_bytes // 2)
@@ -477,9 +480,9 @@ def cluster_gradient_smuggle(profile, rng) -> dict:
 
 @attack(expect=(False, False), required={Capability.DELAY_SLOWDOWN})
 def geoloc_delay_slowdown(profile, rng) -> dict:
-    landmarks = _landmark_ring(6)
+    landmarks = _landmark_ring(6, 0.2)
     truth = GeoPoint(11.0, 9.0)
-    honest = synthesize_round(rng, landmarks, truth, 0.2, 0.5)
+    honest = synthesize_round(rng, landmarks, truth)
     baseline = estimate_cbg(honest, _GRID)
     slowed = [replace(m, rtt_ms=m.rtt_ms + rng.uniform(5.0, 30.0)) for m in honest]
     attacked = estimate_cbg(slowed, _GRID)
@@ -496,10 +499,9 @@ def geoloc_delay_slowdown(profile, rng) -> dict:
 
 @attack(expect=(False, True), required={Capability.DELAY_SPEEDUP})
 def geoloc_delay_speedup(profile, rng) -> dict:
-    landmarks = _landmark_ring(5)
+    landmarks = _landmark_ring(5, 0.1)
     truth = GeoPoint(11.0, 9.0)
-    ms = synthesize_round(rng, landmarks, truth, 0.1, 0.5,
-                          speedup={"lm0": profile.latency_factor})
+    ms = synthesize_round(rng, landmarks, truth, speedup={"lm0": profile.latency_factor})
     est = estimate_cbg(ms, _GRID)
     # Success would be a clean (non-empty, unflagged) region that the chip
     # appears inside while the truth is pushed out.
@@ -516,13 +518,13 @@ def geoloc_delay_speedup(profile, rng) -> dict:
 @attack(expect=(False, True), required={Capability.COMPROMISE_LANDMARKS})
 def geoloc_landmark_compromise(profile, rng) -> dict:
     f = 2
-    landmarks = _landmark_ring(7)
+    landmarks = _landmark_ring(7, 0.2)
     truth = GeoPoint(11.0, 9.0)
     # Two ring landmarks lie hard, reporting the chip nearly on top of them.
     liars = [lm.id for lm in landmarks[:f]]
     ms = [
         replace(m, rtt_ms=m.rtt_ms * 0.1) if m.landmark.id in liars else m
-        for m in synthesize_round(rng, landmarks, truth, 0.2, 0.5)
+        for m in synthesize_round(rng, landmarks, truth)
     ]
     est = estimate_bft(ms, _GRID, f=f)
     # A liar stands out by impossible timing, or by a region of its own that
@@ -542,13 +544,12 @@ def geoloc_landmark_compromise(profile, rng) -> dict:
 
 
 def _challenge(rng, registry, chip, sign_fn, landmarks, responder: Node,
-               jitter_median_ms: float, downed: int = 0, timeout_ms: float = 5000.0):
+               downed: int = 0, timeout_ms: float = 5000.0):
     """One `challenge_round` from `landmarks` to `responder`, which answers
-    with `sign_fn` for `chip`. The network's links have the rows' overhead;
-    `downed` landmarks, sampled from `rng`, never receive a message."""
+    with `sign_fn` for `chip`, over the landmarks' link; `downed` landmarks,
+    sampled from `rng`, never receive a message."""
     net = Network([*(Node(lm.id, lm.position) for lm in landmarks), responder],
-                  default_latency=LatencyModel(jitter_median_ms=jitter_median_ms,
-                                               fixed_overhead_ms=_OVERHEAD_MS))
+                  default_latency=landmarks[0].link)
     unreachable = {lm.id for lm in rng.sample(landmarks, downed)}
     net.drop_hooks.append(lambda src, dst: dst in unreachable)
     sim = Simulator(seed=rng.randrange(2**31))
@@ -559,10 +560,10 @@ def _challenge(rng, registry, chip, sign_fn, landmarks, responder: Node,
 @attack(expect=(False, True), required={Capability.DDOS_LANDMARKS})
 def geoloc_landmark_ddos(profile, rng) -> dict:
     _, registry, (chip,) = mint_fleet(rng, 1)
-    landmarks = _landmark_ring(7)
+    landmarks = _landmark_ring(7, 0.2)
     truth = GeoPoint(11.0, 9.0)
     ms = _challenge(rng, registry, chip, chip.sign, landmarks, Node("chip", truth),
-                    jitter_median_ms=0.2, downed=2, timeout_ms=500.0)
+                    downed=2, timeout_ms=500.0)
     est = estimate_cbg(ms, _GRID)
     missing = [m.landmark.id for m in ms if m.rtt_ms is None]
     return dict(
@@ -578,13 +579,13 @@ def geoloc_key_extraction_relay(profile, rng) -> dict:
     oracle = extract_signing_oracle(chip)
     truth = GeoPoint(20.0, 20.0)        # where the chip really sits
     relay_site = GeoPoint(2.0, 2.0)     # where the relay answers from
+    link = _link(0.1)
     landmarks = [
-        Landmark("lm0", GeoPoint(0.0, 0.0), fixed_overhead_ms=_OVERHEAD_MS),
-        Landmark("lm1", GeoPoint(0.0, 8.0), fixed_overhead_ms=_OVERHEAD_MS),
-        Landmark("lm2", GeoPoint(8.0, 4.0), fixed_overhead_ms=_OVERHEAD_MS),
+        Landmark("lm0", GeoPoint(0.0, 0.0), link),
+        Landmark("lm1", GeoPoint(0.0, 8.0), link),
+        Landmark("lm2", GeoPoint(8.0, 4.0), link),
     ]
-    ms = _challenge(rng, registry, chip, oracle, landmarks, Node("relay", relay_site),
-                    jitter_median_ms=0.1)
+    ms = _challenge(rng, registry, chip, oracle, landmarks, Node("relay", relay_site))
     est = estimate_cbg(ms, _GRID)
     spoofed = (
         all(m.verified for m in ms)

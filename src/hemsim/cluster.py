@@ -279,7 +279,6 @@ def run_due_checks(node: ClusterNode, now_ms: float) -> list[Session]:
 
 def bridge_transfer(
     now_ms: float,
-    via_host: str,
     a: ClusterNode,
     b: ClusterNode,
     n_bytes: int,
@@ -309,7 +308,6 @@ _MIN_PERIODIC_WINDOWS = 3
 class CouplingFlag:
     pod_pair: tuple[str, str]
     windows_over_threshold: int
-    device_pairs: tuple[tuple[int, int], ...]
 
 
 def detect_cross_pod_coupling(
@@ -325,7 +323,6 @@ def detect_cross_pod_coupling(
     per-step gradient exchange. Sporadic sub-threshold chatter is ignored.
     """
     window_totals: dict[tuple[str, str], dict[int, int]] = {}
-    pair_devices: dict[tuple[str, str], set[tuple[int, int]]] = {}
     for event in events:
         pod_a = pod_of.get(event.src_device)
         pod_b = pod_of.get(event.dst_device)
@@ -335,13 +332,9 @@ def detect_cross_pod_coupling(
         window = int(event.time // window_ms)
         window_totals.setdefault(pair, {})
         window_totals[pair][window] = window_totals[pair].get(window, 0) + event.n_bytes
-        pair_devices.setdefault(pair, set()).add(
-            tuple(sorted((event.src_device, event.dst_device)))
-        )
     flags = []
     for pair, totals in sorted(window_totals.items()):
         over = sum(total >= threshold_bytes_per_step for total in totals.values())
         if over >= _MIN_PERIODIC_WINDOWS:
-            flags.append(CouplingFlag(pod_pair=pair, windows_over_threshold=over,
-                                      device_pairs=tuple(sorted(pair_devices[pair]))))
+            flags.append(CouplingFlag(pod_pair=pair, windows_over_threshold=over))
     return flags

@@ -2,9 +2,11 @@
 
 Landmark servers at known positions send nonce challenges to a chip over
 the simulated network and time the signed responses on their own clocks.
-Each `Measurement` carries the `Landmark` that took it, so the estimators
-take measurements alone. A verified round-trip time converts to a distance
-upper bound (nothing rides the wire faster than the propagation floor). Two
+Each `Measurement` carries the `Landmark` that took it, and each landmark
+the `LatencyModel` of the link it was calibrated on, so the estimators take
+measurements alone. A verified round-trip time converts to a distance upper
+bound at that link's speed (nothing rides the wire faster than the
+propagation floor); a round must run over the landmarks' own link. Two
 region estimators turn bounds into location regions: disk intersection
 (CBG) and a fault-tolerant intersection that survives a bounded number of
 lying landmarks. A Levenberg-Marquardt descent on the distance residuals,
@@ -42,19 +44,14 @@ DEFAULT_GRID_RESOLUTION_DEG = 0.25
 KM_PER_DEGREE = 111.32  # equatorial worst case, used for grid-cell slack
 
 
-# Sound distance bounds take light at the latency model's kappa along the
-# geodesic: a faster bound would be loose, a slower one unsound.
-BOUND_SPEED_KM_PER_MS = SPEED_OF_LIGHT_KM_S * LatencyModel.kappa / 1000.0
-
-
 @dataclass(frozen=True)
 class Landmark:
-    """A timing server at a known location, with its calibrated per-leg
-    processing delay."""
+    """A timing server at a known location, with the link (medium speed and
+    per-leg processing delay) it was calibrated on."""
 
     id: str
     position: GeoPoint
-    fixed_overhead_ms: float = 0.0
+    link: LatencyModel = LatencyModel()
 
 
 @dataclass
@@ -90,8 +87,13 @@ def challenge_round(
     response delivered to it that carries the nonce it sent, so no other
     message can stand in for it. A landmark with no such response within the
     timeout yields a measurement with no RTT; responses signed by anything
-    but the registered device key are retained but flagged unverified.
+    but the registered device key are retained but flagged unverified. Each
+    landmark's `link` must be the network's: a bound is sound only over the
+    medium it was calibrated on.
     """
+    for lm in landmarks:
+        if lm.link != net.default_latency:
+            raise ValueError(f"landmark {lm.id} was calibrated on another link")
     t_start = sim.now
     nonces: dict[str, bytes] = {}
     arrivals: dict[str, tuple[float, _Response]] = {}
@@ -138,17 +140,19 @@ def challenge_round(
 def delay_to_distance(measurement: Measurement) -> Optional[float]:
     """Sound upper bound, in km, on chip-landmark distance from a verified RTT.
 
-    Uses unit path stretch (no route is shorter than the geodesic), so any
-    added congestion or detour only inflates the bound. An RTT below twice
-    the landmark's fixed overhead is physically impossible and yields None
-    instead: the telltale of a response-speedup attack.
+    Takes light at the landmark's link kappa and unit path stretch (no route
+    is shorter than the geodesic), so any added congestion or detour only
+    inflates the bound. An RTT below twice the link's fixed overhead is
+    physically impossible and yields None instead: the telltale of a
+    response-speedup attack.
     """
     if not measurement.verified:
         raise ValueError("delay_to_distance requires a verified measurement")
-    one_way_ms = measurement.rtt_ms / 2.0 - measurement.landmark.fixed_overhead_ms
+    link = measurement.landmark.link
+    one_way_ms = measurement.rtt_ms / 2.0 - link.fixed_overhead_ms
     if one_way_ms < 0.0:
         return None
-    return one_way_ms * BOUND_SPEED_KM_PER_MS
+    return one_way_ms * (SPEED_OF_LIGHT_KM_S * link.kappa / 1000.0)
 
 
 @dataclass(frozen=True)
@@ -781,28 +785,19 @@ def synthesize_round(
     rng: random.Random,
     landmarks: Sequence[Landmark],
     truth: GeoPoint,
-    jitter_median_ms: float,
-    jitter_sigma: float,
     speedup: Optional[dict[str, float]] = None,
 ) -> list[Measurement]:
     """Closed-form honest measurements for estimator studies.
 
     Same physics as the event-driven path without simulator bookkeeping:
     each leg of the round trip is one `LatencyModel.sample_one_way_delay`
-    draw under the landmark's fixed overhead and the given lognormal jitter.
-    `speedup` maps landmark ids to a round-trip multiplier for
-    response-time attacks.
+    draw from the landmark's own link. `speedup` maps landmark ids to a
+    round-trip multiplier for response-time attacks.
     """
     measurements = []
-    models: dict[float, LatencyModel] = {}  # one per distinct overhead in the round
     for lm in landmarks:
-        model = models.get(lm.fixed_overhead_ms)
-        if model is None:
-            model = models[lm.fixed_overhead_ms] = LatencyModel(
-                jitter_median_ms=jitter_median_ms, jitter_sigma=jitter_sigma,
-                fixed_overhead_ms=lm.fixed_overhead_ms)
-        distance = geodesic_distance(truth, lm.position)
-        rtt = model.sample_one_way_delay(distance, rng) + model.sample_one_way_delay(distance, rng)
+        distance, link = geodesic_distance(truth, lm.position), lm.link
+        rtt = link.sample_one_way_delay(distance, rng) + link.sample_one_way_delay(distance, rng)
         if speedup and lm.id in speedup:
             rtt *= speedup[lm.id]
         measurements.append(Measurement(lm, rtt, verified=True))

@@ -247,7 +247,7 @@ def run_cluster_section(section: dict, seed: int) -> SectionResult:
     a, b = nodes[0], nodes[1]
     transits = []
     for multiplier in section["bridge_multiplier_sweep"]:
-        event = bridge_transfer(now, "host-0", a, b, 10**9, multiplier=multiplier)
+        event = bridge_transfer(now, a, b, 10**9, multiplier=multiplier)
         transits.append(event.transit_ms)
         result.records.append({"event": "bridge_sweep", "multiplier": multiplier,
                                "transit_ms": event.transit_ms})
@@ -259,7 +259,7 @@ def run_cluster_section(section: dict, seed: int) -> SectionResult:
 # -- geoloc ------------------------------------------------------------------------
 
 
-def _random_landmarks(rng: random.Random, n: int, region: dict, overhead: float):
+def _random_landmarks(rng: random.Random, n: int, region: dict, link: LatencyModel):
     """Dispersed landmark geometry: a jittered ring around the region.
 
     Landmark networks are deployed for angular coverage; clustered
@@ -280,7 +280,7 @@ def _random_landmarks(rng: random.Random, n: int, region: dict, overhead: float)
             f"lm{k}",
             GeoPoint(center_lat + radius * extent_lat * math.sin(angle),
                      center_lon + radius * extent_lon * math.cos(angle)),
-            fixed_overhead_ms=overhead,
+            link,
         ))
     return landmarks
 
@@ -300,16 +300,16 @@ def run_geoloc_section(section: dict, seed: int) -> SectionResult:
     region = section["region"]
     grid = GridSpec(region["lat_min"], region["lat_max"], region["lon_min"],
                     region["lon_max"], region["resolution_deg"])
-    overhead = section["fixed_overhead_ms"]
-    jitter_median = section["jitter_median_ms"]
-    jitter_sigma = section["jitter_sigma"]
+    link = LatencyModel(jitter_median_ms=section["jitter_median_ms"],
+                        jitter_sigma=section["jitter_sigma"],
+                        fixed_overhead_ms=section["fixed_overhead_ms"])
 
     contained = 0
     for trial in range(section["trials"]):
         n = rng.randint(section["landmarks_min"], section["landmarks_max"])
-        landmarks = _random_landmarks(rng, n, region, overhead)
+        landmarks = _random_landmarks(rng, n, region, link)
         truth = _random_truth(rng, region)
-        ms = synthesize_round(rng, landmarks, truth, jitter_median, jitter_sigma)
+        ms = synthesize_round(rng, landmarks, truth)
         est = estimate_cbg(ms, grid)
         ok = est.contains(truth) and not est.empty
         contained += ok
@@ -323,11 +323,10 @@ def run_geoloc_section(section: dict, seed: int) -> SectionResult:
     flagged = 0
     for trial in range(section["speedup_trials"]):
         n = rng.randint(max(3, section["landmarks_min"]), section["landmarks_max"])
-        landmarks = _random_landmarks(rng, n, region, overhead)
+        landmarks = _random_landmarks(rng, n, region, link)
         truth = _random_truth(rng, region)
         speedy = rng.choice(landmarks).id
-        ms = synthesize_round(rng, landmarks, truth, jitter_median, jitter_sigma,
-                              speedup={speedy: section["latency_factor"]})
+        ms = synthesize_round(rng, landmarks, truth, speedup={speedy: section["latency_factor"]})
         est = estimate_cbg(ms, grid)
         flagged += est.inconsistent
         result.records.append({"event": "speedup_trial", "trial": trial,
@@ -342,9 +341,9 @@ def run_geoloc_section(section: dict, seed: int) -> SectionResult:
     bft = section["bft"]
     bft_contained = 0
     for trial in range(bft["trials"]):
-        landmarks = _random_landmarks(rng, bft["n"], region, overhead)
+        landmarks = _random_landmarks(rng, bft["n"], region, link)
         truth = _random_truth(rng, region)
-        ms = synthesize_round(rng, landmarks, truth, jitter_median, jitter_sigma)
+        ms = synthesize_round(rng, landmarks, truth)
         liars = rng.sample(range(bft["n"]), bft["f"])
         for idx in liars:
             mode = rng.random()
@@ -362,9 +361,8 @@ def run_geoloc_section(section: dict, seed: int) -> SectionResult:
         f"{bft_contained}/{bft['trials']} trials contained the truth",
     ))
 
-    refusal_landmarks = _random_landmarks(rng, 4, region, overhead)
-    refusal_ms = synthesize_round(rng, refusal_landmarks, _random_truth(rng, region),
-                                  jitter_median, jitter_sigma)
+    refusal_landmarks = _random_landmarks(rng, 4, region, link)
+    refusal_ms = synthesize_round(rng, refusal_landmarks, _random_truth(rng, region))
     try:
         estimate_bft(refusal_ms, grid, f=2)
         refused = False
@@ -374,10 +372,11 @@ def run_geoloc_section(section: dict, seed: int) -> SectionResult:
                                        "n=4, f=2 must be refused"))
 
     recovered = 0
+    quiet = replace(link, jitter_median_ms=0.0)
     for trial in range(section["descent_trials"]):
-        landmarks = _random_landmarks(rng, 5, region, overhead)
+        landmarks = _random_landmarks(rng, 5, region, quiet)
         truth = _random_truth(rng, region)
-        ms = synthesize_round(rng, landmarks, truth, 0.0, jitter_sigma)
+        ms = synthesize_round(rng, landmarks, truth)
         init = _random_truth(rng, region)
         res = estimate_descent(ms, init)
         err_km = geodesic_distance(res.point, truth)

@@ -16,12 +16,16 @@ import json
 import math
 import signal
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 from hypothesis import example, given, settings, strategies as st
 
+from hemsim.attest import DESK_SCALE_THRESHOLD_OPS
 from hemsim.canon import U64_MAX
+from hemsim.cluster import DEFAULT_CHECK_PERIOD_MS
 from hemsim.config import MAX_GRID_CELLS, SCHEMA, Key, SchemaError, validate_config
+from hemsim.netsim import LatencyModel
 from hemsim.scenarios import execute_scenario, write_reports
 
 # Keys that set how much work a run does are drawn no larger than MAX_COUNT:
@@ -183,3 +187,13 @@ def test_every_admitted_config_reaches_a_verdict(raw):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def test_schema_defaults_equal_the_module_constants():
+    # `config` may not import the section modules, so it restates these
+    # defaults; each must still equal the constant the simulator runs on.
+    latency = SCHEMA.fields["network"].fields["default_latency"].fields
+    assert {name: key.default for name, key in latency.items()} == asdict(LatencyModel())
+    assert GEOLOC.fields["jitter_sigma"].default == LatencyModel.jitter_sigma
+    assert SCHEMA.fields["cluster"].fields["check_period_ms"].default == DEFAULT_CHECK_PERIOD_MS
+    assert SCHEMA.fields["attest"].fields["threshold"].default == DESK_SCALE_THRESHOLD_OPS

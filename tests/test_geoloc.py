@@ -5,6 +5,7 @@ import math
 import random
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from hemsim import canon, geoloc
 from hemsim.chipmodel import Registry, provision_chip
 from hemsim.config import validate_config
 from hemsim.geoloc import (
-    BOUND_SPEED_KM_PER_MS,
     DESCENT_MAX_ITERATIONS,
     DescentResult,
     GeoEstimate,
@@ -49,6 +49,11 @@ from hemsim.scenarios import run_geoloc_section
 C_KM_S = 299792.458
 
 
+def bound_speed(kappa=LatencyModel.kappa):
+    """km per ms of light along the geodesic at `kappa`: a sound bound's speed."""
+    return C_KM_S * kappa / 1000.0
+
+
 def _center(grid: GridSpec, i: int, j: int) -> GeoPoint:
     """Center of cell (i, j), which lies off the grid for an index out of range."""
     return GeoPoint(grid.lat_min + (i + 0.5) * grid.resolution_deg,
@@ -57,27 +62,19 @@ def _center(grid: GridSpec, i: int, j: int) -> GeoPoint:
 
 def make_world(landmark_positions, chip_position, jitter_median=0.0, jitter_sigma=0.5,
                overhead=1.0, seed=5):
-    """Simulator + network + provisioned chip + landmarks sharing one latency model."""
+    """Simulator + network + provisioned chip + landmarks calibrated on the
+    network's one latency model."""
     rng = random.Random(seed)
     issuer_key = canon.generate_keypair(rng.randbytes(32))
     chip = provision_chip(rng, frozenset({issuer_key.public_bytes}))
     registry = Registry()
     registry.enroll(chip)
-    landmarks = [
-        Landmark(f"lm{i}", pos, fixed_overhead_ms=overhead)
-        for i, pos in enumerate(landmark_positions)
-    ]
+    link = LatencyModel(kappa=0.67, jitter_median_ms=jitter_median, jitter_sigma=jitter_sigma,
+                        fixed_overhead_ms=overhead)
+    landmarks = [Landmark(f"lm{i}", pos, link) for i, pos in enumerate(landmark_positions)]
     nodes = [Node(lm.id, lm.position) for lm in landmarks]
     nodes.append(Node("chip", chip_position))
-    net = Network(
-        nodes,
-        default_latency=LatencyModel(
-            kappa=0.67,
-            jitter_median_ms=jitter_median,
-            jitter_sigma=jitter_sigma,
-            fixed_overhead_ms=overhead,
-        ),
-    )
+    net = Network(nodes, default_latency=link)
     sim = Simulator(seed=seed)
     return sim, net, chip, registry, landmarks
 
@@ -142,18 +139,48 @@ class TestChallengeRound:
         d = geodesic_distance(GeoPoint(0, 0), far)
         assert ms[0].rtt_ms == pytest.approx(2 * d / (C_KM_S * 0.67) * 1000.0)
 
+    def test_a_network_other_than_the_landmarks_link_is_refused(self):
+        # Six landmarks calibrated at kappa 0.67 around an honest chip. Over
+        # a kappa 0.9 medium the chip answers faster than a 0.67 bound
+        # allows, so its disks would evict the truth: the round refuses to
+        # run. Landmarks calibrated on that medium bound it soundly.
+        ring = [GeoPoint(10.0 + 9.0 * math.sin(math.pi * i / 3),
+                         10.0 + 9.0 * math.cos(math.pi * i / 3)) for i in range(6)]
+        truth = GeoPoint(11.0, 9.0)
+        sim, net, chip, registry, landmarks = make_world(ring, truth, jitter_median=0.1,
+                                                         overhead=0.5)
+        fast = replace(net.default_latency, kappa=0.9)
+        fast_net = Network(net.nodes.values(), default_latency=fast)
+        with pytest.raises(ValueError, match="calibrated"):
+            challenge_round(sim, fast_net, landmarks, chip.identity.device_id, "chip",
+                            chip.sign, registry)
+        # One landmark calibrated elsewhere is enough to refuse the round.
+        mixed = [replace(landmarks[0], link=fast)] + landmarks[1:]
+        with pytest.raises(ValueError, match="lm0"):
+            challenge_round(sim, net, mixed, chip.identity.device_id, "chip",
+                            chip.sign, registry)
+        recalibrated = [replace(lm, link=fast) for lm in landmarks]
+        ms = challenge_round(sim, fast_net, recalibrated, chip.identity.device_id, "chip",
+                             chip.sign, registry)
+        est = estimate_cbg(ms, GRID)
+        assert all(m.verified for m in ms)
+        assert est.contains(truth) and not est.inconsistent
 
-def _landmark(overhead):
-    return Landmark("lm", GeoPoint(0.0, 0.0), fixed_overhead_ms=overhead)
+
+def _landmark(overhead, kappa=LatencyModel.kappa):
+    return Landmark("lm", GeoPoint(0.0, 0.0),
+                    LatencyModel(kappa=kappa, fixed_overhead_ms=overhead))
 
 
 class TestDelayToDistance:
     def test_floor_rtt_inverts_to_exact_distance(self):
-        rtt = 2.0 * (1000.0 / BOUND_SPEED_KM_PER_MS + 2.0)
-        m = Measurement(_landmark(2.0), rtt, verified=True)
-        bound_km = delay_to_distance(m)
-        assert bound_km is not None
-        assert bound_km == pytest.approx(1000.0)
+        # At the kappa of the landmark's own link, whichever it is.
+        for kappa in (0.01, 0.3, LatencyModel.kappa, 0.9, 1.0):
+            rtt = 2.0 * (1000.0 / bound_speed(kappa) + 2.0)
+            m = Measurement(_landmark(2.0, kappa), rtt, verified=True)
+            bound_km = delay_to_distance(m)
+            assert bound_km is not None
+            assert bound_km == pytest.approx(1000.0)
 
     def test_rtt_below_twice_overhead_flags_impossible(self):
         m = Measurement(_landmark(2.0), 0.0, verified=True)
@@ -161,7 +188,7 @@ class TestDelayToDistance:
 
     def test_added_congestion_only_increases_bound(self):
         rng = random.Random(4)
-        base_rtt = 2.0 * (500.0 / BOUND_SPEED_KM_PER_MS + 1.0)
+        base_rtt = 2.0 * (500.0 / bound_speed() + 1.0)
         base = delay_to_distance(Measurement(_landmark(1.0), base_rtt, True))
         for _ in range(200):
             congested = base_rtt + rng.uniform(0.0, 20.0)
@@ -176,18 +203,17 @@ class TestDelayToDistance:
 GRID = GridSpec(lat_min=-5.0, lat_max=25.0, lon_min=-5.0, lon_max=25.0, resolution_deg=0.25)
 
 
-def honest_landmarks(positions, overhead=1.0):
-    return {
-        f"lm{i}": Landmark(f"lm{i}", pos, fixed_overhead_ms=overhead)
-        for i, pos in enumerate(positions)
-    }
+def honest_landmarks(positions, overhead=1.0, jitter_median=0.0, jitter_sigma=0.5):
+    link = LatencyModel(jitter_median_ms=jitter_median, jitter_sigma=jitter_sigma,
+                        fixed_overhead_ms=overhead)
+    return {f"lm{i}": Landmark(f"lm{i}", pos, link) for i, pos in enumerate(positions)}
 
 
 class TestCBG:
     def test_single_landmark_region_is_disk(self):
         lms = honest_landmarks([GeoPoint(10.0, 10.0)])
         truth = GeoPoint(12.0, 10.0)
-        ms = synthesize_round(random.Random(1), list(lms.values()), truth, 0.0, 0.5)
+        ms = synthesize_round(random.Random(1), list(lms.values()), truth)
         est = estimate_cbg(ms, GRID)
         bound = delay_to_distance(ms[0])
         dists = GRID.distances_km(lms["lm0"].position)
@@ -201,10 +227,9 @@ class TestCBG:
             rng = random.Random(9000 + trial)
             n = rng.randrange(3, 10)
             positions = [GeoPoint(rng.uniform(-3, 23), rng.uniform(-3, 23)) for _ in range(n)]
-            lms = honest_landmarks(positions)
             truth = GeoPoint(rng.uniform(0, 20), rng.uniform(0, 20))
-            ms = synthesize_round(rng, list(lms.values()), truth,
-                                  jitter_median_ms=rng.uniform(0.05, 2.0), jitter_sigma=0.5)
+            lms = honest_landmarks(positions, jitter_median=rng.uniform(0.05, 2.0))
+            ms = synthesize_round(rng, list(lms.values()), truth)
             est = estimate_cbg(ms, GRID)
             assert est.contains(truth), f"trial {trial} lost the truth"
             assert not est.empty
@@ -212,19 +237,18 @@ class TestCBG:
     def test_speedup_attack_raises_inconsistency(self):
         rng = random.Random(77)
         positions = [GeoPoint(0, 0), GeoPoint(0, 20), GeoPoint(20, 10), GeoPoint(18, 0)]
-        lms = honest_landmarks(positions, overhead=0.5)
+        lms = honest_landmarks(positions, overhead=0.5, jitter_median=0.1)
         truth = GeoPoint(6.0, 6.0)
-        ms = synthesize_round(rng, list(lms.values()), truth, 0.1, 0.5,
-                              speedup={"lm1": 0.5})
+        ms = synthesize_round(rng, list(lms.values()), truth, speedup={"lm1": 0.5})
         est = estimate_cbg(ms, GRID)
         assert est.inconsistent
 
     def test_slowdown_never_removes_truth_and_grows_region(self):
         rng = random.Random(42)
         positions = [GeoPoint(0, 0), GeoPoint(0, 20), GeoPoint(20, 10)]
-        lms = honest_landmarks(positions)
+        lms = honest_landmarks(positions, jitter_median=0.2)
         truth = GeoPoint(8.0, 8.0)
-        ms = synthesize_round(rng, list(lms.values()), truth, 0.2, 0.5)
+        ms = synthesize_round(rng, list(lms.values()), truth)
         base = estimate_cbg(ms, GRID)
         slowed = [Measurement(m.landmark, m.rtt_ms + 10.0, m.verified) for m in ms]
         grown = estimate_cbg(slowed, GRID)
@@ -235,10 +259,10 @@ class TestCBG:
     def test_forged_measurements_never_influence(self):
         rng = random.Random(3)
         positions = [GeoPoint(0, 0), GeoPoint(0, 20), GeoPoint(20, 10)]
-        lms = honest_landmarks(positions)
+        lms = honest_landmarks(positions, jitter_median=0.2)
         lms["evil"] = Landmark("evil", GeoPoint(19, 19))
         truth = GeoPoint(8.0, 8.0)
-        ms = synthesize_round(rng, [lms[f"lm{i}"] for i in range(3)], truth, 0.2, 0.5)
+        ms = synthesize_round(rng, [lms[f"lm{i}"] for i in range(3)], truth)
         forged = Measurement(lms["evil"], 0.01, verified=False)
         est_with = estimate_cbg(ms + [forged], GRID)
         est_without = estimate_cbg(ms, GRID)
@@ -319,7 +343,7 @@ class TestCBGWindowExactness:
                     distance = geodesic_distance(truth, lm.position)
                     # Scale the truthful bound so some disks miss the truth.
                     scaled = distance * rng.choice((0.3, 0.9, 1.0, 1.2, 3.0))
-                    rtt = 2.0 * (scaled / BOUND_SPEED_KM_PER_MS + 1.0)
+                    rtt = 2.0 * (scaled / bound_speed() + 1.0)
                     if rng.random() < 0.1:
                         rtt = rng.uniform(0.0, 1.9)  # below the propagation floor
                     measurements.append(Measurement(lm, rtt, verified=rng.random() > 0.1))
@@ -374,7 +398,7 @@ class TestCBGWindowExactness:
                 bound = geodesic_distance(truth, lm.position) * rng.choice(scales)
                 if rng.random() < 0.05:
                     bound = rng.choice((rng.uniform(3.0, math.pi), 4.0)) * EARTH_RADIUS_KM
-                rtt = 2.0 * (bound / BOUND_SPEED_KM_PER_MS + 1.0)
+                rtt = 2.0 * (bound / bound_speed() + 1.0)
                 if rng.random() < 0.05:
                     rtt = rng.uniform(0.0, 1.9)  # below the propagation floor
                 measurements.append(Measurement(lm, rtt, verified=rng.random() > 0.1))
@@ -418,9 +442,9 @@ class TestCBGWorstCaseMemory:
         rng = random.Random(1)
         grid = GridSpec(-90.0, 90.0, -180.0, 180.0, 0.25)
         lms = honest_landmarks([GeoPoint(rng.uniform(-85.0, 85.0), rng.uniform(-180.0, 180.0))
-                                for _ in range(64)], overhead=0.5)
+                                for _ in range(64)], overhead=0.5, jitter_median=50.0)
         truth = GeoPoint(rng.uniform(-60.0, 60.0), rng.uniform(-180.0, 180.0))
-        ms = synthesize_round(rng, list(lms.values()), truth, 50.0, 0.5)
+        ms = synthesize_round(rng, list(lms.values()), truth)
         tracemalloc.start()
         try:
             est = estimate_cbg(ms, grid)
@@ -486,7 +510,7 @@ class TestBFTWindowExactness:
                 for lm in lms.values():
                     distance = geodesic_distance(truth, lm.position)
                     scaled = distance * rng.choice((0.9, 1.0, 1.2, 3.0))
-                    rtt = 2.0 * (scaled / BOUND_SPEED_KM_PER_MS + 1.0)
+                    rtt = 2.0 * (scaled / bound_speed() + 1.0)
                     if rng.random() < 0.1:
                         rtt = rng.uniform(0.0, 1.9)  # below the propagation floor
                     measurements.append(Measurement(lm, rtt, verified=rng.random() > 0.1))
@@ -662,25 +686,29 @@ class TestWithinKmExactness:
 class TestSynthesizeRound:
     def test_each_leg_is_one_latency_model_draw(self):
         """An RTT is two `sample_one_way_delay` draws, in order, from the same rng,
-        under a model of the landmark's own overhead, which other landmarks
-        of the round may share."""
+        under a model of the landmark's own link, which other landmarks of the
+        round may share; links of one round differ in every field."""
         rng = random.Random(1618)
         for trial in range(400):
+            links = [dict(kappa=rng.choice((0.67, rng.uniform(0.3, 1.0))),
+                          rho=rng.choice((1.0, rng.uniform(1.0, 3.0))),
+                          jitter_median_ms=rng.choice((0.0, rng.uniform(0.01, 5.0))),
+                          jitter_sigma=rng.uniform(0.0, 2.0),
+                          fixed_overhead_ms=rng.choice((rng.uniform(0.0, 3.0), 0.0, 0.5)))
+                     for _ in range(rng.randint(1, 3))]
+            fields = [rng.choice(links) for _ in range(rng.randint(1, 9))]
             landmarks = [
                 Landmark(f"lm{i}", GeoPoint(rng.uniform(-60, 60), rng.uniform(-180, 180)),
-                         fixed_overhead_ms=rng.choice((rng.uniform(0.0, 3.0), 0.0, 0.5)))
-                for i in range(rng.randint(1, 9))
+                         LatencyModel(**link))
+                for i, link in enumerate(fields)
             ]
             truth = GeoPoint(rng.uniform(-60, 60), rng.uniform(-180, 180))
-            median = rng.choice((0.0, rng.uniform(0.01, 5.0)))  # jitter off, then on
-            sigma = rng.uniform(0.0, 2.0)
             speedup = rng.choice((None, {rng.choice(landmarks).id: rng.uniform(0.1, 1.0)}))
             seed = rng.getrandbits(64)
             got_rng, want_rng = random.Random(seed), random.Random(seed)
-            got = synthesize_round(got_rng, landmarks, truth, median, sigma, speedup)
-            for lm, m in zip(landmarks, got):
-                model = LatencyModel(jitter_median_ms=median, jitter_sigma=sigma,
-                                     fixed_overhead_ms=lm.fixed_overhead_ms)
+            got = synthesize_round(got_rng, landmarks, truth, speedup)
+            for lm, link, m in zip(landmarks, fields, got):
+                model = LatencyModel(**link)
                 d = geodesic_distance(truth, lm.position)
                 want = model.sample_one_way_delay(d, want_rng) \
                     + model.sample_one_way_delay(d, want_rng)
@@ -694,9 +722,9 @@ class TestBFT:
     def _setup(self, n, seed=13):
         rng = random.Random(seed)
         positions = [GeoPoint(rng.uniform(-3, 23), rng.uniform(-3, 23)) for _ in range(n)]
-        lms = honest_landmarks(positions)
+        lms = honest_landmarks(positions, jitter_median=0.2)
         truth = GeoPoint(rng.uniform(2, 18), rng.uniform(2, 18))
-        ms = synthesize_round(rng, list(lms.values()), truth, 0.2, 0.5)
+        ms = synthesize_round(rng, list(lms.values()), truth)
         return rng, lms, truth, ms
 
     def test_f_zero_reduces_to_cbg(self):
@@ -789,7 +817,7 @@ class TestDescent:
             positions = [GeoPoint(rng.uniform(-2, 22), rng.uniform(-2, 22)) for _ in range(5)]
             lms = honest_landmarks(positions)
             truth = GeoPoint(rng.uniform(4, 16), rng.uniform(4, 16))
-            ms = synthesize_round(rng, list(lms.values()), truth, 0.0, 0.5)
+            ms = synthesize_round(rng, list(lms.values()), truth)
             init = GeoPoint(rng.uniform(6, 14), rng.uniform(6, 14))
             result = estimate_descent(ms, init)
             err = geodesic_distance(result.point, truth)
@@ -800,7 +828,7 @@ class TestDescent:
         positions = [GeoPoint(0, 0), GeoPoint(0, 20), GeoPoint(20, 10)]
         lms = honest_landmarks(positions)
         truth = GeoPoint(8.0, 9.0)
-        ms = synthesize_round(rng, list(lms.values()), truth, 0.0, 0.5)
+        ms = synthesize_round(rng, list(lms.values()), truth)
         result = estimate_descent(ms, truth)
         assert result.objective_km2 == pytest.approx(0.0, abs=1e-6)
         assert geodesic_distance(result.point, truth) < 1e-3
@@ -808,9 +836,9 @@ class TestDescent:
     def test_objective_never_exceeds_init_objective(self):
         rng = random.Random(23)
         positions = [GeoPoint(0, 0), GeoPoint(0, 20), GeoPoint(20, 10), GeoPoint(15, -5)]
-        lms = honest_landmarks(positions)
+        lms = honest_landmarks(positions, jitter_median=1.0, jitter_sigma=0.8)
         truth = GeoPoint(8.0, 9.0)
-        ms = synthesize_round(rng, list(lms.values()), truth, 1.0, 0.8)
+        ms = synthesize_round(rng, list(lms.values()), truth)
         targets = [(m.landmark.position, delay_to_distance(m)) for m in ms]
         init = GeoPoint(2.0, 2.0)
         f_init, *_ = descent_objective_and_gradient(init.latitude, init.longitude,
@@ -864,7 +892,7 @@ class TestDescentAtHighLatitude:
                                  truth.longitude + rng.uniform(-8, 8))
                         for _ in range(5)]
                 lms = honest_landmarks(positions)
-                ms = synthesize_round(rng, list(lms.values()), truth, 0.0, 0.5)
+                ms = synthesize_round(rng, list(lms.values()), truth)
                 init = GeoPoint(max(-90.0, min(90.0, truth.latitude + rng.uniform(-8, 8))),
                                 truth.longitude + rng.uniform(-8, 8))
                 del runs[:]
@@ -1200,7 +1228,7 @@ class TestSeamStarts:
             assert self._across_seam(scan.longitude, 167.75, -172.83), scan
         result = estimate_descent(
             [Measurement(lm, 2.0 * (geodesic_distance(GeoPoint(8.0, 178.0), lm.position)
-                                    / BOUND_SPEED_KM_PER_MS), verified=True)
+                                    / bound_speed()), verified=True)
              for lm in honest_landmarks(self.SEAM, overhead=0.0).values()],
             GeoPoint(-40.0, 0.0))
         assert result.converged and geodesic_distance(result.point, GeoPoint(8.0, 178.0)) < 0.01
@@ -1278,13 +1306,15 @@ class TestDescentAgainstFrozen:
 
     def _measurements(self, rng, landmarks, truth, targets):
         if targets == "zero":  # an RTT of twice the overhead bounds at 0 km
-            ms = [Measurement(lm, 2.0 * lm.fixed_overhead_ms, verified=True)
+            ms = [Measurement(lm, 2.0 * lm.link.fixed_overhead_ms, verified=True)
                   for lm in landmarks]
         elif targets == "random":
             ms = [Measurement(lm, rng.uniform(1.0, 60.0), verified=True) for lm in landmarks]
         else:
             jitter = 0.0 if targets == "exact" else rng.uniform(0.05, 2.0)
-            ms = synthesize_round(rng, landmarks, truth, jitter, 0.8)
+            noisy = [replace(lm, link=replace(lm.link, jitter_median_ms=jitter, jitter_sigma=0.8))
+                     for lm in landmarks]
+            ms = synthesize_round(rng, noisy, truth)
         if rng.random() < 0.2:  # an unverified outlier that must not count
             ms.append(Measurement(landmarks[0], 0.01, verified=False))
         return ms
@@ -1296,7 +1326,8 @@ class TestDescentAgainstFrozen:
         for trial in range(1500):
             layout = layouts[trial % len(layouts)]
             positions = self._positions(rng, rng.randint(3, 5), layout)
-            landmarks = [Landmark(f"lm{i}", pos, fixed_overhead_ms=rng.choice((0.0, 0.5)))
+            landmarks = [Landmark(f"lm{i}", pos,
+                                  LatencyModel(fixed_overhead_ms=rng.choice((0.0, 0.5))))
                          for i, pos in enumerate(positions)]
             truth = rng.choice(positions)
             truth = GeoPoint(max(-90.0, min(90.0, truth.latitude + rng.uniform(-3, 3))),

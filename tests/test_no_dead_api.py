@@ -4,6 +4,9 @@ A module-level function, class or constant, or a non-dunder method of a
 module-level class, whose name occurs in src/ only at its own definition is
 reached from tests alone, or from nothing. Such code is deleted, not kept.
 Comments and plain strings do not count as uses; f-string expressions do.
+
+Likewise every parameter of a src/ function or method is read in its body:
+a parameter that nothing reads is API a caller must fill in for nothing.
 """
 
 import ast
@@ -81,3 +84,33 @@ def test_allowlist_names_existing_definitions():
     assert set(ALLOWED) <= defined, f"stale allowlist entries: {sorted(set(ALLOWED) - defined)}"
     # An entry that src/ now uses has outlived its reason, so it leaves the list.
     assert set(ALLOWED) <= dead, f"allowlisted but used in src/: {sorted(set(ALLOWED) - dead)}"
+
+
+def _unread_parameters(tree: ast.Module) -> list[str]:
+    """`name(param)` for each parameter its function's body never reads.
+
+    `@attack` bodies are exempt, since `(profile, rng)` is the signature
+    `run_attack` calls, and so are lambdas, which are callback signatures.
+    A leading underscore marks a parameter a dispatch signature requires
+    but the body does not need.
+    """
+    unread = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or _is_attack_body(node):
+            continue
+        args = node.args
+        params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                  args.vararg, args.kwarg) if a is not None]
+        read = {n.id for statement in node.body for n in ast.walk(statement)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unread.extend(f"{node.name}({param})" for param in params
+                      if param not in read and not param.startswith("_"))
+    return unread
+
+
+def test_no_unread_parameter():
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        unread.extend(f"{path.name}: {entry}" for entry in _unread_parameters(tree))
+    assert unread == [], f"parameters no body reads: {unread}"
