@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable
@@ -41,6 +42,7 @@ from .attest import (
     verify_chain,
 )
 from .chipmodel import (
+    ConsumeResult,
     MeterResource,
     Registry,
     ThrottleLevel,
@@ -73,7 +75,6 @@ from .licensing import (
     fuzz_licenses,
     install,
     make_issuer,
-    metered_consume,
 )
 from .netsim import GeoPoint, LatencyModel, Network, Node, Simulator
 
@@ -218,7 +219,8 @@ def _landmark_ring(n: int, jitter_median_ms: float) -> list[Landmark]:
     ]
 
 
-_GRID = GridSpec(lat_min=-5.0, lat_max=25.0, lon_min=-5.0, lon_max=25.0, resolution_deg=0.25)
+# The schema's default `geoloc.region`, at `DEFAULT_GRID_RESOLUTION_DEG`.
+_GRID = GridSpec(lat_min=-5.0, lat_max=25.0, lon_min=-5.0, lon_max=25.0)
 
 
 # -- licensing attacks -------------------------------------------------------------
@@ -239,7 +241,7 @@ def licensing_counterfeit(profile, rng) -> dict:
 @attack(expect=(False, True), required={Capability.REPLAY_LICENSE})
 def licensing_replay(profile, rng) -> dict:
     issuer, chip, lic = _licensed_chip(rng, quota=1000)
-    metered_consume(chip, MeterResource.CLOCK_CYCLES, 1000)  # exhaust the grant
+    chip.consume(MeterResource.CLOCK_CYCLES, 1000)  # exhaust the grant
     rejections = []
     for _ in range(50):
         rejections.append(install(chip, lic).reason)
@@ -296,7 +298,7 @@ def licensing_meter_rollback(profile, rng) -> dict:
         if seq == 4:
             chip.tamper_event("meter_rollback", covert=True,
                               resource=MeterResource.CLOCK_CYCLES, amount=8000)
-        elif metered_consume(chip, MeterResource.CLOCK_CYCLES, 3000).applied:
+        elif chip.consume(MeterResource.CLOCK_CYCLES, 3000) is ConsumeResult.APPLIED:
             true_consumed += 3000
         snapshots.append(emit_snapshot(chip, seq))
     overdraft = max(0, true_consumed - quota)
@@ -318,7 +320,7 @@ def licensing_meter_rollback(profile, rng) -> dict:
 @attack(expect=(False, True), required={Capability.POWER_CUT_TIMING})
 def licensing_power_cut_rollback(profile, rng) -> dict:
     issuer, chip, lic = _licensed_chip(rng, quota=500)
-    metered_consume(chip, MeterResource.CLOCK_CYCLES, 500)
+    chip.consume(MeterResource.CLOCK_CYCLES, 500)
     reuse_accepted = 0
     attempts = 200
     for _ in range(attempts):
@@ -332,6 +334,25 @@ def licensing_power_cut_rollback(profile, rng) -> dict:
         detected=reuse_accepted == 0,
         evidence={"attempts": attempts, "reuse_accepted": reuse_accepted,
                   "last_license_id": chip.last_license_id},
+    )
+
+
+@attack(expect=(False, True))
+def licensing_quota_overrun(profile, rng) -> dict:
+    # Any host can ask a licensed chip for work: five quotas at once, then five in steps.
+    quota = 1000
+    _, chip, _ = _licensed_chip(rng, quota=quota)
+    asks = [5 * quota]
+    while sum(asks) < 10 * quota:
+        asks.append(rng.randint(1, quota // 4))
+    results = [chip.consume(MeterResource.CLOCK_CYCLES, amount) for amount in asks]
+    consumed = chip.consumed_since_install(MeterResource.CLOCK_CYCLES)
+    refusals = Counter(r.value for r in results if r is not ConsumeResult.APPLIED)
+    return dict(
+        succeeded=consumed > quota,
+        detected=bool(refusals),
+        evidence={"quota": quota, "asked": sum(asks), "consumed": consumed,
+                  "requests": len(asks), "refusals": dict(refusals)},
     )
 
 
@@ -675,15 +696,15 @@ def run_attack(name: str, profile: AdversaryProfile, seed: int) -> AttackOutcome
         raise ScenarioConfigError(
             f"{name} requires capabilities not granted: {sorted(c.value for c in missing)}"
         )
-    return AttackOutcome(name, spec.mechanism, **spec.run_fn(profile, random.Random(seed)))
+    # Seeded from the row's own name, so adding a row reseeds no other; a str
+    # seed is hashed with SHA-512, the same in every process.
+    rng = random.Random(f"{seed}:{name}")
+    return AttackOutcome(name, spec.mechanism, **spec.run_fn(profile, rng))
 
 
 def run_matrix(profile: AdversaryProfile, seed: int) -> list[AttackOutcome]:
     """Run every registered attack; the profile must grant every capability."""
-    outcomes = []
-    for offset, name in enumerate(sorted(ATTACKS)):
-        outcomes.append(run_attack(name, profile, seed + offset))
-    return outcomes
+    return [run_attack(name, profile, seed) for name in sorted(ATTACKS)]
 
 
 def matrix_report(outcomes: list[AttackOutcome]) -> str:

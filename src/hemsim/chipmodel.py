@@ -4,6 +4,8 @@ The chip is modeled behaviorally: a tamper-scoped identity that signs
 canonical payloads, cumulative activity meters with three power-loss
 persistence designs, a write-through last-license-id counter, a real-time
 clock with optional drift, throttle state, and a zeroization response.
+`ChipState.consume`, the one path by which work runs, enforces the throttle
+and refuses whole any request that would cross an installed license quota.
 `ChipState.issuer_signed` is the chip's one trust decision for the
 issuer-signed documents it adopts, and `mint_fleet` builds the issuer key,
 registry and enrolled chips that sections and attack rows start from.
@@ -15,6 +17,7 @@ each component.
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
@@ -145,6 +148,7 @@ class ThrottleLevel(Enum):
 class ConsumeResult(Enum):
     APPLIED = "applied"
     THROTTLED = "throttled"
+    QUOTA_EXCEEDED = "quota_exceeded"
 
 
 @dataclass(frozen=True)
@@ -173,7 +177,7 @@ class ChipState:
         self.rtc = rtc or RtcClock()
         # Stored in a write-through monotonic counter: exact across power loss.
         self.last_license_id: int = -1
-        self.active_license: Optional[object] = None
+        self.active_license = None  # the installed `licensing.License`, once there is one
         self.license_baseline: dict[MeterResource, int] = {r: 0 for r in MeterResource}
         self.throttle = ThrottleLevel.DISABLED  # default-deny until licensed
         self.zeroized: bool = False
@@ -216,7 +220,12 @@ class ChipState:
     # -- metering -----------------------------------------------------------
 
     def consume(self, resource: MeterResource, amount: int) -> ConsumeResult:
-        """Meter `amount` units of `resource` if the throttle permits."""
+        """Meter `amount` units of `resource` if the throttle and license permit.
+
+        A licensed chip refuses whole a request that would take its use since
+        install past that resource's quota, and after every attempt the
+        throttle lets through it disables itself once any quota is reached.
+        """
         if amount < 0:
             raise ValueError("consume amount must be nonnegative")
         if not self.powered:
@@ -225,9 +234,15 @@ class ChipState:
             raise ZeroizedError("chip is zeroized; execution refused")
         if self.throttle is ThrottleLevel.DISABLED:
             return ConsumeResult.THROTTLED
-        self.meters.increment(resource, amount)
-        self.meters.tick(self.clock_ms)
-        return ConsumeResult.APPLIED
+        quotas = self.active_license.quotas if self.active_license is not None else {}
+        if self.consumed_since_install(resource) + amount > quotas.get(resource, math.inf):
+            result = ConsumeResult.QUOTA_EXCEEDED
+        else:
+            self.meters.increment(resource, amount)  # `advance_to` already ran due flushes
+            result = ConsumeResult.APPLIED
+        if any(self.consumed_since_install(r) >= q for r, q in quotas.items()):
+            self.throttle = ThrottleLevel.DISABLED
+        return result
 
     def meter_value(self, resource: MeterResource) -> int:
         """Read-only host access to the cumulative meter."""

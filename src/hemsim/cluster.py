@@ -24,7 +24,14 @@ from enum import Enum
 from typing import Callable, Iterable, Iterator, Optional
 
 from . import canon
-from .chipmodel import ChipState, MeterResource, Registry, ThrottleLevel, ZeroizedError
+from .chipmodel import (
+    ChipState,
+    ConsumeResult,
+    MeterResource,
+    Registry,
+    ThrottleLevel,
+    ZeroizedError,
+)
 
 MANIFEST = canon.Doc("pod-manifest.v1", pod_id=canon.TEXT, manifest_epoch=canon.U64,
                      members=canon.mapping(canon.U128, canon.BLOB))
@@ -283,20 +290,22 @@ def bridge_transfer(
     b: ClusterNode,
     n_bytes: int,
     multiplier: float = DEFAULT_BRIDGE_MULTIPLIER,
-) -> DataEvent:
+) -> Optional[DataEvent]:
     """Route data between chips through a host's PCIe link.
 
     Succeeds (that is the point of the attack) but pays the latency
-    multiplier and leaves both endpoints' PCIe meters as evidence. An attack
-    row reaches it only past `adversary.run_attack`, the one capability gate,
-    which demands `pcie_bridge` of the profile.
+    multiplier and leaves both endpoints' PCIe meters as evidence. Returns
+    None unless both chips' `consume` ran it; `b` is asked once `a` has. An
+    attack row reaches it only past `adversary.run_attack`, the one
+    capability gate, which demands `pcie_bridge` of the profile.
     """
     if n_bytes < 0:
         raise ValueError("transfer size must be nonnegative")
+    for node in (a, b):
+        ran = node.chip.consume(MeterResource.PCIE_TRANSFER_BYTES, n_bytes)
+        if ran is not ConsumeResult.APPLIED:
+            return None
     transit = n_bytes / DIRECT_INTERCONNECT_BYTES_PER_MS * multiplier
-    if n_bytes > 0:
-        a.chip.consume(MeterResource.PCIE_TRANSFER_BYTES, n_bytes)
-        b.chip.consume(MeterResource.PCIE_TRANSFER_BYTES, n_bytes)
     return DataEvent(now_ms, a.device_id, b.device_id, n_bytes, transit)
 
 

@@ -1,11 +1,13 @@
-"""Offline licensing: issuance, device-side verification, quota throttling.
+"""Offline licensing: issuance and device-side verification.
 
 A license is a signed grant of metered quota to exactly one device. The
 device-side install check enforces the three countermeasures that make the
 scheme hold up offline: issuer signature over every field, a per-device
 license id that must strictly increase (anti-replay, backed by a monotonic
 counter), and an unmodifiable device id binding (anti-sharing). Expiry
-against the on-chip clock prevents stockpiling.
+against the on-chip clock prevents stockpiling. Once installed, the quotas
+bind on the chip itself: `ChipState.consume` refuses whole every request
+that would cross one, and disables the chip once any is reached.
 
 A license reaches the chip as wire bytes from an untrusted host, and each
 license has exactly one encoding. `install` runs the checks in a fixed
@@ -94,7 +96,7 @@ def install(chip: ChipState, wire: bytes) -> InstallResult:
         fields, signed, signature = LICENSE.decode(wire)
     except canon.EncodingError:
         return InstallResult(False, RejectReason.MALFORMED)
-    lic = LICENSE.record(**fields)
+    lic = License(**fields)
     if lic.device_id != chip.identity.device_id:
         return InstallResult(False, RejectReason.WRONG_DEVICE)
     if lic.license_id <= chip.last_license_id:
@@ -175,51 +177,3 @@ def fuzz_licenses(issuer: IssuerState, chips: list[ChipState], trials: int,
         else:
             refusals[result.reason.value] += 1
     return acceptances, refusals
-
-
-def enforce(chip: ChipState) -> ThrottleLevel:
-    """Recompute the throttle from license state; call after consume/install.
-
-    With no valid quota left the chip is disabled.
-    """
-    lic: Optional[License] = chip.active_license  # type: ignore[assignment]
-    if chip.zeroized or lic is None:
-        chip.throttle = ThrottleLevel.DISABLED
-        return chip.throttle
-    for resource, quota in lic.quotas.items():
-        if chip.consumed_since_install(resource) >= quota:
-            chip.throttle = ThrottleLevel.DISABLED
-            return chip.throttle
-    chip.throttle = ThrottleLevel.FULL
-    return chip.throttle
-
-
-@dataclass(frozen=True)
-class ConsumeOutcome:
-    applied: bool
-    reason: Optional[str]
-    throttle_after: ThrottleLevel
-
-
-def metered_consume(
-    chip: ChipState,
-    resource: MeterResource,
-    amount: int,
-) -> ConsumeOutcome:
-    """Consume under license enforcement.
-
-    A request that would cross the remaining quota is rejected whole: the
-    meter does not move and the caller sees the reason. Requests landing
-    exactly on the boundary apply, after which enforcement throttles.
-    """
-    if chip.throttle is ThrottleLevel.DISABLED:
-        return ConsumeOutcome(False, "throttled", chip.throttle)
-    lic: Optional[License] = chip.active_license  # type: ignore[assignment]
-    if lic is not None:
-        quota = lic.quotas.get(resource)
-        if quota is not None and chip.consumed_since_install(resource) + amount > quota:
-            throttle = enforce(chip)
-            return ConsumeOutcome(False, "quota_exceeded", throttle)
-    chip.consume(resource, amount)  # applies: the throttle was checked on entry
-    throttle = enforce(chip)
-    return ConsumeOutcome(True, None, throttle)

@@ -34,7 +34,7 @@ from .attest import (
     verify_chain,
 )
 from .canon import verify_memo
-from .chipmodel import ThrottleLevel, mint_fleet, provision_chip
+from .chipmodel import ConsumeResult, ThrottleLevel, mint_fleet, provision_chip
 from .cluster import (
     ClusterNode,
     HandshakeReject,
@@ -60,7 +60,6 @@ from .licensing import (
     fuzz_licenses,
     install,
     make_issuer,
-    metered_consume,
 )
 from .netsim import GeoPoint, LatencyModel, Network, Node, Simulator, geodesic_distance
 
@@ -111,15 +110,15 @@ def run_licensing_section(section: dict, fleet: dict, seed: int) -> SectionResul
     chip = chips[0]
     lic = issuer.issue(chip.identity.device_id, {resource: quota})
     install(chip, lic)
-    near = metered_consume(chip, resource, quota - 1)
+    near = chip.consume(resource, quota - 1)
     at_boundary_full = chip.throttle is ThrottleLevel.FULL
-    last = metered_consume(chip, resource, 1)
-    disabled_after = last.throttle_after is ThrottleLevel.DISABLED
+    last = chip.consume(resource, 1)
+    disabled_after = chip.throttle is ThrottleLevel.DISABLED
     renewal = issuer.issue(chip.identity.device_id, {resource: quota})
     install(chip, renewal)
     renewed_full = chip.throttle is ThrottleLevel.FULL
-    lifecycle_ok = (near.applied and at_boundary_full and last.applied
-                    and disabled_after and renewed_full)
+    lifecycle_ok = (near is ConsumeResult.APPLIED and at_boundary_full
+                    and last is ConsumeResult.APPLIED and disabled_after and renewed_full)
     result.records.append({
         "event": "quota_lifecycle",
         "boundary_full": at_boundary_full,

@@ -26,7 +26,7 @@ OPEN = profile_for_tier(Tier.OPEN, latency_factor=0.5, counterfeit_trials=2000)
 # json.dumps([attack, succeeded, detected, evidence], sort_keys=True).
 PIN_PROFILE = profile_for_tier(Tier.OPEN, latency_factor=0.5, counterfeit_trials=20)
 EVIDENCE_SHA256 = {
-    "accounting_fragmentation": "795c2f970f267db854756112715d95cbb2390d743017037fb0955fcd690db8aa",
+    "accounting_fragmentation": "cfa2f6acb6dc63a4a97f399acf3f889f4a3d4a557bdd271cecd034c081bbf7ed",
     "accounting_meter_tamper": "a5547b1bd409757b2e037145baecad156c8d76d65cedaea0a99c32889703e79c",
     "accounting_noise_injection": "5d0467d8f267ddf979a7521c35dcc8b5ce996e3cf1f0b14f92ac90dd61712d28",
     "cluster_cap_forge": "9327a392a8f2c504cd645e05fa12e47ecd5cf2ca345cd8291308f6c81a18f311",
@@ -34,16 +34,17 @@ EVIDENCE_SHA256 = {
     "cluster_manifest_forge": "94c664a04defe49c2f52571308f91ed02e91af2d35f5aa3bee883a4d873deb1b",
     "cluster_pcie_bridge": "2b13abcc20d5edff61135e1f4a172e751b5fe617e9e06f924610f3bd43dc2f3e",
     "cluster_pod_firmware_mod": "ba12c089d410703fd241d93ee33cb1b022a95b429fa843764a4990e3947b0c76",
-    "geoloc_delay_slowdown": "2a7e8b840952bd915e132c6c31d2bf1202fad331969eaf37ec6a7543bc76a9c3",
+    "geoloc_delay_slowdown": "6db384bf0f2aeb130372ae3f3cb54b7d38ca188baa4c1060d8a9699cf063d9a9",
     "geoloc_delay_speedup": "7d9d12b71f479a304a01d5ab72077200934cddaa419da3d2002f7c90f023f50f",
     "geoloc_key_extraction_relay": "17f8398f172ae0b9a797d64314a2ff0f71d35daf82c45515cf221bad9b3f1e88",
     "geoloc_landmark_compromise": "6788de21d06fcd9c219e4dc63abd035248c1fc8f97e0c55dbb563dbc48b2727d",
-    "geoloc_landmark_ddos": "b1810c32fe1f0746b437b401d293e70b80b173d28cf58103a0f80759e80d0016",
-    "licensing_counterfeit": "4a4935e3bb20986a0513c99e8e2a685d95a3f35c6cbf333498eb7641926aa2b7",
+    "geoloc_landmark_ddos": "fa819e2ea24f2cea86f84de5f8fb02e3afa4393f096ed8f7a186e0708b65fe75",
+    "licensing_counterfeit": "870b226304fdacb32b40a57dfebdf5a96ba26c80afa531b429c13e5cdf6b49fe",
     "licensing_cross_device": "94552a860580fd5639c3a0531d15d38235acc96ab5e45bebaa24e472d8c031a9",
     "licensing_host_clock_rollback": "c4199b7de53e157a02ce849d188593c92d69f13aace3908d04bd732fec20e7ed",
     "licensing_meter_rollback": "ee16254ce6532261119a7d9c9523b486ddc46da5886ae1b989db61fc1c1872b1",
     "licensing_power_cut_rollback": "ef9f46222f12af3dcd2306260b7b9a72d17eb9298229bd8b59c68c5d5a0a90c0",
+    "licensing_quota_overrun": "9bca7b68442099a698767e5b7b5e8182fbc056063cfbe027453157d941e46b03",
     "licensing_replay": "173bbdfa9e8c3605773837c3254b27505c39a5c10cf0a0a0cd89cf722581944e",
     "licensing_throttle_bypass": "f8021214fed6662f3dda1d2a4e3cb10b064d0a82d32dec634b0534e7b42d72bf",
 }

@@ -50,9 +50,9 @@ SEEDS = (1, 4242)
 REPORT_SHA256 = {
     ("attack_breadth", 1): {
         "attack_matrix.txt":
-            "6f7469be97795138857690fc83e01ea63b8710cdd55ecf55d4603efaad430374",
+            "1e4808c2d98c3f4e283df299012ec4f62b0eb007590c23f9c90b275bbdf048e9",
         "attacks.jsonl":
-            "43263009250542281dd459c26cc4fa19c33a223549f76e137ade50666a72d51f",
+            "a0cfd6da310f6f226deab462467bb7c790abec29b19585e59a548b043a46ad10",
         "network.jsonl":
             "f0694be323ed807dcd2bd2b8cbc9aa2143985f622c746d1db4d7e1360f2352a7",
         "summary.json":
@@ -62,9 +62,9 @@ REPORT_SHA256 = {
     },
     ("attack_breadth", 4242): {
         "attack_matrix.txt":
-            "6f7469be97795138857690fc83e01ea63b8710cdd55ecf55d4603efaad430374",
+            "1e4808c2d98c3f4e283df299012ec4f62b0eb007590c23f9c90b275bbdf048e9",
         "attacks.jsonl":
-            "43263009250542281dd459c26cc4fa19c33a223549f76e137ade50666a72d51f",
+            "a0cfd6da310f6f226deab462467bb7c790abec29b19585e59a548b043a46ad10",
         "network.jsonl":
             "fa3da8d7596ea60a6efec6a7f98751efdeb1370d1bf25363937cc6bcca5797f6",
         "summary.json":
@@ -116,8 +116,8 @@ REPORT_SHA256 = {
 
 # ed25519 verifications computed in one execution.
 REAL_VERIFIES = {
-    ("attack_breadth", 1): 175,
-    ("attack_breadth", 4242): 170,
+    ("attack_breadth", 1): 153,
+    ("attack_breadth", 4242): 156,
     ("geoloc_grid", 1): 0,
     ("geoloc_grid", 4242): 0,
     ("signed_fleet", 1): 3182,

@@ -38,6 +38,7 @@ from hemsim.cluster import (
     teardown,
 )
 from hemsim.config import validate_config
+from hemsim.licensing import IssuerState, install
 from hemsim.scenarios import run_cluster_section
 
 
@@ -579,6 +580,23 @@ class TestTransfers:
         a, b, _ = self._pair(world)
         bridge_transfer(0.0, a, b, 0)
         assert a.chip.meter_value(MeterResource.PCIE_TRANSFER_BYTES) == 0
+
+    def test_disabled_sender_bridges_nothing(self, world):
+        a, b, _ = self._pair(world)
+        a.disable()
+        assert bridge_transfer(0.0, a, b, 10**9) is None
+        assert [n.chip.meter_value(MeterResource.PCIE_TRANSFER_BYTES) for n in (a, b)] == [0, 0]
+
+    def test_sender_at_its_pcie_quota_bridges_nothing_more(self, world):
+        _, regulator, _, _ = world
+        a, b, _ = self._pair(world)
+        issuer = IssuerState(regulator)  # the key every world chip enrolled
+        assert install(a.chip, issuer.issue(a.device_id,
+                                            {MeterResource.PCIE_TRANSFER_BYTES: 10})).accepted
+        assert bridge_transfer(0.0, a, b, 10**9) is None  # would cross the quota
+        assert bridge_transfer(0.0, a, b, 10).n_bytes == 10
+        assert bridge_transfer(0.0, a, b, 1) is None  # the quota is reached
+        assert [n.chip.meter_value(MeterResource.PCIE_TRANSFER_BYTES) for n in (a, b)] == [10, 10]
 
 
 class TestCrossPodDetector:

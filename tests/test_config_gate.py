@@ -21,10 +21,12 @@ from pathlib import Path
 
 from hypothesis import example, given, settings, strategies as st
 
+from hemsim.adversary import _GRID
 from hemsim.attest import DESK_SCALE_THRESHOLD_OPS
 from hemsim.canon import U64_MAX
 from hemsim.cluster import DEFAULT_CHECK_PERIOD_MS
 from hemsim.config import MAX_GRID_CELLS, SCHEMA, Key, SchemaError, validate_config
+from hemsim.geoloc import DEFAULT_GRID_RESOLUTION_DEG
 from hemsim.netsim import LatencyModel
 from hemsim.scenarios import execute_scenario, write_reports
 
@@ -197,3 +199,7 @@ def test_schema_defaults_equal_the_module_constants():
     assert GEOLOC.fields["jitter_sigma"].default == LatencyModel.jitter_sigma
     assert SCHEMA.fields["cluster"].fields["check_period_ms"].default == DEFAULT_CHECK_PERIOD_MS
     assert SCHEMA.fields["attest"].fields["threshold"].default == DESK_SCALE_THRESHOLD_OPS
+    # The attack rows' grid is the default region, so the estimators see one grid.
+    region = {name: key.default for name, key in GEOLOC.fields["region"].fields.items()}
+    assert region == asdict(_GRID)
+    assert region["resolution_deg"] == DEFAULT_GRID_RESOLUTION_DEG

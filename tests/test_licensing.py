@@ -9,7 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hemsim import canon, licensing, scenarios
-from hemsim.chipmodel import RESOURCE, MeterResource, ThrottleLevel, provision_chip
+from hemsim.chipmodel import (
+    RESOURCE,
+    ConsumeResult,
+    MeterResource,
+    PersistencePolicy,
+    PolicyKind,
+    ThrottleLevel,
+    provision_chip,
+)
 from hemsim.config import validate_config
 from hemsim.licensing import (
     FUZZ_KINDS,
@@ -17,11 +25,9 @@ from hemsim.licensing import (
     InstallResult,
     License,
     RejectReason,
-    enforce,
     fuzz_licenses,
     install,
     make_issuer,
-    metered_consume,
 )
 
 
@@ -141,7 +147,7 @@ class TestInstall:
         rng, issuer, chip = world
         lic = issuer.issue(chip.identity.device_id, QUOTA)
         assert install(chip, lic).accepted
-        metered_consume(chip, MeterResource.CLOCK_CYCLES, 1000)
+        chip.consume(MeterResource.CLOCK_CYCLES, 1000)
         other = provision_chip(rng, frozenset({issuer.public_key}))
         hostile = {
             RejectReason.MALFORMED: issuer.issue(chip.identity.device_id, QUOTA)[:-1],
@@ -168,7 +174,7 @@ class TestInstall:
         chip = provision_chip(rng, frozenset({issuer.public_key}))
         for _ in range(data.draw(st.integers(1, 3), label="installed")):
             assert install(chip, issuer.issue(chip.identity.device_id, QUOTA)).accepted
-        metered_consume(chip, MeterResource.CLOCK_CYCLES, 7)
+        chip.consume(MeterResource.CLOCK_CYCLES, 7)
         last = chip.last_license_id
         now = 1_000
         license_id = data.draw(st.integers(0, last) if stale
@@ -207,29 +213,58 @@ class TestEnforce:
     def test_no_license_means_disabled_from_boot(self, world):
         _, _, chip = world
         assert chip.throttle is ThrottleLevel.DISABLED
-        assert enforce(chip) is ThrottleLevel.DISABLED
+        assert chip.consume(MeterResource.CLOCK_CYCLES, 1) is ConsumeResult.THROTTLED
+        assert chip.meter_value(MeterResource.CLOCK_CYCLES) == 0
 
     def test_quota_boundary(self, world):
         _, issuer, chip = world
         install(chip, issuer.issue(chip.identity.device_id, QUOTA))
-        assert metered_consume(chip, MeterResource.CLOCK_CYCLES, 999).applied
+        assert chip.consume(MeterResource.CLOCK_CYCLES, 999) is ConsumeResult.APPLIED
         assert chip.throttle is ThrottleLevel.FULL
-        outcome = metered_consume(chip, MeterResource.CLOCK_CYCLES, 1)
-        assert outcome.applied
-        assert outcome.throttle_after is ThrottleLevel.DISABLED
+        assert chip.consume(MeterResource.CLOCK_CYCLES, 1) is ConsumeResult.APPLIED
+        assert chip.throttle is ThrottleLevel.DISABLED
 
     def test_crossing_consume_rejected_whole(self, world):
         _, issuer, chip = world
         install(chip, issuer.issue(chip.identity.device_id, QUOTA))
-        metered_consume(chip, MeterResource.CLOCK_CYCLES, 999)
-        outcome = metered_consume(chip, MeterResource.CLOCK_CYCLES, 5)
-        assert not outcome.applied and outcome.reason == "quota_exceeded"
+        chip.consume(MeterResource.CLOCK_CYCLES, 999)
+        assert chip.consume(MeterResource.CLOCK_CYCLES, 5) is ConsumeResult.QUOTA_EXCEEDED
         assert chip.consumed_since_install(MeterResource.CLOCK_CYCLES) == 999
+
+    def test_direct_consume_past_quota_is_refused_and_meter_stays(self, world):
+        _, issuer, chip = world
+        install(chip, issuer.issue(chip.identity.device_id, QUOTA))
+        assert chip.consume(MeterResource.CLOCK_CYCLES, 10**6) is ConsumeResult.QUOTA_EXCEEDED
+        assert chip.meter_value(MeterResource.CLOCK_CYCLES) == 0
+        assert chip.throttle is ThrottleLevel.FULL  # no quota reached: the grant still runs
+        assert chip.consume(MeterResource.CLOCK_CYCLES, 1000) is ConsumeResult.APPLIED
+        assert chip.consume(MeterResource.CLOCK_CYCLES, 1) is ConsumeResult.THROTTLED
+        assert chip.meter_value(MeterResource.CLOCK_CYCLES) == 1000
+
+    def test_refusal_disables_a_chip_whose_other_quota_is_reached(self, world):
+        rng, issuer, _ = world
+        chip = provision_chip(rng, frozenset({issuer.public_key}),
+                              policy=PersistencePolicy(PolicyKind.BOOT_ROUNDUP,
+                                                       roundup_increment=10))
+        quotas = {MeterResource.JOULES: 10, MeterResource.CLOCK_CYCLES: 1000}
+        assert install(chip, issuer.issue(chip.identity.device_id, quotas)).accepted
+        # The boot round-up reaches the joule quota with no consume to see it.
+        chip.power_loss(at_ms=1.0)
+        chip.power_on(at_ms=2.0)
+        assert chip.throttle is ThrottleLevel.FULL
+        assert chip.consume(MeterResource.CLOCK_CYCLES, 5000) is ConsumeResult.QUOTA_EXCEEDED
+        assert chip.throttle is ThrottleLevel.DISABLED
+
+    def test_unlicensed_chip_keeps_its_throttle(self, world):
+        _, _, chip = world
+        chip.throttle = ThrottleLevel.FULL  # as `mint_fleet` leaves it
+        assert chip.consume(MeterResource.CLOCK_CYCLES, 10**9) is ConsumeResult.APPLIED
+        assert chip.throttle is ThrottleLevel.FULL
 
     def test_renewal_after_exhaustion_restores_full(self, world):
         _, issuer, chip = world
         install(chip, issuer.issue(chip.identity.device_id, QUOTA))
-        metered_consume(chip, MeterResource.CLOCK_CYCLES, 1000)
+        chip.consume(MeterResource.CLOCK_CYCLES, 1000)
         assert chip.throttle is ThrottleLevel.DISABLED
         install(chip, issuer.issue(chip.identity.device_id, QUOTA))
         assert chip.throttle is ThrottleLevel.FULL
@@ -238,8 +273,7 @@ class TestEnforce:
     def test_unquoted_resource_not_limited(self, world):
         _, issuer, chip = world
         install(chip, issuer.issue(chip.identity.device_id, QUOTA))
-        outcome = metered_consume(chip, MeterResource.JOULES, 10**9)
-        assert outcome.applied
+        assert chip.consume(MeterResource.JOULES, 10**9) is ConsumeResult.APPLIED
         assert chip.throttle is ThrottleLevel.FULL
 
 
@@ -252,8 +286,7 @@ class TestQuotaBound:
             lic = issuer.issue(chip.identity.device_id, {MeterResource.CLOCK_CYCLES: quota})
             assert install(chip, lic).accepted
             while chip.throttle is ThrottleLevel.FULL:
-                metered_consume(chip, MeterResource.CLOCK_CYCLES,
-                                seq_rng.randrange(1, 300))
+                chip.consume(MeterResource.CLOCK_CYCLES, seq_rng.randrange(1, 300))
                 assert chip.consumed_since_install(MeterResource.CLOCK_CYCLES) <= quota
 
 
@@ -262,7 +295,7 @@ class TestRollbackResistance:
         _, issuer, chip = world
         lic = issuer.issue(chip.identity.device_id, QUOTA)
         install(chip, lic)
-        metered_consume(chip, MeterResource.CLOCK_CYCLES, 1000)
+        chip.consume(MeterResource.CLOCK_CYCLES, 1000)
         cut_rng = random.Random(3)
         for i in range(50):
             at = chip.clock_ms + cut_rng.uniform(0.1, 5.0)
