@@ -44,7 +44,6 @@ from .attest import (
 from .chipmodel import (
     ConsumeResult,
     MeterResource,
-    Registry,
     ThrottleLevel,
     extract_signing_oracle,
     mint_fleet,
@@ -71,6 +70,7 @@ from .geoloc import (
     synthesize_round,
 )
 from .licensing import (
+    IssuerState,
     RejectReason,
     fuzz_licenses,
     install,
@@ -289,8 +289,7 @@ def licensing_host_clock_rollback(profile, rng) -> dict:
 def licensing_meter_rollback(profile, rng) -> dict:
     quota = 10_000
     issuer, chip, lic = _licensed_chip(rng, quota=quota)
-    registry = Registry()
-    registry.enroll(chip)
+    registry = {chip.identity.device_id: chip.public_key}
     snapshots = [emit_snapshot(chip, 0)]
     true_consumed = 0
     # Burn most of the quota, roll the meter back covertly at seq 4, keep consuming.
@@ -358,7 +357,7 @@ def licensing_quota_overrun(profile, rng) -> dict:
 
 @attack(expect=(True, True), required={Capability.FIRMWARE_MOD})
 def licensing_throttle_bypass(profile, rng) -> dict:
-    registry, (node_chip, node_peer) = _pod_world(rng, 2)
+    _, registry, (node_chip, node_peer) = _pod_world(rng, 2)
     chip = node_chip.chip
     chip.throttle = ThrottleLevel.DISABLED  # never licensed
     throttled = chip.consume(MeterResource.CLOCK_CYCLES, 100)
@@ -373,7 +372,7 @@ def licensing_throttle_bypass(profile, rng) -> dict:
     return dict(
         succeeded=unlicensed_use > 0,
         detected=result.reason is HandshakeReject.FIRMWARE_MISMATCH
-        and node_chip.self_disabled,
+        and chip.self_disabled,
         evidence={"honest_consume_throttled": throttled.value,
                   "unlicensed_cycles": unlicensed_use,
                   "handshake_reason": result.reason.value if result.reason else None},
@@ -390,25 +389,42 @@ def _cluster_world(rng, n_chips):
 
 def _pod_world(rng, n_chips):
     """`_cluster_world` with every node in one pod, under an adopted manifest
-    of the genuine firmware."""
+    of the genuine firmware that the regulator signed."""
     regulator, registry, nodes = _cluster_world(rng, n_chips)
     genuine = {node.device_id: node.chip.firmware_hash for node in nodes}
     manifest = issue_manifest(regulator, "pod-0", genuine, manifest_epoch=0)
     for node in nodes:
         _require(adopt_manifest(node, manifest), "genuine manifest adoption")
-    return registry, nodes
+    return regulator, registry, nodes
 
 
 @attack(expect=(False, True), required={Capability.FIRMWARE_MOD})
 def cluster_pod_firmware_mod(profile, rng) -> dict:
-    registry, (a, b) = _pod_world(rng, 2)
+    _, registry, (a, b) = _pod_world(rng, 2)
     b.chip.tamper_event("firmware_mod", covert=True)
     result = handshake(0.0, a, b, registry, rng, itertools.count())
     return dict(
         succeeded=result.accepted,
-        detected=result.reason is HandshakeReject.FIRMWARE_MISMATCH and b.self_disabled,
+        detected=result.reason is HandshakeReject.FIRMWARE_MISMATCH and b.chip.self_disabled,
         evidence={"reason": result.reason.value if result.reason else None,
-                  "member_self_disabled": b.self_disabled},
+                  "member_self_disabled": b.chip.self_disabled},
+    )
+
+
+@attack(expect=(False, True), required={Capability.FIRMWARE_MOD})
+def cluster_self_disable_relicense(profile, rng) -> dict:
+    # A member that caught its own patched firmware is offered a genuine license.
+    regulator, registry, (a, b) = _pod_world(rng, 2)
+    b.chip.tamper_event("firmware_mod", covert=True)
+    handshake(0.0, a, b, registry, rng, itertools.count())
+    _require(b.chip.self_disabled, "firmware self-disable")
+    lic = IssuerState(regulator).issue(b.device_id, {MeterResource.CLOCK_CYCLES: 10**6})
+    _require(install(b.chip, lic).accepted, "genuine license install")
+    result = b.chip.consume(MeterResource.CLOCK_CYCLES, 1000)
+    return dict(
+        succeeded=result is ConsumeResult.APPLIED,
+        detected=result is not ConsumeResult.APPLIED,
+        evidence={"consume": result.value, "throttle": b.chip.throttle.value},
     )
 
 
@@ -571,8 +587,7 @@ def _challenge(rng, registry, chip, sign_fn, landmarks, responder: Node,
     sampled from `rng`, never receive a message."""
     net = Network([*(Node(lm.id, lm.position) for lm in landmarks), responder],
                   default_latency=landmarks[0].link)
-    unreachable = {lm.id for lm in rng.sample(landmarks, downed)}
-    net.drop_hooks.append(lambda src, dst: dst in unreachable)
+    net.unreachable.update(lm.id for lm in rng.sample(landmarks, downed))
     sim = Simulator(seed=rng.randrange(2**31))
     return challenge_round(sim, net, landmarks, chip.identity.device_id, responder.id,
                            sign_fn, registry, timeout_ms)
@@ -646,14 +661,13 @@ def accounting_meter_tamper(profile, rng) -> dict:
 def accounting_noise_injection(profile, rng) -> dict:
     np_rng = np.random.default_rng(rng.randrange(2**31))
     trace = generate_trace(WorkloadLabel.FRONTIER_TRAINING, np_rng, devices=128)
-    base_label = classify(trace).label
+    base_label = classify(trace)
     flip = classification_flip_point(trace, [0.05, 0.1, 0.2, 0.4, 0.8],
                                      rng_seed=rng.randrange(2**31))
     evaded = flip is not None
     noisy_label = None
     if evaded:
-        noisy = classify(inject_noise(trace, flip, np.random.default_rng(1)))
-        noisy_label = noisy.label.value
+        noisy_label = classify(inject_noise(trace, flip, np.random.default_rng(1))).value
     return dict(
         succeeded=evaded,
         detected=False,  # the classifier raises no alarm; it is simply wrong

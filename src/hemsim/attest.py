@@ -64,10 +64,8 @@ class DeviceVerification:
 class AttestReport:
     device_results: list[DeviceVerification]
     totals: dict[MeterResource, int]
-    threshold: int
     exceeds_threshold: bool
     incomplete: bool
-    no_data: bool
 
 
 def _verify_device_chain(
@@ -80,7 +78,7 @@ def _verify_device_chain(
     Every wire is decoded before any signature is checked, and each signature
     is checked over the wire's own signed bytes.
     """
-    key = registry.public_key(device_id)
+    key = registry.get(device_id)
     if key is None:
         return DeviceVerification(device_id, DeviceStatus.UNVERIFIABLE,
                                   detail="device not in registry"), []
@@ -104,8 +102,7 @@ def _verify_device_chain(
             ), []
     ordered = [snap for snap, _, _ in decoded]
     for prev, cur in zip(ordered, ordered[1:]):
-        gap = cur.sequence_no - prev.sequence_no
-        if gap != 1:
+        if cur.sequence_no - prev.sequence_no != 1:
             return DeviceVerification(
                 device_id, DeviceStatus.SEQUENCE_GAP,
                 offending_pair=(prev.sequence_no, cur.sequence_no),
@@ -135,7 +132,6 @@ def verify_chain(
     results = []
     totals = {r: 0 for r in MeterResource}
     incomplete = False
-    any_data = False
     for device_id in sorted(snapshots_by_device):
         verification, ordered = _verify_device_chain(
             device_id, snapshots_by_device[device_id], registry)
@@ -143,20 +139,11 @@ def verify_chain(
         if verification.status is not DeviceStatus.VERIFIED:
             incomplete = True
             continue
-        any_data = True
         first, last = ordered[0], ordered[-1]
         for resource in MeterResource:
             totals[resource] += last.meters[resource] - first.meters[resource]
-    no_data = not any_data
-    total_ops = totals[MeterResource.FLOAT_OPS]
-    return AttestReport(
-        device_results=results,
-        totals=totals,
-        threshold=threshold,
-        exceeds_threshold=total_ops > threshold,
-        incomplete=incomplete,
-        no_data=no_data,
-    )
+    return AttestReport(results, totals, incomplete=incomplete,
+                        exceeds_threshold=totals[MeterResource.FLOAT_OPS] > threshold)
 
 
 def covert_rollback_chain(rng: random.Random) -> tuple[AttestReport, int]:
@@ -221,65 +208,37 @@ MIN_STEPS = 16
 INTERCONNECT_LOW_BYTES = 1e6
 
 
-@dataclass(frozen=True)
-class Classification:
-    label: WorkloadLabel
-    scores: dict
-
-
-def _autocorrelation_peak(series: np.ndarray, max_lag: int) -> tuple[float, int]:
+def _autocorrelation_peak(series: np.ndarray, max_lag: int) -> float:
+    """The largest autocorrelation of `series` at lags 1 to `max_lag`; 0
+    for a constant series."""
     centered = series - series.mean()
     denom = float(np.dot(centered, centered))
     if denom <= 0.0:
-        return 0.0, 0
-    best_value, best_lag = 0.0, 0
-    for lag in range(1, min(max_lag, len(series) - 1) + 1):
-        value = float(np.dot(centered[:-lag], centered[lag:])) / denom
-        if value > best_value:
-            best_value, best_lag = value, lag
-    return best_value, best_lag
+        return 0.0
+    return max(float(np.dot(centered[:-lag], centered[lag:])) / denom
+               for lag in range(1, min(max_lag, len(series) - 1) + 1))
 
 
-def classify(trace: WorkloadTrace) -> Classification:
+def classify(trace: WorkloadTrace) -> WorkloadLabel:
     """Three-feature rule: fleet size, steady high utilization, periodic sync.
 
     All three must fire for frontier training; bursty utilization with low
     interconnect reads as inference; anything else is non-AI. Traces shorter
     than the autocorrelation window are indeterminate.
     """
+    if trace.steps < MIN_STEPS:
+        return WorkloadLabel.INDETERMINATE
     fleet_util = trace.utilization.mean(axis=0)
     fleet_interconnect = trace.interconnect_bytes.mean(axis=0)
-    scores = {
-        "device_count": trace.device_count,
-        "util_mean": float(fleet_util.mean()),
-        "util_std": float(fleet_util.std()),
-        "interconnect_mean_bytes": float(fleet_interconnect.mean()),
-        "autocorr_peak": 0.0,
-        "autocorr_lag": 0,
-    }
-    if trace.steps < MIN_STEPS:
-        return Classification(WorkloadLabel.INDETERMINATE, scores)
-    peak, lag = _autocorrelation_peak(fleet_interconnect, MAX_LAG)
-    scores["autocorr_peak"] = peak
-    scores["autocorr_lag"] = lag
-
+    util_std = float(fleet_util.std())
     fleet_large = trace.device_count >= MIN_DEVICES
-    util_steady = (
-        scores["util_mean"] >= UTIL_MEAN_MIN
-        and scores["util_std"] <= UTIL_STD_MAX
-    )
-    periodic_sync = peak >= AUTOCORR_MIN and lag >= 1
-    scores["fleet_large"] = fleet_large
-    scores["util_steady"] = util_steady
-    scores["periodic_sync"] = periodic_sync
-
+    util_steady = fleet_util.mean() >= UTIL_MEAN_MIN and util_std <= UTIL_STD_MAX
+    periodic_sync = _autocorrelation_peak(fleet_interconnect, MAX_LAG) >= AUTOCORR_MIN
     if fleet_large and util_steady and periodic_sync:
-        return Classification(WorkloadLabel.FRONTIER_TRAINING, scores)
-    bursty = scores["util_std"] > UTIL_STD_MAX
-    interconnect_low = scores["interconnect_mean_bytes"] < INTERCONNECT_LOW_BYTES
-    if bursty and interconnect_low:
-        return Classification(WorkloadLabel.INFERENCE, scores)
-    return Classification(WorkloadLabel.NON_AI, scores)
+        return WorkloadLabel.FRONTIER_TRAINING
+    if util_std > UTIL_STD_MAX and fleet_interconnect.mean() < INTERCONNECT_LOW_BYTES:
+        return WorkloadLabel.INFERENCE
+    return WorkloadLabel.NON_AI
 
 
 # -- trace generation and evasion -----------------------------------------------
@@ -376,8 +335,8 @@ def fragmentation_demo(trace: WorkloadTrace, k: int) -> FragmentationDemo:
     fragment does. The fragments' metered ops still sum to the whole run's.
     """
     fragments = fragment(trace, k)
-    whole_label = classify(trace).label
-    fragment_labels = [classify(f).label for f in fragments]
+    whole_label = classify(trace)
+    fragment_labels = [classify(f) for f in fragments]
     evaded = (whole_label is WorkloadLabel.FRONTIER_TRAINING
               and all(label is not WorkloadLabel.FRONTIER_TRAINING for label in fragment_labels))
     return FragmentationDemo(whole_label, fragment_labels,
@@ -390,10 +349,10 @@ def classification_flip_point(
     rng_seed: int,
 ) -> Optional[float]:
     """Smallest swept noise magnitude that changes the assigned label."""
-    base = classify(trace).label
+    base = classify(trace)
     for magnitude in sorted(magnitudes):
         rng = np.random.default_rng(rng_seed)
         perturbed = inject_noise(trace, magnitude, rng)
-        if classify(perturbed).label is not base:
+        if classify(perturbed) is not base:
             return magnitude
     return None

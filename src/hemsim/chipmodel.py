@@ -4,8 +4,9 @@ The chip is modeled behaviorally: a tamper-scoped identity that signs
 canonical payloads, cumulative activity meters with three power-loss
 persistence designs, a write-through last-license-id counter, a real-time
 clock with optional drift, throttle state, and a zeroization response.
-`ChipState.consume`, the one path by which work runs, enforces the throttle
-and refuses whole any request that would cross an installed license quota.
+`ChipState.consume`, the one path by which work runs, enforces the throttle,
+refuses whole any request that would cross an installed license quota, and
+refuses everything once the chip has disabled itself over its own firmware.
 `ChipState.issuer_signed` is the chip's one trust decision for the
 issuer-signed documents it adopts, and `mint_fleet` builds the issuer key,
 registry and enrolled chips that sections and attack rows start from.
@@ -21,7 +22,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable
 
 from . import canon
 
@@ -107,15 +108,13 @@ class MeterBank:
             if self.volatile[resource] > self.persisted[resource]:
                 self.persisted[resource] = self.volatile[resource]
 
-    def on_power_loss(self, at_ms: float) -> dict[MeterResource, int]:
-        """Returns the persisted snapshot surviving the cut."""
+    def on_power_loss(self, at_ms: float) -> None:
         self.tick(at_ms)
         if self.policy.kind is PolicyKind.CAPACITOR_FLUSH:
             self.flush()
-        return dict(self.persisted)
 
-    def on_power_on(self, at_ms: float) -> dict[MeterResource, int]:
-        """Restore volatile values from flash; returns the recovered values."""
+    def on_power_on(self, at_ms: float) -> None:
+        """Restore volatile values from flash."""
         for resource in MeterResource:
             recovered = self.persisted[resource]
             if self.policy.kind is PolicyKind.BOOT_ROUNDUP:
@@ -123,7 +122,6 @@ class MeterBank:
                 self.persisted[resource] = recovered
             self.volatile[resource] = recovered
         self._next_flush_ms = at_ms + self.policy.flush_interval_ms
-        return dict(self.volatile)
 
 
 @dataclass
@@ -180,6 +178,8 @@ class ChipState:
         self.active_license = None  # the installed `licensing.License`, once there is one
         self.license_baseline: dict[MeterResource, int] = {r: 0 for r in MeterResource}
         self.throttle = ThrottleLevel.DISABLED  # default-deny until licensed
+        # Set when the chip's own firmware check fails; no license clears it.
+        self.self_disabled: bool = False
         self.zeroized: bool = False
         self.firmware_hash: bytes = GENUINE_FIRMWARE
         self.powered: bool = True
@@ -222,9 +222,10 @@ class ChipState:
     def consume(self, resource: MeterResource, amount: int) -> ConsumeResult:
         """Meter `amount` units of `resource` if the throttle and license permit.
 
-        A licensed chip refuses whole a request that would take its use since
+        A self-disabled chip refuses every request, whatever its throttle. A
+        licensed chip refuses whole a request that would take its use since
         install past that resource's quota, and after every attempt the
-        throttle lets through it disables itself once any quota is reached.
+        throttle lets through it disables itself once `quota_reached`.
         """
         if amount < 0:
             raise ValueError("consume amount must be nonnegative")
@@ -232,7 +233,7 @@ class ChipState:
             raise RuntimeError("chip is powered off")
         if self.zeroized:
             raise ZeroizedError("chip is zeroized; execution refused")
-        if self.throttle is ThrottleLevel.DISABLED:
+        if self.self_disabled or self.throttle is ThrottleLevel.DISABLED:
             return ConsumeResult.THROTTLED
         quotas = self.active_license.quotas if self.active_license is not None else {}
         if self.consumed_since_install(resource) + amount > quotas.get(resource, math.inf):
@@ -240,9 +241,15 @@ class ChipState:
         else:
             self.meters.increment(resource, amount)  # `advance_to` already ran due flushes
             result = ConsumeResult.APPLIED
-        if any(self.consumed_since_install(r) >= q for r, q in quotas.items()):
+        if self.quota_reached():
             self.throttle = ThrottleLevel.DISABLED
         return result
+
+    def quota_reached(self) -> bool:
+        """Whether the installed license has any quota used up since install;
+        a licensed chip is disabled from then on."""
+        quotas = self.active_license.quotas if self.active_license is not None else {}
+        return any(self.consumed_since_install(r) >= q for r, q in quotas.items())
 
     def meter_value(self, resource: MeterResource) -> int:
         """Read-only host access to the cumulative meter."""
@@ -253,18 +260,17 @@ class ChipState:
 
     # -- power schedule -----------------------------------------------------
 
-    def power_loss(self, at_ms: float) -> dict[MeterResource, int]:
+    def power_loss(self, at_ms: float) -> None:
         self.advance_to(at_ms)
-        snapshot = self.meters.on_power_loss(at_ms)
+        self.meters.on_power_loss(at_ms)
         self.powered = False
-        return snapshot
 
-    def power_on(self, at_ms: float) -> dict[MeterResource, int]:
+    def power_on(self, at_ms: float) -> None:
         if at_ms < self.clock_ms:
             raise ValueError("power_on cannot precede the loss instant")
         self.clock_ms = at_ms
         self.powered = True
-        return self.meters.on_power_on(at_ms)
+        self.meters.on_power_on(at_ms)
 
     # -- tamper response ------------------------------------------------------
 
@@ -283,9 +289,7 @@ class ChipState:
             amount = details["amount"]
             self.meters.volatile[resource] = max(0, self.meters.volatile[resource] - amount)
         elif kind == "firmware_mod":
-            self.firmware_hash = details.get(
-                "new_hash", hashlib.sha256(b"patched-" + self.firmware_hash).digest()
-            )
+            self.firmware_hash = hashlib.sha256(b"patched-" + self.firmware_hash).digest()
 
     def zeroize(self) -> None:
         self.zeroized = True
@@ -317,17 +321,8 @@ def extract_signing_oracle(chip: ChipState) -> Callable[[bytes], bytes]:
     return lambda message: keypair.sign(message)
 
 
-class Registry:
-    """Verifier-side record of provisioned devices (public keys only)."""
-
-    def __init__(self):
-        self._public_keys: dict[int, bytes] = {}
-
-    def enroll(self, chip: ChipState) -> None:
-        self._public_keys[chip.identity.device_id] = chip.public_key
-
-    def public_key(self, device_id: int) -> Optional[bytes]:
-        return self._public_keys.get(device_id)
+# Verifier-side record of provisioned devices: device id -> public key.
+Registry = dict[int, bytes]
 
 
 def mint_fleet(rng: random.Random, n: int) -> tuple[canon.KeyPair, Registry, list[ChipState]]:
@@ -337,11 +332,11 @@ def mint_fleet(rng: random.Random, n: int) -> tuple[canon.KeyPair, Registry, lis
     chip enrolls only the issuer key.
     """
     issuer = canon.generate_keypair(rng.randbytes(32))
-    registry = Registry()
+    registry: Registry = {}
     chips = []
     for _ in range(n):
         chip = provision_chip(rng, frozenset({issuer.public_bytes}))
         chip.throttle = ThrottleLevel.FULL
-        registry.enroll(chip)
+        registry[chip.identity.device_id] = chip.public_key
         chips.append(chip)
     return issuer, registry, chips

@@ -29,7 +29,6 @@ from .chipmodel import (
     ConsumeResult,
     MeterResource,
     Registry,
-    ThrottleLevel,
     ZeroizedError,
 )
 
@@ -116,7 +115,6 @@ class ClusterNode:
     sessions: dict[int, Session] = field(default_factory=dict)  # session_id -> Session
     cap_policy: Optional[CapPolicy] = None
     last_check_ms: float = 0.0
-    self_disabled: bool = False
     pod_manifest: Optional[PodManifest] = None
 
     @property
@@ -131,8 +129,7 @@ class ClusterNode:
         return self.cap_policy.cap if self.cap_policy is not None else 0
 
     def disable(self) -> None:
-        self.self_disabled = True
-        self.chip.throttle = ThrottleLevel.DISABLED
+        self.chip.self_disabled = True
         for session in list(self.sessions.values()):
             teardown(session)
 
@@ -144,7 +141,7 @@ def _auth_ok(signer: ClusterNode, peer_nonce: bytes, peer_id: int, registry: Reg
         signature = signer.chip.sign(message)
     except ZeroizedError:
         return False
-    registered = registry.public_key(signer.device_id)
+    registered = registry.get(signer.device_id)
     if registered is None:
         return False
     return canon.verify(registered, message, signature)
@@ -172,7 +169,7 @@ def handshake(
     accepted session is mutually authenticated, and takes the next id from
     `session_ids`; a refused handshake takes none.
     """
-    if a.self_disabled or b.self_disabled:
+    if a.chip.self_disabled or b.chip.self_disabled:
         return HandshakeResult(None, HandshakeReject.BAD_AUTH)
     nonce_a = rng.randbytes(16)
     nonce_b = rng.randbytes(16)
@@ -295,9 +292,10 @@ def bridge_transfer(
 
     Succeeds (that is the point of the attack) but pays the latency
     multiplier and leaves both endpoints' PCIe meters as evidence. Returns
-    None unless both chips' `consume` ran it; `b` is asked once `a` has. An
-    attack row reaches it only past `adversary.run_attack`, the one
-    capability gate, which demands `pcie_bridge` of the profile.
+    None unless both chips' `consume` ran it; `b` is asked once `a` has. The
+    cluster section's honest bridge sweep calls it directly; an attack row
+    that calls it must list `pcie_bridge`, which `adversary.run_attack`
+    demands of the profile.
     """
     if n_bytes < 0:
         raise ValueError("transfer size must be nonnegative")

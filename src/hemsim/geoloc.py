@@ -123,7 +123,7 @@ def challenge_round(
         sim.send(net, lm.id, chip_node_id, nonces[lm.id])
     sim.run_until(t_start + timeout_ms)
 
-    key = registry.public_key(device_id)
+    key = registry.get(device_id)
     measurements = []
     for lm in landmarks:
         arrived = arrivals.get(lm.id)

@@ -109,7 +109,7 @@ def install(chip: ChipState, wire: bytes) -> InstallResult:
     chip.active_license = lic
     # Quota accounting restarts here: unused quota does not carry over.
     chip.license_baseline = dict(chip.meters.volatile)
-    chip.throttle = ThrottleLevel.FULL
+    chip.throttle = ThrottleLevel.DISABLED if chip.quota_reached() else ThrottleLevel.FULL
     return InstallResult(True)
 
 

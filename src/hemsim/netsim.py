@@ -5,7 +5,7 @@ a propagation fraction of light speed, a path-stretch factor, a lognormal
 jitter term, and a fixed per-hop overhead. Message transit times never
 fall below the straight-line propagation floor; a speedup attack is
 modelled on the measurements (`geoloc.synthesize_round(speedup=)`), not
-here. Drop hooks model landmarks taken down by denial of service.
+here. `Network.unreachable` models landmarks taken down by denial of service.
 
 A `Simulator` instance owns one seeded RNG and one event heap ordered by
 `(time, delivery_id)`; replaying the same scenario with the same seed
@@ -128,15 +128,9 @@ class Network:
             table[node.id] = node
         self.nodes: Mapping[str, Node] = MappingProxyType(table)
         self.default_latency = default_latency or LatencyModel()
-        # Drop hooks model denial of service: any hook returning True for a
-        # (src, dst) pair silently discards the message (seen as a timeout).
-        self.drop_hooks: list[Callable[[str, str], bool]] = []
+        # Messages to these nodes are silently dropped (seen as a timeout).
+        self.unreachable: set[str] = set()
         self._distances: dict[tuple[str, str], float] = {}
-
-    def dropped(self, src: str, dst: str) -> bool:
-        if not self.drop_hooks:
-            return False
-        return any(hook(src, dst) for hook in self.drop_hooks)
 
     def distance_km(self, src: str, dst: str) -> float:
         """Geodesic km from `src` to `dst`, computed once per ordered pair."""
@@ -199,9 +193,9 @@ class Simulator:
     ) -> Optional[Event]:
         """Schedule delivery after a sampled transit time over `network`.
 
-        Returns None when a drop hook discards the message.
+        Returns None when `destination` is unreachable.
         """
-        if network.dropped(source, destination):
+        if destination in network.unreachable:
             return None
         delay = network.default_latency.sample_one_way_delay(
             network.distance_km(source, destination), self.rng)

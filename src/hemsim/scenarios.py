@@ -446,8 +446,7 @@ def run_attest_section(section: dict, seed: int) -> SectionResult:
             label = labels[i % 3]
             devices = 96 if label is WorkloadLabel.FRONTIER_TRAINING else None
             trace = generate_trace(label, np_rng, devices=devices)
-            predicted = classify(trace).label
-            correct += predicted is label
+            correct += classify(trace) is label
         accuracy = correct / section["classifier_traces"]
         result.records.append({"event": "classification",
                                "traces": section["classifier_traces"],

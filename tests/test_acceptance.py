@@ -107,7 +107,8 @@ class TestAcceptance:
                         if kind is PolicyKind.CAPACITOR_FLUSH:
                             model_persisted = max(model_persisted, model_volatile)
                         now += rng.uniform(0.5, 10.0)
-                        recovered = chip.power_on(at_ms=now)[resource]
+                        chip.power_on(at_ms=now)
+                        recovered = chip.meter_value(resource)
                         if kind is PolicyKind.BOOT_ROUNDUP:
                             model_persisted += policy.roundup_increment
                         model_volatile = model_persisted
@@ -310,7 +311,7 @@ class TestAcceptance:
             label = labels[i % 3]
             devices = 128 if label is WorkloadLabel.FRONTIER_TRAINING else None
             trace = generate_trace(label, rng, devices=devices)
-            correct += classify(trace).label is label
+            correct += classify(trace) is label
         accuracy = correct / total
         elapsed = time.monotonic() - start
         _report("10 classification", accuracy >= 0.9 and elapsed < 60.0, elapsed, 60,

@@ -34,6 +34,8 @@ EVIDENCE_SHA256 = {
     "cluster_manifest_forge": "94c664a04defe49c2f52571308f91ed02e91af2d35f5aa3bee883a4d873deb1b",
     "cluster_pcie_bridge": "2b13abcc20d5edff61135e1f4a172e751b5fe617e9e06f924610f3bd43dc2f3e",
     "cluster_pod_firmware_mod": "ba12c089d410703fd241d93ee33cb1b022a95b429fa843764a4990e3947b0c76",
+    "cluster_self_disable_relicense":
+        "c68b3dd004227635bea293c9cbb1576fcc2bf35fd269e2ae1c6a5aa69e26d98d",
     "geoloc_delay_slowdown": "6db384bf0f2aeb130372ae3f3cb54b7d38ca188baa4c1060d8a9699cf063d9a9",
     "geoloc_delay_speedup": "7d9d12b71f479a304a01d5ab72077200934cddaa419da3d2002f7c90f023f50f",
     "geoloc_key_extraction_relay": "17f8398f172ae0b9a797d64314a2ff0f71d35daf82c45515cf221bad9b3f1e88",

@@ -50,9 +50,9 @@ SEEDS = (1, 4242)
 REPORT_SHA256 = {
     ("attack_breadth", 1): {
         "attack_matrix.txt":
-            "1e4808c2d98c3f4e283df299012ec4f62b0eb007590c23f9c90b275bbdf048e9",
+            "aea21fa52eec10e5f178af6022133b6e90f705eb00cddecea6c16c28c6afa8d0",
         "attacks.jsonl":
-            "a0cfd6da310f6f226deab462467bb7c790abec29b19585e59a548b043a46ad10",
+            "28933335f3e6bdaf229cd9f566cbe4a80b39c1ade3a08d19bc8ea819f1ce9c0c",
         "network.jsonl":
             "f0694be323ed807dcd2bd2b8cbc9aa2143985f622c746d1db4d7e1360f2352a7",
         "summary.json":
@@ -62,9 +62,9 @@ REPORT_SHA256 = {
     },
     ("attack_breadth", 4242): {
         "attack_matrix.txt":
-            "1e4808c2d98c3f4e283df299012ec4f62b0eb007590c23f9c90b275bbdf048e9",
+            "aea21fa52eec10e5f178af6022133b6e90f705eb00cddecea6c16c28c6afa8d0",
         "attacks.jsonl":
-            "a0cfd6da310f6f226deab462467bb7c790abec29b19585e59a548b043a46ad10",
+            "28933335f3e6bdaf229cd9f566cbe4a80b39c1ade3a08d19bc8ea819f1ce9c0c",
         "network.jsonl":
             "fa3da8d7596ea60a6efec6a7f98751efdeb1370d1bf25363937cc6bcca5797f6",
         "summary.json":
@@ -116,8 +116,8 @@ REPORT_SHA256 = {
 
 # ed25519 verifications computed in one execution.
 REAL_VERIFIES = {
-    ("attack_breadth", 1): 153,
-    ("attack_breadth", 4242): 156,
+    ("attack_breadth", 1): 157,
+    ("attack_breadth", 4242): 160,
     ("geoloc_grid", 1): 0,
     ("geoloc_grid", 4242): 0,
     ("signed_fleet", 1): 3182,

@@ -11,7 +11,6 @@ from hemsim.chipmodel import (
     MeterResource,
     PersistencePolicy,
     PolicyKind,
-    Registry,
     RtcClock,
     ThrottleLevel,
     ZeroizedError,
@@ -107,6 +106,13 @@ class TestConsume:
         assert chip.consume(MeterResource.CLOCK_CYCLES, 50) is ConsumeResult.THROTTLED
         assert chip.meter_value(MeterResource.CLOCK_CYCLES) == 0
 
+    def test_self_disabled_chip_refuses_whatever_its_throttle(self, rng, issuer_key):
+        chip = make_chip(rng, issuer_key)
+        chip.self_disabled = True
+        assert chip.throttle is ThrottleLevel.FULL
+        assert chip.consume(MeterResource.CLOCK_CYCLES, 50) is ConsumeResult.THROTTLED
+        assert chip.meter_value(MeterResource.CLOCK_CYCLES) == 0
+
     def test_negative_amount_rejected(self, rng, issuer_key):
         chip = make_chip(rng, issuer_key)
         with pytest.raises(ValueError):
@@ -118,8 +124,8 @@ class TestPersistencePolicies:
         chip = make_chip(rng, issuer_key, PersistencePolicy(PolicyKind.CAPACITOR_FLUSH))
         chip.consume(MeterResource.FLOAT_OPS, 500)
         chip.power_loss(at_ms=1000.0)
-        recovered = chip.power_on(at_ms=2000.0)
-        assert recovered[MeterResource.FLOAT_OPS] == 500
+        chip.power_on(at_ms=2000.0)
+        assert chip.meter_value(MeterResource.FLOAT_OPS) == 500
 
     def test_no_consumption_recovers_zero(self, rng, issuer_key):
         for policy in (
@@ -128,8 +134,8 @@ class TestPersistencePolicies:
         ):
             chip = make_chip(rng, issuer_key, policy)
             chip.power_loss(at_ms=50.0)
-            recovered = chip.power_on(at_ms=60.0)
-            assert all(v == 0 for v in recovered.values())
+            chip.power_on(at_ms=60.0)
+            assert all(chip.meter_value(r) == 0 for r in MeterResource)
 
     def test_boot_roundup_adds_increment_per_boot(self, rng, issuer_key):
         policy = PersistencePolicy(PolicyKind.BOOT_ROUNDUP, flush_interval_ms=100.0,
@@ -138,8 +144,8 @@ class TestPersistencePolicies:
         chip.power_loss(at_ms=10.0)
         chip.power_on(at_ms=20.0)
         chip.power_loss(at_ms=30.0)
-        recovered = chip.power_on(at_ms=40.0)
-        assert recovered[MeterResource.FLOAT_OPS] == 80  # two boots, no consumption
+        chip.power_on(at_ms=40.0)
+        assert chip.meter_value(MeterResource.FLOAT_OPS) == 80  # two boots, no consumption
 
     def test_periodic_flush_loses_at_most_one_window(self, rng, issuer_key):
         policy = PersistencePolicy(PolicyKind.PERIODIC_FLUSH, flush_interval_ms=100.0)
@@ -149,8 +155,8 @@ class TestPersistencePolicies:
         chip.advance_to(150.0)                    # flush at t=100 persists 10
         chip.consume(MeterResource.INT_OPS, 7)    # lost by the cut below
         chip.power_loss(at_ms=160.0)
-        recovered = chip.power_on(at_ms=170.0)
-        assert recovered[MeterResource.INT_OPS] == 10
+        chip.power_on(at_ms=170.0)
+        assert chip.meter_value(MeterResource.INT_OPS) == 10
 
     def test_randomized_schedules_monotone_and_conservative(self, rng, issuer_key):
         # Small-scale version of the acceptance campaign: persisted values
@@ -173,7 +179,8 @@ class TestPersistencePolicies:
                 if schedule_rng.random() < 0.3:
                     chip.power_loss(at_ms=now)
                     now += schedule_rng.uniform(1.0, 10.0)
-                    recovered = chip.power_on(at_ms=now)[MeterResource.FLOAT_OPS]
+                    chip.power_on(at_ms=now)
+                    recovered = chip.meter_value(MeterResource.FLOAT_OPS)
                     assert recovered >= true_consumed
                     assert recovered >= last_recovered
                     last_recovered = recovered
@@ -222,16 +229,13 @@ class TestTamper:
 
 
 class TestRegistry:
-    def test_enroll_then_lookup(self, rng, issuer_key):
-        registry = Registry()
-        chips = [make_chip(rng, issuer_key) for _ in range(3)]
+    def test_enroll_then_lookup(self):
+        _, registry, chips = mint_fleet(random.Random(2024), 3)
         for chip in chips:
-            registry.enroll(chip)
-        for chip in chips:
-            assert registry.public_key(chip.identity.device_id) is not None
-            assert registry.public_key(chip.identity.device_id) == chip.public_key
+            assert registry.get(chip.identity.device_id) is not None
+            assert registry.get(chip.identity.device_id) == chip.public_key
         unknown = max(c.identity.device_id for c in chips) + 1
-        assert registry.public_key(unknown) is None
+        assert registry.get(unknown) is None
 
 
 class TestIssuerTrust:
@@ -273,4 +277,4 @@ class TestMintFleet:
         for chip in chips:
             assert chip.throttle is ThrottleLevel.FULL
             assert chip.identity.issuer_keys == frozenset({issuer.public_bytes})
-            assert registry.public_key(chip.identity.device_id) == chip.public_key
+            assert registry[chip.identity.device_id] == chip.public_key

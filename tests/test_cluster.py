@@ -13,8 +13,8 @@ from hemsim import canon, cluster, scenarios
 from hemsim.chipmodel import (
     DeviceIdentity,
     ChipState,
+    ConsumeResult,
     MeterResource,
-    Registry,
     ThrottleLevel,
     provision_chip,
 )
@@ -46,12 +46,12 @@ from hemsim.scenarios import run_cluster_section
 def world():
     rng = random.Random(31)
     regulator = canon.generate_keypair(rng.randbytes(32))
-    registry = Registry()
+    registry = {}
     nodes = {}
     for _ in range(6):
         chip = provision_chip(rng, frozenset({regulator.public_bytes}))
         chip.throttle = ThrottleLevel.FULL
-        registry.enroll(chip)
+        registry[chip.identity.device_id] = chip.public_key
         node = ClusterNode(chip=chip)
         nodes[node.device_id] = node
     return rng, regulator, registry, nodes
@@ -125,13 +125,28 @@ class TestPodRegime:
         nodes[b].chip.firmware_hash = hashlib.sha256(b"patched").digest()
         result = handshake(0.0, nodes[a], nodes[b], registry, rng, session_ids)
         assert result.reason is HandshakeReject.FIRMWARE_MISMATCH
-        assert nodes[b].self_disabled
+        assert nodes[b].chip.self_disabled
         # Disabling closes b's sessions at both ends, its peer c's included.
         assert held_by_neither_end(held)
         assert not nodes[b].sessions and not nodes[c].sessions
         assert nodes[c].open_session_count() == 0
         again = handshake(1.0, nodes[a], nodes[b], registry, rng, session_ids)
         assert again.reason is HandshakeReject.BAD_AUTH
+
+    def test_self_disabled_member_stays_stopped_under_a_genuine_license(self, world):
+        rng, regulator, registry, nodes = world
+        a, b = (nodes[i] for i in sorted(nodes)[:2])
+        manifest = issue_manifest(regulator, "pod-1",
+                                  {n.device_id: n.chip.firmware_hash for n in (a, b)},
+                                  manifest_epoch=0)
+        assert adopt_manifest(a, manifest) and adopt_manifest(b, manifest)
+        b.chip.tamper_event("firmware_mod", covert=True)
+        result = handshake(0.0, a, b, registry, rng, itertools.count())
+        assert result.reason is HandshakeReject.FIRMWARE_MISMATCH
+        lic = IssuerState(regulator).issue(b.device_id, {MeterResource.CLOCK_CYCLES: 10**6})
+        assert install(b.chip, lic).accepted
+        assert b.chip.consume(MeterResource.CLOCK_CYCLES, 1000) is ConsumeResult.THROTTLED
+        assert b.chip.meter_value(MeterResource.CLOCK_CYCLES) == 0
 
     def test_member_replacement_via_manifest_reissue(self, world):
         rng, regulator, registry, nodes = world
@@ -267,9 +282,9 @@ class TestPodRegime:
         result = handshake(0.0, *pair, registry, rng, itertools.count())
         # Authentication fails before the firmware check can run.
         assert result.reason is HandshakeReject.BAD_AUTH
-        assert not nodes[a].self_disabled
-        assert not nodes[victim].self_disabled
-        assert not imposter.self_disabled
+        assert not nodes[a].chip.self_disabled
+        assert not nodes[victim].chip.self_disabled
+        assert not imposter.chip.self_disabled
 
     def test_forged_handshake_fuzz_zero_successes(self, world):
         rng, regulator, registry, nodes = world
@@ -526,7 +541,7 @@ class TestChurnLoop:
         def recording_handshake(now_ms, a, b, registry, rng, session_ids):
             calls.append(now_ms)
             if len(calls) % 4 == 0:
-                registry = Registry()
+                registry = {}
             outcome = handshake(now_ms, a, b, registry, rng, session_ids)
             if not outcome.accepted:
                 seen[outcome.reason.value] += 1

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from hemsim import canon, geoloc
-from hemsim.chipmodel import Registry, provision_chip
+from hemsim.chipmodel import provision_chip
 from hemsim.config import validate_config
 from hemsim.geoloc import (
     DESCENT_MAX_ITERATIONS,
@@ -67,8 +67,7 @@ def make_world(landmark_positions, chip_position, jitter_median=0.0, jitter_sigm
     rng = random.Random(seed)
     issuer_key = canon.generate_keypair(rng.randbytes(32))
     chip = provision_chip(rng, frozenset({issuer_key.public_bytes}))
-    registry = Registry()
-    registry.enroll(chip)
+    registry = {chip.identity.device_id: chip.public_key}
     link = LatencyModel(kappa=0.67, jitter_median_ms=jitter_median, jitter_sigma=jitter_sigma,
                         fixed_overhead_ms=overhead)
     landmarks = [Landmark(f"lm{i}", pos, link) for i, pos in enumerate(landmark_positions)]
@@ -108,7 +107,7 @@ class TestChallengeRound:
 
     def test_dropped_response_marked_missing(self):
         sim, net, chip, registry, landmarks = make_world([GeoPoint(0, 0)], GeoPoint(1, 1))
-        net.drop_hooks.append(lambda src, dst: src == "chip")
+        net.unreachable.add("lm0")  # the chip's response is lost
         ms = challenge_round(sim, net, landmarks, chip.identity.device_id, "chip",
                              chip.sign, registry)
         assert ms[0].rtt_ms is None and not ms[0].verified

@@ -255,6 +255,14 @@ class TestEnforce:
         assert chip.consume(MeterResource.CLOCK_CYCLES, 5000) is ConsumeResult.QUOTA_EXCEEDED
         assert chip.throttle is ThrottleLevel.DISABLED
 
+    def test_license_with_a_reached_quota_installs_disabled(self, world):
+        _, issuer, chip = world
+        quotas = {MeterResource.JOULES: 0, MeterResource.CLOCK_CYCLES: 1000}
+        assert install(chip, issuer.issue(chip.identity.device_id, quotas)).accepted
+        assert chip.throttle is ThrottleLevel.DISABLED
+        assert chip.consume(MeterResource.CLOCK_CYCLES, 500) is ConsumeResult.THROTTLED
+        assert chip.meter_value(MeterResource.CLOCK_CYCLES) == 0
+
     def test_unlicensed_chip_keeps_its_throttle(self, world):
         _, _, chip = world
         chip.throttle = ThrottleLevel.FULL  # as `mint_fleet` leaves it

@@ -219,15 +219,13 @@ class TestNetworkTransit:
         assert sorted(net.nodes) == ["a", "b"]
         assert net.nodes["a"].position == GeoPoint(0.0, 0.0)
 
-    def test_drop_hooks_drop(self):
+    def test_unreachable_destination_drops(self):
         net = self._network()
         sim = Simulator(seed=3)
-        assert not net.dropped("a", "b")
         assert sim.send(net, "a", "b", b"kept") is not None
-        net.drop_hooks.append(lambda src, dst: dst == "b")
-        assert net.dropped("a", "b") and not net.dropped("b", "a")
+        net.unreachable.add("b")
         assert sim.send(net, "a", "b", b"lost") is None
         assert sim.send(net, "b", "a", b"back") is not None
         assert [e.payload for e in sim.run_until(1000.0)] == [b"kept", b"back"]
-        net.drop_hooks.clear()
+        net.unreachable.clear()
         assert sim.send(net, "a", "b", b"again") is not None
