@@ -235,9 +235,11 @@ class GridSpec:
         times wider than the few-ulp rounding of sin, sqrt and arcsin, so no
         cell outside it can compare differently. Disks whose half-angle is
         not in (1e-150, 1.5] rad (sin^2 would underflow, or flatten short of
-        pi*R) take the exact comparison on their whole plane. The region
-        estimators call it on disk windows only: `estimate_cbg` with a group
-        of disks over the live box, `estimate_bft` with one disk at a time.
+        pi*R) take the exact comparison on their whole plane. The callers
+        pass windows only: `GeoEstimate.contains` every disk of a region over
+        the 1x1 window of one cell; a region's mask, when every disk must
+        hold a cell, a group of disks over the live box, and otherwise one
+        disk at a time over its `disk_window`.
         """
         lats, cos_lats, lons = self._axes
         terms = []
@@ -365,23 +367,111 @@ def _haversine_km(lats_rad: np.ndarray, lons_rad: np.ndarray, position: GeoPoint
 
 @dataclass
 class GeoEstimate:
+    """A location region: the grid cells that lie in at least `need` of
+    `disks`, the `(position, radius km)` pairs of the usable bounds, smallest
+    first, widened by the grid's cell slack, with every disk wider than
+    `_WHOLE_GLOBE_KM` dropped (it holds every cell). `floor_violations` are
+    the landmarks whose RTT is below the propagation floor."""
+
     grid: GridSpec
-    mask: np.ndarray
-    empty: bool
+    disks: list[tuple[GeoPoint, float]]
+    need: int
     floor_violations: tuple[str, ...] = ()
 
     def contains(self, point: GeoPoint) -> bool:
-        """Whether the region holds the cell of `point`; False off the grid."""
+        """Whether the region holds the cell of `point`; False off the grid.
+
+        Tests that one cell with `within_km` over a 1x1 window and never
+        reads `mask`: the kernel's value at a cell does not depend on the
+        window, so the answer is the mask's cell bit for bit."""
         cell = self.grid.cell_of(point)
-        return cell is not None and bool(self.mask[cell])
+        if cell is None:
+            return False
+        i, j = cell
+        planes = self.grid.within_km(self.disks, slice(i, i + 1), slice(j, j + 1))
+        return int(planes.sum()) >= self.need
+
+    @cached_property
+    def mask(self) -> np.ndarray:
+        """The whole region, built on first read: the live-box intersection
+        when every disk must hold the cell, the windowed counts otherwise."""
+        if self.need == len(self.disks):
+            return _intersection(self.grid, self.disks)
+        return _counts(self.grid, self.disks) >= self.need
+
+    @property
+    def empty(self) -> bool:
+        return not bool(self.mask.any())
 
     def cell_count(self) -> int:
         return int(self.mask.sum())
 
     @property
     def inconsistent(self) -> bool:
-        """The assume-the-worst alarm: empty region or impossible timing."""
-        return self.empty or bool(self.floor_violations)
+        """The assume-the-worst alarm: impossible timing or an empty region."""
+        return bool(self.floor_violations) or self.empty
+
+
+def _intersection(grid: GridSpec, disks: Sequence[tuple[GeoPoint, float]]) -> np.ndarray:
+    """The cells in every disk, taken smallest first and in groups: a group
+    grows while its size times the cells of the live box (the bounding box
+    of cells still in the region) cut by all of its disks' `disk_window`s
+    stays within `_GROUP_CELLS`, and a lone disk over a larger box is a group
+    of its own. One `within_km` call tests the whole group on that box, its
+    planes are ANDed into the region, live cells outside the box are
+    cleared, the live box shrinks to the cells left, and evaluation stops
+    once it is empty. Cells outside the box lie outside a disk or are
+    already excluded, and AND does not depend on order, so the mask equals
+    the full-grid intersection of every disk, bit for bit. The window of
+    the disk that ends a group is carried into the next group, which it
+    starts.
+    """
+    mask = np.ones((grid.n_lat, grid.n_lon), dtype=bool)
+    i0, i1, j0, j1 = 0, grid.n_lat, 0, grid.n_lon
+    start = 0
+    carried = None  # the window of the disk that ended the last group
+    while start < len(disks):
+        a0, a1, b0, b1 = i0, i1, j0, j1
+        stop = start
+        for position, radius in disks[start:]:
+            box = carried or grid.disk_window(position, radius)
+            carried = None
+            w0, w1, v0, v1 = box
+            w0, v0 = max(w0, a0), max(v0, b0)
+            w1, v1 = max(min(w1, a1), w0), max(min(v1, b1), v0)
+            cells = (w1 - w0) * (v1 - v0)
+            if stop > start and (stop + 1 - start) * cells > _GROUP_CELLS:
+                carried = box
+                break
+            a0, a1, b0, b1 = w0, w1, v0, v1
+            stop += 1
+            if cells == 0:
+                break  # no cell is left for any later disk
+        window = (slice(a0, a1), slice(b0, b1))
+        live = grid.within_km(disks[start:stop], *window).all(axis=0)
+        live &= mask[window]
+        mask[i0:i1, j0:j1] = False
+        mask[window] = live
+        rows = np.flatnonzero(live.any(axis=1))
+        if rows.size == 0:
+            break
+        cols = np.flatnonzero(live.any(axis=0))
+        i0, i1 = a0 + int(rows[0]), a0 + int(rows[-1]) + 1
+        j0, j1 = b0 + int(cols[0]), b0 + int(cols[-1]) + 1
+        start = stop
+    return mask
+
+
+def _counts(grid: GridSpec, disks: Sequence[tuple[GeoPoint, float]]) -> np.ndarray:
+    """How many of the disks hold each cell. Each disk adds its count only
+    inside its `disk_window`; no cell outside that box is in the disk, so
+    the counts equal the full-grid counts bit for bit."""
+    counts = np.zeros((grid.n_lat, grid.n_lon), dtype=np.int32)
+    for position, radius in disks:
+        i0, i1, j0, j1 = grid.disk_window(position, radius)
+        counts[i0:i1, j0:j1] += grid.within_km([(position, radius)],
+                                               slice(i0, i1), slice(j0, j1))[0]
+    return counts
 
 
 def _usable(measurements: Iterable[Measurement]) -> list[Measurement]:
@@ -406,76 +496,40 @@ def _bounds_for(
     return bounds, tuple(violations)
 
 
+def _estimate(grid: GridSpec, bounds: Sequence[tuple[GeoPoint, float]],
+              violations: tuple[str, ...], votes: int) -> GeoEstimate:
+    """The region of cells that lie in at least `votes` of the disks of
+    `bounds`, each widened by the grid's half-diagonal slack. A disk wider
+    than `_WHOLE_GLOBE_KM` holds every cell: it is dropped and counted as a
+    vote every cell has."""
+    slack = grid.half_diagonal_km()
+    disks = [(position, bound_km + slack)
+             for position, bound_km in sorted(bounds, key=lambda item: item[1])]
+    kept = [disk for disk in disks if not disk[1] > _WHOLE_GLOBE_KM]
+    return GeoEstimate(grid, kept, votes - (len(disks) - len(kept)), violations)
+
+
 def estimate_cbg(measurements: Sequence[Measurement], grid: GridSpec) -> GeoEstimate:
     """Constraint-based geolocation: intersect distance-bound disks.
 
-    An empty intersection is an explicit inconsistency signal, not an
+    A cell must lie in every disk, and with no bound at all there is no
+    cell. An empty intersection is an explicit inconsistency signal, not an
     answer; callers treat it as an alarm.
-
-    Disks are taken smallest bound first; a disk wider than
-    `_WHOLE_GLOBE_KM` holds every cell and is skipped. The rest go in groups:
-    a group grows while its size times the cells of the live box (the
-    bounding box of cells still in the region) cut by all of its disks'
-    `disk_window`s stays within `_GROUP_CELLS`, and a lone disk over a
-    larger box is a group of its own. One `within_km` call tests the whole
-    group on that box, its planes are ANDed into the region, live cells
-    outside the box are cleared, the live box shrinks to the cells left, and
-    evaluation stops once it is empty. Cells outside the box lie outside a
-    disk or are already excluded, and AND does not depend on order, so the
-    mask equals the full-grid intersection of every disk, bit for bit.
     """
     bounds, violations = _bounds_for(measurements)
-    if not bounds:
-        mask = np.zeros((grid.n_lat, grid.n_lon), dtype=bool)
-        return GeoEstimate(grid, mask, empty=True, floor_violations=violations)
-    slack = grid.half_diagonal_km()
-    disks = [(position, bound_km + slack)
-             for position, bound_km in sorted(bounds, key=lambda item: item[1])
-             if not bound_km + slack > _WHOLE_GLOBE_KM]
-    mask = np.ones((grid.n_lat, grid.n_lon), dtype=bool)
-    i0, i1, j0, j1 = 0, grid.n_lat, 0, grid.n_lon
-    start = 0
-    while start < len(disks):
-        a0, a1, b0, b1 = i0, i1, j0, j1
-        stop = start
-        for position, radius in disks[start:]:
-            w0, w1, v0, v1 = grid.disk_window(position, radius)
-            w0, v0 = max(w0, a0), max(v0, b0)
-            w1, v1 = max(min(w1, a1), w0), max(min(v1, b1), v0)
-            cells = (w1 - w0) * (v1 - v0)
-            if stop > start and (stop + 1 - start) * cells > _GROUP_CELLS:
-                break
-            a0, a1, b0, b1 = w0, w1, v0, v1
-            stop += 1
-            if cells == 0:
-                break  # no cell is left for any later disk
-        window = (slice(a0, a1), slice(b0, b1))
-        live = grid.within_km(disks[start:stop], *window).all(axis=0)
-        live &= mask[window]
-        mask[i0:i1, j0:j1] = False
-        mask[window] = live
-        rows = np.flatnonzero(live.any(axis=1))
-        if rows.size == 0:
-            break
-        cols = np.flatnonzero(live.any(axis=0))
-        i0, i1 = a0 + int(rows[0]), a0 + int(rows[-1]) + 1
-        j0, j1 = b0 + int(cols[0]), b0 + int(cols[-1]) + 1
-        start = stop
-    empty = not bool(mask.any())
-    return GeoEstimate(grid, mask, empty=empty, floor_violations=violations)
+    return _estimate(grid, bounds, violations, max(len(bounds), 1))
 
 
 def estimate_bft(measurements: Sequence[Measurement], grid: GridSpec, f: int) -> GeoEstimate:
     """Fault-tolerant region: cells consistent with at least n - f bounds.
 
-    Requires n >= 3f + 1 landmarks. With at most f landmarks reporting
-    arbitrarily, the true cell still satisfies all n - f honest bounds,
-    so it stays in the region no matter what the liars say.
-
-    Each disk adds its count only inside its `disk_window`; no cell outside
-    that box is in the disk, so the counts, and the mask, equal the
-    full-grid counts bit for bit. A disk wider than `_WHOLE_GLOBE_KM` holds
-    every cell and is counted once, as a scalar, without the kernel.
+    Requires n >= 3f + 1 landmarks; both argument checks run here, before
+    any region exists. With at most f landmarks reporting arbitrarily, the
+    true cell still satisfies all n - f honest bounds, so it stays in the
+    region no matter what the liars say. A floor violation is one of the n
+    but fits no cell, and a disk wider than `_WHOLE_GLOBE_KM` is a vote
+    every cell has, so a cell must lie in n - f - whole_globe of the other
+    disks. `contains` tests one cell; the mask is built only when read.
     """
     if f < 0:
         raise ValueError("f must be nonnegative")
@@ -484,20 +538,7 @@ def estimate_bft(measurements: Sequence[Measurement], grid: GridSpec, f: int) ->
     if n < 3 * f + 1:
         raise InsufficientLandmarksError(f"need at least {3 * f + 1} landmarks, have {n}")
     bounds, violations = _bounds_for(usable)  # violations fit no cell
-    slack = grid.half_diagonal_km()
-    counts = np.zeros((grid.n_lat, grid.n_lon), dtype=np.int32)
-    whole_globe = 0
-    for position, bound_km in bounds:
-        radius = bound_km + slack
-        if radius > _WHOLE_GLOBE_KM:
-            whole_globe += 1
-            continue
-        i0, i1, j0, j1 = grid.disk_window(position, radius)
-        counts[i0:i1, j0:j1] += grid.within_km([(position, radius)],
-                                               slice(i0, i1), slice(j0, j1))[0]
-    mask = counts >= (n - f - whole_globe)
-    empty = not bool(mask.any())
-    return GeoEstimate(grid, mask, empty=empty, floor_violations=violations)
+    return _estimate(grid, bounds, violations, n - f)
 
 
 class InsufficientLandmarksError(ValueError):

@@ -14,7 +14,8 @@ that lasts one execution, so the count is the number of distinct signed
 messages checked, and it is the same for every execution in a process.
 Next to those they pin the network work of each `attack_breadth` execution:
 the great-circle distances computed and the events the `Simulator`
-delivered.
+delivered; and the grid work of each `geoloc_grid` execution: the
+`GridSpec.within_km` calls and the disk-cells they test.
 
 The digests are regenerated only on purpose, as the goldens under
 `tests/goldens/` are: by a change that means to move report bytes and says
@@ -29,7 +30,7 @@ from pathlib import Path
 
 import pytest
 
-from hemsim import netsim
+from hemsim import geoloc, netsim, scenarios
 from hemsim.config import validate_config
 from hemsim.scenarios import ScenarioOutcome, execute_scenario
 
@@ -133,6 +134,15 @@ NETSIM_WORK = {
     ("attack_breadth", 4242): (1596, 1578),
 }
 
+# Per geoloc_grid execution: (calls of `GridSpec.within_km`, the cells they
+# test summed over each call's disks). `contains` tests one cell against all
+# of a region's disks, so the fault-tolerant campaign, which asks only whether
+# its region holds the truth, builds no mask.
+GEOLOC_WORK = {
+    ("geoloc_grid", 1): (510, 190129),
+    ("geoloc_grid", 4242): (510, 187396),
+}
+
 
 @functools.cache
 def _execute(name: str, seed: int) -> ScenarioOutcome:
@@ -201,3 +211,32 @@ def test_bench_workload_netsim_work_is_pinned(name, seed, monkeypatch):
     monkeypatch.setattr(netsim.Simulator, "run_until", run_until)
     execute_scenario(validate_config(BENCH.build(name, seed)))
     assert (len(distances), len(events)) == NETSIM_WORK[(name, seed)]
+
+
+@pytest.mark.parametrize("name, seed", sorted(GEOLOC_WORK))
+def test_bench_workload_geoloc_work_is_pinned(name, seed, monkeypatch):
+    cells = []
+    real_within_km = geoloc.GridSpec.within_km
+
+    def within_km(self, *args, **kwargs):
+        planes = real_within_km(self, *args, **kwargs)
+        cells.append(planes.size)
+        return planes
+
+    monkeypatch.setattr(geoloc.GridSpec, "within_km", within_km)
+    execute_scenario(validate_config(BENCH.build(name, seed)))
+    assert (len(cells), sum(cells)) == GEOLOC_WORK[(name, seed)]
+
+
+def test_geoloc_only_execution_builds_no_bft_mask(monkeypatch):
+    estimates = []
+    real_estimate_bft = scenarios.estimate_bft
+
+    def estimate_bft(*args, **kwargs):
+        estimates.append(real_estimate_bft(*args, **kwargs))
+        return estimates[-1]
+
+    monkeypatch.setattr(scenarios, "estimate_bft", estimate_bft)
+    outcome = execute_scenario(validate_config(BENCH.build("geoloc_grid", 1)))
+    assert outcome.passed and estimates
+    assert [est for est in estimates if "mask" in vars(est)] == []

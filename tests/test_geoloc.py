@@ -281,7 +281,8 @@ class TestCBG:
 class TestGridCells:
     def test_all_true_mask_does_not_contain_points_off_the_grid(self):
         grid = GridSpec(0.0, 10.0, 20.0, 30.0, 0.5)
-        est = GeoEstimate(grid, np.ones((grid.n_lat, grid.n_lon), dtype=bool), empty=False)
+        # One disk that holds the grid and every point one cell past it.
+        est = GeoEstimate(grid, [(GeoPoint(5.0, 25.0), 2000.0)], need=1)
         inside = [_center(grid, i, j) for i in (0, 7, grid.n_lat - 1)
                   for j in (0, 9, grid.n_lon - 1)] + [GeoPoint(0.0, 20.0)]
         assert all(est.contains(p) for p in inside)
@@ -291,6 +292,21 @@ class TestGridCells:
         for p in one_cell_out:
             assert grid.cell_of(p) is None
             assert not est.contains(p)
+        assert "mask" not in vars(est)  # every answer above tested one cell
+        assert est.mask.all() and not est.empty
+
+    def test_bounds_wider_than_the_globe_leave_no_disk_and_hold_every_cell(self):
+        lms = honest_landmarks([GeoPoint(0.0, 0.0), GeoPoint(45.0, 90.0),
+                                GeoPoint(-30.0, -60.0), GeoPoint(80.0, 170.0)])
+        rtt = 2.0 * (4.0 * EARTH_RADIUS_KM / bound_speed() + 1.0)
+        ms = [Measurement(lm, rtt, verified=True) for lm in lms.values()]
+        cells = [_center(GRID, i, j) for i in (0, 60, GRID.n_lat - 1)
+                 for j in (0, 60, GRID.n_lon - 1)]
+        for est in (estimate_cbg(ms, GRID), estimate_bft(ms, GRID, f=1)):
+            assert est.disks == [] and est.need <= 0
+            assert all(est.contains(p) for p in cells)
+            assert "mask" not in vars(est)
+            assert est.mask.all()
 
 
 class TestGridAxesCache:
@@ -372,7 +388,16 @@ class TestCBGWindowExactness:
             return planes
 
         monkeypatch.setattr(GridSpec, "within_km", counted)
+        windows = []
+        real_disk_window = GridSpec.disk_window
+
+        def disk_window(grid, position, radius_km):
+            windows.append(position)
+            return real_disk_window(grid, position, radius_km)
+
+        monkeypatch.setattr(GridSpec, "disk_window", disk_window)
         rng = random.Random(1729)
+        probe_rng = random.Random(1730)  # kept apart, so the trials stay as they were
         edges = ("north", "south", "east", "west", "inside")
         seen = Counter()
         for trial in range(150):
@@ -402,9 +427,15 @@ class TestCBGWindowExactness:
                     rtt = rng.uniform(0.0, 1.9)  # below the propagation floor
                 measurements.append(Measurement(lm, rtt, verified=rng.random() > 0.1))
             expected_mask, expected_violations = self._reference(measurements, grid)
-            stacks.clear()
             est = estimate_cbg(measurements, grid)
+            probes = _probes(probe_rng, grid, truth, lms.values())
+            seen["off grid"] += _assert_contains_is_the_reference_cell(est, expected_mask, probes)
+            seen["truth contained"] += est.contains(truth)
+            stacks.clear()
+            windows.clear()
             assert np.array_equal(est.mask, expected_mask), f"trial {trial}"
+            # A disk that ends a group carries its window into the next one.
+            assert len(windows) <= len(est.disks), f"trial {trial}"
             assert est.empty == (not expected_mask.any())
             assert est.floor_violations == expected_violations
             seen[edge] += 1
@@ -412,7 +443,8 @@ class TestCBGWindowExactness:
             seen["several groups"] += len(stacks) > 1
             seen["stacked"] += any(k > 1 and r * c > 0 for k, r, c in stacks)
             seen["many landmarks"] += n > 32
-        assert all(seen[key] > 10 for key in (*edges, "empty", "nonempty", "many landmarks")), seen
+        assert all(seen[key] > 10 for key in (*edges, "empty", "nonempty", "many landmarks",
+                                              "off grid", "truth contained")), seen
         if group_cells == 0:
             assert seen["stacked"] == 0 and seen["several groups"] > 10, seen
         elif group_cells == 4096:
@@ -447,6 +479,7 @@ class TestCBGWorstCaseMemory:
         tracemalloc.start()
         try:
             est = estimate_cbg(ms, grid)
+            est.mask  # the region is built on first read
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -469,6 +502,36 @@ def _edge_grid(rng, edge, height, width, resolution):
     return GridSpec(lat_min, lat_min + height, lon_min, lon_min + width, resolution)
 
 
+def _probes(rng, grid, truth, landmarks):
+    """Points to ask `contains` about: the truth, every landmark, random
+    points on the grid, and cell centers one or more cells past each side of
+    it (those past a pole are left out; past the seam longitude wraps, so
+    such a point may land back on the grid)."""
+    points = [truth, *(lm.position for lm in landmarks)]
+    points += [GeoPoint(rng.uniform(grid.lat_min, grid.lat_max),
+                        rng.uniform(grid.lon_min, grid.lon_max)) for _ in range(8)]
+    for k in (1, rng.randint(2, 40)):
+        i, j = rng.randrange(grid.n_lat), rng.randrange(grid.n_lon)
+        for cell in ((-k, j), (grid.n_lat - 1 + k, j), (i, -k), (i, grid.n_lon - 1 + k)):
+            if abs(grid.lat_min + (cell[0] + 0.5) * grid.resolution_deg) <= 90.0:
+                points.append(_center(grid, *cell))
+    return points
+
+
+def _assert_contains_is_the_reference_cell(est, expected_mask, points) -> int:
+    """On an estimate whose mask was never read, `contains` equals the
+    reference mask at each point's cell (False off the grid) and still leaves
+    the mask unbuilt. Returns how many points lie off the grid."""
+    assert "mask" not in vars(est)
+    off_grid = 0
+    for p in points:
+        cell = est.grid.cell_of(p)
+        off_grid += cell is None
+        assert est.contains(p) == (cell is not None and bool(expected_mask[cell])), p
+    assert "mask" not in vars(est)
+    return off_grid
+
+
 class TestBFTWindowExactness:
     """The BFT mask equals the full-grid count of satisfied disks, bit for bit."""
 
@@ -488,7 +551,9 @@ class TestBFTWindowExactness:
 
     def test_mask_equals_full_grid_count(self):
         rng = random.Random(31337)
-        seen = {"empty": 0, "nonempty": 0, "violation": 0, "pulled": 0, "pushed": 0}
+        probe_rng = random.Random(31338)  # kept apart, so the trials stay as they were
+        seen = {"empty": 0, "nonempty": 0, "violation": 0, "pulled": 0, "pushed": 0,
+                "off grid": 0, "truth contained": 0}
         seen.update({f"f={f}": 0 for f in range(5)})
         seen.update({edge: 0 for edge in ("north", "south", "east", "west", "inside")})
         for resolution in (0.2, 0.5, 1.0):
@@ -530,6 +595,10 @@ class TestBFTWindowExactness:
                     seen[kind] += 1
                 expected_mask, expected_violations = self._reference(measurements, grid, f)
                 est = estimate_bft(measurements, grid, f=f)
+                probes = _probes(probe_rng, grid, truth, lms.values())
+                seen["off grid"] += _assert_contains_is_the_reference_cell(
+                    est, expected_mask, probes)
+                seen["truth contained"] += est.contains(truth)
                 assert np.array_equal(est.mask, expected_mask), f"{resolution} trial {trial}"
                 assert est.empty == (not expected_mask.any())
                 assert est.floor_violations == expected_violations
@@ -661,7 +730,7 @@ class TestWithinKmExactness:
         assert grid.within_km([], *window).shape == (0, *distances.shape)
 
     def test_whole_globe_radius_holds_every_cell(self):
-        # estimate_bft counts a disk wider than _WHOLE_GLOBE_KM as holding
+        # The region estimators count a disk wider than _WHOLE_GLOBE_KM as holding
         # every cell, without the kernel: just past it, every cell must be in.
         rng = random.Random(99)
         radius = math.nextafter(_WHOLE_GLOBE_KM, math.inf)
