@@ -140,13 +140,13 @@ SCHEMA = _obj(
                                     item=Key(float, minimum=1.0, maximum=1e6)),
     ),
     geoloc=_obj(
-        # A containment or speedup trial tests its landmarks' disks in
-        # stacked groups over the region's box: ~0.25 ms with 3-9 landmarks
-        # on the default 30 x 30 degree grid, 1.5 ms with 64, and ~3 ms with
-        # 64 on the whole globe at 0.25 degrees (about 2**20 cells), so
-        # 10,000 trials take 2.5 to 30 s. Jitter that leaves a quarter of the
-        # globe in the region costs ~0.1 s a trial there. Landmark counts
-        # share the bound of `bft.n`.
+        # A containment or speedup trial builds its region once, in stacked
+        # groups of disks over the region's box: ~0.13 ms with 3-9 landmarks
+        # on the default 30 x 30 degree grid, 0.76 ms with 64, and ~2.7 ms
+        # with 64 on the whole globe at 0.25 degrees (about 2**20 cells), so
+        # 10,000 trials take 1.3 to 27 s. Jitter that leaves a third of the
+        # globe in the region (50 ms median) costs ~0.06 s a trial there.
+        # Landmark counts share the bound of `bft.n`.
         trials=Key(int, 60, minimum=1, maximum=10_000),
         landmarks_min=Key(int, 3, minimum=1, maximum=64),
         landmarks_max=Key(int, 9, minimum=1, maximum=64),
@@ -177,8 +177,8 @@ SCHEMA = _obj(
             f=Key(int, 2, minimum=0, maximum=21),
             trials=Key(int, 30, minimum=1, maximum=500),
         ),
-        # A zero-noise descent trial takes about 0.6 ms at any latitude (64
-        # trials at 70-88 degrees took 0.04 s), so 2,000 trials take ~1.3 s.
+        # A zero-noise descent trial takes about 0.25 ms at any latitude (64
+        # trials at 70-88 degrees took 0.016 s), so 2,000 trials take ~0.5 s.
         descent_trials=Key(int, 15, minimum=0, maximum=2_000),
     ),
     attest=_obj(

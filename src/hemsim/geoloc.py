@@ -213,7 +213,9 @@ class GridSpec:
         every call: it is the reference that `within_km` is tested against."""
         lats = np.radians(self.lat_centers()[rows])[:, None]
         lons = np.radians(self.lon_centers()[cols])[None, :]
-        return _haversine_km(lats, lons, landmark_position)
+        p2 = math.radians(landmark_position.latitude)
+        return _arc_km(_haversine_h(lats, np.cos(lats), lons, p2,
+                                    math.radians(landmark_position.longitude), math.cos(p2)))
 
     def within_km(
         self,
@@ -225,7 +227,7 @@ class GridSpec:
         `distances_km(position_n, rows, cols) <= radius_n`, bit for bit, for
         the k `(position, radius_km)` pairs in `disks`.
 
-        Builds each disk's scalars with `math`, as `_haversine_km` does for
+        Builds each disk's scalars with `math`, as `distances_km` does for
         one position, reads the grid's cached axes and takes the same
         haversine steps in the same order, broadcast over the whole stack,
         so every h has the bits `distances_km` computes. Decided on h, which
@@ -236,10 +238,9 @@ class GridSpec:
         cell outside it can compare differently. Disks whose half-angle is
         not in (1e-150, 1.5] rad (sin^2 would underflow, or flatten short of
         pi*R) take the exact comparison on their whole plane. The callers
-        pass windows only: `GeoEstimate.contains` every disk of a region over
-        the 1x1 window of one cell; a region's mask, when every disk must
-        hold a cell, a group of disks over the live box, and otherwise one
-        disk at a time over its `disk_window`.
+        pass windows only: `_intersection` a group of disks over the live
+        box; a quorum region's `contains` every disk over the 1x1 window of
+        one cell, and its mask one disk at a time over its `disk_window`.
         """
         lats, cos_lats, lons = self._axes
         terms = []
@@ -358,53 +359,71 @@ def _arc_km(h: np.ndarray) -> np.ndarray:
     return h
 
 
-def _haversine_km(lats_rad: np.ndarray, lons_rad: np.ndarray, position: GeoPoint) -> np.ndarray:
-    """Haversine distance from broadcast (lat, lon) radians to one position."""
-    p2 = math.radians(position.latitude)
-    return _arc_km(_haversine_h(lats_rad, np.cos(lats_rad), lons_rad,
-                                p2, math.radians(position.longitude), math.cos(p2)))
-
-
 @dataclass
 class GeoEstimate:
     """A location region: the grid cells that lie in at least `need` of
     `disks`, the `(position, radius km)` pairs of the usable bounds, smallest
     first, widened by the grid's cell slack, with every disk wider than
     `_WHOLE_GLOBE_KM` dropped (it holds every cell). `floor_violations` are
-    the landmarks whose RTT is below the propagation floor."""
+    the landmarks whose RTT is below the propagation floor.
+
+    An intersection region (`need` is every disk: CBG, or a fault-tolerant
+    region whose f equals its floor violations) is built once, on first use,
+    as the live box of `_intersection`, and `contains`, `empty` and
+    `cell_count` read that box. A quorum region (any other `need`) answers
+    `contains` by testing the one cell asked about and builds its mask of
+    windowed counts only when read."""
 
     grid: GridSpec
     disks: list[tuple[GeoPoint, float]]
     need: int
     floor_violations: tuple[str, ...] = ()
 
+    @property
+    def _every_disk(self) -> bool:
+        return self.need == len(self.disks)
+
+    @cached_property
+    def _box(self) -> tuple[int, int, np.ndarray]:
+        return _intersection(self.grid, self.disks)
+
     def contains(self, point: GeoPoint) -> bool:
         """Whether the region holds the cell of `point`; False off the grid.
-
-        Tests that one cell with `within_km` over a 1x1 window and never
-        reads `mask`: the kernel's value at a cell does not depend on the
-        window, so the answer is the mask's cell bit for bit."""
+        Never reads `mask`: an intersection region looks the cell up in its
+        box, and a quorum region tests that one cell with `within_km` over a
+        1x1 window, whose value at a cell does not depend on the window."""
         cell = self.grid.cell_of(point)
         if cell is None:
             return False
         i, j = cell
+        if self._every_disk:
+            i0, j0, live = self._box
+            i, j = i - i0, j - j0
+            return 0 <= i < live.shape[0] and 0 <= j < live.shape[1] and bool(live[i, j])
         planes = self.grid.within_km(self.disks, slice(i, i + 1), slice(j, j + 1))
         return int(planes.sum()) >= self.need
 
     @cached_property
     def mask(self) -> np.ndarray:
-        """The whole region, built on first read: the live-box intersection
-        when every disk must hold the cell, the windowed counts otherwise."""
-        if self.need == len(self.disks):
-            return _intersection(self.grid, self.disks)
-        return _counts(self.grid, self.disks) >= self.need
+        """The whole region over the grid, built on first read: the box
+        placed on an empty grid, or the windowed counts of a quorum region."""
+        if not self._every_disk:
+            return _counts(self.grid, self.disks) >= self.need
+        i0, j0, live = self._box
+        mask = np.zeros((self.grid.n_lat, self.grid.n_lon), dtype=bool)
+        mask[i0:i0 + live.shape[0], j0:j0 + live.shape[1]] = live
+        return mask
+
+    @property
+    def _cells(self) -> np.ndarray:
+        return self._box[2] if self._every_disk else self.mask
 
     @property
     def empty(self) -> bool:
-        return not bool(self.mask.any())
+        return not self._cells.any()
 
     def cell_count(self) -> int:
-        return int(self.mask.sum())
+        return int(np.count_nonzero(self._cells))
 
     @property
     def inconsistent(self) -> bool:
@@ -412,22 +431,29 @@ class GeoEstimate:
         return bool(self.floor_violations) or self.empty
 
 
-def _intersection(grid: GridSpec, disks: Sequence[tuple[GeoPoint, float]]) -> np.ndarray:
-    """The cells in every disk, taken smallest first and in groups: a group
-    grows while its size times the cells of the live box (the bounding box
-    of cells still in the region) cut by all of its disks' `disk_window`s
-    stays within `_GROUP_CELLS`, and a lone disk over a larger box is a group
-    of its own. One `within_km` call tests the whole group on that box, its
-    planes are ANDed into the region, live cells outside the box are
-    cleared, the live box shrinks to the cells left, and evaluation stops
-    once it is empty. Cells outside the box lie outside a disk or are
-    already excluded, and AND does not depend on order, so the mask equals
-    the full-grid intersection of every disk, bit for bit. The window of
-    the disk that ends a group is carried into the next group, which it
-    starts.
+def _intersection(grid: GridSpec,
+                  disks: Sequence[tuple[GeoPoint, float]]) -> tuple[int, int, np.ndarray]:
+    """The cells in every disk, as `(row0, col0, live)`: `live` is their
+    bounding box, whose cell (0, 0) is grid cell (row0, col0), and is empty
+    when no cell is left; with no disk it is the whole grid.
+
+    The disks are taken smallest first and in groups: a group grows while
+    its size times the cells of the live box cut by all of its disks'
+    `disk_window`s stays within `_GROUP_CELLS`, and a lone disk over a
+    larger box is a group of its own. One `within_km` call tests the whole
+    group on that box, its planes are ANDed into the live cells there, and
+    the box shrinks to the cells left. It returns with no further call once
+    the windows leave no cell or no cell is left. Cells outside the box lie
+    outside a disk or are already excluded, and AND does not depend on
+    order, so the region equals the full-grid intersection of every disk,
+    bit for bit. The window of the disk that ends a group is carried into
+    the next group, which it starts.
     """
-    mask = np.ones((grid.n_lat, grid.n_lon), dtype=bool)
+    if not disks:
+        return 0, 0, np.ones((grid.n_lat, grid.n_lon), dtype=bool)
+    nothing = 0, 0, np.zeros((0, 0), dtype=bool)
     i0, i1, j0, j1 = 0, grid.n_lat, 0, grid.n_lon
+    live = None  # every cell of the box, until the first group has run
     start = 0
     carried = None  # the window of the disk that ended the last group
     while start < len(disks):
@@ -440,26 +466,25 @@ def _intersection(grid: GridSpec, disks: Sequence[tuple[GeoPoint, float]]) -> np
             w0, v0 = max(w0, a0), max(v0, b0)
             w1, v1 = max(min(w1, a1), w0), max(min(v1, b1), v0)
             cells = (w1 - w0) * (v1 - v0)
+            if cells == 0:
+                return nothing
             if stop > start and (stop + 1 - start) * cells > _GROUP_CELLS:
                 carried = box
                 break
             a0, a1, b0, b1 = w0, w1, v0, v1
             stop += 1
-            if cells == 0:
-                break  # no cell is left for any later disk
-        window = (slice(a0, a1), slice(b0, b1))
-        live = grid.within_km(disks[start:stop], *window).all(axis=0)
-        live &= mask[window]
-        mask[i0:i1, j0:j1] = False
-        mask[window] = live
-        rows = np.flatnonzero(live.any(axis=1))
+        planes = grid.within_km(disks[start:stop], slice(a0, a1), slice(b0, b1)).all(axis=0)
+        if live is not None:
+            planes &= live[a0 - i0:a1 - i0, b0 - j0:b1 - j0]
+        rows = np.flatnonzero(planes.any(axis=1))
         if rows.size == 0:
-            break
-        cols = np.flatnonzero(live.any(axis=0))
-        i0, i1 = a0 + int(rows[0]), a0 + int(rows[-1]) + 1
-        j0, j1 = b0 + int(cols[0]), b0 + int(cols[-1]) + 1
+            return nothing
+        cols = np.flatnonzero(planes.any(axis=0))
+        r0, r1, c0, c1 = int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1
+        live = planes[r0:r1, c0:c1]
+        i0, i1, j0, j1 = a0 + r0, a0 + r1, b0 + c0, b0 + c1
         start = stop
-    return mask
+    return i0, j0, live
 
 
 def _counts(grid: GridSpec, disks: Sequence[tuple[GeoPoint, float]]) -> np.ndarray:
@@ -529,7 +554,9 @@ def estimate_bft(measurements: Sequence[Measurement], grid: GridSpec, f: int) ->
     region no matter what the liars say. A floor violation is one of the n
     but fits no cell, and a disk wider than `_WHOLE_GLOBE_KM` is a vote
     every cell has, so a cell must lie in n - f - whole_globe of the other
-    disks. `contains` tests one cell; the mask is built only when read.
+    disks. Unless that is every disk (f equals the floor violations), the
+    region is a quorum region: `contains` tests one cell, and the mask is
+    built only when read.
     """
     if f < 0:
         raise ValueError("f must be nonnegative")
@@ -752,13 +779,15 @@ def _coarse_scan_start(targets: Sequence[tuple[GeoPoint, float]], terms: Descent
     """Cheapest cell of a coarse objective scan over the landmark extent,
     in `_unwrapped_longitudes`.
 
-    The objective is scored on all cells at once through `_haversine_km`.
-    Numpy's sin and arcsin may differ from libm's in the last bit, so every
-    near-tie cell (objective within a relative 1e-9 plus 1e-9 km^2 of the
-    least) is re-scored in row-major order with the scalar f of
-    `descent_objective_and_gradient` on `terms` (those of `targets`),
-    keeping the first strict minimum: the same cell, at the same
-    coordinates, as a scalar scan of every cell.
+    The objective is scored on all cells at once: one `_haversine_h` over a
+    `(landmarks, cells, cells)` stack built from `terms` (those of
+    `targets`), as `within_km` stacks disks, whose squared residual planes
+    are added in landmark order. Numpy's sin and arcsin may differ from
+    libm's in the last bit, so every near-tie cell (objective within a
+    relative 1e-9 plus 1e-9 km^2 of the least) is re-scored in row-major
+    order with the scalar f of `descent_objective_and_gradient`, keeping the
+    first strict minimum: the same cell, at the same coordinates, as a
+    scalar scan of every cell.
     """
     lats = [pos.latitude for pos, _ in targets]
     lons = _unwrapped_longitudes(targets)
@@ -770,11 +799,11 @@ def _coarse_scan_start(targets: Sequence[tuple[GeoPoint, float]], terms: Descent
     lat_c = lat_lo + k * (lat_hi - lat_lo) / cells
     lon_c = lon_lo + k * (lon_hi - lon_lo) / cells
     lats_rad = np.radians(lat_c)[:, None]
-    lons_rad = np.radians(lon_c)[None, :]
-    f = np.zeros((cells, cells))
-    for position, target_km in targets:
-        residual = _haversine_km(lats_rad, lons_rad, position) - target_km
-        f += residual * residual
+    p2, l2, cos_p2, target_km = np.array(terms, dtype=float).T[:, :, None, None]
+    residual = _arc_km(_haversine_h(lats_rad, np.cos(lats_rad), np.radians(lon_c), p2, l2, cos_p2))
+    residual -= target_km
+    residual *= residual
+    f = residual.sum(axis=0)  # a sum over the outer axis adds the planes in order
     best = None
     for i, j in np.argwhere(f <= f.min() * (1.0 + 1e-9) + 1e-9):
         lat, lon = float(lat_c[i]), float(lon_c[j])

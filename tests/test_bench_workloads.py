@@ -135,12 +135,14 @@ NETSIM_WORK = {
 }
 
 # Per geoloc_grid execution: (calls of `GridSpec.within_km`, the cells they
-# test summed over each call's disks). `contains` tests one cell against all
-# of a region's disks, so the fault-tolerant campaign, which asks only whether
-# its region holds the truth, builds no mask.
+# test summed over each call's disks). A CBG region is built once, and its
+# `contains`, `empty` and `cell_count` read that one result; a build whose
+# disk windows leave no cell makes no call. A fault-tolerant region's
+# `contains` tests one cell against all of its disks, so that campaign,
+# which asks only whether its region holds the truth, builds no mask.
 GEOLOC_WORK = {
-    ("geoloc_grid", 1): (510, 190129),
-    ("geoloc_grid", 4242): (510, 187396),
+    ("geoloc_grid", 1): (215, 188913),
+    ("geoloc_grid", 4242): (220, 186183),
 }
 
 

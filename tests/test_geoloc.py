@@ -277,6 +277,32 @@ class TestCBG:
         est = estimate_cbg(ms, GRID)
         assert est.empty and est.inconsistent
 
+    def test_region_is_built_once_and_disjoint_windows_call_no_kernel(self, monkeypatch):
+        calls = []
+        kernel = GridSpec.within_km
+
+        def counted(grid, disks, rows=slice(None), cols=slice(None)):
+            calls.append(len(disks))
+            return kernel(grid, disks, rows, cols)
+
+        monkeypatch.setattr(GridSpec, "within_km", counted)
+        lms = honest_landmarks([GeoPoint(0, 0), GeoPoint(0, 20), GeoPoint(20, 10)])
+        # Two tiny disks far apart: their windows share no cell.
+        apart = estimate_cbg([Measurement(lms["lm0"], 2.2, verified=True),
+                              Measurement(lms["lm1"], 2.2, verified=True)], GRID)
+        assert not apart.contains(GeoPoint(0, 0)) and not apart.contains(GeoPoint(0, 10))
+        assert apart.empty and apart.inconsistent and apart.cell_count() == 0
+        assert calls == []
+        assert not apart.mask.any() and calls == []
+        # A region that holds cells is built by its first answer, once.
+        truth = GeoPoint(8.0, 8.0)
+        held = estimate_cbg(synthesize_round(random.Random(5), list(lms.values()), truth), GRID)
+        assert held.contains(truth)
+        assert calls == [3]  # one stacked group, and no one-cell test
+        assert not held.empty and held.cell_count() == held.mask.sum() > 0
+        assert not held.contains(GeoPoint(0.0, 0.0)) and held.contains(GeoPoint(8.1, 7.9))
+        assert calls == [3]
+
 
 class TestGridCells:
     def test_all_true_mask_does_not_contain_points_off_the_grid(self):
@@ -429,11 +455,15 @@ class TestCBGWindowExactness:
             expected_mask, expected_violations = self._reference(measurements, grid)
             est = estimate_cbg(measurements, grid)
             probes = _probes(probe_rng, grid, truth, lms.values())
-            seen["off grid"] += _assert_contains_is_the_reference_cell(est, expected_mask, probes)
-            seen["truth contained"] += est.contains(truth)
+            # The first `contains` builds the region, so the record below is
+            # its build and no later answer or mask read calls the kernel.
             stacks.clear()
             windows.clear()
+            seen["off grid"] += _assert_contains_is_the_reference_cell(est, expected_mask, probes)
+            seen["truth contained"] += est.contains(truth)
+            built = len(stacks)
             assert np.array_equal(est.mask, expected_mask), f"trial {trial}"
+            assert len(stacks) == built, f"trial {trial}"
             # A disk that ends a group carries its window into the next one.
             assert len(windows) <= len(est.disks), f"trial {trial}"
             assert est.empty == (not expected_mask.any())
