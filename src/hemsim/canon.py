@@ -9,6 +9,12 @@ encoding but the canonical one: fixed field order, little-endian fixed-width
 numbers, length-prefixed byte strings, and mappings in strictly increasing
 key order.
 
+Each field type is a `Field`: an encoder and a reader, built once when the
+type is declared. A reader takes `(data, pos)` and returns `(value, pos)`
+after the value, and `Doc.decode` runs its fields' readers in order. A map
+from an ordinal to u64 values, as every meter and quota map is, unpacks
+all of its pairs in one struct call.
+
 `verify` answers from a memo while a `verify_memo()` block is open, so each
 distinct (key, message, signature) costs one ed25519 verification in that
 block. `scenarios.execute_scenario` opens one per execution; outside such a
@@ -86,115 +92,138 @@ def opt_u64(value: int | None) -> bytes:
     return b"\x01" + u64(value)
 
 
-_UNPACK_U32 = struct.Struct("<I").unpack_from
-_UNPACK_U64 = struct.Struct("<Q").unpack_from
-_UNPACK_F64 = struct.Struct("<d").unpack_from
+Reader = Callable[[bytes, int], tuple[Any, int]]  # (data, pos) -> (value, pos after it)
+
+_TRUNCATED = "truncated canonical payload"
+_U128 = struct.Struct("<QQ").unpack_from
 
 
-class Decoder:
-    """Sequential reader matching the encoders above, from byte `pos` on."""
+def _unpacker(layout: str) -> Reader:
+    """The reader of one fixed-width number. Past the end of `data` it raises
+    struct.error, which `Doc.decode` turns into EncodingError."""
+    unpack, size = struct.Struct(layout).unpack_from, struct.calcsize(layout)
+    return lambda data, pos: (unpack(data, pos)[0], pos + size)
 
-    def __init__(self, data: bytes, pos: int = 0):
-        self._data = data
-        self.pos = pos
 
-    def _advance(self, n: int) -> int:
-        """Move past the next `n` bytes; returns the offset they start at."""
-        pos = self.pos
-        if pos + n > len(self._data):
-            raise EncodingError("truncated canonical payload")
-        self.pos = pos + n
-        return pos
+_read_u8, _read_u32, _read_u64, _read_float = map(_unpacker, ("<B", "<I", "<Q", "<d"))
 
-    def _take(self, n: int) -> bytes:
-        pos = self._advance(n)
-        return self._data[pos : pos + n]
 
-    def u8(self) -> int:
-        return self._data[self._advance(1)]
+def _read_u128(data: bytes, pos: int) -> tuple[int, int]:
+    low, high = _U128(data, pos)
+    return low | high << 64, pos + 16
 
-    def u32(self) -> int:
-        return _UNPACK_U32(self._data, self._advance(4))[0]
 
-    def u64(self) -> int:
-        return _UNPACK_U64(self._data, self._advance(8))[0]
+def _read_f64(data: bytes, pos: int) -> tuple[float, int]:
+    value, pos = _read_float(data, pos)
+    f64(value)  # refuses NaN and -0.0, as encoding does
+    return value, pos
 
-    def u128(self) -> int:
-        return int.from_bytes(self._take(16), "little")
 
-    def f64(self) -> float:
-        value = _UNPACK_F64(self._data, self._advance(8))[0]
-        f64(value)  # refuses NaN and -0.0, as encoding does
-        return value
+def _read_blob(data: bytes, pos: int) -> tuple[bytes, int]:
+    n, pos = _read_u32(data, pos)
+    end = pos + n
+    if end > len(data):
+        raise EncodingError(_TRUNCATED)
+    return data[pos:end], end
 
-    def blob(self) -> bytes:
-        return self._take(self.u32())
 
-    def text(self) -> str:
-        try:
-            return self.blob().decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise EncodingError("text is not valid UTF-8") from exc
+def _read_text(data: bytes, pos: int) -> tuple[str, int]:
+    raw, pos = _read_blob(data, pos)
+    try:
+        return raw.decode("utf-8"), pos
+    except UnicodeDecodeError as exc:
+        raise EncodingError("text is not valid UTF-8") from exc
 
-    def opt_u64(self) -> int | None:
-        flag = self.u8()
-        if flag == 0:
-            return None
-        if flag != 1:
-            raise EncodingError(f"bad optional flag byte: {flag}")
-        return self.u64()
+
+def _read_opt_u64(data: bytes, pos: int) -> tuple[int | None, int]:
+    flag, pos = _read_u8(data, pos)
+    if flag == 0:
+        return None, pos
+    if flag != 1:
+        raise EncodingError(f"bad optional flag byte: {flag}")
+    return _read_u64(data, pos)
 
 
 @dataclass(frozen=True)
 class Field:
-    """A field type: encoder, decoder, and the order of values that key a mapping."""
+    """A field type: encoder, reader, the order of values that key a mapping,
+    and, for an ordinal, the values its byte indexes."""
 
     encode: Callable[[Any], bytes]
-    decode: Callable[[Decoder], Any]
+    read: Reader
     rank: Callable[[Any], Any] = lambda value: value
+    members: tuple | None = None
 
 
-U32 = Field(u32, Decoder.u32)
-U64 = Field(u64, Decoder.u64)
-U128 = Field(u128, Decoder.u128)
-OPT_U64 = Field(opt_u64, Decoder.opt_u64)
-F64 = Field(f64, Decoder.f64)
-BLOB = Field(blob, Decoder.blob)
-TEXT = Field(lambda value: blob(value.encode("utf-8")), Decoder.text)
+U32 = Field(u32, _read_u32)
+U64 = Field(u64, _read_u64)
+U128 = Field(u128, _read_u128)
+OPT_U64 = Field(opt_u64, _read_opt_u64)
+F64 = Field(f64, _read_f64)
+BLOB = Field(blob, _read_blob)
+TEXT = Field(lambda value: blob(value.encode("utf-8")), _read_text)
 
 
 def ordinal(members: Sequence) -> Field:
     """One byte per value: its index in `members`, which also ranks it."""
+    members = tuple(members)
     index = {member: i for i, member in enumerate(members)}
     encoded = {member: u8(i) for member, i in index.items()}
 
-    def decode(dec: Decoder) -> Any:
-        i = dec.u8()
+    def read(data: bytes, pos: int) -> tuple[Any, int]:
+        i, pos = _read_u8(data, pos)
         if i >= len(members):
             raise EncodingError(f"unknown ordinal: {i}")
-        return members[i]
+        return members[i], pos
 
-    return Field(encoded.__getitem__, decode, index.__getitem__)
+    return Field(encoded.__getitem__, read, index.__getitem__, members)
 
 
 def mapping(key: Field, value: Field) -> Field:
-    """A u32 count, then (key, value) pairs sorted by strictly increasing key rank."""
+    """A u32 count, then (key, value) pairs sorted by strictly increasing key rank.
+
+    A map from an ordinal to u64 values (every meter and quota map) unpacks
+    all of its pairs with one struct per count, up to the number of ordinals.
+    A larger count, a buffer too short for the pairs or an ordinal unknown
+    or out of order sends the read pair by pair, which names the first fault.
+    """
 
     def encode(items: dict) -> bytes:
         return u32(len(items)) + b"".join(
             key.encode(k) + value.encode(items[k]) for k in sorted(items, key=key.rank))
 
-    def decode(dec: Decoder) -> dict:
+    def read_pairs(data: bytes, pos: int) -> tuple[dict, int]:
+        count, pos = _read_u32(data, pos)
         items, last = {}, None
-        for _ in range(dec.u32()):
-            k = key.decode(dec)
+        for _ in range(count):
+            k, pos = key.read(data, pos)
             rank = key.rank(k)
             if last is not None and rank <= last:
                 raise EncodingError(f"mapping keys not strictly increasing at {k!r}")
-            items[k], last = value.decode(dec), rank
-        return items
+            items[k], pos = value.read(data, pos)
+            last = rank
+        return items, pos
 
-    return Field(encode, decode)
+    members = key.members
+    if members is None or value is not U64:
+        return Field(encode, read_pairs)
+    layouts = [struct.Struct("<" + "BQ" * n) for n in range(len(members) + 1)]
+
+    def read(data: bytes, pos: int) -> tuple[dict, int]:
+        count, start = _read_u32(data, pos)
+        if count < len(layouts) and start + layouts[count].size <= len(data):
+            flat = layouts[count].unpack_from(data, start)
+            ordinals, last = flat[::2], -1
+            for i in ordinals:
+                if not last < i < len(members):
+                    break
+                last = i
+            else:
+                items = dict(zip(map(members.__getitem__, ordinals), flat[1::2]))
+                return items, start + layouts[count].size
+        return read_pairs(data, pos)
+
+    return Field(encode, read)
 
 
 class Doc:
@@ -204,10 +233,12 @@ class Doc:
         self.tag = tag
         self.head = blob(tag.encode("ascii"))
         self.fields = fields
+        self._encoders = [(name, f.encode) for name, f in fields.items()]
+        self._readers = [(name, f.read) for name, f in fields.items()]
 
     def signed(self, **values: Any) -> bytes:
         """The bytes a signature covers: the tag, then each field in order."""
-        return self.head + b"".join(f.encode(values[name]) for name, f in self.fields.items())
+        return self.head + b"".join([encode(values[name]) for name, encode in self._encoders])
 
     def wire(self, sign: Callable[[bytes], bytes], **values: Any) -> bytes:
         """The signed bytes, then the signature `sign` makes over them as a blob."""
@@ -223,11 +254,15 @@ class Doc:
         """
         if not wire.startswith(self.head):
             raise EncodingError(f"not a {self.tag} payload")
-        dec = Decoder(wire, len(self.head))
-        fields = {name: f.decode(dec) for name, f in self.fields.items()}
-        end = dec.pos
-        signature = dec.blob()
-        if dec.pos != len(wire):
+        fields, pos = {}, len(self.head)
+        try:
+            for name, read in self._readers:
+                fields[name], pos = read(wire, pos)
+            end = pos
+            signature, pos = _read_blob(wire, end)
+        except struct.error:
+            raise EncodingError(_TRUNCATED) from None
+        if pos != len(wire):
             raise EncodingError("trailing bytes after canonical payload")
         return fields, wire[:end], signature
 

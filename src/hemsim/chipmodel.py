@@ -38,6 +38,10 @@ class MeterResource(Enum):
     JOULES = "joules"
     CLOCK_CYCLES = "clock_cycles"
 
+    # Members are singletons that compare by identity, so they hash by it
+    # too: meter dicts are read on every consume, snapshot and decode.
+    __hash__ = object.__hash__
+
 
 # The one wire encoding of a resource in every signed document: its ordinal.
 RESOURCE = canon.ordinal(tuple(MeterResource))

@@ -257,9 +257,12 @@ def apply_cap_update(node: ClusterNode, wire: bytes) -> bool:
 
 def _enforce_cap(node: ClusterNode) -> list[Session]:
     """Tear down newest-first sessions until the node is within its cap."""
+    excess = len(node.sessions) - node.adopted_cap()
+    if excess <= 0:
+        return []
     newest_first = sorted(node.sessions.values(), key=lambda s: (s.established_at, s.session_id),
                           reverse=True)
-    closed = newest_first[:max(len(newest_first) - node.adopted_cap(), 0)]
+    closed = newest_first[:excess]
     for session in closed:
         teardown(session)
     return closed

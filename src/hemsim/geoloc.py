@@ -171,11 +171,11 @@ class GridSpec:
         if self.resolution_deg <= 0.0:
             raise ValueError("grid resolution must be positive")
 
-    @property
+    @cached_property
     def n_lat(self) -> int:
         return max(1, int(round((self.lat_max - self.lat_min) / self.resolution_deg)))
 
-    @property
+    @cached_property
     def n_lon(self) -> int:
         return max(1, int(round((self.lon_max - self.lon_min) / self.resolution_deg)))
 

@@ -88,7 +88,8 @@ def install(chip: ChipState, wire: bytes) -> InstallResult:
     order and the reason is the first one that fails. The device id,
     license id and expiry checks read unverified fields, which may only
     reject: the signature is checked last, and only for a license that
-    passed them. A rejection changes no chip state. The host passes no
+    passed them. A rejection changes no chip state, and only an accepted
+    license is built as the `License` the chip holds. The host passes no
     time: it can advance the chip's clock (`advance_to`) but never turn it
     back.
     """
@@ -96,17 +97,17 @@ def install(chip: ChipState, wire: bytes) -> InstallResult:
         fields, signed, signature = LICENSE.decode(wire)
     except canon.EncodingError:
         return InstallResult(False, RejectReason.MALFORMED)
-    lic = License(**fields)
-    if lic.device_id != chip.identity.device_id:
+    if fields["device_id"] != chip.identity.device_id:
         return InstallResult(False, RejectReason.WRONG_DEVICE)
-    if lic.license_id <= chip.last_license_id:
+    if fields["license_id"] <= chip.last_license_id:
         return InstallResult(False, RejectReason.STALE_ID)
-    if lic.not_after is not None and chip.rtc_read() > lic.not_after:
+    not_after = fields["not_after"]
+    if not_after is not None and chip.rtc_read() > not_after:
         return InstallResult(False, RejectReason.EXPIRED)
     if not chip.issuer_signed(signed, signature):
         return InstallResult(False, RejectReason.BAD_SIGNATURE)
-    chip.last_license_id = lic.license_id
-    chip.active_license = lic
+    chip.last_license_id = fields["license_id"]
+    chip.active_license = License(**fields)
     # Quota accounting restarts here: unused quota does not carry over.
     chip.license_baseline = dict(chip.meters.volatile)
     chip.throttle = ThrottleLevel.DISABLED if chip.quota_reached() else ThrottleLevel.FULL

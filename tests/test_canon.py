@@ -40,7 +40,7 @@ from hemsim.cluster import (
     issue_manifest,
 )
 from hemsim.geoloc import GEOLOC_RESPONSE
-from hemsim.licensing import LICENSE
+from hemsim.licensing import LICENSE, RejectReason, install
 
 KEY = canon.generate_keypair(bytes(range(32)))
 DEVICE = 0x00112233445566778899AABBCCDDEEFF
@@ -271,6 +271,116 @@ def test_every_strict_prefix_of_a_wire_is_refused(kind):
         message = "truncated canonical payload" if end >= len(doc.head) else "not a"
         with pytest.raises(canon.EncodingError, match=message):
             doc.decode(wire[:end])
+
+
+TRUNCATED = "truncated canonical payload"
+SIG = canon.blob(bytes(64))
+NO_EXPIRY = canon.opt_u64(None)
+LICENSE_HEAD = canon.u64(7) + canon.u128(DEVICE)  # license_id, device_id
+SNAPSHOT_HEAD = canon.u128(DEVICE) + canon.u64(3) + canon.u64(600_000)
+METERS = tuple(range(len(MeterResource)))  # every ordinal, in order
+
+
+def pairs(*ordinals: int) -> bytes:
+    """Meter-map pairs laid by hand: each ordinal byte, then a u64 value."""
+    return b"".join(bytes([i]) + canon.u64(1000 + i) for i in ordinals)
+
+
+def not_increasing_at(resource: MeterResource) -> str:
+    return f"mapping keys not strictly increasing at {resource!r}"
+
+
+# Hand-laid bodies (the bytes after the tag) of each class of non-canonical
+# meter or quota map wire, and the one message each is refused with.
+REFUSALS = [
+    pytest.param(LICENSE, LICENSE_HEAD[:-7], TRUNCATED, id="license-truncated-fixed"),
+    pytest.param(LICENSE, LICENSE_HEAD + canon.u32(1)[:2], TRUNCATED,
+                 id="license-truncated-count"),
+    pytest.param(LICENSE, LICENSE_HEAD + canon.u32(2) + pairs(0, 5)[:13], TRUNCATED,
+                 id="license-truncated-mid-pair"),
+    pytest.param(LICENSE, LICENSE_HEAD + canon.u32(1) + pairs(0) + NO_EXPIRY + SIG[:3],
+                 TRUNCATED, id="license-truncated-signature-length"),
+    pytest.param(LICENSE, LICENSE_HEAD + canon.u32(1) + pairs(0) + NO_EXPIRY + SIG[:-1],
+                 TRUNCATED, id="license-truncated-signature-body"),
+    pytest.param(LICENSE, LICENSE_HEAD + canon.u32(2) + pairs(0, 7) + NO_EXPIRY + SIG,
+                 "unknown ordinal: 7", id="license-unknown-ordinal"),
+    pytest.param(LICENSE, LICENSE_HEAD + canon.u32(2) + pairs(5, 5) + NO_EXPIRY + SIG,
+                 not_increasing_at(MeterResource.JOULES), id="license-repeated-ordinal"),
+    pytest.param(LICENSE, LICENSE_HEAD + canon.u32(2) + pairs(5, 0) + NO_EXPIRY + SIG,
+                 not_increasing_at(FLOAT_OPS), id="license-decreasing-ordinal"),
+    pytest.param(LICENSE, LICENSE_HEAD + canon.u32(1) + pairs(0) + b"\x02" + canon.u64(9) + SIG,
+                 "bad optional flag byte: 2", id="license-optional-flag-2"),
+    pytest.param(LICENSE, LICENSE_HEAD + canon.u32(1) + pairs(0) + NO_EXPIRY + SIG + b"\x00",
+                 "trailing bytes after canonical payload", id="license-trailing-bytes"),
+    pytest.param(LICENSE, LICENSE_HEAD + canon.u32(8) + pairs(*METERS, 7) + NO_EXPIRY + SIG,
+                 "unknown ordinal: 7", id="license-eight-quotas"),
+    pytest.param(LICENSE, LICENSE_HEAD + canon.u32(canon.U32_MAX) + pairs(0, 1, 2), TRUNCATED,
+                 id="license-count-u32-max-short-body"),
+    # Too short for the pairs its count claims, with a bad first ordinal: the
+    # first fault is named, not the truncation after it.
+    pytest.param(LICENSE, LICENSE_HEAD + canon.u32(3) + pairs(9), "unknown ordinal: 9",
+                 id="license-short-body-unknown-first-ordinal"),
+    pytest.param(SNAPSHOT, SNAPSHOT_HEAD[:-1], TRUNCATED, id="snapshot-truncated-fixed"),
+    pytest.param(SNAPSHOT, SNAPSHOT_HEAD + canon.u32(7)[:3], TRUNCATED,
+                 id="snapshot-truncated-count"),
+    pytest.param(SNAPSHOT, SNAPSHOT_HEAD + canon.u32(7) + pairs(*METERS)[:-4], TRUNCATED,
+                 id="snapshot-truncated-mid-pair"),
+    pytest.param(SNAPSHOT, SNAPSHOT_HEAD + canon.u32(7) + pairs(*METERS) + SIG[:2], TRUNCATED,
+                 id="snapshot-truncated-signature-length"),
+    pytest.param(SNAPSHOT, SNAPSHOT_HEAD + canon.u32(7) + pairs(*METERS) + SIG[:40], TRUNCATED,
+                 id="snapshot-truncated-signature-body"),
+    pytest.param(SNAPSHOT, SNAPSHOT_HEAD + canon.u32(7) + pairs(*METERS[:6], 200) + SIG,
+                 "unknown ordinal: 200", id="snapshot-unknown-ordinal"),
+    pytest.param(SNAPSHOT, SNAPSHOT_HEAD + canon.u32(7) + pairs(0, 1, 1, 3, 4, 5, 6) + SIG,
+                 not_increasing_at(MeterResource.INT_OPS), id="snapshot-repeated-ordinal"),
+    pytest.param(SNAPSHOT, SNAPSHOT_HEAD + canon.u32(7) + pairs(0, 1, 2, 4, 3, 5, 6) + SIG,
+                 not_increasing_at(MeterResource.INTERCONNECT_TRANSFER_BYTES),
+                 id="snapshot-decreasing-ordinal"),
+    pytest.param(SNAPSHOT, SNAPSHOT_HEAD + canon.u32(7) + pairs(*METERS) + SIG + b"\x00",
+                 "trailing bytes after canonical payload", id="snapshot-trailing-bytes"),
+    pytest.param(SNAPSHOT, SNAPSHOT_HEAD + canon.u32(8) + pairs(*METERS, 6) + SIG,
+                 not_increasing_at(MeterResource.CLOCK_CYCLES), id="snapshot-eight-meters"),
+    pytest.param(SNAPSHOT, SNAPSHOT_HEAD + canon.u32(canon.U32_MAX) + pairs(*METERS), TRUNCATED,
+                 id="snapshot-count-u32-max-short-body"),
+]
+
+
+@pytest.mark.parametrize("doc, body, message", REFUSALS)
+def test_each_non_canonical_meter_map_wire_is_refused_with_its_reason(doc, body, message):
+    wire = doc.head + body
+    with pytest.raises(canon.EncodingError) as refused:
+        doc.decode(wire)
+    assert str(refused.value) == message
+    if doc is LICENSE:
+        chip = ChipState(DeviceIdentity(DEVICE, KEY, frozenset({KEY.public_bytes})))
+        assert install(chip, wire).reason is RejectReason.MALFORMED
+    else:  # the verifier reports the same reason
+        result = verify_chain({DEVICE: [wire]}, {DEVICE: KEY.public_bytes}).device_results[0]
+        assert (result.status, result.detail) == (DeviceStatus.MALFORMED, message)
+
+
+@pytest.mark.parametrize("kind", sorted(FIELDS))
+@settings(max_examples=100)
+@given(data=st.data())
+def test_any_bytes_after_the_head_are_refused_or_are_the_canonical_wire(kind, data):
+    # Whatever follows the tag, decoding raises EncodingError and nothing
+    # else, or returns fields whose one encoding is exactly those bytes.
+    doc, strategies = FIELDS[kind]
+    if data.draw(st.booleans(), label="random"):
+        body = data.draw(st.binary(max_size=200), label="body")
+    else:  # a canonical wire with a span of it replaced
+        values = data.draw(st.fixed_dictionaries(strategies), label="fields")
+        body = doc.wire(lambda signed: bytes(64), **values)[len(doc.head):]
+        start = data.draw(st.integers(0, len(body)), label="start")
+        stop = data.draw(st.integers(start, len(body)), label="stop")
+        body = body[:start] + data.draw(st.binary(max_size=12), label="splice") + body[stop:]
+    wire = doc.head + body
+    try:
+        fields, signed, signature = doc.decode(wire)
+    except canon.EncodingError:
+        return
+    assert doc.signed(**fields) == signed
+    assert signed + canon.blob(signature) == wire
 
 
 class TestCapPolicyWire:

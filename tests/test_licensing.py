@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 from collections import Counter, defaultdict
 
 import pytest
@@ -501,3 +502,30 @@ class TestFuzzCampaign:
         result = scenarios.run_licensing_section(config["licensing"], config["fleet"], 0)
         soundness = {p.name: p for p in result.predicates}["licensing_soundness"]
         assert soundness.passed, soundness.detail
+
+
+def test_licensing_basic_builds_one_license_per_accepted_install(monkeypatch):
+    # A `License` record is built only when a chip installs it: a wire that
+    # decodes but is refused builds none.
+    built, installed = [], []
+    real_license, real_install = licensing.License, licensing.install
+
+    def license_record(**fields):
+        built.append(real_license(**fields))
+        return built[-1]
+
+    def counted_install(chip, wire):
+        result = real_install(chip, wire)
+        if result.accepted:
+            installed.append(chip.active_license)
+        return result
+
+    monkeypatch.setattr(licensing, "License", license_record)
+    # Every module that bound `install` by name calls it through its own binding.
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hemsim.") and vars(module).get("install") is real_install:
+            monkeypatch.setattr(module, "install", counted_install)
+    config = validate_config(scenarios.BUNDLED_SCENARIOS["licensing_basic"])
+    assert scenarios.execute_scenario(config).passed
+    assert installed and len(built) == len(installed)
+    assert all(record is held for record, held in zip(built, installed))
