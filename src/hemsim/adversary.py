@@ -51,7 +51,6 @@ from .chipmodel import (
 )
 from .cluster import (
     DIRECT_INTERCONNECT_BYTES_PER_MS,
-    ClusterNode,
     HandshakeReject,
     adopt_manifest,
     apply_cap_update,
@@ -193,7 +192,7 @@ def _require(done: bool, step: str) -> None:
 def _licensed_chip(rng: random.Random, quota: int):
     issuer = make_issuer(rng)
     chip = provision_chip(rng, frozenset({issuer.public_key}))
-    lic = issuer.issue(chip.identity.device_id, {MeterResource.CLOCK_CYCLES: quota})
+    lic = issuer.issue(chip.device_id, {MeterResource.CLOCK_CYCLES: quota})
     _require(install(chip, lic).accepted, "genuine license install")
     return issuer, chip, lic
 
@@ -257,7 +256,7 @@ def licensing_cross_device(profile, rng) -> dict:
     issuer = make_issuer(rng)
     chip_a = provision_chip(rng, frozenset({issuer.public_key}))
     chip_b = provision_chip(rng, frozenset({issuer.public_key}))
-    lic_a = issuer.issue(chip_a.identity.device_id, {MeterResource.CLOCK_CYCLES: 10**6})
+    lic_a = issuer.issue(chip_a.device_id, {MeterResource.CLOCK_CYCLES: 10**6})
     result = install(chip_b, lic_a)
     return dict(
         succeeded=result.accepted,
@@ -273,7 +272,7 @@ def licensing_host_clock_rollback(profile, rng) -> dict:
     chip.advance_to(50_000.0)
     # A license that expired long ago, offered by a host that turns time back.
     not_after = 10_000
-    expired = issuer.issue(chip.identity.device_id, {MeterResource.CLOCK_CYCLES: 10**6},
+    expired = issuer.issue(chip.device_id, {MeterResource.CLOCK_CYCLES: 10**6},
                            not_after=not_after)
     chip.advance_to(0.0)
     result = install(chip, expired)
@@ -289,7 +288,7 @@ def licensing_host_clock_rollback(profile, rng) -> dict:
 def licensing_meter_rollback(profile, rng) -> dict:
     quota = 10_000
     issuer, chip, lic = _licensed_chip(rng, quota=quota)
-    registry = {chip.identity.device_id: chip.public_key}
+    registry = {chip.device_id: chip.public_key}
     snapshots = [emit_snapshot(chip, 0)]
     true_consumed = 0
     # Burn most of the quota, roll the meter back covertly at seq 4, keep consuming.
@@ -301,7 +300,7 @@ def licensing_meter_rollback(profile, rng) -> dict:
             true_consumed += 3000
         snapshots.append(emit_snapshot(chip, seq))
     overdraft = max(0, true_consumed - quota)
-    report = verify_chain({chip.identity.device_id: snapshots}, registry)
+    report = verify_chain({chip.device_id: snapshots}, registry)
     status = report.device_results[0].status
     return dict(
         succeeded=overdraft > 0,  # used beyond licensed capacity
@@ -357,8 +356,7 @@ def licensing_quota_overrun(profile, rng) -> dict:
 
 @attack(expect=(True, True), required={Capability.FIRMWARE_MOD})
 def licensing_throttle_bypass(profile, rng) -> dict:
-    _, registry, (node_chip, node_peer) = _pod_world(rng, 2)
-    chip = node_chip.chip
+    _, registry, (chip, peer) = _pod_world(rng, 2)
     chip.throttle = ThrottleLevel.DISABLED  # never licensed
     throttled = chip.consume(MeterResource.CLOCK_CYCLES, 100)
     # Modified firmware ignores the throttle: meters move despite the
@@ -368,7 +366,7 @@ def licensing_throttle_bypass(profile, rng) -> dict:
     unlicensed_use = chip.meter_value(MeterResource.CLOCK_CYCLES)
     # The pod integrity check catches the patched firmware at the next
     # handshake against the regulator-signed manifest of genuine hashes.
-    result = handshake(0.0, node_peer, node_chip, registry, rng, itertools.count())
+    result = handshake(0.0, peer, chip, registry, rng, itertools.count())
     return dict(
         succeeded=unlicensed_use > 0,
         detected=result.reason is HandshakeReject.FIRMWARE_MISMATCH
@@ -382,32 +380,27 @@ def licensing_throttle_bypass(profile, rng) -> dict:
 # -- cluster attacks ---------------------------------------------------------------
 
 
-def _cluster_world(rng, n_chips):
-    regulator, registry, chips = mint_fleet(rng, n_chips)
-    return regulator, registry, [ClusterNode(chip=chip) for chip in chips]
-
-
 def _pod_world(rng, n_chips):
-    """`_cluster_world` with every node in one pod, under an adopted manifest
+    """`mint_fleet` with every chip in one pod, under an adopted manifest
     of the genuine firmware that the regulator signed."""
-    regulator, registry, nodes = _cluster_world(rng, n_chips)
-    genuine = {node.device_id: node.chip.firmware_hash for node in nodes}
+    regulator, registry, chips = mint_fleet(rng, n_chips)
+    genuine = {chip.device_id: chip.firmware_hash for chip in chips}
     manifest = issue_manifest(regulator, "pod-0", genuine, manifest_epoch=0)
-    for node in nodes:
-        _require(adopt_manifest(node, manifest), "genuine manifest adoption")
-    return regulator, registry, nodes
+    for chip in chips:
+        _require(adopt_manifest(chip, manifest), "genuine manifest adoption")
+    return regulator, registry, chips
 
 
 @attack(expect=(False, True), required={Capability.FIRMWARE_MOD})
 def cluster_pod_firmware_mod(profile, rng) -> dict:
     _, registry, (a, b) = _pod_world(rng, 2)
-    b.chip.tamper_event("firmware_mod", covert=True)
+    b.tamper_event("firmware_mod", covert=True)
     result = handshake(0.0, a, b, registry, rng, itertools.count())
     return dict(
         succeeded=result.accepted,
-        detected=result.reason is HandshakeReject.FIRMWARE_MISMATCH and b.chip.self_disabled,
+        detected=result.reason is HandshakeReject.FIRMWARE_MISMATCH and b.self_disabled,
         evidence={"reason": result.reason.value if result.reason else None,
-                  "member_self_disabled": b.chip.self_disabled},
+                  "member_self_disabled": b.self_disabled},
     )
 
 
@@ -415,51 +408,49 @@ def cluster_pod_firmware_mod(profile, rng) -> dict:
 def cluster_self_disable_relicense(profile, rng) -> dict:
     # A member that caught its own patched firmware is offered a genuine license.
     regulator, registry, (a, b) = _pod_world(rng, 2)
-    b.chip.tamper_event("firmware_mod", covert=True)
+    b.tamper_event("firmware_mod", covert=True)
     handshake(0.0, a, b, registry, rng, itertools.count())
-    _require(b.chip.self_disabled, "firmware self-disable")
+    _require(b.self_disabled, "firmware self-disable")
     lic = IssuerState(regulator).issue(b.device_id, {MeterResource.CLOCK_CYCLES: 10**6})
-    _require(install(b.chip, lic).accepted, "genuine license install")
-    result = b.chip.consume(MeterResource.CLOCK_CYCLES, 1000)
+    _require(install(b, lic).accepted, "genuine license install")
+    result = b.consume(MeterResource.CLOCK_CYCLES, 1000)
     return dict(
         succeeded=result is ConsumeResult.APPLIED,
         detected=result is not ConsumeResult.APPLIED,
-        evidence={"consume": result.value, "throttle": b.chip.throttle.value},
+        evidence={"consume": result.value, "throttle": b.throttle.value},
     )
 
 
 @attack(expect=(False, True))
 def cluster_cap_forge(profile, rng) -> dict:
-    regulator, registry, nodes = _cluster_world(rng, 1)
-    node = nodes[0]
+    regulator, registry, (chip,) = mint_fleet(rng, 1)
     genuine = issue_cap_policy(regulator, cap=4, cap_epoch=1)
-    _require(apply_cap_update(node, genuine), "genuine cap policy adoption")
+    _require(apply_cap_update(chip, genuine), "genuine cap policy adoption")
     rogue = canon.generate_keypair(rng.randbytes(32))
     forged_raise = issue_cap_policy(rogue, cap=1024, cap_epoch=2)
     replayed = issue_cap_policy(regulator, cap=64, cap_epoch=0)
-    adopted_forged = apply_cap_update(node, forged_raise)
-    adopted_replay = apply_cap_update(node, replayed)
+    adopted_forged = apply_cap_update(chip, forged_raise)
+    adopted_replay = apply_cap_update(chip, replayed)
     return dict(
         succeeded=adopted_forged or adopted_replay,
         detected=not adopted_forged and not adopted_replay,
-        evidence={"cap_after": node.adopted_cap(), "cap_epoch_after": node.cap_policy.cap_epoch},
+        evidence={"cap_after": chip.adopted_cap(), "cap_epoch_after": chip.cap_policy.cap_epoch},
     )
 
 
 @attack(expect=(False, True))
 def cluster_manifest_forge(profile, rng) -> dict:
-    regulator, registry, nodes = _cluster_world(rng, 3)
-    member, peer, outsider = nodes
-    pod = {n.device_id: n.chip.firmware_hash for n in (member, peer)}
+    regulator, registry, (member, peer, outsider) = mint_fleet(rng, 3)
+    pod = {c.device_id: c.firmware_hash for c in (member, peer)}
     _require(adopt_manifest(member, issue_manifest(regulator, "pod-0", pod, manifest_epoch=0)),
              "genuine manifest adoption")
     # The outsider is a genuine member of another pod.
-    own = issue_manifest(regulator, "pod-1", {outsider.device_id: outsider.chip.firmware_hash},
+    own = issue_manifest(regulator, "pod-1", {outsider.device_id: outsider.firmware_hash},
                          manifest_epoch=0)
     _require(adopt_manifest(outsider, own), "genuine manifest adoption")
     rogue = canon.generate_keypair(rng.randbytes(32))
     forged = issue_manifest(rogue, "pod-0",
-                            {**pod, outsider.device_id: outsider.chip.firmware_hash},
+                            {**pod, outsider.device_id: outsider.firmware_hash},
                             manifest_epoch=1)
     adopted = adopt_manifest(member, forged)
     result = handshake(0.0, member, outsider, registry, rng, itertools.count())
@@ -474,28 +465,27 @@ def cluster_manifest_forge(profile, rng) -> dict:
 
 @attack(expect=(True, True), required={Capability.PCIE_BRIDGE})
 def cluster_pcie_bridge(profile, rng) -> dict:
-    regulator, registry, nodes = _cluster_world(rng, 2)
-    a, b = nodes
+    regulator, registry, (a, b) = mint_fleet(rng, 2)
     events = [bridge_transfer(step * 100.0, a, b, 10**9) for step in range(5)]
     moved = sum(event.n_bytes for event in events)
     direct_ms = 10**9 / DIRECT_INTERCONNECT_BYTES_PER_MS
     return dict(
         succeeded=moved == 5 * 10**9,
-        detected=a.chip.meter_value(MeterResource.PCIE_TRANSFER_BYTES) == moved,
+        detected=a.meter_value(MeterResource.PCIE_TRANSFER_BYTES) == moved,
         evidence={
             "bytes_moved": moved,
             "latency_penalty": events[0].transit_ms / direct_ms,
-            "pcie_meter_a": a.chip.meter_value(MeterResource.PCIE_TRANSFER_BYTES),
-            "pcie_meter_b": b.chip.meter_value(MeterResource.PCIE_TRANSFER_BYTES),
+            "pcie_meter_a": a.meter_value(MeterResource.PCIE_TRANSFER_BYTES),
+            "pcie_meter_b": b.meter_value(MeterResource.PCIE_TRANSFER_BYTES),
         },
     )
 
 
 @attack(expect=(True, True), required={Capability.GRADIENT_SMUGGLE, Capability.PCIE_BRIDGE})
 def cluster_gradient_smuggle(profile, rng) -> dict:
-    regulator, registry, nodes = _cluster_world(rng, 8)
-    pod_of = {node.device_id: "pod-a" if i < 4 else "pod-b" for i, node in enumerate(nodes)}
-    bridge_a, bridge_b = nodes[3], nodes[4]  # one compromised device per pod
+    regulator, registry, chips = mint_fleet(rng, 8)
+    pod_of = {chip.device_id: "pod-a" if i < 4 else "pod-b" for i, chip in enumerate(chips)}
+    bridge_a, bridge_b = chips[3], chips[4]  # one compromised device per pod
     step_ms = 1000.0
     gradient_bytes = 2 * 10**9
     events = [bridge_transfer(step * step_ms + 500.0, bridge_a, bridge_b, gradient_bytes)
@@ -589,7 +579,7 @@ def _challenge(rng, registry, chip, sign_fn, landmarks, responder: Node,
                   default_latency=landmarks[0].link)
     net.unreachable.update(lm.id for lm in rng.sample(landmarks, downed))
     sim = Simulator(seed=rng.randrange(2**31))
-    return challenge_round(sim, net, landmarks, chip.identity.device_id, responder.id,
+    return challenge_round(sim, net, landmarks, chip.device_id, responder.id,
                            sign_fn, registry, timeout_ms)
 
 

@@ -37,7 +37,7 @@ DESK_SCALE_THRESHOLD_OPS = 10**9
 
 def emit_snapshot(chip: ChipState, sequence_no: int) -> bytes:
     """Sign the chip's current meters; returns wire bytes. Refused when zeroized."""
-    return SNAPSHOT.wire(chip.sign, device_id=chip.identity.device_id,
+    return SNAPSHOT.wire(chip.sign, device_id=chip.device_id,
                          sequence_no=sequence_no, rtc_time_ms=int(chip.rtc_read()),
                          meters=chip.meters.volatile)
 
@@ -160,7 +160,7 @@ def covert_rollback_chain(rng: random.Random) -> tuple[AttestReport, int]:
     chip.tamper_event("meter_rollback", covert=True,
                       resource=MeterResource.FLOAT_OPS, amount=2 * 10**6)
     snapshots.append(emit_snapshot(chip, 4))
-    return verify_chain({chip.identity.device_id: snapshots}, registry), 4 * 10**6
+    return verify_chain({chip.device_id: snapshots}, registry), 4 * 10**6
 
 
 # -- workload classification ----------------------------------------------------

@@ -4,6 +4,9 @@ The chip is modeled behaviorally: a tamper-scoped identity that signs
 canonical payloads, cumulative activity meters with three power-loss
 persistence designs, a write-through last-license-id counter, a real-time
 clock with optional drift, throttle state, and a zeroization response.
+A `ChipState` also holds what it has verified and adopted itself: its
+installed license, its pod manifest and cap policy with that policy's
+check clock, and the cluster sessions it holds open (see `cluster`).
 `ChipState.consume`, the one path by which work runs, enforces the throttle,
 refuses whole any request that would cross an installed license quota, and
 refuses everything once the chip has disabled itself over its own firmware.
@@ -188,6 +191,19 @@ class ChipState:
         self.firmware_hash: bytes = GENUINE_FIRMWARE
         self.powered: bool = True
         self.clock_ms: float = 0.0
+        # The cluster regime this chip adopted (see `cluster`), and its open sessions.
+        self.pod_manifest = None  # the adopted `cluster.PodManifest`, once there is one
+        self.cap_policy = None  # the adopted `cluster.CapPolicy`, once there is one
+        self.last_check_ms: float = 0.0  # the cap policy's check clock
+        self.sessions: dict = {}  # session_id -> the open `cluster.Session`
+
+    @property
+    def device_id(self) -> int:
+        return self.identity.device_id
+
+    def adopted_cap(self) -> int:
+        # Default-deny: a chip that has adopted no policy interconnects with no one.
+        return self.cap_policy.cap if self.cap_policy is not None else 0
 
     # -- time ---------------------------------------------------------------
 
@@ -341,6 +357,6 @@ def mint_fleet(rng: random.Random, n: int) -> tuple[canon.KeyPair, Registry, lis
     for _ in range(n):
         chip = provision_chip(rng, frozenset({issuer.public_bytes}))
         chip.throttle = ThrottleLevel.FULL
-        registry[chip.identity.device_id] = chip.public_key
+        registry[chip.device_id] = chip.public_key
         chips.append(chip)
     return issuer, registry, chips

@@ -8,7 +8,7 @@ cap on concurrently authenticated peers (adjustable cap). A chip's regime is
 what it has itself verified and adopted from wire bytes - a pod manifest
 (`adopt_manifest`), a cap policy (`apply_cap_update`), or both - and each
 endpoint of a handshake enforces its own; the caller passes no regime. A
-`Session` holds its two `ClusterNode` ends and is open while both hold it
+`Session` holds its two chips as its ends and is open while both hold it
 in their `sessions` tables, so closing one needs nothing but the session.
 The module also models the two circumvention routes named for these regimes -
 PCIe-bridged transfers through a host, and gradient smuggling between pods
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -77,7 +77,7 @@ class Session:
     only to itself: the ends refer back to it."""
 
     session_id: int
-    ends: tuple[ClusterNode, ClusterNode]
+    ends: tuple[ChipState, ChipState]
     established_at: float
 
 
@@ -107,38 +107,11 @@ class HandshakeResult:
         return self.session is not None
 
 
-@dataclass
-class ClusterNode:
-    """One chip's cluster-facing state."""
-
-    chip: ChipState
-    sessions: dict[int, Session] = field(default_factory=dict)  # session_id -> Session
-    cap_policy: Optional[CapPolicy] = None
-    last_check_ms: float = 0.0
-    pod_manifest: Optional[PodManifest] = None
-
-    @property
-    def device_id(self) -> int:
-        return self.chip.identity.device_id
-
-    def open_session_count(self) -> int:
-        return len(self.sessions)
-
-    def adopted_cap(self) -> int:
-        # Default-deny: a chip that has adopted no policy interconnects with no one.
-        return self.cap_policy.cap if self.cap_policy is not None else 0
-
-    def disable(self) -> None:
-        self.chip.self_disabled = True
-        for session in list(self.sessions.values()):
-            teardown(session)
-
-
-def _auth_ok(signer: ClusterNode, peer_nonce: bytes, peer_id: int, registry: Registry) -> bool:
+def _auth_ok(signer: ChipState, peer_nonce: bytes, peer_id: int, registry: Registry) -> bool:
     """Mutual-auth leg: signer proves control of its claimed device id."""
     message = SESSION_AUTH.signed(signer=signer.device_id, peer=peer_id, nonce=peer_nonce)
     try:
-        signature = signer.chip.sign(message)
+        signature = signer.sign(message)
     except ZeroizedError:
         return False
     registered = registry.get(signer.device_id)
@@ -149,8 +122,8 @@ def _auth_ok(signer: ClusterNode, peer_nonce: bytes, peer_id: int, registry: Reg
 
 def handshake(
     now_ms: float,
-    a: ClusterNode,
-    b: ClusterNode,
+    a: ChipState,
+    b: ChipState,
     registry: Registry,
     rng: random.Random,
     session_ids: Iterator[int],
@@ -169,26 +142,29 @@ def handshake(
     accepted session is mutually authenticated, and takes the next id from
     `session_ids`; a refused handshake takes none.
     """
-    if a.chip.self_disabled or b.chip.self_disabled:
+    if a.self_disabled or b.self_disabled:
         return HandshakeResult(None, HandshakeReject.BAD_AUTH)
     nonce_a = rng.randbytes(16)
     nonce_b = rng.randbytes(16)
-    for node in (a, b):
-        held_to_cap = node.cap_policy is not None or node.pod_manifest is None
-        if held_to_cap and node.open_session_count() >= node.adopted_cap():
+    for chip in (a, b):
+        held_to_cap = chip.cap_policy is not None or chip.pod_manifest is None
+        if held_to_cap and len(chip.sessions) >= chip.adopted_cap():
             return HandshakeResult(None, HandshakeReject.CAP_EXCEEDED)
     if not _auth_ok(a, nonce_b, b.device_id, registry):
         return HandshakeResult(None, HandshakeReject.BAD_AUTH)
     if not _auth_ok(b, nonce_a, a.device_id, registry):
         return HandshakeResult(None, HandshakeReject.BAD_AUTH)
 
-    in_pods = [node for node in (a, b) if node.pod_manifest is not None]
-    for node in in_pods:
-        if any(n.device_id not in node.pod_manifest.members for n in (a, b)):
+    in_pods = [chip for chip in (a, b) if chip.pod_manifest is not None]
+    for chip in in_pods:
+        if any(end.device_id not in chip.pod_manifest.members for end in (a, b)):
             return HandshakeResult(None, HandshakeReject.NOT_IN_POD)
-    for node in in_pods:
-        if node.pod_manifest.members[node.device_id] != node.chip.firmware_hash:
-            node.disable()  # integrity check tripped: member self-disables
+    for chip in in_pods:
+        if chip.pod_manifest.members[chip.device_id] != chip.firmware_hash:
+            # Integrity check tripped: the member self-disables and closes its sessions.
+            chip.self_disabled = True
+            for session in list(chip.sessions.values()):
+                teardown(session)
             return HandshakeResult(None, HandshakeReject.FIRMWARE_MISMATCH)
 
     session = Session(session_id=next(session_ids), ends=(a, b), established_at=now_ms)
@@ -203,7 +179,7 @@ def teardown(session: Session) -> None:
         end.sessions.pop(session.session_id, None)
 
 
-def _newer_signed(node: ClusterNode, doc: canon.Doc, wire: bytes, epoch: str,
+def _newer_signed(chip: ChipState, doc: canon.Doc, wire: bytes, epoch: str,
                   adopted: PodManifest | CapPolicy | None,
                   admissible: Callable[[dict], bool] = lambda fields: True) -> Optional[dict]:
     """The fields of `wire` iff it decodes, its `epoch` field exceeds the
@@ -222,45 +198,45 @@ def _newer_signed(node: ClusterNode, doc: canon.Doc, wire: bytes, epoch: str,
         return None
     if not admissible(fields):
         return None
-    if not node.chip.issuer_signed(signed, signature):
+    if not chip.issuer_signed(signed, signature):
         return None
     return fields
 
 
-def adopt_manifest(node: ClusterNode, wire: bytes) -> bool:
+def adopt_manifest(chip: ChipState, wire: bytes) -> bool:
     """Adopt a replacement pod manifest iff signed and its epoch increases.
 
     Membership is otherwise immutable; swapping a broken device in or out of
     a pod is a full manifest re-issue with an epoch bump.
     """
-    fields = _newer_signed(node, MANIFEST, wire, "manifest_epoch", node.pod_manifest)
+    fields = _newer_signed(chip, MANIFEST, wire, "manifest_epoch", chip.pod_manifest)
     if fields is None:
         return False
-    node.pod_manifest = MANIFEST.record(**fields)
+    chip.pod_manifest = MANIFEST.record(**fields)
     return True
 
 
-def apply_cap_update(node: ClusterNode, wire: bytes) -> bool:
+def apply_cap_update(chip: ChipState, wire: bytes) -> bool:
     """Adopt iff the epoch strictly increases, the check period is finite and
     positive, and the policy is regulator-signed.
 
     Any other period would stop `run_due_checks` from returning (zero or
     less) or from ever checking (infinity), whoever signed it.
     """
-    fields = _newer_signed(node, CAP_POLICY, wire, "cap_epoch", node.cap_policy,
+    fields = _newer_signed(chip, CAP_POLICY, wire, "cap_epoch", chip.cap_policy,
                            lambda fields: 0.0 < fields["check_period_ms"] < math.inf)
     if fields is None:
         return False
-    node.cap_policy = CAP_POLICY.record(**fields)
+    chip.cap_policy = CAP_POLICY.record(**fields)
     return True
 
 
-def _enforce_cap(node: ClusterNode) -> list[Session]:
-    """Tear down newest-first sessions until the node is within its cap."""
-    excess = len(node.sessions) - node.adopted_cap()
+def _enforce_cap(chip: ChipState) -> list[Session]:
+    """Tear down newest-first sessions until the chip is within its cap."""
+    excess = len(chip.sessions) - chip.adopted_cap()
     if excess <= 0:
         return []
-    newest_first = sorted(node.sessions.values(), key=lambda s: (s.established_at, s.session_id),
+    newest_first = sorted(chip.sessions.values(), key=lambda s: (s.established_at, s.session_id),
                           reverse=True)
     closed = newest_first[:excess]
     for session in closed:
@@ -268,26 +244,26 @@ def _enforce_cap(node: ClusterNode) -> list[Session]:
     return closed
 
 
-def run_due_checks(node: ClusterNode, now_ms: float) -> list[Session]:
+def run_due_checks(chip: ChipState, now_ms: float) -> list[Session]:
     """Execute every check instant that has come due, on its exact schedule.
 
     Keeps the cap-violation window after a lowering bounded by one check
     period regardless of how coarsely the caller advances time.
     """
-    if node.cap_policy is None:
+    if chip.cap_policy is None:
         return []
     closed: list[Session] = []
-    period = node.cap_policy.check_period_ms
-    while node.last_check_ms + period <= now_ms:
-        node.last_check_ms += period
-        closed.extend(_enforce_cap(node))
+    period = chip.cap_policy.check_period_ms
+    while chip.last_check_ms + period <= now_ms:
+        chip.last_check_ms += period
+        closed.extend(_enforce_cap(chip))
     return closed
 
 
 def bridge_transfer(
     now_ms: float,
-    a: ClusterNode,
-    b: ClusterNode,
+    a: ChipState,
+    b: ChipState,
     n_bytes: int,
     multiplier: float = DEFAULT_BRIDGE_MULTIPLIER,
 ) -> Optional[DataEvent]:
@@ -302,8 +278,8 @@ def bridge_transfer(
     """
     if n_bytes < 0:
         raise ValueError("transfer size must be nonnegative")
-    for node in (a, b):
-        ran = node.chip.consume(MeterResource.PCIE_TRANSFER_BYTES, n_bytes)
+    for chip in (a, b):
+        ran = chip.consume(MeterResource.PCIE_TRANSFER_BYTES, n_bytes)
         if ran is not ConsumeResult.APPLIED:
             return None
     transit = n_bytes / DIRECT_INTERCONNECT_BYTES_PER_MS * multiplier

@@ -97,7 +97,7 @@ def install(chip: ChipState, wire: bytes) -> InstallResult:
         fields, signed, signature = LICENSE.decode(wire)
     except canon.EncodingError:
         return InstallResult(False, RejectReason.MALFORMED)
-    if fields["device_id"] != chip.identity.device_id:
+    if fields["device_id"] != chip.device_id:
         return InstallResult(False, RejectReason.WRONG_DEVICE)
     if fields["license_id"] <= chip.last_license_id:
         return InstallResult(False, RejectReason.STALE_ID)
@@ -145,7 +145,7 @@ def fuzz_licenses(issuer: IssuerState, chips: list[ChipState], trials: int,
 
     def signed(licenses: dict[int, bytes], signer: IssuerState, i: int, amount: int) -> bytes:
         if i not in licenses:
-            licenses[i] = signer.issue(chips[i].identity.device_id,
+            licenses[i] = signer.issue(chips[i].device_id,
                                        {MeterResource.CLOCK_CYCLES: amount})
         return licenses[i]
 

@@ -34,9 +34,8 @@ from .attest import (
     verify_chain,
 )
 from .canon import verify_memo
-from .chipmodel import ConsumeResult, ThrottleLevel, mint_fleet, provision_chip
+from .chipmodel import ChipState, ConsumeResult, ThrottleLevel, mint_fleet, provision_chip
 from .cluster import (
-    ClusterNode,
     HandshakeReject,
     Session,
     apply_cap_update,
@@ -92,7 +91,7 @@ def run_licensing_section(section: dict, fleet: dict, seed: int) -> SectionResul
     honest_accepted = 0
     for i in range(section["honest_licenses"]):
         chip = chips[i % len(chips)]
-        lic = issuer.issue(chip.identity.device_id, {resource: quota})
+        lic = issuer.issue(chip.device_id, {resource: quota})
         if install(chip, lic).accepted:
             honest_accepted += 1
     result.records.append({
@@ -108,13 +107,13 @@ def run_licensing_section(section: dict, fleet: dict, seed: int) -> SectionResul
 
     # Quota lifecycle on one chip: boundary, default-deny, renewal.
     chip = chips[0]
-    lic = issuer.issue(chip.identity.device_id, {resource: quota})
+    lic = issuer.issue(chip.device_id, {resource: quota})
     install(chip, lic)
     near = chip.consume(resource, quota - 1)
     at_boundary_full = chip.throttle is ThrottleLevel.FULL
     last = chip.consume(resource, 1)
     disabled_after = chip.throttle is ThrottleLevel.DISABLED
-    renewal = issuer.issue(chip.identity.device_id, {resource: quota})
+    renewal = issuer.issue(chip.device_id, {resource: quota})
     install(chip, renewal)
     renewed_full = chip.throttle is ThrottleLevel.FULL
     lifecycle_ok = (near is ConsumeResult.APPLIED and at_boundary_full
@@ -149,14 +148,13 @@ def run_cluster_section(section: dict, seed: int) -> SectionResult:
     rng = random.Random(seed * 1_000_003 + 23)
     result = SectionResult()
     regulator, registry, chips = mint_fleet(rng, section["chips"])
-    nodes = [ClusterNode(chip=chip) for chip in chips]
     check_period = section["check_period_ms"]
     epoch = 0
     cap = section["cap"]
     policy = issue_cap_policy(regulator, cap, epoch, check_period)
-    for node in nodes:
-        apply_cap_update(node, policy)
-    adopted_at = 0.0  # every node adopts each policy at the same instant
+    for chip in chips:
+        apply_cap_update(chip, policy)
+    adopted_at = 0.0  # every chip adopts each policy at the same instant
 
     churn = section["churn_events"]
     lowering_at = {
@@ -175,11 +173,11 @@ def run_cluster_section(section: dict, seed: int) -> SectionResult:
     open_sessions: dict[int, Session] = {}
     over_cap: set[int] = set()
 
-    def recount(node: ClusterNode) -> None:
-        if node.open_session_count() > node.adopted_cap():
-            over_cap.add(node.device_id)
+    def recount(chip: ChipState) -> None:
+        if len(chip.sessions) > chip.adopted_cap():
+            over_cap.add(chip.device_id)
         else:
-            over_cap.discard(node.device_id)
+            over_cap.discard(chip.device_id)
 
     def close(session: Session) -> None:
         del open_sessions[session.session_id]
@@ -187,28 +185,28 @@ def run_cluster_section(section: dict, seed: int) -> SectionResult:
             recount(end)
 
     def next_check_ms() -> float:
-        return min(n.last_check_ms + n.cap_policy.check_period_ms for n in nodes)
+        return min(c.last_check_ms + c.cap_policy.check_period_ms for c in chips)
 
     next_check = next_check_ms()
     for i in range(churn):
         now += rng.uniform(0.5, check_period / 10.0)
         if next_check <= now:
-            # Every node, in list order, once any is due. Popping nodes off a
+            # Every chip, in list order, once any is due. Popping chips off a
             # heap would reorder enforcement, and so which sessions close.
-            for node in nodes:
-                for session in run_due_checks(node, now):
+            for chip in chips:
+                for session in run_due_checks(chip, now):
                     close(session)
             next_check = next_check_ms()
         if i in lowering_at and cap > 0:
             epoch += 1
             cap = rng.randrange(0, cap)
             lowered = issue_cap_policy(regulator, cap, epoch, check_period)
-            for node in nodes:
-                apply_cap_update(node, lowered)
-                recount(node)
+            for chip in chips:
+                apply_cap_update(chip, lowered)
+                recount(chip)
             adopted_at = now
             replay = issue_cap_policy(regulator, cap + 8, epoch - 1, check_period)
-            if not any(apply_cap_update(node, replay) for node in nodes):
+            if not any(apply_cap_update(chip, replay) for chip in chips):
                 stats["replays_rejected"] += 1
             stats["lowerings"] += 1
             next_check = next_check_ms()
@@ -218,7 +216,7 @@ def run_cluster_section(section: dict, seed: int) -> SectionResult:
             close(session)
             stats["teardowns"] += 1
         else:
-            a, b = rng.sample(nodes, 2)
+            a, b = rng.sample(chips, 2)
             outcome = handshake(now, a, b, registry, rng, session_ids)
             stats["handshakes"] += 1
             if outcome.accepted:
@@ -243,7 +241,7 @@ def run_cluster_section(section: dict, seed: int) -> SectionResult:
     ))
 
     # Bridge latency sweep: transit grows with the configured multiplier.
-    a, b = nodes[0], nodes[1]
+    a, b = chips[0], chips[1]
     transits = []
     for multiplier in section["bridge_multiplier_sweep"]:
         event = bridge_transfer(now, a, b, 10**9, multiplier=multiplier)
@@ -413,7 +411,7 @@ def run_attest_section(section: dict, seed: int) -> SectionResult:
             chip.consume(MeterResource.FLOAT_OPS, ops)
             oracle_total += ops
             snaps.append(emit_snapshot(chip, seq))
-        table[chip.identity.device_id] = snaps
+        table[chip.device_id] = snaps
     report = verify_chain(table, registry, threshold=section["threshold"])
     exact = report.totals[MeterResource.FLOAT_OPS] == oracle_total
     threshold_ok = report.exceeds_threshold == (oracle_total > section["threshold"])

@@ -33,7 +33,6 @@ from hemsim.cluster import (
     CAP_POLICY,
     MANIFEST,
     SESSION_AUTH,
-    ClusterNode,
     adopt_manifest,
     apply_cap_update,
     issue_cap_policy,
@@ -53,9 +52,8 @@ FLOAT_OPS = MeterResource.FLOAT_OPS
 
 @pytest.fixture
 def world():
-    """A regulator key and two enrolled chips, the first with a cluster node."""
-    regulator, registry, chips = mint_fleet(random.Random(61), 2)
-    return regulator, registry, chips, ClusterNode(chip=chips[0])
+    """A regulator key and two enrolled chips."""
+    return mint_fleet(random.Random(61), 2)
 
 
 def flips(wire: bytes):
@@ -385,17 +383,17 @@ def test_any_bytes_after_the_head_are_refused_or_are_the_canonical_wire(kind, da
 
 class TestCapPolicyWire:
     def _adopted(self, world):
-        regulator, _, _, node = world
-        assert apply_cap_update(node, issue_cap_policy(regulator, cap=4, cap_epoch=1))
-        return regulator, node, node.cap_policy
+        regulator, _, (chip, _) = world
+        assert apply_cap_update(chip, issue_cap_policy(regulator, cap=4, cap_epoch=1))
+        return regulator, chip, chip.cap_policy
 
     def test_every_single_bit_flip_is_refused(self, world):
-        regulator, node, before = self._adopted(world)
+        regulator, chip, before = self._adopted(world)
         wire = issue_cap_policy(regulator, cap=8, cap_epoch=2, check_period_ms=30_000.0)
         for bit, flipped in flips(wire):
-            assert not apply_cap_update(node, flipped), f"bit {bit}"
-            assert node.cap_policy == before, f"bit {bit}"
-        assert apply_cap_update(node, wire)
+            assert not apply_cap_update(chip, flipped), f"bit {bit}"
+            assert chip.cap_policy == before, f"bit {bit}"
+        assert apply_cap_update(chip, wire)
 
     @pytest.mark.parametrize("period_bytes, adopted", [
         (struct.pack("<d", 30_000.0), True),  # the hand-laid layout is the real one
@@ -405,20 +403,20 @@ class TestCapPolicyWire:
     ], ids=["canonical", "nan", "other_nan", "negative_zero"])
     def test_only_a_canonical_period_is_adopted(self, world, verify_calls, period_bytes,
                                                 adopted):
-        regulator, node, before = self._adopted(world)
+        regulator, chip, before = self._adopted(world)
         wire = hand_laid(regulator.sign, CAP_POLICY, canon.u32(8), canon.u64(2), period_bytes)
         verify_calls.clear()
-        assert apply_cap_update(node, wire) is adopted
+        assert apply_cap_update(chip, wire) is adopted
         if not adopted:
             assert verify_calls == []
-            assert node.cap_policy == before
+            assert chip.cap_policy == before
 
     def test_trailing_bytes_refused_without_verify(self, world, verify_calls):
-        regulator, node, before = self._adopted(world)
+        regulator, chip, before = self._adopted(world)
         wire = issue_cap_policy(regulator, cap=8, cap_epoch=2) + b"\x00"
         verify_calls.clear()
-        assert not apply_cap_update(node, wire)
-        assert verify_calls == [] and node.cap_policy == before
+        assert not apply_cap_update(chip, wire)
+        assert verify_calls == [] and chip.cap_policy == before
 
     @pytest.mark.parametrize("period", [math.nan, -0.0])
     def test_non_canonical_period_does_not_encode(self, world, period):
@@ -429,17 +427,17 @@ class TestCapPolicyWire:
 
 class TestManifestWire:
     def _adopted(self, world):
-        regulator, _, _, node = world
-        assert adopt_manifest(node, issue_manifest(regulator, "pod-1", {DEVICE: FW_A}, 0))
-        return regulator, node, node.pod_manifest
+        regulator, _, (chip, _) = world
+        assert adopt_manifest(chip, issue_manifest(regulator, "pod-1", {DEVICE: FW_A}, 0))
+        return regulator, chip, chip.pod_manifest
 
     def test_every_single_bit_flip_is_refused(self, world):
-        regulator, node, before = self._adopted(world)
+        regulator, chip, before = self._adopted(world)
         wire = issue_manifest(regulator, "pod-1", {DEVICE: FW_A, PEER: FW_B}, 1)
         for bit, flipped in flips(wire):
-            assert not adopt_manifest(node, flipped), f"bit {bit}"
-            assert node.pod_manifest == before, f"bit {bit}"
-        assert adopt_manifest(node, wire)
+            assert not adopt_manifest(chip, flipped), f"bit {bit}"
+            assert chip.pod_manifest == before, f"bit {bit}"
+        assert adopt_manifest(chip, wire)
 
     @pytest.mark.parametrize("pod_id, members, adopted", [
         (b"pod-1", ((DEVICE, FW_A), (PEER, FW_B)), True),  # the real layout
@@ -449,28 +447,28 @@ class TestManifestWire:
     ], ids=["canonical", "out_of_order", "repeated", "not_utf8"])
     def test_only_a_canonical_manifest_is_adopted(self, world, verify_calls, pod_id, members,
                                                   adopted):
-        regulator, node, before = self._adopted(world)
+        regulator, chip, before = self._adopted(world)
         pairs = [canon.u128(device) + canon.blob(fw) for device, fw in members]
         wire = hand_laid(regulator.sign, MANIFEST, canon.blob(pod_id), canon.u64(1),
                          canon.u32(len(pairs)), *pairs)
         verify_calls.clear()
-        assert adopt_manifest(node, wire) is adopted
+        assert adopt_manifest(chip, wire) is adopted
         if not adopted:
             assert verify_calls == []
-            assert node.pod_manifest == before
+            assert chip.pod_manifest == before
 
     def test_trailing_bytes_refused_without_verify(self, world, verify_calls):
-        regulator, node, before = self._adopted(world)
+        regulator, chip, before = self._adopted(world)
         wire = issue_manifest(regulator, "pod-1", {DEVICE: FW_A}, 1) + b"\x00"
         verify_calls.clear()
-        assert not adopt_manifest(node, wire)
-        assert verify_calls == [] and node.pod_manifest == before
+        assert not adopt_manifest(chip, wire)
+        assert verify_calls == [] and chip.pod_manifest == before
 
 
 class TestSnapshotWire:
     def _chain(self, world):
         """A first snapshot, then a chip that has run 1000 ops since it."""
-        _, registry, (chip, _), _ = world
+        _, registry, (chip, _) = world
         first = emit_snapshot(chip, 0)
         chip.consume(FLOAT_OPS, 1000)
         return registry, chip, first

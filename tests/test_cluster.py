@@ -15,14 +15,13 @@ from hemsim.chipmodel import (
     ChipState,
     ConsumeResult,
     MeterResource,
-    ThrottleLevel,
+    mint_fleet,
     provision_chip,
 )
 from hemsim.cluster import (
     CAP_POLICY,
     DIRECT_INTERCONNECT_BYTES_PER_MS,
     MANIFEST,
-    ClusterNode,
     DataEvent,
     HandshakeReject,
     PodManifest,
@@ -45,16 +44,8 @@ from hemsim.scenarios import run_cluster_section
 @pytest.fixture
 def world():
     rng = random.Random(31)
-    regulator = canon.generate_keypair(rng.randbytes(32))
-    registry = {}
-    nodes = {}
-    for _ in range(6):
-        chip = provision_chip(rng, frozenset({regulator.public_bytes}))
-        chip.throttle = ThrottleLevel.FULL
-        registry[chip.identity.device_id] = chip.public_key
-        node = ClusterNode(chip=chip)
-        nodes[node.device_id] = node
-    return rng, regulator, registry, nodes
+    regulator, registry, chips = mint_fleet(rng, 6)
+    return rng, regulator, registry, {chip.device_id: chip for chip in chips}
 
 
 def held_by_both_ends(session):
@@ -65,10 +56,10 @@ def held_by_neither_end(session):
     return all(session.session_id not in end.sessions for end in session.ends)
 
 
-def adopt_caps(regulator, nodes, cap, epoch=0, check_period_ms=60_000.0):
+def adopt_caps(regulator, chips, cap, epoch=0, check_period_ms=60_000.0):
     policy = issue_cap_policy(regulator, cap, epoch, check_period_ms)
-    for node in nodes.values():
-        assert apply_cap_update(node, policy)
+    for chip in chips.values():
+        assert apply_cap_update(chip, policy)
     return policy
 
 
@@ -93,126 +84,125 @@ def crypto_calls(monkeypatch):
 
 class TestPodRegime:
     def test_members_connect_nonmembers_rejected(self, world):
-        rng, regulator, registry, nodes = world
-        ids = sorted(nodes)
+        rng, regulator, registry, chips = world
+        ids = sorted(chips)
         a, b, c, d = ids[:4]
         manifest = issue_manifest(
             regulator, "pod-1",
-            {i: nodes[i].chip.firmware_hash for i in (a, b, c)},
+            {i: chips[i].firmware_hash for i in (a, b, c)},
             manifest_epoch=0,
         )
         for i in (a, b, c, d):
-            assert adopt_manifest(nodes[i], manifest)
+            assert adopt_manifest(chips[i], manifest)
         session_ids = itertools.count()
-        ok = handshake(0.0, nodes[a], nodes[b], registry, rng, session_ids)
+        ok = handshake(0.0, chips[a], chips[b], registry, rng, session_ids)
         assert ok.accepted
-        rejected = handshake(1.0, nodes[a], nodes[d], registry, rng, session_ids)
+        rejected = handshake(1.0, chips[a], chips[d], registry, rng, session_ids)
         assert rejected.reason is HandshakeReject.NOT_IN_POD
 
     def test_firmware_mismatch_rejects_and_self_disables(self, world):
-        rng, regulator, registry, nodes = world
-        ids = sorted(nodes)
+        rng, regulator, registry, chips = world
+        ids = sorted(chips)
         a, b, c = ids[:3]
         manifest = issue_manifest(
             regulator, "pod-1",
-            {i: nodes[i].chip.firmware_hash for i in (a, b, c)},
+            {i: chips[i].firmware_hash for i in (a, b, c)},
             manifest_epoch=0,
         )
         for i in (a, b, c):
-            assert adopt_manifest(nodes[i], manifest)
+            assert adopt_manifest(chips[i], manifest)
         session_ids = itertools.count()
-        held = handshake(0.0, nodes[b], nodes[c], registry, rng, session_ids).session
-        nodes[b].chip.firmware_hash = hashlib.sha256(b"patched").digest()
-        result = handshake(0.0, nodes[a], nodes[b], registry, rng, session_ids)
+        held = handshake(0.0, chips[b], chips[c], registry, rng, session_ids).session
+        chips[b].firmware_hash = hashlib.sha256(b"patched").digest()
+        result = handshake(0.0, chips[a], chips[b], registry, rng, session_ids)
         assert result.reason is HandshakeReject.FIRMWARE_MISMATCH
-        assert nodes[b].chip.self_disabled
+        assert chips[b].self_disabled
         # Disabling closes b's sessions at both ends, its peer c's included.
         assert held_by_neither_end(held)
-        assert not nodes[b].sessions and not nodes[c].sessions
-        assert nodes[c].open_session_count() == 0
-        again = handshake(1.0, nodes[a], nodes[b], registry, rng, session_ids)
+        assert not chips[b].sessions and not chips[c].sessions
+        again = handshake(1.0, chips[a], chips[b], registry, rng, session_ids)
         assert again.reason is HandshakeReject.BAD_AUTH
 
     def test_self_disabled_member_stays_stopped_under_a_genuine_license(self, world):
-        rng, regulator, registry, nodes = world
-        a, b = (nodes[i] for i in sorted(nodes)[:2])
+        rng, regulator, registry, chips = world
+        a, b = (chips[i] for i in sorted(chips)[:2])
         manifest = issue_manifest(regulator, "pod-1",
-                                  {n.device_id: n.chip.firmware_hash for n in (a, b)},
+                                  {n.device_id: n.firmware_hash for n in (a, b)},
                                   manifest_epoch=0)
         assert adopt_manifest(a, manifest) and adopt_manifest(b, manifest)
-        b.chip.tamper_event("firmware_mod", covert=True)
+        b.tamper_event("firmware_mod", covert=True)
         result = handshake(0.0, a, b, registry, rng, itertools.count())
         assert result.reason is HandshakeReject.FIRMWARE_MISMATCH
         lic = IssuerState(regulator).issue(b.device_id, {MeterResource.CLOCK_CYCLES: 10**6})
-        assert install(b.chip, lic).accepted
-        assert b.chip.consume(MeterResource.CLOCK_CYCLES, 1000) is ConsumeResult.THROTTLED
-        assert b.chip.meter_value(MeterResource.CLOCK_CYCLES) == 0
+        assert install(b, lic).accepted
+        assert b.consume(MeterResource.CLOCK_CYCLES, 1000) is ConsumeResult.THROTTLED
+        assert b.meter_value(MeterResource.CLOCK_CYCLES) == 0
 
     def test_member_replacement_via_manifest_reissue(self, world):
-        rng, regulator, registry, nodes = world
-        ids = sorted(nodes)
+        rng, regulator, registry, chips = world
+        ids = sorted(chips)
         a, b, c = ids[:3]
         first = issue_manifest(
             regulator, "pod-1",
-            {a: nodes[a].chip.firmware_hash, b: nodes[b].chip.firmware_hash},
+            {a: chips[a].firmware_hash, b: chips[b].firmware_hash},
             manifest_epoch=0,
         )
-        assert adopt_manifest(nodes[a], first)
+        assert adopt_manifest(chips[a], first)
         # Device b breaks; the regulator re-issues with c in its place.
         replacement = issue_manifest(
             regulator, "pod-1",
-            {a: nodes[a].chip.firmware_hash, c: nodes[c].chip.firmware_hash},
+            {a: chips[a].firmware_hash, c: chips[c].firmware_hash},
             manifest_epoch=1,
         )
-        assert adopt_manifest(nodes[a], replacement)
-        assert not adopt_manifest(nodes[a], first)  # stale epoch rejected
-        assert adopt_manifest(nodes[b], first) and adopt_manifest(nodes[c], replacement)
+        assert adopt_manifest(chips[a], replacement)
+        assert not adopt_manifest(chips[a], first)  # stale epoch rejected
+        assert adopt_manifest(chips[b], first) and adopt_manifest(chips[c], replacement)
         session_ids = itertools.count()
-        assert handshake(0.0, nodes[a], nodes[c], registry, rng, session_ids).accepted
-        rejected = handshake(1.0, nodes[a], nodes[b], registry, rng, session_ids)
+        assert handshake(0.0, chips[a], chips[c], registry, rng, session_ids).accepted
+        rejected = handshake(1.0, chips[a], chips[b], registry, rng, session_ids)
         assert rejected.reason is HandshakeReject.NOT_IN_POD
 
     def test_stale_manifest_epoch_refused_without_verify(self, world, crypto_calls):
-        rng, regulator, _, nodes = world
-        ids = sorted(nodes)
-        node = nodes[ids[0]]
-        members = {i: nodes[i].chip.firmware_hash for i in ids[:2]}
+        rng, regulator, _, chips = world
+        ids = sorted(chips)
+        chip = chips[ids[0]]
+        members = {i: chips[i].firmware_hash for i in ids[:2]}
         current = issue_manifest(regulator, "pod-1", members, manifest_epoch=3)
-        assert adopt_manifest(node, current)
+        assert adopt_manifest(chip, current)
         crypto_calls.update(verify=0)
         for stale_epoch in (0, 3):
-            grown = {**members, ids[2]: nodes[ids[2]].chip.firmware_hash}
+            grown = {**members, ids[2]: chips[ids[2]].firmware_hash}
             stale = issue_manifest(regulator, "pod-1", grown, manifest_epoch=stale_epoch)
-            assert adopt_manifest(node, stale) is False
+            assert adopt_manifest(chip, stale) is False
         assert crypto_calls["verify"] == 0
         rogue = canon.generate_keypair(rng.randbytes(32))
         forged = issue_manifest(rogue, "pod-1", members, manifest_epoch=4)
-        assert adopt_manifest(node, forged) is False
-        assert crypto_calls["verify"] == len(node.chip.identity.issuer_keys)
-        assert node.pod_manifest == PodManifest(**MANIFEST.decode(current)[0])
+        assert adopt_manifest(chip, forged) is False
+        assert crypto_calls["verify"] == len(chip.identity.issuer_keys)
+        assert chip.pod_manifest == PodManifest(**MANIFEST.decode(current)[0])
 
     def test_unsigned_manifest_rejected(self, world):
-        rng, regulator, registry, nodes = world
-        ids = sorted(nodes)
+        rng, regulator, registry, chips = world
+        ids = sorted(chips)
         rogue = canon.generate_keypair(rng.randbytes(32))
         forged = issue_manifest(rogue, "pod-x",
-                                {ids[0]: nodes[ids[0]].chip.firmware_hash},
+                                {ids[0]: chips[ids[0]].firmware_hash},
                                 manifest_epoch=5)
-        assert not adopt_manifest(nodes[ids[0]], forged)
+        assert not adopt_manifest(chips[ids[0]], forged)
 
     @pytest.mark.parametrize("outsider_first", [False, True])
     def test_member_that_refused_a_forged_manifest_does_not_admit_the_outsider(
             self, world, outsider_first):
-        rng, regulator, registry, nodes = world
-        ids = sorted(nodes)
-        member, outsider = nodes[ids[0]], nodes[ids[2]]
-        pod = {i: nodes[i].chip.firmware_hash for i in ids[:2]}
+        rng, regulator, registry, chips = world
+        ids = sorted(chips)
+        member, outsider = chips[ids[0]], chips[ids[2]]
+        pod = {i: chips[i].firmware_hash for i in ids[:2]}
         genuine = issue_manifest(regulator, "pod-1", pod, manifest_epoch=0)
         assert adopt_manifest(member, genuine)
         assert apply_cap_update(outsider, issue_cap_policy(regulator, cap=4, cap_epoch=0))
         rogue = canon.generate_keypair(rng.randbytes(32))
         forged = issue_manifest(rogue, "pod-1",
-                                {**pod, outsider.device_id: outsider.chip.firmware_hash},
+                                {**pod, outsider.device_id: outsider.firmware_hash},
                                 manifest_epoch=1)
         assert not adopt_manifest(member, forged)
         pair = (outsider, member) if outsider_first else (member, outsider)
@@ -222,11 +212,11 @@ class TestPodRegime:
         assert not member.sessions
 
     def test_member_that_adopted_no_manifest_is_refused(self, world, crypto_calls):
-        rng, regulator, registry, nodes = world
-        ids = sorted(nodes)
-        a, b = nodes[ids[0]], nodes[ids[1]]
+        rng, regulator, registry, chips = world
+        ids = sorted(chips)
+        a, b = chips[ids[0]], chips[ids[1]]
         manifest = issue_manifest(regulator, "pod-1",
-                                  {i: nodes[i].chip.firmware_hash for i in ids[:2]},
+                                  {i: chips[i].firmware_hash for i in ids[:2]},
                                   manifest_epoch=0)
         assert adopt_manifest(a, manifest)  # b is listed but holds no manifest
         crypto_calls.update(verify=0, sign=0)
@@ -237,69 +227,68 @@ class TestPodRegime:
         assert not a.sessions and not b.sessions
 
     def test_forged_identity_rejected(self, world):
-        rng, regulator, registry, nodes = world
-        ids = sorted(nodes)
+        rng, regulator, registry, chips = world
+        ids = sorted(chips)
         a, victim = ids[:2]
         manifest = issue_manifest(
             regulator, "pod-1",
-            {a: nodes[a].chip.firmware_hash, victim: nodes[victim].chip.firmware_hash},
+            {a: chips[a].firmware_hash, victim: chips[victim].firmware_hash},
             manifest_epoch=0,
         )
         # Impersonator claims the victim's device id with its own keypair.
-        imposter_chip = ChipState(
+        imposter = ChipState(
             DeviceIdentity(
                 device_id=victim,
                 keypair=canon.generate_keypair(rng.randbytes(32)),
                 issuer_keys=frozenset({regulator.public_bytes}),
             )
         )
-        imposter = ClusterNode(chip=imposter_chip)
-        for node in (nodes[a], imposter):
-            assert adopt_manifest(node, manifest)
-        result = handshake(0.0, nodes[a], imposter, registry, rng, itertools.count())
+        for chip in (chips[a], imposter):
+            assert adopt_manifest(chip, manifest)
+        result = handshake(0.0, chips[a], imposter, registry, rng, itertools.count())
         assert result.reason is HandshakeReject.BAD_AUTH
 
     @pytest.mark.parametrize("imposter_first", [False, True])
     def test_imposter_with_wrong_firmware_cannot_disable_members(self, world,
                                                                  imposter_first):
-        rng, regulator, registry, nodes = world
-        ids = sorted(nodes)
+        rng, regulator, registry, chips = world
+        ids = sorted(chips)
         a, victim = ids[:2]
         manifest = issue_manifest(
             regulator, "pod-1",
-            {a: nodes[a].chip.firmware_hash, victim: nodes[victim].chip.firmware_hash},
+            {a: chips[a].firmware_hash, victim: chips[victim].firmware_hash},
             manifest_epoch=0,
         )
-        imposter = ClusterNode(chip=ChipState(DeviceIdentity(
+        imposter = ChipState(DeviceIdentity(
             device_id=victim,
             keypair=canon.generate_keypair(rng.randbytes(32)),
             issuer_keys=frozenset({regulator.public_bytes}),
-        )))
-        imposter.chip.firmware_hash = hashlib.sha256(b"patched").digest()
-        for node in (nodes[a], imposter):
-            assert adopt_manifest(node, manifest)
-        pair = (imposter, nodes[a]) if imposter_first else (nodes[a], imposter)
+        ))
+        imposter.firmware_hash = hashlib.sha256(b"patched").digest()
+        for chip in (chips[a], imposter):
+            assert adopt_manifest(chip, manifest)
+        pair = (imposter, chips[a]) if imposter_first else (chips[a], imposter)
         result = handshake(0.0, *pair, registry, rng, itertools.count())
         # Authentication fails before the firmware check can run.
         assert result.reason is HandshakeReject.BAD_AUTH
-        assert not nodes[a].chip.self_disabled
-        assert not nodes[victim].chip.self_disabled
-        assert not imposter.chip.self_disabled
+        assert not chips[a].self_disabled
+        assert not chips[victim].self_disabled
+        assert not imposter.self_disabled
 
     def test_forged_handshake_fuzz_zero_successes(self, world):
-        rng, regulator, registry, nodes = world
-        ids = sorted(nodes)
-        honest = nodes[ids[0]]
-        adopt_caps(regulator, nodes, cap=64)
+        rng, regulator, registry, chips = world
+        ids = sorted(chips)
+        honest = chips[ids[0]]
+        adopt_caps(regulator, chips, cap=64)
         session_ids = itertools.count()
         successes = 0
         for trial in range(1000):
             victim = rng.choice(ids[1:])
-            imposter = ClusterNode(chip=ChipState(DeviceIdentity(
+            imposter = ChipState(DeviceIdentity(
                 device_id=victim,
                 keypair=canon.generate_keypair(rng.randbytes(32)),
                 issuer_keys=frozenset({regulator.public_bytes}),
-            )))
+            ))
             imposter.cap_policy = honest.cap_policy
             result = handshake(float(trial), honest, imposter, registry, rng, session_ids)
             successes += result.accepted
@@ -308,85 +297,84 @@ class TestPodRegime:
 
 class TestCapRegime:
     def test_cap_boundary(self, world):
-        rng, regulator, registry, nodes = world
-        adopt_caps(regulator, nodes, cap=2)
-        ids = sorted(nodes)
-        hub = nodes[ids[0]]
+        rng, regulator, registry, chips = world
+        adopt_caps(regulator, chips, cap=2)
+        ids = sorted(chips)
+        hub = chips[ids[0]]
         session_ids = itertools.count()
-        first = handshake(0.0, hub, nodes[ids[1]], registry, rng, session_ids)
-        second = handshake(1.0, hub, nodes[ids[2]], registry, rng, session_ids)
+        first = handshake(0.0, hub, chips[ids[1]], registry, rng, session_ids)
+        second = handshake(1.0, hub, chips[ids[2]], registry, rng, session_ids)
         assert (first.session.session_id, second.session.session_id) == (0, 1)
-        assert first.session.ends == (hub, nodes[ids[1]])
+        assert first.session.ends == (hub, chips[ids[1]])
         assert held_by_both_ends(first.session) and held_by_both_ends(second.session)
-        # A session equals only itself, and its repr stops where it meets itself
-        # again through its ends.
+        # A session equals only itself, and its repr terminates although its
+        # ends hold it in their own session tables.
         twin = Session(first.session.session_id, first.session.ends, first.session.established_at)
         assert first.session == first.session and first.session != twin
-        assert "sessions={0: ..." in repr(first.session)
-        assert repr(hub).startswith("ClusterNode(")
-        third = handshake(2.0, hub, nodes[ids[3]], registry, rng, session_ids)
+        assert repr(first.session).startswith("Session(session_id=0, ends=(")
+        third = handshake(2.0, hub, chips[ids[3]], registry, rng, session_ids)
         assert third.reason is HandshakeReject.CAP_EXCEEDED
         # A refused handshake takes no id: the next session is still number 2.
-        fourth = handshake(3.0, nodes[ids[3]], nodes[ids[4]], registry, rng, session_ids)
+        fourth = handshake(3.0, chips[ids[3]], chips[ids[4]], registry, rng, session_ids)
         assert fourth.session.session_id == 2
         # Tearing a session down removes it from both ends and frees its slot.
         teardown(first.session)
         assert held_by_neither_end(first.session)
-        assert hub.open_session_count() == 1 and nodes[ids[1]].open_session_count() == 0
-        assert handshake(4.0, hub, nodes[ids[5]], registry, rng, session_ids).accepted
+        assert len(hub.sessions) == 1 and len(chips[ids[1]].sessions) == 0
+        assert handshake(4.0, hub, chips[ids[5]], registry, rng, session_ids).accepted
 
     def test_no_adopted_policy_denies(self, world):
-        rng, _, registry, nodes = world
-        ids = sorted(nodes)
-        result = handshake(0.0, nodes[ids[0]], nodes[ids[1]], registry, rng,
+        rng, _, registry, chips = world
+        ids = sorted(chips)
+        result = handshake(0.0, chips[ids[0]], chips[ids[1]], registry, rng,
                            itertools.count())
         assert result.reason is HandshakeReject.CAP_EXCEEDED
 
     @pytest.mark.parametrize("cap", [0, 1])
     def test_full_endpoint_refuses_before_any_signature(self, world, crypto_calls, cap):
-        rng, regulator, registry, nodes = world
-        adopt_caps(regulator, nodes, cap=cap)
-        ids = sorted(nodes)
-        hub = nodes[ids[0]]
+        rng, regulator, registry, chips = world
+        adopt_caps(regulator, chips, cap=cap)
+        ids = sorted(chips)
+        hub = chips[ids[0]]
         session_ids = itertools.count()
         if cap:
-            assert handshake(0.0, hub, nodes[ids[1]], registry, rng, session_ids).accepted
+            assert handshake(0.0, hub, chips[ids[1]], registry, rng, session_ids).accepted
         crypto_calls.update(verify=0, sign=0)
         expected_rng = random.Random()
         expected_rng.setstate(rng.getstate())
         expected_rng.randbytes(32)  # both nonces are drawn whichever check rejects
-        for a, b in ((hub, nodes[ids[2]]), (nodes[ids[2]], hub)):
+        for a, b in ((hub, chips[ids[2]]), (chips[ids[2]], hub)):
             result = handshake(1.0, a, b, registry, rng, session_ids)
             assert result.reason is HandshakeReject.CAP_EXCEEDED
             assert rng.getstate() == expected_rng.getstate()
             expected_rng.randbytes(32)
         assert crypto_calls == {"verify": 0, "sign": 0}
         if cap:  # an admitted handshake still authenticates both ways
-            assert handshake(2.0, nodes[ids[2]], nodes[ids[3]], registry, rng,
+            assert handshake(2.0, chips[ids[2]], chips[ids[3]], registry, rng,
                              session_ids).accepted
             assert crypto_calls == {"verify": 2, "sign": 2}
 
     def test_stale_epoch_refused_without_verify(self, world, crypto_calls):
-        rng, regulator, _, nodes = world
-        node = nodes[sorted(nodes)[0]]
-        assert apply_cap_update(node, issue_cap_policy(regulator, cap=4, cap_epoch=3))
+        rng, regulator, _, chips = world
+        chip = chips[sorted(chips)[0]]
+        assert apply_cap_update(chip, issue_cap_policy(regulator, cap=4, cap_epoch=3))
         crypto_calls.update(verify=0)
         for stale_epoch in (0, 3):
             stale = issue_cap_policy(regulator, cap=64, cap_epoch=stale_epoch)
-            assert not apply_cap_update(node, stale)
+            assert not apply_cap_update(chip, stale)
         assert crypto_calls["verify"] == 0
         rogue = canon.generate_keypair(rng.randbytes(32))
         forged = issue_cap_policy(rogue, cap=64, cap_epoch=4)
-        assert not apply_cap_update(node, forged)
-        assert crypto_calls["verify"] == len(node.chip.identity.issuer_keys)
-        assert node.adopted_cap() == 4
-        assert node.cap_policy.cap_epoch == 3
+        assert not apply_cap_update(chip, forged)
+        assert crypto_calls["verify"] == len(chip.identity.issuer_keys)
+        assert chip.adopted_cap() == 4
+        assert chip.cap_policy.cap_epoch == 3
 
     @pytest.mark.parametrize("period", [0.0, -1.0, math.inf])
     def test_unschedulable_period_refused_without_verify(self, world, crypto_calls, period):
-        _, regulator, _, nodes = world
-        ids = sorted(nodes)
-        adopted, fresh = nodes[ids[0]], nodes[ids[1]]
+        _, regulator, _, chips = world
+        ids = sorted(chips)
+        adopted, fresh = chips[ids[0]], chips[ids[1]]
         adopt_caps(regulator, {ids[0]: adopted}, cap=4, check_period_ms=100.0)
         before = adopted.cap_policy
         crypto_calls.update(verify=0)
@@ -400,42 +388,42 @@ class TestCapRegime:
         assert run_due_checks(fresh, 1000.0) == []
 
     def test_unsigned_cap_raise_rejected(self, world):
-        rng, regulator, registry, nodes = world
-        adopt_caps(regulator, nodes, cap=2)
-        node = nodes[sorted(nodes)[0]]
+        rng, regulator, registry, chips = world
+        adopt_caps(regulator, chips, cap=2)
+        chip = chips[sorted(chips)[0]]
         rogue = canon.generate_keypair(rng.randbytes(32))
         forged = issue_cap_policy(rogue, cap=64, cap_epoch=5)
-        assert not apply_cap_update(node, forged)
-        assert node.adopted_cap() == 2
+        assert not apply_cap_update(chip, forged)
+        assert chip.adopted_cap() == 2
 
     def test_replayed_lower_epoch_rejected(self, world):
-        _, regulator, registry, nodes = world
-        node = nodes[sorted(nodes)[0]]
+        _, regulator, registry, chips = world
+        chip = chips[sorted(chips)[0]]
         old = issue_cap_policy(regulator, cap=16, cap_epoch=0)
         new = issue_cap_policy(regulator, cap=4, cap_epoch=1)
-        assert apply_cap_update(node, old)
-        assert apply_cap_update(node, new)
-        assert not apply_cap_update(node, old)
-        assert node.adopted_cap() == 4
+        assert apply_cap_update(chip, old)
+        assert apply_cap_update(chip, new)
+        assert not apply_cap_update(chip, old)
+        assert chip.adopted_cap() == 4
 
     def test_lowering_tears_down_newest_first_within_one_period(self, world):
-        rng, regulator, registry, nodes = world
-        ids = sorted(nodes)
-        hub = nodes[ids[0]]
-        adopt_caps(regulator, nodes, cap=16, check_period_ms=100.0)
+        rng, regulator, registry, chips = world
+        ids = sorted(chips)
+        hub = chips[ids[0]]
+        adopt_caps(regulator, chips, cap=16, check_period_ms=100.0)
         session_ids = itertools.count()
         sessions = []
         for i, peer in enumerate(ids[1:6]):
-            result = handshake(float(i), hub, nodes[peer], registry, rng, session_ids)
+            result = handshake(float(i), hub, chips[peer], registry, rng, session_ids)
             sessions.append(result.session)
-        assert hub.open_session_count() == 5
+        assert len(hub.sessions) == 5
 
         lowered = issue_cap_policy(regulator, cap=2, cap_epoch=1, check_period_ms=100.0)
         assert apply_cap_update(hub, lowered)
-        assert hub.open_session_count() == 5  # grace until the next check
+        assert len(hub.sessions) == 5  # grace until the next check
 
         closed = run_due_checks(hub, 110.0)
-        assert hub.open_session_count() == 2
+        assert len(hub.sessions) == 2
         assert len(closed) == 3
         closed_ids = {s.session_id for s in closed}
         newest_three = {s.session_id for s in sorted(sessions, key=lambda s: -s.established_at)[:3]}
@@ -446,18 +434,18 @@ class TestCapRegime:
 
 
     def test_run_due_checks_executes_on_schedule(self, world):
-        rng, regulator, registry, nodes = world
-        ids = sorted(nodes)
-        hub = nodes[ids[0]]
-        adopt_caps(regulator, nodes, cap=8, check_period_ms=100.0)
+        rng, regulator, registry, chips = world
+        ids = sorted(chips)
+        hub = chips[ids[0]]
+        adopt_caps(regulator, chips, cap=8, check_period_ms=100.0)
         session_ids = itertools.count()
         for i, peer in enumerate(ids[1:5]):
-            handshake(float(i), hub, nodes[peer], registry, rng, session_ids)
+            handshake(float(i), hub, chips[peer], registry, rng, session_ids)
         lowered = issue_cap_policy(regulator, cap=1, cap_epoch=1, check_period_ms=100.0)
         apply_cap_update(hub, lowered)
         # Jump far ahead; the backlog of check instants still runs punctually.
         closed = run_due_checks(hub, 1000.0)
-        assert hub.open_session_count() == 1
+        assert len(hub.sessions) == 1
         assert len(closed) == 3
         assert hub.last_check_ms == 1000.0
 
@@ -470,7 +458,9 @@ class TestCapPolicySignature:
     CHIP = provision_chip(_rng, frozenset({REGULATOR.public_bytes}))
 
     def _adopts(self, wire: bytes) -> bool:
-        return apply_cap_update(ClusterNode(chip=self.CHIP), wire)
+        # A fresh chip each time: one that adopted a policy refuses any later
+        # one whose epoch is not greater.
+        return apply_cap_update(ChipState(self.CHIP.identity), wire)
 
     @staticmethod
     def _forged(policy: bytes, **fields) -> bytes:
@@ -525,7 +515,7 @@ class TestChurnLoop:
 
     def test_unenforced_cap_is_seen_as_violations(self, monkeypatch):
         # The enforced run has none: test_acceptance's cap-safety criterion.
-        monkeypatch.setattr(cluster, "_enforce_cap", lambda node: [])
+        monkeypatch.setattr(cluster, "_enforce_cap", lambda chip: [])
         result = run_cluster_section(self.SECTION, seed=4)
         summary = next(r for r in result.records if r["event"] == "churn_summary")
         assert summary["lowerings"] == 3
@@ -556,7 +546,7 @@ class TestChurnLoop:
 
 
 def transfer(
-    now_ms: float, session: Session, a: ClusterNode, b: ClusterNode, n_bytes: int
+    now_ms: float, session: Session, a: ChipState, b: ChipState, n_bytes: int
 ) -> DataEvent:
     """Direct-interconnect reference path that bridge transfers are compared with."""
     if not held_by_both_ends(session):
@@ -564,17 +554,17 @@ def transfer(
     if n_bytes < 0:
         raise ValueError("transfer size must be nonnegative")
     transit = n_bytes / DIRECT_INTERCONNECT_BYTES_PER_MS
-    a.chip.consume(MeterResource.INTERCONNECT_TRANSFER_BYTES, n_bytes)
-    b.chip.consume(MeterResource.INTERCONNECT_TRANSFER_BYTES, n_bytes)
+    a.consume(MeterResource.INTERCONNECT_TRANSFER_BYTES, n_bytes)
+    b.consume(MeterResource.INTERCONNECT_TRANSFER_BYTES, n_bytes)
     return DataEvent(now_ms, a.device_id, b.device_id, n_bytes, transit)
 
 
 class TestTransfers:
     def _pair(self, world):
-        rng, regulator, registry, nodes = world
-        adopt_caps(regulator, nodes, cap=8)
-        ids = sorted(nodes)
-        a, b = nodes[ids[0]], nodes[ids[1]]
+        rng, regulator, registry, chips = world
+        adopt_caps(regulator, chips, cap=8)
+        ids = sorted(chips)
+        a, b = chips[ids[0]], chips[ids[1]]
         session = handshake(0.0, a, b, registry, rng, itertools.count()).session
         return a, b, session
 
@@ -588,30 +578,39 @@ class TestTransfers:
     def test_meters_reflect_bytes_on_both_endpoints(self, world):
         a, b, _ = self._pair(world)
         bridge_transfer(0.0, a, b, 12345)
-        assert a.chip.meter_value(MeterResource.PCIE_TRANSFER_BYTES) == 12345
-        assert b.chip.meter_value(MeterResource.PCIE_TRANSFER_BYTES) == 12345
+        assert a.meter_value(MeterResource.PCIE_TRANSFER_BYTES) == 12345
+        assert b.meter_value(MeterResource.PCIE_TRANSFER_BYTES) == 12345
 
     def test_zero_byte_bridge_leaves_meters_unchanged(self, world):
         a, b, _ = self._pair(world)
         bridge_transfer(0.0, a, b, 0)
-        assert a.chip.meter_value(MeterResource.PCIE_TRANSFER_BYTES) == 0
+        assert a.meter_value(MeterResource.PCIE_TRANSFER_BYTES) == 0
 
     def test_disabled_sender_bridges_nothing(self, world):
-        a, b, _ = self._pair(world)
-        a.disable()
+        rng, regulator, registry, _ = world
+        a, b, session = self._pair(world)
+        # a adopts a manifest of the genuine firmware, then fails it at its next handshake.
+        manifest = issue_manifest(regulator, "pod-1",
+                                  {n.device_id: n.firmware_hash for n in (a, b)},
+                                  manifest_epoch=0)
+        assert adopt_manifest(a, manifest)
+        a.tamper_event("firmware_mod", covert=True)
+        result = handshake(1.0, a, b, registry, rng, itertools.count(1))
+        assert result.reason is HandshakeReject.FIRMWARE_MISMATCH
+        assert a.self_disabled and held_by_neither_end(session)
         assert bridge_transfer(0.0, a, b, 10**9) is None
-        assert [n.chip.meter_value(MeterResource.PCIE_TRANSFER_BYTES) for n in (a, b)] == [0, 0]
+        assert [n.meter_value(MeterResource.PCIE_TRANSFER_BYTES) for n in (a, b)] == [0, 0]
 
     def test_sender_at_its_pcie_quota_bridges_nothing_more(self, world):
         _, regulator, _, _ = world
         a, b, _ = self._pair(world)
         issuer = IssuerState(regulator)  # the key every world chip enrolled
-        assert install(a.chip, issuer.issue(a.device_id,
-                                            {MeterResource.PCIE_TRANSFER_BYTES: 10})).accepted
+        assert install(a, issuer.issue(a.device_id,
+                                       {MeterResource.PCIE_TRANSFER_BYTES: 10})).accepted
         assert bridge_transfer(0.0, a, b, 10**9) is None  # would cross the quota
         assert bridge_transfer(0.0, a, b, 10).n_bytes == 10
         assert bridge_transfer(0.0, a, b, 1) is None  # the quota is reached
-        assert [n.chip.meter_value(MeterResource.PCIE_TRANSFER_BYTES) for n in (a, b)] == [10, 10]
+        assert [n.meter_value(MeterResource.PCIE_TRANSFER_BYTES) for n in (a, b)] == [10, 10]
 
 
 class TestCrossPodDetector:

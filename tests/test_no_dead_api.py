@@ -7,6 +7,9 @@ Comments and plain strings do not count as uses; f-string expressions do.
 
 Likewise every parameter of a src/ function or method is read in its body:
 a parameter that nothing reads is API a caller must fill in for nothing.
+And every record field, a `@dataclass` field or an attribute that `__init__`
+sets on `self`, is read as an attribute somewhere in src/: a field that
+nothing reads is state every constructor fills in for nothing.
 """
 
 import ast
@@ -114,3 +117,99 @@ def test_no_unread_parameter():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         unread.extend(f"{path.name}: {entry}" for entry in _unread_parameters(tree))
     assert unread == [], f"parameters no body reads: {unread}"
+
+
+# Record fields nothing in src/ reads yet, each kept for a stated reason.
+ALLOWED_FIELDS = {
+    "AttackOutcome.evidence": "ROADMAP item 6 writes each row's evidence out to the report",
+    "AttestReport.incomplete": "ROADMAP item 1's verdict reads it to refuse a partial report",
+    "DescentResult.converged": "ROADMAP item 6 can record it in each descent_trial",
+}
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+               and d.func.id == "dataclass" for d in node.decorator_list)
+
+
+def _record_fields(tree: ast.Module) -> list[str]:
+    """`Class.field` for each field of a module-level class.
+
+    A dataclass's fields are its annotated class attributes; any class's
+    fields include what its `__init__` assigns to `self`. The records that
+    `canon.Doc.record` builds are not class statements, so they are not
+    scanned: their fields are a signed document's wire format.
+    """
+    fields = []
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        if _is_dataclass(node):
+            fields.extend(f"{node.name}.{item.target.id}" for item in node.body
+                          if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name))
+        for item in node.body:
+            if isinstance(item, ast.FunctionDef) and item.name == "__init__":
+                fields.extend(f"{node.name}.{n.attr}" for n in ast.walk(item)
+                              if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+                              and isinstance(n.value, ast.Name) and n.value.id == "self")
+    return fields
+
+
+def _attribute_reads(tree: ast.Module) -> set[str]:
+    """Names read as `x.name`, an augmented assignment's target included."""
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.add(node.attr)
+        elif isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Attribute):
+            reads.add(node.target.attr)
+    return reads
+
+
+def _unread_fields(sources: list[str]) -> tuple[set[str], set[str]]:
+    """All record fields of `sources`, and those whose name no source reads."""
+    trees = [ast.parse(source) for source in sources]
+    fields = {name for tree in trees for name in _record_fields(tree)}
+    reads = set().union(*(_attribute_reads(tree) for tree in trees))
+    return fields, {name for name in fields if name.split(".", 1)[1] not in reads}
+
+
+def _src_sources() -> list[str]:
+    return [path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))]
+
+
+def test_no_record_field_is_unread():
+    _, unread = _unread_fields(_src_sources())
+    assert unread <= set(ALLOWED_FIELDS), \
+        f"fields no src/ code reads: {sorted(unread - set(ALLOWED_FIELDS))}"
+
+
+def test_field_allowlist_names_unread_fields():
+    fields, unread = _unread_fields(_src_sources())
+    assert set(ALLOWED_FIELDS) <= fields, f"stale entries: {sorted(set(ALLOWED_FIELDS) - fields)}"
+    # A field that src/ now reads has outlived its reason, so it leaves the list.
+    assert set(ALLOWED_FIELDS) <= unread, \
+        f"allowlisted but read in src/: {sorted(set(ALLOWED_FIELDS) - unread)}"
+
+
+def test_unread_field_scan_sees_both_kinds_of_field():
+    source = """
+from dataclasses import dataclass
+
+@dataclass(frozen=True)
+class Record:
+    kept: int
+    dropped: int
+
+class Holder:
+    def __init__(self):
+        self.counter = 0
+        self.stale = None
+
+    def bump(self, record):
+        self.counter += record.kept
+"""
+    fields, unread = _unread_fields([source])
+    assert fields == {"Record.kept", "Record.dropped", "Holder.counter", "Holder.stale"}
+    assert unread == {"Record.dropped", "Holder.stale"}
