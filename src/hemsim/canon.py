@@ -20,6 +20,9 @@ distinct (key, message, signature) costs one ed25519 verification in that
 block. `scenarios.execute_scenario` opens one per execution; outside such a
 block every call verifies. Verification is a pure function of the triple,
 so every caller still gets the answer it would compute itself.
+
+The ed25519 backend (`cryptography`) loads on the first key made or
+signature checked, so a run with no signed section never loads it.
 """
 
 from __future__ import annotations
@@ -30,14 +33,11 @@ import struct
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, make_dataclass
-from functools import cached_property
-from typing import Any, Callable, Iterator, Sequence
+from functools import cache, cached_property
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
-from cryptography.exceptions import InvalidSignature
-from cryptography.hazmat.primitives.asymmetric.ed25519 import (
-    Ed25519PrivateKey,
-    Ed25519PublicKey,
-)
+if TYPE_CHECKING:
+    from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 
 U8_MAX = 2**8 - 1
 U32_MAX = 2**32 - 1
@@ -286,11 +286,22 @@ class KeyPair:
         return self._private.sign(message)
 
 
+@cache
+def _ed25519() -> tuple[type, type, type[Exception]]:
+    """The backend's (private key, public key, invalid signature) types,
+    imported by the first call; later calls import nothing."""
+    from cryptography.exceptions import InvalidSignature
+    from cryptography.hazmat.primitives.asymmetric import ed25519
+
+    return ed25519.Ed25519PrivateKey, ed25519.Ed25519PublicKey, InvalidSignature
+
+
 def generate_keypair(seed: bytes) -> KeyPair:
     """Derive a keypair from 32 seed bytes (deterministic for a fixed seed)."""
     if len(seed) != 32:
         raise ValueError("ed25519 seed must be exactly 32 bytes")
-    private = Ed25519PrivateKey.from_private_bytes(seed)
+    private_key, _, _ = _ed25519()
+    private = private_key.from_private_bytes(seed)
     public = private.public_key().public_bytes_raw()
     return KeyPair(_private=private, public_bytes=public)
 
@@ -326,8 +337,9 @@ def verify(public_bytes: bytes, message: bytes, signature: bytes) -> bool:
 
 
 def _ed25519_verify(public_bytes: bytes, message: bytes, signature: bytes) -> bool:
+    _, public_key, invalid_signature = _ed25519()
     try:
-        Ed25519PublicKey.from_public_bytes(public_bytes).verify(signature, message)
+        public_key.from_public_bytes(public_bytes).verify(signature, message)
         return True
-    except (InvalidSignature, ValueError):
+    except (invalid_signature, ValueError):
         return False

@@ -30,7 +30,7 @@ def verify_calls(monkeypatch):
 def ed25519_verifies(monkeypatch):
     """Record every ed25519 verification actually computed, not answered from a memo."""
     calls = []
-    real_key = canon.Ed25519PublicKey
+    private_key, real_key, invalid_signature = canon._ed25519()
 
     class CountingKey:
         def __init__(self, key):
@@ -44,5 +44,5 @@ def ed25519_verifies(monkeypatch):
             calls.append((signature, message))
             self._key.verify(signature, message)
 
-    monkeypatch.setattr(canon, "Ed25519PublicKey", CountingKey)
+    monkeypatch.setattr(canon, "_ed25519", lambda: (private_key, CountingKey, invalid_signature))
     return calls

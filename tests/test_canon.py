@@ -5,6 +5,7 @@ scoped memo of `canon.verify`."""
 import dataclasses
 import hashlib
 import importlib
+import json
 import math
 import os
 import pkgutil
@@ -207,6 +208,38 @@ def test_import_builds_records_only_for_the_held_kinds():
     out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
                          timeout=60, capture_output=True, text=True, check=True).stdout
     assert out.strip() == str([False, False, True, True, True, True])
+
+
+NETWORK_ONLY = {"name": "network_only", "seed": 1, "network": {"nodes": [
+    {"id": "a", "lat": 0, "lon": 0}, {"id": "b", "lat": 10, "lon": 10}]}}
+
+
+@pytest.mark.parametrize("action, loads", [
+    ("pass", False),
+    ("assert cli.main(['list']) == 0", False),
+    ("assert cli.main(['describe', 'geoloc_cbg']) == 0", False),
+    ("assert cli.main(['run', 'geoloc_cbg', '--out', OUT]) == 0", False),
+    ("assert cli.main(['run', NETWORK_ONLY, '--out', OUT]) == 0", False),
+    ("canon.generate_keypair(bytes(32))", True),
+    ("canon.verify(bytes(32), b'message', bytes(64))", True),
+    ("assert cli.main(['run', 'licensing_basic', '--out', OUT]) == 0", True),
+], ids=["import", "list", "describe", "run_geoloc", "run_network", "generate_keypair", "verify",
+        "run_licensing"])
+def test_ed25519_backend_loads_only_with_the_first_key_or_signature_check(tmp_path, action,
+                                                                          loads):
+    # A fresh interpreter imports every hemsim module, takes one action, and
+    # says whether cryptography was ever imported.
+    network_only = tmp_path / "network_only.json"
+    network_only.write_text(json.dumps(NETWORK_ONLY), encoding="utf-8")
+    src = str(Path(hemsim.__file__).resolve().parents[1])
+    probe = ("import sys\n"
+             "from hemsim import canon, cli, config, scenarios\n"
+             f"OUT, NETWORK_ONLY = {str(tmp_path / 'out')!r}, {str(network_only)!r}\n"
+             f"{action}\n"
+             "print('cryptography' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+                         timeout=60, capture_output=True, text=True, check=True).stdout
+    assert out.splitlines()[-1] == str(loads)
 
 
 U64S = st.integers(0, canon.U64_MAX)
@@ -515,6 +548,12 @@ def flip_bit(data: bytes, bit: int) -> bytes:
     """`data` with bit `bit` (taken modulo its length) flipped."""
     bit %= len(data) * 8
     return (int.from_bytes(data, "little") ^ (1 << bit)).to_bytes(len(data), "little")
+
+
+@pytest.mark.parametrize("size", [0, 31, 33, 64])
+def test_a_seed_of_any_other_length_than_32_bytes_is_refused(size):
+    with pytest.raises(ValueError, match="exactly 32 bytes"):
+        canon.generate_keypair(bytes(size))
 
 
 class TestVerifyMemo:
