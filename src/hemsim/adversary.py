@@ -17,7 +17,6 @@ kernels.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from collections import Counter
@@ -289,7 +288,7 @@ def licensing_meter_rollback(profile, rng) -> dict:
     quota = 10_000
     issuer, chip, lic = _licensed_chip(rng, quota=quota)
     registry = {chip.device_id: chip.public_key}
-    snapshots = [emit_snapshot(chip, 0)]
+    snapshots = [emit_snapshot(chip)]
     true_consumed = 0
     # Burn most of the quota, roll the meter back covertly at seq 4, keep consuming.
     for seq in range(1, 8):
@@ -298,7 +297,7 @@ def licensing_meter_rollback(profile, rng) -> dict:
                               resource=MeterResource.CLOCK_CYCLES, amount=8000)
         elif chip.consume(MeterResource.CLOCK_CYCLES, 3000) is ConsumeResult.APPLIED:
             true_consumed += 3000
-        snapshots.append(emit_snapshot(chip, seq))
+        snapshots.append(emit_snapshot(chip))
     overdraft = max(0, true_consumed - quota)
     report = verify_chain({chip.device_id: snapshots}, registry)
     status = report.device_results[0].status
@@ -366,7 +365,7 @@ def licensing_throttle_bypass(profile, rng) -> dict:
     unlicensed_use = chip.meter_value(MeterResource.CLOCK_CYCLES)
     # The pod integrity check catches the patched firmware at the next
     # handshake against the regulator-signed manifest of genuine hashes.
-    result = handshake(0.0, peer, chip, registry, rng, itertools.count())
+    result = handshake(peer, chip, registry, rng)
     return dict(
         succeeded=unlicensed_use > 0,
         detected=result.reason is HandshakeReject.FIRMWARE_MISMATCH
@@ -395,7 +394,7 @@ def _pod_world(rng, n_chips):
 def cluster_pod_firmware_mod(profile, rng) -> dict:
     _, registry, (a, b) = _pod_world(rng, 2)
     b.tamper_event("firmware_mod", covert=True)
-    result = handshake(0.0, a, b, registry, rng, itertools.count())
+    result = handshake(a, b, registry, rng)
     return dict(
         succeeded=result.accepted,
         detected=result.reason is HandshakeReject.FIRMWARE_MISMATCH and b.self_disabled,
@@ -409,7 +408,7 @@ def cluster_self_disable_relicense(profile, rng) -> dict:
     # A member that caught its own patched firmware is offered a genuine license.
     regulator, registry, (a, b) = _pod_world(rng, 2)
     b.tamper_event("firmware_mod", covert=True)
-    handshake(0.0, a, b, registry, rng, itertools.count())
+    handshake(a, b, registry, rng)
     _require(b.self_disabled, "firmware self-disable")
     lic = IssuerState(regulator).issue(b.device_id, {MeterResource.CLOCK_CYCLES: 10**6})
     _require(install(b, lic).accepted, "genuine license install")
@@ -453,13 +452,31 @@ def cluster_manifest_forge(profile, rng) -> dict:
                             {**pod, outsider.device_id: outsider.firmware_hash},
                             manifest_epoch=1)
     adopted = adopt_manifest(member, forged)
-    result = handshake(0.0, member, outsider, registry, rng, itertools.count())
+    result = handshake(member, outsider, registry, rng)
     return dict(
         succeeded=adopted or result.accepted,
         detected=not adopted and result.reason is HandshakeReject.NOT_IN_POD,
         evidence={"forged_adopted": adopted,
                   "member_epoch": member.pod_manifest.manifest_epoch,
                   "handshake_reason": result.reason.value if result.reason else None},
+    )
+
+
+@attack(expect=(False, True))
+def cluster_cap_overadmission(profile, rng) -> dict:
+    # Any host can ask a hub under a cap of 2 to admit four peers, one after another.
+    regulator, registry, (hub, *peers) = mint_fleet(rng, 5)
+    policy = issue_cap_policy(regulator, cap=2, cap_epoch=0)
+    for chip in (hub, *peers):
+        _require(apply_cap_update(chip, policy), "genuine cap policy adoption")
+    results = [handshake(hub, peer, registry, rng) for peer in peers]
+    admitted = sum(result.accepted for result in results)
+    return dict(
+        succeeded=admitted > hub.adopted_cap(),
+        detected=any(result.reason is HandshakeReject.CAP_EXCEEDED for result in results),
+        evidence={"cap": hub.adopted_cap(), "admitted": admitted,
+                  "reasons": [result.reason.value if result.reason else None
+                              for result in results]},
     )
 
 
@@ -643,6 +660,30 @@ def accounting_meter_tamper(profile, rng) -> dict:
         detected=result.status is DeviceStatus.METER_ROLLBACK,
         evidence={"status": result.status.value,
                   "offending_pair": result.offending_pair,
+                  "true_total": true_total},
+    )
+
+
+@attack(expect=(False, True), required={Capability.COVERT_TAMPER})
+def accounting_rollback_withhold(profile, rng) -> dict:
+    # The host rolls the meter back covertly and holds back the snapshot that
+    # saw it before; the chip still numbers the next snapshot itself.
+    _, registry, (chip,) = mint_fleet(rng, 1)
+    true_total = 4 * 10**6
+    first = emit_snapshot(chip)
+    chip.consume(MeterResource.FLOAT_OPS, true_total)
+    emit_snapshot(chip)  # withheld
+    chip.tamper_event("meter_rollback", covert=True,
+                      resource=MeterResource.FLOAT_OPS, amount=3 * 10**6)
+    report = verify_chain({chip.device_id: [first, emit_snapshot(chip)]}, registry)
+    result = report.device_results[0]
+    return dict(
+        succeeded=result.status is DeviceStatus.VERIFIED
+        and report.totals[MeterResource.FLOAT_OPS] < true_total,
+        detected=result.status is DeviceStatus.SEQUENCE_GAP,
+        evidence={"status": result.status.value,
+                  "offending_pair": result.offending_pair,
+                  "verified_total": report.totals[MeterResource.FLOAT_OPS],
                   "true_total": true_total},
     )
 

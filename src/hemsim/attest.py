@@ -1,9 +1,9 @@
 """Verifiable compute accounting and heuristic workload classification.
 
 Chips periodically emit signed snapshots of their cumulative meters as wire
-bytes; the verifier decodes each, checks signatures against the registry,
-requires gapless strictly increasing sequence numbers, and requires meters
-never to step backwards.
+bytes, each numbered by the chip's own counter; the verifier decodes each,
+checks signatures against the registry, requires gapless strictly increasing
+sequence numbers, and requires meters never to step backwards.
 Totals are exact deltas (final minus initial) per device, summed per
 resource, and compared against a reporting threshold.
 
@@ -35,11 +35,14 @@ DEFAULT_SNAPSHOT_PERIOD_MS = 600_000.0  # ten simulated minutes
 DESK_SCALE_THRESHOLD_OPS = 10**9
 
 
-def emit_snapshot(chip: ChipState, sequence_no: int) -> bytes:
-    """Sign the chip's current meters; returns wire bytes. Refused when zeroized."""
-    return SNAPSHOT.wire(chip.sign, device_id=chip.device_id,
-                         sequence_no=sequence_no, rtc_time_ms=int(chip.rtc_read()),
+def emit_snapshot(chip: ChipState) -> bytes:
+    """Sign the chip's current meters under its next sequence number; returns
+    wire bytes. Refused when zeroized, and a refusal uses up no number."""
+    wire = SNAPSHOT.wire(chip.sign, device_id=chip.device_id,
+                         sequence_no=chip.next_sequence_no, rtc_time_ms=int(chip.rtc_read()),
                          meters=chip.meters.volatile)
+    chip.next_sequence_no += 1
+    return wire
 
 
 class DeviceStatus(Enum):
@@ -154,12 +157,12 @@ def covert_rollback_chain(rng: random.Random) -> tuple[AttestReport, int]:
     """
     _, registry, (chip,) = mint_fleet(rng, 1)
     snapshots = []
-    for seq in range(4):
+    for _ in range(4):
         chip.consume(MeterResource.FLOAT_OPS, 10**6)
-        snapshots.append(emit_snapshot(chip, seq))
+        snapshots.append(emit_snapshot(chip))
     chip.tamper_event("meter_rollback", covert=True,
                       resource=MeterResource.FLOAT_OPS, amount=2 * 10**6)
-    snapshots.append(emit_snapshot(chip, 4))
+    snapshots.append(emit_snapshot(chip))
     return verify_chain({chip.device_id: snapshots}, registry), 4 * 10**6
 
 

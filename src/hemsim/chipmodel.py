@@ -2,11 +2,11 @@
 
 The chip is modeled behaviorally: a tamper-scoped identity that signs
 canonical payloads, cumulative activity meters with three power-loss
-persistence designs, a write-through last-license-id counter, a real-time
-clock with optional drift, throttle state, and a zeroization response.
-A `ChipState` also holds what it has verified and adopted itself: its
-installed license, its pod manifest and cap policy with that policy's
-check clock, and the cluster sessions it holds open (see `cluster`).
+persistence designs, write-through counters of the last license id and the
+next snapshot number, a real-time clock with optional drift, throttle state,
+and a zeroization response. A `ChipState` also holds what it has verified
+and adopted itself: its installed license, its pod manifest and cap policy
+with that policy's check clock, and its open sessions (see `cluster`).
 `ChipState.consume`, the one path by which work runs, enforces the throttle,
 refuses whole any request that would cross an installed license quota, and
 refuses everything once the chip has disabled itself over its own firmware.
@@ -180,8 +180,9 @@ class ChipState:
         self.identity = identity
         self.meters = MeterBank(policy or PersistencePolicy(PolicyKind.CAPACITOR_FLUSH))
         self.rtc = rtc or RtcClock()
-        # Stored in a write-through monotonic counter: exact across power loss.
+        # Stored in write-through monotonic counters: exact across power loss.
         self.last_license_id: int = -1
+        self.next_sequence_no: int = 0  # numbers the chip's own meter snapshots
         self.active_license = None  # the installed `licensing.License`, once there is one
         self.license_baseline: dict[MeterResource, int] = {r: 0 for r in MeterResource}
         self.throttle = ThrottleLevel.DISABLED  # default-deny until licensed
@@ -195,7 +196,7 @@ class ChipState:
         self.pod_manifest = None  # the adopted `cluster.PodManifest`, once there is one
         self.cap_policy = None  # the adopted `cluster.CapPolicy`, once there is one
         self.last_check_ms: float = 0.0  # the cap policy's check clock
-        self.sessions: dict = {}  # session_id -> the open `cluster.Session`
+        self.sessions: dict = {}  # the open `cluster.Session`s, in admission order
 
     @property
     def device_id(self) -> int:

@@ -7,9 +7,10 @@ pod membership with firmware integrity (fixed set), or a regulator-signed
 cap on concurrently authenticated peers (adjustable cap). A chip's regime is
 what it has itself verified and adopted from wire bytes - a pod manifest
 (`adopt_manifest`), a cap policy (`apply_cap_update`), or both - and each
-endpoint of a handshake enforces its own; the caller passes no regime. A
-`Session` holds its two chips as its ends and is open while both hold it
-in their `sessions` tables, so closing one needs nothing but the session.
+endpoint of a handshake enforces its own; the caller passes no regime, and
+no session id or time. A `Session` holds its two chips as its ends and is
+open while both hold it in their `sessions` tables, kept in admission order,
+so closing one needs nothing but the session.
 The module also models the two circumvention routes named for these regimes -
 PCIe-bridged transfers through a host, and gradient smuggling between pods
 - plus an offline detector that flags periodic inter-pod traffic.
@@ -21,7 +22,7 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Optional
 
 from . import canon
 from .chipmodel import (
@@ -74,11 +75,10 @@ def issue_cap_policy(
 @dataclass(eq=False)
 class Session:
     """A mutually authenticated link, open while both `ends` hold it. Equal
-    only to itself: the ends refer back to it."""
+    only to itself: the ends key their tables by it, so two sessions between
+    the same chips are two entries."""
 
-    session_id: int
     ends: tuple[ChipState, ChipState]
-    established_at: float
 
 
 @dataclass(frozen=True)
@@ -120,14 +120,8 @@ def _auth_ok(signer: ChipState, peer_nonce: bytes, peer_id: int, registry: Regis
     return canon.verify(registered, message, signature)
 
 
-def handshake(
-    now_ms: float,
-    a: ChipState,
-    b: ChipState,
-    registry: Registry,
-    rng: random.Random,
-    session_ids: Iterator[int],
-) -> HandshakeResult:
+def handshake(a: ChipState, b: ChipState, registry: Registry,
+              rng: random.Random) -> HandshakeResult:
     """Mutual challenge-response; each endpoint admits under its own regime.
 
     Check order: a disabled endpoint refuses first. Both nonces are then
@@ -139,8 +133,8 @@ def handshake(
     only after both sides have authenticated: both must be listed in it, and
     the endpoint's own firmware must match its entry or it self-disables;
     an unauthenticated peer must not be able to trigger that. Every
-    accepted session is mutually authenticated, and takes the next id from
-    `session_ids`; a refused handshake takes none.
+    accepted session is mutually authenticated, and both ends add it last to
+    their tables; a refused handshake adds nothing.
     """
     if a.self_disabled or b.self_disabled:
         return HandshakeResult(None, HandshakeReject.BAD_AUTH)
@@ -163,20 +157,19 @@ def handshake(
         if chip.pod_manifest.members[chip.device_id] != chip.firmware_hash:
             # Integrity check tripped: the member self-disables and closes its sessions.
             chip.self_disabled = True
-            for session in list(chip.sessions.values()):
+            for session in list(chip.sessions):
                 teardown(session)
             return HandshakeResult(None, HandshakeReject.FIRMWARE_MISMATCH)
 
-    session = Session(session_id=next(session_ids), ends=(a, b), established_at=now_ms)
-    a.sessions[session.session_id] = session
-    b.sessions[session.session_id] = session
+    session = Session((a, b))
+    a.sessions[session] = b.sessions[session] = None
     return HandshakeResult(session)
 
 
 def teardown(session: Session) -> None:
     """Close `session` at both of its ends."""
     for end in session.ends:
-        end.sessions.pop(session.session_id, None)
+        end.sessions.pop(session, None)
 
 
 def _newer_signed(chip: ChipState, doc: canon.Doc, wire: bytes, epoch: str,
@@ -232,13 +225,11 @@ def apply_cap_update(chip: ChipState, wire: bytes) -> bool:
 
 
 def _enforce_cap(chip: ChipState) -> list[Session]:
-    """Tear down newest-first sessions until the chip is within its cap."""
+    """Tear down the last-admitted sessions until the chip is within its cap."""
     excess = len(chip.sessions) - chip.adopted_cap()
     if excess <= 0:
         return []
-    newest_first = sorted(chip.sessions.values(), key=lambda s: (s.established_at, s.session_id),
-                          reverse=True)
-    closed = newest_first[:excess]
+    closed = list(reversed(chip.sessions))[:excess]
     for session in closed:
         teardown(session)
     return closed

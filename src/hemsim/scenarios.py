@@ -10,7 +10,6 @@ function of (config, seed).
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import random
@@ -161,16 +160,14 @@ def run_cluster_section(section: dict, seed: int) -> SectionResult:
         (churn * (k + 1)) // (section["cap_lowerings"] + 1)
         for k in range(section["cap_lowerings"])
     }
-    session_ids = itertools.count()
     now = 0.0
     stats = {"handshakes": 0, "accepted": 0, "teardowns": 0, "lowerings": 0,
              "replays_rejected": 0}
     refusals = {reason.value: 0 for reason in HandshakeReject}
     violations = 0
     # Work per event is proportional to what changed, not to the fleet size.
-    # Session ids grow in establishment order, so `open_sessions` iterates in
-    # id order.
-    open_sessions: dict[int, Session] = {}
+    # A dict, not a set: `rng.choice` must see one order in every run, admission order.
+    open_sessions: dict[Session, None] = {}
     over_cap: set[int] = set()
 
     def recount(chip: ChipState) -> None:
@@ -180,7 +177,7 @@ def run_cluster_section(section: dict, seed: int) -> SectionResult:
             over_cap.discard(chip.device_id)
 
     def close(session: Session) -> None:
-        del open_sessions[session.session_id]
+        del open_sessions[session]
         for end in session.ends:
             recount(end)
 
@@ -211,17 +208,17 @@ def run_cluster_section(section: dict, seed: int) -> SectionResult:
             stats["lowerings"] += 1
             next_check = next_check_ms()
         if open_sessions and rng.random() < 0.35:
-            session = rng.choice(list(open_sessions.values()))
+            session = rng.choice(list(open_sessions))
             teardown(session)
             close(session)
             stats["teardowns"] += 1
         else:
             a, b = rng.sample(chips, 2)
-            outcome = handshake(now, a, b, registry, rng, session_ids)
+            outcome = handshake(a, b, registry, rng)
             stats["handshakes"] += 1
             if outcome.accepted:
                 stats["accepted"] += 1
-                open_sessions[outcome.session.session_id] = outcome.session
+                open_sessions[outcome.session] = None
                 recount(a)
                 recount(b)
             else:
@@ -403,14 +400,14 @@ def run_attest_section(section: dict, seed: int) -> SectionResult:
     oracle_total = 0
     table = {}
     for chip in chips:
-        snaps = [emit_snapshot(chip, 0)]
+        snaps = [emit_snapshot(chip)]
         for seq in range(1, section["snapshots"]):
             chip.advance_to(seq * DEFAULT_SNAPSHOT_PERIOD_MS)
             ops = rng.randrange(section["ops_per_interval"] // 2,
                                 section["ops_per_interval"] + 1)
             chip.consume(MeterResource.FLOAT_OPS, ops)
             oracle_total += ops
-            snaps.append(emit_snapshot(chip, seq))
+            snaps.append(emit_snapshot(chip))
         table[chip.device_id] = snaps
     report = verify_chain(table, registry, threshold=section["threshold"])
     exact = report.totals[MeterResource.FLOAT_OPS] == oracle_total

@@ -29,7 +29,10 @@ EVIDENCE_SHA256 = {
     "accounting_fragmentation": "cfa2f6acb6dc63a4a97f399acf3f889f4a3d4a557bdd271cecd034c081bbf7ed",
     "accounting_meter_tamper": "a5547b1bd409757b2e037145baecad156c8d76d65cedaea0a99c32889703e79c",
     "accounting_noise_injection": "5d0467d8f267ddf979a7521c35dcc8b5ce996e3cf1f0b14f92ac90dd61712d28",
+    "accounting_rollback_withhold":
+        "95249b0b0ced2c37ef0a7c4f3b4b1ea8c360a9ca9521f5a8e2b82144873539bf",
     "cluster_cap_forge": "9327a392a8f2c504cd645e05fa12e47ecd5cf2ca345cd8291308f6c81a18f311",
+    "cluster_cap_overadmission": "8ab0f9268c7d4b3645da714a6a5695c45a9457242d089469e868ed0bd9adc572",
     "cluster_gradient_smuggle": "af251e83440a139c57b80df2635891b1e7496937228b600c4aa6ed88cff2e4b3",
     "cluster_manifest_forge": "94c664a04defe49c2f52571308f91ed02e91af2d35f5aa3bee883a4d873deb1b",
     "cluster_pcie_bridge": "2b13abcc20d5edff61135e1f4a172e751b5fe617e9e06f924610f3bd43dc2f3e",

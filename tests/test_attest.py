@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hemsim import canon
 from hemsim.attest import (
@@ -47,15 +49,15 @@ def fleet():
 class TestSnapshots:
     def test_snapshot_after_zero_consumption_all_zero(self, fleet):
         _, registry, chips = fleet
-        fields, _, _ = SNAPSHOT.decode(emit_snapshot(chips[0], sequence_no=0))
+        fields, _, _ = SNAPSHOT.decode(emit_snapshot(chips[0]))
         assert fields["meters"] == {r: 0 for r in MeterResource}
 
     def test_delta_matches_consumption(self, fleet):
         _, registry, chips = fleet
         chip = chips[0]
-        first, _, _ = SNAPSHOT.decode(emit_snapshot(chip, 0))
+        first, _, _ = SNAPSHOT.decode(emit_snapshot(chip))
         chip.consume(MeterResource.FLOAT_OPS, 10**6)
-        second, _, _ = SNAPSHOT.decode(emit_snapshot(chip, 1))
+        second, _, _ = SNAPSHOT.decode(emit_snapshot(chip))
         delta = second["meters"][MeterResource.FLOAT_OPS] - first["meters"][MeterResource.FLOAT_OPS]
         assert delta == 10**6
 
@@ -63,7 +65,7 @@ class TestSnapshots:
         _, registry, chips = fleet
         chip = chips[0]
         chip.consume(MeterResource.FLOAT_OPS, 500)
-        fields, _, signature = SNAPSHOT.decode(emit_snapshot(chip, 0))
+        fields, _, signature = SNAPSHOT.decode(emit_snapshot(chip))
         meters = {**fields["meters"], MeterResource.FLOAT_OPS: 0}
         doctored = SNAPSHOT.signed(**{**fields, "meters": meters}) + canon.blob(signature)
         report = verify_chain({chip.identity.device_id: [doctored]}, registry)
@@ -73,17 +75,52 @@ class TestSnapshots:
         _, _, chips = fleet
         chips[0].tamper_event("enclosure_breach")
         with pytest.raises(ZeroizedError):
-            emit_snapshot(chips[0], 0)
+            emit_snapshot(chips[0])
+
+    @settings(max_examples=40, deadline=None)
+    @given(actions=st.lists(st.sampled_from(
+        ["snapshot", "other_chip", "consume", "advance", "power_cycle", "rollback"]),
+        max_size=24))
+    def test_chip_numbers_its_snapshots_whatever_the_caller_does(self, actions):
+        rng = random.Random(7)
+        chip, other = (provision_chip(rng, frozenset()) for _ in range(2))
+        chip.throttle = ThrottleLevel.FULL
+        numbers = []
+        for action in actions:
+            if action == "snapshot":
+                numbers.append(SNAPSHOT.decode(emit_snapshot(chip))[0]["sequence_no"])
+            elif action == "other_chip":
+                emit_snapshot(other)
+            elif action == "consume":
+                chip.consume(MeterResource.FLOAT_OPS, 1000)
+            elif action == "advance":
+                chip.advance_to(chip.clock_ms + 500.0)
+            elif action == "power_cycle":  # the counter is write-through
+                chip.power_loss(chip.clock_ms + 1.0)
+                chip.power_on(chip.clock_ms + 1.0)
+            else:
+                chip.tamper_event("meter_rollback", covert=True,
+                                  resource=MeterResource.FLOAT_OPS, amount=500)
+        assert numbers == list(range(len(numbers)))
+
+    def test_refused_snapshot_uses_up_no_number(self, fleet):
+        _, _, chips = fleet
+        emit_snapshot(chips[0])
+        chips[0].tamper_event("enclosure_breach")
+        for _ in range(3):
+            with pytest.raises(ZeroizedError):
+                emit_snapshot(chips[0])
+        assert chips[0].next_sequence_no == 1
 
 
 class TestVerifyChain:
     def _run_honest(self, chips, per_chip_ops, snapshots=5):
         table = {}
         for chip, ops in zip(chips, per_chip_ops):
-            seq = [emit_snapshot(chip, 0)]
-            for i in range(1, snapshots):
+            seq = [emit_snapshot(chip)]
+            for _ in range(1, snapshots):
                 chip.consume(MeterResource.FLOAT_OPS, ops // (snapshots - 1))
-                seq.append(emit_snapshot(chip, i))
+                seq.append(emit_snapshot(chip))
             table[chip.identity.device_id] = seq
         return table
 
@@ -102,12 +139,12 @@ class TestVerifyChain:
         _, registry, chips = fleet
         chip = chips[0]
         snaps = []
-        for i in range(6):
+        for _ in range(6):
             chip.consume(MeterResource.FLOAT_OPS, 1000)
-            snaps.append(emit_snapshot(chip, i))
+            snaps.append(emit_snapshot(chip))
         chip.tamper_event("meter_rollback", covert=True,
                           resource=MeterResource.FLOAT_OPS, amount=2500)
-        snaps.append(emit_snapshot(chip, 6))
+        snaps.append(emit_snapshot(chip))
         report = verify_chain({chip.identity.device_id: snaps}, registry)
         result = report.device_results[0]
         assert result.status is DeviceStatus.METER_ROLLBACK
@@ -124,7 +161,7 @@ class TestVerifyChain:
         stranger = provision_chip(rng, frozenset())
         stranger.throttle = ThrottleLevel.FULL
         stranger.consume(MeterResource.FLOAT_OPS, 999)
-        snaps = [emit_snapshot(stranger, 0), emit_snapshot(stranger, 1)]
+        snaps = [emit_snapshot(stranger), emit_snapshot(stranger)]
         report = verify_chain({stranger.identity.device_id: snaps}, registry)
         assert report.device_results[0].status is DeviceStatus.UNVERIFIABLE
         assert report.incomplete
@@ -133,11 +170,13 @@ class TestVerifyChain:
     def test_sequence_gap_detected(self, fleet):
         _, registry, chips = fleet
         chip = chips[0]
-        snaps = [emit_snapshot(chip, 0)]
+        snaps = [emit_snapshot(chip)]
         chip.consume(MeterResource.FLOAT_OPS, 10)
-        snaps.append(emit_snapshot(chip, 2))  # sequence 1 missing
+        emit_snapshot(chip)  # sequence 1, held back
+        snaps.append(emit_snapshot(chip))
         report = verify_chain({chip.identity.device_id: snaps}, registry)
         assert report.device_results[0].status is DeviceStatus.SEQUENCE_GAP
+        assert report.device_results[0].offending_pair == (0, 2)
 
     def test_report_is_stable(self, fleet):
         _, registry, chips = fleet

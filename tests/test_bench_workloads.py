@@ -17,6 +17,11 @@ the great-circle distances computed and the events the `Simulator`
 delivered; and the grid work of each `geoloc_grid` execution: the
 `GridSpec.within_km` calls and the disk-cells they test.
 
+Last, they check the bench's bypass facts, the functions a workload must
+never call, with the bench's own `perfbench/tracer.py` counting calls
+wherever a hemsim module binds the function, so a change that breaks one
+fails here and not first in a bench run.
+
 The digests are regenerated only on purpose, as the goldens under
 `tests/goldens/` are: by a change that means to move report bytes and says
 which bytes moved and why.
@@ -34,26 +39,27 @@ from hemsim import geoloc, netsim, scenarios
 from hemsim.config import validate_config
 from hemsim.scenarios import ScenarioOutcome, execute_scenario
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _workloads() -> types.ModuleType:
-    module = types.ModuleType("workloads")
-    module.__file__ = str(WORKLOADS)
-    exec(compile(WORKLOADS.read_text(encoding="utf-8"), str(WORKLOADS), "exec"),
-         module.__dict__)
+def _load(name: str) -> types.ModuleType:
+    path = PERFBENCH / f"{name}.py"
+    module = types.ModuleType(name)
+    module.__file__ = str(path)
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
     return module
 
 
-BENCH = _workloads()
+BENCH = _load("workloads")
+TRACER = _load("tracer")
 SEEDS = (1, 4242)
 
 REPORT_SHA256 = {
     ("attack_breadth", 1): {
         "attack_matrix.txt":
-            "aea21fa52eec10e5f178af6022133b6e90f705eb00cddecea6c16c28c6afa8d0",
+            "e99723d42890d172873ed68149aaf39ef4580576fff1e6ebe493e5ce77b92e7c",
         "attacks.jsonl":
-            "28933335f3e6bdaf229cd9f566cbe4a80b39c1ade3a08d19bc8ea819f1ce9c0c",
+            "63060f7a05ca645996885bff168622e74b9cf26830ece59ce898deb1e776e1ad",
         "network.jsonl":
             "f0694be323ed807dcd2bd2b8cbc9aa2143985f622c746d1db4d7e1360f2352a7",
         "summary.json":
@@ -63,9 +69,9 @@ REPORT_SHA256 = {
     },
     ("attack_breadth", 4242): {
         "attack_matrix.txt":
-            "aea21fa52eec10e5f178af6022133b6e90f705eb00cddecea6c16c28c6afa8d0",
+            "e99723d42890d172873ed68149aaf39ef4580576fff1e6ebe493e5ce77b92e7c",
         "attacks.jsonl":
-            "28933335f3e6bdaf229cd9f566cbe4a80b39c1ade3a08d19bc8ea819f1ce9c0c",
+            "63060f7a05ca645996885bff168622e74b9cf26830ece59ce898deb1e776e1ad",
         "network.jsonl":
             "fa3da8d7596ea60a6efec6a7f98751efdeb1370d1bf25363937cc6bcca5797f6",
         "summary.json":
@@ -117,8 +123,8 @@ REPORT_SHA256 = {
 
 # ed25519 verifications computed in one execution.
 REAL_VERIFIES = {
-    ("attack_breadth", 1): 157,
-    ("attack_breadth", 4242): 160,
+    ("attack_breadth", 1): 164,
+    ("attack_breadth", 4242): 167,
     ("geoloc_grid", 1): 0,
     ("geoloc_grid", 4242): 0,
     ("signed_fleet", 1): 3182,
@@ -242,3 +248,17 @@ def test_geoloc_only_execution_builds_no_bft_mask(monkeypatch):
     outcome = execute_scenario(validate_config(BENCH.build("geoloc_grid", 1)))
     assert outcome.passed and estimates
     assert [est for est in estimates if "mask" in vars(est)] == []
+
+
+@pytest.mark.parametrize("name", sorted({fact["workload"] for fact in BENCH.SPEC["bypass_facts"]}))
+def test_bench_bypass_facts_hold(name):
+    facts = {fact["metric"].removesuffix(".calls"): fact["equals"]
+             for fact in BENCH.bypass_facts(name)}
+    sentinel = TRACER.Tracer()
+    sentinel.install(set(facts), count_only=True)
+    try:
+        assert set(facts) <= set(sentinel.stats)  # every named function is wrapped
+        execute_scenario(validate_config(BENCH.build(name, BENCH.DEFAULT_SEED)))
+    finally:
+        sentinel.uninstall()
+    assert {span: sentinel.calls(span) for span in facts} == facts

@@ -109,7 +109,9 @@ class TestGoldenWireVectors:
         chip.advance_to(600_000.0)
         chip.consume(FLOAT_OPS, 10**6)
         chip.consume(MeterResource.JOULES, 5)
-        assert emit_snapshot(chip, 3).hex() == (
+        for _ in range(3):  # the chip numbers its snapshots: this is its fourth
+            emit_snapshot(chip)
+        assert emit_snapshot(chip).hex() == (
             "110000006d657465722d736e617073686f742e7631"  # tag "meter-snapshot.v1"
             "ffeeddccbbaa99887766554433221100"            # device_id
             "0300000000000000"                            # sequence_no 3
@@ -502,14 +504,14 @@ class TestSnapshotWire:
     def _chain(self, world):
         """A first snapshot, then a chip that has run 1000 ops since it."""
         _, registry, (chip, _) = world
-        first = emit_snapshot(chip, 0)
+        first = emit_snapshot(chip)
         chip.consume(FLOAT_OPS, 1000)
         return registry, chip, first
 
     def test_every_single_bit_flip_is_refused(self, world):
         registry, chip, first = self._chain(world)
         device = chip.identity.device_id
-        wire = emit_snapshot(chip, 1)
+        wire = emit_snapshot(chip)
         assert verify_chain({device: [first, wire]}, registry).totals[FLOAT_OPS] == 1000
         for bit, flipped in flips(wire):
             report = verify_chain({device: [first, flipped]}, registry)
@@ -538,7 +540,7 @@ class TestSnapshotWire:
     def test_trailing_bytes_refused_without_verify(self, world, verify_calls):
         registry, chip, first = self._chain(world)
         verify_calls.clear()
-        report = verify_chain({chip.identity.device_id: [first, emit_snapshot(chip, 1) + b"\0"]},
+        report = verify_chain({chip.identity.device_id: [first, emit_snapshot(chip) + b"\0"]},
                               registry)
         assert report.device_results[0].status is DeviceStatus.MALFORMED
         assert verify_calls == []

@@ -1,7 +1,6 @@
 """Cluster interconnect tests: handshakes, caps, pods, bridges, detector."""
 
 import hashlib
-import itertools
 import math
 import random
 
@@ -49,11 +48,11 @@ def world():
 
 
 def held_by_both_ends(session):
-    return all(end.sessions.get(session.session_id) is session for end in session.ends)
+    return all(session in end.sessions for end in session.ends)
 
 
 def held_by_neither_end(session):
-    return all(session.session_id not in end.sessions for end in session.ends)
+    return all(session not in end.sessions for end in session.ends)
 
 
 def adopt_caps(regulator, chips, cap, epoch=0, check_period_ms=60_000.0):
@@ -94,10 +93,9 @@ class TestPodRegime:
         )
         for i in (a, b, c, d):
             assert adopt_manifest(chips[i], manifest)
-        session_ids = itertools.count()
-        ok = handshake(0.0, chips[a], chips[b], registry, rng, session_ids)
+        ok = handshake(chips[a], chips[b], registry, rng)
         assert ok.accepted
-        rejected = handshake(1.0, chips[a], chips[d], registry, rng, session_ids)
+        rejected = handshake(chips[a], chips[d], registry, rng)
         assert rejected.reason is HandshakeReject.NOT_IN_POD
 
     def test_firmware_mismatch_rejects_and_self_disables(self, world):
@@ -111,16 +109,15 @@ class TestPodRegime:
         )
         for i in (a, b, c):
             assert adopt_manifest(chips[i], manifest)
-        session_ids = itertools.count()
-        held = handshake(0.0, chips[b], chips[c], registry, rng, session_ids).session
+        held = handshake(chips[b], chips[c], registry, rng).session
         chips[b].firmware_hash = hashlib.sha256(b"patched").digest()
-        result = handshake(0.0, chips[a], chips[b], registry, rng, session_ids)
+        result = handshake(chips[a], chips[b], registry, rng)
         assert result.reason is HandshakeReject.FIRMWARE_MISMATCH
         assert chips[b].self_disabled
         # Disabling closes b's sessions at both ends, its peer c's included.
         assert held_by_neither_end(held)
         assert not chips[b].sessions and not chips[c].sessions
-        again = handshake(1.0, chips[a], chips[b], registry, rng, session_ids)
+        again = handshake(chips[a], chips[b], registry, rng)
         assert again.reason is HandshakeReject.BAD_AUTH
 
     def test_self_disabled_member_stays_stopped_under_a_genuine_license(self, world):
@@ -131,7 +128,7 @@ class TestPodRegime:
                                   manifest_epoch=0)
         assert adopt_manifest(a, manifest) and adopt_manifest(b, manifest)
         b.tamper_event("firmware_mod", covert=True)
-        result = handshake(0.0, a, b, registry, rng, itertools.count())
+        result = handshake(a, b, registry, rng)
         assert result.reason is HandshakeReject.FIRMWARE_MISMATCH
         lic = IssuerState(regulator).issue(b.device_id, {MeterResource.CLOCK_CYCLES: 10**6})
         assert install(b, lic).accepted
@@ -157,9 +154,8 @@ class TestPodRegime:
         assert adopt_manifest(chips[a], replacement)
         assert not adopt_manifest(chips[a], first)  # stale epoch rejected
         assert adopt_manifest(chips[b], first) and adopt_manifest(chips[c], replacement)
-        session_ids = itertools.count()
-        assert handshake(0.0, chips[a], chips[c], registry, rng, session_ids).accepted
-        rejected = handshake(1.0, chips[a], chips[b], registry, rng, session_ids)
+        assert handshake(chips[a], chips[c], registry, rng).accepted
+        rejected = handshake(chips[a], chips[b], registry, rng)
         assert rejected.reason is HandshakeReject.NOT_IN_POD
 
     def test_stale_manifest_epoch_refused_without_verify(self, world, crypto_calls):
@@ -206,7 +202,7 @@ class TestPodRegime:
                                 manifest_epoch=1)
         assert not adopt_manifest(member, forged)
         pair = (outsider, member) if outsider_first else (member, outsider)
-        result = handshake(0.0, *pair, registry, rng, itertools.count())
+        result = handshake(*pair, registry, rng)
         assert result.reason is HandshakeReject.NOT_IN_POD
         assert member.pod_manifest == PodManifest(**MANIFEST.decode(genuine)[0])
         assert not member.sessions
@@ -221,7 +217,7 @@ class TestPodRegime:
         assert adopt_manifest(a, manifest)  # b is listed but holds no manifest
         crypto_calls.update(verify=0, sign=0)
         for pair in ((a, b), (b, a)):
-            result = handshake(0.0, *pair, registry, rng, itertools.count())
+            result = handshake(*pair, registry, rng)
             assert result.reason is HandshakeReject.CAP_EXCEEDED
         assert crypto_calls == {"verify": 0, "sign": 0}
         assert not a.sessions and not b.sessions
@@ -245,7 +241,7 @@ class TestPodRegime:
         )
         for chip in (chips[a], imposter):
             assert adopt_manifest(chip, manifest)
-        result = handshake(0.0, chips[a], imposter, registry, rng, itertools.count())
+        result = handshake(chips[a], imposter, registry, rng)
         assert result.reason is HandshakeReject.BAD_AUTH
 
     @pytest.mark.parametrize("imposter_first", [False, True])
@@ -268,7 +264,7 @@ class TestPodRegime:
         for chip in (chips[a], imposter):
             assert adopt_manifest(chip, manifest)
         pair = (imposter, chips[a]) if imposter_first else (chips[a], imposter)
-        result = handshake(0.0, *pair, registry, rng, itertools.count())
+        result = handshake(*pair, registry, rng)
         # Authentication fails before the firmware check can run.
         assert result.reason is HandshakeReject.BAD_AUTH
         assert not chips[a].self_disabled
@@ -280,9 +276,8 @@ class TestPodRegime:
         ids = sorted(chips)
         honest = chips[ids[0]]
         adopt_caps(regulator, chips, cap=64)
-        session_ids = itertools.count()
         successes = 0
-        for trial in range(1000):
+        for _ in range(1000):
             victim = rng.choice(ids[1:])
             imposter = ChipState(DeviceIdentity(
                 device_id=victim,
@@ -290,7 +285,7 @@ class TestPodRegime:
                 issuer_keys=frozenset({regulator.public_bytes}),
             ))
             imposter.cap_policy = honest.cap_policy
-            result = handshake(float(trial), honest, imposter, registry, rng, session_ids)
+            result = handshake(honest, imposter, registry, rng)
             successes += result.accepted
         assert successes == 0
 
@@ -301,33 +296,56 @@ class TestCapRegime:
         adopt_caps(regulator, chips, cap=2)
         ids = sorted(chips)
         hub = chips[ids[0]]
-        session_ids = itertools.count()
-        first = handshake(0.0, hub, chips[ids[1]], registry, rng, session_ids)
-        second = handshake(1.0, hub, chips[ids[2]], registry, rng, session_ids)
-        assert (first.session.session_id, second.session.session_id) == (0, 1)
+        first = handshake(hub, chips[ids[1]], registry, rng)
+        second = handshake(hub, chips[ids[2]], registry, rng)
+        assert list(hub.sessions) == [first.session, second.session]
         assert first.session.ends == (hub, chips[ids[1]])
         assert held_by_both_ends(first.session) and held_by_both_ends(second.session)
-        # A session equals only itself, and its repr terminates although its
-        # ends hold it in their own session tables.
-        twin = Session(first.session.session_id, first.session.ends, first.session.established_at)
+        # A session equals only itself, even to a twin between the same chips,
+        # and its repr terminates although its ends key their tables by it.
+        twin = Session(first.session.ends)
         assert first.session == first.session and first.session != twin
-        assert repr(first.session).startswith("Session(session_id=0, ends=(")
-        third = handshake(2.0, hub, chips[ids[3]], registry, rng, session_ids)
+        assert twin not in hub.sessions
+        assert repr(first.session).startswith("Session(ends=(")
+        third = handshake(hub, chips[ids[3]], registry, rng)
         assert third.reason is HandshakeReject.CAP_EXCEEDED
-        # A refused handshake takes no id: the next session is still number 2.
-        fourth = handshake(3.0, chips[ids[3]], chips[ids[4]], registry, rng, session_ids)
-        assert fourth.session.session_id == 2
+        # A refused handshake leaves nothing in either table.
+        fourth = handshake(chips[ids[3]], chips[ids[4]], registry, rng)
+        assert list(chips[ids[3]].sessions) == [fourth.session]
         # Tearing a session down removes it from both ends and frees its slot.
         teardown(first.session)
         assert held_by_neither_end(first.session)
         assert len(hub.sessions) == 1 and len(chips[ids[1]].sessions) == 0
-        assert handshake(4.0, hub, chips[ids[5]], registry, rng, session_ids).accepted
+        assert handshake(hub, chips[ids[5]], registry, rng).accepted
+
+    @settings(max_examples=60, deadline=None)
+    @given(cap=st.integers(1, 3), steps=st.lists(
+        st.tuples(st.booleans(), st.integers(0, 5), st.integers(1, 5)), max_size=30))
+    def test_random_churn_keeps_every_table_within_cap_and_in_step(self, cap, steps):
+        # Repeated pairs included: two sessions between the same chips are two
+        # entries, where an id the host chose could make them collide.
+        rng = random.Random(31)
+        regulator, registry, fleet = mint_fleet(rng, 6)
+        adopt_caps(regulator, {chip.device_id: chip for chip in fleet}, cap=cap)
+        open_sessions, closed = [], []
+        for tear_down, i, offset in steps:
+            if tear_down and open_sessions:
+                session = open_sessions.pop((i + offset) % len(open_sessions))
+                teardown(session)
+                closed.append(session)
+            else:
+                outcome = handshake(fleet[i], fleet[(i + offset) % 6], registry, rng)
+                if outcome.accepted:
+                    open_sessions.append(outcome.session)
+            for chip in fleet:
+                assert len(chip.sessions) <= cap
+                assert list(chip.sessions) == [s for s in open_sessions if chip in s.ends]
+            assert all(held_by_neither_end(session) for session in closed)
 
     def test_no_adopted_policy_denies(self, world):
         rng, _, registry, chips = world
         ids = sorted(chips)
-        result = handshake(0.0, chips[ids[0]], chips[ids[1]], registry, rng,
-                           itertools.count())
+        result = handshake(chips[ids[0]], chips[ids[1]], registry, rng)
         assert result.reason is HandshakeReject.CAP_EXCEEDED
 
     @pytest.mark.parametrize("cap", [0, 1])
@@ -336,22 +354,20 @@ class TestCapRegime:
         adopt_caps(regulator, chips, cap=cap)
         ids = sorted(chips)
         hub = chips[ids[0]]
-        session_ids = itertools.count()
         if cap:
-            assert handshake(0.0, hub, chips[ids[1]], registry, rng, session_ids).accepted
+            assert handshake(hub, chips[ids[1]], registry, rng).accepted
         crypto_calls.update(verify=0, sign=0)
         expected_rng = random.Random()
         expected_rng.setstate(rng.getstate())
         expected_rng.randbytes(32)  # both nonces are drawn whichever check rejects
         for a, b in ((hub, chips[ids[2]]), (chips[ids[2]], hub)):
-            result = handshake(1.0, a, b, registry, rng, session_ids)
+            result = handshake(a, b, registry, rng)
             assert result.reason is HandshakeReject.CAP_EXCEEDED
             assert rng.getstate() == expected_rng.getstate()
             expected_rng.randbytes(32)
         assert crypto_calls == {"verify": 0, "sign": 0}
         if cap:  # an admitted handshake still authenticates both ways
-            assert handshake(2.0, chips[ids[2]], chips[ids[3]], registry, rng,
-                             session_ids).accepted
+            assert handshake(chips[ids[2]], chips[ids[3]], registry, rng).accepted
             assert crypto_calls == {"verify": 2, "sign": 2}
 
     def test_stale_epoch_refused_without_verify(self, world, crypto_calls):
@@ -411,10 +427,9 @@ class TestCapRegime:
         ids = sorted(chips)
         hub = chips[ids[0]]
         adopt_caps(regulator, chips, cap=16, check_period_ms=100.0)
-        session_ids = itertools.count()
         sessions = []
-        for i, peer in enumerate(ids[1:6]):
-            result = handshake(float(i), hub, chips[peer], registry, rng, session_ids)
+        for peer in ids[1:6]:
+            result = handshake(hub, chips[peer], registry, rng)
             sessions.append(result.session)
         assert len(hub.sessions) == 5
 
@@ -425,9 +440,8 @@ class TestCapRegime:
         closed = run_due_checks(hub, 110.0)
         assert len(hub.sessions) == 2
         assert len(closed) == 3
-        closed_ids = {s.session_id for s in closed}
-        newest_three = {s.session_id for s in sorted(sessions, key=lambda s: -s.established_at)[:3]}
-        assert closed_ids == newest_three
+        # The last three admitted close, the last admitted first.
+        assert closed == sessions[:1:-1]
         assert all(held_by_neither_end(s) for s in closed)
         # The longest-running sessions survive.
         assert held_by_both_ends(sessions[0]) and held_by_both_ends(sessions[1])
@@ -438,9 +452,8 @@ class TestCapRegime:
         ids = sorted(chips)
         hub = chips[ids[0]]
         adopt_caps(regulator, chips, cap=8, check_period_ms=100.0)
-        session_ids = itertools.count()
-        for i, peer in enumerate(ids[1:5]):
-            handshake(float(i), hub, chips[peer], registry, rng, session_ids)
+        for peer in ids[1:5]:
+            handshake(hub, chips[peer], registry, rng)
         lowered = issue_cap_policy(regulator, cap=1, cap_epoch=1, check_period_ms=100.0)
         apply_cap_update(hub, lowered)
         # Jump far ahead; the backlog of check instants still runs punctually.
@@ -528,11 +541,11 @@ class TestChurnLoop:
         calls = []
         seen = {reason.value: 0 for reason in HandshakeReject}
 
-        def recording_handshake(now_ms, a, b, registry, rng, session_ids):
-            calls.append(now_ms)
+        def recording_handshake(a, b, registry, rng):
+            calls.append((a, b))
             if len(calls) % 4 == 0:
                 registry = {}
-            outcome = handshake(now_ms, a, b, registry, rng, session_ids)
+            outcome = handshake(a, b, registry, rng)
             if not outcome.accepted:
                 seen[outcome.reason.value] += 1
             return outcome
@@ -565,7 +578,7 @@ class TestTransfers:
         adopt_caps(regulator, chips, cap=8)
         ids = sorted(chips)
         a, b = chips[ids[0]], chips[ids[1]]
-        session = handshake(0.0, a, b, registry, rng, itertools.count()).session
+        session = handshake(a, b, registry, rng).session
         return a, b, session
 
     def test_bridge_latency_multiplier(self, world):
@@ -595,7 +608,7 @@ class TestTransfers:
                                   manifest_epoch=0)
         assert adopt_manifest(a, manifest)
         a.tamper_event("firmware_mod", covert=True)
-        result = handshake(1.0, a, b, registry, rng, itertools.count(1))
+        result = handshake(a, b, registry, rng)
         assert result.reason is HandshakeReject.FIRMWARE_MISMATCH
         assert a.self_disabled and held_by_neither_end(session)
         assert bridge_transfer(0.0, a, b, 10**9) is None
